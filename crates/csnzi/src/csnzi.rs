@@ -467,13 +467,21 @@ impl CSnzi {
     /// leaf-level CAS fails. On an adaptive object this is also where
     /// inflation and deflation are decided.
     pub fn arrive_cached(&self, policy: &mut ArrivalPolicy, cursor: &mut LeafCursor) -> Ticket {
+        // Arrival stays a *conditional* CAS (load, check open, CAS) beside
+        // the `fetch_sub` departs. A `fetch_add` arrival would put
+        // transient surplus on a closed object: a real last departer would
+        // then see nonzero and not hand off, and the owner's plain-store
+        // `open` could erase the increment before its undo. Raw
+        // fetch_add/fetch_sub pairs run 17-19 M/s against 11 M/s for this
+        // loop at two threads on the reference box; that is left on the
+        // table for the protocol's sake, not overlooked.
         loop {
             let old = self.load_root();
             if !old.open {
                 return Ticket::FAILED;
             }
             if self.shape.depth > 0 && policy.should_arrive_at_tree(old) && self.tree_route() {
-                return self.tree_arrive_cursor(cursor);
+                return self.tree_arrive_cursor(policy, cursor);
             }
             if self.cas_root(old, old.with_direct_arrival()) {
                 policy.record_success();
@@ -560,8 +568,10 @@ impl CSnzi {
 
     /// The tree-path arrival for [`arrive_cached`](Self::arrive_cached):
     /// [`tree_arrive`](Self::tree_arrive) specialised to the entry leaf,
-    /// with cursor migration on leaf-level CAS failure.
-    fn tree_arrive_cursor(&self, cursor: &mut LeafCursor) -> Ticket {
+    /// with cursor migration on leaf-level CAS failure. Tells `policy`
+    /// when the entry leaf absorbed nothing (a *miss*: the arrival went
+    /// through to the parent, so it cost more than a direct one).
+    fn tree_arrive_cursor(&self, policy: &mut ArrivalPolicy, cursor: &mut LeafCursor) -> Ticket {
         let leaf_count = self.shape.leaf_count();
         let mut migrations = 0;
         let mut idx = self.shape.first_leaf() + cursor.ordinal(leaf_count);
@@ -583,8 +593,11 @@ impl CSnzi {
                 .is_ok()
             {
                 self.note_node_write();
-                if arrived_at_parent && x != 0 {
-                    self.parent_depart(parent);
+                if arrived_at_parent {
+                    if x != 0 {
+                        self.parent_depart(parent);
+                    }
+                    policy.record_tree_miss();
                 }
                 cursor.commit(idx - self.shape.first_leaf());
                 return Ticket::node(idx);
@@ -683,6 +696,11 @@ impl CSnzi {
             let w = self.load_root();
             !w.open && w.surplus() == 0
         });
+        // The plain store cannot erase a concurrent `fetch_sub` depart:
+        // a departer holds surplus, and the surplus here is zero. Nor an
+        // arrival: those are conditional CASes that fail on a closed word
+        // (see `arrive_cached`). Release pairs with the arrivers' Acquire
+        // loads: they see the owner's critical section.
         self.root
             .store(RootWord::OPEN_EMPTY.pack(), Ordering::Release);
         self.note_root_write();
@@ -702,6 +720,9 @@ impl CSnzi {
             tree: 0,
             open: !close,
         };
+        // Plain store, safe for the same reason as in `open`: closed with
+        // zero surplus means no departer exists and no arrival can land;
+        // the `cnt` beneficiaries depart only after this store.
         self.root.store(w.pack(), Ordering::Release);
         self.note_root_write();
     }
@@ -864,24 +885,15 @@ impl CSnzi {
     /// the parent when the surplus here drops to zero. Returns `false` iff
     /// the C-SNZI as a whole became CLOSED with zero surplus.
     fn tree_depart(&self, idx: usize) -> bool {
-        let parent = self.shape.parent_of(idx);
-        let node = self.node(idx);
-        loop {
-            let x = node.cnt.load(Ordering::Acquire);
-            debug_assert!(x > 0, "tree depart with no surplus at node {idx}");
-            if node
-                .cnt
-                .compare_exchange(x, x - 1, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                self.note_node_write();
-                return if x == 1 {
-                    self.parent_depart(parent)
-                } else {
-                    true
-                };
-            }
-        }
+        // Unconditional, so one `fetch_sub` (Figure 2: load + CAS loop).
+        // AcqRel — release: this reader's critical section happens-before
+        // whoever brings the node, and through it the root, to zero;
+        // acquire: the 1 -> 0 departer carries every earlier departer's
+        // release upward with its own.
+        let x = self.node(idx).cnt.fetch_sub(1, Ordering::AcqRel);
+        debug_assert!(x > 0, "tree depart with no surplus at node {idx}");
+        self.note_node_write();
+        x != 1 || self.parent_depart(self.shape.parent_of(idx))
     }
 
     /// `TreeArrive` base case at the root: fails only when the C-SNZI is
@@ -901,28 +913,24 @@ impl CSnzi {
     }
 
     /// `TreeDepart` base case at the root.
-    // The `!(surplus == 0 && closed)` form mirrors Figure 1/2 verbatim.
-    #[allow(clippy::nonminimal_bool)]
     fn root_tree_depart(&self) -> bool {
-        loop {
-            let old = self.load_root();
-            let new = old.with_tree_departure();
-            if self.cas_root(old, new) {
-                return !(new.surplus() == 0 && !new.open);
-            }
-        }
+        // AcqRel: as in `root_direct_depart`.
+        let old = self.root.fetch_sub(RootWord::ONE_TREE, Ordering::AcqRel);
+        self.note_root_write();
+        RootWord::unpack(old).with_tree_departure() != RootWord::CLOSED_EMPTY
     }
 
     /// Departure of a direct (root) arrival.
-    #[allow(clippy::nonminimal_bool)]
     fn root_direct_depart(&self) -> bool {
-        loop {
-            let old = self.load_root();
-            let new = old.with_direct_departure();
-            if self.cas_root(old, new) {
-                return !(new.surplus() == 0 && !new.open);
-            }
-        }
+        // One wait-free `fetch_sub`; the word it returns decides "last
+        // departer of a closed object". AcqRel — release: the reader's
+        // critical-section accesses happen-before the closer (or later
+        // departer) that sees the surplus reach zero; acquire: the last
+        // departer, which must hand the lock off, sees the writer's
+        // enqueue that preceded its `close`.
+        let old = self.root.fetch_sub(RootWord::ONE_DIRECT, Ordering::AcqRel);
+        self.note_root_write();
+        RootWord::unpack(old).with_direct_departure() != RootWord::CLOSED_EMPTY
     }
 
     /// Test/diagnostic accessor: the decoded root word (racy snapshot).
@@ -1146,6 +1154,66 @@ mod tests {
         assert!(!t2.is_root());
         assert!(c.depart(t2));
         assert!(c.depart(t));
+    }
+
+    /// A handle whose failure streak just reached the default threshold.
+    fn contended_policy() -> ArrivalPolicy {
+        let mut p = ArrivalPolicy::default();
+        p.record_failure();
+        p.record_failure();
+        p
+    }
+
+    #[test]
+    fn tree_miss_sends_a_private_leaf_handle_back_to_the_root() {
+        // The leaf is private, so it is empty on every arrival and can
+        // absorb nothing: the tree costs leaf + root RMWs where a direct
+        // arrival costs one. The first miss must end the tree excursion.
+        let c = CSnzi::new(TreeShape::flat(2));
+        let (mut p, mut cursor) = (contended_policy(), LeafCursor::pinned(0));
+        let first = c.arrive_cached(&mut p, &mut cursor);
+        assert!(!first.is_root(), "a failure streak routes to the tree");
+        assert!(c.depart(first));
+        let back_at_root = (0..2).any(|_| {
+            let t = c.arrive_cached(&mut p, &mut cursor);
+            assert!(c.depart(t));
+            t.is_root()
+        });
+        assert!(back_at_root, "still on the tree after three arrivals");
+        assert_eq!(p.failure_streak(), 0);
+    }
+
+    #[test]
+    fn tree_hits_keep_the_handle_on_an_absorbing_leaf() {
+        let c = CSnzi::new(TreeShape::flat(2));
+        let hold = c.arrive_tree(0);
+        let (mut p, mut cursor) = (contended_policy(), LeafCursor::pinned(0));
+        for _ in 0..10 {
+            let t = c.arrive_cached(&mut p, &mut cursor);
+            assert_eq!(t, hold, "a hit stays on the shared leaf");
+            assert_eq!(c.root_snapshot().tree, 1, "the leaf absorbed it");
+            assert!(c.depart(t));
+            assert_eq!(p.failure_streak(), 2, "a hit leaves the streak alone");
+        }
+        assert!(c.depart(hold));
+    }
+
+    #[test]
+    fn pinned_policies_ignore_tree_feedback() {
+        let c = CSnzi::new(TreeShape::flat(2));
+        let mut cursor = LeafCursor::pinned(0);
+        let mut tree = ArrivalPolicy::always_tree();
+        let mut root = ArrivalPolicy::always_direct();
+        for _ in 0..4 {
+            // Every pinned-tree arrival here is a miss; it stays pinned.
+            let t = c.arrive_cached(&mut tree, &mut cursor);
+            assert!(!t.is_root());
+            // Tree surplus is showing; pinned-root still goes direct.
+            let d = c.arrive_cached(&mut root, &mut cursor);
+            assert!(d.is_root());
+            assert!(c.depart(d));
+            assert!(c.depart(t));
+        }
     }
 
     #[test]

@@ -62,7 +62,13 @@ impl TreeShape {
 
     /// A shape sized for `threads` concurrent threads: one leaf per thread
     /// (so distinct threads default to distinct cache lines), flat under
-    /// the root.
+    /// the root. A leaf only one thread uses is empty whenever that thread
+    /// arrives, so it never absorbs an arrival: every tree arrival there
+    /// goes on to the root (a *miss*, costlier than arriving directly).
+    /// The tree pays only where threads share a leaf — more threads than
+    /// leaves, or cursors migrated together — which is why
+    /// [`ArrivalPolicy`](crate::ArrivalPolicy) retreats to the root after
+    /// a miss.
     pub fn for_threads(threads: usize) -> Self {
         Self::flat(threads.max(1))
     }

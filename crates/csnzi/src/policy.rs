@@ -8,6 +8,14 @@
 //! tree, indicating that contention was recently observed by another
 //! thread."
 //!
+//! "Unless attempting to do so has failed" has to be re-learned: the tree
+//! helps only when the entry leaf already holds surplus and absorbs the
+//! arrival. A tree arrival that finds its leaf empty (a *miss*) pays the
+//! leaf *and* the root, so it clears the failure streak and the next
+//! arrival tries the root again. Nothing else on the tree path lowers
+//! the streak, so this is what ends a tree excursion once the contention
+//! that started it has passed.
+//!
 //! The policy is *per-thread* state (a failure counter); lock handles own
 //! one per C-SNZI they use. Pinned policies (always root, always tree)
 //! are explicit [`ArrivalMode`] variants rather than sentinel thresholds:
@@ -108,6 +116,16 @@ impl ArrivalPolicy {
     pub fn record_success(&mut self) {
         self.failures = self.failures.saturating_sub(1);
     }
+
+    /// Records a tree arrival whose entry leaf was empty, so it had to go
+    /// through to the root as well — strictly costlier than arriving
+    /// directly. Clears the failure streak: the next arrival tries the
+    /// root again (unless the root shows tree surplus). A tree *hit* — the
+    /// leaf already had surplus and absorbed the arrival — records nothing
+    /// and so keeps the handle on the tree.
+    pub fn record_tree_miss(&mut self) {
+        self.failures = 0;
+    }
 }
 
 #[cfg(test)]
@@ -141,6 +159,18 @@ mod tests {
         assert!(p.should_arrive_at_tree(quiet_root()));
         p.record_success();
         assert!(!p.should_arrive_at_tree(quiet_root()));
+    }
+
+    #[test]
+    fn tree_miss_clears_the_streak_but_not_the_tree_surplus_clause() {
+        let mut p = ArrivalPolicy::new(2);
+        p.record_failure();
+        p.record_failure();
+        p.record_failure();
+        p.record_tree_miss();
+        assert_eq!(p.failure_streak(), 0);
+        assert!(!p.should_arrive_at_tree(quiet_root()));
+        assert!(p.should_arrive_at_tree(tree_busy_root()));
     }
 
     #[test]

@@ -60,6 +60,13 @@ impl RootWord {
         open: false,
     };
 
+    /// The packed word's unit of one direct arrival: what a direct
+    /// departure `fetch_sub`s from the root.
+    pub(crate) const ONE_DIRECT: u64 = 1 << DIRECT_SHIFT;
+
+    /// The packed word's unit of one propagated tree arrival.
+    pub(crate) const ONE_TREE: u64 = 1 << TREE_SHIFT;
+
     /// Total surplus (Figure 1's abstract `surplus`).
     #[inline]
     pub fn surplus(self) -> u64 {

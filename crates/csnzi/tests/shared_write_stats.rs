@@ -51,6 +51,41 @@ fn tree_policy_keeps_root_quiet_while_surplus_is_nonzero() {
     assert_eq!(s.root_writes, 1, "only the final 1->0 crossing propagates");
 }
 
+/// `(root writes, node writes, root CAS failures)` since the last
+/// `stats().reset()`; with `--features telemetry` also checks that the
+/// attached handle's `csnzi_*` events count the same.
+fn writes(c: &CSnzi, telemetry: &oll_telemetry::Telemetry) -> (u64, u64, u64) {
+    let s = c.stats().snapshot();
+    if let Some(t) = telemetry.snapshot() {
+        use oll_telemetry::LockEvent::{CsnziNodeWrite, CsnziRootCasFail, CsnziRootWrite};
+        assert_eq!(t.get(CsnziRootWrite), s.root_writes);
+        assert_eq!(t.get(CsnziNodeWrite), s.node_writes);
+        assert_eq!(t.get(CsnziRootCasFail), s.root_cas_failures);
+    }
+    telemetry.reset();
+    c.stats().reset();
+    (s.root_writes, s.node_writes, s.root_cas_failures)
+}
+
+#[test]
+fn each_depart_is_one_write_per_word_it_touches_and_never_a_cas() {
+    let telemetry = oll_telemetry::Telemetry::register("CSNZI");
+    let mut c = CSnzi::new(TreeShape::flat(2));
+    c.attach_telemetry(telemetry.clone());
+
+    let direct = c.arrive_direct();
+    let first = c.arrive_tree(0);
+    let second = c.arrive_tree(0);
+    writes(&c, &telemetry);
+
+    c.depart(direct);
+    assert_eq!(writes(&c, &telemetry), (1, 0, 0), "direct: one root write");
+    c.depart(second);
+    assert_eq!(writes(&c, &telemetry), (0, 1, 0), "leaf 2 -> 1 stops there");
+    c.depart(first);
+    assert_eq!(writes(&c, &telemetry), (1, 1, 0), "leaf 1 -> 0 goes on up");
+}
+
 #[test]
 fn distinct_leaves_distribute_writes() {
     let c = CSnzi::new(TreeShape::flat(4));

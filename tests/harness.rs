@@ -5,6 +5,9 @@
 use oll::workloads::config::{Fig5Panel, LockKind, LockOptions, WorkloadConfig};
 use oll::workloads::report::{factor_at_peak, render_csv, render_table};
 use oll::workloads::sweep::{run_panel, SweepOptions};
+use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 fn tiny_opts(locks: Vec<LockKind>) -> SweepOptions {
     SweepOptions {
@@ -48,42 +51,51 @@ fn every_panel_runs_with_figure5_locks() {
     }
 }
 
+/// What "readers share; writers serialize" means, checked structurally:
+/// `K` readers are inside the lock at once (they cannot leave until all
+/// of them, and the main thread, have met at a barrier), a writer cannot
+/// get in beside them, and gets in once they are gone. The throughput shape
+/// this implies (read-only beats write-only) is a measurement, so it
+/// lives in `benchmark/` (`read_only` vs `write_heavy`) with repetitions
+/// and a noise bound, not in a test.
+fn readers_share_and_exclude_a_writer<L: RwLockFamily>(lock: L) {
+    const K: usize = 4;
+    let name = lock.name();
+    let (inside, high_water) = (AtomicUsize::new(0), AtomicUsize::new(0));
+    let (all_hold, release) = (Barrier::new(K + 1), Barrier::new(K + 1));
+    let mut writer = lock.handle().unwrap();
+    std::thread::scope(|s| {
+        for _ in 0..K {
+            s.spawn(|| {
+                let mut h = lock.handle().unwrap();
+                h.lock_read();
+                let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                high_water.fetch_max(now, Ordering::SeqCst);
+                all_hold.wait();
+                release.wait();
+                inside.fetch_sub(1, Ordering::SeqCst);
+                h.unlock_read();
+            });
+        }
+        all_hold.wait();
+        let writer_got_in = writer.try_lock_write();
+        // Let the readers go before asserting: a panic while they wait
+        // would hang the scope instead of failing the test.
+        release.wait();
+        assert!(!writer_got_in, "{name}: writer beside {K} readers");
+    });
+    assert_eq!(high_water.load(Ordering::SeqCst), K, "{name}: sharing");
+    // Blocking, not `try_lock_write`: FOLL/ROLL's try succeeds only on an
+    // empty queue, and the departed readers' node is still its tail.
+    writer.lock_write();
+    writer.unlock_write();
+}
+
 #[test]
-fn read_only_throughput_beats_write_only_for_rw_locks() {
-    // At equal thread counts, 100% reads must outperform 0% reads for any
-    // reader-writer lock (readers share; writers serialize). This is only
-    // observable with real parallelism: on a single hardware thread,
-    // concurrent readers cannot overlap, so the two workloads cost the
-    // same and the comparison is noise.
-    let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if hw < 2 {
-        eprintln!("skipping shape assertion: single hardware thread (see EXPERIMENTS.md)");
-        return;
-    }
-    let opts = tiny_opts(vec![LockKind::Foll, LockKind::Roll, LockKind::Goll]);
-    let read_only = run_panel(Fig5Panel::A, &opts);
-    let write_only = run_panel(Fig5Panel::F, &opts);
-    for kind in [LockKind::Foll, LockKind::Roll, LockKind::Goll] {
-        let r = read_only
-            .series_for(kind)
-            .unwrap()
-            .points
-            .last()
-            .unwrap()
-            .acquires_per_sec;
-        let w = write_only
-            .series_for(kind)
-            .unwrap()
-            .points
-            .last()
-            .unwrap()
-            .acquires_per_sec;
-        assert!(
-            r > w,
-            "{}: read-only ({r:.0}/s) should beat write-only ({w:.0}/s) at 4 threads",
-            kind.name()
-        );
-    }
+fn readers_share_and_exclude_a_writer_for_rw_locks() {
+    readers_share_and_exclude_a_writer(FollLock::new(5));
+    readers_share_and_exclude_a_writer(RollLock::new(5));
+    readers_share_and_exclude_a_writer(GollLock::new(5));
 }
 
 #[test]
