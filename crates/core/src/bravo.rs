@@ -42,7 +42,7 @@
 use crate::raw::{RwHandle, RwLockFamily, TimedHandle, TimedOut, UpgradableHandle};
 use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry, Timer};
-use oll_util::backoff::{spin_until, spin_until_deadline, BackoffPolicy};
+use oll_util::backoff::{spin_until_deadline, BackoffPolicy, Deadline, Never};
 use oll_util::fault;
 use oll_util::knobs::TuningKnobs;
 use oll_util::slots::{SlotError, VisibleReaders};
@@ -365,63 +365,14 @@ impl<L: RwLockFamily> BravoHandle<'_, L> {
     /// revocations against each other and against re-arms). An associated
     /// fn (not `&mut self`) so callers can keep a disjoint `&mut` borrow
     /// of the inner handle for the unwind guard around the scan.
-    fn revoke_bias(lock: &Bravo<L>, telemetry: &Telemetry) {
+    ///
+    /// Returns `false` — with the bias restored — if a published reader
+    /// outlasts `deadline`; a [`Never`] deadline always revokes.
+    fn revoke_bias<D: Deadline>(lock: &Bravo<L>, telemetry: &Telemetry, deadline: D) -> bool {
         // `rbias == false` while we hold the underlying write lock means
         // the last revocation completed and nothing re-armed since; no
         // fast reader can be active (the fast path requires the flag),
         // so the scan can be skipped.
-        if !(lock.enabled && lock.rbias.load(Ordering::SeqCst)) {
-            return;
-        }
-        let start = Instant::now();
-        lock.rbias.store(false, Ordering::SeqCst);
-        fault::inject("bravo.write.revoke-scan");
-        let table = lock.table();
-        for i in 0..table.len() {
-            if table.load(i) == lock.lock_id {
-                fault::inject("bravo.write.revoke-mid-scan");
-                spin_until(lock.knobs.backoff_policy(), || {
-                    table.load(i) != lock.lock_id
-                });
-            }
-        }
-        let took = start.elapsed().as_nanos() as u64;
-        lock.inhibit_until_ns.store(
-            now_ns().saturating_add(took.saturating_mul(u64::from(lock.knobs.rearm_multiplier()))),
-            Ordering::Relaxed,
-        );
-        telemetry.incr(LockEvent::BiasRevoke);
-    }
-
-    /// Non-blocking revocation for the `try` path: clears `rbias` and
-    /// scans the table once. If a published reader is sighted the bias is
-    /// restored and `false` returned — waiting the reader out would turn
-    /// `try_lock_write` into a blocking call (and deadlock a thread that
-    /// probes for a writer while another of its handles holds a fast
-    /// read). Must be called while holding the underlying write lock.
-    fn try_revoke_bias(lock: &Bravo<L>, telemetry: &Telemetry) -> bool {
-        if !(lock.enabled && lock.rbias.load(Ordering::SeqCst)) {
-            return true;
-        }
-        lock.rbias.store(false, Ordering::SeqCst);
-        fault::inject("bravo.write.revoke-scan");
-        let table = lock.table();
-        if (0..table.len()).any(|i| table.load(i) == lock.lock_id) {
-            // Safe to restore while we hold the underlying write lock:
-            // no other writer can be mid-revoke.
-            lock.rbias.store(true, Ordering::SeqCst);
-            return false;
-        }
-        lock.inhibit_until_ns.store(now_ns(), Ordering::Relaxed);
-        telemetry.incr(LockEvent::BiasRevoke);
-        true
-    }
-
-    /// Deadline-bounded revocation for the timed write path: like
-    /// [`Self::revoke_bias`] but gives up (restoring the bias) if a
-    /// published reader outlasts `deadline`. Must be called while holding
-    /// the underlying write lock. Returns `false` on timeout.
-    fn revoke_bias_deadline(lock: &Bravo<L>, telemetry: &Telemetry, deadline: Instant) -> bool {
         if !(lock.enabled && lock.rbias.load(Ordering::SeqCst)) {
             return true;
         }
@@ -447,6 +398,30 @@ impl<L: RwLockFamily> BravoHandle<'_, L> {
             now_ns().saturating_add(took.saturating_mul(u64::from(lock.knobs.rearm_multiplier()))),
             Ordering::Relaxed,
         );
+        telemetry.incr(LockEvent::BiasRevoke);
+        true
+    }
+
+    /// Non-blocking revocation for the `try` path: clears `rbias` and
+    /// scans the table once. If a published reader is sighted the bias is
+    /// restored and `false` returned — waiting the reader out would turn
+    /// `try_lock_write` into a blocking call (and deadlock a thread that
+    /// probes for a writer while another of its handles holds a fast
+    /// read). Must be called while holding the underlying write lock.
+    fn try_revoke_bias(lock: &Bravo<L>, telemetry: &Telemetry) -> bool {
+        if !(lock.enabled && lock.rbias.load(Ordering::SeqCst)) {
+            return true;
+        }
+        lock.rbias.store(false, Ordering::SeqCst);
+        fault::inject("bravo.write.revoke-scan");
+        let table = lock.table();
+        if (0..table.len()).any(|i| table.load(i) == lock.lock_id) {
+            // Safe to restore while we hold the underlying write lock:
+            // no other writer can be mid-revoke.
+            lock.rbias.store(true, Ordering::SeqCst);
+            return false;
+        }
+        lock.inhibit_until_ns.store(now_ns(), Ordering::Relaxed);
         telemetry.incr(LockEvent::BiasRevoke);
         true
     }
@@ -482,7 +457,8 @@ impl<L: RwLockFamily> RwHandle for BravoHandle<'_, L> {
             inner: &mut self.inner,
             armed: true,
         };
-        Self::revoke_bias(self.lock, &self.telemetry);
+        let revoked = Self::revoke_bias(self.lock, &self.telemetry, Never);
+        debug_assert!(revoked, "a revocation with no deadline cannot time out");
         unwind.armed = false;
     }
 
@@ -546,7 +522,7 @@ where
             inner: &mut self.inner,
             armed: true,
         };
-        if !Self::revoke_bias_deadline(self.lock, &self.telemetry, deadline) {
+        if !Self::revoke_bias(self.lock, &self.telemetry, deadline) {
             return Err(TimedOut);
         }
         unwind.armed = false;

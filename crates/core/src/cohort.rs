@@ -47,11 +47,9 @@
 //! extra tail word in front of today's single-tail behaviour.
 
 use crate::foll::node_state::{ABANDONED, GRANTED, RELEASED, WAITING};
-#[cfg(not(loom))]
-use crate::foll::WriteTimeout;
-use crate::foll::{NodeRef, QueueCore};
+use crate::foll::{NodeRef, QueueCore, WriteTimeout};
 use oll_telemetry::LockEvent;
-use oll_util::backoff::spin_until;
+use oll_util::backoff::{spin_until, spin_until_deadline, Deadline};
 use oll_util::fault;
 use oll_util::knobs::TuningKnobs;
 use oll_util::sync::{AtomicU32, AtomicU64, Ordering};
@@ -174,20 +172,6 @@ pub(crate) enum CohortRelease {
     NoGlobal,
 }
 
-/// Outcome of a timed cohort write acquisition that did not get the lock.
-#[cfg(not(loom))]
-pub(crate) enum CohortTimeout {
-    /// Everything was undone; both of the slot's nodes are reusable.
-    Clean,
-    /// The *global* writer node was left `ABANDONED` in the global queue
-    /// (the handle must `reclaim_writer_node` before its next use).
-    WriterAbandoned,
-    /// The *cohort* node was left `ABANDONED` in its cohort queue (the
-    /// handle must [`QueueCore::cohort_reclaim_node`] before its next
-    /// use).
-    CohortAbandoned,
-}
-
 impl QueueCore {
     /// Whether a cohort-gated writer may skip the cohort queue entirely
     /// and acquire like a plain writer: nobody waits in its cohort and
@@ -219,170 +203,101 @@ impl QueueCore {
         }
     }
 
-    /// Cohort-gated `WriterLock`: enqueue on the cohort tail, then either
-    /// receive the lock directly from a same-cohort predecessor or become
-    /// cohort head and take the ordinary global
-    /// [`writer_lock`](Self::writer_lock) path.
+    /// Cohort-gated `WriterLock`, blocking and timed alike: enqueue on the
+    /// cohort tail, then either receive the lock directly from a
+    /// same-cohort predecessor or become cohort head and take the ordinary
+    /// global [`writer_lock`](Self::writer_lock) path.
     ///
     /// `pending_reclaim` is the handle's abandoned-global-node flag; the
     /// reclaim is deferred until this call actually needs the global
     /// writer node (a `WITH_LOCK` grant never touches it — it may still
     /// be lent to a running batch).
-    pub(crate) fn cohort_lock(
+    ///
+    /// A wait that outlasts `deadline` undoes the acquisition; the error
+    /// says which of the slot's two queue nodes (if any) was left behind
+    /// for later reclaim.
+    pub(crate) fn cohort_lock<D: Deadline>(
         &self,
         slot: usize,
         cohort: usize,
         wait_for_active: bool,
+        deadline: D,
         pending_reclaim: &mut bool,
-    ) -> CohortHold {
+    ) -> Result<CohortHold, WriteTimeout> {
         let gate = self.cohort.as_ref().expect("cohort_lock without a gate");
         let me = gate.node(slot);
         me.qnext.store(0, Ordering::Relaxed);
         let pred = gate.ctails[cohort].swap(slot as u32 + 1, Ordering::AcqRel);
-        if pred == 0 {
-            // Cohort head: acquire the global lock the ordinary way.
-            self.ensure_global_node(slot, pending_reclaim);
-            self.writer_lock(slot, wait_for_active);
-            return CohortHold {
-                cohort,
-                owner_slot: slot,
-                batch: 0,
-            };
-        }
-        let acquire = self.telemetry.begin_write();
-        // WAITING before the link store: the predecessor finds us only
-        // through qnext, so it cannot grant us before we start waiting.
-        me.state.store(WAITING, Ordering::Relaxed);
-        gate.node(pred as usize - 1)
-            .qnext
-            .store(slot as u32 + 1, Ordering::Release);
-        fault::inject("cohort.write.enqueued");
-        self.telemetry.trace_enqueued(cohort_token(slot));
-        spin_until(self.backoff(), || {
-            me.state.load(Ordering::Acquire) == GRANTED
-        });
-        let word = me.grant.load(Ordering::Acquire);
-        if word & WITH_LOCK != 0 {
-            // Same-socket hand-off: we inherit the owner's global node.
-            self.telemetry.incr(LockEvent::WriteSlow);
-            self.telemetry.record_write_acquire(&acquire);
-            CohortHold {
-                cohort,
-                owner_slot: NodeRef::from_raw((word & 0xFFFF_FFFF) as u32).index(),
-                batch: ((word >> 32) & 0x7FFF_FFFF) as u32,
-            }
-        } else {
-            // Bare cohort headship: the previous batch released globally
-            // (or relinquished); take the global path from here.
-            self.ensure_global_node(slot, pending_reclaim);
-            self.writer_lock(slot, wait_for_active);
-            CohortHold {
-                cohort,
-                owner_slot: slot,
-                batch: 0,
-            }
-        }
-    }
-
-    /// Timed [`cohort_lock`](Self::cohort_lock). Gives up at `deadline`,
-    /// undoing the acquisition; the variant says which of the slot's two
-    /// queue nodes (if any) was left behind for later reclaim.
-    #[cfg(not(loom))]
-    pub(crate) fn cohort_lock_deadline(
-        &self,
-        slot: usize,
-        cohort: usize,
-        wait_for_active: bool,
-        deadline: std::time::Instant,
-        pending_reclaim: &mut bool,
-    ) -> Result<CohortHold, CohortTimeout> {
-        use oll_util::backoff::spin_until_deadline;
-
-        let gate = self.cohort.as_ref().expect("cohort_lock without a gate");
-        let me = gate.node(slot);
-        me.qnext.store(0, Ordering::Relaxed);
-        let pred = gate.ctails[cohort].swap(slot as u32 + 1, Ordering::AcqRel);
-        if pred == 0 {
-            self.ensure_global_node(slot, pending_reclaim);
-            return match self.writer_lock_deadline(slot, wait_for_active, deadline) {
-                Ok(()) => Ok(CohortHold {
-                    cohort,
-                    owner_slot: slot,
-                    batch: 0,
-                }),
-                Err(wt) => {
-                    // We still head the cohort: pass headship on (or
-                    // detach the tail) before reporting the timeout.
-                    self.cohort_release(slot, cohort, None);
-                    Err(match wt {
-                        WriteTimeout::Clean => CohortTimeout::Clean,
-                        WriteTimeout::Abandoned => CohortTimeout::WriterAbandoned,
-                    })
-                }
-            };
-        }
-        let acquire = self.telemetry.begin_write();
-        me.state.store(WAITING, Ordering::Relaxed);
-        gate.node(pred as usize - 1)
-            .qnext
-            .store(slot as u32 + 1, Ordering::Release);
-        fault::inject("cohort.write.enqueued");
-        self.telemetry.trace_enqueued(cohort_token(slot));
-        let timed_out = !spin_until_deadline(self.backoff(), deadline, || {
-            me.state.load(Ordering::Acquire) == GRANTED
-        });
-        if timed_out {
-            fault::inject("cohort.write.abandon-self");
-            if me
-                .state
-                .compare_exchange(WAITING, ABANDONED, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // The granter will excise us and mark the node RELEASED.
-                return Err(CohortTimeout::CohortAbandoned);
-            }
-            // The grant beat the cancel; undo it below.
-        }
-        let word = me.grant.load(Ordering::Acquire);
-        if word & WITH_LOCK != 0 {
-            let hold = CohortHold {
-                cohort,
-                owner_slot: NodeRef::from_raw((word & 0xFFFF_FFFF) as u32).index(),
-                batch: ((word >> 32) & 0x7FFF_FFFF) as u32,
-            };
+        if pred != 0 {
+            let acquire = self.telemetry.begin_write();
+            // WAITING before the link store: the predecessor finds us only
+            // through qnext, so it cannot grant us before we start waiting.
+            me.state.store(WAITING, Ordering::Relaxed);
+            gate.node(pred as usize - 1)
+                .qnext
+                .store(slot as u32 + 1, Ordering::Release);
+            fault::inject("cohort.write.enqueued");
+            self.telemetry.trace_enqueued(cohort_token(slot));
+            let timed_out = !spin_until_deadline(self.backoff(), deadline, || {
+                me.state.load(Ordering::Acquire) == GRANTED
+            });
             if timed_out {
-                // Granted at the wire: release properly, report timeout.
-                // The outcome governs our global node exactly as in an
-                // ordinary unlock — lent out on a local hand-off,
-                // discharged (clearing any earlier lend) on a global
-                // release through it.
-                let outcome = self.cohort_release(slot, cohort, Some(hold));
-                if hold.owner_slot == slot {
-                    *pending_reclaim = outcome == CohortRelease::LocalHandoff;
+                fault::inject("cohort.write.abandon-self");
+                if me
+                    .state
+                    .compare_exchange(WAITING, ABANDONED, Ordering::AcqRel, Ordering::Acquire)
+                    .is_ok()
+                {
+                    // The granter will excise us and mark the node RELEASED.
+                    return Err(WriteTimeout::CohortAbandoned);
                 }
-                return Err(CohortTimeout::Clean);
+                // The grant beat the cancel; undo it below.
             }
-            self.telemetry.incr(LockEvent::WriteSlow);
-            self.telemetry.record_write_acquire(&acquire);
-            return Ok(hold);
+            let word = me.grant.load(Ordering::Acquire);
+            if word & WITH_LOCK != 0 {
+                // Same-socket hand-off: we inherit the owner's global node.
+                let hold = CohortHold {
+                    cohort,
+                    owner_slot: NodeRef::from_raw((word & 0xFFFF_FFFF) as u32).index(),
+                    batch: ((word >> 32) & 0x7FFF_FFFF) as u32,
+                };
+                if timed_out {
+                    // Granted at the wire: release properly, report timeout.
+                    // The outcome governs our global node exactly as in an
+                    // ordinary unlock — lent out on a local hand-off,
+                    // discharged (clearing any earlier lend) on a global
+                    // release through it.
+                    let outcome = self.cohort_release(slot, cohort, Some(hold));
+                    if hold.owner_slot == slot {
+                        *pending_reclaim = outcome == CohortRelease::LocalHandoff;
+                    }
+                    return Err(WriteTimeout::Clean);
+                }
+                self.telemetry.incr(LockEvent::WriteSlow);
+                self.telemetry.record_write_acquire(&acquire);
+                return Ok(hold);
+            }
+            // Bare cohort headship: the previous batch released globally
+            // (or relinquished).
+            if timed_out {
+                self.cohort_release(slot, cohort, None);
+                return Err(WriteTimeout::Clean);
+            }
         }
-        if timed_out {
-            self.cohort_release(slot, cohort, None);
-            return Err(CohortTimeout::Clean);
-        }
+        // Cohort head — from the start or by that bare grant: acquire the
+        // global lock the ordinary way.
         self.ensure_global_node(slot, pending_reclaim);
-        match self.writer_lock_deadline(slot, wait_for_active, deadline) {
+        match self.writer_lock(slot, wait_for_active, deadline) {
             Ok(()) => Ok(CohortHold {
                 cohort,
                 owner_slot: slot,
                 batch: 0,
             }),
-            Err(wt) => {
+            Err(left_behind) => {
+                // We still head the cohort: pass headship on (or detach
+                // the tail) before reporting the timeout.
                 self.cohort_release(slot, cohort, None);
-                Err(match wt {
-                    WriteTimeout::Clean => CohortTimeout::Clean,
-                    WriteTimeout::Abandoned => CohortTimeout::WriterAbandoned,
-                })
+                Err(left_behind)
             }
         }
     }

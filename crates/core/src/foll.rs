@@ -1,5 +1,9 @@
-//! The **FOLL** lock (§4.2, Figure 4 of the paper): a FIFO distributed
-//! queue reader-writer lock extending the MCS mutex.
+//! The OLL distributed-queue lock (§4.2–4.3, Figure 4 of the paper): a
+//! queue reader-writer lock extending the MCS mutex. This module holds the
+//! queue protocol (`QueueCore`), the one lock/builder/handle type over it
+//! ([`QueueLock`]), and the FIFO ordering policy that makes it **FOLL**
+//! ([`FollLock`]); [`roll`](crate::roll) adds the reader-preference policy
+//! that makes it ROLL.
 //!
 //! Writers queue exactly as in the MCS mutex. Successive readers, however,
 //! *share a single queue node* by arriving at that node's C-SNZI — so a
@@ -15,16 +19,17 @@
 //! is exactly the ring discipline the paper's recycling argument assumes.
 
 use crate::cohort::{CohortGate, CohortHold, CohortRelease, DEFAULT_COHORT_BATCH};
-use crate::raw::{RwHandle, RwLockFamily};
+use crate::raw::{RwHandle, RwLockFamily, TimedOut};
 use oll_csnzi::{ArrivalPolicy, CSnzi, CancelOutcome, LeafCursor, Ticket, TreeShape};
 use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry, Timer};
-use oll_util::backoff::{spin_until, Backoff, BackoffPolicy};
+use oll_util::backoff::{spin_until, spin_until_deadline, Backoff, BackoffPolicy, Deadline, Never};
 use oll_util::fault;
 use oll_util::knobs::TuningKnobs;
 use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
 use oll_util::sync::{AtomicBool, AtomicU32, Ordering};
 use oll_util::CachePadded;
+use std::marker::PhantomData;
 
 /// Hand-off state of a queue node, generalizing Figure 4's boolean `spin`
 /// flag so that timed acquisitions can *cancel* a wait.
@@ -59,60 +64,133 @@ pub mod node_state {
 }
 use node_state::{ABANDONED, GRANTED, RELEASED, WAITING};
 
-/// Outcome of a timed write acquisition that did not get the lock.
+/// Outcome of a timed write acquisition that did not get the lock: which
+/// of the slot's queue nodes (if any) it left behind for later reclaim.
 pub(crate) enum WriteTimeout {
-    /// The cancel undid everything; the writer node is immediately
+    /// The cancel undid everything; the slot's nodes are immediately
     /// reusable.
     Clean,
-    /// The node was left `ABANDONED` in the queue; the handle must
+    /// The writer node was left `ABANDONED` in the queue; the handle must
     /// [`QueueCore::reclaim_writer_node`] before the node's next use.
     Abandoned,
+    /// The *cohort* node was left `ABANDONED` in its cohort queue (cohort
+    /// builds only); the handle must [`QueueCore::cohort_reclaim_node`]
+    /// before its next use.
+    CohortAbandoned,
 }
 
-/// A packed reference to a queue node: `0` is null; otherwise bit 0 is the
-/// node kind (1 = reader) and the remaining bits are `index + 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct NodeRef(u32);
+/// Items that must be *nominally* `pub` — they appear in the bounds and
+/// hook signatures of the public [`QueueLock`] — but that nothing outside
+/// the crate should name: the module is private and re-exports them at
+/// crate visibility only, which also seals [`OrderPolicy`].
+mod sealed {
+    use super::{QueueHandle, QueueLock};
+    use oll_csnzi::Ticket;
 
-impl NodeRef {
-    pub(crate) const NIL: Self = Self(0);
+    /// A packed reference to a queue node: `0` is null; otherwise bit 0 is the
+    /// node kind (1 = reader) and the remaining bits are `index + 1`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct NodeRef(u32);
 
-    pub(crate) fn reader(idx: usize) -> Self {
-        Self((((idx as u32) + 1) << 1) | 1)
+    impl NodeRef {
+        pub(crate) const NIL: Self = Self(0);
+
+        pub(crate) fn reader(idx: usize) -> Self {
+            Self((((idx as u32) + 1) << 1) | 1)
+        }
+
+        pub(crate) fn writer(idx: usize) -> Self {
+            Self(((idx as u32) + 1) << 1)
+        }
+
+        pub(crate) fn is_nil(self) -> bool {
+            self.0 == 0
+        }
+
+        pub(crate) fn is_reader(self) -> bool {
+            !self.is_nil() && (self.0 & 1) == 1
+        }
+
+        pub(crate) fn index(self) -> usize {
+            debug_assert!(!self.is_nil());
+            ((self.0 >> 1) - 1) as usize
+        }
+
+        pub(crate) fn raw(self) -> u32 {
+            self.0
+        }
+
+        pub(crate) fn from_raw(raw: u32) -> Self {
+            Self(raw)
+        }
     }
 
-    pub(crate) fn writer(idx: usize) -> Self {
-        Self(((idx as u32) + 1) << 1)
+    /// Names of the fault-injection windows on a family's reader path
+    /// (`<family>.read.*`, what `tests/fault_injection.rs` plans match on).
+    pub struct ReadSites {
+        /// Arrived at a reader node, about to wait for its grant.
+        pub waiting: &'static str,
+        /// Overtook a writer by joining a waiting group, about to wait.
+        pub joined: &'static str,
+        /// The wait expired, about to cancel.
+        pub timeout: &'static str,
     }
 
-    pub(crate) fn is_nil(self) -> bool {
-        self.0 == 0
+    /// Builds a family's [`ReadSites`] from its fault-site prefix.
+    macro_rules! read_sites {
+        ($family:literal) => {
+            $crate::foll::ReadSites {
+                waiting: concat!($family, ".read.waiting"),
+                joined: concat!($family, ".read.joined"),
+                timeout: concat!($family, ".read.timeout"),
+            }
+        };
     }
+    pub(crate) use read_sites;
 
-    pub(crate) fn is_reader(self) -> bool {
-        !self.is_nil() && (self.0 & 1) == 1
-    }
+    /// How a queue lock orders readers against queued writers. The hooks
+    /// are exactly the two places §4.3 changes §4.2 — what a reader does
+    /// when the tail is a writer, and whether a writer lets a waiting
+    /// reader predecessor become active before closing it — plus the
+    /// family's name and whatever lock-wide state the policy keeps.
+    pub trait OrderPolicy: Sized + 'static {
+        /// Lock-wide state only this ordering needs (zero-sized for FIFO).
+        type State: Send + Sync;
+        /// The family name ([`RwLockFamily::name`](crate::RwLockFamily::name)
+        /// and the telemetry kind).
+        const NAME: &'static str;
+        /// The family's reader-path fault sites.
+        const SITES: ReadSites;
+        /// Whether a writer waits for a reader predecessor to hold the lock
+        /// before closing its C-SNZI (`wait_for_active` in
+        /// [`QueueCore::writer_lock`](super::QueueCore::writer_lock)).
+        const WAIT_FOR_ACTIVE: bool;
 
-    pub(crate) fn index(self) -> usize {
-        debug_assert!(!self.is_nil());
-        ((self.0 >> 1) - 1) as usize
-    }
+        /// Builds the policy state ([`QueueBuilder::last_reader_hint`]
+        /// is the only knob any policy has).
+        ///
+        /// [`QueueBuilder::last_reader_hint`]: super::QueueBuilder::last_reader_hint
+        fn new_state(last_reader_hint: bool) -> Self::State;
 
-    pub(crate) fn raw(self) -> u32 {
-        self.0
-    }
+        /// A reader found the writer `tail` at the end of the queue: try to
+        /// overtake it by arriving at a reader node queued further up.
+        /// `None` sends the reader to the back of the queue.
+        fn overtake(handle: &mut QueueHandle<'_, Self>, tail: NodeRef) -> Option<(usize, Ticket)>;
 
-    pub(crate) fn from_raw(raw: u32) -> Self {
-        Self(raw)
+        /// A reader just enqueued (and arrived at) the fresh, still-waiting
+        /// `node` behind a writer.
+        fn enqueued_behind_writer(lock: &QueueLock<Self>, node: NodeRef);
     }
 }
+pub(crate) use sealed::{read_sites, NodeRef, OrderPolicy, ReadSites};
 
 /// A writer's queue node: the MCS node (`qNext`, hand-off `state`).
 pub(crate) struct WriterNode {
     pub(crate) qnext: AtomicU32,
     pub(crate) state: AtomicU32,
-    /// ROLL only: predecessor link for the backward search. Unused (but
-    /// cheap) in FOLL.
+    /// Predecessor link, written by every enqueuer whatever the policy; read
+    /// only by the reader-preference policy's backward search
+    /// (`ReaderPreference::overtake` in `roll.rs`).
     pub(crate) prev: AtomicU32,
 }
 
@@ -136,7 +214,7 @@ pub(crate) struct ReaderNode {
     pub(crate) in_use: AtomicBool,
     /// Immutable ring successor for pool traversal.
     pub(crate) ring_next: usize,
-    /// ROLL only: predecessor link.
+    /// Predecessor link (see [`WriterNode::prev`]).
     pub(crate) prev: AtomicU32,
 }
 
@@ -181,8 +259,9 @@ impl ReaderNode {
     }
 }
 
-/// Shared queue state for FOLL and ROLL (ROLL reuses every piece and adds
-/// the backward search).
+/// The queue protocol every [`QueueLock`] runs on, whatever its ordering
+/// policy: node pool, tail, grant cascade, writer lock/unlock, reader
+/// unlock and the cancellation undo paths.
 pub(crate) struct QueueCore {
     pub(crate) tail: CachePadded<AtomicU32>,
     pub(crate) writer_nodes: Box<[CachePadded<WriterNode>]>,
@@ -434,6 +513,31 @@ impl QueueCore {
         }
     }
 
+    /// Publishes the allocated reader node `r` at the tail behind `pred`
+    /// (`NIL` = the queue is empty, so the node is granted at once) and
+    /// opens its C-SNZI. `false` means the tail moved first: nothing was
+    /// published and `r` is still the caller's.
+    #[inline]
+    pub(crate) fn enqueue_reader_node(&self, r: usize, pred: NodeRef) -> bool {
+        let me = NodeRef::reader(r);
+        let node = self.rnode(r);
+        let state = if pred.is_nil() { GRANTED } else { WAITING };
+        node.state.store(state, Ordering::Relaxed);
+        node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
+        node.prev.store(NodeRef::NIL.raw(), Ordering::Relaxed);
+        if !self.cas_tail(pred, me) {
+            return false;
+        }
+        if !pred.is_nil() {
+            node.prev.store(pred.raw(), Ordering::Release);
+            self.set_qnext(pred, me);
+        }
+        // Only now that the node is enqueued may its C-SNZI open (§4.2
+        // explains why this ordering is vital).
+        node.csnzi.open();
+        true
+    }
+
     /// `FreeReaderNode`: return a node to the pool. At most one thread
     /// frees a node before it is reallocated (§4.2.1), so a plain store
     /// suffices, exactly as in the paper.
@@ -447,90 +551,25 @@ impl QueueCore {
         node.in_use.store(false, Ordering::Release);
     }
 
-    /// The writer half of `WriterLock`, shared verbatim by FOLL and ROLL
-    /// except for when the reader-predecessor's C-SNZI gets closed:
-    /// FOLL closes immediately (`wait_for_active` = false); ROLL first
-    /// waits for the predecessor's readers to become active, which is what
-    /// lets later readers overtake us and join them (§4.3).
-    pub(crate) fn writer_lock(&self, slot: usize, wait_for_active: bool) {
-        let acquire = self.telemetry.begin_write();
-        let me = NodeRef::writer(slot);
-        let node = self.wnode(slot);
-        node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-        node.prev.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-        let pred = self.swap_tail(me);
-        if pred.is_nil() {
-            self.telemetry.incr(LockEvent::WriteFast);
-            self.telemetry.record_write_acquire(&acquire);
-            return; // lock acquired
-        }
-        self.telemetry.incr(LockEvent::WriteSlow);
-        // Set our state to WAITING *before* publishing the qNext link: our
-        // predecessor finds us only through qNext, so it cannot grant us
-        // before we start waiting.
-        node.state.store(WAITING, Ordering::Relaxed);
-        node.prev.store(pred.raw(), Ordering::Release);
-        self.set_qnext(pred, me);
-        fault::inject("foll.write.enqueued");
-        if pred.is_reader() {
-            let pnode = self.rnode(pred.index());
-            // Node recycling: wait until the enqueuer has opened the
-            // C-SNZI of this node incarnation (§4.2).
-            spin_until(self.backoff(), || pnode.csnzi.query().open);
-            if wait_for_active {
-                // ROLL: let readers keep joining until the group holds the
-                // lock. The predecessor reader node cannot be ABANDONED
-                // here: its C-SNZI is still open, so no canceller ever saw
-                // `MustHandOff` on it.
-                self.telemetry.trace_enqueued(u64::from(pred.raw()));
-                spin_until(self.backoff(), || {
-                    pnode.state.load(Ordering::Acquire) == GRANTED
-                });
-            }
-            if pnode.csnzi.close() {
-                // No readers will signal us: the group is (or became)
-                // empty. Wait for the lock to reach the predecessor node
-                // through the queue, then take over and recycle it. (The
-                // close saw surplus zero, so no arrived reader exists to
-                // cancel and abandon the node — it can only be GRANTED.)
-                fault::inject("foll.write.closed-empty");
-                self.telemetry.trace_enqueued(u64::from(pred.raw()));
-                spin_until(self.backoff(), || {
-                    pnode.state.load(Ordering::Acquire) == GRANTED
-                });
-                self.free_reader_node(pred.index());
-            } else {
-                // The last departing reader will grant us.
-                fault::inject("foll.write.waiting");
-                self.telemetry.trace_enqueued(u64::from(me.raw()));
-                spin_until(self.backoff(), || {
-                    node.state.load(Ordering::Acquire) == GRANTED
-                });
-            }
-        } else {
-            fault::inject("foll.write.waiting");
-            self.telemetry.trace_enqueued(u64::from(me.raw()));
-            spin_until(self.backoff(), || {
-                node.state.load(Ordering::Acquire) == GRANTED
-            });
-        }
-        self.telemetry.record_write_acquire(&acquire);
-    }
-
-    /// Timed [`writer_lock`](Self::writer_lock): gives up at `deadline`,
-    /// undoing the acquisition. Returns which undo path was taken — after
+    /// `WriterLock` (Figure 4), shared by every ordering policy and by the
+    /// blocking and timed acquisitions alike. The policies differ only in
+    /// when the reader-predecessor's C-SNZI gets closed: FOLL closes
+    /// immediately (`wait_for_active` = false); ROLL first waits for the
+    /// predecessor's readers to become active, which is what lets later
+    /// readers overtake us and join them (§4.3).
+    ///
+    /// With a [`Never`](oll_util::backoff::Never) deadline this cannot fail.
+    /// With a real one it gives up at `deadline`, undoing the acquisition;
+    /// the error says which undo path was taken — after
     /// [`WriteTimeout::Abandoned`] the slot's writer node is still in the
     /// queue and must be [reclaimed](Self::reclaim_writer_node) before its
     /// next use.
-    #[cfg(not(loom))]
-    pub(crate) fn writer_lock_deadline(
+    pub(crate) fn writer_lock<D: Deadline>(
         &self,
         slot: usize,
         wait_for_active: bool,
-        deadline: std::time::Instant,
+        deadline: D,
     ) -> Result<(), WriteTimeout> {
-        use oll_util::backoff::spin_until_deadline;
-
         let acquire = self.telemetry.begin_write();
         let me = NodeRef::writer(slot);
         let node = self.wnode(slot);
@@ -543,87 +582,96 @@ impl QueueCore {
             return Ok(()); // lock acquired
         }
         self.telemetry.incr(LockEvent::WriteSlow);
+        // Set our state to WAITING *before* publishing the qNext link: our
+        // predecessor finds us only through qNext, so it cannot grant us
+        // before we start waiting.
         node.state.store(WAITING, Ordering::Relaxed);
         node.prev.store(pred.raw(), Ordering::Release);
         self.set_qnext(pred, me);
         fault::inject("foll.write.enqueued");
         if pred.is_reader() {
             let pnode = self.rnode(pred.index());
-            // Untimed on purpose: the enqueuer opens the C-SNZI within a
-            // few instructions of the CAS that made the node visible.
+            // Node recycling: wait until the enqueuer has opened the
+            // C-SNZI of this node incarnation (§4.2). Untimed on purpose:
+            // the enqueuer opens it within a few instructions of the CAS
+            // that made the node visible.
             spin_until(self.backoff(), || pnode.csnzi.query().open);
             if wait_for_active {
-                // ROLL's courtesy wait; on timeout just close early — the
-                // acquisition degrades to FOLL behaviour but stays correct.
+                // ROLL: let readers keep joining until the group holds the
+                // lock. The predecessor reader node cannot be ABANDONED
+                // here: its C-SNZI is still open, so no canceller ever saw
+                // `MustHandOff` on it. This is a courtesy wait: on expiry
+                // just close early — the acquisition degrades to FOLL
+                // behaviour but stays correct.
                 self.telemetry.trace_enqueued(u64::from(pred.raw()));
                 spin_until_deadline(self.backoff(), deadline, || {
                     pnode.state.load(Ordering::Acquire) == GRANTED
                 });
             }
             if pnode.csnzi.close() {
+                // No readers will signal us: the group is (or became)
+                // empty. Wait for the lock to reach the predecessor node
+                // through the queue, then take over and recycle it. (The
+                // close saw surplus zero, so no arrived reader exists to
+                // cancel and abandon the node — it can only be GRANTED.)
                 fault::inject("foll.write.closed-empty");
                 self.telemetry.trace_enqueued(u64::from(pred.raw()));
-                if spin_until_deadline(self.backoff(), deadline, || {
+                if !spin_until_deadline(self.backoff(), deadline, || {
                     pnode.state.load(Ordering::Acquire) == GRANTED
                 }) {
-                    self.free_reader_node(pred.index());
-                    self.telemetry.record_write_acquire(&acquire);
-                    return Ok(());
+                    return Err(self.cancel_takeover(slot, pred.index()));
                 }
-                // Timed out waiting for the takeover. Abandon *our own*
-                // node first — a plain store is enough, since our only
-                // granter works through `pnode`, which is still WAITING —
-                // then race the grant for `pnode`.
-                node.state.store(ABANDONED, Ordering::Release);
-                fault::inject("foll.write.abandon-pred");
-                if pnode
-                    .state
-                    .compare_exchange(WAITING, ABANDONED, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-                {
-                    // `pnode`'s granter will recycle it and release on our
-                    // behalf (cascade), ending in a RELEASED store.
-                    Err(WriteTimeout::Abandoned)
-                } else {
-                    // The grant reached `pnode` first: the lock is ours
-                    // (we closed its empty C-SNZI, so no reader signals
-                    // us). Un-abandon — no granter can have seen the store,
-                    // it would have had to go through `pnode` — and
-                    // release normally.
-                    node.state.store(GRANTED, Ordering::Relaxed);
-                    self.free_reader_node(pred.index());
-                    self.writer_unlock(slot);
-                    Err(WriteTimeout::Clean)
-                }
-            } else {
-                fault::inject("foll.write.waiting");
-                self.telemetry.trace_enqueued(u64::from(me.raw()));
-                if spin_until_deadline(self.backoff(), deadline, || {
-                    node.state.load(Ordering::Acquire) == GRANTED
-                }) {
-                    self.telemetry.record_write_acquire(&acquire);
-                    return Ok(());
-                }
-                self.cancel_writer_wait(slot)
-            }
-        } else {
-            fault::inject("foll.write.waiting");
-            self.telemetry.trace_enqueued(u64::from(me.raw()));
-            if spin_until_deadline(self.backoff(), deadline, || {
-                node.state.load(Ordering::Acquire) == GRANTED
-            }) {
+                self.free_reader_node(pred.index());
                 self.telemetry.record_write_acquire(&acquire);
                 return Ok(());
             }
-            self.cancel_writer_wait(slot)
+        }
+        // Our writer predecessor's release — or the last reader departing
+        // the node we just closed — will grant us.
+        fault::inject("foll.write.waiting");
+        self.telemetry.trace_enqueued(u64::from(me.raw()));
+        if !spin_until_deadline(self.backoff(), deadline, || {
+            node.state.load(Ordering::Acquire) == GRANTED
+        }) {
+            return Err(self.cancel_writer_wait(slot));
+        }
+        self.telemetry.record_write_acquire(&acquire);
+        Ok(())
+    }
+
+    /// A writer that closed its *empty* reader predecessor `pred` timed out
+    /// waiting to take it over. Abandon *our own* node first — a plain
+    /// store is enough, since our only granter works through `pred`, which
+    /// is still WAITING — then race the grant for `pred`.
+    fn cancel_takeover(&self, slot: usize, pred: usize) -> WriteTimeout {
+        let node = self.wnode(slot);
+        let pnode = self.rnode(pred);
+        node.state.store(ABANDONED, Ordering::Release);
+        fault::inject("foll.write.abandon-pred");
+        if pnode
+            .state
+            .compare_exchange(WAITING, ABANDONED, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            // `pred`'s granter will recycle it and release on our behalf
+            // (cascade), ending in a RELEASED store.
+            WriteTimeout::Abandoned
+        } else {
+            // The grant reached `pred` first: the lock is ours (we closed
+            // its empty C-SNZI, so no reader signals us). Un-abandon — no
+            // granter can have seen the store, it would have had to go
+            // through `pred` — and release normally.
+            node.state.store(GRANTED, Ordering::Relaxed);
+            self.free_reader_node(pred);
+            self.writer_unlock(slot);
+            WriteTimeout::Clean
         }
     }
 
     /// Races the pending grant for our own writer node: either we abandon
     /// it (the granter releases on our behalf) or the grant already
     /// arrived and we release normally.
-    #[cfg(not(loom))]
-    fn cancel_writer_wait(&self, slot: usize) -> Result<(), WriteTimeout> {
+    fn cancel_writer_wait(&self, slot: usize) -> WriteTimeout {
         fault::inject("foll.write.abandon-self");
         if self
             .wnode(slot)
@@ -631,10 +679,10 @@ impl QueueCore {
             .compare_exchange(WAITING, ABANDONED, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
         {
-            Err(WriteTimeout::Abandoned)
+            WriteTimeout::Abandoned
         } else {
             self.writer_unlock(slot);
-            Err(WriteTimeout::Clean)
+            WriteTimeout::Clean
         }
     }
 
@@ -680,13 +728,35 @@ impl QueueCore {
     }
 }
 
-/// Builder for [`FollLock`].
+/// The FIFO ordering policy (§4.2): a reader that meets a writer tail
+/// always queues behind it, and a writer closes its reader predecessor at
+/// once.
+#[derive(Debug, Clone, Copy)]
+pub struct Fifo;
+
+impl OrderPolicy for Fifo {
+    type State = ();
+    const NAME: &'static str = "FOLL";
+    const SITES: ReadSites = read_sites!("foll");
+    const WAIT_FOR_ACTIVE: bool = false;
+
+    fn new_state(_last_reader_hint: bool) {}
+
+    fn overtake(_: &mut QueueHandle<'_, Self>, _: NodeRef) -> Option<(usize, Ticket)> {
+        None
+    }
+
+    fn enqueued_behind_writer(_: &QueueLock<Self>, _: NodeRef) {}
+}
+
+/// Builder for a [`QueueLock`] ([`FollBuilder`], [`RollBuilder`](crate::RollBuilder)).
 #[derive(Debug, Clone)]
-pub struct FollBuilder {
+pub struct QueueBuilder<P> {
     capacity: usize,
     shape: Option<TreeShape>,
     backoff: BackoffPolicy,
     arrival_threshold: u32,
+    pub(crate) use_hint: bool,
     lazy_tree: bool,
     adaptive: bool,
     #[cfg(not(loom))]
@@ -696,9 +766,10 @@ pub struct FollBuilder {
     cohort_ranks: Option<usize>,
     telemetry_name: Option<String>,
     knobs: Option<std::sync::Arc<TuningKnobs>>,
+    order: PhantomData<fn() -> P>,
 }
 
-impl FollBuilder {
+impl<P: OrderPolicy> QueueBuilder<P> {
     /// Starts a builder for a lock used by at most `capacity` concurrent
     /// threads.
     pub fn new(capacity: usize) -> Self {
@@ -707,6 +778,7 @@ impl FollBuilder {
             shape: None,
             backoff: BackoffPolicy::default(),
             arrival_threshold: ArrivalPolicy::DEFAULT_THRESHOLD,
+            use_hint: true,
             lazy_tree: false,
             adaptive: false,
             #[cfg(not(loom))]
@@ -716,6 +788,7 @@ impl FollBuilder {
             cohort_ranks: None,
             telemetry_name: None,
             knobs: None,
+            order: PhantomData,
         }
     }
 
@@ -774,7 +847,7 @@ impl FollBuilder {
     /// [`biased(true)`](Self::biased) was set, so one call site serves
     /// both configurations.
     #[cfg(not(loom))]
-    pub fn build_biased(self) -> crate::Bravo<FollLock> {
+    pub fn build_biased(self) -> crate::Bravo<QueueLock<P>> {
         let biased = self.biased;
         let lock = self.build();
         // One knob block steers both layers: the wrapper's re-arm
@@ -783,7 +856,7 @@ impl FollBuilder {
         crate::Bravo::wrapping(lock, biased).tuning(knobs)
     }
 
-    /// Names this lock's telemetry instance (default `"FOLL#<seq>"`).
+    /// Names this lock's telemetry instance (default `"<family>#<seq>"`).
     /// No effect unless built with the `telemetry` feature.
     pub fn telemetry_name(mut self, name: &str) -> Self {
         self.telemetry_name = Some(name.to_string());
@@ -829,9 +902,9 @@ impl FollBuilder {
     }
 
     /// Builds the lock.
-    pub fn build(self) -> FollLock {
+    pub fn build(self) -> QueueLock<P> {
         let capacity = self.capacity.max(1);
-        let telemetry = Telemetry::register("FOLL");
+        let telemetry = Telemetry::register(P::NAME);
         if let Some(name) = &self.telemetry_name {
             telemetry.rename(name);
         }
@@ -863,9 +936,25 @@ impl FollBuilder {
                 core.knobs.clone(),
             )));
         }
-        FollLock { core }
+        QueueLock {
+            core,
+            order: P::new_state(self.use_hint),
+        }
     }
 }
+
+/// The OLL distributed-queue reader-writer lock (§4.2–4.3): one queue
+/// protocol, with the reader/writer ordering chosen by the policy `P` —
+/// [`FollLock`] is the [`Fifo`] instance, [`RollLock`](crate::RollLock) the
+/// [`ReaderPreference`](crate::roll::ReaderPreference) one.
+pub struct QueueLock<P: OrderPolicy> {
+    pub(crate) core: QueueCore,
+    /// The policy's lock-wide state (ROLL's last-reader hint).
+    pub(crate) order: P::State,
+}
+
+/// Builder for [`FollLock`].
+pub type FollBuilder = QueueBuilder<Fifo>;
 
 /// The FIFO OLL reader-writer lock (§4.2).
 ///
@@ -881,19 +970,20 @@ impl FollBuilder {
 ///     let _exclusive = me.write();
 /// }
 /// ```
-pub struct FollLock {
-    core: QueueCore,
-}
+pub type FollLock = QueueLock<Fifo>;
 
-impl FollLock {
+/// Per-thread handle for [`FollLock`].
+pub type FollHandle<'a> = QueueHandle<'a, Fifo>;
+
+impl<P: OrderPolicy> QueueLock<P> {
     /// Creates a lock for at most `capacity` concurrent threads.
     pub fn new(capacity: usize) -> Self {
-        FollBuilder::new(capacity).build()
+        QueueBuilder::new(capacity).build()
     }
 
-    /// Starts a [`FollBuilder`].
-    pub fn builder(capacity: usize) -> FollBuilder {
-        FollBuilder::new(capacity)
+    /// Starts a [`QueueBuilder`].
+    pub fn builder(capacity: usize) -> QueueBuilder<P> {
+        QueueBuilder::new(capacity)
     }
 
     /// Whether the queue is currently empty (racy; for diagnostics).
@@ -902,7 +992,7 @@ impl FollLock {
     }
 
     /// Whether this lock's reader-node C-SNZIs resize themselves at
-    /// runtime (built with [`FollBuilder::adaptive`]).
+    /// runtime (built with [`QueueBuilder::adaptive`]).
     pub fn is_adaptive(&self) -> bool {
         self.core.reader_nodes[0].csnzi.is_adaptive()
     }
@@ -914,7 +1004,7 @@ impl FollLock {
     }
 
     /// Whether writers go through the NUMA cohort gate
-    /// (built with [`FollBuilder::cohort`]).
+    /// (built with [`QueueBuilder::cohort`]).
     pub fn is_cohort(&self) -> bool {
         self.core.cohort.is_some()
     }
@@ -936,14 +1026,14 @@ impl FollLock {
     }
 }
 
-impl RwLockFamily for FollLock {
-    type Handle<'a> = FollHandle<'a>;
+impl<P: OrderPolicy> RwLockFamily for QueueLock<P> {
+    type Handle<'a> = QueueHandle<'a, P>;
 
-    fn handle(&self) -> Result<FollHandle<'_>, SlotError> {
+    fn handle(&self) -> Result<QueueHandle<'_, P>, SlotError> {
         let slot = SlotGuard::claim(&self.core.slots)?;
         let policy = ArrivalPolicy::new(self.core.arrival_threshold);
-        Ok(FollHandle {
-            core: &self.core,
+        Ok(QueueHandle {
+            lock: self,
             slot,
             policy,
             cursor: LeafCursor::new(),
@@ -963,7 +1053,7 @@ impl RwLockFamily for FollLock {
     }
 
     fn name(&self) -> &'static str {
-        "FOLL"
+        P::NAME
     }
 
     fn telemetry(&self) -> Telemetry {
@@ -979,16 +1069,18 @@ impl RwLockFamily for FollLock {
     }
 }
 
-/// Per-thread handle for [`FollLock`] (the paper's `Local` record).
-pub struct FollHandle<'a> {
-    core: &'a QueueCore,
+/// Per-thread handle for a [`QueueLock`] (the paper's `Local` record).
+pub struct QueueHandle<'a, P: OrderPolicy> {
+    pub(crate) lock: &'a QueueLock<P>,
     slot: SlotGuard<'a>,
     policy: ArrivalPolicy,
     /// Cached C-SNZI leaf: topology-placed on first tree arrival, then
     /// sticky until a leaf-level CAS failure migrates it. Reader nodes all
     /// share one tree shape, so the cursor carries across pooled nodes.
     cursor: LeafCursor,
-    /// `(depart_from, ticket)` while holding for reading.
+    /// `(depart_from, ticket)` while holding for reading — and while
+    /// *waiting* to: it is published before the wait starts, so whatever
+    /// interrupts the wait finds the arrival it has to undo.
     session: Option<(usize, Ticket)>,
     write_held: bool,
     /// A timed write abandoned this slot's writer node in the queue; it
@@ -1012,7 +1104,7 @@ pub struct FollHandle<'a> {
     hold: Timer,
 }
 
-impl FollHandle<'_> {
+impl<P: OrderPolicy> QueueHandle<'_, P> {
     fn slot_idx(&self) -> usize {
         self.slot.slot()
     }
@@ -1021,7 +1113,7 @@ impl FollHandle<'_> {
     /// timed write abandoned it). Must run before every writer-node use.
     fn ensure_writer_node(&mut self) {
         if self.pending_reclaim {
-            self.core.reclaim_writer_node(self.slot_idx());
+            self.lock.core.reclaim_writer_node(self.slot_idx());
             self.pending_reclaim = false;
         }
     }
@@ -1030,7 +1122,7 @@ impl FollHandle<'_> {
     /// timed cohort write abandoned it).
     fn ensure_cohort_node(&mut self) {
         if self.cohort_reclaim {
-            self.core.cohort_reclaim_node(self.slot_idx());
+            self.lock.core.cohort_reclaim_node(self.slot_idx());
             self.cohort_reclaim = false;
         }
     }
@@ -1039,7 +1131,7 @@ impl FollHandle<'_> {
     /// the lock's cohort count) instead of deriving the cohort from the
     /// calling thread's topology. For tests and explicitly-placed
     /// threads; no effect unless the lock was built with
-    /// [`FollBuilder::cohort`].
+    /// [`QueueBuilder::cohort`].
     pub fn set_cohort(&mut self, cohort: usize) {
         self.cohort_pin = Some(cohort);
         self.cohort_cache = None;
@@ -1051,23 +1143,42 @@ impl FollHandle<'_> {
         match self.cohort_cache {
             Some(c) => c,
             None => {
-                let c = self.core.pick_cohort(self.cohort_pin);
+                let c = self.lock.core.pick_cohort(self.cohort_pin);
                 self.cohort_cache = Some(c);
                 c
             }
         }
     }
-}
 
-impl RwHandle for FollHandle<'_> {
-    fn hazard(&self) -> Hazard {
-        self.core.hazard.clone()
+    /// Arrives at reader node `idx`'s C-SNZI through this handle's arrival
+    /// policy and cached leaf.
+    pub(crate) fn arrive_at(&mut self, idx: usize) -> Ticket {
+        let node = self.lock.core.rnode(idx);
+        node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor)
     }
 
-    /// `ReaderLock` (Figure 4).
-    fn lock_read(&mut self) {
+    /// Records a read acquisition that needed no wait.
+    fn read_granted(&mut self, idx: usize, ticket: Ticket) {
+        let core = &self.lock.core;
+        core.note_arrival(ticket);
+        core.telemetry.incr(LockEvent::ReadFast);
+        self.hold = core.telemetry.timer();
+        self.session = Some((idx, ticket));
+    }
+
+    /// `ReaderLock` (Figure 4) — the one reader acquire loop, for every
+    /// ordering policy and for blocking and timed acquisitions alike.
+    ///
+    /// A deadline adds two things to the blocking walk: between attempts
+    /// (nothing enqueued or arrived, so only the spare allocation needs
+    /// returning) the loop gives up once it has expired, and a wait that
+    /// outlasts it departs the C-SNZI again through
+    /// [`QueueCore::cancel_read_session`], which also discharges any
+    /// hand-off obligation picked up in the race with the grant.
+    fn acquire_read<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         debug_assert!(self.session.is_none() && !self.write_held);
-        let core = self.core;
+        let lock = self.lock;
+        let core = &lock.core;
         let slot = self.slot_idx();
         let acquire = core.telemetry.begin_read();
         let mut rnode: Option<usize> = None;
@@ -1077,137 +1188,211 @@ impl RwHandle for FollHandle<'_> {
             if tail.is_nil() {
                 // Empty queue: enqueue a reader node we immediately own.
                 let r = rnode.take().unwrap_or_else(|| core.alloc_reader_node(slot));
-                let node = core.rnode(r);
-                node.state.store(GRANTED, Ordering::Relaxed);
-                node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                node.prev.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                if core.cas_tail(NodeRef::NIL, NodeRef::reader(r)) {
-                    // Only now that the node is enqueued may its C-SNZI
-                    // open (§4.2 explains why this ordering is vital).
-                    node.csnzi.open();
-                    let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
+                if core.enqueue_reader_node(r, NodeRef::NIL) {
+                    let ticket = self.arrive_at(r);
                     if ticket.arrived() {
-                        core.note_arrival(ticket);
-                        core.telemetry.incr(LockEvent::ReadFast);
+                        // Granted on enqueue — no wait, so nothing left to
+                        // time out on.
+                        self.read_granted(r, ticket);
                         core.telemetry.record_read_acquire(&acquire);
-                        self.hold = core.telemetry.timer();
-                        self.session = Some((r, ticket));
-                        return;
+                        return Ok(());
                     }
                     // A writer already queued behind us and closed the
                     // C-SNZI; our node stays in the queue for it.
-                    rnode = None;
                 } else {
                     rnode = Some(r); // keep the allocation for the retry
                 }
-            } else if !tail.is_reader() {
-                // Tail is a writer: enqueue a reader node behind it.
-                let r = rnode.take().unwrap_or_else(|| core.alloc_reader_node(slot));
-                let node = core.rnode(r);
-                node.state.store(WAITING, Ordering::Relaxed);
-                node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                node.prev.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                if core.cas_tail(tail, NodeRef::reader(r)) {
-                    node.prev.store(tail.raw(), Ordering::Release);
-                    core.set_qnext(tail, NodeRef::reader(r));
-                    node.csnzi.open();
-                    let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-                    if ticket.arrived() {
-                        core.note_arrival(ticket);
-                        core.telemetry.incr(LockEvent::ReadSlow);
-                        self.session = Some((r, ticket));
-                        fault::inject("foll.read.waiting");
-                        core.telemetry
-                            .trace_enqueued(u64::from(NodeRef::reader(r).raw()));
-                        spin_until(core.backoff(), || {
-                            node.state.load(Ordering::Acquire) == GRANTED
-                        });
-                        core.telemetry.record_read_acquire(&acquire);
-                        self.hold = core.telemetry.timer();
-                        return;
-                    }
-                    rnode = None;
-                } else {
-                    rnode = Some(r);
-                }
-            } else {
+            } else if tail.is_reader() {
                 // Tail is a reader node: share it via its C-SNZI.
-                let node = core.rnode(tail.index());
-                let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
+                let ticket = self.arrive_at(tail.index());
                 if ticket.arrived() {
                     if let Some(n) = rnode.take() {
                         core.free_reader_node(n);
                     }
                     core.note_arrival(ticket);
                     // Joining a node whose readers are already active is a
-                    // fast-path read (the spin below falls straight
-                    // through); a still-waiting node means we queued. The
-                    // classifying load is skipped entirely in
-                    // telemetry-free builds.
-                    if !Telemetry::enabled() || node.state.load(Ordering::Acquire) == GRANTED {
+                    // fast-path read (the wait falls straight through); a
+                    // still-waiting node means we queued. The classifying
+                    // load is skipped entirely in telemetry-free builds.
+                    if !Telemetry::enabled()
+                        || core.rnode(tail.index()).state.load(Ordering::Acquire) == GRANTED
+                    {
                         core.telemetry.incr(LockEvent::ReadFast);
                     } else {
                         core.telemetry.incr(LockEvent::ReadSlow);
                         core.telemetry.trace_enqueued(u64::from(tail.raw()));
                     }
-                    self.session = Some((tail.index(), ticket));
-                    fault::inject("foll.read.waiting");
-                    spin_until(core.backoff(), || {
-                        node.state.load(Ordering::Acquire) == GRANTED
-                    });
-                    core.telemetry.record_read_acquire(&acquire);
-                    self.hold = core.telemetry.timer();
-                    return;
+                    return self.await_grant(
+                        tail.index(),
+                        ticket,
+                        P::SITES.waiting,
+                        deadline,
+                        &acquire,
+                    );
                 }
                 // C-SNZI closed ⇒ a writer queued behind that node ⇒ the
                 // tail changed; retry.
                 backoff.backoff();
+            } else if let Some((idx, ticket)) = P::overtake(self, tail) {
+                // Tail is a writer, and the policy found a group of readers
+                // still waiting further up the queue: we joined it,
+                // overtaking the writer.
+                if let Some(n) = rnode.take() {
+                    core.free_reader_node(n);
+                }
+                core.note_arrival(ticket);
+                core.telemetry.incr(LockEvent::ReadSlow);
+                core.telemetry
+                    .trace_enqueued(u64::from(NodeRef::reader(idx).raw()));
+                return self.await_grant(idx, ticket, P::SITES.joined, deadline, &acquire);
+            } else {
+                // Tail is a writer: enqueue a reader node behind it.
+                let r = rnode.take().unwrap_or_else(|| core.alloc_reader_node(slot));
+                if core.enqueue_reader_node(r, tail) {
+                    let ticket = self.arrive_at(r);
+                    if ticket.arrived() {
+                        core.note_arrival(ticket);
+                        core.telemetry.incr(LockEvent::ReadSlow);
+                        P::enqueued_behind_writer(lock, NodeRef::reader(r));
+                        core.telemetry
+                            .trace_enqueued(u64::from(NodeRef::reader(r).raw()));
+                        return self.await_grant(r, ticket, P::SITES.waiting, deadline, &acquire);
+                    }
+                } else {
+                    rnode = Some(r);
+                }
+            }
+            if deadline.expired() {
+                if let Some(n) = rnode.take() {
+                    core.free_reader_node(n);
+                }
+                core.telemetry.incr(LockEvent::Timeout);
+                return Err(TimedOut);
             }
         }
+    }
+
+    /// The tail of every waiting arm of [`acquire_read`](Self::acquire_read):
+    /// arrived at node `idx` with `ticket`, wait for the node's grant.
+    fn await_grant<D: Deadline>(
+        &mut self,
+        idx: usize,
+        ticket: Ticket,
+        site: &'static str,
+        deadline: D,
+        acquire: &Timer,
+    ) -> Result<(), TimedOut> {
+        let core = &self.lock.core;
+        self.session = Some((idx, ticket));
+        fault::inject(site);
+        let node = core.rnode(idx);
+        if spin_until_deadline(core.backoff(), deadline, || {
+            node.state.load(Ordering::Acquire) == GRANTED
+        }) {
+            core.telemetry.record_read_acquire(acquire);
+            self.hold = core.telemetry.timer();
+            return Ok(());
+        }
+        fault::inject(P::SITES.timeout);
+        core.telemetry.incr(LockEvent::Timeout);
+        self.session = None;
+        core.cancel_read_session(idx, ticket);
+        Err(TimedOut)
+    }
+
+    /// `WriterLock` through the cohort gate when there is one and it has
+    /// something to batch, else straight onto the global queue — blocking
+    /// and timed alike. A timed-out attempt records which of the slot's
+    /// nodes it left behind, so the next use reclaims it first.
+    fn acquire_write<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
+        debug_assert!(self.session.is_none() && !self.write_held);
+        let core = &self.lock.core;
+        let slot = self.slot_idx();
+        // An uncontended cohort writer bypasses the gate — it has nothing
+        // to batch — and acquires like a plain writer. `cohort_hold` stays
+        // `None`, making the release the plain `writer_unlock`.
+        let gated = match core.cohort {
+            Some(_) => Some(self.cohort_index()).filter(|&c| !core.cohort_bypass_ready(c)),
+            None => None,
+        };
+        let outcome = match gated {
+            Some(cohort) => {
+                self.ensure_cohort_node();
+                core.cohort_lock(
+                    slot,
+                    cohort,
+                    P::WAIT_FOR_ACTIVE,
+                    deadline,
+                    &mut self.pending_reclaim,
+                )
+                .map(|hold| self.cohort_hold = Some(hold))
+            }
+            None => {
+                self.ensure_writer_node();
+                core.writer_lock(slot, P::WAIT_FOR_ACTIVE, deadline)
+            }
+        };
+        match outcome {
+            Ok(()) => {
+                self.hold = core.telemetry.timer();
+                self.write_held = true;
+                Ok(())
+            }
+            Err(left_behind) => {
+                core.telemetry.incr(LockEvent::Timeout);
+                match left_behind {
+                    WriteTimeout::Clean => {}
+                    WriteTimeout::Abandoned => {
+                        core.telemetry.incr(LockEvent::Cancel);
+                        self.pending_reclaim = true;
+                    }
+                    WriteTimeout::CohortAbandoned => {
+                        core.telemetry.incr(LockEvent::Cancel);
+                        self.cohort_reclaim = true;
+                    }
+                }
+                Err(TimedOut)
+            }
+        }
+    }
+}
+
+impl<P: OrderPolicy> RwHandle for QueueHandle<'_, P> {
+    fn hazard(&self) -> Hazard {
+        self.lock.core.hazard.clone()
+    }
+
+    fn lock_read(&mut self) {
+        let granted = self.acquire_read(Never);
+        debug_assert!(
+            granted.is_ok(),
+            "an acquisition with no deadline cannot time out"
+        );
     }
 
     fn unlock_read(&mut self) {
         let (depart_from, ticket) = self.session.take().expect("unlock_read without read hold");
-        self.core.telemetry.record_read_hold(&self.hold);
-        self.core.reader_unlock(depart_from, ticket);
+        self.lock.core.telemetry.record_read_hold(&self.hold);
+        self.lock.core.reader_unlock(depart_from, ticket);
     }
 
     fn lock_write(&mut self) {
-        debug_assert!(self.session.is_none() && !self.write_held);
-        if self.core.cohort.is_some() {
-            let cohort = self.cohort_index();
-            if self.core.cohort_bypass_ready(cohort) {
-                // Uncontended: the gate has nothing to batch, so skip it
-                // and acquire like a plain writer. `cohort_hold` stays
-                // `None`, making the release the plain `writer_unlock`.
-                self.ensure_writer_node();
-                self.core.writer_lock(self.slot_idx(), false);
-            } else {
-                self.ensure_cohort_node();
-                let hold = self.core.cohort_lock(
-                    self.slot_idx(),
-                    cohort,
-                    false,
-                    &mut self.pending_reclaim,
-                );
-                self.cohort_hold = Some(hold);
-            }
-        } else {
-            self.ensure_writer_node();
-            self.core.writer_lock(self.slot_idx(), false);
-        }
-        self.hold = self.core.telemetry.timer();
-        self.write_held = true;
+        let granted = self.acquire_write(Never);
+        debug_assert!(
+            granted.is_ok(),
+            "an acquisition with no deadline cannot time out"
+        );
     }
 
     fn unlock_write(&mut self) {
         debug_assert!(self.write_held, "unlock_write without write hold");
         self.write_held = false;
-        self.core.telemetry.record_write_hold(&self.hold);
+        let core = &self.lock.core;
+        core.telemetry.record_write_hold(&self.hold);
         let slot = self.slot_idx();
         match self.cohort_hold.take() {
             Some(hold) => {
-                let outcome = self.core.cohort_release(slot, hold.cohort, Some(hold));
+                let outcome = core.cohort_release(slot, hold.cohort, Some(hold));
                 if hold.owner_slot == slot {
                     // LocalHandoff: our global writer node stays in the
                     // queue, lent to the batch; reclaim before its next
@@ -1219,7 +1404,7 @@ impl RwHandle for FollHandle<'_> {
                 }
             }
             None => {
-                self.core.writer_unlock(slot);
+                core.writer_unlock(slot);
             }
         }
     }
@@ -1229,49 +1414,33 @@ impl RwHandle for FollHandle<'_> {
     /// we can join without waiting.
     fn try_lock_read(&mut self) -> bool {
         debug_assert!(self.session.is_none() && !self.write_held);
-        let core = self.core;
-        let slot = self.slot_idx();
+        let core = &self.lock.core;
         let tail = core.load_tail();
         if tail.is_nil() {
-            let r = core.alloc_reader_node(slot);
-            let node = core.rnode(r);
-            node.state.store(GRANTED, Ordering::Relaxed);
-            node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-            node.prev.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-            if core.cas_tail(NodeRef::NIL, NodeRef::reader(r)) {
-                node.csnzi.open();
-                let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-                if ticket.arrived() {
-                    core.note_arrival(ticket);
-                    core.telemetry.incr(LockEvent::ReadFast);
-                    self.hold = core.telemetry.timer();
-                    self.session = Some((r, ticket));
-                    return true;
-                }
-                // Writer overtook us between open and arrive; the node is
-                // queued and the writer owns its recycling now.
+            let r = core.alloc_reader_node(self.slot_idx());
+            if !core.enqueue_reader_node(r, NodeRef::NIL) {
+                core.free_reader_node(r);
                 return false;
             }
-            core.free_reader_node(r);
-            false
+            let ticket = self.arrive_at(r);
+            if ticket.arrived() {
+                self.read_granted(r, ticket);
+            }
+            // Else a writer overtook us between open and arrive; the node
+            // is queued and the writer owns its recycling now.
+            ticket.arrived()
         } else if tail.is_reader() {
-            let node = core.rnode(tail.index());
             // Only join without waiting: the node's readers must already
-            // be active.
-            if node.state.load(Ordering::Acquire) != GRANTED {
+            // be active. (An enqueued node never leaves GRANTED, so the
+            // acquisition is immediate.)
+            if core.rnode(tail.index()).state.load(Ordering::Acquire) != GRANTED {
                 return false;
             }
-            let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-            if !ticket.arrived() {
-                return false;
+            let ticket = self.arrive_at(tail.index());
+            if ticket.arrived() {
+                self.read_granted(tail.index(), ticket);
             }
-            // An enqueued node never leaves GRANTED, so the acquisition is
-            // immediate.
-            core.note_arrival(ticket);
-            core.telemetry.incr(LockEvent::ReadFast);
-            self.hold = core.telemetry.timer();
-            self.session = Some((tail.index(), ticket));
-            true
+            ticket.arrived()
         } else {
             false
         }
@@ -1281,7 +1450,7 @@ impl RwHandle for FollHandle<'_> {
     fn try_lock_write(&mut self) -> bool {
         debug_assert!(self.session.is_none() && !self.write_held);
         self.ensure_writer_node();
-        let core = self.core;
+        let core = &self.lock.core;
         let slot = self.slot_idx();
         let node = core.wnode(slot);
         node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
@@ -1298,210 +1467,22 @@ impl RwHandle for FollHandle<'_> {
 }
 
 #[cfg(not(loom))]
-impl crate::raw::TimedHandle for FollHandle<'_> {
-    /// `ReaderLock` with a deadline: identical to [`lock_read`] until a
-    /// wait starts; a timed-out wait departs the C-SNZI (undoing the
-    /// arrival) and discharges any hand-off obligation picked up in the
-    /// race with the grant.
-    ///
-    /// [`lock_read`]: RwHandle::lock_read
-    fn lock_read_deadline(
-        &mut self,
-        deadline: std::time::Instant,
-    ) -> Result<(), crate::raw::TimedOut> {
-        use oll_util::backoff::spin_until_deadline;
-
-        debug_assert!(self.session.is_none() && !self.write_held);
-        let core = self.core;
-        let slot = self.slot_idx();
-        let acquire = core.telemetry.begin_read();
-        let mut rnode: Option<usize> = None;
-        let mut backoff = Backoff::with_policy(core.backoff());
-        loop {
-            let tail = core.load_tail();
-            if tail.is_nil() {
-                let r = rnode.take().unwrap_or_else(|| core.alloc_reader_node(slot));
-                let node = core.rnode(r);
-                node.state.store(GRANTED, Ordering::Relaxed);
-                node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                node.prev.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                if core.cas_tail(NodeRef::NIL, NodeRef::reader(r)) {
-                    node.csnzi.open();
-                    let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-                    if ticket.arrived() {
-                        // Empty-queue enqueue grants immediately — no wait,
-                        // so nothing left to time out on.
-                        core.note_arrival(ticket);
-                        core.telemetry.incr(LockEvent::ReadFast);
-                        core.telemetry.record_read_acquire(&acquire);
-                        self.hold = core.telemetry.timer();
-                        self.session = Some((r, ticket));
-                        return Ok(());
-                    }
-                    rnode = None;
-                } else {
-                    rnode = Some(r);
-                }
-            } else if !tail.is_reader() {
-                let r = rnode.take().unwrap_or_else(|| core.alloc_reader_node(slot));
-                let node = core.rnode(r);
-                node.state.store(WAITING, Ordering::Relaxed);
-                node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                node.prev.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                if core.cas_tail(tail, NodeRef::reader(r)) {
-                    node.prev.store(tail.raw(), Ordering::Release);
-                    core.set_qnext(tail, NodeRef::reader(r));
-                    node.csnzi.open();
-                    let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-                    if ticket.arrived() {
-                        core.note_arrival(ticket);
-                        core.telemetry.incr(LockEvent::ReadSlow);
-                        fault::inject("foll.read.waiting");
-                        core.telemetry
-                            .trace_enqueued(u64::from(NodeRef::reader(r).raw()));
-                        if spin_until_deadline(core.backoff(), deadline, || {
-                            node.state.load(Ordering::Acquire) == GRANTED
-                        }) {
-                            core.telemetry.record_read_acquire(&acquire);
-                            self.hold = core.telemetry.timer();
-                            self.session = Some((r, ticket));
-                            return Ok(());
-                        }
-                        fault::inject("foll.read.timeout");
-                        core.telemetry.incr(LockEvent::Timeout);
-                        core.cancel_read_session(r, ticket);
-                        return Err(crate::raw::TimedOut);
-                    }
-                    rnode = None;
-                } else {
-                    rnode = Some(r);
-                }
-            } else {
-                let node = core.rnode(tail.index());
-                let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-                if ticket.arrived() {
-                    if let Some(n) = rnode.take() {
-                        core.free_reader_node(n);
-                    }
-                    core.note_arrival(ticket);
-                    // Same fast/slow classification as the untimed path;
-                    // the extra load vanishes in telemetry-free builds.
-                    if !Telemetry::enabled() || node.state.load(Ordering::Acquire) == GRANTED {
-                        core.telemetry.incr(LockEvent::ReadFast);
-                    } else {
-                        core.telemetry.incr(LockEvent::ReadSlow);
-                        core.telemetry.trace_enqueued(u64::from(tail.raw()));
-                    }
-                    fault::inject("foll.read.waiting");
-                    if spin_until_deadline(core.backoff(), deadline, || {
-                        node.state.load(Ordering::Acquire) == GRANTED
-                    }) {
-                        core.telemetry.record_read_acquire(&acquire);
-                        self.hold = core.telemetry.timer();
-                        self.session = Some((tail.index(), ticket));
-                        return Ok(());
-                    }
-                    fault::inject("foll.read.timeout");
-                    core.telemetry.incr(LockEvent::Timeout);
-                    core.cancel_read_session(tail.index(), ticket);
-                    return Err(crate::raw::TimedOut);
-                }
-                backoff.backoff();
-            }
-            if std::time::Instant::now() >= deadline {
-                // Give up between attempts: nothing is enqueued or arrived
-                // at this point, so only the spare allocation needs
-                // returning.
-                if let Some(n) = rnode.take() {
-                    core.free_reader_node(n);
-                }
-                core.telemetry.incr(LockEvent::Timeout);
-                return Err(crate::raw::TimedOut);
-            }
-        }
+impl<P: OrderPolicy> crate::raw::TimedHandle for QueueHandle<'_, P> {
+    fn lock_read_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+        self.acquire_read(deadline)
     }
 
-    fn lock_write_deadline(
-        &mut self,
-        deadline: std::time::Instant,
-    ) -> Result<(), crate::raw::TimedOut> {
-        use crate::cohort::CohortTimeout;
-
-        debug_assert!(self.session.is_none() && !self.write_held);
-        // Uncontended cohort builds bypass the gate (see `lock_write`)
-        // and fall through to the plain timed writer path below.
-        let cohort = if self.core.cohort.is_some() {
-            let c = self.cohort_index();
-            if self.core.cohort_bypass_ready(c) {
-                None
-            } else {
-                Some(c)
-            }
-        } else {
-            None
-        };
-        if let Some(cohort) = cohort {
-            self.ensure_cohort_node();
-            return match self.core.cohort_lock_deadline(
-                self.slot_idx(),
-                cohort,
-                false,
-                deadline,
-                &mut self.pending_reclaim,
-            ) {
-                Ok(hold) => {
-                    self.cohort_hold = Some(hold);
-                    self.hold = self.core.telemetry.timer();
-                    self.write_held = true;
-                    Ok(())
-                }
-                Err(CohortTimeout::Clean) => {
-                    self.core.telemetry.incr(LockEvent::Timeout);
-                    Err(crate::raw::TimedOut)
-                }
-                Err(CohortTimeout::WriterAbandoned) => {
-                    self.core.telemetry.incr(LockEvent::Timeout);
-                    self.core.telemetry.incr(LockEvent::Cancel);
-                    self.pending_reclaim = true;
-                    Err(crate::raw::TimedOut)
-                }
-                Err(CohortTimeout::CohortAbandoned) => {
-                    self.core.telemetry.incr(LockEvent::Timeout);
-                    self.core.telemetry.incr(LockEvent::Cancel);
-                    self.cohort_reclaim = true;
-                    Err(crate::raw::TimedOut)
-                }
-            };
-        }
-        self.ensure_writer_node();
-        match self
-            .core
-            .writer_lock_deadline(self.slot_idx(), false, deadline)
-        {
-            Ok(()) => {
-                self.hold = self.core.telemetry.timer();
-                self.write_held = true;
-                Ok(())
-            }
-            Err(WriteTimeout::Clean) => {
-                self.core.telemetry.incr(LockEvent::Timeout);
-                Err(crate::raw::TimedOut)
-            }
-            Err(WriteTimeout::Abandoned) => {
-                self.core.telemetry.incr(LockEvent::Timeout);
-                self.core.telemetry.incr(LockEvent::Cancel);
-                self.pending_reclaim = true;
-                Err(crate::raw::TimedOut)
-            }
-        }
+    fn lock_write_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+        self.acquire_write(deadline)
     }
 }
 
-impl Drop for FollHandle<'_> {
+impl<P: OrderPolicy> Drop for QueueHandle<'_, P> {
     fn drop(&mut self) {
         debug_assert!(
             self.session.is_none() && !self.write_held,
-            "FOLL handle dropped while holding the lock"
+            "{} handle dropped while holding the lock",
+            P::NAME
         );
         // The slot (and with it the writer node) is released on drop; make
         // sure no abandoned-release is still running against the node.

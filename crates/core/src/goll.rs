@@ -17,10 +17,11 @@
 //! wait queue (the turnstile role), and releases *hand over* ownership:
 //! a woken thread already owns the lock.
 
-use crate::raw::{RwHandle, RwLockFamily, UpgradableHandle};
+use crate::raw::{RwHandle, RwLockFamily, TimedOut, UpgradableHandle};
 use oll_csnzi::{ArrivalPolicy, CSnzi, LeafCursor, Ticket, TreeShape};
 use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry, Timer};
+use oll_util::backoff::{Deadline, Never};
 use oll_util::event::{Event, GroupEvent, WaitStrategy};
 use oll_util::fault;
 use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
@@ -638,6 +639,145 @@ impl GollHandle<'_> {
             LockEvent::ArriveTree
         });
     }
+
+    /// The read acquisition, blocking and timed alike. A deadline adds a
+    /// free give-up point before the queue mutex (nothing is held yet) and
+    /// a cancellation after a wait that outlasts it, arbitrated by the
+    /// queue mutex against the releaser's hand-off.
+    fn acquire_read<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
+        debug_assert!(self.read_ticket.is_none() && !self.write_held);
+        let lock = self.lock;
+        let acquire = lock.telemetry.begin_read();
+        loop {
+            // Fast path: in the absence of conflicting requests this is the
+            // only step, and it never touches the queue mutex.
+            let ticket = lock.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
+            if ticket.arrived() {
+                self.note_arrival(ticket);
+                lock.telemetry.incr(LockEvent::ReadFast);
+                lock.telemetry.record_read_acquire(&acquire);
+                self.hold = lock.telemetry.timer();
+                self.read_ticket = Some(ticket);
+                return Ok(());
+            }
+            // C-SNZI closed: a writer owns or has claimed the lock.
+            if deadline.expired() {
+                lock.telemetry.incr(LockEvent::Timeout);
+                return Err(TimedOut);
+            }
+            fault::inject("goll.read.before-queue-mutex");
+            let mut q = lock.queue.lock();
+            if lock.csnzi.query().open {
+                // The writer released before we got the mutex; retry.
+                drop(q);
+                continue;
+            }
+            let group = q.join_readers(lock.strategy, self.priority);
+            lock.telemetry.incr(LockEvent::ReadSlow);
+            lock.telemetry.trace_enqueued(Arc::as_ptr(&group) as u64);
+            drop(q);
+            fault::inject("goll.read.queued");
+            // The releasing thread pre-arrives at the root on our behalf
+            // (OpenWithArrivals), so we depart directly from the root.
+            if group.wait_until(deadline) {
+                lock.telemetry.record_read_acquire(&acquire);
+                self.hold = lock.telemetry.timer();
+                self.read_ticket = Some(Ticket::ROOT);
+                return Ok(());
+            }
+            // Timed out. Race: a releaser may concurrently dequeue our
+            // group and pre-arrive on our behalf. The queue mutex is the
+            // arbiter — if the group is still queued we can leave it;
+            // otherwise the hand-off already counted us and we must take
+            // the read hold and then undo it with a normal release.
+            fault::inject("goll.read.timeout");
+            let mut q = lock.queue.lock();
+            if q.leave_reader_group(&group) {
+                drop(q);
+                lock.telemetry.incr(LockEvent::Timeout);
+                lock.telemetry.incr(LockEvent::Cancel);
+                return Err(TimedOut);
+            }
+            drop(q);
+            fault::inject("goll.read.cancel-vs-handoff");
+            group.wait();
+            self.hold = lock.telemetry.timer();
+            self.read_ticket = Some(Ticket::ROOT);
+            self.unlock_read();
+            lock.telemetry.incr(LockEvent::Timeout);
+            return Err(TimedOut);
+        }
+    }
+
+    /// The write acquisition, blocking and timed alike; a deadline adds the
+    /// same two things as in [`acquire_read`](Self::acquire_read).
+    fn acquire_write<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
+        debug_assert!(self.read_ticket.is_none() && !self.write_held);
+        let lock = self.lock;
+        let acquire = lock.telemetry.begin_write();
+        // Fast path: free lock.
+        if lock.csnzi.close_if_empty() {
+            lock.telemetry.incr(LockEvent::WriteFast);
+            lock.telemetry.record_write_acquire(&acquire);
+            self.hold = lock.telemetry.timer();
+            self.write_held = true;
+            return Ok(());
+        }
+        fault::inject("goll.write.before-queue-mutex");
+        let mut q = lock.queue.lock();
+        // Close (sets the "write wanted" state): if it returns true the
+        // lock was free after all and we own it.
+        if lock.csnzi.close() {
+            lock.telemetry.incr(LockEvent::WriteSlow);
+            drop(q);
+            lock.telemetry.record_write_acquire(&acquire);
+            self.hold = lock.telemetry.timer();
+            self.write_held = true;
+            return Ok(());
+        }
+        // Expired before enqueueing: leave without a queue entry. Our
+        // `close` may have moved the C-SNZI to closed-with-readers with no
+        // writer queued; the last departing reader handles that (its
+        // dequeue finds nothing and reopens).
+        if deadline.expired() {
+            drop(q);
+            lock.telemetry.incr(LockEvent::Timeout);
+            return Err(TimedOut);
+        }
+        let ev = q.enqueue_writer(lock.strategy, self.priority);
+        lock.telemetry.incr(LockEvent::WriteSlow);
+        lock.telemetry.trace_enqueued(Arc::as_ptr(&ev) as u64);
+        drop(q);
+        fault::inject("goll.write.queued");
+        // Whoever releases the lock hands it to us in the write-acquired
+        // state before signaling.
+        if ev.wait_until(deadline) {
+            lock.telemetry.record_write_acquire(&acquire);
+            self.hold = lock.telemetry.timer();
+            self.write_held = true;
+            return Ok(());
+        }
+        // Timed out; same arbitration as the read path. An entry still
+        // queued can be excised; a dequeued entry means a releaser is
+        // handing us the lock in the write-acquired state — accept it,
+        // then release normally.
+        fault::inject("goll.write.timeout");
+        let mut q = lock.queue.lock();
+        if q.remove_writer(&ev) {
+            drop(q);
+            lock.telemetry.incr(LockEvent::Timeout);
+            lock.telemetry.incr(LockEvent::Cancel);
+            return Err(TimedOut);
+        }
+        drop(q);
+        fault::inject("goll.write.cancel-vs-handoff");
+        ev.wait();
+        self.hold = lock.telemetry.timer();
+        self.write_held = true;
+        self.unlock_write();
+        lock.telemetry.incr(LockEvent::Timeout);
+        Err(TimedOut)
+    }
 }
 
 impl RwHandle for GollHandle<'_> {
@@ -646,45 +786,11 @@ impl RwHandle for GollHandle<'_> {
     }
 
     fn lock_read(&mut self) {
-        debug_assert!(self.read_ticket.is_none() && !self.write_held);
-        let acquire = self.lock.telemetry.begin_read();
-        loop {
-            // Fast path: in the absence of conflicting requests this is the
-            // only step, and it never touches the queue mutex.
-            let ticket = self
-                .lock
-                .csnzi
-                .arrive_cached(&mut self.policy, &mut self.cursor);
-            if ticket.arrived() {
-                self.note_arrival(ticket);
-                self.lock.telemetry.incr(LockEvent::ReadFast);
-                self.lock.telemetry.record_read_acquire(&acquire);
-                self.hold = self.lock.telemetry.timer();
-                self.read_ticket = Some(ticket);
-                return;
-            }
-            // C-SNZI closed: a writer owns or has claimed the lock.
-            fault::inject("goll.read.before-queue-mutex");
-            let mut q = self.lock.queue.lock();
-            if self.lock.csnzi.query().open {
-                // The writer released before we got the mutex; retry.
-                drop(q);
-                continue;
-            }
-            let group = q.join_readers(self.lock.strategy, self.priority);
-            self.lock.telemetry.incr(LockEvent::ReadSlow);
-            self.lock
-                .telemetry
-                .trace_enqueued(Arc::as_ptr(&group) as u64);
-            drop(q);
-            // The releasing thread pre-arrives at the root on our behalf
-            // (OpenWithArrivals), so we depart directly from the root.
-            group.wait();
-            self.lock.telemetry.record_read_acquire(&acquire);
-            self.hold = self.lock.telemetry.timer();
-            self.read_ticket = Some(Ticket::ROOT);
-            return;
-        }
+        let granted = self.acquire_read(Never);
+        debug_assert!(
+            granted.is_ok(),
+            "an acquisition with no deadline cannot time out"
+        );
     }
 
     fn unlock_read(&mut self) {
@@ -734,37 +840,11 @@ impl RwHandle for GollHandle<'_> {
     }
 
     fn lock_write(&mut self) {
-        debug_assert!(self.read_ticket.is_none() && !self.write_held);
-        let acquire = self.lock.telemetry.begin_write();
-        // Fast path: free lock.
-        if self.lock.csnzi.close_if_empty() {
-            self.lock.telemetry.incr(LockEvent::WriteFast);
-            self.lock.telemetry.record_write_acquire(&acquire);
-            self.hold = self.lock.telemetry.timer();
-            self.write_held = true;
-            return;
-        }
-        let mut q = self.lock.queue.lock();
-        // Close (sets the "write wanted" state): if it returns true the
-        // lock was free after all and we own it.
-        if self.lock.csnzi.close() {
-            self.lock.telemetry.incr(LockEvent::WriteSlow);
-            drop(q);
-            self.lock.telemetry.record_write_acquire(&acquire);
-            self.hold = self.lock.telemetry.timer();
-            self.write_held = true;
-            return;
-        }
-        let ev = q.enqueue_writer(self.lock.strategy, self.priority);
-        self.lock.telemetry.incr(LockEvent::WriteSlow);
-        self.lock.telemetry.trace_enqueued(Arc::as_ptr(&ev) as u64);
-        drop(q);
-        // Whoever releases the lock hands it to us in the write-acquired
-        // state before signaling.
-        ev.wait();
-        self.lock.telemetry.record_write_acquire(&acquire);
-        self.hold = self.lock.telemetry.timer();
-        self.write_held = true;
+        let granted = self.acquire_write(Never);
+        debug_assert!(
+            granted.is_ok(),
+            "an acquisition with no deadline cannot time out"
+        );
     }
 
     fn unlock_write(&mut self) {
@@ -829,130 +909,12 @@ impl RwHandle for GollHandle<'_> {
 
 #[cfg(not(loom))]
 impl crate::raw::TimedHandle for GollHandle<'_> {
-    fn lock_read_deadline(&mut self, deadline: std::time::Instant) -> Result<(), crate::TimedOut> {
-        debug_assert!(self.read_ticket.is_none() && !self.write_held);
-        let acquire = self.lock.telemetry.begin_read();
-        loop {
-            let ticket = self
-                .lock
-                .csnzi
-                .arrive_cached(&mut self.policy, &mut self.cursor);
-            if ticket.arrived() {
-                self.note_arrival(ticket);
-                self.lock.telemetry.incr(LockEvent::ReadFast);
-                self.lock.telemetry.record_read_acquire(&acquire);
-                self.hold = self.lock.telemetry.timer();
-                self.read_ticket = Some(ticket);
-                return Ok(());
-            }
-            // Closed; nothing is held yet, so a pre-queue timeout is free.
-            if std::time::Instant::now() >= deadline {
-                self.lock.telemetry.incr(LockEvent::Timeout);
-                return Err(crate::TimedOut);
-            }
-            fault::inject("goll.read.before-queue-mutex");
-            let mut q = self.lock.queue.lock();
-            if self.lock.csnzi.query().open {
-                drop(q);
-                continue;
-            }
-            let group = q.join_readers(self.lock.strategy, self.priority);
-            self.lock.telemetry.incr(LockEvent::ReadSlow);
-            self.lock
-                .telemetry
-                .trace_enqueued(Arc::as_ptr(&group) as u64);
-            drop(q);
-            fault::inject("goll.read.queued");
-            if group.wait_deadline(deadline) {
-                self.lock.telemetry.record_read_acquire(&acquire);
-                self.hold = self.lock.telemetry.timer();
-                self.read_ticket = Some(Ticket::ROOT);
-                return Ok(());
-            }
-            // Timed out. Race: a releaser may concurrently dequeue our
-            // group and pre-arrive on our behalf. The queue mutex is the
-            // arbiter — if the group is still queued we can leave it;
-            // otherwise the hand-off already counted us and we must take
-            // the read hold and then undo it with a normal release.
-            fault::inject("goll.read.timeout");
-            let mut q = self.lock.queue.lock();
-            if q.leave_reader_group(&group) {
-                drop(q);
-                self.lock.telemetry.incr(LockEvent::Timeout);
-                self.lock.telemetry.incr(LockEvent::Cancel);
-                return Err(crate::TimedOut);
-            }
-            drop(q);
-            fault::inject("goll.read.cancel-vs-handoff");
-            group.wait();
-            self.hold = self.lock.telemetry.timer();
-            self.read_ticket = Some(Ticket::ROOT);
-            self.unlock_read();
-            self.lock.telemetry.incr(LockEvent::Timeout);
-            return Err(crate::TimedOut);
-        }
+    fn lock_read_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+        self.acquire_read(deadline)
     }
 
-    fn lock_write_deadline(&mut self, deadline: std::time::Instant) -> Result<(), crate::TimedOut> {
-        debug_assert!(self.read_ticket.is_none() && !self.write_held);
-        let acquire = self.lock.telemetry.begin_write();
-        if self.lock.csnzi.close_if_empty() {
-            self.lock.telemetry.incr(LockEvent::WriteFast);
-            self.lock.telemetry.record_write_acquire(&acquire);
-            self.hold = self.lock.telemetry.timer();
-            self.write_held = true;
-            return Ok(());
-        }
-        fault::inject("goll.write.before-queue-mutex");
-        let mut q = self.lock.queue.lock();
-        if self.lock.csnzi.close() {
-            self.lock.telemetry.incr(LockEvent::WriteSlow);
-            drop(q);
-            self.lock.telemetry.record_write_acquire(&acquire);
-            self.hold = self.lock.telemetry.timer();
-            self.write_held = true;
-            return Ok(());
-        }
-        // Expired before enqueueing: leave without a queue entry. Our
-        // `close` may have moved the C-SNZI to closed-with-readers with no
-        // writer queued; the last departing reader handles that (its
-        // dequeue finds nothing and reopens).
-        if std::time::Instant::now() >= deadline {
-            drop(q);
-            self.lock.telemetry.incr(LockEvent::Timeout);
-            return Err(crate::TimedOut);
-        }
-        let ev = q.enqueue_writer(self.lock.strategy, self.priority);
-        self.lock.telemetry.incr(LockEvent::WriteSlow);
-        self.lock.telemetry.trace_enqueued(Arc::as_ptr(&ev) as u64);
-        drop(q);
-        fault::inject("goll.write.queued");
-        if ev.wait_deadline(deadline) {
-            self.lock.telemetry.record_write_acquire(&acquire);
-            self.hold = self.lock.telemetry.timer();
-            self.write_held = true;
-            return Ok(());
-        }
-        // Timed out; same arbitration as the read path. An entry still
-        // queued can be excised; a dequeued entry means a releaser is
-        // handing us the lock in the write-acquired state — accept it,
-        // then release normally.
-        fault::inject("goll.write.timeout");
-        let mut q = self.lock.queue.lock();
-        if q.remove_writer(&ev) {
-            drop(q);
-            self.lock.telemetry.incr(LockEvent::Timeout);
-            self.lock.telemetry.incr(LockEvent::Cancel);
-            return Err(crate::TimedOut);
-        }
-        drop(q);
-        fault::inject("goll.write.cancel-vs-handoff");
-        ev.wait();
-        self.hold = self.lock.telemetry.timer();
-        self.write_held = true;
-        self.unlock_write();
-        self.lock.telemetry.incr(LockEvent::Timeout);
-        Err(crate::TimedOut)
+    fn lock_write_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+        self.acquire_write(deadline)
     }
 }
 

@@ -14,6 +14,10 @@
 //!   doubly-linked queue that lets readers overtake waiting writers to
 //!   join a waiting reader group.
 //!
+//! FOLL and ROLL are one type, [`foll::QueueLock`], under two ordering
+//! policies ([`foll::Fifo`], [`roll::ReaderPreference`]); the names above
+//! are its aliases.
+//!
 //! All locks (including the baselines in `oll-baselines`) implement
 //! [`RwLockFamily`]: register a per-thread handle, then acquire through it.
 //! [`RwLock`] wraps a value for guard-deref ergonomics. [`Bravo`] layers

@@ -1,235 +1,43 @@
 //! The **ROLL** lock (§4.3 of the paper): the reader-preference OLL lock.
 //!
-//! ROLL relaxes FOLL's strict FIFO ordering: a reader that finds a *still
-//! waiting* group of readers in the queue joins that group — overtaking
-//! any writers queued behind it — instead of enqueuing at the tail. Two
-//! mechanisms make this work:
+//! ROLL is the [`QueueLock`] of [`foll`](crate::foll) under a different
+//! ordering policy. It relaxes FOLL's strict FIFO ordering: a reader that
+//! finds a *still waiting* group of readers in the queue joins that group —
+//! overtaking any writers queued behind it — instead of enqueuing at the
+//! tail. Two mechanisms make this work, and they are the policy's two
+//! hooks:
 //!
 //! 1. The queue is doubly linked (`prev` pointers, set by each enqueuer),
 //!    so a reader arriving at a writer tail can search backward for a
-//!    reader node still in the `WAITING` hand-off state.
+//!    reader node still in the `WAITING` hand-off state
+//!    (`OrderPolicy::overtake`).
 //! 2. A writer that enqueues behind a reader node does **not** close its
 //!    C-SNZI immediately (as FOLL does); it waits until that group becomes
-//!    *active* first. While the group is waiting, its C-SNZI stays open and
-//!    late readers can keep joining.
+//!    *active* first (`OrderPolicy::WAIT_FOR_ACTIVE`). While the group is
+//!    waiting, its C-SNZI stays open and late readers can keep joining.
 //!
 //! The lock also caches a pointer to "the last known reader node with
-//! threads still busy-waiting" (`last_reader`), updated on joins and
+//! threads still busy-waiting" ([`LastReaderHint`]), updated on joins and
 //! enqueues and cleared on failed joins, which short-circuits most
 //! searches (the §4.3 optimization; `ablation_roll_hint` measures it).
 
-use crate::cohort::{CohortGate, CohortHold, CohortRelease, DEFAULT_COHORT_BATCH};
-use crate::foll::node_state::{GRANTED, WAITING};
-use crate::foll::{NodeRef, QueueCore, TreeMode};
-use crate::raw::{RwHandle, RwLockFamily};
-use oll_csnzi::{ArrivalPolicy, LeafCursor, Ticket, TreeShape};
-use oll_hazard::Hazard;
-use oll_telemetry::{LockEvent, Telemetry, Timer};
-use oll_util::backoff::{spin_until, Backoff, BackoffPolicy};
-use oll_util::fault;
-use oll_util::knobs::TuningKnobs;
-use oll_util::slots::{SlotError, SlotGuard};
+use crate::foll::node_state::WAITING;
+use crate::foll::{
+    read_sites, NodeRef, OrderPolicy, QueueBuilder, QueueHandle, QueueLock, ReadSites,
+};
+use oll_csnzi::Ticket;
 use oll_util::sync::{AtomicU32, Ordering};
 use oll_util::CachePadded;
 
+/// The reader-preference ordering policy (§4.3): a reader that meets a
+/// writer tail first tries to join a reader group still waiting further up
+/// the queue, and a writer lets its reader predecessor become active
+/// before closing it.
+#[derive(Debug, Clone, Copy)]
+pub struct ReaderPreference;
+
 /// Builder for [`RollLock`].
-#[derive(Debug, Clone)]
-pub struct RollBuilder {
-    capacity: usize,
-    shape: Option<TreeShape>,
-    backoff: BackoffPolicy,
-    arrival_threshold: u32,
-    use_hint: bool,
-    lazy_tree: bool,
-    adaptive: bool,
-    #[cfg(not(loom))]
-    biased: bool,
-    cohort: bool,
-    cohort_batch: u32,
-    cohort_ranks: Option<usize>,
-    telemetry_name: Option<String>,
-    knobs: Option<std::sync::Arc<TuningKnobs>>,
-}
-
-impl RollBuilder {
-    /// Starts a builder for a lock used by at most `capacity` concurrent
-    /// threads.
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            capacity,
-            shape: None,
-            backoff: BackoffPolicy::default(),
-            arrival_threshold: ArrivalPolicy::DEFAULT_THRESHOLD,
-            use_hint: true,
-            lazy_tree: false,
-            adaptive: false,
-            #[cfg(not(loom))]
-            biased: false,
-            cohort: false,
-            cohort_batch: DEFAULT_COHORT_BATCH,
-            cohort_ranks: None,
-            telemetry_name: None,
-            knobs: None,
-        }
-    }
-
-    /// Shares `knobs` as the lock's live policy source. [`build`](Self::build)
-    /// writes the builder's configured backoff and cohort-batch values into
-    /// it, then every component (wait loops, cohort gate, adaptive C-SNZIs)
-    /// reads from it — the hook an online controller uses to steer the lock
-    /// while it runs. Without this call the lock gets a private block at the
-    /// same defaults.
-    pub fn tuning(mut self, knobs: std::sync::Arc<TuningKnobs>) -> Self {
-        self.knobs = Some(knobs);
-        self
-    }
-
-    /// Enables the NUMA cohort writer gate: each locality rank (socket)
-    /// gets its own writer queue, and releases hand the lock to a
-    /// same-socket waiter up to the [batch bound](Self::cohort_batch)
-    /// before releasing through the global queue. On single-socket
-    /// machines (or when topology detection falls back) every writer
-    /// shares one cohort and behaviour degrades to the plain writer path.
-    pub fn cohort(mut self, cohort: bool) -> Self {
-        self.cohort = cohort;
-        self
-    }
-
-    /// Sets the cohort batch bound: how many consecutive same-socket
-    /// hand-offs one cohort tenure may perform before the release is
-    /// forced through the global queue (default
-    /// [`DEFAULT_COHORT_BATCH`](crate::cohort::DEFAULT_COHORT_BATCH)).
-    /// Clamped to ≥ 1. No effect unless [`cohort`](Self::cohort) is on.
-    pub fn cohort_batch(mut self, batch: u32) -> Self {
-        self.cohort_batch = batch;
-        self
-    }
-
-    /// Overrides the detected cohort (socket) count — for tests and
-    /// pinned-thread deployments that partition writers explicitly. The
-    /// default is `oll_util::topology::rank_count()`.
-    pub fn cohort_ranks(mut self, ranks: usize) -> Self {
-        self.cohort_ranks = Some(ranks);
-        self
-    }
-
-    /// Enables BRAVO-style reader biasing for
-    /// [`build_biased`](Self::build_biased): biased reads bypass the lock
-    /// through the process-global visible-readers table (zero shared
-    /// RMWs) until a writer revokes the bias.
-    #[cfg(not(loom))]
-    pub fn biased(mut self, biased: bool) -> Self {
-        self.biased = biased;
-        self
-    }
-
-    /// Builds the lock wrapped in the [`Bravo`](crate::Bravo) biasing
-    /// layer. The wrapper passes straight through unless
-    /// [`biased(true)`](Self::biased) was set, so one call site serves
-    /// both configurations.
-    #[cfg(not(loom))]
-    pub fn build_biased(self) -> crate::Bravo<RollLock> {
-        let biased = self.biased;
-        let lock = self.build();
-        // One knob block steers both layers: the wrapper's re-arm
-        // multiplier and bias permission live next to the queue's knobs.
-        let knobs = lock.knobs().clone();
-        crate::Bravo::wrapping(lock, biased).tuning(knobs)
-    }
-
-    /// Defers each pooled reader node's C-SNZI tree allocation until
-    /// first use (§2.2's space optimization).
-    pub fn lazy_tree(mut self, lazy: bool) -> Self {
-        self.lazy_tree = lazy;
-        self
-    }
-
-    /// Makes every pooled reader node's C-SNZI *adaptive*: arrivals start
-    /// root-only and the tree inflates only once root CAS failures prove
-    /// contention, deflating back after a quiet spell. Supersedes
-    /// [`lazy_tree`](Self::lazy_tree); an explicit
-    /// [`tree_shape`](Self::tree_shape) caps the inflated leaf count.
-    pub fn adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
-    /// Overrides the per-node C-SNZI tree shape (default: one leaf per
-    /// thread).
-    pub fn tree_shape(mut self, shape: TreeShape) -> Self {
-        self.shape = Some(shape);
-        self
-    }
-
-    /// Overrides the busy-wait backoff tuning.
-    pub fn backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.backoff = policy;
-        self
-    }
-
-    /// Sets the per-thread failed-CAS count before C-SNZI arrivals move to
-    /// the tree.
-    pub fn arrival_threshold(mut self, threshold: u32) -> Self {
-        self.arrival_threshold = threshold;
-        self
-    }
-
-    /// Enables/disables the cached last-reader-node pointer (§4.3's search
-    /// optimization). On by default; the ablation bench turns it off.
-    pub fn last_reader_hint(mut self, enabled: bool) -> Self {
-        self.use_hint = enabled;
-        self
-    }
-
-    /// Names this lock's telemetry registration (telemetry builds only;
-    /// the default is `ROLL#<seq>`).
-    pub fn telemetry_name(mut self, name: &str) -> Self {
-        self.telemetry_name = Some(name.to_owned());
-        self
-    }
-
-    /// Builds the lock.
-    pub fn build(self) -> RollLock {
-        let capacity = self.capacity.max(1);
-        let telemetry = Telemetry::register("ROLL");
-        if let Some(name) = &self.telemetry_name {
-            telemetry.rename(name);
-        }
-        let knobs = self.knobs.unwrap_or_else(TuningKnobs::shared);
-        knobs.set_backoff_policy(self.backoff);
-        knobs.set_cohort_batch(self.cohort_batch);
-        let mut core = QueueCore::new(
-            capacity,
-            self.shape
-                .unwrap_or_else(|| TreeShape::for_threads(capacity)),
-            knobs,
-            self.arrival_threshold,
-            if self.adaptive {
-                TreeMode::Adaptive
-            } else if self.lazy_tree {
-                TreeMode::Lazy
-            } else {
-                TreeMode::Eager
-            },
-            telemetry,
-        );
-        if self.cohort {
-            let ranks = self
-                .cohort_ranks
-                .unwrap_or_else(oll_util::topology::rank_count);
-            core.cohort = Some(Box::new(CohortGate::new(
-                capacity,
-                ranks,
-                core.knobs.clone(),
-            )));
-        }
-        RollLock {
-            core,
-            last_reader: CachePadded::new(AtomicU32::new(NodeRef::NIL.raw())),
-            use_hint: self.use_hint,
-        }
-    }
-}
+pub type RollBuilder = QueueBuilder<ReaderPreference>;
 
 /// The reader-preference OLL lock (§4.3).
 ///
@@ -242,74 +50,39 @@ impl RollBuilder {
 /// let mut me = lock.handle().unwrap();
 /// assert!(me.try_read().is_some());
 /// ```
-pub struct RollLock {
-    core: QueueCore,
-    /// Cached reference to the last known still-waiting reader node.
-    last_reader: CachePadded<AtomicU32>,
-    use_hint: bool,
+pub type RollLock = QueueLock<ReaderPreference>;
+
+/// Per-thread handle for [`RollLock`].
+pub type RollHandle<'a> = QueueHandle<'a, ReaderPreference>;
+
+impl RollBuilder {
+    /// Enables/disables the cached last-reader-node pointer (§4.3's search
+    /// optimization). On by default; the ablation bench turns it off.
+    pub fn last_reader_hint(mut self, enabled: bool) -> Self {
+        self.use_hint = enabled;
+        self
+    }
 }
 
-impl RollLock {
-    /// Creates a lock for at most `capacity` concurrent threads.
-    pub fn new(capacity: usize) -> Self {
-        RollBuilder::new(capacity).build()
-    }
+/// ROLL's lock-wide state: a cached reference to the last known
+/// still-waiting reader node.
+pub struct LastReaderHint {
+    node: CachePadded<AtomicU32>,
+    enabled: bool,
+}
 
-    /// Starts a [`RollBuilder`].
-    pub fn builder(capacity: usize) -> RollBuilder {
-        RollBuilder::new(capacity)
-    }
-
-    /// Whether the queue is currently empty (racy; for diagnostics).
-    pub fn is_queue_empty(&self) -> bool {
-        self.core.load_tail().is_nil()
-    }
-
-    /// Whether this lock's reader-node C-SNZIs resize themselves at
-    /// runtime (built with [`RollBuilder::adaptive`]).
-    pub fn is_adaptive(&self) -> bool {
-        self.core.reader_nodes[0].csnzi.is_adaptive()
-    }
-
-    /// Whether any pooled reader node's C-SNZI currently routes arrivals
-    /// through its tree (racy; for diagnostics and tests).
-    pub fn is_inflated(&self) -> bool {
-        self.core.reader_nodes.iter().any(|n| n.csnzi.is_inflated())
-    }
-
-    /// Whether writers go through the NUMA cohort gate
-    /// (built with [`RollBuilder::cohort`]).
-    pub fn is_cohort(&self) -> bool {
-        self.core.cohort.is_some()
-    }
-
-    /// Number of writer cohorts (0 when the cohort gate is off).
-    pub fn cohort_count(&self) -> usize {
-        self.core.cohort.as_ref().map_or(0, |g| g.cohorts())
-    }
-
-    /// The cohort batch bound (0 when the cohort gate is off).
-    pub fn cohort_batch(&self) -> u32 {
-        self.core.cohort.as_ref().map_or(0, |g| g.batch_limit())
-    }
-
-    /// The live tuning-knob block this lock reads (share it with a
-    /// controller to steer the lock while it runs).
-    pub fn knobs(&self) -> &std::sync::Arc<TuningKnobs> {
-        &self.core.knobs
-    }
-
-    fn set_hint(&self, node: NodeRef) {
-        if self.use_hint {
-            self.last_reader.store(node.raw(), Ordering::Release);
+impl LastReaderHint {
+    fn set(&self, node: NodeRef) {
+        if self.enabled {
+            self.node.store(node.raw(), Ordering::Release);
         }
     }
 
-    fn clear_hint(&self, node: NodeRef) {
-        if self.use_hint {
+    fn clear(&self, node: NodeRef) {
+        if self.enabled {
             // Only clear our own stale value; someone may have published a
             // fresher hint.
-            let _ = self.last_reader.compare_exchange(
+            let _ = self.node.compare_exchange(
                 node.raw(),
                 NodeRef::NIL.raw(),
                 Ordering::AcqRel,
@@ -318,153 +91,47 @@ impl RollLock {
         }
     }
 
-    fn load_hint(&self) -> NodeRef {
-        if self.use_hint {
-            NodeRef::from_raw(self.last_reader.load(Ordering::Acquire))
+    fn load(&self) -> NodeRef {
+        if self.enabled {
+            NodeRef::from_raw(self.node.load(Ordering::Acquire))
         } else {
             NodeRef::NIL
         }
     }
 }
 
-impl RwLockFamily for RollLock {
-    type Handle<'a> = RollHandle<'a>;
+impl OrderPolicy for ReaderPreference {
+    type State = LastReaderHint;
+    const NAME: &'static str = "ROLL";
+    const SITES: ReadSites = read_sites!("roll");
+    /// Do not close a waiting reader group's C-SNZI — that group must stay
+    /// joinable until it holds the lock.
+    const WAIT_FOR_ACTIVE: bool = true;
 
-    fn handle(&self) -> Result<RollHandle<'_>, SlotError> {
-        let slot = SlotGuard::claim(&self.core.slots)?;
-        let policy = ArrivalPolicy::new(self.core.arrival_threshold);
-        Ok(RollHandle {
-            lock: self,
-            slot,
-            policy,
-            cursor: LeafCursor::new(),
-            session: None,
-            write_held: false,
-            pending_reclaim: false,
-            cohort_hold: None,
-            cohort_reclaim: false,
-            cohort_pin: None,
-            cohort_cache: None,
-            hold: Timer::inactive(),
-        })
-    }
-
-    fn capacity(&self) -> usize {
-        self.core.slots.capacity()
-    }
-
-    fn name(&self) -> &'static str {
-        "ROLL"
-    }
-
-    fn telemetry(&self) -> Telemetry {
-        self.core.telemetry.clone()
-    }
-
-    fn hazard(&self) -> Hazard {
-        self.core.hazard.clone()
-    }
-
-    fn tuning_knobs(&self) -> Option<&std::sync::Arc<TuningKnobs>> {
-        Some(&self.core.knobs)
-    }
-}
-
-/// Per-thread handle for [`RollLock`].
-pub struct RollHandle<'a> {
-    lock: &'a RollLock,
-    slot: SlotGuard<'a>,
-    policy: ArrivalPolicy,
-    /// Cached C-SNZI leaf: topology-placed on first tree arrival, then
-    /// sticky until a leaf-level CAS failure migrates it. Reader nodes all
-    /// share one tree shape, so the cursor carries across pooled nodes.
-    cursor: LeafCursor,
-    session: Option<(usize, Ticket)>,
-    write_held: bool,
-    /// A timed write abandoned this slot's writer node in the queue; it
-    /// must be reclaimed before the node's next use. Also set when a
-    /// cohort release lends the node to a running batch.
-    pending_reclaim: bool,
-    /// Proof of the current cohort-gated write hold (cohort builds only).
-    cohort_hold: Option<CohortHold>,
-    /// A timed cohort write abandoned this slot's cohort node; it must be
-    /// reclaimed before the node's next use.
-    cohort_reclaim: bool,
-    /// Explicit cohort override set via [`set_cohort`](Self::set_cohort).
-    cohort_pin: Option<usize>,
-    /// Resolved cohort index, cached on first writer use so the hot path
-    /// skips the thread-local topology lookup. Any index is correct —
-    /// a stale cache merely costs placement quality — so the cache is
-    /// only invalidated by [`set_cohort`](Self::set_cohort).
-    cohort_cache: Option<usize>,
-    /// Hold-time timer for the handle's outstanding acquisition.
-    hold: Timer,
-}
-
-impl RollHandle<'_> {
-    fn slot_idx(&self) -> usize {
-        self.slot.slot()
-    }
-
-    /// Finishes any pending reclaim of this slot's writer node (after a
-    /// timed write abandoned it). Must run before every writer-node use.
-    fn ensure_writer_node(&mut self) {
-        if self.pending_reclaim {
-            self.lock.core.reclaim_writer_node(self.slot_idx());
-            self.pending_reclaim = false;
-        }
-    }
-
-    /// Finishes any pending reclaim of this slot's cohort node (after a
-    /// timed cohort write abandoned it).
-    fn ensure_cohort_node(&mut self) {
-        if self.cohort_reclaim {
-            self.lock.core.cohort_reclaim_node(self.slot_idx());
-            self.cohort_reclaim = false;
-        }
-    }
-
-    /// Pins this handle's writer acquisitions to cohort `cohort` (modulo
-    /// the lock's cohort count) instead of deriving the cohort from the
-    /// calling thread's topology. For tests and explicitly-placed
-    /// threads; no effect unless the lock was built with
-    /// [`RollBuilder::cohort`].
-    pub fn set_cohort(&mut self, cohort: usize) {
-        self.cohort_pin = Some(cohort);
-        self.cohort_cache = None;
-    }
-
-    /// The cohort this handle's writer acquisitions queue on, resolved
-    /// once and cached (see `cohort_cache`).
-    fn cohort_index(&mut self) -> usize {
-        match self.cohort_cache {
-            Some(c) => c,
-            None => {
-                let c = self.lock.core.pick_cohort(self.cohort_pin);
-                self.cohort_cache = Some(c);
-                c
-            }
+    fn new_state(last_reader_hint: bool) -> LastReaderHint {
+        LastReaderHint {
+            node: CachePadded::new(AtomicU32::new(NodeRef::NIL.raw())),
+            enabled: last_reader_hint,
         }
     }
 
     /// Tries to join a still-waiting reader node (hint first, then a
     /// backward traversal from `tail`). On success the caller holds an
     /// arrival on that node and needs only to wait out its spin flag.
-    fn try_join_waiting_reader(&mut self, tail: NodeRef) -> Option<(usize, Ticket)> {
-        let lock = self.lock;
+    fn overtake(handle: &mut QueueHandle<'_, Self>, tail: NodeRef) -> Option<(usize, Ticket)> {
+        let lock = handle.lock;
         let core = &lock.core;
 
         // 1. Hint path: one load instead of a queue traversal.
-        let hint = lock.load_hint();
+        let hint = lock.order.load();
         if hint.is_reader() {
-            let node = core.rnode(hint.index());
-            if node.state.load(Ordering::Acquire) == WAITING {
-                let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
+            if core.rnode(hint.index()).state.load(Ordering::Acquire) == WAITING {
+                let ticket = handle.arrive_at(hint.index());
                 if ticket.arrived() {
                     return Some((hint.index(), ticket));
                 }
             }
-            lock.clear_hint(hint);
+            lock.order.clear(hint);
         }
 
         // 2. Backward search from the tail. `prev` links are best-effort
@@ -477,11 +144,10 @@ impl RollHandle<'_> {
         let cap = core.slots.capacity() * 2;
         while !cur.is_nil() && steps < cap {
             if cur.is_reader() {
-                let node = core.rnode(cur.index());
-                if node.state.load(Ordering::Acquire) == WAITING {
-                    let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
+                if core.rnode(cur.index()).state.load(Ordering::Acquire) == WAITING {
+                    let ticket = handle.arrive_at(cur.index());
                     if ticket.arrived() {
-                        lock.set_hint(cur);
+                        lock.order.set(cur);
                         return Some((cur.index(), ticket));
                     }
                 }
@@ -495,491 +161,48 @@ impl RollHandle<'_> {
         }
         None
     }
-}
 
-impl RwHandle for RollHandle<'_> {
-    fn hazard(&self) -> Hazard {
-        self.lock.core.hazard.clone()
-    }
-
-    fn lock_read(&mut self) {
-        debug_assert!(self.session.is_none() && !self.write_held);
-        let lock = self.lock;
-        let core = &lock.core;
-        let slot = self.slot_idx();
-        let acquire = core.telemetry.begin_read();
-        let mut rnode: Option<usize> = None;
-        let mut backoff = Backoff::with_policy(core.backoff());
-        loop {
-            let tail = core.load_tail();
-            if tail.is_nil() {
-                let r = rnode.take().unwrap_or_else(|| core.alloc_reader_node(slot));
-                let node = core.rnode(r);
-                node.state.store(GRANTED, Ordering::Relaxed);
-                node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                node.prev.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                if core.cas_tail(NodeRef::NIL, NodeRef::reader(r)) {
-                    node.csnzi.open();
-                    let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-                    if ticket.arrived() {
-                        core.note_arrival(ticket);
-                        core.telemetry.incr(LockEvent::ReadFast);
-                        core.telemetry.record_read_acquire(&acquire);
-                        self.hold = core.telemetry.timer();
-                        self.session = Some((r, ticket));
-                        return;
-                    }
-                    rnode = None;
-                } else {
-                    rnode = Some(r);
-                }
-            } else if tail.is_reader() {
-                // Tail is a reader node: join it directly, as in FOLL.
-                let node = core.rnode(tail.index());
-                let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-                if ticket.arrived() {
-                    if let Some(n) = rnode.take() {
-                        core.free_reader_node(n);
-                    }
-                    core.note_arrival(ticket);
-                    // Joining an active (GRANTED) group is the fast path;
-                    // joining one still waiting behind a writer is slow.
-                    // The classification load exists only in telemetry
-                    // builds.
-                    if !Telemetry::enabled() || node.state.load(Ordering::Acquire) == GRANTED {
-                        core.telemetry.incr(LockEvent::ReadFast);
-                    } else {
-                        core.telemetry.incr(LockEvent::ReadSlow);
-                        core.telemetry.trace_enqueued(u64::from(tail.raw()));
-                    }
-                    self.session = Some((tail.index(), ticket));
-                    fault::inject("roll.read.waiting");
-                    spin_until(core.backoff(), || {
-                        node.state.load(Ordering::Acquire) == GRANTED
-                    });
-                    core.telemetry.record_read_acquire(&acquire);
-                    self.hold = core.telemetry.timer();
-                    return;
-                }
-                backoff.backoff();
-            } else {
-                // Tail is a writer: reader preference kicks in — overtake
-                // it if a group of readers is still waiting somewhere in
-                // the queue.
-                if let Some((idx, ticket)) = self.try_join_waiting_reader(tail) {
-                    if let Some(n) = rnode.take() {
-                        core.free_reader_node(n);
-                    }
-                    let node = core.rnode(idx);
-                    core.note_arrival(ticket);
-                    core.telemetry.incr(LockEvent::ReadSlow);
-                    core.telemetry
-                        .trace_enqueued(u64::from(NodeRef::reader(idx).raw()));
-                    self.session = Some((idx, ticket));
-                    fault::inject("roll.read.joined");
-                    spin_until(core.backoff(), || {
-                        node.state.load(Ordering::Acquire) == GRANTED
-                    });
-                    core.telemetry.record_read_acquire(&acquire);
-                    self.hold = core.telemetry.timer();
-                    return;
-                }
-                // No waiting group: enqueue a fresh node behind the writer.
-                let r = rnode.take().unwrap_or_else(|| core.alloc_reader_node(slot));
-                let node = core.rnode(r);
-                node.state.store(WAITING, Ordering::Relaxed);
-                node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                node.prev.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                if core.cas_tail(tail, NodeRef::reader(r)) {
-                    node.prev.store(tail.raw(), Ordering::Release);
-                    core.set_qnext(tail, NodeRef::reader(r));
-                    node.csnzi.open();
-                    let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-                    if ticket.arrived() {
-                        core.note_arrival(ticket);
-                        core.telemetry.incr(LockEvent::ReadSlow);
-                        lock.set_hint(NodeRef::reader(r));
-                        self.session = Some((r, ticket));
-                        fault::inject("roll.read.waiting");
-                        core.telemetry
-                            .trace_enqueued(u64::from(NodeRef::reader(r).raw()));
-                        spin_until(core.backoff(), || {
-                            node.state.load(Ordering::Acquire) == GRANTED
-                        });
-                        core.telemetry.record_read_acquire(&acquire);
-                        self.hold = core.telemetry.timer();
-                        return;
-                    }
-                    rnode = None;
-                } else {
-                    rnode = Some(r);
-                }
-            }
-        }
-    }
-
-    fn unlock_read(&mut self) {
-        let (depart_from, ticket) = self.session.take().expect("unlock_read without read hold");
-        self.lock.core.telemetry.record_read_hold(&self.hold);
-        self.lock.core.reader_unlock(depart_from, ticket);
-    }
-
-    fn lock_write(&mut self) {
-        debug_assert!(self.session.is_none() && !self.write_held);
-        // `wait_for_active = true`: do not close a waiting reader group's
-        // C-SNZI — that group must stay joinable until it holds the lock.
-        if self.lock.core.cohort.is_some() {
-            let cohort = self.cohort_index();
-            if self.lock.core.cohort_bypass_ready(cohort) {
-                // Uncontended: the gate has nothing to batch, so skip it
-                // and acquire like a plain writer. `cohort_hold` stays
-                // `None`, making the release the plain `writer_unlock`.
-                self.ensure_writer_node();
-                self.lock.core.writer_lock(self.slot_idx(), true);
-            } else {
-                self.ensure_cohort_node();
-                let hold = self.lock.core.cohort_lock(
-                    self.slot_idx(),
-                    cohort,
-                    true,
-                    &mut self.pending_reclaim,
-                );
-                self.cohort_hold = Some(hold);
-            }
-        } else {
-            self.ensure_writer_node();
-            self.lock.core.writer_lock(self.slot_idx(), true);
-        }
-        self.hold = self.lock.core.telemetry.timer();
-        self.write_held = true;
-    }
-
-    fn unlock_write(&mut self) {
-        debug_assert!(self.write_held, "unlock_write without write hold");
-        self.write_held = false;
-        self.lock.core.telemetry.record_write_hold(&self.hold);
-        let slot = self.slot_idx();
-        match self.cohort_hold.take() {
-            Some(hold) => {
-                let outcome = self.lock.core.cohort_release(slot, hold.cohort, Some(hold));
-                if hold.owner_slot == slot {
-                    // LocalHandoff: our global writer node stays in the
-                    // queue, lent to the batch; reclaim before its next
-                    // use. A global release through our own node means we
-                    // discharged it ourselves — including a node lent out
-                    // earlier whose batch circled back to us — so any
-                    // pending reclaim is already satisfied.
-                    self.pending_reclaim = outcome == CohortRelease::LocalHandoff;
-                }
-            }
-            None => {
-                self.lock.core.writer_unlock(slot);
-            }
-        }
-    }
-
-    fn try_lock_read(&mut self) -> bool {
-        debug_assert!(self.session.is_none() && !self.write_held);
-        let core = &self.lock.core;
-        let slot = self.slot_idx();
-        let tail = core.load_tail();
-        if tail.is_nil() {
-            let r = core.alloc_reader_node(slot);
-            let node = core.rnode(r);
-            node.state.store(GRANTED, Ordering::Relaxed);
-            node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-            node.prev.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-            if core.cas_tail(NodeRef::NIL, NodeRef::reader(r)) {
-                node.csnzi.open();
-                let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-                if ticket.arrived() {
-                    core.note_arrival(ticket);
-                    core.telemetry.incr(LockEvent::ReadFast);
-                    self.hold = core.telemetry.timer();
-                    self.session = Some((r, ticket));
-                    return true;
-                }
-                return false;
-            }
-            core.free_reader_node(r);
-            false
-        } else if tail.is_reader() {
-            let node = core.rnode(tail.index());
-            if node.state.load(Ordering::Acquire) != GRANTED {
-                return false;
-            }
-            let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-            if !ticket.arrived() {
-                return false;
-            }
-            core.note_arrival(ticket);
-            core.telemetry.incr(LockEvent::ReadFast);
-            self.hold = core.telemetry.timer();
-            self.session = Some((tail.index(), ticket));
-            true
-        } else {
-            false
-        }
-    }
-
-    fn try_lock_write(&mut self) -> bool {
-        debug_assert!(self.session.is_none() && !self.write_held);
-        self.ensure_writer_node();
-        let core = &self.lock.core;
-        let slot = self.slot_idx();
-        let node = core.wnode(slot);
-        node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-        node.prev.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-        if core.cas_tail(NodeRef::NIL, NodeRef::writer(slot)) {
-            core.telemetry.incr(LockEvent::WriteFast);
-            self.hold = core.telemetry.timer();
-            self.write_held = true;
-            true
-        } else {
-            false
-        }
-    }
-}
-
-#[cfg(not(loom))]
-impl crate::raw::TimedHandle for RollHandle<'_> {
-    /// Timed ROLL read: identical to `lock_read` (including the overtaking
-    /// join) until a wait starts; a timed-out wait departs the C-SNZI and
-    /// discharges any hand-off obligation picked up in the race with the
-    /// grant.
-    fn lock_read_deadline(
-        &mut self,
-        deadline: std::time::Instant,
-    ) -> Result<(), crate::raw::TimedOut> {
-        use oll_util::backoff::spin_until_deadline;
-
-        debug_assert!(self.session.is_none() && !self.write_held);
-        let lock = self.lock;
-        let core = &lock.core;
-        let slot = self.slot_idx();
-        let acquire = core.telemetry.begin_read();
-        let mut rnode: Option<usize> = None;
-        let mut backoff = Backoff::with_policy(core.backoff());
-        loop {
-            let tail = core.load_tail();
-            if tail.is_nil() {
-                let r = rnode.take().unwrap_or_else(|| core.alloc_reader_node(slot));
-                let node = core.rnode(r);
-                node.state.store(GRANTED, Ordering::Relaxed);
-                node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                node.prev.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                if core.cas_tail(NodeRef::NIL, NodeRef::reader(r)) {
-                    node.csnzi.open();
-                    let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-                    if ticket.arrived() {
-                        core.note_arrival(ticket);
-                        core.telemetry.incr(LockEvent::ReadFast);
-                        core.telemetry.record_read_acquire(&acquire);
-                        self.hold = core.telemetry.timer();
-                        self.session = Some((r, ticket));
-                        return Ok(());
-                    }
-                    rnode = None;
-                } else {
-                    rnode = Some(r);
-                }
-            } else if tail.is_reader() {
-                let node = core.rnode(tail.index());
-                let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-                if ticket.arrived() {
-                    if let Some(n) = rnode.take() {
-                        core.free_reader_node(n);
-                    }
-                    core.note_arrival(ticket);
-                    // Same fast/slow split as the untimed join; the load
-                    // only exists in telemetry builds.
-                    if !Telemetry::enabled() || node.state.load(Ordering::Acquire) == GRANTED {
-                        core.telemetry.incr(LockEvent::ReadFast);
-                    } else {
-                        core.telemetry.incr(LockEvent::ReadSlow);
-                        core.telemetry.trace_enqueued(u64::from(tail.raw()));
-                    }
-                    fault::inject("roll.read.waiting");
-                    if spin_until_deadline(core.backoff(), deadline, || {
-                        node.state.load(Ordering::Acquire) == GRANTED
-                    }) {
-                        core.telemetry.record_read_acquire(&acquire);
-                        self.hold = core.telemetry.timer();
-                        self.session = Some((tail.index(), ticket));
-                        return Ok(());
-                    }
-                    fault::inject("roll.read.timeout");
-                    core.telemetry.incr(LockEvent::Timeout);
-                    core.cancel_read_session(tail.index(), ticket);
-                    return Err(crate::raw::TimedOut);
-                }
-                backoff.backoff();
-            } else {
-                if let Some((idx, ticket)) = self.try_join_waiting_reader(tail) {
-                    if let Some(n) = rnode.take() {
-                        core.free_reader_node(n);
-                    }
-                    let node = core.rnode(idx);
-                    core.note_arrival(ticket);
-                    core.telemetry.incr(LockEvent::ReadSlow);
-                    core.telemetry
-                        .trace_enqueued(u64::from(NodeRef::reader(idx).raw()));
-                    fault::inject("roll.read.joined");
-                    if spin_until_deadline(core.backoff(), deadline, || {
-                        node.state.load(Ordering::Acquire) == GRANTED
-                    }) {
-                        core.telemetry.record_read_acquire(&acquire);
-                        self.hold = core.telemetry.timer();
-                        self.session = Some((idx, ticket));
-                        return Ok(());
-                    }
-                    fault::inject("roll.read.timeout");
-                    core.telemetry.incr(LockEvent::Timeout);
-                    core.cancel_read_session(idx, ticket);
-                    return Err(crate::raw::TimedOut);
-                }
-                let r = rnode.take().unwrap_or_else(|| core.alloc_reader_node(slot));
-                let node = core.rnode(r);
-                node.state.store(WAITING, Ordering::Relaxed);
-                node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                node.prev.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                if core.cas_tail(tail, NodeRef::reader(r)) {
-                    node.prev.store(tail.raw(), Ordering::Release);
-                    core.set_qnext(tail, NodeRef::reader(r));
-                    node.csnzi.open();
-                    let ticket = node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-                    if ticket.arrived() {
-                        core.note_arrival(ticket);
-                        core.telemetry.incr(LockEvent::ReadSlow);
-                        lock.set_hint(NodeRef::reader(r));
-                        self.session = Some((r, ticket));
-                        fault::inject("roll.read.waiting");
-                        core.telemetry
-                            .trace_enqueued(u64::from(NodeRef::reader(r).raw()));
-                        if spin_until_deadline(core.backoff(), deadline, || {
-                            node.state.load(Ordering::Acquire) == GRANTED
-                        }) {
-                            core.telemetry.record_read_acquire(&acquire);
-                            self.hold = core.telemetry.timer();
-                            return Ok(());
-                        }
-                        fault::inject("roll.read.timeout");
-                        core.telemetry.incr(LockEvent::Timeout);
-                        let (idx, ticket) = self.session.take().expect("session was just stored");
-                        core.cancel_read_session(idx, ticket);
-                        return Err(crate::raw::TimedOut);
-                    }
-                    rnode = None;
-                } else {
-                    rnode = Some(r);
-                }
-            }
-            if std::time::Instant::now() >= deadline {
-                if let Some(n) = rnode.take() {
-                    core.free_reader_node(n);
-                }
-                core.telemetry.incr(LockEvent::Timeout);
-                return Err(crate::raw::TimedOut);
-            }
-        }
-    }
-
-    fn lock_write_deadline(
-        &mut self,
-        deadline: std::time::Instant,
-    ) -> Result<(), crate::raw::TimedOut> {
-        use crate::cohort::CohortTimeout;
-        use crate::foll::WriteTimeout;
-
-        debug_assert!(self.session.is_none() && !self.write_held);
-        // Uncontended cohort builds bypass the gate (see `lock_write`)
-        // and fall through to the plain timed writer path below.
-        let cohort = if self.lock.core.cohort.is_some() {
-            let c = self.cohort_index();
-            if self.lock.core.cohort_bypass_ready(c) {
-                None
-            } else {
-                Some(c)
-            }
-        } else {
-            None
-        };
-        if let Some(cohort) = cohort {
-            self.ensure_cohort_node();
-            return match self.lock.core.cohort_lock_deadline(
-                self.slot_idx(),
-                cohort,
-                true,
-                deadline,
-                &mut self.pending_reclaim,
-            ) {
-                Ok(hold) => {
-                    self.cohort_hold = Some(hold);
-                    self.hold = self.lock.core.telemetry.timer();
-                    self.write_held = true;
-                    Ok(())
-                }
-                Err(CohortTimeout::Clean) => {
-                    self.lock.core.telemetry.incr(LockEvent::Timeout);
-                    Err(crate::raw::TimedOut)
-                }
-                Err(CohortTimeout::WriterAbandoned) => {
-                    self.lock.core.telemetry.incr(LockEvent::Timeout);
-                    self.lock.core.telemetry.incr(LockEvent::Cancel);
-                    self.pending_reclaim = true;
-                    Err(crate::raw::TimedOut)
-                }
-                Err(CohortTimeout::CohortAbandoned) => {
-                    self.lock.core.telemetry.incr(LockEvent::Timeout);
-                    self.lock.core.telemetry.incr(LockEvent::Cancel);
-                    self.cohort_reclaim = true;
-                    Err(crate::raw::TimedOut)
-                }
-            };
-        }
-        self.ensure_writer_node();
-        match self
-            .lock
-            .core
-            .writer_lock_deadline(self.slot_idx(), true, deadline)
-        {
-            Ok(()) => {
-                self.hold = self.lock.core.telemetry.timer();
-                self.write_held = true;
-                Ok(())
-            }
-            Err(WriteTimeout::Clean) => {
-                self.lock.core.telemetry.incr(LockEvent::Timeout);
-                Err(crate::raw::TimedOut)
-            }
-            Err(WriteTimeout::Abandoned) => {
-                self.lock.core.telemetry.incr(LockEvent::Timeout);
-                self.lock.core.telemetry.incr(LockEvent::Cancel);
-                self.pending_reclaim = true;
-                Err(crate::raw::TimedOut)
-            }
-        }
-    }
-}
-
-impl Drop for RollHandle<'_> {
-    fn drop(&mut self) {
-        debug_assert!(
-            self.session.is_none() && !self.write_held,
-            "ROLL handle dropped while holding the lock"
-        );
-        // The slot (and with it the writer node) is released on drop; make
-        // sure no abandoned-release is still running against the node.
-        self.ensure_writer_node();
-        self.ensure_cohort_node();
+    fn enqueued_behind_writer(lock: &QueueLock<Self>, node: NodeRef) {
+        lock.order.set(node);
     }
 }
 
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use crate::raw::{RwHandle, RwLockFamily, TimedHandle};
     use std::sync::atomic::{AtomicBool, AtomicI64, Ordering as O};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    /// How a scenario's threads acquire: through the blocking calls, or
+    /// through the timed ones with a deadline far enough away (a hang
+    /// detector, not a speed claim) that it never fires.
+    #[derive(Clone, Copy, Debug)]
+    enum Mode {
+        Blocking,
+        FarDeadline,
+    }
+
+    impl Mode {
+        fn lock_read(self, h: &mut RollHandle<'_>) {
+            match self {
+                Mode::Blocking => h.lock_read(),
+                Mode::FarDeadline => h
+                    .lock_read_deadline(Instant::now() + Duration::from_secs(20))
+                    .expect("far deadline fired"),
+            }
+        }
+
+        fn lock_write(self, h: &mut RollHandle<'_>) {
+            match self {
+                Mode::Blocking => h.lock_write(),
+                Mode::FarDeadline => h
+                    .lock_write_deadline(Instant::now() + Duration::from_secs(20))
+                    .expect("far deadline fired"),
+            }
+        }
+    }
 
     #[test]
     fn uncontended_read_write() {
@@ -1022,6 +245,12 @@ mod tests {
 
     #[test]
     fn reader_overtakes_waiting_writer() {
+        for mode in [Mode::Blocking, Mode::FarDeadline] {
+            reader_overtakes_waiting_writer_in(mode);
+        }
+    }
+
+    fn reader_overtakes_waiting_writer_in(mode: Mode) {
         // Construct the scenario of §4.3 deterministically:
         //  1. R1 read-locks (reader node N1 at head, active).
         //  2. W enqueues behind N1 and waits for the lock.
@@ -1035,7 +264,7 @@ mod tests {
         let readers_in = Arc::new(AtomicI64::new(0));
 
         let mut r1 = lock.handle().unwrap();
-        r1.lock_read();
+        mode.lock_read(&mut r1);
 
         // Writer thread parks in the queue.
         let wl = Arc::clone(&lock);
@@ -1044,7 +273,7 @@ mod tests {
         let writer = std::thread::spawn(move || {
             let mut h = wl.handle().unwrap();
             wi.store(true, O::SeqCst);
-            h.lock_write();
+            mode.lock_write(&mut h);
             h.unlock_write();
             wo.store(true, O::SeqCst);
         });
@@ -1063,7 +292,7 @@ mod tests {
             let ri = Arc::clone(&readers_in);
             overtakers.push(std::thread::spawn(move || {
                 let mut h = rl.handle().unwrap();
-                h.lock_read();
+                mode.lock_read(&mut h);
                 ri.fetch_add(1, O::SeqCst);
                 while ri.load(O::SeqCst) < 2 {
                     std::thread::yield_now(); // both inside together
@@ -1073,14 +302,14 @@ mod tests {
         }
 
         // Writer must still be queued (readers can't have released it).
-        assert!(!writer_out.load(O::SeqCst));
+        assert!(!writer_out.load(O::SeqCst), "{mode:?}");
         r1.unlock_read();
 
         writer.join().unwrap();
         for t in overtakers {
             t.join().unwrap();
         }
-        assert_eq!(readers_in.load(O::SeqCst), 2);
+        assert_eq!(readers_in.load(O::SeqCst), 2, "{mode:?}");
     }
 
     #[test]

@@ -193,30 +193,67 @@ impl Backoff {
     }
 }
 
-/// Spins until `cond()` is true, backing off between probes.
-///
-/// The workhorse behind every `repeat until !spin` in the paper's
-/// pseudocode.
-#[inline]
-pub fn spin_until(policy: BackoffPolicy, mut cond: impl FnMut() -> bool) {
-    let mut b = Backoff::with_policy(policy);
-    while !cond() {
-        b.relax();
+/// When a wait gives up — the one seam between a blocking acquisition and a
+/// timed one. Every wait loop in the workspace is generic over this, so the
+/// blocking call is the timed call instantiated with [`Never`]: `expired` is
+/// a constant `false` there and the compiler deletes the clock reads and
+/// every cancellation branch that hangs off them.
+#[doc(hidden)]
+pub trait Deadline: Copy {
+    /// Whether the deadline has passed.
+    fn expired(self) -> bool;
+
+    /// Parks the calling thread until it is unparked or the deadline passes
+    /// (spurious wake-ups allowed, as with [`std::thread::park`]).
+    #[cfg(not(loom))]
+    fn park(self);
+}
+
+/// The deadline of a blocking acquisition: it never expires.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct Never;
+
+impl Deadline for Never {
+    #[inline(always)]
+    fn expired(self) -> bool {
+        false
+    }
+
+    #[cfg(not(loom))]
+    fn park(self) {
+        std::thread::park();
     }
 }
 
-/// Spins until `cond()` is true or `deadline` passes; returns whether the
-/// condition was observed.
-///
-/// `cond` is re-checked once after the clock read, so a condition that
-/// flips concurrently with the deadline is never misreported as a timeout.
-/// (Time-based, hence unavailable under loom — timed paths are exercised by
-/// the fault-injection suites instead.)
+/// A wall-clock deadline. (Time-based, hence unavailable under loom — the
+/// loom models walk the same generic code with [`Never`].)
 #[cfg(not(loom))]
+impl Deadline for std::time::Instant {
+    #[inline]
+    fn expired(self) -> bool {
+        std::time::Instant::now() >= self
+    }
+
+    fn park(self) {
+        let left = self.saturating_duration_since(std::time::Instant::now());
+        if !left.is_zero() {
+            std::thread::park_timeout(left);
+        }
+    }
+}
+
+/// Spins until `cond()` is true or `deadline` expires, backing off between
+/// probes; returns whether the condition was observed. The workhorse behind
+/// every `repeat until !spin` in the paper's pseudocode.
+///
+/// `cond` is re-checked once after the deadline expires, so a condition
+/// that flips concurrently with the clock read is never misreported as a
+/// timeout.
 #[inline]
-pub fn spin_until_deadline(
+pub fn spin_until_deadline<D: Deadline>(
     policy: BackoffPolicy,
-    deadline: std::time::Instant,
+    deadline: D,
     mut cond: impl FnMut() -> bool,
 ) -> bool {
     let mut b = Backoff::with_policy(policy);
@@ -224,11 +261,17 @@ pub fn spin_until_deadline(
         if cond() {
             return true;
         }
-        if std::time::Instant::now() >= deadline {
+        if deadline.expired() {
             return cond();
         }
         b.relax();
     }
+}
+
+/// Spins until `cond()` is true: [`spin_until_deadline`] with no deadline.
+#[inline]
+pub fn spin_until(policy: BackoffPolicy, cond: impl FnMut() -> bool) {
+    spin_until_deadline(policy, Never, cond);
 }
 
 #[cfg(all(test, not(loom)))]
@@ -359,7 +402,7 @@ mod tests {
         });
         let ok = spin_until_deadline(
             BackoffPolicy::default(),
-            Instant::now() + Duration::from_secs(5),
+            Instant::now() + Duration::from_secs(20),
             || flag.load(Ordering::Acquire),
         );
         assert!(ok);

@@ -10,7 +10,9 @@
 //! Production deployments (like the real Solaris turnstile) deschedule
 //! waiters; [`WaitStrategy::SpinThenPark`] models that.
 
-use crate::backoff::{Backoff, BackoffPolicy};
+#[cfg(not(loom))]
+use crate::backoff::Backoff;
+use crate::backoff::{spin_until_deadline, BackoffPolicy, Deadline, Never};
 use crate::sync::{AtomicBool, AtomicUsize, Ordering};
 
 /// How a waiter burns time until it is signaled.
@@ -70,59 +72,7 @@ impl Event {
 
     /// Blocks until the event is signaled.
     pub fn wait(&self) {
-        match self.strategy {
-            WaitStrategy::SpinThenYield => {
-                let mut b = Backoff::with_policy(BackoffPolicy::default());
-                while !self.is_set() {
-                    b.relax();
-                }
-            }
-            WaitStrategy::SpinThenPark => self.wait_parking(),
-        }
-    }
-
-    #[cfg(not(loom))]
-    fn wait_parking(&self) {
-        let mut b = Backoff::new();
-        for _ in 0..PARK_SPIN_ROUNDS {
-            if self.is_set() {
-                return;
-            }
-            b.relax();
-        }
-        // Publish our handle, then re-check: a signaler that saw the list
-        // before our push will be balanced by this re-check; a signaler that
-        // runs after our push will unpark us.
-        loop {
-            {
-                let mut parked = self.parked.lock().unwrap();
-                if self.is_set() {
-                    return;
-                }
-                parked.push(std::thread::current());
-            }
-            std::thread::park();
-            if self.is_set() {
-                return;
-            }
-            // Spurious wakeup: remove any stale handle and retry.
-            let mut parked = self.parked.lock().unwrap();
-            let me = std::thread::current().id();
-            parked.retain(|t| t.id() != me);
-            if self.is_set() {
-                return;
-            }
-        }
-    }
-
-    #[cfg(loom)]
-    fn wait_parking(&self) {
-        // loom has no real parking; fall back to yield-spinning so models
-        // still explore all interleavings.
-        let mut b = Backoff::with_policy(BackoffPolicy::YIELD_ONLY);
-        while !self.is_set() {
-            b.relax();
-        }
+        self.wait_until(Never);
     }
 
     /// Blocks until the event is signaled or `deadline` passes.
@@ -133,38 +83,38 @@ impl Event {
     /// own cancellation protocol before abandoning the waiter object.
     #[cfg(not(loom))]
     pub fn wait_deadline(&self, deadline: std::time::Instant) -> bool {
+        self.wait_until(deadline)
+    }
+
+    /// The one wait loop behind [`wait`](Self::wait) (a [`Never`] deadline,
+    /// always `true`) and [`wait_deadline`](Self::wait_deadline). A signal
+    /// that races the clock read is never reported as a timeout.
+    #[doc(hidden)]
+    pub fn wait_until<D: Deadline>(&self, deadline: D) -> bool {
         match self.strategy {
             WaitStrategy::SpinThenYield => {
-                let mut b = Backoff::with_policy(BackoffPolicy::default());
-                loop {
-                    if self.is_set() {
-                        return true;
-                    }
-                    if std::time::Instant::now() >= deadline {
-                        // Final re-check so a signal that raced the clock
-                        // read is never reported as a timeout.
-                        return self.is_set();
-                    }
-                    b.relax();
-                }
+                spin_until_deadline(BackoffPolicy::default(), deadline, || self.is_set())
             }
-            WaitStrategy::SpinThenPark => self.wait_parking_deadline(deadline),
+            WaitStrategy::SpinThenPark => self.wait_parking(deadline),
         }
     }
 
     #[cfg(not(loom))]
-    fn wait_parking_deadline(&self, deadline: std::time::Instant) -> bool {
+    fn wait_parking<D: Deadline>(&self, deadline: D) -> bool {
         let mut b = Backoff::new();
         for _ in 0..PARK_SPIN_ROUNDS {
             if self.is_set() {
                 return true;
             }
-            if std::time::Instant::now() >= deadline {
+            if deadline.expired() {
                 return self.is_set();
             }
             b.relax();
         }
         loop {
+            // Publish our handle, then re-check: a signaler that saw the
+            // list before our push will be balanced by this re-check; a
+            // signaler that runs after our push will unpark us.
             {
                 let mut parked = self.parked.lock().unwrap();
                 if self.is_set() {
@@ -172,10 +122,7 @@ impl Event {
                 }
                 parked.push(std::thread::current());
             }
-            let now = std::time::Instant::now();
-            if now < deadline {
-                std::thread::park_timeout(deadline - now);
-            }
+            deadline.park();
             // Whether we were unparked, woke spuriously, or timed out, our
             // handle may still be on the list; remove it before deciding,
             // so a later `signal` never unparks a thread that has moved on.
@@ -187,10 +134,17 @@ impl Event {
                     return true;
                 }
             }
-            if std::time::Instant::now() >= deadline {
+            if deadline.expired() {
                 return self.is_set();
             }
         }
+    }
+
+    #[cfg(loom)]
+    fn wait_parking<D: Deadline>(&self, deadline: D) -> bool {
+        // loom has no real parking; fall back to yield-spinning so models
+        // still explore all interleavings.
+        spin_until_deadline(BackoffPolicy::YIELD_ONLY, deadline, || self.is_set())
     }
 
     /// Rearms the event. Caller must guarantee no thread is still waiting.
@@ -250,6 +204,12 @@ impl GroupEvent {
     #[cfg(not(loom))]
     pub fn wait_deadline(&self, deadline: std::time::Instant) -> bool {
         self.event.wait_deadline(deadline)
+    }
+
+    /// [`Event::wait_until`] for a group member.
+    #[doc(hidden)]
+    pub fn wait_until<D: Deadline>(&self, deadline: D) -> bool {
+        self.event.wait_until(deadline)
     }
 
     /// Removes one member that is abandoning the wait; returns the new

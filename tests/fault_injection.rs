@@ -141,7 +141,10 @@ fn foll_cancel_vs_close_race() {
 
 /// Timed writers abandoning queue nodes while other writers churn: the
 /// abandoned-node takeover (grant cascade → RELEASED → reclaim) must
-/// never lose the queue. Exercises `foll.write.*` windows.
+/// never lose the queue. Exercises `foll.write.*` windows. Half the
+/// acquisitions go through the blocking calls — they walk the same
+/// windows with no deadline, and are the "other writers" a cancelled one
+/// hands the lock past.
 fn abandoned_writer_churn<L>(lock: L, site_filter: &str, seed: u64)
 where
     L: RwLockFamily + Send + Sync + 'static,
@@ -163,13 +166,22 @@ where
             let mut rng = oll_util::XorShift64::for_thread(seed, tid);
             for _ in 0..ITERS {
                 let timeout = Duration::from_micros(rng.next_below(200));
+                let blocking = rng.percent(50);
                 if rng.percent(50) {
-                    if h.lock_write_timeout(timeout).is_ok() {
-                        assert_eq!(state.swap(-1, Ordering::SeqCst), 0);
-                        state.store(0, Ordering::SeqCst);
-                        h.unlock_write();
+                    if blocking {
+                        h.lock_write();
+                    } else if h.lock_write_timeout(timeout).is_err() {
+                        continue;
                     }
-                } else if h.lock_read_timeout(timeout).is_ok() {
+                    assert_eq!(state.swap(-1, Ordering::SeqCst), 0);
+                    state.store(0, Ordering::SeqCst);
+                    h.unlock_write();
+                } else {
+                    if blocking {
+                        h.lock_read();
+                    } else if h.lock_read_timeout(timeout).is_err() {
+                        continue;
+                    }
                     assert!(state.fetch_add(1, Ordering::SeqCst) >= 0);
                     state.fetch_sub(1, Ordering::SeqCst);
                     h.unlock_read();
@@ -198,6 +210,53 @@ fn roll_abandoned_writer_churn() {
 #[test]
 fn goll_writer_cancel_churn() {
     abandoned_writer_churn(GollLock::new(8), "goll.write", 0x5EED_0007);
+}
+
+/// The blocking `lock_write` is the timed one with no deadline, so it
+/// walks the `goll.write.*` windows too. Directed: a plan that panics at
+/// the first window past the fast path (nothing is held or queued there,
+/// so the unwind leaves the lock untouched) must catch a *blocking* writer
+/// that finds the lock read-held.
+#[test]
+fn goll_blocking_write_walks_the_goll_write_windows() {
+    let _guard = serial();
+    quiet_injected_panics();
+    let plan = FaultPlan::panicking(0x5EED_000B, "goll.write.before-queue-mutex", 100).install();
+
+    let lock = GollLock::new(2);
+    let mut r = lock.handle().unwrap();
+    r.lock_read();
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let mut w = lock.handle().unwrap();
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                w.lock_write();
+                w.unlock_write();
+            }))
+            .is_err()
+        });
+        // A writer that meets the window unwinds at once; one that does not
+        // queues behind `r`. Give it a bounded chance, then let it through
+        // either way so a missing window fails the test instead of hanging.
+        let give_up = std::time::Instant::now() + Duration::from_secs(20);
+        while !writer.is_finished() && std::time::Instant::now() < give_up {
+            std::thread::yield_now();
+        }
+        let met_the_window = writer.is_finished();
+        r.unlock_read();
+        let unwound = writer.join().unwrap();
+        assert!(
+            met_the_window && unwound,
+            "blocking lock_write never reached goll.write.before-queue-mutex"
+        );
+    });
+
+    drop(plan);
+    let mut h = lock.handle().unwrap();
+    h.lock_write();
+    h.unlock_write();
+    h.lock_read();
+    h.unlock_read();
 }
 
 /// The BRAVO revocation race, directed: fast-path readers publishing

@@ -383,6 +383,154 @@ fn bias_revocation_and_rearm_are_counted() {
     assert_eq!(s.writes(), 1);
 }
 
+/// How [`scripted_scenario`]'s threads acquire: through the blocking
+/// calls, or through the timed ones with a deadline that never fires.
+#[derive(Clone, Copy, Debug)]
+enum Mode {
+    Blocking,
+    FarDeadline,
+}
+
+impl Mode {
+    fn far() -> Instant {
+        Instant::now() + Duration::from_secs(20)
+    }
+
+    fn read<H: TimedHandle>(self, h: &mut H) {
+        match self {
+            Mode::Blocking => h.lock_read(),
+            Mode::FarDeadline => h.lock_read_deadline(Self::far()).expect("far deadline"),
+        }
+    }
+
+    fn write<H: TimedHandle>(self, h: &mut H) {
+        match self {
+            Mode::Blocking => h.lock_write(),
+            Mode::FarDeadline => h.lock_write_deadline(Self::far()).expect("far deadline"),
+        }
+    }
+}
+
+/// One fully sequenced pass over the three shapes an acquisition can take
+/// — uncontended, a reader handed the lock by the writer it queued behind,
+/// a writer handed the lock by the reader it queued behind — with every
+/// step gated on the previous one having *recorded* its progress, so the
+/// event counts are a function of the script alone. `pin` places the main
+/// handle on rank 0 and each helper thread's on rank 1.
+fn scripted_scenario<L>(
+    lock: &L,
+    mode: Mode,
+    pin: impl for<'a> Fn(&mut L::Handle<'a>, usize) + Sync,
+) -> oll::telemetry::LockSnapshot
+where
+    L: RwLockFamily,
+    for<'a> L::Handle<'a>: TimedHandle,
+{
+    let snap = || lock.telemetry().snapshot().expect("instrumented lock");
+    let mut main = lock.handle().unwrap();
+    pin(&mut main, 0);
+
+    mode.read(&mut main);
+    main.unlock_read();
+    mode.write(&mut main);
+    main.unlock_write();
+
+    mode.write(&mut main);
+    let before = snap().get(LockEvent::ReadSlow);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut reader = lock.handle().unwrap();
+            pin(&mut reader, 1);
+            mode.read(&mut reader); // blocks until the writer releases
+            reader.unlock_read();
+        });
+        wait_for(lock, |s| s.get(LockEvent::ReadSlow) > before);
+        main.unlock_write();
+    });
+
+    mode.read(&mut main);
+    let (slow, root_writes) = {
+        let s = snap();
+        (
+            s.get(LockEvent::WriteSlow),
+            s.get(LockEvent::CsnziRootWrite),
+        )
+    };
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut writer = lock.handle().unwrap();
+            pin(&mut writer, 1);
+            mode.write(&mut writer); // blocks until the reader departs
+            writer.unlock_write();
+        });
+        // The writer has queued *and* closed the C-SNZI we hold (its one
+        // root write): only then is our departure the last one of a closed
+        // node, whichever way the two would otherwise have raced.
+        wait_for(lock, |s| {
+            s.get(LockEvent::WriteSlow) > slow && s.get(LockEvent::CsnziRootWrite) > root_writes
+        });
+        main.unlock_read();
+    });
+    drop(main);
+    snap()
+}
+
+/// The blocking calls and the timed calls are one code path: the same
+/// script must leave the same counts behind whichever it is driven
+/// through — every event, and every latency/hold sample.
+fn blocking_and_timed_agree<L>(
+    make: impl Fn() -> L,
+    pin: impl for<'a> Fn(&mut L::Handle<'a>, usize) + Sync,
+    label: &str,
+) where
+    L: RwLockFamily,
+    for<'a> L::Handle<'a>: TimedHandle,
+{
+    let blocking = scripted_scenario(&make(), Mode::Blocking, &pin);
+    let timed = scripted_scenario(&make(), Mode::FarDeadline, &pin);
+    for event in LockEvent::ALL {
+        assert_eq!(
+            blocking.get(event),
+            timed.get(event),
+            "{label}: {event:?} differs between lock_* and lock_*_deadline"
+        );
+    }
+    for (name, b, t) in [
+        ("read_acquire", &blocking.read_acquire, &timed.read_acquire),
+        (
+            "write_acquire",
+            &blocking.write_acquire,
+            &timed.write_acquire,
+        ),
+        ("read_hold", &blocking.read_hold, &timed.read_hold),
+        ("write_hold", &blocking.write_hold, &timed.write_hold),
+    ] {
+        assert_eq!(b.count, t.count, "{label}: {name} samples differ");
+    }
+    // The script did take the contended shapes (and nothing timed out).
+    assert_eq!(blocking.reads(), 3, "{label}");
+    assert_eq!(blocking.writes(), 3, "{label}");
+    assert!(blocking.get(LockEvent::HandoffToReaders) >= 1, "{label}");
+    assert!(blocking.get(LockEvent::HandoffToWriter) >= 1, "{label}");
+    assert_eq!(blocking.get(LockEvent::Timeout), 0, "{label}");
+}
+
+#[test]
+fn blocking_and_far_deadline_acquisitions_record_the_same_events() {
+    fn anywhere<L: RwLockFamily>(_: &mut L::Handle<'_>, _: usize) {}
+    fn on_rank(h: &mut oll::core::foll::FollHandle<'_>, rank: usize) {
+        h.set_cohort(rank);
+    }
+    blocking_and_timed_agree(|| GollLock::new(2), anywhere::<GollLock>, "GOLL");
+    blocking_and_timed_agree(|| FollLock::new(2), anywhere::<FollLock>, "FOLL");
+    blocking_and_timed_agree(|| RollLock::new(2), anywhere::<RollLock>, "ROLL");
+    blocking_and_timed_agree(
+        || FollLock::builder(2).cohort(true).cohort_ranks(2).build(),
+        on_rank,
+        "FOLL+cohort",
+    );
+}
+
 #[test]
 fn registry_sweeps_and_renames() {
     let lock = GollLock::builder(2)

@@ -4,15 +4,42 @@
 //! reclaimed, hand-off chains intact — leaving the lock immediately
 //! re-acquirable in both modes.
 
+use oll::telemetry::LockEvent;
 use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily, TimedHandle};
 use oll_baselines::{SolarisLikeRwLock, StdRwLock};
-use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Generous bound for acquisitions that must succeed: long enough for any
-/// CI machine, short enough to fail the test rather than hang it.
+/// CI machine, short enough to fail the test rather than hang it. A hang
+/// detector, never a speed claim — every deadline that must *not* fire is
+/// this one; only deadlines that *must* fire are short.
 const MUST: Duration = Duration::from_secs(20);
+
+/// How many acquisitions have queued behind a holder so far: the lock's
+/// own slow-path counts where telemetry is compiled in and the lock is
+/// instrumented (slow-path events are recorded at enqueue, before the
+/// wait starts), else the `announced` count the waiter threads bump right
+/// before they call in.
+fn queued<L: RwLockFamily>(lock: &L, announced: &AtomicU64) -> u64 {
+    match lock.telemetry().snapshot() {
+        Some(s) => s.get(LockEvent::ReadSlow) + s.get(LockEvent::WriteSlow),
+        None => announced.load(Ordering::SeqCst),
+    }
+}
+
+/// Stages a scenario without sleeping: polls until [`queued`] reaches
+/// `target`. Staging only — a waiter that queues later than observed still
+/// acquires or times out correctly, the scenario is just less contended
+/// than intended — but a waiter that *never* shows up fails the test.
+fn wait_queued<L: RwLockFamily>(lock: &L, announced: &AtomicU64, target: u64) {
+    let give_up = Instant::now() + MUST;
+    while queued(lock, announced) < target {
+        assert!(Instant::now() < give_up, "waiter never queued");
+        std::thread::yield_now();
+    }
+}
 
 /// The acceptance scenario: a writer holds the lock, N readers time out,
 /// and every one of them undoes cleanly — afterwards the lock works in
@@ -82,6 +109,7 @@ where
     for<'a> L::Handle<'a>: TimedHandle,
 {
     let lock = Arc::new(lock);
+    let announced = Arc::new(AtomicU64::new(0));
     let mut w = lock.handle().unwrap();
     w.lock_write();
 
@@ -94,10 +122,13 @@ where
     };
     assert!(short.join().unwrap(), "short timeout should have expired");
 
+    let already = queued(&*lock, &announced);
     let long = {
         let lock = Arc::clone(&lock);
+        let announced = Arc::clone(&announced);
         std::thread::spawn(move || {
             let mut r = lock.handle().unwrap();
+            announced.fetch_add(1, Ordering::SeqCst);
             let ok = r.lock_read_timeout(MUST).is_ok();
             if ok {
                 r.unlock_read();
@@ -105,7 +136,8 @@ where
             ok
         })
     };
-    std::thread::sleep(Duration::from_millis(30));
+    // Release only once the long reader is waiting behind the writer.
+    wait_queued(&*lock, &announced, already + 1);
     w.unlock_write();
     assert!(long.join().unwrap(), "long timeout should have succeeded");
 }
@@ -234,32 +266,39 @@ fn goll_cancelled_writer_reopens_csnzi() {
 #[test]
 fn foll_cancelled_last_reader_hands_off() {
     let lock = Arc::new(FollLock::new(4));
+    let announced = Arc::new(AtomicU64::new(0));
 
     // W1 parks the queue head.
     let mut w1 = lock.handle().unwrap();
     w1.lock_write();
 
-    // R enqueues a reader node behind W1 and waits.
+    // R enqueues a reader node behind W1 and waits. Its deadline is the one
+    // in this scenario that must fire, so it is short — but long enough
+    // for W2 to get in behind it first.
     let r_thread = {
         let lock = Arc::clone(&lock);
+        let announced = Arc::clone(&announced);
         std::thread::spawn(move || {
             let mut r = lock.handle().unwrap();
-            r.lock_read_timeout(Duration::from_millis(80)).is_err()
+            announced.fetch_add(1, Ordering::SeqCst);
+            r.lock_read_timeout(Duration::from_millis(150)).is_err()
         })
     };
-    std::thread::sleep(Duration::from_millis(20));
+    wait_queued(&*lock, &announced, 1);
 
     // W2 enqueues behind R's node and closes its C-SNZI (FOLL closes
     // immediately), making R the node's only — and last — departer.
     let w2_thread = {
         let lock = Arc::clone(&lock);
+        let announced = Arc::clone(&announced);
         std::thread::spawn(move || {
             let mut w2 = lock.handle().unwrap();
+            announced.fetch_add(1, Ordering::SeqCst);
             w2.lock_write();
             w2.unlock_write();
         })
     };
-    std::thread::sleep(Duration::from_millis(20));
+    wait_queued(&*lock, &announced, 2);
 
     // R times out: its cancel must leave the node abandoned (or perform
     // the hand-off itself), so that W1's release reaches W2.
@@ -270,6 +309,7 @@ fn foll_cancelled_last_reader_hands_off() {
     let mut h = lock.handle().unwrap();
     h.lock_write_timeout(MUST).unwrap();
     h.unlock_write();
+    assert!(lock.is_queue_empty(), "a cancelled node stayed queued");
 }
 
 /// FOLL/ROLL: a writer that abandons its queue node must be able to drop
