@@ -22,12 +22,11 @@ use oll_csnzi::{ArrivalPolicy, CSnzi, LeafCursor, Ticket, TreeShape};
 use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry, Timer};
 use oll_util::backoff::{Deadline, Never};
-use oll_util::event::{Event, GroupEvent, WaitStrategy};
+use oll_util::event::{Event, WaitStrategy};
 use oll_util::fault;
 use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
-use oll_util::{CachePadded, SpinMutex};
-use std::collections::VecDeque;
-use std::sync::Arc;
+use oll_util::sync::{AtomicBool, AtomicU32, Ordering};
+use oll_util::{CachePadded, SpinMutex, SpinMutexGuard};
 
 /// Queuing policy for conflicting lock requests.
 ///
@@ -54,28 +53,88 @@ pub enum FairnessPolicy {
     WriterPreference,
 }
 
-enum Group {
-    Readers {
-        event: Arc<GroupEvent>,
-        /// Highest priority among the group's members.
-        priority: u8,
-    },
-    Writer {
-        event: Arc<Event>,
-        priority: u8,
-    },
+/// "No cell": ends a list, and what a handle that waits on nothing holds.
+const NIL: u32 = u32::MAX;
+
+/// One place in the wait queue — a writer's, or a group of readers' — with
+/// the event its waiters poll, on a cache line of its own. The lock owns
+/// every cell, allocated once in `build()`: cells `0..capacity` are the
+/// writer cells (the handle on slot `i` waits on cell `i`) and cells
+/// `capacity..2 * capacity` are a pool of group cells, so an index also
+/// tells a cell's kind and the queue is a list of indices through the cells.
+///
+/// The links, the mark and the priority are read and written with the
+/// queue mutex held — its acquire/release orders them, hence `Relaxed` —
+/// with one exception: the `next` of a cell a releaser has *dequeued*,
+/// which that releaser alone walks after it drops the mutex.
+struct WaitCell {
+    /// Set by the granter as its last access to the cell, cleared by
+    /// whoever links the cell into the queue. Nothing else on this line is
+    /// written while a waiter polls it, except by a reader joining or
+    /// leaving the group or a neighbour being linked or unlinked.
+    event: Event,
+    next: AtomicU32,
+    prev: AtomicU32,
+    /// Linked into the queue. What a waiter that gives up reads, under the
+    /// mutex, to learn whether a releaser has already taken it out.
+    queued: AtomicBool,
+    /// The writer's priority, or the highest among the group's members.
+    priority: AtomicU32,
+    /// Group cells: members that have joined and have neither left nor
+    /// acknowledged the wake-up. The first member claims a cell that reads
+    /// 0, under the mutex; the last to subtract itself frees it. Joining
+    /// and leaving happen under the mutex while the group is queued,
+    /// acknowledging outside it once the group is granted — and a group is
+    /// never both.
+    members: AtomicU32,
 }
 
-/// What a releasing thread hands the lock to.
+impl WaitCell {
+    fn new(strategy: WaitStrategy) -> Self {
+        Self {
+            event: Event::new(strategy),
+            next: AtomicU32::new(NIL),
+            prev: AtomicU32::new(NIL),
+            queued: AtomicBool::new(false),
+            priority: AtomicU32::new(0),
+            members: AtomicU32::new(0),
+        }
+    }
+
+    fn next(&self) -> u32 {
+        self.next.load(Ordering::Relaxed)
+    }
+
+    fn priority(&self) -> u32 {
+        self.priority.load(Ordering::Relaxed)
+    }
+
+    /// One granted member is through with the cell. `Release`, so that the
+    /// next claimant's `Acquire` read of 0 orders its clearing of the event
+    /// after every old member's last look at it.
+    fn acknowledge(&self) {
+        self.members.fetch_sub(1, Ordering::Release);
+    }
+}
+
+/// Whether cell `i` of `cells` — writer cells, then as many group cells —
+/// is a group cell.
+fn is_group(cells: &[CachePadded<WaitCell>], i: u32) -> bool {
+    i as usize >= cells.len() / 2
+}
+
+/// What a releasing thread hands the lock to: cells it has taken out of
+/// the queue and will grant once the queue mutex is dropped.
 enum Handoff {
     /// Nobody waiting: actually release.
     None,
     /// A single writer: the lock is already in (or stays in) the
     /// closed-empty state; just wake it.
-    Writer(Arc<Event>),
-    /// One or more groups of readers, `total` threads in all.
+    Writer(u32),
+    /// One or more groups of readers, `total` threads in all, chained
+    /// through their cells' `next` from `first`.
     Readers {
-        groups: Vec<Arc<GroupEvent>>,
+        first: u32,
         total: u64,
         /// Whether writers remain queued (the reopened C-SNZI must then
         /// stay closed so new readers keep queuing behind them).
@@ -83,152 +142,240 @@ enum Handoff {
     },
 }
 
+/// The ends of the wait queue and what is in it. This is what the queue
+/// mutex guards directly, so it shares the mutex's cache line: a releaser
+/// that finds one waiter learns which cell to grant, and of which kind,
+/// from the line it already owns.
 struct WaitQueue {
-    groups: VecDeque<Group>,
-    num_writers: usize,
+    head: u32,
+    tail: u32,
+    num_writers: u32,
+    num_groups: u32,
 }
 
-impl WaitQueue {
-    fn new() -> Self {
-        Self {
-            groups: VecDeque::new(),
-            num_writers: 0,
-        }
+/// The wait queue with its mutex held.
+struct LockedQueue<'a> {
+    ends: SpinMutexGuard<'a, WaitQueue>,
+    cells: &'a [CachePadded<WaitCell>],
+}
+
+impl LockedQueue<'_> {
+    fn cell(&self, i: u32) -> &WaitCell {
+        &self.cells[i as usize]
+    }
+
+    fn is_group(&self, i: u32) -> bool {
+        is_group(self.cells, i)
     }
 
     fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.ends.head == NIL
     }
 
-    fn enqueue_writer(&mut self, strategy: WaitStrategy, priority: u8) -> Arc<Event> {
-        let ev = Arc::new(Event::new(strategy));
-        self.groups.push_back(Group::Writer {
-            event: Arc::clone(&ev),
-            priority,
-        });
-        self.num_writers += 1;
-        ev
+    fn head_is_group(&self) -> bool {
+        !self.is_empty() && self.is_group(self.ends.head)
     }
 
-    /// Joins the readers group at the tail, or starts a new one. Reader
-    /// groups only coalesce at the tail, so two reader groups are never
-    /// adjacent in the queue.
-    fn join_readers(&mut self, strategy: WaitStrategy, priority: u8) -> Arc<GroupEvent> {
-        if let Some(Group::Readers {
-            event,
-            priority: group_prio,
-        }) = self.groups.back_mut()
-        {
-            *group_prio = (*group_prio).max(priority);
-            let g = Arc::clone(event);
-            g.join();
-            return g;
+    /// Links cell `i` in at the tail, re-armed for its next grant.
+    fn push_back(&mut self, i: u32) {
+        let tail = self.ends.tail;
+        let cell = self.cell(i);
+        cell.event.reset();
+        cell.next.store(NIL, Ordering::Relaxed);
+        cell.prev.store(tail, Ordering::Relaxed);
+        cell.queued.store(true, Ordering::Relaxed);
+        if tail == NIL {
+            self.ends.head = i;
+        } else {
+            self.cell(tail).next.store(i, Ordering::Relaxed);
         }
-        let g = Arc::new(GroupEvent::new(strategy));
-        g.join();
-        self.groups.push_back(Group::Readers {
-            event: Arc::clone(&g),
-            priority,
-        });
+        self.ends.tail = i;
+        if self.is_group(i) {
+            self.ends.num_groups += 1;
+        } else {
+            self.ends.num_writers += 1;
+        }
+    }
+
+    /// Takes the queued cell `i` out, wherever it is. Its own `next` is
+    /// left as it was.
+    fn unlink(&mut self, i: u32) {
+        let cell = self.cell(i);
+        cell.queued.store(false, Ordering::Relaxed);
+        // A lone entry's links are known without a look at its cell, so the
+        // first thing a releaser does to its one waiter's line is write it:
+        // one transfer of the line, where a read first would make it two.
+        let (prev, next) = if self.ends.head == i && self.ends.tail == i {
+            (NIL, NIL)
+        } else {
+            (cell.prev.load(Ordering::Relaxed), cell.next())
+        };
+        if prev == NIL {
+            self.ends.head = next;
+        } else {
+            self.cell(prev).next.store(next, Ordering::Relaxed);
+        }
+        if next == NIL {
+            self.ends.tail = prev;
+        } else {
+            self.cell(next).prev.store(prev, Ordering::Relaxed);
+        }
+        if self.is_group(i) {
+            self.ends.num_groups -= 1;
+        } else {
+            self.ends.num_writers -= 1;
+        }
+    }
+
+    /// Queues the writer on `slot`; returns its cell.
+    fn enqueue_writer(&mut self, slot: usize, priority: u8) -> u32 {
+        let w = slot as u32;
+        self.cell(w)
+            .priority
+            .store(u32::from(priority), Ordering::Relaxed);
+        self.push_back(w);
+        w
+    }
+
+    /// Joins the readers group at the tail, or starts a new one; returns
+    /// the group's cell. Reader groups only coalesce at the tail.
+    fn join_readers(&mut self, slot: usize, priority: u8) -> u32 {
+        let priority = u32::from(priority);
+        let tail = self.ends.tail;
+        if tail != NIL && self.is_group(tail) {
+            let group = self.cell(tail);
+            group
+                .priority
+                .store(group.priority().max(priority), Ordering::Relaxed);
+            group.members.fetch_add(1, Ordering::Relaxed);
+            return tail;
+        }
+        // A handle is a member of at most one group from joining it to
+        // acknowledging its wake-up, and this one is in none: the other
+        // `capacity - 1` cannot keep `capacity` cells busy. The search
+        // starts at the cell this slot used last (the discipline of FOLL's
+        // reader-node ring, §4.2.1).
+        let n = self.cells.len() / 2;
+        let g = (0..n)
+            .map(|off| (n + (slot + off) % n) as u32)
+            .find(|&g| self.cell(g).members.load(Ordering::Acquire) == 0)
+            .expect("every group cell is in use by another handle");
+        let group = self.cell(g);
+        group.priority.store(priority, Ordering::Relaxed);
+        group.members.store(1, Ordering::Relaxed);
+        self.push_back(g);
         g
     }
 
-    /// Highest priority among queued writers, if any.
-    fn max_writer_priority(&self) -> Option<u8> {
-        self.groups
-            .iter()
-            .filter_map(|g| match g {
-                Group::Writer { priority, .. } => Some(*priority),
-                Group::Readers { .. } => None,
-            })
-            .max()
+    /// Highest priority among queued reader groups and among queued
+    /// writers (0 for a class that has none queued).
+    fn max_priorities(&self) -> (u32, u32) {
+        let (mut readers, mut writers) = (0, 0);
+        let mut i = self.ends.head;
+        while i != NIL {
+            let cell = self.cell(i);
+            let class = if self.is_group(i) {
+                &mut readers
+            } else {
+                &mut writers
+            };
+            *class = cell.priority().max(*class);
+            i = cell.next();
+        }
+        (readers, writers)
     }
 
-    /// Highest priority among queued reader groups, if any.
-    fn max_reader_priority(&self) -> Option<u8> {
-        self.groups
-            .iter()
-            .filter_map(|g| match g {
-                Group::Readers { priority, .. } => Some(*priority),
-                Group::Writer { .. } => None,
-            })
-            .max()
+    /// Takes the queued group `g` out as the last cell of a dequeued chain;
+    /// returns how many members the releaser must pre-arrive for.
+    fn take_group(&mut self, g: u32) -> u64 {
+        let members = self.cell(g).members.load(Ordering::Relaxed);
+        self.unlink(g);
+        self.cell(g).next.store(NIL, Ordering::Relaxed);
+        u64::from(members)
     }
 
     fn pop_front(&mut self) -> Handoff {
-        match self.groups.pop_front() {
-            None => Handoff::None,
-            Some(Group::Writer { event, .. }) => {
-                self.num_writers -= 1;
-                Handoff::Writer(event)
+        let head = self.ends.head;
+        if head == NIL {
+            Handoff::None
+        } else if self.is_group(head) {
+            Handoff::Readers {
+                first: head,
+                total: self.take_group(head),
+                writers_remain: self.ends.num_writers > 0,
             }
-            Some(Group::Readers { event, .. }) => {
-                let total = event.members() as u64;
-                Handoff::Readers {
-                    groups: vec![event],
-                    total,
-                    writers_remain: self.num_writers > 0,
+        } else {
+            self.unlink(head);
+            Handoff::Writer(head)
+        }
+    }
+
+    /// Removes *every* readers group (Alternating writer-release), chained
+    /// in queue order.
+    fn drain_all_readers(&mut self) -> Handoff {
+        let (mut first, mut last, mut total) = (NIL, NIL, 0u64);
+        let mut i = self.ends.head;
+        while self.ends.num_groups > 0 {
+            let next = self.cell(i).next();
+            if self.is_group(i) {
+                total += self.take_group(i);
+                if last == NIL {
+                    first = i;
+                } else {
+                    self.cell(last).next.store(i, Ordering::Relaxed);
                 }
+                last = i;
+            }
+            i = next;
+        }
+        if first == NIL {
+            Handoff::None
+        } else {
+            Handoff::Readers {
+                first,
+                total,
+                writers_remain: self.ends.num_writers > 0,
             }
         }
     }
 
-    /// Removes *every* readers group (Alternating writer-release).
-    fn drain_all_readers(&mut self) -> Handoff {
-        let mut groups = Vec::new();
-        let mut total = 0u64;
-        self.groups.retain(|g| match g {
-            Group::Readers { event, .. } => {
-                total += event.members() as u64;
-                groups.push(Arc::clone(event));
-                false
-            }
-            Group::Writer { .. } => true,
-        });
-        if groups.is_empty() {
-            Handoff::None
-        } else {
-            Handoff::Readers {
-                groups,
-                total,
-                writers_remain: self.num_writers > 0,
-            }
+    /// The first writer at or after cell `i`.
+    fn skip_groups(&self, mut i: u32) -> u32 {
+        while i != NIL && self.is_group(i) {
+            i = self.cell(i).next();
         }
+        i
     }
 
     /// Removes the highest-priority writer (earliest among ties —
     /// turnstiles order by priority, then FIFO).
     fn take_first_writer(&mut self) -> Handoff {
-        let best = self
-            .groups
-            .iter()
-            .enumerate()
-            .filter_map(|(i, g)| match g {
-                Group::Writer { priority, .. } => Some((i, *priority)),
-                Group::Readers { .. } => None,
-            })
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)));
-        match best {
-            Some((i, _)) => match self.groups.remove(i) {
-                Some(Group::Writer { event, .. }) => {
-                    self.num_writers -= 1;
-                    Handoff::Writer(event)
-                }
-                _ => unreachable!("index located a writer"),
-            },
-            None => Handoff::None,
+        if self.ends.num_writers == 0 {
+            return Handoff::None;
         }
-    }
-
-    /// Chooses the hand-off target for a releasing *writer*.
-    fn has_waiting_readers(&self) -> bool {
-        self.num_writers < self.groups.len()
+        let mut best = self.skip_groups(self.ends.head);
+        // A lone writer has nobody to be compared with (and, at the head,
+        // is granted without a read of its cell: see `unlink`).
+        if self.ends.num_writers > 1 {
+            let mut i = best;
+            loop {
+                i = self.skip_groups(self.cell(i).next());
+                if i == NIL {
+                    break;
+                }
+                if self.cell(i).priority() > self.cell(best).priority() {
+                    best = i;
+                }
+            }
+        }
+        self.unlink(best);
+        Handoff::Writer(best)
     }
 
     /// Prefer readers: wake every waiting reader if any exist, else the
     /// first writer.
     fn readers_first(&mut self) -> Handoff {
-        if self.has_waiting_readers() {
+        if self.ends.num_groups > 0 {
             self.drain_all_readers()
         } else {
             self.take_first_writer()
@@ -238,18 +385,20 @@ impl WaitQueue {
     /// The §5.1 policy with priorities: "writers hand the lock over to
     /// readers (unless a higher-priority writer is waiting)".
     fn readers_first_unless_higher_priority_writer(&mut self) -> Handoff {
-        match (self.max_reader_priority(), self.max_writer_priority()) {
-            (Some(rp), Some(wp)) if wp > rp => self.take_first_writer(),
-            (Some(_), _) => self.drain_all_readers(),
-            (None, Some(_)) => self.take_first_writer(),
-            (None, None) => Handoff::None,
+        // Priorities decide only when both classes wait.
+        if self.ends.num_groups > 0 && self.ends.num_writers > 0 {
+            let (readers, writers) = self.max_priorities();
+            if writers > readers {
+                return self.take_first_writer();
+            }
         }
+        self.readers_first()
     }
 
     /// Prefer writers: wake the first writer if any exists, else every
     /// waiting reader.
     fn writers_first(&mut self) -> Handoff {
-        if self.num_writers > 0 {
+        if self.ends.num_writers > 0 {
             self.take_first_writer()
         } else {
             self.drain_all_readers()
@@ -275,39 +424,23 @@ impl WaitQueue {
         }
     }
 
-    /// A timed-out reader abandons its queued group. Returns `true` if the
-    /// group was still queued (the member left; an emptied group is
-    /// removed); `false` means a releaser already dequeued the group — its
-    /// `OpenWithArrivals` counted this member, so the caller must consume
-    /// the hand-off instead of leaving.
-    fn leave_reader_group(&mut self, target: &Arc<GroupEvent>) -> bool {
-        let Some(idx) = self.groups.iter().position(|g| match g {
-            Group::Readers { event, .. } => Arc::ptr_eq(event, target),
-            Group::Writer { .. } => false,
-        }) else {
+    /// A waiter gives up on cell `i`. Returns `true` if the cell was still
+    /// queued: a writer's is taken out, a reader leaves its group (and the
+    /// last member out takes the group's cell out, so that no releaser
+    /// wakes, and pre-arrives for, a group nobody belongs to). `false`
+    /// means a releaser already dequeued the cell — the lock is being (or
+    /// has been) handed to this waiter, a reader's `OpenWithArrivals`
+    /// counted it — so the caller must accept ownership and release it.
+    fn excise(&mut self, i: u32) -> bool {
+        let cell = self.cell(i);
+        if !cell.queued.load(Ordering::Relaxed) {
             return false;
-        };
-        if target.leave() == 0 {
-            // Last member out: drop the empty group so no releaser wakes
-            // (and pre-arrives for) a group nobody belongs to.
-            self.groups.remove(idx);
         }
-        true
-    }
-
-    /// A timed-out writer excises its queue entry. Returns `true` if the
-    /// entry was still queued; `false` means a releaser already dequeued it
-    /// and the lock is being (or has been) handed to this writer — the
-    /// caller must accept ownership and release it.
-    fn remove_writer(&mut self, target: &Arc<Event>) -> bool {
-        let Some(idx) = self.groups.iter().position(|g| match g {
-            Group::Writer { event, .. } => Arc::ptr_eq(event, target),
-            Group::Readers { .. } => false,
-        }) else {
-            return false;
-        };
-        self.groups.remove(idx);
-        self.num_writers -= 1;
+        // `Release` for the same reason as in `acknowledge`: leaving may
+        // free the cell.
+        if !self.is_group(i) || cell.members.fetch_sub(1, Ordering::Release) == 1 {
+            self.unlink(i);
+        }
         true
     }
 }
@@ -458,9 +591,16 @@ impl GollBuilder {
         hazard.attach_telemetry(&telemetry);
         GollLock {
             csnzi,
-            queue: CachePadded::new(SpinMutex::new(WaitQueue::new())),
+            queue: CachePadded::new(SpinMutex::new(WaitQueue {
+                head: NIL,
+                tail: NIL,
+                num_writers: 0,
+                num_groups: 0,
+            })),
+            cells: (0..2 * capacity)
+                .map(|_| CachePadded::new(WaitCell::new(self.strategy)))
+                .collect(),
             slots: SlotRegistry::new(capacity),
-            strategy: self.strategy,
             policy: self.policy,
             arrival_threshold: self.arrival_threshold,
             telemetry,
@@ -492,8 +632,9 @@ impl GollBuilder {
 pub struct GollLock {
     csnzi: CSnzi,
     queue: CachePadded<SpinMutex<WaitQueue>>,
+    /// `capacity` writer cells, then `capacity` group cells.
+    cells: Box<[CachePadded<WaitCell>]>,
     slots: SlotRegistry,
-    strategy: WaitStrategy,
     policy: FairnessPolicy,
     arrival_threshold: u32,
     telemetry: Telemetry,
@@ -535,20 +676,35 @@ impl GollLock {
         &self.knobs
     }
 
+    fn queue(&self) -> LockedQueue<'_> {
+        LockedQueue {
+            ends: self.queue.lock(),
+            cells: &self.cells,
+        }
+    }
+
+    /// Wakes the waiter(s) on cell `i`, which already own the lock.
+    fn grant(&self, i: u32) {
+        // The cell index doubles as the trace causality token: it is the
+        // one value both the granting and the woken thread share, so
+        // `granted` here joins the grantee's `enqueued`.
+        self.telemetry.trace_granted(u64::from(i));
+        self.cells[i as usize].event.signal();
+    }
+
+    /// Delivers a hand-off; called once the queue mutex is dropped.
     fn signal(&self, handoff: Handoff) {
-        // The wait-event address doubles as the trace causality token:
-        // it is the one value both the granting and the woken thread
-        // share, so `granted` here joins the grantee's `enqueued`.
         match handoff {
             Handoff::None => {}
-            Handoff::Writer(ev) => {
-                self.telemetry.trace_granted(Arc::as_ptr(&ev) as u64);
-                ev.signal();
-            }
-            Handoff::Readers { groups, .. } => {
-                for g in groups {
-                    self.telemetry.trace_granted(Arc::as_ptr(&g) as u64);
-                    g.signal_all();
+            Handoff::Writer(w) => self.grant(w),
+            Handoff::Readers { first, .. } => {
+                let mut g = first;
+                while g != NIL {
+                    // Before the grant: a woken group may free its cell,
+                    // and the next group to claim it relinks it, at once.
+                    let next = self.cells[g as usize].next();
+                    self.grant(g);
+                    g = next;
                 }
             }
         }
@@ -562,7 +718,8 @@ impl RwLockFamily for GollLock {
         let slot = SlotGuard::claim(&self.slots)?;
         Ok(GollHandle {
             lock: self,
-            _slot: slot,
+            slot,
+            waiting_on: NIL,
             policy: ArrivalPolicy::new(self.arrival_threshold),
             cursor: LeafCursor::new(),
             read_ticket: None,
@@ -597,9 +754,13 @@ impl RwLockFamily for GollLock {
 /// thread's arrival policy).
 pub struct GollHandle<'a> {
     lock: &'a GollLock,
-    /// Capacity reservation: held purely for its RAII release (the leaf
-    /// cursor, not the slot index, now drives C-SNZI placement).
-    _slot: SlotGuard<'a>,
+    /// Capacity reservation, and the index of this handle's writer cell
+    /// (the leaf cursor, not the slot index, drives C-SNZI placement).
+    slot: SlotGuard<'a>,
+    /// The cell this handle is queued on — its writer cell, or the cell of
+    /// the readers group it joined — from the enqueue until the grant is
+    /// taken or the wait is cancelled; else [`NIL`].
+    waiting_on: u32,
     policy: ArrivalPolicy,
     /// Cached C-SNZI leaf: topology-placed on first tree arrival, then
     /// sticky until a leaf-level CAS failure migrates it.
@@ -646,6 +807,7 @@ impl GollHandle<'_> {
     /// queue mutex against the releaser's hand-off.
     fn acquire_read<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         debug_assert!(self.read_ticket.is_none() && !self.write_held);
+        self.settle_interrupted_wait();
         let lock = self.lock;
         let acquire = lock.telemetry.begin_read();
         loop {
@@ -666,46 +828,85 @@ impl GollHandle<'_> {
                 return Err(TimedOut);
             }
             fault::inject("goll.read.before-queue-mutex");
-            let mut q = lock.queue.lock();
+            let mut q = lock.queue();
             if lock.csnzi.query().open {
                 // The writer released before we got the mutex; retry.
                 drop(q);
                 continue;
             }
-            let group = q.join_readers(lock.strategy, self.priority);
+            let group = q.join_readers(self.slot.slot(), self.priority);
+            self.waiting_on = group;
             lock.telemetry.incr(LockEvent::ReadSlow);
-            lock.telemetry.trace_enqueued(Arc::as_ptr(&group) as u64);
+            lock.telemetry.trace_enqueued(u64::from(group));
             drop(q);
             fault::inject("goll.read.queued");
             // The releasing thread pre-arrives at the root on our behalf
             // (OpenWithArrivals), so we depart directly from the root.
-            if group.wait_until(deadline) {
+            if lock.cells[group as usize].event.wait_until(deadline) {
                 lock.telemetry.record_read_acquire(&acquire);
-                self.hold = lock.telemetry.timer();
-                self.read_ticket = Some(Ticket::ROOT);
+                self.take_grant();
                 return Ok(());
             }
-            // Timed out. Race: a releaser may concurrently dequeue our
-            // group and pre-arrive on our behalf. The queue mutex is the
-            // arbiter — if the group is still queued we can leave it;
-            // otherwise the hand-off already counted us and we must take
-            // the read hold and then undo it with a normal release.
             fault::inject("goll.read.timeout");
-            let mut q = lock.queue.lock();
-            if q.leave_reader_group(&group) {
-                drop(q);
-                lock.telemetry.incr(LockEvent::Timeout);
-                lock.telemetry.incr(LockEvent::Cancel);
-                return Err(TimedOut);
-            }
-            drop(q);
-            fault::inject("goll.read.cancel-vs-handoff");
-            group.wait();
-            self.hold = lock.telemetry.timer();
-            self.read_ticket = Some(Ticket::ROOT);
-            self.unlock_read();
+            self.cancel_wait();
             lock.telemetry.incr(LockEvent::Timeout);
             return Err(TimedOut);
+        }
+    }
+
+    /// The wait on `waiting_on` is over and this handle owns what it waited
+    /// for: the write hold, or a read hold a releaser pre-arrived for.
+    fn take_grant(&mut self) {
+        let lock = self.lock;
+        let cell = std::mem::replace(&mut self.waiting_on, NIL);
+        self.hold = lock.telemetry.timer();
+        if is_group(&lock.cells, cell) {
+            lock.cells[cell as usize].acknowledge();
+            self.read_ticket = Some(Ticket::ROOT);
+        } else {
+            self.write_held = true;
+        }
+    }
+
+    /// Gives up the wait on `waiting_on`: its deadline passed, or the
+    /// waiter is unwinding. Race: a releaser may concurrently dequeue the
+    /// cell (and, for a reader, pre-arrive on its behalf). The queue mutex
+    /// is the arbiter — a cell still queued is excised and nothing is held;
+    /// a dequeued one means the hand-off already counted this waiter, which
+    /// must take the hold and then undo it with a normal release.
+    fn cancel_wait(&mut self) {
+        let lock = self.lock;
+        let cell = self.waiting_on;
+        let excised = lock.queue().excise(cell);
+        if excised {
+            self.waiting_on = NIL;
+            lock.telemetry.incr(LockEvent::Cancel);
+            return;
+        }
+        // Yield-only: the unwind of a panic here would re-enter this
+        // function from `drop`, and a second panic aborts.
+        fault::inject_yield_only(if is_group(&lock.cells, cell) {
+            "goll.read.cancel-vs-handoff"
+        } else {
+            "goll.write.cancel-vs-handoff"
+        });
+        lock.cells[cell as usize].event.wait();
+        self.take_grant();
+        if self.write_held {
+            self.unlock_write();
+        } else {
+            self.unlock_read();
+        }
+    }
+
+    /// A wait that an unwind interrupted (a panic injected at
+    /// `goll.*.queued`) is still pending when the handle is next used, or
+    /// dropped: the cell must not stay linked under a handle that no
+    /// longer waits on it, let alone under the slot's next claimant.
+    #[inline]
+    fn settle_interrupted_wait(&mut self) {
+        if self.waiting_on != NIL {
+            self.cancel_wait();
         }
     }
 
@@ -713,6 +914,7 @@ impl GollHandle<'_> {
     /// same two things as in [`acquire_read`](Self::acquire_read).
     fn acquire_write<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         debug_assert!(self.read_ticket.is_none() && !self.write_held);
+        self.settle_interrupted_wait();
         let lock = self.lock;
         let acquire = lock.telemetry.begin_write();
         // Fast path: free lock.
@@ -724,7 +926,7 @@ impl GollHandle<'_> {
             return Ok(());
         }
         fault::inject("goll.write.before-queue-mutex");
-        let mut q = lock.queue.lock();
+        let mut q = lock.queue();
         // Close (sets the "write wanted" state): if it returns true the
         // lock was free after all and we own it.
         if lock.csnzi.close() {
@@ -744,37 +946,21 @@ impl GollHandle<'_> {
             lock.telemetry.incr(LockEvent::Timeout);
             return Err(TimedOut);
         }
-        let ev = q.enqueue_writer(lock.strategy, self.priority);
+        let cell = q.enqueue_writer(self.slot.slot(), self.priority);
+        self.waiting_on = cell;
         lock.telemetry.incr(LockEvent::WriteSlow);
-        lock.telemetry.trace_enqueued(Arc::as_ptr(&ev) as u64);
+        lock.telemetry.trace_enqueued(u64::from(cell));
         drop(q);
         fault::inject("goll.write.queued");
         // Whoever releases the lock hands it to us in the write-acquired
         // state before signaling.
-        if ev.wait_until(deadline) {
+        if lock.cells[cell as usize].event.wait_until(deadline) {
             lock.telemetry.record_write_acquire(&acquire);
-            self.hold = lock.telemetry.timer();
-            self.write_held = true;
+            self.take_grant();
             return Ok(());
         }
-        // Timed out; same arbitration as the read path. An entry still
-        // queued can be excised; a dequeued entry means a releaser is
-        // handing us the lock in the write-acquired state — accept it,
-        // then release normally.
         fault::inject("goll.write.timeout");
-        let mut q = lock.queue.lock();
-        if q.remove_writer(&ev) {
-            drop(q);
-            lock.telemetry.incr(LockEvent::Timeout);
-            lock.telemetry.incr(LockEvent::Cancel);
-            return Err(TimedOut);
-        }
-        drop(q);
-        fault::inject("goll.write.cancel-vs-handoff");
-        ev.wait();
-        self.hold = lock.telemetry.timer();
-        self.write_held = true;
-        self.unlock_write();
+        self.cancel_wait();
         lock.telemetry.incr(LockEvent::Timeout);
         Err(TimedOut)
     }
@@ -805,7 +991,7 @@ impl RwHandle for GollHandle<'_> {
         // We are the last departer of a *closed* C-SNZI: the lock is now in
         // the write-acquired state and we must hand it to a waiter.
         fault::inject("goll.unlock_read.before-handoff");
-        let mut q = self.lock.queue.lock();
+        let mut q = self.lock.queue();
         let handoff = q.dequeue_for_reader_release(self.lock.policy);
         match handoff {
             Handoff::Writer(_) => {
@@ -851,7 +1037,7 @@ impl RwHandle for GollHandle<'_> {
         debug_assert!(self.write_held, "unlock_write without write hold");
         self.write_held = false;
         self.lock.telemetry.record_write_hold(&self.hold);
-        let mut q = self.lock.queue.lock();
+        let mut q = self.lock.queue();
         let handoff = q.dequeue_for_writer_release(self.lock.policy);
         match handoff {
             Handoff::None => {
@@ -879,6 +1065,7 @@ impl RwHandle for GollHandle<'_> {
 
     fn try_lock_read(&mut self) -> bool {
         debug_assert!(self.read_ticket.is_none() && !self.write_held);
+        self.settle_interrupted_wait();
         let ticket = self
             .lock
             .csnzi
@@ -896,6 +1083,7 @@ impl RwHandle for GollHandle<'_> {
 
     fn try_lock_write(&mut self) -> bool {
         debug_assert!(self.read_ticket.is_none() && !self.write_held);
+        self.settle_interrupted_wait();
         if self.lock.csnzi.close_if_empty() {
             self.lock.telemetry.incr(LockEvent::WriteFast);
             self.hold = self.lock.telemetry.timer();
@@ -951,7 +1139,7 @@ impl UpgradableHandle for GollHandle<'_> {
         // Atomically become a reader, bringing any waiting readers along
         // (they would otherwise sit behind us even though the lock is now
         // read-held).
-        let mut q = self.lock.queue.lock();
+        let mut q = self.lock.queue();
         let handoff = match self.lock.policy {
             // Non-FIFO policies bring every waiting reader along with the
             // downgrade (they can all share the read hold).
@@ -959,7 +1147,7 @@ impl UpgradableHandle for GollHandle<'_> {
             | FairnessPolicy::ReaderPreference
             | FairnessPolicy::WriterPreference => q.drain_all_readers(),
             FairnessPolicy::Fifo => {
-                if matches!(q.groups.front(), Some(Group::Readers { .. })) {
+                if q.head_is_group() {
                     q.pop_front()
                 } else {
                     Handoff::None
@@ -991,6 +1179,7 @@ impl Drop for GollHandle<'_> {
             self.read_ticket.is_none() && !self.write_held,
             "GOLL handle dropped while holding the lock"
         );
+        self.settle_interrupted_wait();
     }
 }
 
@@ -1161,10 +1350,23 @@ mod tests {
         rw_exclusion_stress(FairnessPolicy::Fifo);
     }
 
+    const STRATEGIES: [WaitStrategy; 2] = [WaitStrategy::SpinThenYield, WaitStrategy::SpinThenPark];
+
     fn rw_exclusion_stress(policy: FairnessPolicy) {
+        for strategy in STRATEGIES {
+            rw_exclusion_stress_with(policy, strategy);
+        }
+    }
+
+    fn rw_exclusion_stress_with(policy: FairnessPolicy, strategy: WaitStrategy) {
         const THREADS: usize = 6;
         const ITERS: usize = 1_500;
-        let lock = StdArc::new(GollLock::builder(THREADS).fairness(policy).build());
+        let lock = StdArc::new(
+            GollLock::builder(THREADS)
+                .fairness(policy)
+                .wait_strategy(strategy)
+                .build(),
+        );
         // counter > 0: readers inside; counter == -1: a writer inside.
         let state = StdArc::new(AtomicI64::new(0));
         let mut handles = Vec::new();
@@ -1227,11 +1429,16 @@ mod tests {
     /// Sets up: W0 holds for writing; one reader and one writer queue
     /// behind it (in that order); W0 releases. Returns which class entered
     /// first ('R' or 'W').
-    fn first_after_writer_release(policy: FairnessPolicy) -> char {
+    fn first_after_writer_release(policy: FairnessPolicy, strategy: WaitStrategy) -> char {
         use std::sync::atomic::AtomicU8;
         use std::time::Duration;
 
-        let lock = StdArc::new(GollLock::builder(4).fairness(policy).build());
+        let lock = StdArc::new(
+            GollLock::builder(4)
+                .fairness(policy)
+                .wait_strategy(strategy)
+                .build(),
+        );
         let mut w0 = lock.handle().unwrap();
         w0.lock_write();
 
@@ -1271,16 +1478,22 @@ mod tests {
         // Reader enqueued first, so FIFO and the reader-preferring
         // policies all wake it first; WriterPreference jumps the writer
         // over it.
-        assert_eq!(first_after_writer_release(FairnessPolicy::Fifo), 'R');
-        assert_eq!(first_after_writer_release(FairnessPolicy::Alternating), 'R');
-        assert_eq!(
-            first_after_writer_release(FairnessPolicy::ReaderPreference),
-            'R'
-        );
-        assert_eq!(
-            first_after_writer_release(FairnessPolicy::WriterPreference),
-            'W'
-        );
+        for strategy in STRATEGIES {
+            let first = |policy| first_after_writer_release(policy, strategy);
+            assert_eq!(first(FairnessPolicy::Fifo), 'R');
+            assert_eq!(first(FairnessPolicy::Alternating), 'R');
+            assert_eq!(first(FairnessPolicy::ReaderPreference), 'R');
+            assert_eq!(first(FairnessPolicy::WriterPreference), 'W');
+        }
+    }
+
+    #[test]
+    fn wait_cells_are_one_padded_line_and_the_queue_ends_share_the_mutex_line() {
+        // `goll.new_bytes` grows by 2 x capacity x 128 B, in one allocation.
+        assert_eq!(std::mem::size_of::<CachePadded<WaitCell>>(), 128);
+        assert!(std::mem::size_of::<WaitCell>() <= 64);
+        assert!(std::mem::size_of::<SpinMutex<WaitQueue>>() <= 64);
+        assert_eq!(GollLock::new(3).cells.len(), 6);
     }
 
     #[test]

@@ -832,8 +832,10 @@ mod tests {
     fn cross_socket_handoffs_follow_the_cohort_mapper() {
         // Parity mapper: t1/t3 on rank 1, t2 on rank 0 — both edges of
         // the cascade (t1->t2, t2->t3) cross ranks.
-        let mut cfg = AnalyzerConfig::default();
-        cfg.cohort_of_tid = |tid| (tid % 2) as usize;
+        let mut cfg = AnalyzerConfig {
+            cohort_of_tid: |tid| (tid % 2) as usize,
+            ..AnalyzerConfig::default()
+        };
         let report = analyze(&cascade_timeline(), &cfg);
         assert_eq!(report.total_handoffs, 2);
         assert_eq!(report.cross_socket_handoffs, 2);

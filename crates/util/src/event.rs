@@ -4,36 +4,44 @@
 //! mutex-protected wait queue and *hand over* lock ownership on release
 //! (§3.1–3.2 of the paper): a thread always owns the lock by the time it is
 //! woken. The queue entries are waiter objects; this module provides them.
+//! GOLL owns its events — one per thread slot and one per pooled readers
+//! group, each on a cache line of its own — and re-arms one with
+//! [`Event::reset`] every time its cell is linked into the queue; the
+//! Solaris-like baseline allocates an `Arc`-shared one per enqueue.
 //!
 //! The paper's evaluation uses "spin-based condition variables to eliminate
 //! the cost of context switching" (§5.1) — that is [`WaitStrategy::SpinThenYield`].
 //! Production deployments (like the real Solaris turnstile) deschedule
 //! waiters; [`WaitStrategy::SpinThenPark`] models that.
 
-#[cfg(not(loom))]
-use crate::backoff::Backoff;
-use crate::backoff::{spin_until_deadline, BackoffPolicy, Deadline, Never};
-use crate::sync::{AtomicBool, AtomicUsize, Ordering};
+use crate::backoff::{Deadline, Never};
+use crate::sync::{spin_loop_hint, thread, AtomicBool, AtomicUsize, Ordering};
 
 /// How a waiter burns time until it is signaled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WaitStrategy {
-    /// Busy-wait with exponential backoff that escalates to `yield_now`.
-    /// Matches the paper's spin-based condition variables.
+    /// Spin on the flag, then `yield_now` between probes. Matches the
+    /// paper's spin-based condition variables.
     #[default]
     SpinThenYield,
-    /// Spin briefly, then park the OS thread until `signal`.
+    /// Spin on the flag, then park the OS thread until `signal`.
     /// Matches production locks that deschedule waiters.
     SpinThenPark,
 }
 
-const PARK_SPIN_ROUNDS: u32 = 128;
+/// Probes of the spin phase every wait opens with, one relax hint apart:
+/// the hints [`Backoff::relax`](crate::backoff::Backoff::relax)'s doubling
+/// schedule spends before its first yield (1 + 2 + … + 64). The flag sits
+/// on a line only the signaler writes, so probing it after every hint costs
+/// no coherence traffic, and a signal is noticed one hint after it lands
+/// instead of up to 64.
+const SPIN_PROBES: u32 = 127;
 
 /// A one-shot event: one (or more) waiters block until one `signal` call.
 ///
 /// `signal` may race with `wait`; the waiter never misses the signal. The
 /// event is *not* automatically reusable — call [`Event::reset`] between
-/// uses (the locks allocate one per enqueue, so they never reset).
+/// uses, as GOLL does when it links a recycled wait cell into its queue.
 #[derive(Debug)]
 pub struct Event {
     set: AtomicBool,
@@ -87,64 +95,60 @@ impl Event {
     }
 
     /// The one wait loop behind [`wait`](Self::wait) (a [`Never`] deadline,
-    /// always `true`) and [`wait_deadline`](Self::wait_deadline). A signal
-    /// that races the clock read is never reported as a timeout.
+    /// always `true`) and [`wait_deadline`](Self::wait_deadline): a spin
+    /// phase of [`SPIN_PROBES`] probes under either strategy, which then
+    /// decides only what separates the later probes — a `yield_now`, or a
+    /// park. A signal that races the clock read is never reported as a
+    /// timeout.
     #[doc(hidden)]
     pub fn wait_until<D: Deadline>(&self, deadline: D) -> bool {
-        match self.strategy {
-            WaitStrategy::SpinThenYield => {
-                spin_until_deadline(BackoffPolicy::default(), deadline, || self.is_set())
-            }
-            WaitStrategy::SpinThenPark => self.wait_parking(deadline),
-        }
-    }
-
-    #[cfg(not(loom))]
-    fn wait_parking<D: Deadline>(&self, deadline: D) -> bool {
-        let mut b = Backoff::new();
-        for _ in 0..PARK_SPIN_ROUNDS {
+        let mut probes = 0;
+        loop {
             if self.is_set() {
                 return true;
             }
             if deadline.expired() {
                 return self.is_set();
             }
-            b.relax();
-        }
-        loop {
-            // Publish our handle, then re-check: a signaler that saw the
-            // list before our push will be balanced by this re-check; a
-            // signaler that runs after our push will unpark us.
-            {
-                let mut parked = self.parked.lock().unwrap();
-                if self.is_set() {
-                    return true;
+            if probes < SPIN_PROBES {
+                probes += 1;
+                spin_loop_hint();
+            } else {
+                match self.strategy {
+                    WaitStrategy::SpinThenYield => thread::yield_now(),
+                    WaitStrategy::SpinThenPark => self.park(deadline),
                 }
-                parked.push(std::thread::current());
-            }
-            deadline.park();
-            // Whether we were unparked, woke spuriously, or timed out, our
-            // handle may still be on the list; remove it before deciding,
-            // so a later `signal` never unparks a thread that has moved on.
-            {
-                let mut parked = self.parked.lock().unwrap();
-                let me = std::thread::current().id();
-                parked.retain(|t| t.id() != me);
-                if self.is_set() {
-                    return true;
-                }
-            }
-            if deadline.expired() {
-                return self.is_set();
             }
         }
     }
 
+    /// One round of the park strategy; the caller re-checks the flag and
+    /// the deadline whatever ended the park (an unpark, a spurious wake-up,
+    /// the timeout).
+    #[cfg(not(loom))]
+    fn park<D: Deadline>(&self, deadline: D) {
+        // Publish our handle, then re-check: a signaler that saw the list
+        // before our push is balanced by this re-check; a signaler that
+        // runs after our push will unpark us.
+        {
+            let mut parked = self.parked.lock().unwrap();
+            if self.is_set() {
+                return;
+            }
+            parked.push(std::thread::current());
+        }
+        deadline.park();
+        // Our handle may still be on the list; remove it, so a later
+        // `signal` never unparks a thread that has moved on.
+        let me = std::thread::current().id();
+        self.parked.lock().unwrap().retain(|t| t.id() != me);
+    }
+
+    /// loom has no real parking; yield-spinning lets its models still
+    /// explore all interleavings.
     #[cfg(loom)]
-    fn wait_parking<D: Deadline>(&self, deadline: D) -> bool {
-        // loom has no real parking; fall back to yield-spinning so models
-        // still explore all interleavings.
-        spin_until_deadline(BackoffPolicy::YIELD_ONLY, deadline, || self.is_set())
+    fn park<D: Deadline>(&self, _deadline: D) {
+        thread::yield_now();
     }
 
     /// Rearms the event. Caller must guarantee no thread is still waiting.
@@ -289,7 +293,7 @@ mod tests {
     fn park_never_misses_a_racing_signal() {
         // Regression guard for the classic lost-wakeup: a signal landing
         // between the waiter's last spin check and its park. Correctness
-        // hinges on two details of `wait_parking`: the `is_set` re-check
+        // hinges on two details of `park`: the `is_set` re-check
         // under the `parked` mutex before pushing (covers a signal that
         // drained the list before the push), and the unpark permit
         // (covers a signal between the mutex unlock and the park). The

@@ -7,8 +7,9 @@
 #![cfg(feature = "fault-injection")]
 
 use oll::util::fault::FaultPlan;
+use oll::util::WaitStrategy;
 use oll::{Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, TimedHandle};
-use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -24,7 +25,9 @@ fn serial() -> MutexGuard<'static, ()> {
 /// giving up and the cancel re-arbitrating) so the hand-off lands inside
 /// them; 1000 iterations with a fixed seed walk a deterministic schedule
 /// of widened windows. Whichever side wins each race, the lock must end
-/// every iteration fully functional.
+/// every iteration fully functional — and so must the reader's handle: one
+/// that timed out queues again at once, on whatever wait cell or node its
+/// cancellation just gave back.
 fn timeout_vs_handoff_race<L>(lock: L, site_filter: &str, seed: u64)
 where
     L: RwLockFamily + Send + Sync + 'static,
@@ -57,6 +60,12 @@ where
                     r.unlock_read();
                     true
                 } else {
+                    r.lock_read();
+                    assert!(
+                        state.load(Ordering::SeqCst) >= 0,
+                        "read granted under writer"
+                    );
+                    r.unlock_read();
                     false
                 }
             })
@@ -78,9 +87,20 @@ where
     }
 }
 
+/// GOLL waits on lock-owned cells that are re-armed and reused, and the
+/// two strategies leave a cell differently (a parked waiter also has a
+/// handle to take back), so its suites run under both.
+fn goll_with(strategy: WaitStrategy) -> GollLock {
+    GollLock::builder(8).wait_strategy(strategy).build()
+}
+
+const STRATEGIES: [WaitStrategy; 2] = [WaitStrategy::SpinThenYield, WaitStrategy::SpinThenPark];
+
 #[test]
 fn goll_timeout_vs_handoff_1000_iters() {
-    timeout_vs_handoff_race(GollLock::new(8), "goll.read", 0x5EED_0001);
+    for strategy in STRATEGIES {
+        timeout_vs_handoff_race(goll_with(strategy), "goll.read", 0x5EED_0001);
+    }
 }
 
 #[test]
@@ -144,7 +164,9 @@ fn foll_cancel_vs_close_race() {
 /// never lose the queue. Exercises `foll.write.*` windows. Half the
 /// acquisitions go through the blocking calls — they walk the same
 /// windows with no deadline, and are the "other writers" a cancelled one
-/// hands the lock past.
+/// hands the lock past. A handle whose acquisition timed out goes straight
+/// into its next one, so a writer that lost cancel-vs-handoff re-enqueues
+/// the node or cell it has just been handed the lock on.
 fn abandoned_writer_churn<L>(lock: L, site_filter: &str, seed: u64)
 where
     L: RwLockFamily + Send + Sync + 'static,
@@ -209,7 +231,97 @@ fn roll_abandoned_writer_churn() {
 
 #[test]
 fn goll_writer_cancel_churn() {
-    abandoned_writer_churn(GollLock::new(8), "goll.write", 0x5EED_0007);
+    for strategy in STRATEGIES {
+        abandoned_writer_churn(goll_with(strategy), "goll.write", 0x5EED_0007);
+    }
+}
+
+/// A GOLL waiter that unwinds while queued — a panic drawn at
+/// `goll.read.queued` / `goll.write.queued`, after the enqueue and before
+/// the wait — must take its cell out of the queue (or, if a releaser got
+/// there first, take the hand-off and release it): the cells are the
+/// lock's, so a cell left linked would be handed the lock with nobody
+/// waiting on it, and the slot's next claimant would link it a second
+/// time. Half the threads make a handle per acquisition, so the unwind
+/// drops it and the slot is claimed again at once; the others keep one
+/// handle and use it again after the panic. The survivors must keep
+/// acquiring, and the lock must end free with no arrival left behind.
+#[test]
+fn goll_waiter_unwinding_while_queued_is_excised() {
+    const THREADS: usize = 4;
+    const ITERS: usize = 500;
+
+    /// One checked acquisition and release; a timed one may give up.
+    fn acquire(h: &mut impl TimedHandle, state: &AtomicI64, write: bool, timed: bool) {
+        let timeout = Duration::from_micros(50);
+        if write {
+            if !timed {
+                h.lock_write();
+            } else if h.lock_write_timeout(timeout).is_err() {
+                return;
+            }
+            assert_eq!(state.swap(-1, Ordering::SeqCst), 0);
+            // The holder yields so that the others queue behind it.
+            std::thread::yield_now();
+            state.store(0, Ordering::SeqCst);
+            h.unlock_write();
+        } else {
+            if !timed {
+                h.lock_read();
+            } else if h.lock_read_timeout(timeout).is_err() {
+                return;
+            }
+            assert!(state.fetch_add(1, Ordering::SeqCst) >= 0);
+            state.fetch_sub(1, Ordering::SeqCst);
+            h.unlock_read();
+        }
+    }
+
+    let _guard = serial();
+    quiet_injected_panics();
+    for strategy in STRATEGIES {
+        let plan = FaultPlan::panicking(0x5EED_000C, ".queued", 30).install();
+        // Spare slots: a claim scans the registry once, and with every slot
+        // spoken for it can miss the one a churning neighbour just released.
+        let lock = GollLock::builder(2 * THREADS)
+            .wait_strategy(strategy)
+            .build();
+        let state = AtomicI64::new(0);
+        let unwound = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for tid in 0..THREADS {
+                let (lock, state, unwound) = (&lock, &state, &unwound);
+                scope.spawn(move || {
+                    let mut rng = oll_util::XorShift64::for_thread(0x5EED_000C, tid);
+                    let mut kept = (tid % 2 == 1).then(|| lock.handle().unwrap());
+                    for _ in 0..ITERS {
+                        let (write, timed) = (rng.percent(50), rng.percent(30));
+                        let swallowed = run_swallowing_injected(|| match kept.as_mut() {
+                            Some(h) => acquire(h, state, write, timed),
+                            None => acquire(&mut lock.handle().unwrap(), state, write, timed),
+                        });
+                        unwound.fetch_add(swallowed as usize, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        assert!(
+            unwound.load(Ordering::Relaxed) > 0,
+            "{strategy:?}: no waiter met a `.queued` window"
+        );
+        drop(plan);
+        let root = lock.csnzi_snapshot();
+        assert_eq!(
+            (root.surplus(), root.open),
+            (0, true),
+            "{strategy:?}: an unwound waiter left the lock held"
+        );
+        let mut h = lock.handle().unwrap();
+        h.lock_write();
+        h.unlock_write();
+        h.lock_read();
+        h.unlock_read();
+    }
 }
 
 /// The blocking `lock_write` is the timed one with no deadline, so it
@@ -324,19 +436,21 @@ fn bravo_readers_vs_revoking_writer_race() {
     h.unlock_read();
 }
 
-/// Runs `f`, swallowing only the fault layer's *injected* panics;
-/// anything else (assertion failures inside the closure, lock misuse
-/// panics) is resumed so it still fails the test.
-fn run_swallowing_injected(f: impl FnOnce()) {
-    if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
-        let msg = payload
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| payload.downcast_ref::<&str>().copied());
-        if !msg.is_some_and(|m| m.starts_with("injected panic")) {
-            std::panic::resume_unwind(payload);
-        }
+/// Runs `f`, swallowing only the fault layer's *injected* panics — `true`
+/// if there was one; anything else (assertion failures inside the closure,
+/// lock misuse panics) is resumed so it still fails the test.
+fn run_swallowing_injected(f: impl FnOnce()) -> bool {
+    let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) else {
+        return false;
+    };
+    let msg = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied());
+    if !msg.is_some_and(|m| m.starts_with("injected panic")) {
+        std::panic::resume_unwind(payload);
     }
+    true
 }
 
 /// Silences the default panic-hook report for injected panics (several
