@@ -146,8 +146,6 @@ pub struct CSnzi {
     /// [`CSnzi::attach_knobs`]); unattached objects use the documented
     /// defaults, so static builds behave exactly as before knobs existed.
     knobs: Option<std::sync::Arc<TuningKnobs>>,
-    #[cfg(feature = "stats")]
-    stats: crate::stats::CsnziStats,
 }
 
 /// Tree-node storage: eager (allocated at construction) or lazy
@@ -226,8 +224,6 @@ impl CSnzi {
             shape,
             telemetry: Telemetry::disabled(),
             knobs: None,
-            #[cfg(feature = "stats")]
-            stats: crate::stats::CsnziStats::default(),
         }
     }
 
@@ -246,8 +242,6 @@ impl CSnzi {
             shape,
             telemetry: Telemetry::disabled(),
             knobs: None,
-            #[cfg(feature = "stats")]
-            stats: crate::stats::CsnziStats::default(),
         }
     }
 
@@ -264,8 +258,6 @@ impl CSnzi {
             shape,
             telemetry: Telemetry::disabled(),
             knobs: None,
-            #[cfg(feature = "stats")]
-            stats: crate::stats::CsnziStats::default(),
         }
     }
 
@@ -306,8 +298,6 @@ impl CSnzi {
             shape,
             telemetry: Telemetry::disabled(),
             knobs: None,
-            #[cfg(feature = "stats")]
-            stats: crate::stats::CsnziStats::default(),
         }
     }
 
@@ -351,21 +341,13 @@ impl CSnzi {
             shape,
             telemetry: Telemetry::disabled(),
             knobs: None,
-            #[cfg(feature = "stats")]
-            stats: crate::stats::CsnziStats::default(),
         }
-    }
-
-    /// Shared-write counters (cargo feature `stats`).
-    #[cfg(feature = "stats")]
-    pub fn stats(&self) -> &crate::stats::CsnziStats {
-        &self.stats
     }
 
     /// Routes this object's shared-write counts into an owning lock's
     /// telemetry handle (as `csnzi_root_write` / `csnzi_node_write` /
-    /// `csnzi_root_cas_fail` events) in addition to the `stats` feature's
-    /// own counters. Locks attach at construction, before sharing.
+    /// `csnzi_root_cas_fail` events). Locks attach at construction, before
+    /// sharing.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -392,22 +374,16 @@ impl CSnzi {
     #[inline]
     fn note_root_write(&self) {
         self.telemetry.incr(LockEvent::CsnziRootWrite);
-        #[cfg(feature = "stats")]
-        self.stats.record_root_write();
     }
 
     #[inline]
     fn note_root_cas_failure(&self) {
         self.telemetry.incr(LockEvent::CsnziRootCasFail);
-        #[cfg(feature = "stats")]
-        self.stats.record_root_cas_failure();
     }
 
     #[inline]
     fn note_node_write(&self) {
         self.telemetry.incr(LockEvent::CsnziNodeWrite);
-        #[cfg(feature = "stats")]
-        self.stats.record_node_write();
     }
 
     /// The tree shape this C-SNZI was built with.

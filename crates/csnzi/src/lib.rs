@@ -42,8 +42,6 @@ pub mod policy;
 pub mod root;
 pub mod snzi;
 pub mod spec;
-#[cfg(feature = "stats")]
-pub mod stats;
 
 pub use crate::csnzi::{CSnzi, CancelOutcome, LeafCursor, Query, Ticket};
 pub use node::TreeShape;

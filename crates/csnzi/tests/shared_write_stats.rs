@@ -1,109 +1,116 @@
 //! The mechanism behind Figure 5, made countable (requires
-//! `--features stats`): under the tree policy, N arrivals and departures
-//! at an already-nonzero leaf perform **zero** additional root-word
-//! writes, while a centralized counter (or the direct policy) pays two
-//! shared writes per acquisition. This is the property that lets the OLL
-//! locks scale under read contention regardless of machine size.
+//! `--features telemetry`): under the tree policy, N arrivals and
+//! departures at an already-nonzero leaf perform **zero** additional
+//! root-word writes, while a centralized counter (or the direct policy)
+//! pays two shared writes per acquisition. This is the property that
+//! lets the OLL locks scale under read contention regardless of machine
+//! size.
 //!
 //! ```sh
-//! cargo test -p oll-csnzi --features stats --test shared_write_stats
+//! cargo test -p oll-csnzi --features telemetry --test shared_write_stats
 //! ```
 
-#![cfg(feature = "stats")]
+#![cfg(feature = "telemetry")]
 
 use oll_csnzi::{CSnzi, TreeShape};
+use oll_telemetry::LockEvent::{CsnziNodeWrite, CsnziRootCasFail, CsnziRootWrite};
+use oll_telemetry::Telemetry;
+
+/// A C-SNZI counting its shared writes into the returned handle.
+fn counted(shape: TreeShape) -> (CSnzi, Telemetry) {
+    let telemetry = Telemetry::register("CSNZI");
+    let mut c = CSnzi::new(shape);
+    c.attach_telemetry(telemetry.clone());
+    (c, telemetry)
+}
+
+/// `(root writes, node writes, root CAS failures)` since the last
+/// `reset()`.
+fn writes(telemetry: &Telemetry) -> (u64, u64, u64) {
+    let t = telemetry.snapshot().expect("registered handle records");
+    (
+        t.get(CsnziRootWrite),
+        t.get(CsnziNodeWrite),
+        t.get(CsnziRootCasFail),
+    )
+}
 
 #[test]
 fn direct_policy_pays_two_root_writes_per_acquisition() {
-    let c = CSnzi::new(TreeShape::flat(4));
-    c.stats().reset();
+    let (c, telemetry) = counted(TreeShape::flat(4));
     const N: u64 = 1_000;
     for _ in 0..N {
         let t = c.arrive_direct();
         c.depart(t);
     }
-    let s = c.stats().snapshot();
-    assert_eq!(s.root_writes, 2 * N, "arrive + depart each CAS the root");
-    assert_eq!(s.node_writes, 0);
+    let (root_writes, node_writes, _) = writes(&telemetry);
+    assert_eq!(root_writes, 2 * N, "arrive + depart each CAS the root");
+    assert_eq!(node_writes, 0);
 }
 
 #[test]
 fn tree_policy_keeps_root_quiet_while_surplus_is_nonzero() {
-    let c = CSnzi::new(TreeShape::flat(4));
+    let (c, telemetry) = counted(TreeShape::flat(4));
     // Pin the surplus above zero so inner arrivals never cross zero.
     let hold = c.arrive_tree(0);
-    c.stats().reset();
+    telemetry.reset();
 
     const N: u64 = 1_000;
     for _ in 0..N {
         let t = c.arrive_tree(0);
         c.depart(t);
     }
-    let s = c.stats().snapshot();
+    let (root_writes, node_writes, _) = writes(&telemetry);
     assert_eq!(
-        s.root_writes, 0,
+        root_writes, 0,
         "no root traffic while the leaf surplus stays nonzero"
     );
-    assert_eq!(s.node_writes, 2 * N, "all writes land on the leaf line");
+    assert_eq!(node_writes, 2 * N, "all writes land on the leaf line");
 
     c.depart(hold);
-    let s = c.stats().snapshot();
-    assert_eq!(s.root_writes, 1, "only the final 1->0 crossing propagates");
-}
-
-/// `(root writes, node writes, root CAS failures)` since the last
-/// `stats().reset()`; with `--features telemetry` also checks that the
-/// attached handle's `csnzi_*` events count the same.
-fn writes(c: &CSnzi, telemetry: &oll_telemetry::Telemetry) -> (u64, u64, u64) {
-    let s = c.stats().snapshot();
-    if let Some(t) = telemetry.snapshot() {
-        use oll_telemetry::LockEvent::{CsnziNodeWrite, CsnziRootCasFail, CsnziRootWrite};
-        assert_eq!(t.get(CsnziRootWrite), s.root_writes);
-        assert_eq!(t.get(CsnziNodeWrite), s.node_writes);
-        assert_eq!(t.get(CsnziRootCasFail), s.root_cas_failures);
-    }
-    telemetry.reset();
-    c.stats().reset();
-    (s.root_writes, s.node_writes, s.root_cas_failures)
+    let (root_writes, _, _) = writes(&telemetry);
+    assert_eq!(root_writes, 1, "only the final 1->0 crossing propagates");
 }
 
 #[test]
 fn each_depart_is_one_write_per_word_it_touches_and_never_a_cas() {
-    let telemetry = oll_telemetry::Telemetry::register("CSNZI");
-    let mut c = CSnzi::new(TreeShape::flat(2));
-    c.attach_telemetry(telemetry.clone());
+    let (c, telemetry) = counted(TreeShape::flat(2));
+    let since_last = || {
+        let w = writes(&telemetry);
+        telemetry.reset();
+        w
+    };
 
     let direct = c.arrive_direct();
     let first = c.arrive_tree(0);
     let second = c.arrive_tree(0);
-    writes(&c, &telemetry);
+    since_last();
 
     c.depart(direct);
-    assert_eq!(writes(&c, &telemetry), (1, 0, 0), "direct: one root write");
+    assert_eq!(since_last(), (1, 0, 0), "direct: one root write");
     c.depart(second);
-    assert_eq!(writes(&c, &telemetry), (0, 1, 0), "leaf 2 -> 1 stops there");
+    assert_eq!(since_last(), (0, 1, 0), "leaf 2 -> 1 stops there");
     c.depart(first);
-    assert_eq!(writes(&c, &telemetry), (1, 1, 0), "leaf 1 -> 0 goes on up");
+    assert_eq!(since_last(), (1, 1, 0), "leaf 1 -> 0 goes on up");
 }
 
 #[test]
 fn distinct_leaves_distribute_writes() {
-    let c = CSnzi::new(TreeShape::flat(4));
+    let (c, telemetry) = counted(TreeShape::flat(4));
     // One holder per leaf keeps every leaf nonzero.
     let holders: Vec<_> = (0..4).map(|i| c.arrive_tree(i)).collect();
-    c.stats().reset();
+    telemetry.reset();
 
     const N: u64 = 500;
-    for round in 0..N {
+    for _ in 0..N {
         for leaf in 0..4 {
             let t = c.arrive_tree(leaf);
             c.depart(t);
         }
-        let _ = round;
     }
-    let s = c.stats().snapshot();
-    assert_eq!(s.root_writes, 0);
-    assert_eq!(s.node_writes, 2 * N * 4);
+    let (root_writes, node_writes, _) = writes(&telemetry);
+    assert_eq!(root_writes, 0);
+    assert_eq!(node_writes, 2 * N * 4);
 
     for h in holders {
         c.depart(h);
@@ -115,52 +122,47 @@ fn root_writes_scale_with_zero_crossings_not_acquisitions() {
     // Alternating empty<->nonzero: every acquisition crosses zero, so the
     // tree cannot help — root writes match the centralized cost. The win
     // exists exactly when readers overlap (the paper's read contention).
-    let c = CSnzi::new(TreeShape::flat(2));
-    c.stats().reset();
+    let (c, telemetry) = counted(TreeShape::flat(2));
     const N: u64 = 300;
     for _ in 0..N {
         let t = c.arrive_tree(0);
         c.depart(t);
     }
-    let s = c.stats().snapshot();
-    assert_eq!(s.root_writes, 2 * N, "every op crosses zero: no savings");
+    let (root_writes, _, _) = writes(&telemetry);
+    assert_eq!(root_writes, 2 * N, "every op crosses zero: no savings");
 }
 
 #[test]
 fn concurrent_readers_produce_sublinear_root_traffic() {
-    use std::sync::Arc;
-
     const THREADS: usize = 4;
     const PER: u64 = 2_000;
-    let c = Arc::new(CSnzi::new(TreeShape::flat(THREADS)));
+    let (c, telemetry) = counted(TreeShape::flat(THREADS));
     // One base holder per leaf keeps every leaf's surplus nonzero,
     // modeling the steady state of a read-heavy lock where readers
     // overlap (§5's read contention). Without overlap each op crosses
     // zero and must propagate — see the zero-crossings test above.
     let holders: Vec<_> = (0..THREADS).map(|i| c.arrive_tree(i)).collect();
-    c.stats().reset();
+    telemetry.reset();
 
-    let mut handles = Vec::new();
-    for tid in 0..THREADS {
-        let c = Arc::clone(&c);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..PER {
-                let t = c.arrive_tree(tid);
-                assert!(t.arrived());
-                c.depart(t);
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let s = c.stats().snapshot();
+    std::thread::scope(|scope| {
+        for tid in 0..THREADS {
+            let c = &c;
+            scope.spawn(move || {
+                for _ in 0..PER {
+                    let t = c.arrive_tree(tid);
+                    assert!(t.arrived());
+                    c.depart(t);
+                }
+            });
+        }
+    });
+    let (root_writes, node_writes, _) = writes(&telemetry);
     let total_ops = THREADS as u64 * PER;
     assert_eq!(
-        s.root_writes, 0,
+        root_writes, 0,
         "no root traffic: every leaf surplus stays nonzero throughout"
     );
-    assert!(s.node_writes >= 2 * total_ops);
+    assert!(node_writes >= 2 * total_ops);
     for h in holders {
         c.depart(h);
     }

@@ -7,8 +7,7 @@
 //! **sharded**: [`SHARDS`] cache-padded arrays of relaxed `AtomicU64`s,
 //! indexed by a per-thread shard id (threads get round-robin shard ids on
 //! first use, so up to [`SHARDS`] recording threads never share a line).
-//! A snapshot sums the shards; it is racy but exact once quiescent, the
-//! same contract as `oll_csnzi::stats`.
+//! A snapshot sums the shards; it is racy but exact once quiescent.
 
 use crate::event::LockEvent;
 use crate::hist::AtomicHistogram;

@@ -1,211 +1,18 @@
 //! The event taxonomy: every countable thing a lock slow path can do.
 //!
-//! The set follows §5 of the paper and the adaptive-lock literature
-//! (BRAVO, Fissile Locks): what a bias/adaptation policy needs to know is
-//! *where acquisitions land* (fast vs. slow path, direct vs. tree C-SNZI
-//! arrival), *how releases travel* (hand-offs, grant cascades), and *how
-//! often waits are abandoned* (timeouts, cancellations). Shared-write
-//! counters from `oll_csnzi::stats` are absorbed as first-class events so
-//! one snapshot carries the whole contention picture.
+//! The list itself — variant, `snake_case` name, doc line — lives once,
+//! in [`oll_trace::lock_events!`], which also generates the leading
+//! `TraceKind`s from it: a counted event and its trace record cannot
+//! drift apart. The C-SNZI's shared-write counts (root writes, node
+//! writes, failed root CASes) are first-class events, so one snapshot
+//! carries the whole contention picture.
 
-/// One countable lock event. `repr(usize)` so an event doubles as an
-/// index into the per-shard counter array.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
-pub enum LockEvent {
-    /// A read acquisition completed on the fast path (no queueing, no
-    /// waiting on another thread).
-    ReadFast = 0,
-    /// A read acquisition entered the slow path (queued or waited).
-    ReadSlow,
-    /// A write acquisition completed on the fast path.
-    WriteFast,
-    /// A write acquisition entered the slow path.
-    WriteSlow,
-    /// A C-SNZI arrival landed directly on the shared root word.
-    ArriveDirect,
-    /// A C-SNZI arrival landed on a tree leaf (distributed cache line).
-    ArriveTree,
-    /// A release handed the lock to a waiting writer.
-    HandoffToWriter,
-    /// A release handed the lock to one or more waiting reader groups.
-    HandoffToReaders,
-    /// A grant skipped over an abandoned (cancelled) queue node and
-    /// released on its behalf (FOLL/ROLL cascade).
-    GrantCascade,
-    /// A timed acquisition gave up at its deadline.
-    Timeout,
-    /// A cancellation had to undo a partial acquisition (a queued waiter
-    /// was excised, a C-SNZI arrival departed, or a node was abandoned).
-    Cancel,
-    /// A sole-reader upgrade to a write hold succeeded.
-    Upgrade,
-    /// An upgrade attempt failed (other readers present).
-    UpgradeFail,
-    /// A write hold was downgraded to a read hold.
-    Downgrade,
-    /// The C-SNZI root word was successfully written (shared cache line).
-    CsnziRootWrite,
-    /// A C-SNZI tree node was successfully written (distributed line).
-    CsnziNodeWrite,
-    /// A CAS on the C-SNZI root word failed (wasted shared-line traffic).
-    CsnziRootCasFail,
-    /// An adaptive C-SNZI inflated: built (or re-activated) its tree
-    /// after measuring root contention.
-    CsnziInflate,
-    /// An adaptive C-SNZI deflated back to root-only arrivals after a
-    /// quiet period with no tree surplus.
-    CsnziDeflate,
-    /// A handle's cached C-SNZI leaf missed (leaf-level CAS failed) and
-    /// the handle migrated to a neighbouring leaf.
-    CsnziLeafMigrate,
-    /// A biased (BRAVO) read acquisition completed through the global
-    /// visible-readers table, bypassing the underlying lock entirely.
-    BiasGrant,
-    /// A writer revoked reader bias: cleared `rbias` and waited out every
-    /// published slot before proceeding.
-    BiasRevoke,
-    /// A biased reader found its hashed slot occupied and fell back to
-    /// the underlying lock.
-    BiasSlotCollision,
-    /// Reader bias re-armed after the adaptive inhibit window elapsed.
-    BiasRearm,
-    /// A write holder panicked in its critical section and the lock's
-    /// `Poison` hazard policy marked the lock poisoned.
-    Poisoned,
-    /// A poison mark was cleared (`Hazard::clear_poison`).
-    PoisonCleared,
-    /// A watched blocker found a wait-for cycle through itself and
-    /// abandoned the acquisition (`AcquireError::DeadlockDetected`).
-    DeadlockDetected,
-    /// The starvation watchdog saw a watched writer outwait the stall
-    /// threshold (counted at each escalation below degradation).
-    WatchdogStall,
-    /// The watchdog degraded the lock: reader bias disabled, forced
-    /// fair hand-off until a write completes.
-    BiasDegraded,
-    /// An async acquisition stored its task waker and returned
-    /// `Pending` (the futures-native analogue of parking a thread).
-    WakerStored,
-    /// A grant found a stored waker and woke it (the grantee was
-    /// suspended; absence means the grant won the register race).
-    WakerWoken,
-    /// A cohort release handed the write lock to a same-socket waiter
-    /// without touching the global queue (batched NUMA hand-off).
-    CohortLocalHandoff,
-    /// A cohort release published the write lock outward: the global
-    /// queue hand-off crossed (or may cross) a socket boundary.
-    CohortRemoteHandoff,
-    /// A cohort release hit the batch bound with local waiters still
-    /// queued and released globally instead (the starvation bound).
-    CohortBatchExhausted,
-    /// The self-tuning controller closed a sampling window and evaluated
-    /// its decision table (one count per completed window, not per
-    /// slow-path entry).
-    TunerSample,
-    /// The controller changed policy: stored new knob values (bias
-    /// arm/disarm, deflation hysteresis, backoff caps, cohort batch)
-    /// after the regime held for the full hysteresis requirement.
-    TunerFlip,
-    /// The controller saw a regime change but held the current policy —
-    /// hysteresis (or the decision-rate cap) suppressed the flip.
-    TunerHold,
-}
-
-impl LockEvent {
-    /// Number of event kinds (the counter-array length).
-    pub const COUNT: usize = 37;
-
-    /// Every event, in counter-index order.
-    pub const ALL: [LockEvent; Self::COUNT] = [
-        LockEvent::ReadFast,
-        LockEvent::ReadSlow,
-        LockEvent::WriteFast,
-        LockEvent::WriteSlow,
-        LockEvent::ArriveDirect,
-        LockEvent::ArriveTree,
-        LockEvent::HandoffToWriter,
-        LockEvent::HandoffToReaders,
-        LockEvent::GrantCascade,
-        LockEvent::Timeout,
-        LockEvent::Cancel,
-        LockEvent::Upgrade,
-        LockEvent::UpgradeFail,
-        LockEvent::Downgrade,
-        LockEvent::CsnziRootWrite,
-        LockEvent::CsnziNodeWrite,
-        LockEvent::CsnziRootCasFail,
-        LockEvent::CsnziInflate,
-        LockEvent::CsnziDeflate,
-        LockEvent::CsnziLeafMigrate,
-        LockEvent::BiasGrant,
-        LockEvent::BiasRevoke,
-        LockEvent::BiasSlotCollision,
-        LockEvent::BiasRearm,
-        LockEvent::Poisoned,
-        LockEvent::PoisonCleared,
-        LockEvent::DeadlockDetected,
-        LockEvent::WatchdogStall,
-        LockEvent::BiasDegraded,
-        LockEvent::WakerStored,
-        LockEvent::WakerWoken,
-        LockEvent::CohortLocalHandoff,
-        LockEvent::CohortRemoteHandoff,
-        LockEvent::CohortBatchExhausted,
-        LockEvent::TunerSample,
-        LockEvent::TunerFlip,
-        LockEvent::TunerHold,
-    ];
-
-    /// Stable snake_case name, used as the JSON key and the text-report
-    /// row label.
-    pub fn name(self) -> &'static str {
-        match self {
-            LockEvent::ReadFast => "read_fast",
-            LockEvent::ReadSlow => "read_slow",
-            LockEvent::WriteFast => "write_fast",
-            LockEvent::WriteSlow => "write_slow",
-            LockEvent::ArriveDirect => "arrive_direct",
-            LockEvent::ArriveTree => "arrive_tree",
-            LockEvent::HandoffToWriter => "handoff_to_writer",
-            LockEvent::HandoffToReaders => "handoff_to_readers",
-            LockEvent::GrantCascade => "grant_cascade",
-            LockEvent::Timeout => "timeout",
-            LockEvent::Cancel => "cancel",
-            LockEvent::Upgrade => "upgrade",
-            LockEvent::UpgradeFail => "upgrade_fail",
-            LockEvent::Downgrade => "downgrade",
-            LockEvent::CsnziRootWrite => "csnzi_root_write",
-            LockEvent::CsnziNodeWrite => "csnzi_node_write",
-            LockEvent::CsnziRootCasFail => "csnzi_root_cas_fail",
-            LockEvent::CsnziInflate => "csnzi_inflate",
-            LockEvent::CsnziDeflate => "csnzi_deflate",
-            LockEvent::CsnziLeafMigrate => "csnzi_leaf_migrate",
-            LockEvent::BiasGrant => "bias_grant",
-            LockEvent::BiasRevoke => "bias_revoke",
-            LockEvent::BiasSlotCollision => "bias_slot_collision",
-            LockEvent::BiasRearm => "bias_rearm",
-            LockEvent::Poisoned => "poisoned",
-            LockEvent::PoisonCleared => "poison_cleared",
-            LockEvent::DeadlockDetected => "deadlock_detected",
-            LockEvent::WatchdogStall => "watchdog_stall",
-            LockEvent::BiasDegraded => "bias_degraded",
-            LockEvent::WakerStored => "waker_stored",
-            LockEvent::WakerWoken => "waker_woken",
-            LockEvent::CohortLocalHandoff => "cohort_local_handoff",
-            LockEvent::CohortRemoteHandoff => "cohort_remote_handoff",
-            LockEvent::CohortBatchExhausted => "cohort_batch_exhausted",
-            LockEvent::TunerSample => "tuner_sample",
-            LockEvent::TunerFlip => "tuner_flip",
-            LockEvent::TunerHold => "tuner_hold",
-        }
-    }
-
-    /// The counter-array index of this event.
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
+oll_trace::lock_events! {
+    /// One countable lock event. `repr(usize)` so an event doubles as an
+    /// index into the per-shard counter array.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    #[repr(usize)]
+    pub enum LockEvent {}
 }
 
 #[cfg(test)]

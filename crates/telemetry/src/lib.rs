@@ -50,13 +50,13 @@ use std::sync::Arc;
 #[cfg(feature = "trace")]
 use oll_trace::TraceKind;
 
-/// Maps a counted event onto its trace-record kind: the leading
-/// `TraceKind` discriminants mirror [`LockEvent`] one-for-one (pinned
-/// by a test below).
+/// Maps a counted event onto its trace-record kind. Both enums are
+/// generated from the one `oll_trace::lock_events!` list, `TraceKind`
+/// appending its markers after it, so an event's index *is* its kind's.
 #[cfg(feature = "trace")]
 #[inline]
 fn trace_kind(event: LockEvent) -> TraceKind {
-    TraceKind::from_u8(event.index() as u8).expect("LockEvent taxonomy is a TraceKind prefix")
+    TraceKind::ALL[event.index()]
 }
 
 /// Handle to one lock's telemetry, embedded in the lock itself.

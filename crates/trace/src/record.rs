@@ -1,230 +1,218 @@
 //! The trace record: one timestamped event, packed to three words.
 //!
-//! A record is `(ts_ns, tid, lock, kind, token)`. The first thirty-seven
-//! [`TraceKind`]s mirror `oll_telemetry::LockEvent` one-for-one (same
-//! order, same `snake_case` names), so counter increments flow into the
-//! timeline without a translation table; the remaining kinds are
-//! trace-only *markers* that exist to give events structure in time:
-//! acquisition begin/end, queue entry, and ownership grants carrying a
-//! causality token (a waiter-node address or wait-event address) that
-//! lets the analyzer stitch a hand-off's grantor and grantee into an
-//! edge.
+//! A record is `(ts_ns, tid, lock, kind, token)`. The leading
+//! [`TraceKind`]s are `oll_telemetry::LockEvent` itself — both enums are
+//! generated from the one list in [`lock_events!`](crate::lock_events),
+//! so counter increments flow into the timeline without a translation
+//! table; the remaining kinds are trace-only *markers* that exist to
+//! give events structure in time: acquisition begin/end, queue entry,
+//! and ownership grants carrying a causality token (a waiter-node
+//! address or wait-event address) that lets the analyzer stitch a
+//! hand-off's grantor and grantee into an edge.
 
-/// What happened. Discriminants `0..37` mirror
-/// `oll_telemetry::LockEvent` exactly; `37..` are trace-only markers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum TraceKind {
-    /// Uncontended read acquisition.
-    ReadFast = 0,
-    /// Read acquisition that entered the slow path (queued or blocked).
-    ReadSlow = 1,
-    /// Uncontended write acquisition.
-    WriteFast = 2,
-    /// Write acquisition that entered the slow path.
-    WriteSlow = 3,
-    /// Reader arrival that hit the C-SNZI root directly.
-    ArriveDirect = 4,
-    /// Reader arrival absorbed by a C-SNZI tree node.
-    ArriveTree = 5,
-    /// Release handed the lock to a queued writer.
-    HandoffToWriter = 6,
-    /// Release handed the lock to queued reader(s).
-    HandoffToReaders = 7,
-    /// A grant skipped over an abandoned (timed-out) node.
-    GrantCascade = 8,
-    /// A timed acquisition gave up.
-    Timeout = 9,
-    /// A partial acquisition was undone (excision/abandonment).
-    Cancel = 10,
-    /// Successful read→write upgrade.
-    Upgrade = 11,
-    /// Failed read→write upgrade attempt.
-    UpgradeFail = 12,
-    /// Write→read downgrade.
-    Downgrade = 13,
-    /// A write landed on the shared C-SNZI root word.
-    CsnziRootWrite = 14,
-    /// A write landed on a C-SNZI tree node.
-    CsnziNodeWrite = 15,
-    /// A CAS on the C-SNZI root word failed and retried.
-    CsnziRootCasFail = 16,
-    /// An adaptive C-SNZI inflated its tree under measured contention.
-    CsnziInflate = 17,
-    /// An adaptive C-SNZI deflated back to root-only arrivals.
-    CsnziDeflate = 18,
-    /// A handle's cached leaf missed and it migrated to a neighbour.
-    CsnziLeafMigrate = 19,
-    /// A biased (BRAVO) read completed via the visible-readers table.
-    BiasGrant = 20,
-    /// A writer revoked reader bias (cleared `rbias`, drained the table).
-    BiasRevoke = 21,
-    /// A biased reader's hashed slot was occupied; fell back to the lock.
-    BiasSlotCollision = 22,
-    /// Reader bias re-armed after the inhibit window elapsed.
-    BiasRearm = 23,
-    /// A panicking write holder poisoned the lock (hazard anomaly;
-    /// `token` carries the hazard lock id).
-    Poisoned = 24,
-    /// A poison mark was cleared.
-    PoisonCleared = 25,
-    /// A watched blocker detected a wait-for cycle and abandoned its
-    /// acquisition (hazard anomaly).
-    DeadlockDetected = 26,
-    /// The starvation watchdog saw a writer outwait its stall threshold
-    /// (hazard anomaly).
-    WatchdogStall = 27,
-    /// The watchdog degraded the lock (bias disabled, fair hand-off).
-    BiasDegraded = 28,
-    /// An async acquisition stored its task waker and pended.
-    WakerStored = 29,
-    /// A grant woke a stored task waker (the grantee was suspended).
-    WakerWoken = 30,
-    /// A cohort release handed the write lock to a same-socket waiter.
-    CohortLocalHandoff = 31,
-    /// A cohort release published the write lock to the global queue.
-    CohortRemoteHandoff = 32,
-    /// A cohort release hit the batch bound with local waiters queued.
-    CohortBatchExhausted = 33,
-    /// The self-tuning controller closed a sampling window and evaluated
-    /// its decision table.
-    TunerSample = 34,
-    /// The controller changed policy (`token` carries the packed
-    /// old/new regime pair the telemetry layer stamps on the counter).
-    TunerFlip = 35,
-    /// The controller saw a regime change but hysteresis (or the
-    /// decision-rate cap) held the current policy.
-    TunerHold = 36,
-    /// `lock_read` entered (marker; opens a read acquisition span).
-    ReadBegin = 37,
-    /// `lock_write` entered (marker; opens a write acquisition span).
-    WriteBegin = 38,
-    /// The thread joined a wait queue; `token` names what it waits on.
-    Enqueued = 39,
-    /// A releasing thread granted ownership to the waiter(s) parked on
-    /// `token` (emitted by the *grantor*).
-    Granted = 40,
-    /// `lock_read` succeeded (marker; closes the read span).
-    ReadAcquired = 41,
-    /// `lock_write` succeeded (marker; closes the write span).
-    WriteAcquired = 42,
-    /// `unlock_read` entered (marker; closes the read hold span).
-    ReadRelease = 43,
-    /// `unlock_write` entered (marker; closes the write hold span).
-    WriteRelease = 44,
+/// The event taxonomy, declared once: every countable thing a lock slow
+/// path can do, as `Variant = "snake_case_name"` with its doc line.
+///
+/// The set follows §5 of the paper and the adaptive-lock literature
+/// (BRAVO, Fissile Locks): what a bias/adaptation policy needs to know
+/// is *where acquisitions land* (fast vs. slow path, direct vs. tree
+/// C-SNZI arrival), *how releases travel* (hand-offs, grant cascades),
+/// and *how often waits are abandoned* (timeouts, cancellations).
+///
+/// Invoked on an enum header, the macro generates that enum — these
+/// events in this order, then whatever variants the header's body adds —
+/// with `COUNT`, `ALL`, `name()` and `index()`. `oll_telemetry::LockEvent`
+/// is the list alone (an event doubles as its counter-array index);
+/// [`TraceKind`] appends its markers. An event added here is counted,
+/// traced and named everywhere at once.
+#[macro_export]
+macro_rules! lock_events {
+    (
+        $(#[$attr:meta])*
+        $vis:vis enum $Enum:ident {
+            $($(#[$xdoc:meta])* $xvariant:ident = $xname:literal,)*
+        }
+    ) => {
+        $crate::lock_events! { @emit [$(#[$attr])*] $vis $Enum
+            /// A read acquisition completed on the fast path (no queueing,
+            /// no waiting on another thread).
+            ReadFast = "read_fast",
+            /// A read acquisition entered the slow path (queued or waited).
+            ReadSlow = "read_slow",
+            /// A write acquisition completed on the fast path.
+            WriteFast = "write_fast",
+            /// A write acquisition entered the slow path.
+            WriteSlow = "write_slow",
+            /// A C-SNZI arrival landed directly on the shared root word.
+            ArriveDirect = "arrive_direct",
+            /// A C-SNZI arrival landed on a tree leaf (distributed cache
+            /// line).
+            ArriveTree = "arrive_tree",
+            /// A release handed the lock to a waiting writer.
+            HandoffToWriter = "handoff_to_writer",
+            /// A release handed the lock to one or more waiting reader
+            /// groups.
+            HandoffToReaders = "handoff_to_readers",
+            /// A grant skipped over an abandoned (cancelled) queue node and
+            /// released on its behalf (FOLL/ROLL cascade).
+            GrantCascade = "grant_cascade",
+            /// A timed acquisition gave up at its deadline.
+            Timeout = "timeout",
+            /// A cancellation had to undo a partial acquisition (a queued
+            /// waiter was excised, a C-SNZI arrival departed, or a node
+            /// was abandoned).
+            Cancel = "cancel",
+            /// A sole-reader upgrade to a write hold succeeded.
+            Upgrade = "upgrade",
+            /// An upgrade attempt failed (other readers present).
+            UpgradeFail = "upgrade_fail",
+            /// A write hold was downgraded to a read hold.
+            Downgrade = "downgrade",
+            /// The C-SNZI root word was successfully written (shared cache
+            /// line).
+            CsnziRootWrite = "csnzi_root_write",
+            /// A C-SNZI tree node was successfully written (distributed
+            /// line).
+            CsnziNodeWrite = "csnzi_node_write",
+            /// A CAS on the C-SNZI root word failed (wasted shared-line
+            /// traffic).
+            CsnziRootCasFail = "csnzi_root_cas_fail",
+            /// An adaptive C-SNZI inflated: built (or re-activated) its
+            /// tree after measuring root contention.
+            CsnziInflate = "csnzi_inflate",
+            /// An adaptive C-SNZI deflated back to root-only arrivals after
+            /// a quiet period with no tree surplus.
+            CsnziDeflate = "csnzi_deflate",
+            /// A handle's cached C-SNZI leaf missed (leaf-level CAS failed)
+            /// and the handle migrated to a neighbouring leaf.
+            CsnziLeafMigrate = "csnzi_leaf_migrate",
+            /// A biased (BRAVO) read acquisition completed through the
+            /// global visible-readers table, bypassing the underlying lock
+            /// entirely.
+            BiasGrant = "bias_grant",
+            /// A writer revoked reader bias: cleared `rbias` and waited out
+            /// every published slot before proceeding.
+            BiasRevoke = "bias_revoke",
+            /// A biased reader found its hashed slot occupied and fell back
+            /// to the underlying lock.
+            BiasSlotCollision = "bias_slot_collision",
+            /// Reader bias re-armed after the adaptive inhibit window
+            /// elapsed.
+            BiasRearm = "bias_rearm",
+            /// A write holder panicked in its critical section and the
+            /// lock's `Poison` hazard policy marked the lock poisoned (as a
+            /// trace record, `token` carries the hazard lock id).
+            Poisoned = "poisoned",
+            /// A poison mark was cleared (`Hazard::clear_poison`).
+            PoisonCleared = "poison_cleared",
+            /// A watched blocker found a wait-for cycle through itself and
+            /// abandoned the acquisition
+            /// (`AcquireError::DeadlockDetected`).
+            DeadlockDetected = "deadlock_detected",
+            /// The starvation watchdog saw a watched writer outwait the
+            /// stall threshold (counted at each escalation below
+            /// degradation).
+            WatchdogStall = "watchdog_stall",
+            /// The watchdog degraded the lock: reader bias disabled, forced
+            /// fair hand-off until a write completes.
+            BiasDegraded = "bias_degraded",
+            /// An async acquisition stored its task waker and returned
+            /// `Pending` (the futures-native analogue of parking a
+            /// thread).
+            WakerStored = "waker_stored",
+            /// A grant found a stored waker and woke it (the grantee was
+            /// suspended; absence means the grant won the register race).
+            WakerWoken = "waker_woken",
+            /// A cohort release handed the write lock to a same-socket
+            /// waiter without touching the global queue (batched NUMA
+            /// hand-off).
+            CohortLocalHandoff = "cohort_local_handoff",
+            /// A cohort release published the write lock outward: the
+            /// global queue hand-off crossed (or may cross) a socket
+            /// boundary.
+            CohortRemoteHandoff = "cohort_remote_handoff",
+            /// A cohort release hit the batch bound with local waiters
+            /// still queued and released globally instead (the starvation
+            /// bound).
+            CohortBatchExhausted = "cohort_batch_exhausted",
+            /// The self-tuning controller closed a sampling window and
+            /// evaluated its decision table (one count per completed
+            /// window, not per slow-path entry).
+            TunerSample = "tuner_sample",
+            /// The controller changed policy: stored new knob values (bias
+            /// arm/disarm, deflation hysteresis, backoff caps, cohort
+            /// batch) after the regime held for the full hysteresis
+            /// requirement (as a trace record, `token` carries the packed
+            /// old/new regime pair).
+            TunerFlip = "tuner_flip",
+            /// The controller saw a regime change but held the current
+            /// policy — hysteresis (or the decision-rate cap) suppressed
+            /// the flip.
+            TunerHold = "tuner_hold",
+            $($(#[$xdoc])* $xvariant = $xname,)*
+        }
+    };
+    (
+        @emit [$(#[$attr:meta])*] $vis:vis $Enum:ident
+        $($(#[$doc:meta])* $variant:ident = $name:literal,)*
+    ) => {
+        $(#[$attr])*
+        $vis enum $Enum {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl $Enum {
+            /// Number of variants.
+            pub const COUNT: usize = [$($name,)*].len();
+
+            /// Every variant, in discriminant order.
+            pub const ALL: [$Enum; Self::COUNT] = [$($Enum::$variant,)*];
+
+            /// Stable `snake_case` name: the JSON key, the text-report row
+            /// label, the trace event name.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($Enum::$variant => $name,)*
+                }
+            }
+
+            /// The discriminant as an index.
+            #[inline]
+            pub const fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
+}
+
+lock_events! {
+    /// What happened: the [`lock_events!`](crate::lock_events) list
+    /// (`oll_telemetry::LockEvent`, same discriminants, same names),
+    /// then the trace-only markers.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    #[repr(u8)]
+    pub enum TraceKind {
+        /// `lock_read` entered (marker; opens a read acquisition span).
+        ReadBegin = "read_begin",
+        /// `lock_write` entered (marker; opens a write acquisition span).
+        WriteBegin = "write_begin",
+        /// The thread joined a wait queue; `token` names what it waits on.
+        Enqueued = "enqueued",
+        /// A releasing thread granted ownership to the waiter(s) parked on
+        /// `token` (emitted by the *grantor*).
+        Granted = "granted",
+        /// `lock_read` succeeded (marker; closes the read span).
+        ReadAcquired = "read_acquired",
+        /// `lock_write` succeeded (marker; closes the write span).
+        WriteAcquired = "write_acquired",
+        /// `unlock_read` entered (marker; closes the read hold span).
+        ReadRelease = "read_release",
+        /// `unlock_write` entered (marker; closes the write hold span).
+        WriteRelease = "write_release",
+    }
 }
 
 impl TraceKind {
-    /// Number of kinds.
-    pub const COUNT: usize = 45;
-
-    /// All kinds, in discriminant order.
-    pub const ALL: [TraceKind; TraceKind::COUNT] = [
-        TraceKind::ReadFast,
-        TraceKind::ReadSlow,
-        TraceKind::WriteFast,
-        TraceKind::WriteSlow,
-        TraceKind::ArriveDirect,
-        TraceKind::ArriveTree,
-        TraceKind::HandoffToWriter,
-        TraceKind::HandoffToReaders,
-        TraceKind::GrantCascade,
-        TraceKind::Timeout,
-        TraceKind::Cancel,
-        TraceKind::Upgrade,
-        TraceKind::UpgradeFail,
-        TraceKind::Downgrade,
-        TraceKind::CsnziRootWrite,
-        TraceKind::CsnziNodeWrite,
-        TraceKind::CsnziRootCasFail,
-        TraceKind::CsnziInflate,
-        TraceKind::CsnziDeflate,
-        TraceKind::CsnziLeafMigrate,
-        TraceKind::BiasGrant,
-        TraceKind::BiasRevoke,
-        TraceKind::BiasSlotCollision,
-        TraceKind::BiasRearm,
-        TraceKind::Poisoned,
-        TraceKind::PoisonCleared,
-        TraceKind::DeadlockDetected,
-        TraceKind::WatchdogStall,
-        TraceKind::BiasDegraded,
-        TraceKind::WakerStored,
-        TraceKind::WakerWoken,
-        TraceKind::CohortLocalHandoff,
-        TraceKind::CohortRemoteHandoff,
-        TraceKind::CohortBatchExhausted,
-        TraceKind::TunerSample,
-        TraceKind::TunerFlip,
-        TraceKind::TunerHold,
-        TraceKind::ReadBegin,
-        TraceKind::WriteBegin,
-        TraceKind::Enqueued,
-        TraceKind::Granted,
-        TraceKind::ReadAcquired,
-        TraceKind::WriteAcquired,
-        TraceKind::ReadRelease,
-        TraceKind::WriteRelease,
-    ];
-
-    /// Stable `snake_case` name (the first 37 match
-    /// `LockEvent::name()`).
-    pub const fn name(self) -> &'static str {
-        match self {
-            TraceKind::ReadFast => "read_fast",
-            TraceKind::ReadSlow => "read_slow",
-            TraceKind::WriteFast => "write_fast",
-            TraceKind::WriteSlow => "write_slow",
-            TraceKind::ArriveDirect => "arrive_direct",
-            TraceKind::ArriveTree => "arrive_tree",
-            TraceKind::HandoffToWriter => "handoff_to_writer",
-            TraceKind::HandoffToReaders => "handoff_to_readers",
-            TraceKind::GrantCascade => "grant_cascade",
-            TraceKind::Timeout => "timeout",
-            TraceKind::Cancel => "cancel",
-            TraceKind::Upgrade => "upgrade",
-            TraceKind::UpgradeFail => "upgrade_fail",
-            TraceKind::Downgrade => "downgrade",
-            TraceKind::CsnziRootWrite => "csnzi_root_write",
-            TraceKind::CsnziNodeWrite => "csnzi_node_write",
-            TraceKind::CsnziRootCasFail => "csnzi_root_cas_fail",
-            TraceKind::CsnziInflate => "csnzi_inflate",
-            TraceKind::CsnziDeflate => "csnzi_deflate",
-            TraceKind::CsnziLeafMigrate => "csnzi_leaf_migrate",
-            TraceKind::BiasGrant => "bias_grant",
-            TraceKind::BiasRevoke => "bias_revoke",
-            TraceKind::BiasSlotCollision => "bias_slot_collision",
-            TraceKind::BiasRearm => "bias_rearm",
-            TraceKind::Poisoned => "poisoned",
-            TraceKind::PoisonCleared => "poison_cleared",
-            TraceKind::DeadlockDetected => "deadlock_detected",
-            TraceKind::WatchdogStall => "watchdog_stall",
-            TraceKind::BiasDegraded => "bias_degraded",
-            TraceKind::WakerStored => "waker_stored",
-            TraceKind::WakerWoken => "waker_woken",
-            TraceKind::CohortLocalHandoff => "cohort_local_handoff",
-            TraceKind::CohortRemoteHandoff => "cohort_remote_handoff",
-            TraceKind::CohortBatchExhausted => "cohort_batch_exhausted",
-            TraceKind::TunerSample => "tuner_sample",
-            TraceKind::TunerFlip => "tuner_flip",
-            TraceKind::TunerHold => "tuner_hold",
-            TraceKind::ReadBegin => "read_begin",
-            TraceKind::WriteBegin => "write_begin",
-            TraceKind::Enqueued => "enqueued",
-            TraceKind::Granted => "granted",
-            TraceKind::ReadAcquired => "read_acquired",
-            TraceKind::WriteAcquired => "write_acquired",
-            TraceKind::ReadRelease => "read_release",
-            TraceKind::WriteRelease => "write_release",
-        }
-    }
-
-    /// The discriminant as an index.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self as usize
-    }
-
     /// Inverse of [`TraceKind::index`].
     pub const fn from_u8(v: u8) -> Option<TraceKind> {
         if (v as usize) < TraceKind::COUNT {

@@ -17,8 +17,8 @@
 //!    invariants (C-SNZI surplus and wait-queue length both zero).
 //!
 //! The `fig5_async` binary drives it and renders the result as an
-//! `oll.fig5_async` JSON document, which `regen_results.sh` folds into
-//! the committed `BENCH_fig5.json` trajectory file.
+//! `oll.fig5_async` JSON document; `regen_results.sh` commits the
+//! million-task run as `BENCH_async.json`.
 
 use crate::latency::{LatencyHistogram, LatencySummary};
 use oll_async::AsyncRwLock;

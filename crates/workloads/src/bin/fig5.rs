@@ -6,7 +6,7 @@
 //!        [--locks GOLL,FOLL,ROLL,KSUH,Solaris-Like,...|all]
 //!        [--acquisitions N] [--runs N] [--paper] [--verify]
 //!        [--adaptive] [--biased] [--hazard] [--cohort] [--self-tuning]
-//!        [--shape N]
+//!        [--shape N] [--pair adaptive|biased|hazard|cohort|self-tuning|obs]
 //!        [--csv PATH] [--json PATH] [--telemetry]
 //!        [--trace PATH] [--trace-json PATH] [--flame PATH]
 //!        [--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]
@@ -43,6 +43,22 @@
 //! have no knobs and ignore it). All six options are recorded in the
 //! JSON report.
 //!
+//! `--pair OPT` turns the sweep into a paired comparison of one option
+//! (`oll_workloads::paired` has the method and why): every selected
+//! (panel, lock, threads) point runs `--runs` off/on pairs — "off" being
+//! the lock options the other flags give, "on" the same plus OPT (for
+//! `obs`: the same run under a live sampler ticking at
+//! `--obs-interval-ms`) — and the table reports the median of the paired
+//! deltas per (panel, lock) and overall. `--json` then writes an
+//! `oll.fig5_pair` document, which `fig5check --expect-pair OPT`
+//! validates. What used to be three bins:
+//!
+//! ```sh
+//! fig5 --pair cohort      --panel f     --locks FOLL,ROLL        # fig5_cohort
+//! fig5 --pair self-tuning --panel b,e,f --locks GOLL,FOLL,ROLL   # fig5_tuned
+//! fig5 --pair obs         --panel b                              # fig5_obs
+//! ```
+//!
 //! `--obs` runs the whole sweep under the continuous-monitoring sampler
 //! (needs a `--features obs` build); with an ADDR it also serves
 //! Prometheus text on `http://ADDR/metrics` (plus `/json` and
@@ -55,15 +71,16 @@ use oll_trace::TraceSession;
 use oll_workloads::config::{Fig5Panel, LockKind, WorkloadConfig};
 use oll_workloads::json::render_fig5_json;
 use oll_workloads::obsio::{self, ObsArgs};
+use oll_workloads::paired::{self, PairOption};
 use oll_workloads::report::{render_csv, render_table};
 use oll_workloads::sweep::{run_panel, PanelResult, SweepOptions};
 use oll_workloads::traceio;
-use std::io::Write as _;
 use std::process::exit;
 
 struct Args {
     panels: Vec<Fig5Panel>,
     opts: SweepOptions,
+    pair: Option<PairOption>,
     csv: Option<String>,
     json: Option<String>,
     telemetry: bool,
@@ -80,6 +97,7 @@ fn usage(msg: &str) -> ! {
          \t[--locks name,...|all] [--acquisitions N] [--runs N]\n\
          \t[--paper] [--verify] [--adaptive] [--biased] [--hazard] [--cohort]\n\
          \t[--self-tuning] [--shape N]\n\
+         \t[--pair adaptive|biased|hazard|cohort|self-tuning|obs]\n\
          \t[--csv PATH] [--json PATH] [--telemetry]\n\
          \t[--trace PATH] [--trace-json PATH] [--flame PATH]\n\
          \t[--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]"
@@ -91,6 +109,7 @@ fn parse_args() -> Args {
     let mut panels = Fig5Panel::ALL.to_vec();
     let mut opts = SweepOptions::quick();
     opts.progress = true;
+    let mut pair = None;
     let mut csv = None;
     let mut json = None;
     let mut telemetry = false;
@@ -183,6 +202,14 @@ fn parse_args() -> Args {
                 opts.lock_options.shape_threads = Some(n);
                 i += 1;
             }
+            "--pair" => {
+                let v = value(i);
+                i += 1;
+                pair = Some(
+                    PairOption::parse(&v)
+                        .unwrap_or_else(|| usage(&format!("unknown --pair option `{v}`"))),
+                );
+            }
             "--csv" => {
                 csv = Some(value(i));
                 i += 1;
@@ -226,9 +253,20 @@ fn parse_args() -> Args {
     if trace.is_none() && flame.is_some() {
         usage("--flame needs --trace");
     }
+    if let Some(option) = pair {
+        if csv.is_some() || telemetry || trace.is_some() || obs.on {
+            usage(
+                "--pair writes its table and --json only (no --csv, --telemetry, --trace, --obs)",
+            );
+        }
+        if option != PairOption::Obs && option.turned_on(opts.lock_options) == opts.lock_options {
+            usage(&format!("--pair {0}: --{0} is already on", option.name()));
+        }
+    }
     Args {
         panels,
         opts,
+        pair,
         csv,
         json,
         telemetry,
@@ -254,6 +292,26 @@ fn print_panel_telemetry(result: &PanelResult) {
     println!("{}", oll_telemetry::report::render_text(&profiles));
 }
 
+fn write_file(path: &str, contents: &str) {
+    std::fs::write(path, contents).unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
+    eprintln!("wrote {path}");
+}
+
+/// `--pair OPT`: the paired off/on comparison in place of the sweep.
+fn run_pair(option: PairOption, args: &Args) {
+    if option == PairOption::Obs && !oll_obs::enabled() {
+        eprintln!(
+            "warning: this binary was built without the `obs` feature; no sampler will \
+             run and the comparison is of a run with itself. Rebuild with --features obs."
+        );
+    }
+    let doc = paired::compare(option, &args.panels, &args.opts, &args.obs.config());
+    println!("{}", paired::render_table(&doc));
+    if let Some(path) = &args.json {
+        write_file(path, &(doc.render() + "\n"));
+    }
+}
+
 fn main() {
     let args = parse_args();
     if args.telemetry && !oll_telemetry::Telemetry::enabled() {
@@ -264,22 +322,24 @@ fn main() {
         );
     }
     eprintln!(
-        "fig5: {} panel(s), threads {:?}, {} acquisitions/thread (/10 at <=50% reads), {} run(s) averaged",
+        "fig5: {} panel(s), threads {:?}, {} acquisitions/thread (/10 at <=50% reads), {}",
         args.panels.len(),
         args.opts.thread_counts,
         args.opts.base.acquisitions_per_thread,
-        args.opts.base.runs,
+        match args.pair {
+            Some(option) => format!(
+                "{} pair(s) per point, {} off/on",
+                args.opts.base.runs.max(1),
+                option.name()
+            ),
+            None => format!("{} run(s) averaged", args.opts.base.runs),
+        },
     );
     if !args.opts.lock_options.is_default() {
-        eprintln!(
-            "fig5: lock options: adaptive={} biased={} hazard={} cohort={} self_tuning={} shape_threads={:?}",
-            args.opts.lock_options.adaptive,
-            args.opts.lock_options.biased,
-            args.opts.lock_options.hazard,
-            args.opts.lock_options.cohort,
-            args.opts.lock_options.self_tuning,
-            args.opts.lock_options.shape_threads,
-        );
+        eprintln!("fig5: lock options: {:?}", args.opts.lock_options);
+    }
+    if let Some(option) = args.pair {
+        return run_pair(option, &args);
     }
 
     if args.trace.is_some() {
@@ -306,22 +366,11 @@ fn main() {
         results.push(result);
     }
 
-    if let Some(path) = args.csv {
-        let mut f = std::fs::File::create(&path)
-            .unwrap_or_else(|e| usage(&format!("cannot create {path}: {e}")));
-        f.write_all(csv_body.as_bytes())
-            .unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
+    if let Some(path) = &args.csv {
+        write_file(path, &csv_body);
     }
-    if let Some(path) = args.json {
-        let doc = render_fig5_json(&results);
-        let mut f = std::fs::File::create(&path)
-            .unwrap_or_else(|e| usage(&format!("cannot create {path}: {e}")));
-        f.write_all(doc.as_bytes())
-            .unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
-        f.write_all(b"\n")
-            .unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
+    if let Some(path) = &args.json {
+        write_file(path, &(render_fig5_json(&results) + "\n"));
     }
     if let Some(session) = obs_session {
         let text = obsio::finish(session, args.obs.json.as_deref())
@@ -334,12 +383,5 @@ fn main() {
             traceio::write_outputs(&tl, path, args.trace_json.as_deref(), args.flame.as_deref())
                 .unwrap_or_else(|e| usage(&format!("cannot write trace: {e}")));
         println!("-- flight recorder --\n{text}");
-        eprintln!("wrote {path}");
-        if let Some(doc) = &args.trace_json {
-            eprintln!("wrote {doc}");
-        }
-        if let Some(f) = &args.flame {
-            eprintln!("wrote {f}");
-        }
     }
 }

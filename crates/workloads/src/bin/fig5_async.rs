@@ -5,7 +5,7 @@
 //! USAGE:
 //!   fig5_async [--tasks N] [--workers N] [--write-pct P] [--cancel-pct P]
 //!              [--deadline-ms N] [--seed N]
-//!              [--json PATH] [--merge PATH] [--telemetry] [--quiet]
+//!              [--json PATH] [--telemetry] [--quiet]
 //!              [--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]
 //! ```
 //!
@@ -15,32 +15,28 @@
 //! tombstone-cancellation path) on `--workers` OS threads, behind a
 //! write-lock gate so the whole backlog queues before the grant cascade
 //! starts. The headline configuration — one million tasks on eight
-//! workers — is what `regen_results.sh` records:
+//! workers — is what `regen_results.sh` records as `BENCH_async.json`:
 //!
 //! ```sh
 //! cargo run -p oll-workloads --release --features async --bin fig5_async -- \
-//!     --tasks 1000000 --workers 8 --merge BENCH_fig5.json
+//!     --tasks 1000000 --workers 8 --json BENCH_async.json
 //! ```
 //!
-//! `--json` writes the run as a standalone `oll.fig5_async` document;
-//! `--merge` folds it into an existing `oll.fig5` document (the
-//! committed `BENCH_fig5.json`) as its top-level `"async"` member.
-//! The binary exits nonzero if the run leaks state: every task must end
+//! `--json` writes the run as an `oll.fig5_async` document, which
+//! `fig5check --expect-async-tasks N` validates. The binary exits
+//! nonzero if the run leaks state: every task must end
 //! granted or timed out, and the C-SNZI surplus and wait queue must
 //! both be zero at exit.
 
 use oll_workloads::async_bench::{
     render_async_text, render_fig5_async_json, run_async_bench, AsyncBenchConfig,
 };
-use oll_workloads::json::merge_member;
 use oll_workloads::obsio::{self, ObsArgs};
-use std::io::Write as _;
 use std::process::exit;
 
 struct Args {
     config: AsyncBenchConfig,
     json: Option<String>,
-    merge: Option<String>,
     telemetry: bool,
     quiet: bool,
     obs: ObsArgs,
@@ -51,7 +47,7 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: fig5_async [--tasks N] [--workers N] [--write-pct P]\n\
          \t[--cancel-pct P] [--deadline-ms N] [--seed N]\n\
-         \t[--json PATH] [--merge PATH] [--telemetry] [--quiet]\n\
+         \t[--json PATH] [--telemetry] [--quiet]\n\
          \t[--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]"
     );
     exit(2);
@@ -64,7 +60,6 @@ fn parse_args() -> Args {
         ..AsyncBenchConfig::quick()
     };
     let mut json = None;
-    let mut merge = None;
     let mut telemetry = false;
     let mut quiet = false;
     let mut obs = ObsArgs::default();
@@ -123,10 +118,6 @@ fn parse_args() -> Args {
                 json = Some(value(i));
                 i += 1;
             }
-            "--merge" => {
-                merge = Some(value(i));
-                i += 1;
-            }
             "--telemetry" => telemetry = true,
             "--quiet" => quiet = true,
             "--help" | "-h" => usage("help requested"),
@@ -137,7 +128,6 @@ fn parse_args() -> Args {
     Args {
         config,
         json,
-        merge,
         telemetry,
         quiet,
         obs,
@@ -185,26 +175,10 @@ fn main() {
         }
     }
 
-    let doc = render_fig5_async_json(&result);
     if let Some(path) = &args.json {
-        let mut f = std::fs::File::create(path)
-            .unwrap_or_else(|e| usage(&format!("cannot create {path}: {e}")));
-        f.write_all(doc.as_bytes())
-            .and_then(|()| f.write_all(b"\n"))
+        std::fs::write(path, render_fig5_async_json(&result) + "\n")
             .unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
         eprintln!("wrote {path}");
-    }
-    if let Some(path) = &args.merge {
-        let base = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| usage(&format!("cannot read {path}: {e}")));
-        let merged = merge_member(&base, "async", &doc)
-            .unwrap_or_else(|e| usage(&format!("{path}: cannot merge: {e}")));
-        let mut f = std::fs::File::create(path)
-            .unwrap_or_else(|e| usage(&format!("cannot create {path}: {e}")));
-        f.write_all(merged.as_bytes())
-            .and_then(|()| f.write_all(b"\n"))
-            .unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
-        eprintln!("merged async panel into {path}");
     }
 
     if !result.clean_exit() {

@@ -1,116 +1,60 @@
-//! `fig5check` — validate an `oll.fig5` JSON document.
+//! `fig5check` — validate a document the workload binaries wrote.
 //!
 //! ```text
 //! USAGE:
 //!   fig5check PATH [--expect-adaptive] [--expect-biased] [--expect-hazard]
-//!             [--expect-shape N] [--expect-async] [--expect-async-tasks N]
-//!             [--expect-obs] [--expect-cohort] [--expect-tuned]
+//!             [--expect-shape N] [--expect-pair OPT] [--expect-async-tasks N]
 //! ```
 //!
-//! Parses the document with the in-tree parser (`oll_workloads::json`),
-//! checks the schema shape the renderer promises (every panel carries
-//! `adaptive`/`biased`/`hazard`/`shape_threads`, every point a positive
-//! throughput), and exits nonzero with a diagnostic on the first
-//! violation. CI's bench-smoke lane runs it against short
-//! `fig5 --adaptive --json` and `fig5 --biased --json` sweeps so both
-//! option paths are validated end to end: CLI flag → lock builders →
-//! sweep → JSON report → parser.
-//!
-//! `--expect-async` requires the document to carry the `"async"` member
-//! that `fig5_async --merge` folds in (an `oll.fig5_async` panel) and
-//! re-checks its invariants: every task accounted for (granted or timed
-//! out), zero C-SNZI surplus and zero queued waiters at exit, positive
-//! throughput. `--expect-async-tasks N` additionally demands the
-//! recorded run drove at least N tasks — the committed
-//! `BENCH_fig5.json` is checked with `--expect-async-tasks 1000000`.
-//!
-//! `--expect-obs` requires the `"obs"` member that `fig5_obs --merge`
-//! folds in (an `oll.fig5_obs` sampler-overhead comparison) and checks
-//! it was a live measurement: the sampler was active and ticking at a
-//! positive interval, every lock has finite positive throughput in both
-//! passes, and the overall overhead is a finite percentage.
-//!
-//! `--expect-cohort` requires the `"cohort"` member that
-//! `fig5_cohort --merge` folds in (an `oll.fig5_cohort` paired
-//! off/on comparison of the NUMA cohort writer gate) and checks its
-//! shape: at least one locality rank and a positive batch bound were
-//! recorded, every lock has finite positive throughput with the gate
-//! off and on, and the overall delta is a finite percentage.
-//!
-//! `--expect-tuned` requires the `"tuned"` member that
-//! `fig5_tuned --merge` folds in (an `oll.fig5_tuned` paired bare/tuned
-//! comparison of the self-tuning policy controller) and checks its
-//! shape: at least one panel and one lock row were recorded, every row
-//! names a real panel and has finite positive throughput bare and
-//! tuned, and the per-row and overall deltas are finite percentages.
-//!
-//! Regardless of the `--expect-*` flags, any merged members present are
-//! cross-checked for agreement: a member merged under the wrong key
-//! (its `schema` does not match the key), a member from a different
-//! schema revision (its `version` differs from the document's), or
-//! members recorded on machines with disagreeing locality topologies
-//! (their `ranks` differ) are rejected. A `BENCH_fig5.json` assembled
-//! from stale or foreign member runs fails instead of parsing clean.
+//! Parses PATH with the in-tree parser and hands it to
+//! [`oll_workloads::check`], which validates it against its own
+//! `"schema"` — `oll.fig5` (`fig5 --json`), `oll.fig5_pair`
+//! (`fig5 --pair OPT --json`) or `oll.fig5_async` (`fig5_async --json`) —
+//! and against the `--expect-*` flags given. Exits 1 with a diagnostic on
+//! the first violation.
 
-use oll_workloads::json::parse::{self, Value};
+use oll_workloads::check::{check, Expect};
+use oll_workloads::json::parse;
+use oll_workloads::paired::PairOption;
 use std::process::exit;
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: fig5check PATH [--expect-adaptive] [--expect-biased] [--expect-hazard] \
-         [--expect-shape N] [--expect-async] [--expect-async-tasks N] [--expect-obs] \
-         [--expect-cohort] [--expect-tuned]"
+         [--expect-shape N] [--expect-pair adaptive|biased|hazard|cohort|self-tuning|obs] \
+         [--expect-async-tasks N]"
     );
     exit(2);
-}
-
-fn fail(msg: &str) -> ! {
-    eprintln!("fig5check: FAIL: {msg}");
-    exit(1);
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut path = None;
-    let mut expect_adaptive = false;
-    let mut expect_biased = false;
-    let mut expect_hazard = false;
-    let mut expect_shape = None;
-    let mut expect_async = false;
-    let mut expect_async_tasks = None;
-    let mut expect_obs = false;
-    let mut expect_cohort = false;
-    let mut expect_tuned = false;
+    let mut expect = Expect::default();
     let mut i = 0;
     while i < argv.len() {
+        let value = || {
+            argv.get(i + 1)
+                .unwrap_or_else(|| usage(&format!("missing value for {}", argv[i])))
+        };
         match argv[i].as_str() {
-            "--expect-adaptive" => expect_adaptive = true,
-            "--expect-biased" => expect_biased = true,
-            "--expect-hazard" => expect_hazard = true,
-            "--expect-async" => expect_async = true,
-            "--expect-obs" => expect_obs = true,
-            "--expect-cohort" => expect_cohort = true,
-            "--expect-tuned" => expect_tuned = true,
-            "--expect-async-tasks" => {
-                let v = argv
-                    .get(i + 1)
-                    .unwrap_or_else(|| usage("missing value for --expect-async-tasks"));
-                expect_async_tasks = Some(
-                    v.parse::<u64>()
-                        .unwrap_or_else(|_| usage("bad --expect-async-tasks")),
-                );
-                expect_async = true;
+            "--expect-adaptive" => expect.adaptive = true,
+            "--expect-biased" => expect.biased = true,
+            "--expect-hazard" => expect.hazard = true,
+            "--expect-shape" => {
+                let n = value().parse().ok();
+                expect.shape = Some(n.unwrap_or_else(|| usage("bad --expect-shape")));
                 i += 1;
             }
-            "--expect-shape" => {
-                let v = argv
-                    .get(i + 1)
-                    .unwrap_or_else(|| usage("missing value for --expect-shape"));
-                expect_shape = Some(
-                    v.parse::<u64>()
-                        .unwrap_or_else(|_| usage("bad --expect-shape")),
-                );
+            "--expect-pair" => {
+                let option = PairOption::parse(value());
+                expect.pair = Some(option.unwrap_or_else(|| usage("bad --expect-pair")));
+                i += 1;
+            }
+            "--expect-async-tasks" => {
+                let n = value().parse().ok();
+                expect.async_tasks = Some(n.unwrap_or_else(|| usage("bad --expect-async-tasks")));
                 i += 1;
             }
             "--help" | "-h" => usage("help requested"),
@@ -122,366 +66,14 @@ fn main() {
     let path = path.unwrap_or_else(|| usage("missing PATH"));
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| usage(&format!("cannot read {path}: {e}")));
-    let doc = parse::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: not valid JSON: {e}")));
-
-    if doc.get("schema").and_then(Value::as_str) != Some("oll.fig5") {
-        fail("schema is not \"oll.fig5\"");
-    }
-    let panels = doc
-        .get("panels")
-        .and_then(Value::as_arr)
-        .unwrap_or_else(|| fail("missing panels array"));
-    if panels.is_empty() {
-        fail("no panels");
-    }
-    let mut points = 0usize;
-    for (pi, panel) in panels.iter().enumerate() {
-        let tag = panel
-            .get("panel")
-            .and_then(Value::as_str)
-            .unwrap_or_else(|| fail(&format!("panel[{pi}]: missing tag")));
-        let adaptive = panel
-            .get("adaptive")
-            .and_then(Value::as_bool)
-            .unwrap_or_else(|| fail(&format!("panel {tag}: missing adaptive flag")));
-        if expect_adaptive && !adaptive {
-            fail(&format!("panel {tag}: adaptive=false, expected true"));
-        }
-        let biased = panel
-            .get("biased")
-            .and_then(Value::as_bool)
-            .unwrap_or_else(|| fail(&format!("panel {tag}: missing biased flag")));
-        if expect_biased && !biased {
-            fail(&format!("panel {tag}: biased=false, expected true"));
-        }
-        let hazard = panel
-            .get("hazard")
-            .and_then(Value::as_bool)
-            .unwrap_or_else(|| fail(&format!("panel {tag}: missing hazard flag")));
-        if expect_hazard && !hazard {
-            fail(&format!("panel {tag}: hazard=false, expected true"));
-        }
-        let shape = panel.get("shape_threads");
-        match (expect_shape, shape.and_then(Value::as_u64)) {
-            (Some(want), Some(got)) if want != got => fail(&format!(
-                "panel {tag}: shape_threads={got}, expected {want}"
-            )),
-            (Some(want), None) => {
-                fail(&format!("panel {tag}: shape_threads=null, expected {want}"))
-            }
-            _ => {}
-        }
-        let series = panel
-            .get("series")
-            .and_then(Value::as_arr)
-            .unwrap_or_else(|| fail(&format!("panel {tag}: missing series")));
-        if series.is_empty() {
-            fail(&format!("panel {tag}: no series"));
-        }
-        for s in series {
-            let lock = s
-                .get("lock")
-                .and_then(Value::as_str)
-                .unwrap_or_else(|| fail(&format!("panel {tag}: series missing lock name")));
-            let pts = s
-                .get("points")
-                .and_then(Value::as_arr)
-                .unwrap_or_else(|| fail(&format!("panel {tag}/{lock}: missing points")));
-            for p in pts {
-                let rate = p
-                    .get("acquires_per_sec")
-                    .and_then(Value::as_f64)
-                    .unwrap_or_else(|| fail(&format!("panel {tag}/{lock}: missing throughput")));
-                if !(rate.is_finite() && rate > 0.0) {
-                    fail(&format!(
-                        "panel {tag}/{lock}: non-positive throughput {rate}"
-                    ));
-                }
-                points += 1;
-            }
+    let verdict = parse::parse(&text)
+        .map_err(|e| format!("not valid JSON: {e}"))
+        .and_then(|doc| check(&doc, &expect));
+    match verdict {
+        Ok(summary) => println!("fig5check: OK: {path}: {summary}"),
+        Err(msg) => {
+            eprintln!("fig5check: FAIL: {path}: {msg}");
+            exit(1);
         }
     }
-    // Cross-member agreement, checked whenever members are present (the
-    // per-member `--expect-*` passes only look inside one member each).
-    // A member merged under the wrong key, carried over from a different
-    // schema revision, or recorded on a machine whose locality topology
-    // disagrees with another member's is a stale or foreign artifact.
-    let version = doc
-        .get("version")
-        .and_then(Value::as_u64)
-        .unwrap_or_else(|| fail("missing version"));
-    let mut ranks_seen: Option<(&str, u64)> = None;
-    for key in ["async", "obs", "cohort", "tuned"] {
-        let Some(member) = doc.get(key) else { continue };
-        let want_schema = format!("oll.fig5_{key}");
-        match member.get("schema").and_then(Value::as_str) {
-            Some(got) if got == want_schema => {}
-            Some(got) => fail(&format!(
-                "member {key}: schema \"{got}\" disagrees with its key \
-                 (expected \"{want_schema}\" — merged under the wrong key?)"
-            )),
-            None => fail(&format!("member {key}: missing schema")),
-        }
-        match member.get("version").and_then(Value::as_u64) {
-            Some(v) if v == version => {}
-            Some(v) => fail(&format!(
-                "member {key}: version {v} disagrees with the document's \
-                 {version} (regenerate the stale member)"
-            )),
-            None => fail(&format!("member {key}: missing version")),
-        }
-        if let Some(r) = member.get("ranks").and_then(Value::as_u64) {
-            match ranks_seen {
-                Some((other, seen)) if seen != r => fail(&format!(
-                    "member {key}: {r} locality rank(s) disagrees with \
-                     member {other}'s {seen} (members recorded on \
-                     different machines?)"
-                )),
-                Some(_) => {}
-                None => ranks_seen = Some((key, r)),
-            }
-        }
-    }
-    let mut async_tasks = None;
-    if expect_async {
-        let a = doc
-            .get("async")
-            .unwrap_or_else(|| fail("missing async member (run fig5_async --merge)"));
-        if a.get("schema").and_then(Value::as_str) != Some("oll.fig5_async") {
-            fail("async member's schema is not \"oll.fig5_async\"");
-        }
-        let field = |key: &str| -> u64 {
-            a.get(key)
-                .and_then(Value::as_u64)
-                .unwrap_or_else(|| fail(&format!("async member: missing {key}")))
-        };
-        let tasks = field("tasks");
-        let workers = field("workers");
-        if tasks == 0 || workers == 0 {
-            fail("async member: zero tasks or workers");
-        }
-        if let Some(want) = expect_async_tasks {
-            if tasks < want {
-                fail(&format!(
-                    "async member: {tasks} task(s), expected >= {want}"
-                ));
-            }
-        }
-        let accounted = field("granted_reads") + field("granted_writes") + field("timed_out");
-        if accounted != tasks {
-            fail(&format!(
-                "async member: {accounted} task(s) accounted for, expected {tasks}"
-            ));
-        }
-        if field("surplus_at_exit") != 0 || field("queued_at_exit") != 0 {
-            fail("async member: leaked exit state (surplus or queue nonzero)");
-        }
-        let rate = a
-            .get("tasks_per_sec")
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| fail("async member: missing tasks_per_sec"));
-        if !(rate.is_finite() && rate > 0.0) {
-            fail(&format!("async member: non-positive throughput {rate}"));
-        }
-        if a.get("grant_latency").is_none() {
-            fail("async member: missing grant_latency");
-        }
-        async_tasks = Some((tasks, workers));
-    }
-    let mut cohort_delta = None;
-    if expect_cohort {
-        let c = doc
-            .get("cohort")
-            .unwrap_or_else(|| fail("missing cohort member (run fig5_cohort --merge)"));
-        if c.get("schema").and_then(Value::as_str) != Some("oll.fig5_cohort") {
-            fail("cohort member's schema is not \"oll.fig5_cohort\"");
-        }
-        let ranks = c
-            .get("ranks")
-            .and_then(Value::as_u64)
-            .unwrap_or_else(|| fail("cohort member: missing ranks"));
-        if ranks == 0 {
-            fail("cohort member: zero locality ranks");
-        }
-        let batch = c
-            .get("batch")
-            .and_then(Value::as_u64)
-            .unwrap_or_else(|| fail("cohort member: missing batch"));
-        if batch == 0 {
-            fail("cohort member: zero batch bound");
-        }
-        let locks = c
-            .get("locks")
-            .and_then(Value::as_arr)
-            .unwrap_or_else(|| fail("cohort member: missing locks array"));
-        if locks.is_empty() {
-            fail("cohort member: no locks");
-        }
-        for l in locks {
-            let name = l
-                .get("lock")
-                .and_then(Value::as_str)
-                .unwrap_or_else(|| fail("cohort member: lock row missing name"));
-            for key in ["off_acquires_per_sec", "on_acquires_per_sec"] {
-                let rate = l
-                    .get(key)
-                    .and_then(Value::as_f64)
-                    .unwrap_or_else(|| fail(&format!("cohort member/{name}: missing {key}")));
-                if !(rate.is_finite() && rate > 0.0) {
-                    fail(&format!("cohort member/{name}: non-positive {key} {rate}"));
-                }
-            }
-        }
-        let overall = c
-            .get("overall_delta_pct")
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| fail("cohort member: missing overall_delta_pct"));
-        if !overall.is_finite() {
-            fail(&format!("cohort member: non-finite delta {overall}"));
-        }
-        cohort_delta = Some((ranks, overall));
-    }
-    let mut tuned_delta = None;
-    if expect_tuned {
-        let t = doc
-            .get("tuned")
-            .unwrap_or_else(|| fail("missing tuned member (run fig5_tuned --merge)"));
-        if t.get("schema").and_then(Value::as_str) != Some("oll.fig5_tuned") {
-            fail("tuned member's schema is not \"oll.fig5_tuned\"");
-        }
-        let tuned_panels = t
-            .get("panels")
-            .and_then(Value::as_arr)
-            .unwrap_or_else(|| fail("tuned member: missing panels array"));
-        if tuned_panels.is_empty() {
-            fail("tuned member: no panels");
-        }
-        let locks = t
-            .get("locks")
-            .and_then(Value::as_arr)
-            .unwrap_or_else(|| fail("tuned member: missing locks array"));
-        if locks.is_empty() {
-            fail("tuned member: no locks");
-        }
-        for l in locks {
-            let name = l
-                .get("lock")
-                .and_then(Value::as_str)
-                .unwrap_or_else(|| fail("tuned member: lock row missing name"));
-            let panel = l
-                .get("panel")
-                .and_then(Value::as_str)
-                .unwrap_or_else(|| fail(&format!("tuned member/{name}: missing panel")));
-            if !matches!(panel, "a" | "b" | "c" | "d" | "e" | "f") {
-                fail(&format!("tuned member/{name}: unknown panel \"{panel}\""));
-            }
-            for key in [
-                "bare_acquires_per_sec",
-                "tuned_acquires_per_sec",
-                "delta_pct",
-            ] {
-                let v = l.get(key).and_then(Value::as_f64).unwrap_or_else(|| {
-                    fail(&format!("tuned member/{name}/{panel}: missing {key}"))
-                });
-                if !v.is_finite() {
-                    fail(&format!(
-                        "tuned member/{name}/{panel}: non-finite {key} {v}"
-                    ));
-                }
-                if key != "delta_pct" && v <= 0.0 {
-                    fail(&format!(
-                        "tuned member/{name}/{panel}: non-positive {key} {v}"
-                    ));
-                }
-            }
-        }
-        let overall = t
-            .get("overall_delta_pct")
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| fail("tuned member: missing overall_delta_pct"));
-        if !overall.is_finite() {
-            fail(&format!("tuned member: non-finite delta {overall}"));
-        }
-        tuned_delta = Some((tuned_panels.len(), overall));
-    }
-    let mut obs_overhead = None;
-    if expect_obs {
-        let o = doc
-            .get("obs")
-            .unwrap_or_else(|| fail("missing obs member (run fig5_obs --merge)"));
-        if o.get("schema").and_then(Value::as_str) != Some("oll.fig5_obs") {
-            fail("obs member's schema is not \"oll.fig5_obs\"");
-        }
-        if o.get("sampler_active").and_then(Value::as_bool) != Some(true) {
-            fail("obs member: sampler was not active (built without the obs feature?)");
-        }
-        let interval = o
-            .get("interval_ms")
-            .and_then(Value::as_u64)
-            .unwrap_or_else(|| fail("obs member: missing interval_ms"));
-        if interval == 0 {
-            fail("obs member: zero interval_ms");
-        }
-        let locks = o
-            .get("locks")
-            .and_then(Value::as_arr)
-            .unwrap_or_else(|| fail("obs member: missing locks array"));
-        if locks.is_empty() {
-            fail("obs member: no locks");
-        }
-        for l in locks {
-            let name = l
-                .get("lock")
-                .and_then(Value::as_str)
-                .unwrap_or_else(|| fail("obs member: lock row missing name"));
-            for key in ["off_acquires_per_sec", "on_acquires_per_sec"] {
-                let rate = l
-                    .get(key)
-                    .and_then(Value::as_f64)
-                    .unwrap_or_else(|| fail(&format!("obs member/{name}: missing {key}")));
-                if !(rate.is_finite() && rate > 0.0) {
-                    fail(&format!("obs member/{name}: non-positive {key} {rate}"));
-                }
-            }
-        }
-        let overall = o
-            .get("overall_overhead_pct")
-            .and_then(Value::as_f64)
-            .unwrap_or_else(|| fail("obs member: missing overall_overhead_pct"));
-        if !overall.is_finite() {
-            fail(&format!("obs member: non-finite overhead {overall}"));
-        }
-        obs_overhead = Some(overall);
-    }
-    println!(
-        "fig5check: OK: {path}: {} panel(s), {points} point(s){}{}{}{}{}{}{}{}",
-        panels.len(),
-        if expect_adaptive { ", adaptive" } else { "" },
-        if expect_biased { ", biased" } else { "" },
-        if expect_hazard { ", hazard" } else { "" },
-        match expect_shape {
-            Some(n) => format!(", shape_threads={n}"),
-            None => String::new(),
-        },
-        match async_tasks {
-            Some((t, w)) => format!(", async {t} task(s) on {w} worker(s)"),
-            None => String::new(),
-        },
-        match obs_overhead {
-            Some(pct) => format!(", obs {pct:.2}% sampler overhead"),
-            None => String::new(),
-        },
-        match cohort_delta {
-            Some((ranks, pct)) => {
-                format!(", cohort {pct:+.2}% delta over {ranks} rank(s)")
-            }
-            None => String::new(),
-        },
-        match tuned_delta {
-            Some((n, pct)) => {
-                format!(", tuned {pct:+.2}% delta over {n} panel(s)")
-            }
-            None => String::new(),
-        },
-    );
 }

@@ -3,17 +3,20 @@
 //! ```text
 //! USAGE:
 //!   latency [--threads N] [--read-pct P] [--acquisitions N]
-//!           [--locks name,...|all] [--biased] [--hazard] [--cohort]
-//!           [--self-tuning] [--json PATH] [--telemetry]
+//!           [--locks name,...|all] [--adaptive] [--biased] [--hazard]
+//!           [--cohort] [--self-tuning] [--shape N] [--json PATH] [--telemetry]
 //!           [--trace PATH] [--trace-json PATH] [--flame PATH]
 //!           [--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]
 //! ```
 //!
 //! Complements the throughput-oriented `fig5` binary with tail-latency
 //! visibility: how long can a single `lock_read` / `lock_write` stall
-//! under the given mix? `--biased` wraps the OLL locks (GOLL/FOLL/ROLL)
-//! in the BRAVO reader-biasing layer, exposing the biased read fast
-//! path's latency. `--hazard` arms the `oll-hazard` hardening layer on
+//! under the given mix? The lock-option flags mean exactly what they
+//! mean to `fig5` (one dispatcher builds the locks for both):
+//! `--adaptive` builds the OLL locks (GOLL/FOLL/ROLL) with adaptive
+//! C-SNZIs and `--shape N` sizes their tree for N threads; `--biased`
+//! wraps the OLL locks in the BRAVO reader-biasing layer, exposing the
+//! biased read fast path's latency. `--hazard` arms the `oll-hazard` hardening layer on
 //! every lock (poison policy + deadlock-detection tracking) so its cost
 //! shows in the tails; needs a `--features hazard` build to do
 //! anything. `--cohort` builds FOLL/ROLL with the NUMA cohort writer
@@ -39,14 +42,14 @@ use oll_workloads::json::render_latency_json;
 use oll_workloads::latency::run_latency_profiled_with;
 use oll_workloads::obsio::{self, ObsArgs};
 use oll_workloads::traceio;
-use std::io::Write as _;
 use std::process::exit;
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: latency [--threads N] [--read-pct P] [--acquisitions N] [--locks name,...|all] \
-         [--biased] [--hazard] [--cohort] [--self-tuning] [--json PATH] [--telemetry] \
+         [--adaptive] [--biased] [--hazard] [--cohort] [--self-tuning] [--shape N] \
+         [--json PATH] [--telemetry] \
          [--trace PATH] [--trace-json PATH] \
          [--flame PATH] [--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]"
     );
@@ -125,6 +128,15 @@ fn main() {
                 json = Some(value(i));
                 i += 1;
             }
+            "--adaptive" => lock_options.adaptive = true,
+            "--shape" => {
+                let n: usize = value(i).parse().unwrap_or_else(|_| usage("bad --shape"));
+                if n == 0 {
+                    usage("--shape needs a positive thread count");
+                }
+                lock_options.shape_threads = Some(n);
+                i += 1;
+            }
             "--biased" => lock_options.biased = true,
             "--hazard" => lock_options.hazard = true,
             "--cohort" => lock_options.cohort = true,
@@ -181,29 +193,10 @@ fn main() {
         verify: false,
     };
 
-    println!(
-        "latency: {threads} threads, {read_pct}% reads, {acquisitions} acquisitions/thread{}{}{}{}",
-        if lock_options.biased {
-            ", BRAVO-biased OLL locks"
-        } else {
-            ""
-        },
-        if lock_options.hazard {
-            ", hazard layer armed"
-        } else {
-            ""
-        },
-        if lock_options.cohort {
-            ", cohort writer gate"
-        } else {
-            ""
-        },
-        if lock_options.self_tuning {
-            ", self-tuning controller"
-        } else {
-            ""
-        }
-    );
+    println!("latency: {threads} threads, {read_pct}% reads, {acquisitions} acquisitions/thread");
+    if !lock_options.is_default() {
+        println!("latency: lock options: {lock_options:?}");
+    }
     println!(
         "{:<13} {:>8} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} {:>8}",
         "lock", "r.p50", "r.p99", "r.p999", "r.max", "w.p50", "w.p99", "w.p999", "w.max"
@@ -235,11 +228,7 @@ fn main() {
     }
     if let Some(path) = json {
         let doc = render_latency_json(threads, read_pct, acquisitions, &results, &profiles);
-        let mut f = std::fs::File::create(&path)
-            .unwrap_or_else(|e| usage(&format!("cannot create {path}: {e}")));
-        f.write_all(doc.as_bytes())
-            .unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
-        f.write_all(b"\n")
+        std::fs::write(&path, doc + "\n")
             .unwrap_or_else(|e| usage(&format!("cannot write {path}: {e}")));
         eprintln!("wrote {path}");
     }
@@ -253,12 +242,5 @@ fn main() {
         let text = traceio::write_outputs(&tl, path, trace_json.as_deref(), flame.as_deref())
             .unwrap_or_else(|e| usage(&format!("cannot write trace: {e}")));
         println!("-- flight recorder --\n{text}");
-        eprintln!("wrote {path}");
-        if let Some(doc) = &trace_json {
-            eprintln!("wrote {doc}");
-        }
-        if let Some(f) = &flame {
-            eprintln!("wrote {f}");
-        }
     }
 }

@@ -1,0 +1,181 @@
+//! The one place a [`LockKind`] and its [`LockOptions`] become a
+//! concrete lock type.
+//!
+//! Every consumer that must run generic code over "the lock this kind
+//! names" — the throughput and latency runners, the conformance, leak
+//! and chaos suites, `examples/lockstat.rs` — is a [`LockVisitor`]
+//! handed to [`LockKind::with_lock`]. The match below is exhaustive, so
+//! adding a lock kind without wiring it here fails to compile, and wiring
+//! it here covers every consumer at once.
+
+use crate::config::{LockKind, LockOptions};
+use oll_baselines::{
+    CentralizedRwLock, KsuhLock, McsMutex, McsRwLock, McsRwReaderPref, McsRwWriterPref,
+    PerThreadRwLock, SolarisLikeRwLock, StdRwLock,
+};
+use oll_core::{FollLock, GollLock, RollLock, RwLockFamily, SelfTuning};
+use oll_csnzi::TreeShape;
+use oll_hazard::PoisonPolicy;
+
+/// Generic code to run over one constructed lock. A trait rather than a
+/// closure because the lock's type differs per kind and option set, and
+/// closures cannot be generic.
+pub trait LockVisitor {
+    /// What the visit produces.
+    type Out;
+
+    /// Receives the lock [`LockKind::with_lock`] built.
+    fn visit<L: RwLockFamily + 'static>(self, lock: L) -> Self::Out;
+}
+
+/// Arms the hazard layer when asked (on every kind, baselines included)
+/// and hands the lock over.
+fn arm<L: RwLockFamily + 'static, V: LockVisitor>(lock: L, opts: &LockOptions, v: V) -> V::Out {
+    if opts.hazard {
+        let h = lock.hazard();
+        h.set_poison_policy(PoisonPolicy::Poison);
+        h.detect_deadlocks(true);
+    }
+    v.visit(lock)
+}
+
+impl LockKind {
+    /// Builds this kind of lock for `capacity` threads under `opts` and
+    /// passes it to `visitor`. The OLL locks take every option, in this
+    /// order: builder options (`adaptive`, `shape_threads`, and on
+    /// FOLL/ROLL `cohort`), then the `Bravo` wrapper when `biased`, then
+    /// the [`SelfTuning`] wrapper when `self_tuning`. The baselines have
+    /// nothing to configure and ignore all of those. `hazard` arms the
+    /// poison policy and deadlock detection on whatever was built.
+    pub fn with_lock<V: LockVisitor>(
+        self,
+        capacity: usize,
+        opts: &LockOptions,
+        visitor: V,
+    ) -> V::Out {
+        macro_rules! oll {
+            ($builder:expr) => {{
+                let mut b = $builder.adaptive(opts.adaptive);
+                if let Some(n) = opts.shape_threads {
+                    b = b.tree_shape(TreeShape::for_threads(n));
+                }
+                match (opts.biased, opts.self_tuning) {
+                    (false, false) => arm(b.build(), opts, visitor),
+                    (true, false) => arm(b.biased(true).build_biased(), opts, visitor),
+                    (false, true) => arm(SelfTuning::new(b.build()), opts, visitor),
+                    (true, true) => arm(
+                        SelfTuning::new(b.biased(true).build_biased()),
+                        opts,
+                        visitor,
+                    ),
+                }
+            }};
+        }
+        match self {
+            LockKind::Goll => oll!(GollLock::builder(capacity)),
+            LockKind::Foll => oll!(FollLock::builder(capacity).cohort(opts.cohort)),
+            LockKind::Roll => oll!(RollLock::builder(capacity).cohort(opts.cohort)),
+            LockKind::Ksuh => arm(KsuhLock::new(capacity), opts, visitor),
+            LockKind::SolarisLike => arm(SolarisLikeRwLock::new(capacity), opts, visitor),
+            LockKind::Centralized => arm(CentralizedRwLock::new(capacity), opts, visitor),
+            LockKind::McsRw => arm(McsRwLock::new(capacity), opts, visitor),
+            LockKind::McsRwReaderPref => arm(McsRwReaderPref::new(capacity), opts, visitor),
+            LockKind::McsRwWriterPref => arm(McsRwWriterPref::new(capacity), opts, visitor),
+            LockKind::PerThread => arm(PerThreadRwLock::new(capacity), opts, visitor),
+            LockKind::StdRw => arm(StdRwLock::new(capacity), opts, visitor),
+            LockKind::McsMutex => arm(McsMutex::new(capacity), opts, visitor),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use oll_core::{Bravo, RwHandle};
+    use std::any::{type_name, Any};
+
+    /// Finds the OLL lock `Q` under whichever wrappers the options put
+    /// around it.
+    fn peel<Q: RwLockFamily + 'static>(lock: &dyn Any) -> Option<&Q> {
+        None.or_else(|| lock.downcast_ref::<Q>())
+            .or_else(|| lock.downcast_ref::<Bravo<Q>>().map(Bravo::inner))
+            .or_else(|| lock.downcast_ref::<SelfTuning<Q>>().map(SelfTuning::inner))
+            .or_else(|| {
+                lock.downcast_ref::<SelfTuning<Bravo<Q>>>()
+                    .map(|t| t.inner().inner())
+            })
+    }
+
+    /// Checks that the lock handed over works and shows the options as
+    /// far as the public API does; returns the name it goes by.
+    struct Probe(LockKind, LockOptions);
+
+    impl LockVisitor for Probe {
+        type Out = &'static str;
+
+        fn visit<L: RwLockFamily + 'static>(self, lock: L) -> &'static str {
+            let Probe(kind, opts) = self;
+            let what = format!("{} under {opts:?}", kind.name());
+
+            assert_eq!(lock.capacity(), 2, "{what}");
+            let mut h = lock.handle().expect("fresh lock has a free slot");
+            h.lock_read();
+            h.unlock_read();
+            h.lock_write();
+            h.unlock_write();
+            drop(h);
+
+            let oll = matches!(kind, LockKind::Goll | LockKind::Foll | LockKind::Roll);
+            let ty = type_name::<L>();
+            assert_eq!(ty.contains("Bravo"), oll && opts.biased, "{what}: {ty}");
+            assert_eq!(
+                ty.contains("SelfTuning"),
+                oll && opts.self_tuning,
+                "{what}: {ty}"
+            );
+
+            // (adaptive, cohort) as the OLL lock underneath reports them;
+            // `None` when there is no OLL lock underneath.
+            let any: &dyn Any = &lock;
+            let built = None
+                .or_else(|| peel::<GollLock>(any).map(|g| (g.is_adaptive(), false)))
+                .or_else(|| peel::<FollLock>(any).map(|f| (f.is_adaptive(), f.is_cohort())))
+                .or_else(|| peel::<RollLock>(any).map(|r| (r.is_adaptive(), r.is_cohort())));
+            let asked = (opts.adaptive, opts.cohort && kind != LockKind::Goll);
+            assert_eq!(built, oll.then_some(asked), "{what}");
+
+            // Arming is observable only where the hazard layer exists.
+            let armed = opts.hazard && oll_hazard::Hazard::enabled();
+            let hz = lock.hazard();
+            assert_eq!(hz.detects_deadlocks(), armed, "{what}");
+            assert_eq!(hz.poison_policy() == PoisonPolicy::Poison, armed, "{what}");
+            lock.name()
+        }
+    }
+
+    #[test]
+    fn every_kind_under_every_option_set_is_what_was_asked_for() {
+        for kind in LockKind::ALL {
+            let names: std::collections::HashSet<_> = (0..64u32)
+                .map(|bits| {
+                    let on = |bit: u32| bits & (1 << bit) != 0;
+                    let opts = LockOptions {
+                        adaptive: on(0),
+                        shape_threads: on(1).then_some(2),
+                        biased: on(2),
+                        hazard: on(3),
+                        cohort: on(4),
+                        self_tuning: on(5),
+                    };
+                    kind.with_lock(2, &opts, Probe(kind, opts))
+                })
+                .collect();
+            assert_eq!(
+                names.len(),
+                1,
+                "{}: wrappers rename: {names:?}",
+                kind.name()
+            );
+        }
+    }
+}

@@ -1,7 +1,9 @@
 //! Schema-versioned JSON reports for the workload binaries.
 //!
 //! Hand-rolled like `oll_telemetry::report` (the workspace carries no
-//! serialization dependency). Two document schemas:
+//! serialization dependency). Three document schemas are rendered here
+//! (`oll.fig5_pair` is built in [`crate::paired`], `oll.fig5_async` in
+//! `crate::async_bench`):
 //!
 //! - `oll.fig5` — the panels of a `fig5` run: every (lock × threads)
 //!   point with throughput and, when collected, the lock's telemetry
@@ -268,28 +270,6 @@ pub fn render_trace_json(tl: &Timeline, report: &TraceReport) -> String {
     }
     out.push_str("]}}");
     out
-}
-
-/// Sets member `key` of the top-level object in `doc` to the JSON
-/// document `member`, replacing any existing member of that name, and
-/// returns the re-rendered document. This is how `fig5_async --merge`
-/// folds its `oll.fig5_async` panel into the committed `BENCH_fig5.json`
-/// trajectory file without disturbing the `oll.fig5` members around it.
-pub fn merge_member(doc: &str, key: &str, member: &str) -> Result<String, parse::ParseError> {
-    use parse::Value;
-    let root = parse::parse(doc)?;
-    let inserted = parse::parse(member)?;
-    let Value::Obj(mut members) = root else {
-        return Err(parse::ParseError {
-            pos: 0,
-            msg: "top-level value is not an object",
-        });
-    };
-    match members.iter_mut().find(|(k, _)| k == key) {
-        Some((_, v)) => *v = inserted,
-        None => members.push((key.to_string(), inserted)),
-    }
-    Ok(Value::Obj(members).render())
 }
 
 /// A minimal JSON reader for the documents this module emits: round-trip
@@ -1002,49 +982,6 @@ mod tests {
         assert_eq!(parse::parse(&rendered).unwrap(), v);
         // Idempotent: rendering the re-parse reproduces the same text.
         assert_eq!(parse::parse(&rendered).unwrap().render(), rendered);
-    }
-
-    #[test]
-    fn merge_member_inserts_and_replaces() {
-        let base = r#"{"schema":"oll.fig5","panels":[]}"#;
-        let merged = merge_member(base, "async", r#"{"tasks":5}"#).unwrap();
-        let v = parse::parse(&merged).unwrap();
-        assert_eq!(v.get("schema").and_then(Value::as_str), Some("oll.fig5"));
-        assert_eq!(
-            v.get("async")
-                .and_then(|a| a.get("tasks"))
-                .and_then(Value::as_u64),
-            Some(5)
-        );
-        // Replacing an existing member keeps exactly one copy.
-        let again = merge_member(&merged, "async", r#"{"tasks":9}"#).unwrap();
-        let v = parse::parse(&again).unwrap();
-        assert_eq!(
-            v.get("async")
-                .and_then(|a| a.get("tasks"))
-                .and_then(Value::as_u64),
-            Some(9)
-        );
-        assert_eq!(again.matches("\"async\":").count(), 1);
-        // A non-object root is an error, not a panic.
-        assert!(merge_member("[1,2]", "async", "{}").is_err());
-    }
-
-    #[test]
-    fn fig5_document_survives_merge_round_trip() {
-        let panel = run_panel(Fig5Panel::B, &tiny_opts());
-        let doc = render_fig5_json(&[panel]);
-        let merged = merge_member(&doc, "async", r#"{"schema":"oll.fig5_async"}"#).unwrap();
-        let v = parse::parse(&merged).expect("merged doc must parse");
-        // The fig5 members are untouched and the async member landed.
-        assert_eq!(v.get("schema").and_then(Value::as_str), Some("oll.fig5"));
-        assert!(v.get("panels").and_then(Value::as_arr).is_some());
-        assert_eq!(
-            v.get("async")
-                .and_then(|a| a.get("schema"))
-                .and_then(Value::as_str),
-            Some("oll.fig5_async")
-        );
     }
 
     #[test]

@@ -10,12 +10,8 @@
 //! add; no allocation happens on the measured path.
 
 use crate::config::{LockKind, LockOptions, WorkloadConfig};
-use oll_baselines::{
-    CentralizedRwLock, KsuhLock, McsMutex, McsRwLock, McsRwReaderPref, McsRwWriterPref,
-    PerThreadRwLock, SolarisLikeRwLock, StdRwLock,
-};
-use oll_core::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily};
-use oll_hazard::PoisonPolicy;
+use crate::dispatch::LockVisitor;
+use oll_core::{RwHandle, RwLockFamily};
 use oll_telemetry::LockSnapshot;
 use oll_util::XorShift64;
 use std::sync::Barrier;
@@ -147,28 +143,27 @@ pub struct LatencyResult {
     pub write: LatencySummary,
 }
 
-fn measure_latency<L, F>(
-    make_lock: F,
-    config: &WorkloadConfig,
-    opts: &LockOptions,
-) -> (LatencyHistogram, LatencyHistogram, Option<LockSnapshot>)
-where
-    L: RwLockFamily,
-    F: Fn(usize) -> L,
-{
-    let lock = make_lock(config.threads);
-    if opts.hazard {
-        let h = lock.hazard();
-        h.set_poison_policy(PoisonPolicy::Poison);
-        h.detect_deadlocks(true);
+/// [`measure_latency`] as the visitor [`LockKind::with_lock`] takes.
+struct MeasureLatency<'a>(&'a WorkloadConfig);
+
+impl LockVisitor for MeasureLatency<'_> {
+    type Out = (LatencyHistogram, LatencyHistogram, Option<LockSnapshot>);
+
+    fn visit<L: RwLockFamily + 'static>(self, lock: L) -> Self::Out {
+        measure_latency(&lock, self.0)
     }
+}
+
+fn measure_latency<L: RwLockFamily>(
+    lock: &L,
+    config: &WorkloadConfig,
+) -> (LatencyHistogram, LatencyHistogram, Option<LockSnapshot>) {
     let barrier = Barrier::new(config.threads);
     let merged: std::sync::Mutex<(LatencyHistogram, LatencyHistogram)> =
         std::sync::Mutex::new((LatencyHistogram::new(), LatencyHistogram::new()));
 
     std::thread::scope(|scope| {
         for tid in 0..config.threads {
-            let lock = &lock;
             let barrier = &barrier;
             let merged = &merged;
             scope.spawn(move || {
@@ -216,106 +211,14 @@ pub fn run_latency_profiled(
     run_latency_profiled_with(kind, config, &LockOptions::default())
 }
 
-/// [`measure_latency`] with the `self_tuning` option applied: when set,
-/// the OLL lock under test runs beneath the `SelfTuning` controller.
-fn measure_latency_tuned<L, F>(
-    make_lock: F,
-    config: &WorkloadConfig,
-    opts: &LockOptions,
-) -> (LatencyHistogram, LatencyHistogram, Option<LockSnapshot>)
-where
-    L: RwLockFamily,
-    F: Fn(usize) -> L,
-{
-    if opts.self_tuning {
-        measure_latency(
-            |cap| oll_core::SelfTuning::new(make_lock(cap)),
-            config,
-            opts,
-        )
-    } else {
-        measure_latency(make_lock, config, opts)
-    }
-}
-
-/// Like [`run_latency_profiled`], applying `opts` when constructing the
-/// OLL locks (BRAVO biasing, adaptive C-SNZIs). Baselines ignore `opts`.
+/// Like [`run_latency_profiled`], building the lock under `opts` (see
+/// [`LockKind::with_lock`] for what each option does to which kind).
 pub fn run_latency_profiled_with(
     kind: LockKind,
     config: &WorkloadConfig,
     opts: &LockOptions,
 ) -> (LatencyResult, Option<LockSnapshot>) {
-    let (reads, writes, mut profile) = match kind {
-        LockKind::Goll if opts.biased => measure_latency_tuned(
-            |cap| {
-                GollLock::builder(cap)
-                    .adaptive(opts.adaptive)
-                    .biased(true)
-                    .build_biased()
-            },
-            config,
-            opts,
-        ),
-        LockKind::Foll if opts.biased => measure_latency_tuned(
-            |cap| {
-                FollLock::builder(cap)
-                    .adaptive(opts.adaptive)
-                    .cohort(opts.cohort)
-                    .biased(true)
-                    .build_biased()
-            },
-            config,
-            opts,
-        ),
-        LockKind::Roll if opts.biased => measure_latency_tuned(
-            |cap| {
-                RollLock::builder(cap)
-                    .adaptive(opts.adaptive)
-                    .cohort(opts.cohort)
-                    .biased(true)
-                    .build_biased()
-            },
-            config,
-            opts,
-        ),
-        LockKind::Goll if opts.adaptive => measure_latency_tuned(
-            |cap| GollLock::builder(cap).adaptive(true).build(),
-            config,
-            opts,
-        ),
-        LockKind::Foll if opts.adaptive || opts.cohort => measure_latency_tuned(
-            |cap| {
-                FollLock::builder(cap)
-                    .adaptive(opts.adaptive)
-                    .cohort(opts.cohort)
-                    .build()
-            },
-            config,
-            opts,
-        ),
-        LockKind::Roll if opts.adaptive || opts.cohort => measure_latency_tuned(
-            |cap| {
-                RollLock::builder(cap)
-                    .adaptive(opts.adaptive)
-                    .cohort(opts.cohort)
-                    .build()
-            },
-            config,
-            opts,
-        ),
-        LockKind::Goll => measure_latency_tuned(GollLock::new, config, opts),
-        LockKind::Foll => measure_latency_tuned(FollLock::new, config, opts),
-        LockKind::Roll => measure_latency_tuned(RollLock::new, config, opts),
-        LockKind::Ksuh => measure_latency(KsuhLock::new, config, opts),
-        LockKind::SolarisLike => measure_latency(SolarisLikeRwLock::new, config, opts),
-        LockKind::Centralized => measure_latency(CentralizedRwLock::new, config, opts),
-        LockKind::McsRw => measure_latency(McsRwLock::new, config, opts),
-        LockKind::McsRwReaderPref => measure_latency(McsRwReaderPref::new, config, opts),
-        LockKind::McsRwWriterPref => measure_latency(McsRwWriterPref::new, config, opts),
-        LockKind::PerThread => measure_latency(PerThreadRwLock::new, config, opts),
-        LockKind::StdRw => measure_latency(StdRwLock::new, config, opts),
-        LockKind::McsMutex => measure_latency(McsMutex::new, config, opts),
-    };
+    let (reads, writes, mut profile) = kind.with_lock(config.threads, opts, MeasureLatency(config));
     if let Some(p) = &mut profile {
         p.name = format!("{} t={}", kind.name(), config.threads);
     }

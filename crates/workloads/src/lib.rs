@@ -8,12 +8,18 @@
 //! threads to finish, averaged over three runs. [`runner`] implements
 //! exactly that loop, [`sweep`] runs it over thread-count grids to
 //! regenerate each panel of Figure 5, and [`report`] prints the series.
+//! Each further thing is said once as well: [`LockKind::with_lock`] is
+//! the only place a kind and its [`LockOptions`] become a concrete lock
+//! type (the runners, the conformance suites and `lockstat` are
+//! [`LockVisitor`]s), [`paired`] is the off/on comparison of any one
+//! option, and [`check`] validates every document the binaries write.
 //!
 //! The `fig5` binary drives it all:
 //!
 //! ```sh
 //! cargo run -p oll-workloads --release --bin fig5 -- --panel a
 //! cargo run -p oll-workloads --release --bin fig5 -- --panel all --csv fig5.csv
+//! cargo run -p oll-workloads --release --bin fig5 -- --pair cohort --panel f
 //! ```
 
 #![warn(missing_docs)]
@@ -22,10 +28,13 @@
 pub mod async_bench;
 #[cfg(feature = "async")]
 pub mod async_exec;
+pub mod check;
 pub mod config;
+mod dispatch;
 pub mod json;
 pub mod latency;
 pub mod obsio;
+pub mod paired;
 pub mod report;
 pub mod runner;
 pub mod sweep;
@@ -34,6 +43,7 @@ pub mod traceio;
 #[cfg(feature = "async")]
 pub use async_bench::{run_async_bench, AsyncBenchConfig, AsyncBenchResult};
 pub use config::{Fig5Panel, LockKind, LockOptions, WorkloadConfig};
+pub use dispatch::LockVisitor;
 pub use latency::{
     run_latency, run_latency_profiled, LatencyHistogram, LatencyResult, LatencySummary,
 };

@@ -10,7 +10,6 @@
 //! tears it down and returns the end-of-run text summary.
 
 use oll_obs::{HealthConfig, ObsServer, Sampler, SamplerConfig};
-use std::io::Write as _;
 use std::time::Duration;
 
 /// The shared `--obs*` argument set.
@@ -148,9 +147,10 @@ pub fn finish(session: ObsSession, json_path: Option<&str>) -> std::io::Result<S
     let state = session.sampler.stop();
     let health = oll_obs::health::score_all(&state, &HealthConfig::default());
     if let Some(path) = json_path {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(oll_obs::report::render_obs_json(&state, &health).as_bytes())?;
-        f.write_all(b"\n")?;
+        std::fs::write(
+            path,
+            oll_obs::report::render_obs_json(&state, &health) + "\n",
+        )?;
         eprintln!("wrote {path}");
     }
     Ok(oll_obs::report::render_obs_text(&state, &health))

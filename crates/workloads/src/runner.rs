@@ -1,13 +1,8 @@
 //! The throughput runner: the paper's tight acquire/release loop (§5.1).
 
 use crate::config::{LockKind, LockOptions, WorkloadConfig};
-use oll_baselines::{
-    CentralizedRwLock, KsuhLock, McsMutex, McsRwLock, McsRwReaderPref, McsRwWriterPref,
-    PerThreadRwLock, SolarisLikeRwLock, StdRwLock,
-};
-use oll_core::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SelfTuning};
-use oll_csnzi::TreeShape;
-use oll_hazard::PoisonPolicy;
+use crate::dispatch::LockVisitor;
+use oll_core::{RwHandle, RwLockFamily};
 use oll_telemetry::LockSnapshot;
 use oll_util::XorShift64;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -39,18 +34,21 @@ fn dummy_work(iters: u32) {
     }
 }
 
+/// [`measure`] as the visitor [`LockKind::with_lock`] takes.
+struct Measure<'a>(&'a WorkloadConfig);
+
+impl LockVisitor for Measure<'_> {
+    type Out = (Duration, Option<LockSnapshot>);
+
+    fn visit<L: RwLockFamily + 'static>(self, lock: L) -> Self::Out {
+        measure(&lock, self.0)
+    }
+}
+
 /// Measures one run: barrier-synchronized start, join-synchronized stop.
 /// The snapshot is the lock's full telemetry for the run (`None` unless
 /// built with the `telemetry` feature).
-fn measure<L, F>(
-    make_lock: F,
-    config: &WorkloadConfig,
-    opts: &LockOptions,
-) -> (Duration, Option<LockSnapshot>)
-where
-    L: RwLockFamily,
-    F: Fn(usize) -> L,
-{
+fn measure<L: RwLockFamily>(lock: &L, config: &WorkloadConfig) -> (Duration, Option<LockSnapshot>) {
     // Thread spawn/registration cost happens before the barrier. Each
     // worker records its own start (at barrier release) and end (after its
     // last release); the run's elapsed time is max(end) - min(start),
@@ -58,12 +56,6 @@ where
     // acquisitions. Workers must self-timestamp: on an oversubscribed
     // machine a coordinator thread may not be scheduled again until the
     // workers are already done.
-    let lock = make_lock(config.threads);
-    if opts.hazard {
-        let h = lock.hazard();
-        h.set_poison_policy(PoisonPolicy::Poison);
-        h.detect_deadlocks(true);
-    }
     let barrier = Barrier::new(config.threads);
     let state = AtomicI64::new(0);
 
@@ -71,7 +63,6 @@ where
         std::sync::Mutex::new(Vec::with_capacity(config.threads));
     std::thread::scope(|scope| {
         for tid in 0..config.threads {
-            let lock = &lock;
             let barrier = &barrier;
             let state = &state;
             let spans = &spans;
@@ -118,28 +109,6 @@ where
     (last_end.duration_since(first_start), snap)
 }
 
-/// Routes an OLL lock construction through the `self_tuning` option:
-/// when set, the lock runs under the [`SelfTuning`] online policy
-/// controller for the whole measurement (the wrapper's try-then-block
-/// handle preserves the inner fast path, so an untuned comparison is
-/// apples-to-apples). Baselines never come through here — they have no
-/// knobs to steer.
-fn measure_tuned<L, F>(
-    make_lock: F,
-    config: &WorkloadConfig,
-    opts: &LockOptions,
-) -> (Duration, Option<LockSnapshot>)
-where
-    L: RwLockFamily,
-    F: Fn(usize) -> L,
-{
-    if opts.self_tuning {
-        measure(|cap| SelfTuning::new(make_lock(cap)), config, opts)
-    } else {
-        measure(make_lock, config, opts)
-    }
-}
-
 /// Runs `config` against lock `kind`, averaging `config.runs` repetitions.
 pub fn run_throughput(kind: LockKind, config: &WorkloadConfig) -> ThroughputResult {
     run_throughput_profiled(kind, config).0
@@ -157,104 +126,19 @@ pub fn run_throughput_profiled(
     run_throughput_profiled_with(kind, config, &LockOptions::default())
 }
 
-/// Like [`run_throughput_profiled`], applying `opts` when constructing
-/// the OLL locks (adaptive C-SNZIs, explicit tree shapes, BRAVO reader
-/// biasing). Baseline locks have nothing to configure and ignore `opts`.
+/// Like [`run_throughput_profiled`], building the lock under `opts`
+/// (see [`LockKind::with_lock`] for what each option does to which
+/// kind).
 pub fn run_throughput_profiled_with(
     kind: LockKind,
     config: &WorkloadConfig,
     opts: &LockOptions,
 ) -> (ThroughputResult, Option<LockSnapshot>) {
-    let shape = opts.shape_threads.map(TreeShape::for_threads);
     let mut total = Duration::ZERO;
     let mut profile: Option<LockSnapshot> = None;
     let runs = config.runs.max(1);
     for _ in 0..runs {
-        let (elapsed, snap) = match kind {
-            LockKind::Goll if opts.biased => measure_tuned(
-                |cap| {
-                    let mut b = GollLock::builder(cap).adaptive(opts.adaptive);
-                    if let Some(s) = shape {
-                        b = b.tree_shape(s);
-                    }
-                    b.biased(true).build_biased()
-                },
-                config,
-                opts,
-            ),
-            LockKind::Goll => measure_tuned(
-                |cap| {
-                    let mut b = GollLock::builder(cap).adaptive(opts.adaptive);
-                    if let Some(s) = shape {
-                        b = b.tree_shape(s);
-                    }
-                    b.build()
-                },
-                config,
-                opts,
-            ),
-            LockKind::Foll if opts.biased => measure_tuned(
-                |cap| {
-                    let mut b = FollLock::builder(cap)
-                        .adaptive(opts.adaptive)
-                        .cohort(opts.cohort);
-                    if let Some(s) = shape {
-                        b = b.tree_shape(s);
-                    }
-                    b.biased(true).build_biased()
-                },
-                config,
-                opts,
-            ),
-            LockKind::Foll => measure_tuned(
-                |cap| {
-                    let mut b = FollLock::builder(cap)
-                        .adaptive(opts.adaptive)
-                        .cohort(opts.cohort);
-                    if let Some(s) = shape {
-                        b = b.tree_shape(s);
-                    }
-                    b.build()
-                },
-                config,
-                opts,
-            ),
-            LockKind::Roll if opts.biased => measure_tuned(
-                |cap| {
-                    let mut b = RollLock::builder(cap)
-                        .adaptive(opts.adaptive)
-                        .cohort(opts.cohort);
-                    if let Some(s) = shape {
-                        b = b.tree_shape(s);
-                    }
-                    b.biased(true).build_biased()
-                },
-                config,
-                opts,
-            ),
-            LockKind::Roll => measure_tuned(
-                |cap| {
-                    let mut b = RollLock::builder(cap)
-                        .adaptive(opts.adaptive)
-                        .cohort(opts.cohort);
-                    if let Some(s) = shape {
-                        b = b.tree_shape(s);
-                    }
-                    b.build()
-                },
-                config,
-                opts,
-            ),
-            LockKind::Ksuh => measure(KsuhLock::new, config, opts),
-            LockKind::SolarisLike => measure(SolarisLikeRwLock::new, config, opts),
-            LockKind::Centralized => measure(CentralizedRwLock::new, config, opts),
-            LockKind::McsRw => measure(McsRwLock::new, config, opts),
-            LockKind::McsRwReaderPref => measure(McsRwReaderPref::new, config, opts),
-            LockKind::McsRwWriterPref => measure(McsRwWriterPref::new, config, opts),
-            LockKind::PerThread => measure(PerThreadRwLock::new, config, opts),
-            LockKind::StdRw => measure(StdRwLock::new, config, opts),
-            LockKind::McsMutex => measure(McsMutex::new, config, opts),
-        };
+        let (elapsed, snap) = kind.with_lock(config.threads, opts, Measure(config));
         total += elapsed;
         match (&mut profile, snap) {
             (Some(p), Some(s)) => p.merge(&s),

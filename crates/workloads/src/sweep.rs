@@ -64,28 +64,33 @@ impl SweepOptions {
             lock_options: LockOptions::default(),
         }
     }
+
+    /// The base config at one point of `panel`'s sweep.
+    pub(crate) fn point_config(&self, panel: Fig5Panel, threads: usize) -> WorkloadConfig {
+        let read_pct = panel.read_pct();
+        WorkloadConfig {
+            threads,
+            read_pct,
+            // Keep the paper's 100k/10k split rule relative to the
+            // base's scaling.
+            acquisitions_per_thread: if read_pct > 50 {
+                self.base.acquisitions_per_thread
+            } else {
+                (self.base.acquisitions_per_thread / 10).max(1)
+            },
+            ..self.base
+        }
+    }
 }
 
 /// Regenerates one panel of Figure 5.
 pub fn run_panel(panel: Fig5Panel, opts: &SweepOptions) -> PanelResult {
-    let read_pct = panel.read_pct();
     let mut series = Vec::with_capacity(opts.locks.len());
     for &kind in &opts.locks {
         let mut points = Vec::with_capacity(opts.thread_counts.len());
         let mut profiles = Vec::with_capacity(opts.thread_counts.len());
         for &threads in &opts.thread_counts {
-            let config = WorkloadConfig {
-                threads,
-                read_pct,
-                // Keep the paper's 100k/10k split rule relative to the
-                // base's scaling.
-                acquisitions_per_thread: if read_pct > 50 {
-                    opts.base.acquisitions_per_thread
-                } else {
-                    (opts.base.acquisitions_per_thread / 10).max(1)
-                },
-                ..opts.base
-            };
+            let config = opts.point_config(panel, threads);
             let (r, profile) = {
                 let (r, p) = run_throughput_profiled_with(kind, &config, &opts.lock_options);
                 (r, if opts.collect_telemetry { p } else { None })

@@ -10,7 +10,6 @@
 
 use crate::json::render_trace_json;
 use oll_trace::{analyze, render_chrome_trace, render_report_text, AnalyzerConfig, Timeline};
-use std::io::Write as _;
 
 /// Warns when a `--trace` flag can record nothing in this build.
 pub fn warn_if_disabled(bin: &str) {
@@ -25,15 +24,15 @@ pub fn warn_if_disabled(bin: &str) {
 }
 
 fn write_file(path: &str, contents: &str) -> std::io::Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    f.write_all(contents.as_bytes())?;
-    f.write_all(b"\n")
+    std::fs::write(path, format!("{contents}\n"))?;
+    eprintln!("wrote {path}");
+    Ok(())
 }
 
 /// Writes the Perfetto JSON to `perfetto_path` (and, when given, the
 /// `oll.trace` document to `doc_path` and the folded-stack contention
-/// flamegraph to `flame_path`), returning the analyzer's text report
-/// for printing.
+/// flamegraph to `flame_path`), naming each file written on stderr, and
+/// returns the analyzer's text report for printing.
 pub fn write_outputs(
     tl: &Timeline,
     perfetto_path: &str,

@@ -34,8 +34,9 @@ use oll::telemetry::{registry, report, Telemetry};
 use oll::trace::TraceSession;
 use oll::util::XorShift64;
 use oll::workloads::obsio::{self, ObsArgs};
-use oll::workloads::traceio;
-use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SelfTuning, SolarisLikeRwLock};
+use oll::workloads::{traceio, LockKind, LockOptions, LockVisitor};
+use oll::{RwHandle, RwLockFamily};
+use std::any::Any;
 
 const THREADS: usize = 4;
 const ACQUISITIONS: usize = 20_000;
@@ -43,7 +44,7 @@ const READ_PCT: u32 = 95;
 
 /// The paper's §5.1 loop: each thread flips a per-thread PRNG coin and
 /// takes the lock for reading or writing with an empty critical section.
-fn hammer<L: RwLockFamily + Sync>(lock: &L, name: &str) {
+fn hammer<L: RwLockFamily>(lock: &L, name: &str) {
     lock.telemetry().rename(name);
     std::thread::scope(|scope| {
         for tid in 0..THREADS {
@@ -62,6 +63,21 @@ fn hammer<L: RwLockFamily + Sync>(lock: &L, name: &str) {
             });
         }
     });
+}
+
+/// [`hammer`] over the lock the harness's dispatcher builds, labelled by
+/// family plus the given suffix, handing the lock back so `main` can keep
+/// it alive until after the report: the registry holds weak references
+/// and prunes dropped instances.
+struct Hammer(String);
+
+impl LockVisitor for Hammer {
+    type Out = Box<dyn Any>;
+
+    fn visit<L: RwLockFamily + 'static>(self, lock: L) -> Box<dyn Any> {
+        hammer(&lock, &format!("lockstat/{}{}", lock.name(), self.0));
+        Box::new(lock)
+    }
 }
 
 fn main() {
@@ -123,79 +139,34 @@ fn main() {
         }
     );
 
-    // Keep the locks alive until after the sweep: the registry holds weak
-    // references and prunes dropped instances.
-    let solaris = SolarisLikeRwLock::new(THREADS);
-    if biased {
-        let goll = GollLock::builder(THREADS).biased(true).build_biased();
-        let foll = FollLock::builder(THREADS)
-            .cohort(cohort)
-            .biased(true)
-            .build_biased();
-        let roll = RollLock::builder(THREADS)
-            .cohort(cohort)
-            .biased(true)
-            .build_biased();
-        if tuned {
-            let goll = SelfTuning::new(goll);
-            let foll = SelfTuning::new(foll);
-            let roll = SelfTuning::new(roll);
-            hammer(&goll, "lockstat/GOLL+bravo+tuned");
-            hammer(&foll, "lockstat/FOLL+bravo+tuned");
-            hammer(&roll, "lockstat/ROLL+bravo+tuned");
-            hammer(&solaris, "lockstat/Solaris-like");
-            report_and_trace(json, &trace, session, &obs, obs_session);
-            return;
+    let opts = LockOptions {
+        biased,
+        cohort,
+        self_tuning: tuned,
+        ..LockOptions::default()
+    };
+    let mut alive = Vec::new();
+    for kind in [
+        LockKind::Goll,
+        LockKind::Foll,
+        LockKind::Roll,
+        LockKind::SolarisLike,
+    ] {
+        // Label each lock by the options that apply to its kind.
+        let mut suffix = String::new();
+        if kind != LockKind::SolarisLike {
+            if cohort && kind != LockKind::Goll {
+                suffix.push_str("+cohort");
+            }
+            if biased {
+                suffix.push_str("+bravo");
+            }
+            if tuned {
+                suffix.push_str("+tuned");
+            }
         }
-        hammer(&goll, "lockstat/GOLL+bravo");
-        hammer(&foll, "lockstat/FOLL+bravo");
-        hammer(&roll, "lockstat/ROLL+bravo");
-        hammer(&solaris, "lockstat/Solaris-like");
-        report_and_trace(json, &trace, session, &obs, obs_session);
-        return;
+        alive.push(kind.with_lock(THREADS, &opts, Hammer(suffix)));
     }
-    let goll = GollLock::new(THREADS);
-    let foll = FollLock::builder(THREADS).cohort(cohort).build();
-    let roll = RollLock::builder(THREADS).cohort(cohort).build();
-    if tuned {
-        let goll = SelfTuning::new(goll);
-        let foll = SelfTuning::new(foll);
-        let roll = SelfTuning::new(roll);
-        hammer(&goll, "lockstat/GOLL+tuned");
-        hammer(&foll, "lockstat/FOLL+tuned");
-        hammer(&roll, "lockstat/ROLL+tuned");
-        hammer(&solaris, "lockstat/Solaris-like");
-        report_and_trace(json, &trace, session, &obs, obs_session);
-        return;
-    }
-    hammer(&goll, "lockstat/GOLL");
-    hammer(
-        &foll,
-        if cohort {
-            "lockstat/FOLL+cohort"
-        } else {
-            "lockstat/FOLL"
-        },
-    );
-    hammer(
-        &roll,
-        if cohort {
-            "lockstat/ROLL+cohort"
-        } else {
-            "lockstat/ROLL"
-        },
-    );
-    hammer(&solaris, "lockstat/Solaris-like");
-    report_and_trace(json, &trace, session, &obs, obs_session);
-}
-
-fn report_and_trace(
-    json: bool,
-    trace: &Option<String>,
-    session: Option<TraceSession>,
-    obs: &ObsArgs,
-    obs_session: Option<obsio::ObsSession>,
-) {
     let snaps = registry::snapshot_all();
     if json {
         println!("{}", report::render_json(&snaps));
@@ -206,10 +177,9 @@ fn report_and_trace(
         let text = obsio::finish(obs_session, obs.json.as_deref()).expect("obs file is writable");
         println!("-- obs --\n{text}");
     }
-    if let (Some(path), Some(session)) = (trace, session) {
+    if let (Some(path), Some(session)) = (&trace, session) {
         let tl = session.collect();
         let text = traceio::write_outputs(&tl, path, None, None).expect("trace file is writable");
         println!("-- flight recorder --\n{text}");
-        eprintln!("wrote {path}");
     }
 }

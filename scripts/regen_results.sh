@@ -5,90 +5,33 @@
 #
 #   fig5_results.txt / fig5_results.csv   full Figure 5 sweep
 #   latency_results.txt                   tail-latency table
-#   fig5_biased.json / fig5_unbiased.json BRAVO before/after pair
-#                                         (EXPERIMENTS.md, DESIGN.md #11)
-#   BENCH_fig5.json                       trajectory file: a small fixed
-#                                         sweep re-anchors diff across
-#                                         sessions to see the perf trend
+#   BENCH_async.json                      the million-task async drain
 #
-# The Criterion artifacts (ablation_results.txt, bench_output.txt) are
-# NOT regenerated here: crates/bench sits outside the workspace and
-# needs registry access for criterion — run `cargo bench -p oll-bench`
-# from crates/bench on a networked machine instead.
+# Everything about how fast the locks are — end to end, per layer, with
+# a noise bound and a machine fingerprint — is benchmark/run.sh's to
+# say (see benchmark/README.md), and what one lock option costs is a
+# `fig5 --pair OPT` away; neither leaves a file here.
 #
 # Usage:  ./scripts/regen_results.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "==> building release binaries"
-cargo build --release -p oll-workloads
-
-FIG5=target/release/fig5
-LATENCY=target/release/latency
-FIG5CHECK=target/release/fig5check
+cargo build --release -p oll-workloads --features async
 
 echo "==> fig5_results.{txt,csv}: full panel sweep"
-"$FIG5" --panel all --threads 1,2,4,8,16 --runs 3 \
+target/release/fig5 --panel all --threads 1,2,4,8,16 --runs 3 \
     --csv fig5_results.csv | tee fig5_results.txt
 
 echo "==> latency_results.txt"
-"$LATENCY" --threads 4 --read-pct 95 --locks all | tee latency_results.txt
+target/release/latency --threads 4 --read-pct 95 --locks all | tee latency_results.txt
 
-echo "==> BRAVO before/after pair (panel a, OLL locks, 16 threads)"
-"$FIG5" --panel a --threads 16 --runs 5 --locks GOLL,FOLL,ROLL \
-    --json fig5_unbiased.json >/dev/null
-"$FIG5" --panel a --threads 16 --runs 5 --locks GOLL,FOLL,ROLL \
-    --biased --json fig5_biased.json >/dev/null
-"$FIG5CHECK" fig5_biased.json --expect-biased
-
-echo "==> BENCH_fig5.json: fixed trajectory sweep (panel b, OLL locks)"
-# Deliberately small and fixed so the committed file stays comparable
-# run-over-run: same panel, same thread counts, same lock set.
-"$FIG5" --panel b --threads 1,2,4,8 --runs 3 --locks GOLL,FOLL,ROLL \
-    --json BENCH_fig5.json >/dev/null
-"$FIG5CHECK" BENCH_fig5.json
-
-echo "==> BENCH_fig5.json async panel: 1M tasks on 8 workers (fig5_async)"
+echo "==> BENCH_async.json: 1M tasks on 8 workers (fig5_async)"
 # The async lock family's headline demonstration: one million
 # concurrently queued lock-user tasks on eight worker threads, every
 # task granted or cleanly cancelled, zero surplus and zero queued
-# waiters at exit. Folded into BENCH_fig5.json as its "async" member.
-cargo build --release -p oll-workloads --features async
-target/release/fig5_async --tasks 1000000 --workers 8 --merge BENCH_fig5.json
-"$FIG5CHECK" BENCH_fig5.json --expect-async --expect-async-tasks 1000000
-
-echo "==> BENCH_fig5.json obs member: sampler overhead (fig5_obs)"
-# The monitoring acceptance number: the same panel-b sweep bare and
-# under a live 100 ms sampler, folded into BENCH_fig5.json as its
-# "obs" member. The recorded overall_overhead_pct should stay under 2%.
-cargo build --release -p oll-workloads --features obs
-target/release/fig5_obs --threads 1,2,4,8 --acquisitions 50000 --runs 5 \
-    --merge BENCH_fig5.json
-"$FIG5CHECK" BENCH_fig5.json --expect-obs --expect-async --expect-async-tasks 1000000
-
-echo "==> BENCH_fig5.json cohort member: NUMA writer-gate delta (fig5_cohort)"
-# The cohort-gate acceptance number: panel-f (0% reads) points paired
-# with the gate off and on, folded into BENCH_fig5.json as its
-# "cohort" member. On single-socket machines (ranks=1) the recorded
-# overall_delta_pct bounds the gate's bookkeeping overhead; on
-# multi-socket machines it shows the batched hand-off win. 100k
-# acquisitions/thread keeps each half long enough that both land in
-# the same scheduling regime (short runs on an oversubscribed box
-# degenerate to serial execution and the pairing loses its meaning).
-target/release/fig5_cohort --threads 1,2,4,8 --acquisitions 100000 --runs 3 \
-    --merge BENCH_fig5.json
-"$FIG5CHECK" BENCH_fig5.json --expect-obs --expect-cohort \
-    --expect-async --expect-async-tasks 1000000
-
-echo "==> BENCH_fig5.json tuned member: self-tuning controller delta (fig5_tuned)"
-# The self-tuning acceptance number: panels b/e/f (one per controller
-# regime) paired bare and under SelfTuning, folded into BENCH_fig5.json
-# as its "tuned" member. The recorded overall_delta_pct should stay
-# within noise of zero on quick-length points (they close too few
-# sampling windows for the steering to pay; the number bounds the
-# controller's overhead instead — see EXPERIMENTS.md).
-target/release/fig5_tuned --runs 3 --merge BENCH_fig5.json
-"$FIG5CHECK" BENCH_fig5.json --expect-obs --expect-cohort --expect-tuned \
-    --expect-async --expect-async-tasks 1000000
+# waiters at exit.
+target/release/fig5_async --tasks 1000000 --workers 8 --json BENCH_async.json
+target/release/fig5check BENCH_async.json --expect-async-tasks 1000000
 
 echo "==> done; review the diffs before committing"

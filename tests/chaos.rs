@@ -10,11 +10,9 @@
 #![cfg(all(feature = "hazard", not(loom)))]
 
 use oll::hazard::PoisonPolicy;
-use oll::workloads::LockKind;
+use oll::workloads::{LockKind, LockOptions, LockVisitor};
 use oll::{
-    AcquireError, Bravo, CentralizedRwLock, FollLock, GollLock, KsuhLock, McsMutex, McsRwLock,
-    McsRwReaderPref, McsRwWriterPref, PerThreadRwLock, RollLock, RwHandle, RwLockFamily,
-    SolarisLikeRwLock, StdRwLock, WatchedHandle,
+    AcquireError, Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, WatchedHandle,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -128,22 +126,24 @@ where
     h.unlock_read();
 }
 
-fn family(kind: LockKind, seed: u64) {
-    let cap = 4;
-    match kind {
-        LockKind::Goll => chaos_campaign(GollLock::new(cap), seed, kind.name()),
-        LockKind::Foll => chaos_campaign(FollLock::new(cap), seed, kind.name()),
-        LockKind::Roll => chaos_campaign(RollLock::new(cap), seed, kind.name()),
-        LockKind::Ksuh => chaos_campaign(KsuhLock::new(cap), seed, kind.name()),
-        LockKind::SolarisLike => chaos_campaign(SolarisLikeRwLock::new(cap), seed, kind.name()),
-        LockKind::Centralized => chaos_campaign(CentralizedRwLock::new(cap), seed, kind.name()),
-        LockKind::McsRw => chaos_campaign(McsRwLock::new(cap), seed, kind.name()),
-        LockKind::McsRwReaderPref => chaos_campaign(McsRwReaderPref::new(cap), seed, kind.name()),
-        LockKind::McsRwWriterPref => chaos_campaign(McsRwWriterPref::new(cap), seed, kind.name()),
-        LockKind::PerThread => chaos_campaign(PerThreadRwLock::new(cap), seed, kind.name()),
-        LockKind::StdRw => chaos_campaign(StdRwLock::new(cap), seed, kind.name()),
-        LockKind::McsMutex => chaos_campaign(McsMutex::new(cap), seed, kind.name()),
+/// [`chaos_campaign`] over the lock the harness's dispatcher builds for
+/// a kind.
+struct Campaign {
+    seed: u64,
+    name: &'static str,
+}
+
+impl LockVisitor for Campaign {
+    type Out = ();
+
+    fn visit<L: RwLockFamily + 'static>(self, lock: L) {
+        chaos_campaign(lock, self.seed, self.name);
     }
+}
+
+fn family(kind: LockKind, seed: u64) {
+    let name = kind.name();
+    kind.with_lock(4, &LockOptions::default(), Campaign { seed, name });
 }
 
 #[test]

@@ -32,12 +32,8 @@
 //!   the visible-readers table; `try_write`'s one-shot revocation scan
 //!   sights it, restores the bias, and fails without waiting.
 
-use oll::workloads::LockKind;
-use oll::{
-    Bravo, CentralizedRwLock, FollLock, GollLock, KsuhLock, McsMutex, McsRwLock, McsRwReaderPref,
-    McsRwWriterPref, PerThreadRwLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock,
-    StdRwLock,
-};
+use oll::workloads::{LockKind, LockOptions, LockVisitor};
+use oll::{Bravo, GollLock, RwHandle, RwLockFamily};
 use std::time::{Duration, Instant};
 
 /// `try_*` calls beside a leaked hold must return within this bound —
@@ -97,58 +93,22 @@ fn leaked_write_guard_fails_fast<L: RwLockFamily>(lock: L, name: &str) {
     std::mem::forget(a);
 }
 
-fn audit(kind: LockKind) {
-    let cap = 4;
-    let share = kind.readers_share();
-    let name = kind.name();
-    match kind {
-        LockKind::Goll => {
-            leaked_read_guard_fails_fast(GollLock::new(cap), name, share);
-            leaked_write_guard_fails_fast(GollLock::new(cap), name);
-        }
-        LockKind::Foll => {
-            leaked_read_guard_fails_fast(FollLock::new(cap), name, share);
-            leaked_write_guard_fails_fast(FollLock::new(cap), name);
-        }
-        LockKind::Roll => {
-            leaked_read_guard_fails_fast(RollLock::new(cap), name, share);
-            leaked_write_guard_fails_fast(RollLock::new(cap), name);
-        }
-        LockKind::Ksuh => {
-            leaked_read_guard_fails_fast(KsuhLock::new(cap), name, share);
-            leaked_write_guard_fails_fast(KsuhLock::new(cap), name);
-        }
-        LockKind::SolarisLike => {
-            leaked_read_guard_fails_fast(SolarisLikeRwLock::new(cap), name, share);
-            leaked_write_guard_fails_fast(SolarisLikeRwLock::new(cap), name);
-        }
-        LockKind::Centralized => {
-            leaked_read_guard_fails_fast(CentralizedRwLock::new(cap), name, share);
-            leaked_write_guard_fails_fast(CentralizedRwLock::new(cap), name);
-        }
-        LockKind::McsRw => {
-            leaked_read_guard_fails_fast(McsRwLock::new(cap), name, share);
-            leaked_write_guard_fails_fast(McsRwLock::new(cap), name);
-        }
-        LockKind::McsRwReaderPref => {
-            leaked_read_guard_fails_fast(McsRwReaderPref::new(cap), name, share);
-            leaked_write_guard_fails_fast(McsRwReaderPref::new(cap), name);
-        }
-        LockKind::McsRwWriterPref => {
-            leaked_read_guard_fails_fast(McsRwWriterPref::new(cap), name, share);
-            leaked_write_guard_fails_fast(McsRwWriterPref::new(cap), name);
-        }
-        LockKind::PerThread => {
-            leaked_read_guard_fails_fast(PerThreadRwLock::new(cap), name, share);
-            leaked_write_guard_fails_fast(PerThreadRwLock::new(cap), name);
-        }
-        LockKind::StdRw => {
-            leaked_read_guard_fails_fast(StdRwLock::new(cap), name, share);
-            leaked_write_guard_fails_fast(StdRwLock::new(cap), name);
-        }
-        LockKind::McsMutex => {
-            leaked_read_guard_fails_fast(McsMutex::new(cap), name, share);
-            leaked_write_guard_fails_fast(McsMutex::new(cap), name);
+/// One half of a kind's audit; each half leaks a hold, so each needs a
+/// fresh lock from the harness's dispatcher.
+struct Audit {
+    kind: LockKind,
+    leak_write: bool,
+}
+
+impl LockVisitor for Audit {
+    type Out = ();
+
+    fn visit<L: RwLockFamily + 'static>(self, lock: L) {
+        let name = self.kind.name();
+        if self.leak_write {
+            leaked_write_guard_fails_fast(lock, name);
+        } else {
+            leaked_read_guard_fails_fast(lock, name, self.kind.readers_share());
         }
     }
 }
@@ -156,7 +116,9 @@ fn audit(kind: LockKind) {
 #[test]
 fn every_family_fails_fast_beside_leaked_guards() {
     for kind in LockKind::ALL {
-        audit(kind);
+        for leak_write in [false, true] {
+            kind.with_lock(4, &LockOptions::default(), Audit { kind, leak_write });
+        }
     }
 }
 

@@ -2,72 +2,49 @@
 //! the same contract — guard semantics, try-lock semantics, capacity
 //! accounting, and slot reuse — checked generically.
 
-use oll::workloads::LockKind;
+use oll::workloads::{LockKind, LockOptions, LockVisitor};
 use oll::{
-    Bravo, CentralizedRwLock, FollLock, GollLock, KsuhLock, McsMutex, McsRwLock, McsRwReaderPref,
-    McsRwWriterPref, PerThreadRwLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock,
-    StdRwLock, TimedHandle, UpgradableHandle,
+    Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock, StdRwLock,
+    TimedHandle, UpgradableHandle,
 };
 use std::time::Duration;
 
-fn tester<L: RwLockFamily + 'static>(lock: L) -> Box<dyn Tester + 'static> {
-    Box::new(LockTester {
-        lock: Box::leak(Box::new(lock)),
-    })
+/// Boxes the lock `LockKind::with_lock` built behind the type-erased
+/// [`Tester`] — plain, or wrapped in the BRAVO biasing layer (with a
+/// private visible-readers table so concurrently running tests cannot
+/// collide in the process-global one) armed or not.
+struct MakeTester {
+    bravo: Option<bool>,
 }
 
-/// Runs `f` once per lock in [`LockKind::ALL`] — the exhaustive match
-/// keeps this suite in lockstep with the evaluation harness: adding a
-/// lock kind without conformance coverage fails to compile.
-fn for_each_lock(mut f: impl FnMut(&dyn Fn(usize) -> Box<dyn Tester + 'static>, LockKind)) {
-    for kind in LockKind::ALL {
-        let make = move |cap: usize| -> Box<dyn Tester + 'static> {
-            match kind {
-                LockKind::Goll => tester(GollLock::new(cap)),
-                LockKind::Foll => tester(FollLock::new(cap)),
-                LockKind::Roll => tester(RollLock::new(cap)),
-                LockKind::Ksuh => tester(KsuhLock::new(cap)),
-                LockKind::SolarisLike => tester(SolarisLikeRwLock::new(cap)),
-                LockKind::Centralized => tester(CentralizedRwLock::new(cap)),
-                LockKind::McsRw => tester(McsRwLock::new(cap)),
-                LockKind::McsRwReaderPref => tester(McsRwReaderPref::new(cap)),
-                LockKind::McsRwWriterPref => tester(McsRwWriterPref::new(cap)),
-                LockKind::PerThread => tester(PerThreadRwLock::new(cap)),
-                LockKind::StdRw => tester(StdRwLock::new(cap)),
-                LockKind::McsMutex => tester(McsMutex::new(cap)),
-            }
-        };
-        f(&make, kind);
+impl LockVisitor for MakeTester {
+    type Out = Box<dyn Tester + 'static>;
+
+    fn visit<L: RwLockFamily + 'static>(self, lock: L) -> Self::Out {
+        fn tester<L: RwLockFamily + 'static>(lock: L) -> Box<dyn Tester + 'static> {
+            Box::new(LockTester {
+                lock: Box::leak(Box::new(lock)),
+            })
+        }
+        match self.bravo {
+            None => tester(lock),
+            Some(bias) => tester(Bravo::wrapping(lock, bias).private_table(64)),
+        }
     }
 }
 
-/// Like [`for_each_lock`], but wraps every lock in the BRAVO biasing
-/// layer (with a private visible-readers table so concurrently running
-/// tests cannot collide in the process-global one). The same exhaustive
-/// match keeps the wrapper sweep in lockstep with `LockKind::ALL`.
-fn for_each_bravo_lock(
-    bias: bool,
+/// Runs `f` once per lock in [`LockKind::ALL`] (each wrapped in `Bravo`,
+/// armed or not, when `bravo` says so), built by the evaluation
+/// harness's own dispatcher — whose exhaustive match keeps this suite in
+/// lockstep with it: adding a lock kind without conformance coverage
+/// fails to compile.
+fn for_each(
+    bravo: Option<bool>,
     mut f: impl FnMut(&dyn Fn(usize) -> Box<dyn Tester + 'static>, LockKind),
 ) {
-    fn bravo<L: RwLockFamily + 'static>(lock: L, bias: bool) -> Box<dyn Tester + 'static> {
-        tester(Bravo::wrapping(lock, bias).private_table(64))
-    }
     for kind in LockKind::ALL {
         let make = move |cap: usize| -> Box<dyn Tester + 'static> {
-            match kind {
-                LockKind::Goll => bravo(GollLock::new(cap), bias),
-                LockKind::Foll => bravo(FollLock::new(cap), bias),
-                LockKind::Roll => bravo(RollLock::new(cap), bias),
-                LockKind::Ksuh => bravo(KsuhLock::new(cap), bias),
-                LockKind::SolarisLike => bravo(SolarisLikeRwLock::new(cap), bias),
-                LockKind::Centralized => bravo(CentralizedRwLock::new(cap), bias),
-                LockKind::McsRw => bravo(McsRwLock::new(cap), bias),
-                LockKind::McsRwReaderPref => bravo(McsRwReaderPref::new(cap), bias),
-                LockKind::McsRwWriterPref => bravo(McsRwWriterPref::new(cap), bias),
-                LockKind::PerThread => bravo(PerThreadRwLock::new(cap), bias),
-                LockKind::StdRw => bravo(StdRwLock::new(cap), bias),
-                LockKind::McsMutex => bravo(McsMutex::new(cap), bias),
-            }
+            kind.with_lock(cap, &LockOptions::default(), MakeTester { bravo })
         };
         f(&make, kind);
     }
@@ -154,7 +131,7 @@ impl<L: RwLockFamily> Tester for LockTester<L> {
 
 #[test]
 fn capacity_is_reported_and_enforced() {
-    for_each_lock(|make, kind| {
+    for_each(None, |make, kind| {
         let t = make(3);
         assert_eq!(t.capacity(), 3, "{}", kind.name());
         t.claim_all_then_fail();
@@ -163,7 +140,7 @@ fn capacity_is_reported_and_enforced() {
 
 #[test]
 fn slots_are_reusable_after_handle_drop() {
-    for_each_lock(|make, _name| {
+    for_each(None, |make, _name| {
         let t = make(2);
         t.reuse_after_drop();
     });
@@ -171,7 +148,7 @@ fn slots_are_reusable_after_handle_drop() {
 
 #[test]
 fn readers_share_writers_exclude() {
-    for_each_lock(|make, kind| {
+    for_each(None, |make, kind| {
         let t = make(2);
         let name = kind.name();
         t.with_two_handles(&mut |a, b| {
@@ -193,7 +170,7 @@ fn readers_share_writers_exclude() {
 
 #[test]
 fn write_lock_is_exclusive() {
-    for_each_lock(|make, kind| {
+    for_each(None, |make, kind| {
         let t = make(2);
         let name = kind.name();
         t.with_two_handles(&mut |a, b| {
@@ -209,7 +186,7 @@ fn write_lock_is_exclusive() {
 fn try_write_succeeds_on_free_lock_eventually() {
     // Conservative implementations may fail try_write while residual
     // queue nodes linger; a full write cycle must clear that state.
-    for_each_lock(|make, kind| {
+    for_each(None, |make, kind| {
         let t = make(2);
         let name = kind.name();
         t.with_two_handles(&mut |a, _b| {
@@ -226,12 +203,12 @@ fn try_write_succeeds_on_free_lock_eventually() {
 #[test]
 fn bravo_wrapped_locks_enforce_capacity_and_reuse() {
     for bias in [false, true] {
-        for_each_bravo_lock(bias, |make, kind| {
+        for_each(Some(bias), |make, kind| {
             let t = make(3);
             assert_eq!(t.capacity(), 3, "{} (bias={bias})", kind.name());
             t.claim_all_then_fail();
         });
-        for_each_bravo_lock(bias, |make, _kind| {
+        for_each(Some(bias), |make, _kind| {
             let t = make(2);
             t.reuse_after_drop();
         });
@@ -241,7 +218,7 @@ fn bravo_wrapped_locks_enforce_capacity_and_reuse() {
 #[test]
 fn bravo_wrapped_readers_share_writers_exclude() {
     for bias in [false, true] {
-        for_each_bravo_lock(bias, |make, kind| {
+        for_each(Some(bias), |make, kind| {
             let t = make(2);
             let name = kind.name();
             t.with_two_handles(&mut |a, b| {
@@ -262,7 +239,7 @@ fn bravo_wrapped_readers_share_writers_exclude() {
                 a.unlock_read();
             });
         });
-        for_each_bravo_lock(bias, |make, kind| {
+        for_each(Some(bias), |make, kind| {
             let t = make(2);
             let name = kind.name();
             t.with_two_handles(&mut |a, b| {
@@ -368,11 +345,11 @@ fn bravo_wrapped_timeout_paths() {
 #[test]
 fn panicking_holders_never_deadlock_and_poison_correctly() {
     quiet_conformance_panics();
-    for_each_lock(|make, kind| {
+    for_each(None, |make, kind| {
         make(2).panic_in_critical_sections(kind.name());
     });
     for bias in [false, true] {
-        for_each_bravo_lock(bias, |make, kind| {
+        for_each(Some(bias), |make, kind| {
             make(2).panic_in_critical_sections(&format!("Bravo<{}> bias={bias}", kind.name()));
         });
     }
@@ -401,7 +378,7 @@ fn quiet_conformance_panics() {
 
 #[test]
 fn guards_unlock_on_drop_and_sequence_correctly() {
-    for_each_lock(|make, kind| {
+    for_each(None, |make, kind| {
         let t = make(2);
         let name = kind.name();
         t.with_two_handles(&mut |a, b| {
