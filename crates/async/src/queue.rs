@@ -1,10 +1,11 @@
 //! The async wait queue: GOLL's group-coalescing turnstile with `Arc`'d
 //! waiter nodes in place of wait events.
 //!
-//! The blocking GOLL parks *threads* behind `Event`/`GroupEvent` objects
-//! and arbitrates timed cancellation under the queue mutex (a cancelling
-//! waiter excises its entry, so a hand-off never targets an abandoned
-//! waiter). A future's drop handler must not take the queue mutex — drops
+//! The blocking locks' queue (`oll_util::turnstile`, GOLL's and the
+//! Solaris-like baseline's) parks *threads* on the `Event`s of lock-owned
+//! wait cells and arbitrates timed cancellation under the queue mutex (a
+//! cancelling waiter excises its cell, so a hand-off never targets an
+//! abandoned waiter). A future's drop handler must not take the queue mutex — drops
 //! run in arbitrary contexts, including inside an executor that is also
 //! polling a task that holds it two frames up — so the async queue uses
 //! the FOLL arbitration instead: cancellation is a **lock-free tombstone**

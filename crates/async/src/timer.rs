@@ -1,6 +1,6 @@
 //! A lazy process-global deadline timer for the `*_deadline` futures.
 //!
-//! The blocking locks sleep *in* the waiter (`wait_deadline` parks with a
+//! The blocking locks sleep *in* the waiter (`Event::wait_until` parks with a
 //! timeout); a future cannot sleep, so expiry needs an external agent.
 //! One daemon thread (spawned on first use, never for deadline-free
 //! workloads) owns a min-heap of `(Instant, Waker)` entries and wakes

@@ -2,7 +2,7 @@
 //!
 //! A single central lockword holds the reader count plus `writeLocked`,
 //! `writeWanted`, and `hasWaiters` bits. Conflicting threads enqueue in a
-//! turnstile — here, a spin-mutex-protected queue of waiter groups — after
+//! turnstile — [`oll_util::turnstile`], the very one GOLL queues on — after
 //! atomically setting the waiter bits, and releasing threads *hand over*
 //! ownership: the lockword is moved directly to the next holder's state
 //! before they are woken, so "threads always own the lock upon awakening".
@@ -11,18 +11,20 @@
 //! Solaris implementation cannot be used in user-space", §5.1), with the
 //! same alternating hand-off policy and spin-based waiting. Its scaling
 //! problem — every reader CASes the shared lockword twice per critical
-//! section — is exactly what the GOLL lock's C-SNZI removes.
+//! section — is exactly what the GOLL lock's C-SNZI removes: §3.2 defines
+//! GOLL as this lock with the lockword replaced, so the two share the queue
+//! and differ in what this file holds, the lockword protocol.
 
 use oll_core::raw::{RwHandle, RwLockFamily};
+use oll_core::{FairnessPolicy, TimedOut};
 use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry, Timer};
-use oll_util::backoff::{Backoff, BackoffPolicy};
-use oll_util::event::{Event, GroupEvent, WaitStrategy};
+use oll_util::backoff::{Backoff, BackoffPolicy, Deadline, Never};
+use oll_util::event::WaitStrategy;
 use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
 use oll_util::sync::{AtomicU64, Ordering};
-use oll_util::{CachePadded, SpinMutex};
-use std::collections::VecDeque;
-use std::sync::Arc;
+use oll_util::turnstile::{Handoff, LockedQueue, Turnstile};
+use oll_util::CachePadded;
 
 const WRITE_LOCKED: u64 = 0b001;
 const WRITE_WANTED: u64 = 0b010;
@@ -53,24 +55,23 @@ impl Word {
                 + if waiters { HAS_WAITERS } else { 0 },
         )
     }
-}
-
-enum Group {
-    Readers(Arc<GroupEvent>),
-    Writer(Arc<Event>),
-}
-
-struct Turnstile {
-    groups: VecDeque<Group>,
-    num_writers: usize,
+    /// Whether a reader must queue rather than count itself in.
+    fn blocks_readers(self) -> bool {
+        self.write_locked() || self.write_wanted()
+    }
+    /// Whether a writer may take the word (a stale `writeWanted` is
+    /// overwritten).
+    fn free_for_writer(self) -> bool {
+        self.readers() == 0 && !self.write_locked() && !self.has_waiters()
+    }
 }
 
 /// The Solaris-like central-lockword reader-writer lock.
 pub struct SolarisLikeRwLock {
     word: CachePadded<AtomicU64>,
-    turnstile: CachePadded<SpinMutex<Turnstile>>,
+    /// The handle on slot `i` queues for writing on cell `i`.
+    turnstile: Turnstile,
     slots: SlotRegistry,
-    strategy: WaitStrategy,
     backoff: BackoffPolicy,
     telemetry: Telemetry,
     hazard: Hazard,
@@ -85,17 +86,14 @@ impl SolarisLikeRwLock {
 
     /// Creates a lock with an explicit waiter strategy.
     pub fn with_strategy(capacity: usize, strategy: WaitStrategy) -> Self {
+        let capacity = capacity.max(1);
         let telemetry = Telemetry::register("Solaris-like");
         let hazard = Hazard::new();
         hazard.attach_telemetry(&telemetry);
         Self {
             word: CachePadded::new(AtomicU64::new(0)),
-            turnstile: CachePadded::new(SpinMutex::new(Turnstile {
-                groups: VecDeque::new(),
-                num_writers: 0,
-            })),
-            slots: SlotRegistry::new(capacity.max(1)),
-            strategy,
+            turnstile: Turnstile::new(capacity, strategy),
+            slots: SlotRegistry::new(capacity),
             backoff: BackoffPolicy::default(),
             telemetry,
             hazard,
@@ -112,105 +110,43 @@ impl SolarisLikeRwLock {
             .is_ok()
     }
 
-    /// Hand-off after a write release or a last-reader release; must be
-    /// called with the turnstile locked and the lock still owned by the
-    /// caller. Returns the signal to deliver after the mutex drops.
-    fn handover(&self, ts: &mut Turnstile, release_by_writer: bool) -> Option<HandoffSignal> {
-        // Alternating policy, as in GOLL and the kernel: writers hand to
-        // all waiting readers; readers hand to the first waiting writer.
-        let prefer_readers = release_by_writer;
-        if prefer_readers {
-            let mut groups = Vec::new();
-            let mut total = 0u64;
-            ts.groups.retain(|g| match g {
-                Group::Readers(g) => {
-                    total += g.members() as u64;
-                    groups.push(Arc::clone(g));
-                    false
-                }
-                Group::Writer(_) => true,
-            });
-            if !groups.is_empty() {
-                let word = Word::make(total, false, ts.num_writers > 0, !ts.groups.is_empty());
-                self.word.store(word.0, Ordering::Release);
-                return Some(HandoffSignal::Readers(groups));
-            }
-        }
-        // Take the first writer, if any.
-        if ts.num_writers > 0 {
-            let pos = ts
-                .groups
-                .iter()
-                .position(|g| matches!(g, Group::Writer(_)))
-                .expect("num_writers > 0");
-            let Some(Group::Writer(ev)) = ts.groups.remove(pos) else {
-                unreachable!("position() found a writer")
-            };
-            ts.num_writers -= 1;
-            let word = Word::make(0, true, ts.num_writers > 0, !ts.groups.is_empty());
-            self.word.store(word.0, Ordering::Release);
-            return Some(HandoffSignal::Writer(ev));
-        }
-        // Only reader groups left (a reader released with readers waiting —
-        // possible when a writer timed between them): wake them all.
-        let mut groups = Vec::new();
-        let mut total = 0u64;
-        while let Some(g) = ts.groups.pop_front() {
-            match g {
-                Group::Readers(g) => {
-                    total += g.members() as u64;
-                    groups.push(g);
-                }
-                Group::Writer(_) => unreachable!("num_writers was 0"),
-            }
-        }
-        if groups.is_empty() {
-            // Spurious hasWaiters: actually free the lock.
-            self.word.store(0, Ordering::Release);
-            None
+    /// Hand-off after a write release or a last-reader release; called
+    /// with the turnstile locked and the lock still owned by the caller.
+    /// Alternating policy, as in GOLL and the kernel: writers hand to all
+    /// waiting readers, readers hand to the first waiting writer. The
+    /// lockword is moved to the next holder's state — which also recomputes
+    /// waiter bits a timed-out waiter left stale — before the mutex drops,
+    /// and the waiters are woken after.
+    fn handover(&self, mut q: LockedQueue<'_>, from_reader: bool) {
+        let handoff = if from_reader {
+            q.dequeue_for_reader_release(FairnessPolicy::Alternating)
         } else {
-            let word = Word::make(total, false, false, false);
-            self.word.store(word.0, Ordering::Release);
-            Some(HandoffSignal::Readers(groups))
-        }
-    }
-}
-
-enum HandoffSignal {
-    Writer(Arc<Event>),
-    Readers(Vec<Arc<GroupEvent>>),
-}
-
-impl SolarisLikeRwLock {
-    /// Counts a hand-off by the kind of successor it wakes. The wait-event
-    /// address doubles as the trace causality token, matching what each
-    /// waiter stamped on its `enqueued` marker.
-    fn note_handoff(&self, sig: &Option<HandoffSignal>) {
-        match sig {
-            None => {}
-            Some(HandoffSignal::Writer(ev)) => {
+            q.dequeue_for_writer_release(FairnessPolicy::Alternating)
+        };
+        let word = match handoff {
+            // Spurious hasWaiters: actually free the lock.
+            Handoff::None => Word(0),
+            Handoff::Writer(_) => {
                 self.telemetry.incr(LockEvent::HandoffToWriter);
-                self.telemetry.trace_granted(Arc::as_ptr(ev) as u64);
+                Word::make(0, true, q.has_writers(), !q.is_empty())
             }
-            Some(HandoffSignal::Readers(groups)) => {
+            // Every group goes at once, so what remains queued is writers.
+            Handoff::Readers {
+                total,
+                writers_remain,
+                ..
+            } => {
                 self.telemetry.incr(LockEvent::HandoffToReaders);
-                for g in groups {
-                    self.telemetry.trace_granted(Arc::as_ptr(g) as u64);
-                }
+                Word::make(total, false, writers_remain, writers_remain)
             }
-        }
-    }
-}
-
-fn deliver(sig: Option<HandoffSignal>) {
-    match sig {
-        None => {}
-        Some(HandoffSignal::Writer(ev)) => ev.signal(),
-        Some(HandoffSignal::Readers(groups)) => {
-            for g in groups {
-                g.signal_all();
-            }
-        }
+        };
+        self.word.store(word.0, Ordering::Release);
+        drop(q);
+        // The cell index doubles as the trace causality token, matching
+        // what each waiter stamped on its `enqueued` marker.
+        self.turnstile.grant(handoff, |cell| {
+            self.telemetry.trace_granted(u64::from(cell))
+        });
     }
 }
 
@@ -246,10 +182,137 @@ impl RwLockFamily for SolarisLikeRwLock {
 /// Per-thread handle for [`SolarisLikeRwLock`].
 pub struct SolarisLikeHandle<'a> {
     lock: &'a SolarisLikeRwLock,
-    #[allow(dead_code)]
+    /// Capacity reservation, and the index of this handle's writer cell.
     slot: SlotGuard<'a>,
     /// Hold-time timer for the handle's outstanding acquisition.
     hold: Timer,
+}
+
+impl SolarisLikeHandle<'_> {
+    /// The read acquisition, blocking and timed alike: a deadline adds a
+    /// give-up point wherever nothing is held yet, and a cancellation after
+    /// a wait that outlasts it.
+    fn acquire_read<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
+        let lock = self.lock;
+        let acquire = lock.telemetry.begin_read();
+        let mut b = Backoff::with_policy(lock.backoff);
+        loop {
+            let w = lock.load();
+            // Fast path: no conflicting request.
+            if !w.blocks_readers() {
+                if lock.cas(w, Word(w.0 + READER_UNIT)) {
+                    lock.telemetry.incr(LockEvent::ReadFast);
+                    lock.telemetry.record_read_acquire(&acquire);
+                    self.hold = lock.telemetry.timer();
+                    return Ok(());
+                }
+                b.backoff();
+                if deadline.expired() {
+                    return self.timed_out();
+                }
+                continue;
+            }
+            if deadline.expired() {
+                return self.timed_out();
+            }
+            // Conflict: enqueue under the turnstile mutex, setting
+            // hasWaiters atomically so releasers cannot miss us.
+            let mut q = lock.turnstile.lock();
+            let w = lock.load();
+            if !w.blocks_readers() {
+                continue; // conflict vanished; retry fast path
+            }
+            if !w.has_waiters() && !lock.cas(w, Word(w.0 | HAS_WAITERS)) {
+                continue; // lockword moved; re-evaluate
+            }
+            let group = q.join_readers(self.slot.slot(), 0);
+            lock.telemetry.incr(LockEvent::ReadSlow);
+            lock.telemetry.trace_enqueued(u64::from(group));
+            drop(q);
+            if lock.turnstile.wait_until(group, deadline) {
+                // Ownership was handed over: the releaser already counted
+                // us into the lockword.
+                lock.turnstile.acknowledge(group);
+                lock.telemetry.record_read_acquire(&acquire);
+                self.hold = lock.telemetry.timer();
+                return Ok(());
+            }
+            self.cancel_wait(group);
+            return self.timed_out();
+        }
+    }
+
+    /// The write acquisition, blocking and timed alike; a deadline adds the
+    /// same two things as in [`acquire_read`](Self::acquire_read).
+    fn acquire_write<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
+        let lock = self.lock;
+        let acquire = lock.telemetry.begin_write();
+        let mut b = Backoff::with_policy(lock.backoff);
+        loop {
+            let w = lock.load();
+            if w.free_for_writer() {
+                if lock.cas(w, Word::make(0, true, false, false)) {
+                    lock.telemetry.incr(LockEvent::WriteFast);
+                    lock.telemetry.record_write_acquire(&acquire);
+                    self.hold = lock.telemetry.timer();
+                    return Ok(());
+                }
+                b.backoff();
+                if deadline.expired() {
+                    return self.timed_out();
+                }
+                continue;
+            }
+            if deadline.expired() {
+                return self.timed_out();
+            }
+            let mut q = lock.turnstile.lock();
+            let w = lock.load();
+            if w.free_for_writer() || !lock.cas(w, Word(w.0 | HAS_WAITERS | WRITE_WANTED)) {
+                continue;
+            }
+            let cell = q.enqueue_writer(self.slot.slot(), 0);
+            lock.telemetry.incr(LockEvent::WriteSlow);
+            lock.telemetry.trace_enqueued(u64::from(cell));
+            drop(q);
+            if lock.turnstile.wait_until(cell, deadline) {
+                lock.telemetry.record_write_acquire(&acquire);
+                self.hold = lock.telemetry.timer();
+                return Ok(());
+            }
+            self.cancel_wait(cell);
+            return self.timed_out();
+        }
+    }
+
+    /// The deadline passed with nothing held (any more).
+    fn timed_out(&self) -> Result<(), TimedOut> {
+        self.lock.telemetry.incr(LockEvent::Timeout);
+        Err(TimedOut)
+    }
+
+    /// Gives up the wait on `cell` once its deadline has passed. A releaser
+    /// may concurrently dequeue the cell (and, for a reader, count it into
+    /// the lockword), and the turnstile mutex is the arbiter: a cell still
+    /// queued is excised and nothing is held (waiter bits this leaves stale
+    /// are recomputed by the next release's `handover`); a dequeued one
+    /// means the hand-off already made this waiter a holder, which waits
+    /// for the (imminent) signal and undoes the hold with a normal release.
+    fn cancel_wait(&mut self, cell: u32) {
+        let lock = self.lock;
+        if lock.turnstile.lock().excise(cell) {
+            lock.telemetry.incr(LockEvent::Cancel);
+            return;
+        }
+        lock.turnstile.wait_until(cell, Never);
+        self.hold = lock.telemetry.timer();
+        if lock.turnstile.is_group(cell) {
+            lock.turnstile.acknowledge(cell);
+            self.unlock_read();
+        } else {
+            self.unlock_write();
+        }
+    }
 }
 
 impl RwHandle for SolarisLikeHandle<'_> {
@@ -258,57 +321,11 @@ impl RwHandle for SolarisLikeHandle<'_> {
     }
 
     fn lock_read(&mut self) {
-        let lock = self.lock;
-        let acquire = lock.telemetry.begin_read();
-        let mut b = Backoff::with_policy(lock.backoff);
-        loop {
-            let w = lock.load();
-            // Fast path: no conflicting request.
-            if !w.write_locked() && !w.write_wanted() {
-                if lock.cas(w, Word(w.0 + READER_UNIT)) {
-                    lock.telemetry.incr(LockEvent::ReadFast);
-                    lock.telemetry.record_read_acquire(&acquire);
-                    self.hold = lock.telemetry.timer();
-                    return;
-                }
-                b.backoff();
-                continue;
-            }
-            // Conflict: enqueue under the turnstile mutex, setting
-            // hasWaiters atomically so releasers cannot miss us.
-            let mut ts = lock.turnstile.lock();
-            let w = lock.load();
-            if !w.write_locked() && !w.write_wanted() {
-                drop(ts);
-                continue; // conflict vanished; retry fast path
-            }
-            if !w.has_waiters() && !lock.cas(w, Word(w.0 | HAS_WAITERS)) {
-                drop(ts);
-                continue; // lockword moved; re-evaluate
-            }
-            let group = match ts.groups.back() {
-                Some(Group::Readers(g)) => {
-                    let g = Arc::clone(g);
-                    g.join();
-                    g
-                }
-                _ => {
-                    let g = Arc::new(GroupEvent::new(lock.strategy));
-                    g.join();
-                    ts.groups.push_back(Group::Readers(Arc::clone(&g)));
-                    g
-                }
-            };
-            lock.telemetry.incr(LockEvent::ReadSlow);
-            lock.telemetry.trace_enqueued(Arc::as_ptr(&group) as u64);
-            drop(ts);
-            group.wait();
-            // Ownership was handed over: the releaser already counted us
-            // into the lockword.
-            lock.telemetry.record_read_acquire(&acquire);
-            self.hold = lock.telemetry.timer();
-            return;
-        }
+        let granted = self.acquire_read(Never);
+        debug_assert!(
+            granted.is_ok(),
+            "an acquisition with no deadline cannot time out"
+        );
     }
 
     fn unlock_read(&mut self) {
@@ -324,60 +341,25 @@ impl RwHandle for SolarisLikeHandle<'_> {
                 continue;
             }
             // Last reader with waiters: hand over instead of releasing.
-            let mut ts = lock.turnstile.lock();
+            let q = lock.turnstile.lock();
             // Re-check under the mutex (a reader may have slipped in? No:
             // writeWanted blocks new readers, and waiters imply a writer —
             // but re-check anyway to stay robust to policy changes).
             let w = lock.load();
             if w.readers() > 1 || !w.has_waiters() {
-                drop(ts);
                 continue;
             }
-            let sig = lock.handover(&mut ts, false);
-            lock.note_handoff(&sig);
-            drop(ts);
-            deliver(sig);
+            lock.handover(q, true);
             return;
         }
     }
 
     fn lock_write(&mut self) {
-        let lock = self.lock;
-        let acquire = lock.telemetry.begin_write();
-        let mut b = Backoff::with_policy(lock.backoff);
-        loop {
-            let w = lock.load();
-            if w.readers() == 0 && !w.write_locked() && !w.has_waiters() {
-                // Free (possibly with a stale writeWanted): take it.
-                if lock.cas(w, Word::make(0, true, false, false)) {
-                    lock.telemetry.incr(LockEvent::WriteFast);
-                    lock.telemetry.record_write_acquire(&acquire);
-                    self.hold = lock.telemetry.timer();
-                    return;
-                }
-                b.backoff();
-                continue;
-            }
-            let mut ts = lock.turnstile.lock();
-            let w = lock.load();
-            if w.readers() == 0 && !w.write_locked() && !w.has_waiters() {
-                drop(ts);
-                continue;
-            }
-            if lock.cas(w, Word(w.0 | HAS_WAITERS | WRITE_WANTED)) {
-                let ev = Arc::new(Event::new(lock.strategy));
-                ts.groups.push_back(Group::Writer(Arc::clone(&ev)));
-                ts.num_writers += 1;
-                lock.telemetry.incr(LockEvent::WriteSlow);
-                lock.telemetry.trace_enqueued(Arc::as_ptr(&ev) as u64);
-                drop(ts);
-                ev.wait();
-                lock.telemetry.record_write_acquire(&acquire);
-                self.hold = lock.telemetry.timer();
-                return;
-            }
-            drop(ts);
-        }
+        let granted = self.acquire_write(Never);
+        debug_assert!(
+            granted.is_ok(),
+            "an acquisition with no deadline cannot time out"
+        );
     }
 
     fn unlock_write(&mut self) {
@@ -392,23 +374,18 @@ impl RwHandle for SolarisLikeHandle<'_> {
                 }
                 continue;
             }
-            let mut ts = lock.turnstile.lock();
-            let w = lock.load();
-            if !w.has_waiters() {
-                drop(ts);
+            let q = lock.turnstile.lock();
+            if !lock.load().has_waiters() {
                 continue;
             }
-            let sig = lock.handover(&mut ts, true);
-            lock.note_handoff(&sig);
-            drop(ts);
-            deliver(sig);
+            lock.handover(q, false);
             return;
         }
     }
 
     fn try_lock_read(&mut self) -> bool {
         let w = self.lock.load();
-        if !w.write_locked() && !w.write_wanted() && self.lock.cas(w, Word(w.0 + READER_UNIT)) {
+        if !w.blocks_readers() && self.lock.cas(w, Word(w.0 + READER_UNIT)) {
             self.lock.telemetry.incr(LockEvent::ReadFast);
             self.hold = self.lock.telemetry.timer();
             true
@@ -419,11 +396,7 @@ impl RwHandle for SolarisLikeHandle<'_> {
 
     fn try_lock_write(&mut self) -> bool {
         let w = self.lock.load();
-        if w.readers() == 0
-            && !w.write_locked()
-            && !w.has_waiters()
-            && self.lock.cas(w, Word::make(0, true, false, false))
-        {
+        if w.free_for_writer() && self.lock.cas(w, Word::make(0, true, false, false)) {
             self.lock.telemetry.incr(LockEvent::WriteFast);
             self.hold = self.lock.telemetry.timer();
             true
@@ -433,173 +406,20 @@ impl RwHandle for SolarisLikeHandle<'_> {
     }
 }
 
+/// Timed acquisition: a waiter that times out excises itself from the
+/// turnstile (`SolarisLikeHandle::cancel_wait`).
 #[cfg(not(loom))]
 impl oll_core::raw::TimedHandle for SolarisLikeHandle<'_> {
-    /// Timed read via turnstile excision: a timed-out waiter removes
-    /// itself from its reader group under the turnstile mutex. If the
-    /// hand-off already counted it into the lockword, it instead waits for
-    /// the (imminent) signal, takes ownership, and releases normally.
-    /// Waiter bits left stale by a departure (`hasWaiters`, `writeWanted`)
-    /// are recomputed by the next release's `handover`.
-    fn lock_read_deadline(
-        &mut self,
-        deadline: std::time::Instant,
-    ) -> Result<(), oll_core::TimedOut> {
-        let lock = self.lock;
-        let acquire = lock.telemetry.begin_read();
-        let mut b = Backoff::with_policy(lock.backoff);
-        loop {
-            let w = lock.load();
-            if !w.write_locked() && !w.write_wanted() {
-                if lock.cas(w, Word(w.0 + READER_UNIT)) {
-                    lock.telemetry.incr(LockEvent::ReadFast);
-                    lock.telemetry.record_read_acquire(&acquire);
-                    self.hold = lock.telemetry.timer();
-                    return Ok(());
-                }
-                b.backoff();
-                if std::time::Instant::now() >= deadline {
-                    lock.telemetry.incr(LockEvent::Timeout);
-                    return Err(oll_core::TimedOut);
-                }
-                continue;
-            }
-            if std::time::Instant::now() >= deadline {
-                lock.telemetry.incr(LockEvent::Timeout);
-                return Err(oll_core::TimedOut);
-            }
-            let mut ts = lock.turnstile.lock();
-            let w = lock.load();
-            if !w.write_locked() && !w.write_wanted() {
-                drop(ts);
-                continue;
-            }
-            if !w.has_waiters() && !lock.cas(w, Word(w.0 | HAS_WAITERS)) {
-                drop(ts);
-                continue;
-            }
-            let group = match ts.groups.back() {
-                Some(Group::Readers(g)) => {
-                    let g = Arc::clone(g);
-                    g.join();
-                    g
-                }
-                _ => {
-                    let g = Arc::new(GroupEvent::new(lock.strategy));
-                    g.join();
-                    ts.groups.push_back(Group::Readers(Arc::clone(&g)));
-                    g
-                }
-            };
-            lock.telemetry.incr(LockEvent::ReadSlow);
-            lock.telemetry.trace_enqueued(Arc::as_ptr(&group) as u64);
-            drop(ts);
-            if group.wait_deadline(deadline) {
-                // Handed over: already counted into the word.
-                lock.telemetry.record_read_acquire(&acquire);
-                self.hold = lock.telemetry.timer();
-                return Ok(());
-            }
-            // Timed out: arbitrate against the hand-off under the mutex.
-            let mut ts = lock.turnstile.lock();
-            let pos = ts
-                .groups
-                .iter()
-                .position(|g| matches!(g, Group::Readers(g) if Arc::ptr_eq(g, &group)));
-            if let Some(idx) = pos {
-                // Still queued: step out before any releaser counts us.
-                if group.leave() == 0 {
-                    ts.groups.remove(idx);
-                }
-                drop(ts);
-                lock.telemetry.incr(LockEvent::Timeout);
-                lock.telemetry.incr(LockEvent::Cancel);
-                return Err(oll_core::TimedOut);
-            }
-            // A releaser dequeued the group — we are counted into the
-            // lockword as a reader. Wait for the signal, then undo via the
-            // normal release path.
-            drop(ts);
-            group.wait();
-            self.hold = lock.telemetry.timer();
-            self.unlock_read();
-            lock.telemetry.incr(LockEvent::Timeout);
-            return Err(oll_core::TimedOut);
-        }
+    fn lock_read_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+        self.acquire_read(deadline)
     }
 
-    fn lock_write_deadline(
-        &mut self,
-        deadline: std::time::Instant,
-    ) -> Result<(), oll_core::TimedOut> {
-        let lock = self.lock;
-        let acquire = lock.telemetry.begin_write();
-        let mut b = Backoff::with_policy(lock.backoff);
-        loop {
-            let w = lock.load();
-            if w.readers() == 0 && !w.write_locked() && !w.has_waiters() {
-                if lock.cas(w, Word::make(0, true, false, false)) {
-                    lock.telemetry.incr(LockEvent::WriteFast);
-                    lock.telemetry.record_write_acquire(&acquire);
-                    self.hold = lock.telemetry.timer();
-                    return Ok(());
-                }
-                b.backoff();
-                if std::time::Instant::now() >= deadline {
-                    lock.telemetry.incr(LockEvent::Timeout);
-                    return Err(oll_core::TimedOut);
-                }
-                continue;
-            }
-            if std::time::Instant::now() >= deadline {
-                lock.telemetry.incr(LockEvent::Timeout);
-                return Err(oll_core::TimedOut);
-            }
-            let mut ts = lock.turnstile.lock();
-            let w = lock.load();
-            if w.readers() == 0 && !w.write_locked() && !w.has_waiters() {
-                drop(ts);
-                continue;
-            }
-            if lock.cas(w, Word(w.0 | HAS_WAITERS | WRITE_WANTED)) {
-                let ev = Arc::new(Event::new(lock.strategy));
-                ts.groups.push_back(Group::Writer(Arc::clone(&ev)));
-                ts.num_writers += 1;
-                lock.telemetry.incr(LockEvent::WriteSlow);
-                lock.telemetry.trace_enqueued(Arc::as_ptr(&ev) as u64);
-                drop(ts);
-                if ev.wait_deadline(deadline) {
-                    lock.telemetry.record_write_acquire(&acquire);
-                    self.hold = lock.telemetry.timer();
-                    return Ok(());
-                }
-                let mut ts = lock.turnstile.lock();
-                let pos = ts
-                    .groups
-                    .iter()
-                    .position(|g| matches!(g, Group::Writer(e) if Arc::ptr_eq(e, &ev)));
-                if let Some(idx) = pos {
-                    ts.groups.remove(idx);
-                    ts.num_writers -= 1;
-                    drop(ts);
-                    lock.telemetry.incr(LockEvent::Timeout);
-                    lock.telemetry.incr(LockEvent::Cancel);
-                    return Err(oll_core::TimedOut);
-                }
-                // Hand-off already made us the write holder.
-                drop(ts);
-                ev.wait();
-                self.hold = lock.telemetry.timer();
-                self.unlock_write();
-                lock.telemetry.incr(LockEvent::Timeout);
-                return Err(oll_core::TimedOut);
-            }
-            drop(ts);
-        }
+    fn lock_write_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+        self.acquire_write(deadline)
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicI64, Ordering as O};
@@ -676,16 +496,30 @@ mod tests {
                 let lock = StdArc::clone(&lock);
                 let state = StdArc::clone(&state);
                 handles.push(std::thread::spawn(move || {
+                    use oll_core::raw::TimedHandle;
                     let mut h = lock.handle().unwrap();
                     let mut rng = oll_util::XorShift64::for_thread(31, tid);
                     for _ in 0..1_000 {
+                        // A third of the acquisitions are timed, short
+                        // enough that many expire queued — some of them
+                        // after a hand-off has already counted them.
+                        let timeout = std::time::Duration::from_micros(rng.next_below(30));
+                        let timed = rng.percent(33);
                         if rng.percent(70) {
-                            h.lock_read();
+                            if !timed {
+                                h.lock_read();
+                            } else if h.lock_read_timeout(timeout).is_err() {
+                                continue;
+                            }
                             assert!(state.fetch_add(1, O::SeqCst) >= 0);
                             state.fetch_sub(1, O::SeqCst);
                             h.unlock_read();
                         } else {
-                            h.lock_write();
+                            if !timed {
+                                h.lock_write();
+                            } else if h.lock_write_timeout(timeout).is_err() {
+                                continue;
+                            }
                             assert_eq!(state.swap(-1, O::SeqCst), 0);
                             state.store(0, O::SeqCst);
                             h.unlock_write();
@@ -696,7 +530,10 @@ mod tests {
             for t in handles {
                 t.join().unwrap();
             }
+            // Every waiter that gave up is out of the queue, and one the
+            // hand-off had counted before it gave up has released.
             assert_eq!(lock.word.load(O::SeqCst), 0);
+            assert!(lock.turnstile.lock().is_empty());
         }
     }
 }

@@ -139,22 +139,7 @@ impl oll_core::raw::TimedHandle for StdRwHandle<'_> {
     ) -> Result<(), oll_core::TimedOut> {
         use oll_util::backoff::{spin_until_deadline, BackoffPolicy};
         debug_assert!(self.read_guard.is_none() && self.write_guard.is_none());
-        let inner = &self.lock.inner;
-        let mut guard = None;
-        if spin_until_deadline(BackoffPolicy::default(), deadline, || {
-            match inner.try_read() {
-                Ok(g) => {
-                    guard = Some(g);
-                    true
-                }
-                Err(std::sync::TryLockError::WouldBlock) => false,
-                Err(std::sync::TryLockError::Poisoned(e)) => {
-                    guard = Some(e.into_inner());
-                    true
-                }
-            }
-        }) {
-            self.read_guard = guard;
+        if spin_until_deadline(BackoffPolicy::default(), deadline, || self.try_lock_read()) {
             Ok(())
         } else {
             Err(oll_core::TimedOut)
@@ -167,22 +152,7 @@ impl oll_core::raw::TimedHandle for StdRwHandle<'_> {
     ) -> Result<(), oll_core::TimedOut> {
         use oll_util::backoff::{spin_until_deadline, BackoffPolicy};
         debug_assert!(self.read_guard.is_none() && self.write_guard.is_none());
-        let inner = &self.lock.inner;
-        let mut guard = None;
-        if spin_until_deadline(BackoffPolicy::default(), deadline, || {
-            match inner.try_write() {
-                Ok(g) => {
-                    guard = Some(g);
-                    true
-                }
-                Err(std::sync::TryLockError::WouldBlock) => false,
-                Err(std::sync::TryLockError::Poisoned(e)) => {
-                    guard = Some(e.into_inner());
-                    true
-                }
-            }
-        }) {
-            self.write_guard = guard;
+        if spin_until_deadline(BackoffPolicy::default(), deadline, || self.try_lock_write()) {
             Ok(())
         } else {
             Err(oll_core::TimedOut)

@@ -22,428 +22,10 @@ use oll_csnzi::{ArrivalPolicy, CSnzi, LeafCursor, Ticket, TreeShape};
 use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry, Timer};
 use oll_util::backoff::{Deadline, Never};
-use oll_util::event::{Event, WaitStrategy};
+use oll_util::event::WaitStrategy;
 use oll_util::fault;
 use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
-use oll_util::sync::{AtomicBool, AtomicU32, Ordering};
-use oll_util::{CachePadded, SpinMutex, SpinMutexGuard};
-
-/// Queuing policy for conflicting lock requests.
-///
-/// The paper's evaluation (§5.1) uses the Solaris policy: "readers hand
-/// the lock over to writers, and writers hand the lock over to readers" —
-/// [`Alternating`](FairnessPolicy::Alternating). The queue mutex makes the
-/// policy pluggable ("allows a sophisticated queuing policy", §1); strict
-/// [`Fifo`](FairnessPolicy::Fifo) is also provided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FairnessPolicy {
-    /// Releases hand the lock to the group at the head of the queue.
-    Fifo,
-    /// Writers hand over to *all* waiting readers; readers hand over to
-    /// the first waiting writer (the Solaris/paper evaluation policy).
-    #[default]
-    Alternating,
-    /// Every release prefers waiting readers; writers advance only when
-    /// no readers wait. Maximizes read throughput; writers may starve
-    /// under a sustained reader stream (compare ROLL, §4.3).
-    ReaderPreference,
-    /// Every release prefers the first waiting writer; readers advance
-    /// only when no writers wait. Keeps data maximally fresh; readers may
-    /// starve under a sustained writer stream.
-    WriterPreference,
-}
-
-/// "No cell": ends a list, and what a handle that waits on nothing holds.
-const NIL: u32 = u32::MAX;
-
-/// One place in the wait queue — a writer's, or a group of readers' — with
-/// the event its waiters poll, on a cache line of its own. The lock owns
-/// every cell, allocated once in `build()`: cells `0..capacity` are the
-/// writer cells (the handle on slot `i` waits on cell `i`) and cells
-/// `capacity..2 * capacity` are a pool of group cells, so an index also
-/// tells a cell's kind and the queue is a list of indices through the cells.
-///
-/// The links, the mark and the priority are read and written with the
-/// queue mutex held — its acquire/release orders them, hence `Relaxed` —
-/// with one exception: the `next` of a cell a releaser has *dequeued*,
-/// which that releaser alone walks after it drops the mutex.
-struct WaitCell {
-    /// Set by the granter as its last access to the cell, cleared by
-    /// whoever links the cell into the queue. Nothing else on this line is
-    /// written while a waiter polls it, except by a reader joining or
-    /// leaving the group or a neighbour being linked or unlinked.
-    event: Event,
-    next: AtomicU32,
-    prev: AtomicU32,
-    /// Linked into the queue. What a waiter that gives up reads, under the
-    /// mutex, to learn whether a releaser has already taken it out.
-    queued: AtomicBool,
-    /// The writer's priority, or the highest among the group's members.
-    priority: AtomicU32,
-    /// Group cells: members that have joined and have neither left nor
-    /// acknowledged the wake-up. The first member claims a cell that reads
-    /// 0, under the mutex; the last to subtract itself frees it. Joining
-    /// and leaving happen under the mutex while the group is queued,
-    /// acknowledging outside it once the group is granted — and a group is
-    /// never both.
-    members: AtomicU32,
-}
-
-impl WaitCell {
-    fn new(strategy: WaitStrategy) -> Self {
-        Self {
-            event: Event::new(strategy),
-            next: AtomicU32::new(NIL),
-            prev: AtomicU32::new(NIL),
-            queued: AtomicBool::new(false),
-            priority: AtomicU32::new(0),
-            members: AtomicU32::new(0),
-        }
-    }
-
-    fn next(&self) -> u32 {
-        self.next.load(Ordering::Relaxed)
-    }
-
-    fn priority(&self) -> u32 {
-        self.priority.load(Ordering::Relaxed)
-    }
-
-    /// One granted member is through with the cell. `Release`, so that the
-    /// next claimant's `Acquire` read of 0 orders its clearing of the event
-    /// after every old member's last look at it.
-    fn acknowledge(&self) {
-        self.members.fetch_sub(1, Ordering::Release);
-    }
-}
-
-/// Whether cell `i` of `cells` — writer cells, then as many group cells —
-/// is a group cell.
-fn is_group(cells: &[CachePadded<WaitCell>], i: u32) -> bool {
-    i as usize >= cells.len() / 2
-}
-
-/// What a releasing thread hands the lock to: cells it has taken out of
-/// the queue and will grant once the queue mutex is dropped.
-enum Handoff {
-    /// Nobody waiting: actually release.
-    None,
-    /// A single writer: the lock is already in (or stays in) the
-    /// closed-empty state; just wake it.
-    Writer(u32),
-    /// One or more groups of readers, `total` threads in all, chained
-    /// through their cells' `next` from `first`.
-    Readers {
-        first: u32,
-        total: u64,
-        /// Whether writers remain queued (the reopened C-SNZI must then
-        /// stay closed so new readers keep queuing behind them).
-        writers_remain: bool,
-    },
-}
-
-/// The ends of the wait queue and what is in it. This is what the queue
-/// mutex guards directly, so it shares the mutex's cache line: a releaser
-/// that finds one waiter learns which cell to grant, and of which kind,
-/// from the line it already owns.
-struct WaitQueue {
-    head: u32,
-    tail: u32,
-    num_writers: u32,
-    num_groups: u32,
-}
-
-/// The wait queue with its mutex held.
-struct LockedQueue<'a> {
-    ends: SpinMutexGuard<'a, WaitQueue>,
-    cells: &'a [CachePadded<WaitCell>],
-}
-
-impl LockedQueue<'_> {
-    fn cell(&self, i: u32) -> &WaitCell {
-        &self.cells[i as usize]
-    }
-
-    fn is_group(&self, i: u32) -> bool {
-        is_group(self.cells, i)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.ends.head == NIL
-    }
-
-    fn head_is_group(&self) -> bool {
-        !self.is_empty() && self.is_group(self.ends.head)
-    }
-
-    /// Links cell `i` in at the tail, re-armed for its next grant.
-    fn push_back(&mut self, i: u32) {
-        let tail = self.ends.tail;
-        let cell = self.cell(i);
-        cell.event.reset();
-        cell.next.store(NIL, Ordering::Relaxed);
-        cell.prev.store(tail, Ordering::Relaxed);
-        cell.queued.store(true, Ordering::Relaxed);
-        if tail == NIL {
-            self.ends.head = i;
-        } else {
-            self.cell(tail).next.store(i, Ordering::Relaxed);
-        }
-        self.ends.tail = i;
-        if self.is_group(i) {
-            self.ends.num_groups += 1;
-        } else {
-            self.ends.num_writers += 1;
-        }
-    }
-
-    /// Takes the queued cell `i` out, wherever it is. Its own `next` is
-    /// left as it was.
-    fn unlink(&mut self, i: u32) {
-        let cell = self.cell(i);
-        cell.queued.store(false, Ordering::Relaxed);
-        // A lone entry's links are known without a look at its cell, so the
-        // first thing a releaser does to its one waiter's line is write it:
-        // one transfer of the line, where a read first would make it two.
-        let (prev, next) = if self.ends.head == i && self.ends.tail == i {
-            (NIL, NIL)
-        } else {
-            (cell.prev.load(Ordering::Relaxed), cell.next())
-        };
-        if prev == NIL {
-            self.ends.head = next;
-        } else {
-            self.cell(prev).next.store(next, Ordering::Relaxed);
-        }
-        if next == NIL {
-            self.ends.tail = prev;
-        } else {
-            self.cell(next).prev.store(prev, Ordering::Relaxed);
-        }
-        if self.is_group(i) {
-            self.ends.num_groups -= 1;
-        } else {
-            self.ends.num_writers -= 1;
-        }
-    }
-
-    /// Queues the writer on `slot`; returns its cell.
-    fn enqueue_writer(&mut self, slot: usize, priority: u8) -> u32 {
-        let w = slot as u32;
-        self.cell(w)
-            .priority
-            .store(u32::from(priority), Ordering::Relaxed);
-        self.push_back(w);
-        w
-    }
-
-    /// Joins the readers group at the tail, or starts a new one; returns
-    /// the group's cell. Reader groups only coalesce at the tail.
-    fn join_readers(&mut self, slot: usize, priority: u8) -> u32 {
-        let priority = u32::from(priority);
-        let tail = self.ends.tail;
-        if tail != NIL && self.is_group(tail) {
-            let group = self.cell(tail);
-            group
-                .priority
-                .store(group.priority().max(priority), Ordering::Relaxed);
-            group.members.fetch_add(1, Ordering::Relaxed);
-            return tail;
-        }
-        // A handle is a member of at most one group from joining it to
-        // acknowledging its wake-up, and this one is in none: the other
-        // `capacity - 1` cannot keep `capacity` cells busy. The search
-        // starts at the cell this slot used last (the discipline of FOLL's
-        // reader-node ring, §4.2.1).
-        let n = self.cells.len() / 2;
-        let g = (0..n)
-            .map(|off| (n + (slot + off) % n) as u32)
-            .find(|&g| self.cell(g).members.load(Ordering::Acquire) == 0)
-            .expect("every group cell is in use by another handle");
-        let group = self.cell(g);
-        group.priority.store(priority, Ordering::Relaxed);
-        group.members.store(1, Ordering::Relaxed);
-        self.push_back(g);
-        g
-    }
-
-    /// Highest priority among queued reader groups and among queued
-    /// writers (0 for a class that has none queued).
-    fn max_priorities(&self) -> (u32, u32) {
-        let (mut readers, mut writers) = (0, 0);
-        let mut i = self.ends.head;
-        while i != NIL {
-            let cell = self.cell(i);
-            let class = if self.is_group(i) {
-                &mut readers
-            } else {
-                &mut writers
-            };
-            *class = cell.priority().max(*class);
-            i = cell.next();
-        }
-        (readers, writers)
-    }
-
-    /// Takes the queued group `g` out as the last cell of a dequeued chain;
-    /// returns how many members the releaser must pre-arrive for.
-    fn take_group(&mut self, g: u32) -> u64 {
-        let members = self.cell(g).members.load(Ordering::Relaxed);
-        self.unlink(g);
-        self.cell(g).next.store(NIL, Ordering::Relaxed);
-        u64::from(members)
-    }
-
-    fn pop_front(&mut self) -> Handoff {
-        let head = self.ends.head;
-        if head == NIL {
-            Handoff::None
-        } else if self.is_group(head) {
-            Handoff::Readers {
-                first: head,
-                total: self.take_group(head),
-                writers_remain: self.ends.num_writers > 0,
-            }
-        } else {
-            self.unlink(head);
-            Handoff::Writer(head)
-        }
-    }
-
-    /// Removes *every* readers group (Alternating writer-release), chained
-    /// in queue order.
-    fn drain_all_readers(&mut self) -> Handoff {
-        let (mut first, mut last, mut total) = (NIL, NIL, 0u64);
-        let mut i = self.ends.head;
-        while self.ends.num_groups > 0 {
-            let next = self.cell(i).next();
-            if self.is_group(i) {
-                total += self.take_group(i);
-                if last == NIL {
-                    first = i;
-                } else {
-                    self.cell(last).next.store(i, Ordering::Relaxed);
-                }
-                last = i;
-            }
-            i = next;
-        }
-        if first == NIL {
-            Handoff::None
-        } else {
-            Handoff::Readers {
-                first,
-                total,
-                writers_remain: self.ends.num_writers > 0,
-            }
-        }
-    }
-
-    /// The first writer at or after cell `i`.
-    fn skip_groups(&self, mut i: u32) -> u32 {
-        while i != NIL && self.is_group(i) {
-            i = self.cell(i).next();
-        }
-        i
-    }
-
-    /// Removes the highest-priority writer (earliest among ties —
-    /// turnstiles order by priority, then FIFO).
-    fn take_first_writer(&mut self) -> Handoff {
-        if self.ends.num_writers == 0 {
-            return Handoff::None;
-        }
-        let mut best = self.skip_groups(self.ends.head);
-        // A lone writer has nobody to be compared with (and, at the head,
-        // is granted without a read of its cell: see `unlink`).
-        if self.ends.num_writers > 1 {
-            let mut i = best;
-            loop {
-                i = self.skip_groups(self.cell(i).next());
-                if i == NIL {
-                    break;
-                }
-                if self.cell(i).priority() > self.cell(best).priority() {
-                    best = i;
-                }
-            }
-        }
-        self.unlink(best);
-        Handoff::Writer(best)
-    }
-
-    /// Prefer readers: wake every waiting reader if any exist, else the
-    /// first writer.
-    fn readers_first(&mut self) -> Handoff {
-        if self.ends.num_groups > 0 {
-            self.drain_all_readers()
-        } else {
-            self.take_first_writer()
-        }
-    }
-
-    /// The §5.1 policy with priorities: "writers hand the lock over to
-    /// readers (unless a higher-priority writer is waiting)".
-    fn readers_first_unless_higher_priority_writer(&mut self) -> Handoff {
-        // Priorities decide only when both classes wait.
-        if self.ends.num_groups > 0 && self.ends.num_writers > 0 {
-            let (readers, writers) = self.max_priorities();
-            if writers > readers {
-                return self.take_first_writer();
-            }
-        }
-        self.readers_first()
-    }
-
-    /// Prefer writers: wake the first writer if any exists, else every
-    /// waiting reader.
-    fn writers_first(&mut self) -> Handoff {
-        if self.ends.num_writers > 0 {
-            self.take_first_writer()
-        } else {
-            self.drain_all_readers()
-        }
-    }
-
-    /// Chooses the hand-off target for a releasing *writer*.
-    fn dequeue_for_writer_release(&mut self, policy: FairnessPolicy) -> Handoff {
-        match policy {
-            FairnessPolicy::Fifo => self.pop_front(),
-            FairnessPolicy::Alternating => self.readers_first_unless_higher_priority_writer(),
-            FairnessPolicy::ReaderPreference => self.readers_first(),
-            FairnessPolicy::WriterPreference => self.writers_first(),
-        }
-    }
-
-    /// Chooses the hand-off target for a releasing *reader*.
-    fn dequeue_for_reader_release(&mut self, policy: FairnessPolicy) -> Handoff {
-        match policy {
-            FairnessPolicy::Fifo => self.pop_front(),
-            FairnessPolicy::Alternating | FairnessPolicy::WriterPreference => self.writers_first(),
-            FairnessPolicy::ReaderPreference => self.readers_first(),
-        }
-    }
-
-    /// A waiter gives up on cell `i`. Returns `true` if the cell was still
-    /// queued: a writer's is taken out, a reader leaves its group (and the
-    /// last member out takes the group's cell out, so that no releaser
-    /// wakes, and pre-arrives for, a group nobody belongs to). `false`
-    /// means a releaser already dequeued the cell — the lock is being (or
-    /// has been) handed to this waiter, a reader's `OpenWithArrivals`
-    /// counted it — so the caller must accept ownership and release it.
-    fn excise(&mut self, i: u32) -> bool {
-        let cell = self.cell(i);
-        if !cell.queued.load(Ordering::Relaxed) {
-            return false;
-        }
-        // `Release` for the same reason as in `acknowledge`: leaving may
-        // free the cell.
-        if !self.is_group(i) || cell.members.fetch_sub(1, Ordering::Release) == 1 {
-            self.unlink(i);
-        }
-        true
-    }
-}
+use oll_util::turnstile::{FairnessPolicy, Handoff, Turnstile, NIL};
 
 /// Builder for [`GollLock`].
 #[derive(Debug, Clone)]
@@ -591,15 +173,7 @@ impl GollBuilder {
         hazard.attach_telemetry(&telemetry);
         GollLock {
             csnzi,
-            queue: CachePadded::new(SpinMutex::new(WaitQueue {
-                head: NIL,
-                tail: NIL,
-                num_writers: 0,
-                num_groups: 0,
-            })),
-            cells: (0..2 * capacity)
-                .map(|_| CachePadded::new(WaitCell::new(self.strategy)))
-                .collect(),
+            turnstile: Turnstile::new(capacity, self.strategy),
             slots: SlotRegistry::new(capacity),
             policy: self.policy,
             arrival_threshold: self.arrival_threshold,
@@ -631,9 +205,9 @@ impl GollBuilder {
 /// ```
 pub struct GollLock {
     csnzi: CSnzi,
-    queue: CachePadded<SpinMutex<WaitQueue>>,
-    /// `capacity` writer cells, then `capacity` group cells.
-    cells: Box<[CachePadded<WaitCell>]>,
+    /// The wait queue (the turnstile role) and the cells the handles wait
+    /// on: the handle on slot `i` queues for writing on cell `i`.
+    turnstile: Turnstile,
     slots: SlotRegistry,
     policy: FairnessPolicy,
     arrival_threshold: u32,
@@ -676,38 +250,51 @@ impl GollLock {
         &self.knobs
     }
 
-    fn queue(&self) -> LockedQueue<'_> {
-        LockedQueue {
-            ends: self.queue.lock(),
-            cells: &self.cells,
-        }
-    }
-
-    /// Wakes the waiter(s) on cell `i`, which already own the lock.
-    fn grant(&self, i: u32) {
+    /// Delivers a hand-off; called once the queue mutex is dropped.
+    #[inline]
+    fn signal(&self, handoff: Handoff) {
         // The cell index doubles as the trace causality token: it is the
         // one value both the granting and the woken thread share, so
         // `granted` here joins the grantee's `enqueued`.
-        self.telemetry.trace_granted(u64::from(i));
-        self.cells[i as usize].event.signal();
+        self.turnstile.grant(handoff, |cell| {
+            self.telemetry.trace_granted(u64::from(cell))
+        });
     }
 
-    /// Delivers a hand-off; called once the queue mutex is dropped.
-    fn signal(&self, handoff: Handoff) {
+    /// The caller owns the lock in the write-acquired state (closed, no
+    /// surplus) — a releasing writer, or the last reader to depart from a
+    /// closed C-SNZI — and hands it to whom the policy picks.
+    #[inline]
+    fn release_owned(&self, from_reader: bool) {
+        let mut q = self.turnstile.lock();
+        let handoff = if from_reader {
+            q.dequeue_for_reader_release(self.policy)
+        } else {
+            q.dequeue_for_writer_release(self.policy)
+        };
         match handoff {
-            Handoff::None => {}
-            Handoff::Writer(w) => self.grant(w),
-            Handoff::Readers { first, .. } => {
-                let mut g = first;
-                while g != NIL {
-                    // Before the grant: a woken group may free its cell,
-                    // and the next group to claim it relinks it, at once.
-                    let next = self.cells[g as usize].next();
-                    self.grant(g);
-                    g = next;
-                }
+            // Nobody waits. After a reader that is possible too: the
+            // writer that closed the C-SNZI has since cancelled its timed
+            // acquisition.
+            Handoff::None => self.csnzi.open(),
+            // Closed-and-empty is exactly the write-acquired state;
+            // nothing to change.
+            Handoff::Writer(_) => self.telemetry.incr(LockEvent::HandoffToWriter),
+            Handoff::Readers {
+                total,
+                writers_remain,
+                ..
+            } => {
+                self.telemetry.incr(LockEvent::HandoffToReaders);
+                // Reopen directly into the read-acquired state, staying
+                // closed iff writers remain. (After a reader: the policy
+                // let readers overtake the writer that closed the C-SNZI,
+                // or that writer cancelled and only readers remain.)
+                self.csnzi.open_with_arrivals(total, writers_remain);
             }
         }
+        drop(q);
+        self.signal(handoff);
     }
 }
 
@@ -828,7 +415,7 @@ impl GollHandle<'_> {
                 return Err(TimedOut);
             }
             fault::inject("goll.read.before-queue-mutex");
-            let mut q = lock.queue();
+            let mut q = lock.turnstile.lock();
             if lock.csnzi.query().open {
                 // The writer released before we got the mutex; retry.
                 drop(q);
@@ -842,7 +429,7 @@ impl GollHandle<'_> {
             fault::inject("goll.read.queued");
             // The releasing thread pre-arrives at the root on our behalf
             // (OpenWithArrivals), so we depart directly from the root.
-            if lock.cells[group as usize].event.wait_until(deadline) {
+            if lock.turnstile.wait_until(group, deadline) {
                 lock.telemetry.record_read_acquire(&acquire);
                 self.take_grant();
                 return Ok(());
@@ -860,8 +447,8 @@ impl GollHandle<'_> {
         let lock = self.lock;
         let cell = std::mem::replace(&mut self.waiting_on, NIL);
         self.hold = lock.telemetry.timer();
-        if is_group(&lock.cells, cell) {
-            lock.cells[cell as usize].acknowledge();
+        if lock.turnstile.is_group(cell) {
+            lock.turnstile.acknowledge(cell);
             self.read_ticket = Some(Ticket::ROOT);
         } else {
             self.write_held = true;
@@ -877,7 +464,7 @@ impl GollHandle<'_> {
     fn cancel_wait(&mut self) {
         let lock = self.lock;
         let cell = self.waiting_on;
-        let excised = lock.queue().excise(cell);
+        let excised = lock.turnstile.lock().excise(cell);
         if excised {
             self.waiting_on = NIL;
             lock.telemetry.incr(LockEvent::Cancel);
@@ -885,12 +472,12 @@ impl GollHandle<'_> {
         }
         // Yield-only: the unwind of a panic here would re-enter this
         // function from `drop`, and a second panic aborts.
-        fault::inject_yield_only(if is_group(&lock.cells, cell) {
+        fault::inject_yield_only(if lock.turnstile.is_group(cell) {
             "goll.read.cancel-vs-handoff"
         } else {
             "goll.write.cancel-vs-handoff"
         });
-        lock.cells[cell as usize].event.wait();
+        lock.turnstile.wait_until(cell, Never);
         self.take_grant();
         if self.write_held {
             self.unlock_write();
@@ -926,7 +513,7 @@ impl GollHandle<'_> {
             return Ok(());
         }
         fault::inject("goll.write.before-queue-mutex");
-        let mut q = lock.queue();
+        let mut q = lock.turnstile.lock();
         // Close (sets the "write wanted" state): if it returns true the
         // lock was free after all and we own it.
         if lock.csnzi.close() {
@@ -954,7 +541,7 @@ impl GollHandle<'_> {
         fault::inject("goll.write.queued");
         // Whoever releases the lock hands it to us in the write-acquired
         // state before signaling.
-        if lock.cells[cell as usize].event.wait_until(deadline) {
+        if lock.turnstile.wait_until(cell, deadline) {
             lock.telemetry.record_write_acquire(&acquire);
             self.take_grant();
             return Ok(());
@@ -991,38 +578,7 @@ impl RwHandle for GollHandle<'_> {
         // We are the last departer of a *closed* C-SNZI: the lock is now in
         // the write-acquired state and we must hand it to a waiter.
         fault::inject("goll.unlock_read.before-handoff");
-        let mut q = self.lock.queue();
-        let handoff = q.dequeue_for_reader_release(self.lock.policy);
-        match handoff {
-            Handoff::Writer(_) => {
-                // Closed-and-empty is exactly the write-acquired state;
-                // nothing to change.
-                self.lock.telemetry.incr(LockEvent::HandoffToWriter);
-                drop(q);
-            }
-            Handoff::Readers {
-                total,
-                writers_remain,
-                ..
-            } => {
-                self.lock.telemetry.incr(LockEvent::HandoffToReaders);
-                // Policy let readers overtake the writer that closed the
-                // C-SNZI (or that writer's timed acquisition was cancelled
-                // and only readers remain); reopen directly into the
-                // read-acquired state, staying closed iff writers remain.
-                self.lock.csnzi.open_with_arrivals(total, writers_remain);
-                drop(q);
-            }
-            Handoff::None => {
-                // Untimed-only operation would make this unreachable (a
-                // closed C-SNZI under read hold implies an enqueued
-                // writer), but that writer may since have cancelled its
-                // timed acquisition, leaving the queue empty. Reopen.
-                self.lock.csnzi.open();
-                drop(q);
-            }
-        }
-        self.lock.signal(handoff);
+        self.lock.release_owned(true);
     }
 
     fn lock_write(&mut self) {
@@ -1037,30 +593,7 @@ impl RwHandle for GollHandle<'_> {
         debug_assert!(self.write_held, "unlock_write without write hold");
         self.write_held = false;
         self.lock.telemetry.record_write_hold(&self.hold);
-        let mut q = self.lock.queue();
-        let handoff = q.dequeue_for_writer_release(self.lock.policy);
-        match handoff {
-            Handoff::None => {
-                self.lock.csnzi.open();
-                drop(q);
-            }
-            Handoff::Writer(_) => {
-                // Lock stays closed-empty (write-acquired) for the next
-                // writer.
-                self.lock.telemetry.incr(LockEvent::HandoffToWriter);
-                drop(q);
-            }
-            Handoff::Readers {
-                total,
-                writers_remain,
-                ..
-            } => {
-                self.lock.telemetry.incr(LockEvent::HandoffToReaders);
-                self.lock.csnzi.open_with_arrivals(total, writers_remain);
-                drop(q);
-            }
-        }
-        self.lock.signal(handoff);
+        self.lock.release_owned(false);
     }
 
     fn try_lock_read(&mut self) -> bool {
@@ -1139,21 +672,8 @@ impl UpgradableHandle for GollHandle<'_> {
         // Atomically become a reader, bringing any waiting readers along
         // (they would otherwise sit behind us even though the lock is now
         // read-held).
-        let mut q = self.lock.queue();
-        let handoff = match self.lock.policy {
-            // Non-FIFO policies bring every waiting reader along with the
-            // downgrade (they can all share the read hold).
-            FairnessPolicy::Alternating
-            | FairnessPolicy::ReaderPreference
-            | FairnessPolicy::WriterPreference => q.drain_all_readers(),
-            FairnessPolicy::Fifo => {
-                if q.head_is_group() {
-                    q.pop_front()
-                } else {
-                    Handoff::None
-                }
-            }
-        };
+        let mut q = self.lock.turnstile.lock();
+        let handoff = q.dequeue_for_downgrade(self.lock.policy);
         match &handoff {
             Handoff::Readers { total, .. } => {
                 self.lock.telemetry.incr(LockEvent::HandoffToReaders);
@@ -1485,15 +1005,6 @@ mod tests {
             assert_eq!(first(FairnessPolicy::ReaderPreference), 'R');
             assert_eq!(first(FairnessPolicy::WriterPreference), 'W');
         }
-    }
-
-    #[test]
-    fn wait_cells_are_one_padded_line_and_the_queue_ends_share_the_mutex_line() {
-        // `goll.new_bytes` grows by 2 x capacity x 128 B, in one allocation.
-        assert_eq!(std::mem::size_of::<CachePadded<WaitCell>>(), 128);
-        assert!(std::mem::size_of::<WaitCell>() <= 64);
-        assert!(std::mem::size_of::<SpinMutex<WaitQueue>>() <= 64);
-        assert_eq!(GollLock::new(3).cells.len(), 6);
     }
 
     #[test]

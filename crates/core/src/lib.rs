@@ -58,7 +58,7 @@ pub mod watch;
 pub use bravo::{Bravo, BravoHandle, DEFAULT_REARM_MULTIPLIER};
 pub use cohort::DEFAULT_COHORT_BATCH;
 pub use foll::{node_state, FollBuilder, FollLock};
-pub use goll::{FairnessPolicy, GollBuilder, GollLock};
+pub use goll::{GollBuilder, GollLock};
 #[cfg(not(loom))]
 pub use raw::TimedHandle;
 pub use raw::{
@@ -72,3 +72,4 @@ pub use tuning::{policy::PolicyConfig, policy::Regime, SelfTuning, TunedHandle, 
 pub use watch::{AcquireError, WatchedHandle};
 
 pub use oll_util::knobs::TuningKnobs;
+pub use oll_util::turnstile::FairnessPolicy;

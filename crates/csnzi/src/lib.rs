@@ -31,8 +31,7 @@
 //! ```
 //!
 //! The crate also ships the sequential specification object
-//! ([`SpecCsnzi`], Figure 1 of the paper) used by the property tests, and
-//! the plain non-closable [`Snzi`] used by the ablation benchmarks.
+//! ([`SpecCsnzi`], Figure 1 of the paper) used by the property tests.
 
 #![warn(missing_docs)]
 
@@ -40,12 +39,10 @@ mod csnzi;
 pub mod node;
 pub mod policy;
 pub mod root;
-pub mod snzi;
 pub mod spec;
 
 pub use crate::csnzi::{CSnzi, CancelOutcome, LeafCursor, Query, Ticket};
 pub use node::TreeShape;
 pub use policy::{ArrivalMode, ArrivalPolicy};
 pub use root::RootWord;
-pub use snzi::Snzi;
 pub use spec::SpecCsnzi;

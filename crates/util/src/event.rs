@@ -1,13 +1,13 @@
-//! Waiter objects: one-shot events and broadcast group events.
+//! Waiter objects: one-shot events.
 //!
 //! The GOLL and Solaris-like locks put conflicting threads to sleep on a
 //! mutex-protected wait queue and *hand over* lock ownership on release
 //! (§3.1–3.2 of the paper): a thread always owns the lock by the time it is
-//! woken. The queue entries are waiter objects; this module provides them.
-//! GOLL owns its events — one per thread slot and one per pooled readers
-//! group, each on a cache line of its own — and re-arms one with
-//! [`Event::reset`] every time its cell is linked into the queue; the
-//! Solaris-like baseline allocates an `Arc`-shared one per enqueue.
+//! woken. What a queue entry's waiters — one writer, or a group of readers —
+//! poll is an [`Event`]. The [`turnstile`](crate::turnstile) owns its events
+//! — one per thread slot and one per pooled readers group, each on a cache
+//! line of its own — and re-arms one with [`Event::reset`] every time its
+//! cell is linked into the queue.
 //!
 //! The paper's evaluation uses "spin-based condition variables to eliminate
 //! the cost of context switching" (§5.1) — that is [`WaitStrategy::SpinThenYield`].
@@ -15,7 +15,7 @@
 //! waiters; [`WaitStrategy::SpinThenPark`] models that.
 
 use crate::backoff::{Deadline, Never};
-use crate::sync::{spin_loop_hint, thread, AtomicBool, AtomicUsize, Ordering};
+use crate::sync::{spin_loop_hint, thread, AtomicBool, Ordering};
 
 /// How a waiter burns time until it is signaled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,7 +41,8 @@ const SPIN_PROBES: u32 = 127;
 ///
 /// `signal` may race with `wait`; the waiter never misses the signal. The
 /// event is *not* automatically reusable — call [`Event::reset`] between
-/// uses, as GOLL does when it links a recycled wait cell into its queue.
+/// uses, as the turnstile does when it links a recycled wait cell into its
+/// queue.
 #[derive(Debug)]
 pub struct Event {
     set: AtomicBool,
@@ -83,23 +84,16 @@ impl Event {
         self.wait_until(Never);
     }
 
-    /// Blocks until the event is signaled or `deadline` passes.
-    ///
-    /// Returns `true` if the event was signaled, `false` on timeout. A
+    /// Blocks until the event is signaled (`true`) or `deadline` passes
+    /// (`false`); [`wait`](Self::wait) is this with a [`Never`] deadline. A
     /// `false` return only means the *wait* gave up: the signal may still
     /// arrive later (or already be in flight), so the caller must run its
     /// own cancellation protocol before abandoning the waiter object.
-    #[cfg(not(loom))]
-    pub fn wait_deadline(&self, deadline: std::time::Instant) -> bool {
-        self.wait_until(deadline)
-    }
-
-    /// The one wait loop behind [`wait`](Self::wait) (a [`Never`] deadline,
-    /// always `true`) and [`wait_deadline`](Self::wait_deadline): a spin
-    /// phase of [`SPIN_PROBES`] probes under either strategy, which then
-    /// decides only what separates the later probes — a `yield_now`, or a
-    /// park. A signal that races the clock read is never reported as a
-    /// timeout.
+    ///
+    /// The one wait loop: a spin phase of [`SPIN_PROBES`] probes under
+    /// either strategy, which then decides only what separates the later
+    /// probes — a `yield_now`, or a park. A signal that races the clock
+    /// read is never reported as a timeout.
     #[doc(hidden)]
     pub fn wait_until<D: Deadline>(&self, deadline: D) -> bool {
         let mut probes = 0;
@@ -154,86 +148,6 @@ impl Event {
     /// Rearms the event. Caller must guarantee no thread is still waiting.
     pub fn reset(&self) {
         self.set.store(false, Ordering::Release);
-    }
-}
-
-/// A broadcast event shared by a *group* of waiting readers.
-///
-/// GOLL coalesces consecutive waiting readers into one queue entry (the
-/// Solaris lock does the same); the releasing thread performs a single
-/// `OpenWithArrivals` for the whole group and then wakes every member with
-/// one [`GroupEvent::signal_all`]. The group also tracks its membership
-/// count, which the releaser passes to `OpenWithArrivals`.
-#[derive(Debug)]
-pub struct GroupEvent {
-    event: Event,
-    members: AtomicUsize,
-}
-
-impl GroupEvent {
-    /// Creates an empty, unsignaled group.
-    pub fn new(strategy: WaitStrategy) -> Self {
-        Self {
-            event: Event::new(strategy),
-            members: AtomicUsize::new(0),
-        }
-    }
-
-    /// Adds one member; returns the new membership count.
-    ///
-    /// Must not be called after the group has been signaled (the lock's
-    /// queue discipline guarantees this: a dequeued group is never joined).
-    pub fn join(&self) -> usize {
-        self.members.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Number of members that have joined.
-    pub fn members(&self) -> usize {
-        self.members.load(Ordering::Relaxed)
-    }
-
-    /// Wakes every member.
-    pub fn signal_all(&self) {
-        self.event.signal();
-    }
-
-    /// Blocks the calling member until the group is signaled.
-    pub fn wait(&self) {
-        self.event.wait();
-    }
-
-    /// Blocks the calling member until the group is signaled or `deadline`
-    /// passes. Returns `true` if signaled, `false` on timeout; see
-    /// [`Event::wait_deadline`] for the timeout caveats.
-    #[cfg(not(loom))]
-    pub fn wait_deadline(&self, deadline: std::time::Instant) -> bool {
-        self.event.wait_deadline(deadline)
-    }
-
-    /// [`Event::wait_until`] for a group member.
-    #[doc(hidden)]
-    pub fn wait_until<D: Deadline>(&self, deadline: D) -> bool {
-        self.event.wait_until(deadline)
-    }
-
-    /// Removes one member that is abandoning the wait; returns the new
-    /// membership count.
-    ///
-    /// Must be called while holding the same lock that serializes
-    /// [`GroupEvent::join`] against dequeueing (the owning lock's queue
-    /// mutex), and only while the group is still queued: once a releaser
-    /// has dequeued the group it has already counted this member into its
-    /// `OpenWithArrivals`, and the member must consume the hand-off
-    /// instead of leaving.
-    pub fn leave(&self) -> usize {
-        let prev = self.members.fetch_sub(1, Ordering::Relaxed);
-        debug_assert!(prev > 0, "leave() without a matching join()");
-        prev - 1
-    }
-
-    /// Returns whether the group has been signaled.
-    pub fn is_set(&self) -> bool {
-        self.event.is_set()
     }
 }
 
@@ -325,7 +239,7 @@ mod tests {
             let e = Arc::new(Event::new(WaitStrategy::SpinThenPark));
             let e2 = Arc::clone(&e);
             let waiter = std::thread::spawn(move || {
-                e2.wait_deadline(std::time::Instant::now() + Duration::from_secs(30))
+                e2.wait_until(std::time::Instant::now() + Duration::from_secs(30))
             });
             if i % 2 == 1 {
                 std::thread::sleep(Duration::from_micros(50));
@@ -345,27 +259,5 @@ mod tests {
         assert!(e.is_set());
         e.reset();
         assert!(!e.is_set());
-    }
-
-    #[test]
-    fn group_event_counts_members_and_broadcasts() {
-        for s in strategies() {
-            let g = Arc::new(GroupEvent::new(s));
-            assert_eq!(g.join(), 1);
-            assert_eq!(g.join(), 2);
-            assert_eq!(g.members(), 2);
-
-            let mut handles = Vec::new();
-            for _ in 0..2 {
-                let g2 = Arc::clone(&g);
-                handles.push(std::thread::spawn(move || g2.wait()));
-            }
-            std::thread::sleep(Duration::from_millis(10));
-            g.signal_all();
-            for h in handles {
-                h.join().unwrap();
-            }
-            assert!(g.is_set());
-        }
     }
 }

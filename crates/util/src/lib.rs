@@ -9,13 +9,18 @@
 //! * [`Backoff`] — tunable exponential backoff that escalates from
 //!   `spin_loop` hints to `yield_now`, keeping busy-wait algorithms live on
 //!   oversubscribed machines.
-//! * [`Event`] / [`GroupEvent`] — one-shot and broadcast waiter objects with
-//!   configurable [`WaitStrategy`] (spin-then-yield like the paper's
-//!   spin-based condition variables, or spin-then-park for production use).
-//! * [`SpinMutex`] — a TTAS spin mutex with backoff, used as the GOLL
-//!   "metalock" and the turnstile mutex of the Solaris-like baseline.
+//! * [`Event`] — the one-shot waiter object, with configurable
+//!   [`WaitStrategy`] (spin-then-yield like the paper's spin-based condition
+//!   variables, or spin-then-park for production use).
+//! * [`SpinMutex`] — a TTAS spin mutex with backoff: the turnstile's mutex
+//!   (the GOLL "metalock").
 //! * [`SlotRegistry`] — per-lock thread slot assignment (the paper's
-//!   per-thread `Local` records and default queue nodes are indexed by slot).
+//!   per-thread `Local` records, default queue nodes and the turnstile's
+//!   writer cells are indexed by slot).
+//! * [`turnstile`] — the one mutex-protected wait queue of the blocking
+//!   locks (GOLL and the Solaris-like baseline): lock-owned wait cells,
+//!   reader groups, the [`turnstile::FairnessPolicy`] dequeues, timeout
+//!   excision and the hand-off grant, built from the three items above.
 //! * [`VisibleReaders`] — the process-global visible-readers table behind
 //!   BRAVO-style reader biasing (`oll_core::Bravo`).
 //! * [`XorShift64`] — the per-thread PRNG the evaluation harness uses to
@@ -36,10 +41,11 @@ pub mod slots;
 pub mod spin_mutex;
 pub mod sync;
 pub mod topology;
+pub mod turnstile;
 
 pub use backoff::Backoff;
 pub use cache_padded::CachePadded;
-pub use event::{Event, GroupEvent, WaitStrategy};
+pub use event::{Event, WaitStrategy};
 pub use knobs::TuningKnobs;
 pub use rng::XorShift64;
 pub use slots::{SlotError, SlotGuard, SlotRegistry, VisibleReaders};

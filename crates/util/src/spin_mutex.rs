@@ -1,10 +1,11 @@
 //! A test-and-test-and-set spin mutex with exponential backoff.
 //!
-//! Used as the GOLL "metalock" protecting the wait queue (§3.2) and as the
-//! turnstile mutex of the Solaris-like baseline (§3.1). Both locks hold it
-//! only for O(1) queue manipulation, so a TTAS lock with backoff is the
-//! appropriate weight; the distributed-queue locks (FOLL/ROLL) exist
-//! precisely to avoid this kind of central lock on their fast paths.
+//! Used as the mutex of the [`turnstile`](crate::turnstile) — the GOLL
+//! "metalock" protecting the wait queue (§3.2), the turnstile mutex of the
+//! Solaris-like baseline (§3.1). It is held only for O(1) queue
+//! manipulation, so a TTAS lock with backoff is the appropriate weight; the
+//! distributed-queue locks (FOLL/ROLL) exist precisely to avoid this kind of
+//! central lock on their fast paths.
 
 use crate::backoff::{Backoff, BackoffPolicy};
 use crate::sync::{AtomicBool, Ordering, UnsafeCell};

@@ -90,9 +90,7 @@ pub use oll_core::{
 };
 #[cfg(not(loom))]
 pub use oll_core::{PolicyConfig, Regime, SelfTuning, TunedHandle, TuningConfig, TuningKnobs};
-pub use oll_csnzi::{
-    ArrivalMode, ArrivalPolicy, CSnzi, CancelOutcome, LeafCursor, Snzi, TreeShape,
-};
+pub use oll_csnzi::{ArrivalMode, ArrivalPolicy, CSnzi, CancelOutcome, LeafCursor, TreeShape};
 pub use oll_hazard::{Hazard, PoisonPolicy};
 
 #[cfg(feature = "async")]

@@ -1,10 +1,12 @@
-//! GOLL's turnstile allocates nothing once the lock is built and its
-//! handles are registered: wait cells and queue links are the lock's own,
-//! so enqueue, hand-off, wake-up and timeout excision only relink them.
+//! The turnstile allocates nothing once its lock — GOLL, or the
+//! Solaris-like baseline — is built and the handles are registered: wait
+//! cells and queue links are the lock's own, so enqueue, hand-off, wake-up
+//! and timeout excision only relink them.
 //!
 //! One test in this file on purpose: the count is process-wide, and a
 //! second test running beside it would be counted too.
 
+use oll::baselines::SolarisLikeRwLock;
 use oll::util::WaitStrategy;
 use oll::{FairnessPolicy, GollLock, RwLockFamily, TimedHandle};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -89,9 +91,44 @@ fn churn(h: &mut impl TimedHandle, state: &AtomicI64, seed: u64, tid: usize) {
     }
 }
 
+const THREADS: usize = 4;
+
+/// Allocations made while `THREADS` handles of `lock` churn, after each
+/// has registered and warmed up.
+fn allocations_under_churn<L: RwLockFamily + Sync>(lock: &L) -> usize
+where
+    for<'a> L::Handle<'a>: TimedHandle,
+{
+    let state = AtomicI64::new(0);
+    // Everyone registered and warmed up | counting on | everyone done |
+    // counting off.
+    let phase = Barrier::new(THREADS + 1);
+    std::thread::scope(|scope| {
+        for tid in 0..THREADS {
+            let (state, phase) = (&state, &phase);
+            scope.spawn(move || {
+                let mut h = lock.handle().unwrap();
+                churn(&mut h, state, 0xA110C, tid);
+                phase.wait();
+                phase.wait();
+                churn(&mut h, state, 0xA110C + 1, tid);
+                phase.wait();
+                phase.wait();
+            });
+        }
+        phase.wait();
+        ALLOCATIONS.store(0, Ordering::SeqCst);
+        COUNTING.store(true, Ordering::SeqCst);
+        phase.wait();
+        phase.wait();
+        COUNTING.store(false, Ordering::SeqCst);
+        phase.wait();
+    });
+    ALLOCATIONS.load(Ordering::SeqCst)
+}
+
 #[test]
-fn goll_contended_paths_allocate_nothing_after_setup() {
-    const THREADS: usize = 4;
+fn turnstile_users_allocate_nothing_after_setup() {
     // Process-wide set-up that is not the lock's: the first arrival any
     // handle routes to a C-SNZI tree reads the CPU topology from sysfs,
     // once, and whether the warm-up below gets that far is up to the
@@ -107,37 +144,23 @@ fn goll_contended_paths_allocate_nothing_after_setup() {
             .fairness(policy)
             .wait_strategy(WaitStrategy::SpinThenYield)
             .build();
-        let state = AtomicI64::new(0);
-        // Everyone registered and warmed up | counting on | everyone done |
-        // counting off.
-        let phase = Barrier::new(THREADS + 1);
-        std::thread::scope(|scope| {
-            for tid in 0..THREADS {
-                let (lock, state, phase) = (&lock, &state, &phase);
-                scope.spawn(move || {
-                    let mut h = lock.handle().unwrap();
-                    churn(&mut h, state, 0xA110C, tid);
-                    phase.wait();
-                    phase.wait();
-                    churn(&mut h, state, 0xA110C + 1, tid);
-                    phase.wait();
-                    phase.wait();
-                });
-            }
-            phase.wait();
-            ALLOCATIONS.store(0, Ordering::SeqCst);
-            COUNTING.store(true, Ordering::SeqCst);
-            phase.wait();
-            phase.wait();
-            COUNTING.store(false, Ordering::SeqCst);
-            phase.wait();
-        });
         assert_eq!(
-            ALLOCATIONS.load(Ordering::SeqCst),
+            allocations_under_churn(&lock),
             0,
             "{policy:?}: GOLL allocated on an acquire, release or cancel path"
         );
         let root = lock.csnzi_snapshot();
         assert_eq!((root.surplus(), root.open), (0, true));
+    }
+    // (Under `SpinThenPark` an event's list of parked threads gets its
+    // storage the first time a waiter parks on it, once per cell; the
+    // warm-up parks on every cell many times over.)
+    for strategy in [WaitStrategy::SpinThenYield, WaitStrategy::SpinThenPark] {
+        let lock = SolarisLikeRwLock::with_strategy(THREADS, strategy);
+        assert_eq!(
+            allocations_under_churn(&lock),
+            0,
+            "{strategy:?}: Solaris-like allocated on an acquire, release or cancel path"
+        );
     }
 }
