@@ -129,26 +129,23 @@ impl<'a> Acquire<'a> {
 
     /// Read spin + queue phases. `None` means "state changed, loop".
     fn init_read(&mut self) -> Option<Poll<Result<Grant, TimedOut>>> {
-        loop {
-            let ticket = self
-                .raw
-                .csnzi
-                .arrive_cached(&mut self.policy, &mut self.cursor);
-            if ticket.arrived() {
-                self.raw.telemetry.incr(if ticket.is_root() {
-                    LockEvent::ArriveDirect
-                } else {
-                    LockEvent::ArriveTree
-                });
-                self.raw.telemetry.incr(LockEvent::ReadFast);
+        'spin: loop {
+            if let Some(ticket) = self.raw.arrive(&mut self.policy, &mut self.cursor) {
                 self.raw.telemetry.record_read_acquire(&self.acquire);
                 self.state = State::Done;
                 return Some(Poll::Ready(Ok(Grant::Read(ticket))));
             }
             // C-SNZI closed: a writer owns or has claimed the lock. Burn
-            // the bounded poll budget before paying for a queue node.
-            if !self.backoff.poll_relax() {
-                break;
+            // the bounded poll budget before paying for a queue node —
+            // on loads: an arrival that lands closed is two RMWs on the
+            // line the owner needs to reopen.
+            loop {
+                if !self.backoff.poll_relax() {
+                    break 'spin;
+                }
+                if self.raw.csnzi.query().open {
+                    break;
+                }
             }
         }
         // Closed; nothing is held yet, so a pre-queue timeout is free.

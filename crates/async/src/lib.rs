@@ -51,7 +51,7 @@ pub use future::{ReadFuture, TimedReadFuture, TimedWriteFuture, WriteFuture};
 pub use oll_core::{FairnessPolicy, TimedOut};
 
 use oll_core::node_state::{GRANTED, RELEASED, WAITING};
-use oll_csnzi::{ArrivalPolicy, CSnzi, LeafCursor, Ticket, TreeShape};
+use oll_csnzi::{ArrivalPolicy, CSnzi, CancelOutcome, LeafCursor, Ticket, TreeShape};
 use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry, Timer};
 use oll_util::{CachePadded, SpinMutex};
@@ -77,7 +77,35 @@ pub(crate) struct RawLock {
 }
 
 impl RawLock {
-    /// Releases the lock from the write-acquired (closed-empty) state the
+    /// The read fast path: one C-SNZI arrival, counted. `None`: the C-SNZI
+    /// is closed — and if taking the failed arrival back made the caller
+    /// the last departer, the lock has been handed on before returning, so
+    /// the caller carries on as after any failed arrival.
+    pub(crate) fn arrive(
+        &self,
+        policy: &mut ArrivalPolicy,
+        cursor: &mut LeafCursor,
+    ) -> Option<Ticket> {
+        let ticket = self.csnzi.arrive_cached(policy, cursor);
+        match ticket.failure() {
+            None => {
+                self.telemetry.incr(if ticket.is_root() {
+                    LockEvent::ArriveDirect
+                } else {
+                    LockEvent::ArriveTree
+                });
+                self.telemetry.incr(LockEvent::ReadFast);
+                Some(ticket)
+            }
+            Some(CancelOutcome::Undone) => None,
+            Some(CancelOutcome::MustHandOff) => {
+                self.release_owned(true);
+                None
+            }
+        }
+    }
+
+    /// Releases the lock from the write-acquired (owned) state the
     /// caller owns: hand it to waiter(s), or actually open it.
     ///
     /// `from_reader` selects the fairness policy's release class (the
@@ -109,8 +137,8 @@ impl RawLock {
                 }
                 Handoff::Writer(w) => {
                     drop(q);
-                    // Closed-and-empty is exactly the write-acquired
-                    // state; the CAS transfers it. Wake strictly after
+                    // Owned is exactly the write-acquired state; the
+                    // CAS transfers it. Wake strictly after
                     // the grant store so the woken poll reads GRANTED.
                     if w.word
                         .compare_exchange(WAITING, GRANTED, Ordering::AcqRel, Ordering::Acquire)
@@ -159,7 +187,8 @@ impl RawLock {
                     // Depart the cascaded members' pre-arrivals. If one
                     // of these is the last departure of a *closed* C-SNZI
                     // (every live member already departed too, writers
-                    // queued behind), ownership comes back to us.
+                    // queued behind) and wins the claim, ownership comes
+                    // back to us.
                     let mut regained = false;
                     for _ in 0..undone {
                         if !self.csnzi.depart(Ticket::ROOT) {
@@ -236,16 +265,7 @@ impl<T: ?Sized> AsyncRwLock<T> {
     pub fn try_read(&self) -> Option<AsyncReadGuard<'_, T>> {
         let mut policy = ArrivalPolicy::new(self.raw.arrival_threshold);
         let mut cursor = LeafCursor::new();
-        let ticket = self.raw.csnzi.arrive_cached(&mut policy, &mut cursor);
-        if !ticket.arrived() {
-            return None;
-        }
-        self.raw.telemetry.incr(if ticket.is_root() {
-            LockEvent::ArriveDirect
-        } else {
-            LockEvent::ArriveTree
-        });
-        self.raw.telemetry.incr(LockEvent::ReadFast);
+        let ticket = self.raw.arrive(&mut policy, &mut cursor)?;
         self.raw.hazard.on_guard_acquire(false);
         Some(AsyncReadGuard {
             lock: self,
@@ -357,8 +377,10 @@ impl AsyncRwLockBuilder {
         self
     }
 
-    /// Sets the per-future failed-CAS count before arrivals move to the
-    /// C-SNZI tree.
+    /// Sets the C-SNZI arrival threshold (see
+    /// `ArrivalPolicy::new`): how crowded a root arrival must find the
+    /// root, and how many times in a row, before a future's arrivals
+    /// move to the tree.
     pub fn arrival_threshold(mut self, threshold: u32) -> Self {
         self.arrival_threshold = threshold;
         self

@@ -45,11 +45,11 @@ use std::marker::PhantomData;
 ///   *granter* performs the release on its behalf when the grant arrives
 ///   ([`QueueCore::grant`] cascades over abandoned nodes).
 ///
-/// Abandoned reader nodes are recycled by the granter (they are closed and
-/// empty, exactly the pool invariant). Abandoned *writer* nodes belong to a
-/// thread slot, so the granter cannot recycle them; it marks them
-/// `RELEASED` and the owning handle reclaims the node before its next
-/// writer-side operation.
+/// Abandoned reader nodes are recycled by the granter (their C-SNZI is
+/// owned — by whoever abandoned the node, for the granter — exactly the
+/// pool invariant). Abandoned *writer* nodes belong to a thread slot, so
+/// the granter cannot recycle them; it marks them `RELEASED` and the owning
+/// handle reclaims the node before its next writer-side operation.
 pub mod node_state {
     /// The node's owner holds the lock (also the unqueued/initial state —
     /// Figure 4's `spin = false`).
@@ -173,8 +173,10 @@ mod sealed {
         fn new_state(last_reader_hint: bool) -> Self::State;
 
         /// A reader found the writer `tail` at the end of the queue: try to
-        /// overtake it by arriving at a reader node queued further up.
-        /// `None` sends the reader to the back of the queue.
+        /// overtake it by arriving (through
+        /// [`QueueHandle::arrive_at`](super::QueueHandle::arrive_at), which
+        /// settles what a failed arrival owes) at a reader node queued
+        /// further up. `None` sends the reader to the back of the queue.
         fn overtake(handle: &mut QueueHandle<'_, Self>, tail: NodeRef) -> Option<(usize, Ticket)>;
 
         /// A reader just enqueued (and arrived at) the fresh, still-waiting
@@ -238,7 +240,8 @@ impl ReaderNode {
         telemetry: Telemetry,
         knobs: std::sync::Arc<TuningKnobs>,
     ) -> Self {
-        // "when just allocated, has a closed C-SNZI with no surplus"
+        // "when just allocated, has a closed C-SNZI with no surplus" —
+        // owned, here, by whoever allocates the node.
         let mut csnzi = match mode {
             TreeMode::Eager => CSnzi::new_closed(shape),
             TreeMode::Lazy => CSnzi::new_closed_lazy(shape),
@@ -410,13 +413,14 @@ impl QueueCore {
                     debug_assert_eq!(observed, ABANDONED, "grant raced a non-cancel transition");
                     self.telemetry.incr(LockEvent::GrantCascade);
                     if cur.is_reader() {
-                        // An abandoned reader node is closed and empty with
-                        // the closing writer already linked behind it (both
-                        // abandonment paths establish this before the
-                        // ABANDONED store becomes visible). Recycle it and
-                        // pass the lock on.
+                        // An abandoned reader node's C-SNZI is owned (its
+                        // abandoner closed it empty or claimed it drained,
+                        // and left it to us) with the closing writer
+                        // already linked behind it (both abandonment paths
+                        // establish this before the ABANDONED store becomes
+                        // visible). Recycle it and pass the lock on.
                         let n = self.rnode(cur.index());
-                        debug_assert!(!n.csnzi.query().open && !n.csnzi.query().nonzero);
+                        debug_assert!(n.csnzi.root_snapshot().owned);
                         let succ = NodeRef::from_raw(n.qnext.load(Ordering::Acquire));
                         debug_assert!(
                             !succ.is_nil(),
@@ -456,34 +460,44 @@ impl QueueCore {
     /// concurrent grant is discharged here.
     pub(crate) fn cancel_read_session(&self, idx: usize, ticket: Ticket) {
         self.telemetry.incr(LockEvent::Cancel);
+        match self.rnode(idx).csnzi.cancel(ticket) {
+            // Other readers remain arrived, or the node is simply back to
+            // surplus zero. Either way it stays queued — reader nodes
+            // outlive acquisitions by design, and a waiting empty node is
+            // still joinable (ROLL) and recyclable by the next writer.
+            CancelOutcome::Undone => {}
+            CancelOutcome::MustHandOff => self.discharge_drained(idx),
+        }
+    }
+
+    /// The caller's decrement drained reader node `idx`'s closed C-SNZI and
+    /// won the claim, so it is the node's last departer: the closing writer
+    /// linked in behind the node and expects the lock. The one place that
+    /// duty is discharged — for a reader releasing the lock, a waiter
+    /// cancelling, and an arrival that landed on the closed node and took
+    /// itself back.
+    ///
+    /// The claim may belong to a *later* life of the node than the
+    /// decrement that led to it (the node was recycled in between, and
+    /// drained again), so nothing known from before the claim is used: node
+    /// state and `qnext` are read here, after it. If the node is still
+    /// waiting, the obligation is left with its future granter; if the
+    /// grant already arrived, the caller owns the lock and passes it on.
+    pub(crate) fn discharge_drained(&self, idx: usize) {
         let node = self.rnode(idx);
-        match node.csnzi.cancel(ticket) {
-            CancelOutcome::Undone => {
-                // Other readers remain arrived, or the node is simply back
-                // to surplus zero. Either way it stays queued — reader
-                // nodes outlive acquisitions by design, and a waiting
-                // empty node is still joinable (ROLL) and recyclable by
-                // the next writer.
-            }
-            CancelOutcome::MustHandOff => {
-                // We were the last departer of a *closed* node: the
-                // closing writer linked in behind and expects the lock.
-                // If the node is still waiting, leave the obligation with
-                // the future granter; if the grant already arrived, we own
-                // the lock and release it exactly as `reader_unlock` does.
-                fault::inject("foll.read.cancel-vs-grant");
-                if node
-                    .state
-                    .compare_exchange(WAITING, ABANDONED, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    let succ = NodeRef::from_raw(node.qnext.load(Ordering::Acquire));
-                    debug_assert!(!succ.is_nil(), "the closing writer linked in first");
-                    self.grant(succ);
-                    node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed);
-                    self.free_reader_node(idx);
-                }
-            }
+        fault::inject("foll.read.cancel-vs-grant");
+        if node
+            .state
+            .compare_exchange(WAITING, ABANDONED, Ordering::AcqRel, Ordering::Acquire)
+            .is_err()
+        {
+            let succ = NodeRef::from_raw(node.qnext.load(Ordering::Acquire));
+            debug_assert!(!succ.is_nil(), "the closing writer linked in first");
+            fault::inject("foll.read.handoff");
+            self.note_handoff(succ);
+            self.grant(succ);
+            node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed); // clean up
+            self.free_reader_node(idx);
         }
     }
 
@@ -500,8 +514,9 @@ impl QueueCore {
                     .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
                     .is_ok()
             {
-                debug_assert!(!node.csnzi.query().open, "free nodes are always closed");
-                debug_assert!(!node.csnzi.query().nonzero);
+                // Owned by the pool until now, by the caller from here on.
+                // (A stale arrival may be on the word, taking itself back.)
+                debug_assert!(node.csnzi.root_snapshot().owned);
                 return idx;
             }
             idx = node.ring_next;
@@ -545,8 +560,8 @@ impl QueueCore {
         let node = self.rnode(idx);
         debug_assert!(node.in_use.load(Ordering::Relaxed));
         debug_assert!(
-            !node.csnzi.query().open && !node.csnzi.query().nonzero,
-            "recycled nodes must have a closed, empty C-SNZI"
+            node.csnzi.root_snapshot().owned,
+            "only the owner of a node's C-SNZI recycles the node"
         );
         node.in_use.store(false, Ordering::Release);
     }
@@ -599,10 +614,10 @@ impl QueueCore {
             if wait_for_active {
                 // ROLL: let readers keep joining until the group holds the
                 // lock. The predecessor reader node cannot be ABANDONED
-                // here: its C-SNZI is still open, so no canceller ever saw
-                // `MustHandOff` on it. This is a courtesy wait: on expiry
-                // just close early — the acquisition degrades to FOLL
-                // behaviour but stays correct.
+                // here: its C-SNZI is still open, so nobody has claimed
+                // it drained (`MustHandOff`). This is a courtesy wait: on
+                // expiry just close early — the acquisition degrades to
+                // FOLL behaviour but stays correct.
                 self.telemetry.trace_enqueued(u64::from(pred.raw()));
                 spin_until_deadline(self.backoff(), deadline, || {
                     pnode.state.load(Ordering::Acquire) == GRANTED
@@ -711,20 +726,11 @@ impl QueueCore {
 
     /// `ReaderUnlock` (Figure 4), shared by FOLL and ROLL.
     pub(crate) fn reader_unlock(&self, depart_from: usize, ticket: Ticket) {
-        let node = self.rnode(depart_from);
-        if node.csnzi.depart(ticket) {
-            return;
+        if !self.rnode(depart_from).csnzi.depart(ticket) {
+            // Last departure from a closed C-SNZI: a writer closed it after
+            // linking in behind this node; signal it and recycle the node.
+            self.discharge_drained(depart_from);
         }
-        // Last departure from a closed C-SNZI: a writer closed it after
-        // linking in behind this node, so qNext is already set; signal it
-        // and recycle the node.
-        let succ = NodeRef::from_raw(node.qnext.load(Ordering::Acquire));
-        debug_assert!(!succ.is_nil(), "the closing writer linked in first");
-        fault::inject("foll.read.handoff");
-        self.note_handoff(succ);
-        self.grant(succ);
-        node.qnext.store(NodeRef::NIL.raw(), Ordering::Relaxed); // clean up
-        self.free_reader_node(depart_from);
     }
 }
 
@@ -872,8 +878,8 @@ impl<P: OrderPolicy> QueueBuilder<P> {
     }
 
     /// Makes every pooled reader node's C-SNZI *adaptive*: arrivals start
-    /// root-only and the tree inflates only once root CAS failures prove
-    /// contention, deflating back after a quiet spell. Supersedes
+    /// root-only and the tree inflates only once crowded root arrivals
+    /// prove contention, deflating back after a quiet spell. Supersedes
     /// [`lazy_tree`](Self::lazy_tree); an explicit
     /// [`tree_shape`](Self::tree_shape) caps the inflated leaf count.
     pub fn adaptive(mut self, adaptive: bool) -> Self {
@@ -894,8 +900,9 @@ impl<P: OrderPolicy> QueueBuilder<P> {
         self
     }
 
-    /// Sets the per-thread failed-CAS count before C-SNZI arrivals move to
-    /// the tree.
+    /// Sets the C-SNZI arrival threshold: a root arrival that finds this
+    /// many others in flight is a crowded one, and this many crowded ones
+    /// in a row move the handle's arrivals to the tree.
     pub fn arrival_threshold(mut self, threshold: u32) -> Self {
         self.arrival_threshold = threshold;
         self
@@ -1151,10 +1158,29 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
     }
 
     /// Arrives at reader node `idx`'s C-SNZI through this handle's arrival
-    /// policy and cached leaf.
-    pub(crate) fn arrive_at(&mut self, idx: usize) -> Ticket {
-        let node = self.lock.core.rnode(idx);
-        node.csnzi.arrive_cached(&mut self.policy, &mut self.cursor)
+    /// policy and cached leaf. `None`: the node is closed — and if taking
+    /// the failed arrival back made this thread the node's last departer,
+    /// that duty has been discharged before returning, so the caller
+    /// carries on as after any failed arrival.
+    pub(crate) fn arrive_at(&mut self, idx: usize) -> Option<Ticket> {
+        let core = &self.lock.core;
+        // Whatever named node `idx` — the tail, ROLL's hint, a `prev` link
+        // — was read a moment ago: stretched, this is the window in which
+        // the node is closed, recycled and reopened before the arrival
+        // lands. Yield-only: the caller may hold a spare node.
+        fault::inject_yield_only("foll.read.arrive");
+        let ticket = core
+            .rnode(idx)
+            .csnzi
+            .arrive_cached(&mut self.policy, &mut self.cursor);
+        match ticket.failure() {
+            None => Some(ticket),
+            Some(CancelOutcome::Undone) => None,
+            Some(CancelOutcome::MustHandOff) => {
+                core.discharge_drained(idx);
+                None
+            }
+        }
     }
 
     /// Records a read acquisition that needed no wait.
@@ -1189,8 +1215,7 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
                 // Empty queue: enqueue a reader node we immediately own.
                 let r = rnode.take().unwrap_or_else(|| core.alloc_reader_node(slot));
                 if core.enqueue_reader_node(r, NodeRef::NIL) {
-                    let ticket = self.arrive_at(r);
-                    if ticket.arrived() {
+                    if let Some(ticket) = self.arrive_at(r) {
                         // Granted on enqueue — no wait, so nothing left to
                         // time out on.
                         self.read_granted(r, ticket);
@@ -1204,8 +1229,7 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
                 }
             } else if tail.is_reader() {
                 // Tail is a reader node: share it via its C-SNZI.
-                let ticket = self.arrive_at(tail.index());
-                if ticket.arrived() {
+                if let Some(ticket) = self.arrive_at(tail.index()) {
                     if let Some(n) = rnode.take() {
                         core.free_reader_node(n);
                     }
@@ -1249,8 +1273,7 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
                 // Tail is a writer: enqueue a reader node behind it.
                 let r = rnode.take().unwrap_or_else(|| core.alloc_reader_node(slot));
                 if core.enqueue_reader_node(r, tail) {
-                    let ticket = self.arrive_at(r);
-                    if ticket.arrived() {
+                    if let Some(ticket) = self.arrive_at(r) {
                         core.note_arrival(ticket);
                         core.telemetry.incr(LockEvent::ReadSlow);
                         P::enqueued_behind_writer(lock, NodeRef::reader(r));
@@ -1416,33 +1439,32 @@ impl<P: OrderPolicy> RwHandle for QueueHandle<'_, P> {
         debug_assert!(self.session.is_none() && !self.write_held);
         let core = &self.lock.core;
         let tail = core.load_tail();
-        if tail.is_nil() {
+        let idx = if tail.is_nil() {
             let r = core.alloc_reader_node(self.slot_idx());
             if !core.enqueue_reader_node(r, NodeRef::NIL) {
                 core.free_reader_node(r);
                 return false;
             }
-            let ticket = self.arrive_at(r);
-            if ticket.arrived() {
-                self.read_granted(r, ticket);
-            }
-            // Else a writer overtook us between open and arrive; the node
-            // is queued and the writer owns its recycling now.
-            ticket.arrived()
-        } else if tail.is_reader() {
+            r
+        } else if tail.is_reader()
             // Only join without waiting: the node's readers must already
             // be active. (An enqueued node never leaves GRANTED, so the
             // acquisition is immediate.)
-            if core.rnode(tail.index()).state.load(Ordering::Acquire) != GRANTED {
-                return false;
-            }
-            let ticket = self.arrive_at(tail.index());
-            if ticket.arrived() {
-                self.read_granted(tail.index(), ticket);
-            }
-            ticket.arrived()
+            && core.rnode(tail.index()).state.load(Ordering::Acquire) == GRANTED
+        {
+            tail.index()
         } else {
-            false
+            return false;
+        };
+        match self.arrive_at(idx) {
+            Some(ticket) => {
+                self.read_granted(idx, ticket);
+                true
+            }
+            // A writer queued behind the node and closed it first. If the
+            // node is the one we just enqueued, it stays queued and that
+            // writer owns its recycling now.
+            None => false,
         }
     }
 
@@ -1671,9 +1693,15 @@ mod tests {
                 let mut h = lock.handle().unwrap();
                 let mut rng = oll_util::XorShift64::for_thread(13, tid);
                 for _ in 0..ITERS {
-                    if rng.percent(50) {
+                    if rng.percent(40) {
                         h.lock_read();
                         h.unlock_read();
+                    } else if rng.percent(33) {
+                        // Mostly fails, and when it arrives at all it is
+                        // at a node a writer may be closing or recycling.
+                        if h.try_lock_read() {
+                            h.unlock_read();
+                        }
                     } else {
                         h.lock_write();
                         h.unlock_write();
@@ -1686,7 +1714,8 @@ mod tests {
         }
         // After quiescence at most one node may remain queued (a reader
         // node from a final read acquisition); all others must be FREE
-        // with closed, empty C-SNZIs.
+        // with owned, empty C-SNZIs — no failed arrival left anything on
+        // a word, and every drained node was claimed and recycled.
         let queued = lock.core.load_tail();
         let mut in_use = 0;
         for i in 0..THREADS {
@@ -1695,8 +1724,7 @@ mod tests {
                 in_use += 1;
                 assert!(queued.is_reader() && queued.index() == i);
             } else {
-                assert!(!n.csnzi.query().open);
-                assert!(!n.csnzi.query().nonzero);
+                assert_eq!(n.csnzi.root_snapshot(), oll_csnzi::RootWord::CLOSED_EMPTY);
             }
         }
         assert!(in_use <= 1);

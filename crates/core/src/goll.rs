@@ -7,18 +7,25 @@
 //! | C-SNZI state            | lock state                          |
 //! |-------------------------|-------------------------------------|
 //! | open, surplus = 0       | free                                |
-//! | closed, surplus = 0     | write-acquired                      |
+//! | owned                   | write-acquired, or being handed off |
 //! | open, surplus > 0       | read-acquired                       |
-//! | closed, surplus > 0     | read-acquired, writer(s) waiting    |
+//! | draining (closed, > 0)  | read-acquired, writer(s) waiting    |
+//! | drained (closed, = 0)   | last reader left, hand-off unclaimed|
+//!
+//! (The `oll_csnzi::root` module docs define the states; a failed
+//! arrival's transient surplus can sit on any closed word.)
 //!
 //! Readers acquire with `Arrive` and release with `Depart`; writers
 //! acquire with `CloseIfEmpty`/`Close` and release with `Open`/
-//! `OpenWithArrivals`. Conflicting requests queue on a mutex-protected
-//! wait queue (the turnstile role), and releases *hand over* ownership:
-//! a woken thread already owns the lock.
+//! `OpenWithArrivals`. Whoever's decrement drains a closed C-SNZI and
+//! wins the claim — a departing reader, or a reader whose arrival landed
+//! on the closed word and was taken back — owns the lock and releases it.
+//! Conflicting requests queue on a mutex-protected wait queue (the
+//! turnstile role), and releases *hand over* ownership: a woken thread
+//! already owns the lock.
 
 use crate::raw::{RwHandle, RwLockFamily, TimedOut, UpgradableHandle};
-use oll_csnzi::{ArrivalPolicy, CSnzi, LeafCursor, Ticket, TreeShape};
+use oll_csnzi::{ArrivalPolicy, CSnzi, CancelOutcome, LeafCursor, Ticket, TreeShape};
 use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry, Timer};
 use oll_util::backoff::{Deadline, Never};
@@ -139,8 +146,9 @@ impl GollBuilder {
         self
     }
 
-    /// Sets the per-thread failed-CAS count before arrivals move to the
-    /// C-SNZI tree.
+    /// Sets the C-SNZI arrival threshold: a root arrival that finds this
+    /// many others in flight is a crowded one, and this many crowded ones
+    /// in a row move the handle's arrivals to the tree.
     pub fn arrival_threshold(mut self, threshold: u32) -> Self {
         self.arrival_threshold = threshold;
         self
@@ -261,9 +269,9 @@ impl GollLock {
         });
     }
 
-    /// The caller owns the lock in the write-acquired state (closed, no
-    /// surplus) — a releasing writer, or the last reader to depart from a
-    /// closed C-SNZI — and hands it to whom the policy picks.
+    /// The caller owns the lock in the write-acquired state (the C-SNZI is
+    /// *owned*) — a releasing writer, or the last departer of a closed
+    /// C-SNZI — and hands it to whom the policy picks.
     #[inline]
     fn release_owned(&self, from_reader: bool) {
         let mut q = self.turnstile.lock();
@@ -277,8 +285,8 @@ impl GollLock {
             // writer that closed the C-SNZI has since cancelled its timed
             // acquisition.
             Handoff::None => self.csnzi.open(),
-            // Closed-and-empty is exactly the write-acquired state;
-            // nothing to change.
+            // Owned is exactly the write-acquired state; nothing to
+            // change.
             Handoff::Writer(_) => self.telemetry.incr(LockEvent::HandoffToWriter),
             Handoff::Readers {
                 total,
@@ -377,15 +385,34 @@ impl GollHandle<'_> {
         self.priority
     }
 
-    /// Classifies a successful C-SNZI arrival for telemetry: root-word
-    /// arrivals hit the shared line, tree arrivals a distributed one.
+    /// The read fast path: one C-SNZI arrival. `false`: the C-SNZI is
+    /// closed — and if taking the failed arrival back made this thread the
+    /// last departer, the lock has been handed on before returning, so the
+    /// caller carries on as after any failed arrival.
     #[inline]
-    fn note_arrival(&self, ticket: Ticket) {
-        self.lock.telemetry.incr(if ticket.is_root() {
-            LockEvent::ArriveDirect
-        } else {
-            LockEvent::ArriveTree
-        });
+    fn arrive(&mut self) -> bool {
+        let lock = self.lock;
+        let ticket = lock.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
+        match ticket.failure() {
+            None => {
+                // Root-word arrivals hit the shared line, tree arrivals a
+                // distributed one.
+                lock.telemetry.incr(if ticket.is_root() {
+                    LockEvent::ArriveDirect
+                } else {
+                    LockEvent::ArriveTree
+                });
+                lock.telemetry.incr(LockEvent::ReadFast);
+                self.hold = lock.telemetry.timer();
+                self.read_ticket = Some(ticket);
+                true
+            }
+            Some(CancelOutcome::Undone) => false,
+            Some(CancelOutcome::MustHandOff) => {
+                lock.release_owned(true);
+                false
+            }
+        }
     }
 
     /// The read acquisition, blocking and timed alike. A deadline adds a
@@ -400,13 +427,8 @@ impl GollHandle<'_> {
         loop {
             // Fast path: in the absence of conflicting requests this is the
             // only step, and it never touches the queue mutex.
-            let ticket = lock.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
-            if ticket.arrived() {
-                self.note_arrival(ticket);
-                lock.telemetry.incr(LockEvent::ReadFast);
+            if self.arrive() {
                 lock.telemetry.record_read_acquire(&acquire);
-                self.hold = lock.telemetry.timer();
-                self.read_ticket = Some(ticket);
                 return Ok(());
             }
             // C-SNZI closed: a writer owns or has claimed the lock.
@@ -599,19 +621,7 @@ impl RwHandle for GollHandle<'_> {
     fn try_lock_read(&mut self) -> bool {
         debug_assert!(self.read_ticket.is_none() && !self.write_held);
         self.settle_interrupted_wait();
-        let ticket = self
-            .lock
-            .csnzi
-            .arrive_cached(&mut self.policy, &mut self.cursor);
-        if ticket.arrived() {
-            self.note_arrival(ticket);
-            self.lock.telemetry.incr(LockEvent::ReadFast);
-            self.hold = self.lock.telemetry.timer();
-            self.read_ticket = Some(ticket);
-            true
-        } else {
-            false
-        }
+        self.arrive()
     }
 
     fn try_lock_write(&mut self) -> bool {
@@ -648,7 +658,7 @@ impl UpgradableHandle for GollHandle<'_> {
         // §3.2.1: trade our arrival for a direct arrival at the root, then
         // we are the sole holder iff the root shows exactly (direct = 1,
         // tree = 0). The upgrade commits by CASing that word (open flavor)
-        // to closed-empty, consuming our arrival.
+        // to owned-empty, consuming our arrival.
         let ticket = self.lock.csnzi.trade_to_direct(ticket);
         if self.lock.csnzi.try_upgrade_sole_direct() {
             self.lock.telemetry.incr(LockEvent::Upgrade);

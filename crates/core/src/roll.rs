@@ -126,8 +126,7 @@ impl OrderPolicy for ReaderPreference {
         let hint = lock.order.load();
         if hint.is_reader() {
             if core.rnode(hint.index()).state.load(Ordering::Acquire) == WAITING {
-                let ticket = handle.arrive_at(hint.index());
-                if ticket.arrived() {
+                if let Some(ticket) = handle.arrive_at(hint.index()) {
                     return Some((hint.index(), ticket));
                 }
             }
@@ -138,15 +137,16 @@ impl OrderPolicy for ReaderPreference {
         // (an enqueuer publishes its node before its prev link, and
         // recycled nodes leave stale values), but that is safe: joining is
         // validated by the arrival itself — `Arrive` only succeeds on an
-        // open C-SNZI, and open C-SNZIs belong to enqueued reader nodes.
+        // open C-SNZI, and open C-SNZIs belong to enqueued reader nodes
+        // (an arrival that lands anywhere else takes itself back, and
+        // `arrive_at` settles what that may owe).
         let mut cur = tail;
         let mut steps = 0usize;
         let cap = core.slots.capacity() * 2;
         while !cur.is_nil() && steps < cap {
             if cur.is_reader() {
                 if core.rnode(cur.index()).state.load(Ordering::Acquire) == WAITING {
-                    let ticket = handle.arrive_at(cur.index());
-                    if ticket.arrived() {
+                    if let Some(ticket) = handle.arrive_at(cur.index()) {
                         lock.order.set(cur);
                         return Some((cur.index(), ticket));
                     }

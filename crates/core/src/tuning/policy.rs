@@ -72,8 +72,11 @@ pub struct WindowStats {
     pub slow: u64,
     /// BRAVO bias revocations (telemetry builds; 0 otherwise).
     pub revocations: u64,
-    /// C-SNZI root CAS failures (telemetry builds; 0 otherwise) — the
-    /// root-contention signal that the adaptive trees are under-inflated.
+    /// C-SNZI root CAS failures (telemetry builds; 0 otherwise). Read
+    /// arrivals are unconditional `fetch_add`s and never fail, so this
+    /// counts the *close side*: writers' `Close` / `CloseIfEmpty`, the
+    /// last-departer claim and tree arrivals at the root losing a race —
+    /// writers colliding with reader traffic, not readers with each other.
     pub root_cas_fails: u64,
 }
 

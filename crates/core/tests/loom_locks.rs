@@ -4,12 +4,18 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p oll-core --test loom_locks --release
 //! ```
 //!
-//! The models are minimal (two threads) but exercise the protocol corners
-//! that unit tests can only sample: the FOLL reader/writer enqueue race
-//! (open-vs-close on the shared reader node, §4.2), the reader-node
-//! recycling handshake, and GOLL's arrive/close/hand-off triangle. A
+//! The models are minimal (two or three threads) but exercise the protocol
+//! corners that unit tests can only sample: the FOLL reader/writer enqueue
+//! race (open-vs-close on the shared reader node, §4.2), the reader-node
+//! recycling handshake, GOLL's arrive/close/hand-off triangle, and — since
+//! read arrivals became unconditional — the arrival that lands on a closed
+//! C-SNZI and takes itself back, possibly as the last departer. A
 //! preemption bound keeps the busy-wait state space tractable; loom still
 //! explores every bounded interleaving of the atomics.
+//!
+//! These run only where loom resolves (network); offline, the root-word
+//! protocol they lean on is checked exhaustively by
+//! `crates/csnzi/tests/root_protocol_model.rs`.
 
 #![cfg(loom)]
 
@@ -138,6 +144,76 @@ fn loom_goll_reader_vs_writer_exclusion() {
         let w = lock.csnzi_snapshot();
         assert_eq!((w.surplus(), w.open), (0, true), "lock ends free");
     });
+}
+
+/// A read arrival landing on a closed lock while its last reader leaves:
+/// a reader holds, a writer closes and queues, and a third thread's
+/// `try_lock_read` lands its `fetch_add` on the draining word. Whichever
+/// decrement drains the word — the reader's depart or the failed arrival's
+/// undo — hands the lock to the writer, exactly once; the writer must get
+/// in alone, and the lock must end free.
+fn failed_arrival_vs_last_reader<L>(lock: L)
+where
+    L: RwLockFamily + Send + Sync + 'static,
+{
+    let lock = Arc::new(lock);
+    let state = Arc::new(AtomicI64::new(0));
+
+    let mut r = lock.handle().unwrap();
+    r.lock_read();
+    state.fetch_add(1, Ordering::SeqCst);
+
+    let writer = {
+        let (lock, state) = (Arc::clone(&lock), Arc::clone(&state));
+        loom::thread::spawn(move || {
+            let mut h = lock.handle().unwrap();
+            h.lock_write();
+            assert_eq!(state.swap(-1, Ordering::SeqCst), 0, "writer not alone");
+            state.store(0, Ordering::SeqCst);
+            h.unlock_write();
+        })
+    };
+    let prober = {
+        let (lock, state) = (Arc::clone(&lock), Arc::clone(&state));
+        loom::thread::spawn(move || {
+            let mut h = lock.handle().unwrap();
+            if h.try_lock_read() {
+                assert!(state.fetch_add(1, Ordering::SeqCst) >= 0);
+                state.fetch_sub(1, Ordering::SeqCst);
+                h.unlock_read();
+            }
+        })
+    };
+
+    state.fetch_sub(1, Ordering::SeqCst);
+    r.unlock_read();
+    writer.join().unwrap();
+    prober.join().unwrap();
+
+    // (A queue lock may keep the prober's reader node queued, so not
+    // `try_lock_write`.)
+    let mut h = lock.handle().unwrap();
+    h.lock_write();
+    assert_eq!(state.load(Ordering::SeqCst), 0, "lock ends free");
+    h.unlock_write();
+}
+
+#[test]
+fn loom_goll_failed_arrival_vs_last_reader() {
+    model(|| {
+        let lock = GollLock::new(4);
+        failed_arrival_vs_last_reader(lock);
+    });
+}
+
+#[test]
+fn loom_foll_failed_arrival_vs_last_reader() {
+    model(|| failed_arrival_vs_last_reader(FollLock::new(4)));
+}
+
+#[test]
+fn loom_roll_failed_arrival_vs_last_reader() {
+    model(|| failed_arrival_vs_last_reader(RollLock::new(4)));
 }
 
 /// GOLL upgrade racing a second reader: either the upgrade wins (sole

@@ -2,8 +2,9 @@
 
 use crate::node::{Parent, SnziNode, TreeShape};
 use crate::policy::ArrivalPolicy;
-use crate::root::RootWord;
+use crate::root::{Decrement, RootWord};
 use oll_telemetry::{LockEvent, Telemetry};
+use oll_util::fault;
 use oll_util::knobs::TuningKnobs;
 use oll_util::sync::{AtomicU64, Ordering};
 use oll_util::CachePadded;
@@ -17,14 +18,16 @@ pub struct Query {
     pub open: bool,
 }
 
-/// Result of [`CSnzi::cancel`]: what the abandoning arriver owes the lock.
+/// Result of [`CSnzi::cancel`] and of a failed arrival
+/// ([`Ticket::failure`]): what the thread that took its arrival back owes
+/// the lock.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CancelOutcome {
-    /// The arrival was undone; the canceller holds nothing.
+    /// The arrival was undone; the caller holds nothing.
     Undone,
-    /// The cancel zeroed a closed C-SNZI: the canceller was the last
-    /// surplus-holder and now owns the lock — it must perform the owning
-    /// lock's reader-release hand-off before returning.
+    /// The undo drained a closed C-SNZI and won the claim: the caller is
+    /// the last departer and now owns the object — it must perform the
+    /// owning lock's reader-release hand-off before returning.
     MustHandOff,
 }
 
@@ -37,15 +40,30 @@ pub enum CancelOutcome {
 /// Tickets are `Copy` for the same reason the paper passes them by value;
 /// the usage contract (one `depart` per successful `arrive`) is the
 /// caller's responsibility, exactly as in the paper.
+///
+/// A *failed* arrival is not always free: it lands on the closed word and
+/// takes itself back, and that undo can be the decrement that drains the
+/// object ([`FAILED_MUST_HAND_OFF`](Self::FAILED_MUST_HAND_OFF)). Lock
+/// code therefore matches on [`failure`](Self::failure) rather than
+/// testing [`arrived`](Self::arrived) alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[must_use = "a failed arrival may owe the lock a hand-off: match on `failure()`"]
 pub struct Ticket(u32);
 
 const TICKET_FAILED: u32 = u32::MAX;
-const TICKET_ROOT: u32 = u32::MAX - 1;
+const TICKET_FAILED_MUST_HAND_OFF: u32 = u32::MAX - 1;
+const TICKET_ROOT: u32 = u32::MAX - 2;
 
 impl Ticket {
-    /// The ticket returned by a failed arrival (`Ticket(null)`).
+    /// The ticket returned by a failed arrival (`Ticket(null)`) that owes
+    /// nothing.
     pub const FAILED: Self = Self(TICKET_FAILED);
+
+    /// The ticket returned by a failed arrival whose undo drained the
+    /// closed C-SNZI and won the claim: the arriver holds no read
+    /// arrival, but it is the last departer and must run the owning
+    /// lock's reader-release hand-off ([`CancelOutcome::MustHandOff`]).
+    pub const FAILED_MUST_HAND_OFF: Self = Self(TICKET_FAILED_MUST_HAND_OFF);
 
     /// A ticket that departs directly from the root — Figure 2's
     /// `DirectTicket`. Used by GOLL readers whose arrival was performed on
@@ -60,7 +78,18 @@ impl Ticket {
     /// Figure 2's `Arrived`: whether the arrival succeeded.
     #[inline]
     pub fn arrived(self) -> bool {
-        self.0 != TICKET_FAILED
+        self.0 < TICKET_FAILED_MUST_HAND_OFF
+    }
+
+    /// `None` for a successful arrival; for a failed one, what taking it
+    /// back cost — the same vocabulary as [`CSnzi::cancel`].
+    #[inline]
+    pub fn failure(self) -> Option<CancelOutcome> {
+        match self.0 {
+            TICKET_FAILED => Some(CancelOutcome::Undone),
+            TICKET_FAILED_MUST_HAND_OFF => Some(CancelOutcome::MustHandOff),
+            _ => None,
+        }
     }
 
     /// Whether this ticket departs directly at the root.
@@ -129,6 +158,11 @@ impl LeafCursor {
 /// Supports the full interface of Figures 1–2 plus the §2.1 variations and
 /// the §3.2.1 dual-counter extensions. Readers of an OLL lock `arrive` and
 /// `depart`; writers `close` and `open`.
+///
+/// Where Figure 2's `Arrive` is load, check OPEN, CAS, a direct arrival
+/// here is one unconditional `fetch_add` that takes itself back if it
+/// landed on a closed word; the [`root`](crate::root) module docs give the
+/// four word states and five rules that make that safe.
 ///
 /// The surplus lives at a CAS-able [`RootWord`] plus a tree of counter
 /// nodes; a subtree's root has nonzero surplus iff some node in the subtree
@@ -245,9 +279,10 @@ impl CSnzi {
         }
     }
 
-    /// Like [`new_lazy`](Self::new_lazy), but starting closed — the
-    /// pooled FOLL/ROLL reader-node configuration, where the per-node
-    /// trees only materialize on locks that actually see read contention.
+    /// Like [`new_lazy`](Self::new_lazy), but starting closed and owned
+    /// (by whoever allocates the node) — the pooled FOLL/ROLL reader-node
+    /// configuration, where the per-node trees only materialize on locks
+    /// that actually see read contention.
     pub fn new_closed_lazy(shape: TreeShape) -> Self {
         Self {
             root: CachePadded::new(AtomicU64::new(RootWord::CLOSED_EMPTY.pack())),
@@ -264,8 +299,8 @@ impl CSnzi {
     /// Creates an open, empty, *adaptive* C-SNZI: it starts root-only
     /// (one cache line, no tree allocation) and inflates to a tree shaped
     /// for `min(detected CPUs, max_leaves)` threads when its arrival
-    /// policy reports contention — a root-CAS failure streak or observed
-    /// tree surplus. After [`DEFLATE_AFTER`](Self::DEFLATE_AFTER)
+    /// policy reports contention — a streak of crowded root arrivals or
+    /// observed tree surplus. After [`DEFLATE_AFTER`](Self::DEFLATE_AFTER)
     /// consecutive uncontended direct arrivals it deflates: routing
     /// returns to the root while the allocation (if any) is kept for the
     /// next inflation.
@@ -332,8 +367,9 @@ impl CSnzi {
         }
     }
 
-    /// Creates a closed, empty C-SNZI (FOLL reader nodes start this way:
-    /// "when just allocated, has a closed C-SNZI with no surplus", §4.2).
+    /// Creates a closed, empty C-SNZI owned by its creator (FOLL reader
+    /// nodes start this way: "when just allocated, has a closed C-SNZI
+    /// with no surplus", §4.2).
     pub fn new_closed(shape: TreeShape) -> Self {
         Self {
             root: CachePadded::new(AtomicU64::new(RootWord::CLOSED_EMPTY.pack())),
@@ -346,8 +382,8 @@ impl CSnzi {
 
     /// Routes this object's shared-write counts into an owning lock's
     /// telemetry handle (as `csnzi_root_write` / `csnzi_node_write` /
-    /// `csnzi_root_cas_fail` events). Locks attach at construction, before
-    /// sharing.
+    /// `csnzi_root_cas_fail` / `csnzi_arrive_undone` events). Locks attach
+    /// at construction, before sharing.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
     }
@@ -391,16 +427,28 @@ impl CSnzi {
         self.shape
     }
 
+    /// Acquire: whoever decides on this word (a closer, a tree arriver)
+    /// sees what the RMW that wrote it published.
     #[inline]
-    fn load_root(&self) -> RootWord {
-        RootWord::unpack(self.root.load(Ordering::Acquire))
+    fn load_root_raw(&self) -> u64 {
+        self.root.load(Ordering::Acquire)
     }
 
     #[inline]
-    fn cas_root(&self, old: RootWord, new: RootWord) -> bool {
+    fn load_root(&self) -> RootWord {
+        RootWord::unpack(self.load_root_raw())
+    }
+
+    /// Every root CAS — the closes, the claim, a tree arrival — on packed
+    /// words. AcqRel — acquire: a closer or claimer that comes to own the
+    /// object sees every departed reader's critical section; release: a
+    /// close publishes the closer's queue entry to the last departer. A
+    /// failure is Relaxed: the caller reloads or gives up.
+    #[inline]
+    fn cas_root(&self, old: u64, new: u64) -> bool {
         let ok = self
             .root
-            .compare_exchange(old.pack(), new.pack(), Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange(old, new, Ordering::AcqRel, Ordering::Relaxed)
             .is_ok();
         if ok {
             self.note_root_write();
@@ -408,6 +456,20 @@ impl CSnzi {
             self.note_root_cas_failure();
         }
         ok
+    }
+
+    /// The one conditional-update loop (rules 3 and 5): CASes the root from
+    /// the word it loads to `target` of that word, until the CAS lands
+    /// (`Some(new word)`) or the loaded word has no target (`None`).
+    #[inline]
+    fn cas_root_to(&self, target: impl Fn(u64) -> Option<u64>) -> Option<u64> {
+        loop {
+            let old = self.load_root_raw();
+            let new = target(old)?;
+            if self.cas_root(old, new) {
+                return Some(new);
+            }
+        }
     }
 
     /// Default number of consecutive direct root arrivals that must
@@ -425,8 +487,11 @@ impl CSnzi {
 
     /// `Arrive` (Figure 2): if open, increments the surplus — directly at
     /// the root or at this thread's leaf, per `policy` — and returns a
-    /// ticket for the node arrived at. If closed, changes nothing and
-    /// returns [`Ticket::FAILED`].
+    /// ticket for the node arrived at. If closed, the arrival fails and
+    /// leaves nothing behind: a direct one lands on the closed word and
+    /// takes itself back, which is invisible unless that undo drains the
+    /// object — then the ticket is [`Ticket::FAILED_MUST_HAND_OFF`]
+    /// instead of [`Ticket::FAILED`].
     ///
     /// `leaf_hint` identifies the calling thread (`GetLeafForThread`);
     /// lock handles pass their slot index so distinct threads default to
@@ -442,36 +507,71 @@ impl CSnzi {
     /// first use) and migrates to a neighbouring leaf only when a
     /// leaf-level CAS fails. On an adaptive object this is also where
     /// inflation and deflation are decided.
+    ///
+    /// The direct arm is [rule 1](crate::root): one `fetch_add`, no load
+    /// before it and no retry after it. Only a handle whose policy
+    /// [wants the tree](ArrivalPolicy::wants_tree) pays the root load
+    /// that routes it there.
+    #[inline]
     pub fn arrive_cached(&self, policy: &mut ArrivalPolicy, cursor: &mut LeafCursor) -> Ticket {
-        // Arrival stays a *conditional* CAS (load, check open, CAS) beside
-        // the `fetch_sub` departs. A `fetch_add` arrival would put
-        // transient surplus on a closed object: a real last departer would
-        // then see nonzero and not hand off, and the owner's plain-store
-        // `open` could erase the increment before its undo. Raw
-        // fetch_add/fetch_sub pairs run 17-19 M/s against 11 M/s for this
-        // loop at two threads on the reference box; that is left on the
-        // table for the protocol's sake, not overlooked.
-        loop {
-            let old = self.load_root();
-            if !old.open {
-                return Ticket::FAILED;
+        if self.shape.depth > 0 && policy.wants_tree() {
+            if let Some(ticket) = self.arrive_by_the_tree(policy, cursor) {
+                return ticket;
             }
-            if self.shape.depth > 0 && policy.should_arrive_at_tree(old) && self.tree_route() {
-                return self.tree_arrive_cursor(policy, cursor);
-            }
-            if self.cas_root(old, old.with_direct_arrival()) {
-                policy.record_success();
-                self.note_direct_success(old);
-                return Ticket::ROOT;
-            }
-            policy.record_failure();
+        }
+        // Rule 1: one unconditional RMW. Acquire: an arrival that lands on
+        // an open word sees the critical section of the owner whose `open`
+        // (Release) opened it; it publishes nothing itself.
+        let old = self.root.fetch_add(RootWord::ONE_DIRECT, Ordering::Acquire);
+        self.note_root_write();
+        if RootWord::after_arrive(old) {
+            let old = RootWord::unpack(old);
+            policy.record_arrival(old);
+            self.note_direct_success(old);
+            return Ticket::ROOT;
+        }
+        self.undo_arrival()
+    }
+
+    /// The handle's own evidence points at the tree: decide on a fresh root
+    /// word, as Figure 2's `Arrive` does. `None`: the root shows no reason
+    /// to, after all — arrive directly.
+    #[inline(never)]
+    fn arrive_by_the_tree(
+        &self,
+        policy: &mut ArrivalPolicy,
+        cursor: &mut LeafCursor,
+    ) -> Option<Ticket> {
+        let old = self.load_root();
+        if !old.open {
+            return Some(Ticket::FAILED);
+        }
+        if policy.should_arrive_at_tree(old) && self.tree_route() {
+            return Some(self.tree_arrive_cursor(policy, cursor));
+        }
+        None
+    }
+
+    /// The arrival landed on a closed word: take it back with the ordinary
+    /// direct departure, last-departer duty included.
+    #[cold]
+    fn undo_arrival(&self) -> Ticket {
+        // Yield-only: an unwind here would leak the surplus that is on
+        // the word, and nobody could depart it.
+        fault::inject_yield_only("csnzi.arrive.landed-closed");
+        self.telemetry.incr(LockEvent::CsnziArriveUndone);
+        if self.root_direct_depart() {
+            Ticket::FAILED
+        } else {
+            Ticket::FAILED_MUST_HAND_OFF
         }
     }
 
     /// Whether the tree path is open for this arrival, inflating an
     /// adaptive object on the way: by the time the policy asks for the
-    /// tree it has accumulated the contention evidence (a failure streak
-    /// or observed tree surplus) that justifies building one.
+    /// tree it has accumulated the contention evidence (a streak of
+    /// crowded root arrivals or observed tree surplus) that justifies
+    /// building one.
     #[inline]
     fn tree_route(&self) -> bool {
         #[cfg(not(loom))]
@@ -619,8 +719,10 @@ impl CSnzi {
     }
 
     /// `Depart` (Figure 2): decrements the surplus; returns `false` iff the
-    /// resulting state is CLOSED with zero surplus (i.e. the caller is the
-    /// last departer and must hand the lock to the waiting writer).
+    /// caller is the last departer of a closed C-SNZI — its decrement left
+    /// the word *drained* and it won the claim — and must hand the lock to
+    /// the waiting writer. At most one departure (or failed arrival) per
+    /// close is told so.
     ///
     /// `ticket` must come from a successful arrival (or `Ticket::ROOT` for
     /// a pre-arranged direct arrival), departed exactly once.
@@ -641,9 +743,9 @@ impl CSnzi {
     /// operation; an arrival that will never be used is indistinguishable
     /// from one whose critical section already ended. The distinction that
     /// matters is the outcome: [`CancelOutcome::MustHandOff`] means this
-    /// cancel zeroed a *closed* C-SNZI, so the canceller now owns the lock
-    /// exactly as a departing last reader would, and must run the owning
-    /// lock's release protocol (it cannot simply walk away).
+    /// cancel drained a *closed* C-SNZI and won the claim, so the canceller
+    /// now owns the lock exactly as a departing last reader would, and must
+    /// run the owning lock's release protocol (it cannot simply walk away).
     #[must_use = "MustHandOff obligates the caller to release the lock"]
     pub fn cancel(&self, ticket: Ticket) -> CancelOutcome {
         if self.depart(ticket) {
@@ -663,75 +765,42 @@ impl CSnzi {
         }
     }
 
-    /// `Open` (Figure 2): requires state CLOSED and surplus zero.
-    ///
-    /// The caller owns the C-SNZI in this state (it is the write-lock
-    /// holder), so a plain store suffices, exactly as in the paper.
+    /// `Open` (Figure 2): requires the caller to own the closed C-SNZI
+    /// (Figure 2's "state CLOSED and surplus zero"; here a failed arrival
+    /// may have a transient surplus on the word, and the open keeps it for
+    /// that arrival to take back).
     pub fn open(&self) {
-        debug_assert!({
-            let w = self.load_root();
-            !w.open && w.surplus() == 0
-        });
-        // The plain store cannot erase a concurrent `fetch_sub` depart:
-        // a departer holds surplus, and the surplus here is zero. Nor an
-        // arrival: those are conditional CASes that fail on a closed word
-        // (see `arrive_cached`). Release pairs with the arrivers' Acquire
-        // loads: they see the owner's critical section.
-        self.root
-            .store(RootWord::OPEN_EMPTY.pack(), Ordering::Release);
-        self.note_root_write();
+        self.open_with_arrivals(0, false);
     }
 
     /// `OpenWithArrivals` (§2.1, Figure 2): atomically opens, performs
     /// `cnt` arrivals *at the root*, and optionally closes again. Requires
-    /// state CLOSED and surplus zero. The beneficiaries depart with
-    /// [`Ticket::ROOT`].
+    /// the caller to own the closed C-SNZI, as [`open`](Self::open) does.
+    /// The beneficiaries depart with [`Ticket::ROOT`].
     pub fn open_with_arrivals(&self, cnt: u64, close: bool) {
-        debug_assert!({
-            let w = self.load_root();
-            !w.open && w.surplus() == 0
-        });
-        let w = RootWord {
-            direct: cnt,
-            tree: 0,
-            open: !close,
-        };
-        // Plain store, safe for the same reason as in `open`: closed with
-        // zero surplus means no departer exists and no arrival can land;
-        // the `cnt` beneficiaries depart only after this store.
-        self.root.store(w.pack(), Ordering::Release);
+        debug_assert!(self.load_root().owned, "only the owner opens");
+        // Rule 4. Release: whoever arrives on (or is granted through) the
+        // new word sees the owner's critical section and hand-off state.
+        self.root
+            .fetch_add(RootWord::open_delta(cnt, close), Ordering::Release);
         self.note_root_write();
     }
 
     /// `Close` (Figure 2): closes an open C-SNZI (no-op if already closed);
     /// returns `true` iff the state changed OPEN→CLOSED *and* the surplus
-    /// is zero — i.e. the closer has write-acquired an uncontended object.
+    /// is zero — i.e. the closer has write-acquired an uncontended object
+    /// and owns it. A `false` may be spurious (the surplus it saw was a
+    /// failed arrival's, about to be taken back); the closer then waits
+    /// for the last departer like any other, and that arrival is it.
     pub fn close(&self) -> bool {
-        loop {
-            let old = self.load_root();
-            if !old.open {
-                return false;
-            }
-            let new = old.closed();
-            if self.cas_root(old, new) {
-                return new.surplus() == 0;
-            }
-        }
+        self.cas_root_to(RootWord::close_target) == Some(RootWord::CLOSED_EMPTY.pack())
     }
 
     /// `CloseIfEmpty` (§2.1, Figure 2): closes only if open with zero
-    /// surplus; returns whether it closed. This is the writer fast path of
-    /// the GOLL lock.
+    /// surplus; returns whether it closed (and the caller owns the
+    /// object). This is the writer fast path of the GOLL lock.
     pub fn close_if_empty(&self) -> bool {
-        loop {
-            let old = self.load_root();
-            if old != RootWord::OPEN_EMPTY {
-                return false;
-            }
-            if self.cas_root(old, RootWord::CLOSED_EMPTY) {
-                return true;
-            }
-        }
+        self.cas_root_to(RootWord::close_if_empty_target).is_some()
     }
 
     // ------------------------------------------------------------------
@@ -750,16 +819,15 @@ impl CSnzi {
         if ticket.is_root() {
             return ticket;
         }
-        // Unconditional direct arrival: legal because our existing arrival
-        // keeps the surplus nonzero, so this never creates surplus on a
-        // closed-and-empty C-SNZI.
-        loop {
-            let old = self.load_root();
-            debug_assert!(old.surplus() > 0);
-            if self.cas_root(old, old.with_direct_arrival()) {
-                break;
-            }
-        }
+        // Unconditional direct arrival: our existing arrival keeps the
+        // word open or draining throughout. Relaxed: it publishes and
+        // reads nothing — the caller moves an arrival it already holds.
+        let old = self.root.fetch_add(RootWord::ONE_DIRECT, Ordering::Relaxed);
+        self.note_root_write();
+        debug_assert!({
+            let old = RootWord::unpack(old);
+            old.surplus() > 0 && !old.owned
+        });
         let still_held = self.tree_depart(ticket.0 as usize);
         debug_assert!(still_held, "surplus kept nonzero by the direct arrival");
         Ticket::ROOT
@@ -774,30 +842,17 @@ impl CSnzi {
     }
 
     /// Attempts to atomically convert a sole direct arrival on an *open*
-    /// C-SNZI into the closed-empty (write-acquired) state. Returns `true`
+    /// C-SNZI into the owned-empty (write-acquired) state. Returns `true`
     /// on success; on failure nothing changes and the caller still holds
     /// its arrival.
     ///
     /// This is the commit point of the GOLL write-upgrade: the reader's own
-    /// surplus is consumed and the object ends closed with zero surplus.
+    /// surplus is consumed and the object ends closed, empty and owned.
     pub fn try_upgrade_sole_direct(&self) -> bool {
-        let old = RootWord {
-            direct: 1,
-            tree: 0,
-            open: true,
-        };
-        // Retry while the word still matches: a concurrent reader that
+        // (Retried while the word still matches: a concurrent reader that
         // arrived and already departed again may fail the CAS spuriously
-        // without invalidating our sole-reader status.
-        loop {
-            let w = self.load_root();
-            if w != old {
-                return false;
-            }
-            if self.cas_root(old, RootWord::CLOSED_EMPTY) {
-                return true;
-            }
-        }
+        // without invalidating our sole-reader status.)
+        self.cas_root_to(RootWord::upgrade_target).is_some()
     }
 
     // ------------------------------------------------------------------
@@ -872,46 +927,77 @@ impl CSnzi {
         x != 1 || self.parent_depart(self.shape.parent_of(idx))
     }
 
-    /// `TreeArrive` base case at the root: fails only when the C-SNZI is
-    /// closed with zero surplus (a tree arrival may legitimately land while
-    /// the C-SNZI is closed but still held by readers; it linearizes at the
-    /// openness check its leaf-arriving thread performed earlier — §2.2).
+    /// `TreeArrive` base case at the root (rule 5): fails when the C-SNZI
+    /// has an owner or is drained and waiting for one (a tree arrival may
+    /// legitimately land while the C-SNZI is closed but still held by
+    /// readers; it linearizes at the openness check its leaf-arriving
+    /// thread performed earlier — §2.2). Stays a conditional CAS: unlike a
+    /// direct arrival, a tree arrival that lands must stay.
     fn root_tree_arrive(&self) -> bool {
-        loop {
-            let old = self.load_root();
-            if old.surplus() == 0 && !old.open {
-                return false;
-            }
-            if self.cas_root(old, old.with_tree_arrival()) {
-                return true;
-            }
-        }
+        self.cas_root_to(|old| RootWord::tree_arrive_ok(old).then_some(old + RootWord::ONE_TREE))
+            .is_some()
     }
 
     /// `TreeDepart` base case at the root.
     fn root_tree_depart(&self) -> bool {
-        // AcqRel: as in `root_direct_depart`.
-        let old = self.root.fetch_sub(RootWord::ONE_TREE, Ordering::AcqRel);
-        self.note_root_write();
-        RootWord::unpack(old).with_tree_departure() != RootWord::CLOSED_EMPTY
+        self.root_decrement(RootWord::ONE_TREE)
     }
 
-    /// Departure of a direct (root) arrival.
+    /// Departure of a direct (root) arrival — a reader's, a canceller's,
+    /// or the undo of an arrival that landed closed.
     fn root_direct_depart(&self) -> bool {
-        // One wait-free `fetch_sub`; the word it returns decides "last
-        // departer of a closed object". AcqRel — release: the reader's
-        // critical-section accesses happen-before the closer (or later
-        // departer) that sees the surplus reach zero; acquire: the last
-        // departer, which must hand the lock off, sees the writer's
-        // enqueue that preceded its `close`.
-        let old = self.root.fetch_sub(RootWord::ONE_DIRECT, Ordering::AcqRel);
+        self.root_decrement(RootWord::ONE_DIRECT)
+    }
+
+    /// Rule 2: every decrement of the root is one wait-free `fetch_sub`,
+    /// and the word it returns says whether this thread should try the
+    /// claim. `false`: it is the last departer of a closed object. AcqRel
+    /// — release: the reader's critical-section accesses happen-before
+    /// whoever comes to own the object; acquire: the last departer, which
+    /// must hand the lock off, sees the writer's enqueue that preceded
+    /// its `close`, and carries every earlier departer's release with it.
+    #[inline]
+    fn root_decrement(&self, unit: u64) -> bool {
+        let old = self.root.fetch_sub(unit, Ordering::AcqRel);
         self.note_root_write();
-        RootWord::unpack(old).with_direct_departure() != RootWord::CLOSED_EMPTY
+        match RootWord::after_decrement(old, unit) {
+            Decrement::Held => true,
+            Decrement::TryClaim => !self.claim(),
+        }
+    }
+
+    /// The claim: *drained* → *owned*-empty. Whoever wins — this
+    /// decrementer, or one left over from an earlier drain of the same
+    /// word — is the one last departer; a loser owes nothing, because
+    /// either someone else won or a failed arrival is on the word and
+    /// will see *drained* at its own undo.
+    fn claim(&self) -> bool {
+        self.cas_root(RootWord::DRAINED.pack(), RootWord::CLOSED_EMPTY.pack())
     }
 
     /// Test/diagnostic accessor: the decoded root word (racy snapshot).
     pub fn root_snapshot(&self) -> RootWord {
         self.load_root()
+    }
+}
+
+#[cfg(all(test, not(loom)))]
+mod tests_support {
+    use super::*;
+
+    /// A handle whose streak of crowded root arrivals (`threshold` others
+    /// in flight, `threshold` times in a row) just reached the default
+    /// threshold.
+    pub(super) fn contended_policy() -> ArrivalPolicy {
+        let crowded = RootWord {
+            direct: u64::from(ArrivalPolicy::DEFAULT_THRESHOLD),
+            ..RootWord::OPEN_EMPTY
+        };
+        let mut p = ArrivalPolicy::default();
+        for _ in 0..ArrivalPolicy::DEFAULT_THRESHOLD {
+            p.record_arrival(crowded);
+        }
+        p
     }
 }
 
@@ -1124,20 +1210,68 @@ mod tests {
         let t = c.arrive(&mut p, 3);
         assert!(t.arrived());
         assert!(!t.is_root());
-        // A default-policy arrival now sees tree surplus and follows it.
+        // A default-policy arrival goes to the root without looking
+        // first, sees tree surplus in the word it got back, and the next
+        // one follows it.
         let mut p2 = ArrivalPolicy::default();
+        let t2 = c.arrive(&mut p2, 1);
+        assert!(t2.is_root());
+        assert!(c.depart(t2));
         let t2 = c.arrive(&mut p2, 1);
         assert!(!t2.is_root());
         assert!(c.depart(t2));
         assert!(c.depart(t));
     }
 
-    /// A handle whose failure streak just reached the default threshold.
+    /// A handle whose streak of crowded root arrivals just reached the
+    /// default threshold.
     fn contended_policy() -> ArrivalPolicy {
-        let mut p = ArrivalPolicy::default();
-        p.record_failure();
-        p.record_failure();
-        p
+        tests_support::contended_policy()
+    }
+
+    #[test]
+    fn a_failed_arrival_leaves_a_closed_word_as_it_found_it() {
+        // Sequentially a failed arrival is add + undo = nothing, whatever
+        // closed state it lands on, and it owes nothing.
+        let c = CSnzi::new(TreeShape::flat(2));
+        let held = c.arrive_direct();
+        assert!(!c.close());
+        let draining = c.root_snapshot();
+        assert_eq!(c.arrive_direct(), Ticket::FAILED);
+        assert_eq!(c.root_snapshot(), draining);
+        assert!(!c.depart(held), "the one real reader is the last departer");
+        assert_eq!(c.root_snapshot(), RootWord::CLOSED_EMPTY);
+        assert_eq!(c.arrive_direct(), Ticket::FAILED);
+        assert_eq!(c.root_snapshot(), RootWord::CLOSED_EMPTY);
+        c.open();
+        assert_eq!(c.root_snapshot(), RootWord::OPEN_EMPTY);
+    }
+
+    #[test]
+    fn ticket_failure_speaks_cancel_outcome() {
+        assert_eq!(Ticket::ROOT.failure(), None);
+        assert_eq!(Ticket::node(3).failure(), None);
+        assert_eq!(Ticket::FAILED.failure(), Some(CancelOutcome::Undone));
+        let owing = Ticket::FAILED_MUST_HAND_OFF;
+        assert!(!owing.arrived());
+        assert_eq!(owing.failure(), Some(CancelOutcome::MustHandOff));
+    }
+
+    #[test]
+    fn opens_keep_a_transient_surplus_for_its_arrival_to_undo() {
+        // What a failed arrival looks like from the owner's side: its
+        // increment is on the word when the owner opens, and must still
+        // be there for the undo that follows.
+        let c = CSnzi::new(TreeShape::ROOT_ONLY);
+        assert!(c.close_if_empty());
+        c.root.fetch_add(RootWord::ONE_DIRECT, Ordering::Relaxed);
+        assert!(!c.close_if_empty(), "closed already");
+        c.open_with_arrivals(1, true);
+        let w = c.root_snapshot();
+        assert_eq!((w.direct, w.open, w.owned), (2, false, false));
+        assert!(c.depart(Ticket::ROOT), "the transient arrival remains");
+        assert!(!c.depart(Ticket::ROOT), "and its undo is the last depart");
+        assert_eq!(c.root_snapshot(), RootWord::CLOSED_EMPTY);
     }
 
     #[test]
@@ -1393,10 +1527,8 @@ mod lazy_tests {
     #[test]
     fn adaptive_inflates_on_failure_streak() {
         let c = CSnzi::new_adaptive(8);
-        let mut p = ArrivalPolicy::default();
-        // Simulate the contention evidence a real failure streak leaves.
-        p.record_failure();
-        p.record_failure();
+        // The contention evidence a run of crowded root arrivals leaves.
+        let mut p = tests_support::contended_policy();
         let mut cursor = LeafCursor::new();
         let t = c.arrive_cached(&mut p, &mut cursor);
         assert!(t.arrived());
@@ -1410,9 +1542,7 @@ mod lazy_tests {
     #[test]
     fn adaptive_deflates_after_quiet_spell_and_reinflates() {
         let c = CSnzi::new_adaptive(4);
-        let mut hot = ArrivalPolicy::default();
-        hot.record_failure();
-        hot.record_failure();
+        let mut hot = tests_support::contended_policy();
         let mut cursor = LeafCursor::new();
         let t = c.arrive_cached(&mut hot, &mut cursor);
         assert!(c.is_inflated());
@@ -1439,9 +1569,7 @@ mod lazy_tests {
         assert!(c.is_tree_allocated(), "deflation keeps the allocation");
 
         // Fresh contention evidence re-inflates (reusing the allocation).
-        let mut hot2 = ArrivalPolicy::default();
-        hot2.record_failure();
-        hot2.record_failure();
+        let mut hot2 = tests_support::contended_policy();
         let t2 = c.arrive_cached(&mut hot2, &mut cursor);
         assert!(!t2.is_root());
         assert!(c.is_inflated());
@@ -1464,9 +1592,7 @@ mod lazy_tests {
         // close/open/open_with_arrivals/trade/upgrade all behave like a
         // static tree once the adaptive object is inflated.
         let c = CSnzi::new_adaptive(4);
-        let mut hot = ArrivalPolicy::default();
-        hot.record_failure();
-        hot.record_failure();
+        let mut hot = tests_support::contended_policy();
         let mut cursor = LeafCursor::new();
         let t = c.arrive_cached(&mut hot, &mut cursor);
         assert!(!t.is_root());

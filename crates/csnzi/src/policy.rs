@@ -8,16 +8,26 @@
 //! tree, indicating that contention was recently observed by another
 //! thread."
 //!
-//! "Unless attempting to do so has failed" has to be re-learned: the tree
-//! helps only when the entry leaf already holds surplus and absorbs the
-//! arrival. A tree arrival that finds its leaf empty (a *miss*) pays the
-//! leaf *and* the root, so it clears the failure streak and the next
-//! arrival tries the root again. Nothing else on the tree path lowers
-//! the streak, so this is what ends a tree excursion once the contention
-//! that started it has passed.
+//! A direct arrival is one unconditional `fetch_add` and cannot fail, so
+//! "attempting to do so has failed" is read off the word that `fetch_add`
+//! returned ([`ArrivalPolicy::record_arrival`]): an arrival that finds at
+//! least `threshold` *other* direct arrivals in flight met a crowded root
+//! and counts as a failed CAS did, any other one as a success. One other
+//! arrival in flight is the normal state of two readers sharing a lock and
+//! must not count — a tree whose leaves nobody shares costs two RMWs where
+//! the root costs one. Tree surplus seen in the same word sends the *next*
+//! arrival to look at the tree; that one starts with a root load, as every
+//! arrival used to, and the direct fast path never does.
 //!
-//! The policy is *per-thread* state (a failure counter); lock handles own
-//! one per C-SNZI they use. Pinned policies (always root, always tree)
+//! The evidence has to be re-learned: the tree helps only when the entry
+//! leaf already holds surplus and absorbs the arrival. A tree arrival that
+//! finds its leaf empty (a *miss*) pays the leaf *and* the root, so it
+//! clears the streak and the next arrival tries the root again. Nothing
+//! else on the tree path lowers the streak, so this is what ends a tree
+//! excursion once the contention that started it has passed.
+//!
+//! The policy is *per-thread* state (a streak counter and the last word's
+//! tree bit); lock handles own one per C-SNZI they use. Pinned policies (always root, always tree)
 //! are explicit [`ArrivalMode`] variants rather than sentinel thresholds:
 //! an earlier encoding used `threshold == u32::MAX` to mean "pinned to
 //! root" and had to special-case the tree-surplus clause so a saturated
@@ -30,7 +40,8 @@ use crate::root::RootWord;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArrivalMode {
     /// Paper policy: arrive at the root until `threshold` consecutive
-    /// root CASes fail or the root shows tree surplus.
+    /// arrivals each find `threshold` or more other direct arrivals in
+    /// flight, or the root shows tree surplus.
     Threshold(u32),
     /// Every arrival goes directly to the root, even when other threads
     /// use the tree (root arrival stays correct regardless, so this
@@ -44,6 +55,9 @@ pub enum ArrivalMode {
 #[derive(Debug, Clone)]
 pub struct ArrivalPolicy {
     failures: u32,
+    /// The word the last direct arrival's `fetch_add` returned showed
+    /// tree surplus.
+    tree_seen: bool,
     mode: ArrivalMode,
 }
 
@@ -54,12 +68,13 @@ impl Default for ArrivalPolicy {
 }
 
 impl ArrivalPolicy {
-    /// Default number of consecutive root-CAS failures before switching to
-    /// tree arrivals.
+    /// Default `threshold`: both how many other direct arrivals in flight
+    /// make a root arrival a crowded one, and how many crowded arrivals in
+    /// a row send the handle to the tree.
     pub const DEFAULT_THRESHOLD: u32 = 2;
 
-    /// Creates a policy that tolerates `threshold` consecutive failed root
-    /// CASes before moving to the tree. The legacy sentinel values still
+    /// Creates a policy that tolerates `threshold` consecutive crowded
+    /// root arrivals before moving to the tree. The legacy sentinel values still
     /// map to the pinned modes (`u32::MAX` pins arrivals to the root, `0`
     /// pins them to the tree) so stored thresholds keep their meaning.
     pub fn new(threshold: u32) -> Self {
@@ -73,7 +88,11 @@ impl ArrivalPolicy {
 
     /// Creates a policy with an explicit decision mode.
     pub fn with_mode(mode: ArrivalMode) -> Self {
-        Self { failures: 0, mode }
+        Self {
+            failures: 0,
+            tree_seen: false,
+            mode,
+        }
     }
 
     /// A policy that always arrives directly at the root.
@@ -91,10 +110,22 @@ impl ArrivalPolicy {
         self.mode
     }
 
-    /// Current consecutive-failure credit (contention evidence an
-    /// adaptive C-SNZI consults when deciding to inflate).
+    /// Current crowded-arrival credit (contention evidence an adaptive
+    /// C-SNZI consults when deciding to inflate).
     pub fn failure_streak(&self) -> u32 {
         self.failures
+    }
+
+    /// Whether the handle's own evidence says the next arrival should
+    /// look at the tree — and so start with a root load, which the direct
+    /// fast path does without.
+    #[inline]
+    pub fn wants_tree(&self) -> bool {
+        match self.mode {
+            ArrivalMode::PinnedRoot => false,
+            ArrivalMode::PinnedTree => true,
+            ArrivalMode::Threshold(t) => self.failures >= t || self.tree_seen,
+        }
     }
 
     /// Decides where the next arrival should go, given the freshly loaded
@@ -107,12 +138,23 @@ impl ArrivalPolicy {
         }
     }
 
-    /// Records a failed CAS on the root (contention evidence).
-    pub fn record_failure(&mut self) {
-        self.failures = self.failures.saturating_add(1);
+    /// Observes `old`, the word a direct arrival's `fetch_add` returned:
+    /// its tree surplus routes the next arrival past the tree, and its
+    /// direct count says whether this arrival met a crowded root
+    /// (`threshold` or more others in flight — contention evidence) or
+    /// not (contention is subsiding).
+    #[inline]
+    pub fn record_arrival(&mut self, old: RootWord) {
+        self.tree_seen = old.tree > 0;
+        match self.mode {
+            ArrivalMode::Threshold(t) if old.direct >= u64::from(t) => {
+                self.failures = self.failures.saturating_add(1);
+            }
+            _ => self.record_success(),
+        }
     }
 
-    /// Records a successful direct arrival (contention is subsiding).
+    /// Records an uncrowded direct arrival (contention is subsiding).
     pub fn record_success(&mut self) {
         self.failures = self.failures.saturating_sub(1);
     }
@@ -138,9 +180,17 @@ mod tests {
 
     fn tree_busy_root() -> RootWord {
         RootWord {
-            direct: 0,
             tree: 3,
-            open: true,
+            ..RootWord::OPEN_EMPTY
+        }
+    }
+
+    /// The word an arrival's `fetch_add` returns when `others` direct
+    /// arrivals are in flight.
+    fn crowded_root(others: u64) -> RootWord {
+        RootWord {
+            direct: others,
+            ..RootWord::OPEN_EMPTY
         }
     }
 
@@ -153,20 +203,46 @@ mod tests {
     #[test]
     fn failures_push_to_tree_and_successes_pull_back() {
         let mut p = ArrivalPolicy::new(2);
-        p.record_failure();
-        assert!(!p.should_arrive_at_tree(quiet_root()));
-        p.record_failure();
+        p.record_arrival(crowded_root(2));
+        assert!(!p.wants_tree());
+        p.record_arrival(crowded_root(5));
+        assert!(p.wants_tree());
         assert!(p.should_arrive_at_tree(quiet_root()));
-        p.record_success();
+        p.record_arrival(quiet_root());
+        assert!(!p.wants_tree());
         assert!(!p.should_arrive_at_tree(quiet_root()));
+    }
+
+    #[test]
+    fn one_other_arrival_in_flight_is_not_contention() {
+        // Two readers sharing a lock see each other most of the time; a
+        // tree nobody shares a leaf of would cost both of them.
+        let mut p = ArrivalPolicy::default();
+        for _ in 0..100 {
+            p.record_arrival(crowded_root(1));
+        }
+        assert_eq!(p.failure_streak(), 0);
+        assert!(!p.wants_tree());
+    }
+
+    #[test]
+    fn tree_surplus_in_the_returned_word_routes_the_next_arrival() {
+        let mut p = ArrivalPolicy::default();
+        p.record_arrival(tree_busy_root());
+        assert!(p.wants_tree(), "the next arrival looks at the tree");
+        assert_eq!(p.failure_streak(), 0, "and that is all it says");
+        // The look is a fresh root load: the tree may have drained since.
+        assert!(!p.should_arrive_at_tree(quiet_root()));
+        p.record_arrival(quiet_root());
+        assert!(!p.wants_tree());
     }
 
     #[test]
     fn tree_miss_clears_the_streak_but_not_the_tree_surplus_clause() {
         let mut p = ArrivalPolicy::new(2);
-        p.record_failure();
-        p.record_failure();
-        p.record_failure();
+        for _ in 0..3 {
+            p.record_arrival(crowded_root(2));
+        }
         p.record_tree_miss();
         assert_eq!(p.failure_streak(), 0);
         assert!(!p.should_arrive_at_tree(quiet_root()));
@@ -182,8 +258,10 @@ mod tests {
     #[test]
     fn pinned_policies() {
         let p = ArrivalPolicy::always_direct();
+        assert!(!p.wants_tree());
         assert!(!p.should_arrive_at_tree(tree_busy_root()));
         let p = ArrivalPolicy::always_tree();
+        assert!(p.wants_tree());
         assert!(p.should_arrive_at_tree(quiet_root()));
     }
 
@@ -198,9 +276,13 @@ mod tests {
     fn pinned_root_survives_saturated_failures() {
         let mut p = ArrivalPolicy::always_direct();
         for _ in 0..100 {
-            p.record_failure();
+            p.record_arrival(RootWord {
+                direct: 100,
+                ..tree_busy_root()
+            });
         }
-        // Pinned means pinned: no failure streak or tree surplus moves it.
+        // Pinned means pinned: no crowd or tree surplus moves it.
+        assert!(!p.wants_tree());
         assert!(!p.should_arrive_at_tree(tree_busy_root()));
     }
 
@@ -208,10 +290,10 @@ mod tests {
     fn failure_streak_is_observable() {
         let mut p = ArrivalPolicy::default();
         assert_eq!(p.failure_streak(), 0);
-        p.record_failure();
-        p.record_failure();
+        p.record_arrival(crowded_root(2));
+        p.record_arrival(crowded_root(2));
         assert_eq!(p.failure_streak(), 2);
-        p.record_success();
+        p.record_arrival(quiet_root());
         assert_eq!(p.failure_streak(), 1);
     }
 
@@ -219,9 +301,10 @@ mod tests {
     fn failure_counter_saturates() {
         let mut p = ArrivalPolicy::with_mode(ArrivalMode::Threshold(u32::MAX - 1));
         for _ in 0..10 {
-            p.record_failure();
+            p.record_arrival(crowded_root(crate::root::COUNT_MAX));
         }
-        // Saturating, no overflow; still short of the huge threshold.
+        // No count can reach the huge threshold, so nothing was recorded.
+        assert_eq!(p.failure_streak(), 0);
         assert!(!p.should_arrive_at_tree(quiet_root()));
     }
 }

@@ -5,6 +5,43 @@
 //! property tests can check the tree-based implementation against the spec
 //! on arbitrary operation sequences, and so the documentation has an
 //! executable statement of what a C-SNZI *is*.
+//!
+//! # Where the implementation is weaker than this object, and only there
+//!
+//! Sequentially the implementation and this object agree on every return
+//! value (`tests/spec_equivalence.rs`). Concurrently, one operation has a
+//! wider set of linearizations than Figure 1 gives it: a *failed* `Arrive`.
+//! The implementation's direct arrival is an unconditional `fetch_add`
+//! that, finding the word closed, takes itself back with the ordinary
+//! departure (`crate::root`, rules 1 and 2). Such an arrival may be
+//! linearized as either
+//!
+//! * **nothing** — Figure 1's failed arrive: no state change — or
+//! * **an `arrive` immediately followed by its own `depart`**, both inside
+//!   the operation's interval, on an object that was closed throughout.
+//!   This object has no such transition (`arrive` refuses a closed state);
+//!   read it as `surplus += 1` at the `fetch_add` and [`depart`] at the
+//!   undo.
+//!
+//! The second reading is what other operations can observe. It is why
+//! [`close`] and [`close_if_empty`] may report a surplus that no
+//! *successful* arrival made (they fail spuriously, and the closer takes
+//! its slow path), and why the `depart` half can be the one that returns
+//! `false`: if every real holder leaves while the failed arrival is on the
+//! word, its undo is the last departure of a closed object, and the failed
+//! arriver — not a reader — owes the hand-off
+//! (`Ticket::FAILED_MUST_HAND_OFF`). What it can never do is what the spec
+//! forbids outright: be counted as a holder by an owner. An arrival that
+//! lands on an *owned* word (`close` returned `true`, `close_if_empty`
+//! closed, or the last departer claimed it) is outside the abstract
+//! surplus altogether — `open` requires ownership, not `surplus = 0` — and
+//! its undo never signals. A lone failed arrival (nothing concurrent) is
+//! add + undo = nothing under either reading, which is why the sequential
+//! equivalence holds unchanged.
+//!
+//! [`depart`]: SpecCsnzi::depart
+//! [`close`]: SpecCsnzi::close
+//! [`close_if_empty`]: SpecCsnzi::close_if_empty
 
 /// The abstract state of Figure 1: a surplus and an OPEN/CLOSED flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,13 +8,32 @@
 //! Each model is deliberately tiny (2–3 threads, flat trees) so loom can
 //! exhaust the interleaving space; together they cover the linearizability
 //! corners §2.2 calls out: the arrive/close race, the last-departure
-//! hand-off, and parent-arrival cleanup (`arrivedAtParent && x != 0`).
+//! hand-off, and parent-arrival cleanup (`arrivedAtParent && x != 0`) —
+//! and the one the unconditional arrival adds: an arrival that lands on a
+//! closed word takes itself back, and that undo may be the decrement that
+//! drains the object (`Ticket::FAILED_MUST_HAND_OFF`).
+//!
+//! These run only where loom resolves (network); the root-word protocol
+//! they exercise is checked offline, in tier-1, by
+//! `root_protocol_model.rs`.
 
 #![cfg(loom)]
 
 use loom::sync::Arc;
 use loom::thread;
-use oll_csnzi::{ArrivalPolicy, CSnzi, TreeShape};
+use oll_csnzi::{ArrivalPolicy, CSnzi, CancelOutcome, RootWord, Ticket, TreeShape};
+
+/// One direct arrival and, if it arrived, its departure. Returns whether
+/// this thread came out owning the closed object: its departure was the
+/// last one, or its failed arrival's undo was.
+fn arrive_and_leave(c: &CSnzi) -> bool {
+    let t = c.arrive_direct();
+    match t.failure() {
+        None => !c.depart(t),
+        Some(CancelOutcome::Undone) => false,
+        Some(CancelOutcome::MustHandOff) => true,
+    }
+}
 
 /// Two tree arrivals + departures at the same leaf: the surplus must be
 /// visible at the root whenever any thread is "inside", and must be exactly
@@ -62,50 +81,39 @@ fn loom_tree_vs_direct_arrival() {
     });
 }
 
-/// The reader/writer handshake: a closer racing an arriver. Exactly one of
-/// three outcomes is allowed, and in each the final hand-off is signaled to
-/// exactly one party (this is the FOLL WriterLock/ReaderUnlock protocol in
-/// miniature).
+/// The reader/writer handshake: a closer racing two arrivers. Whichever
+/// way each arrival lands — on the open word (a reader, which departs), or
+/// on the closed one (a failed arrival, which takes itself back, possibly
+/// after the real reader has left) — exactly one party learns it owns the
+/// object (this is the FOLL WriterLock/ReaderUnlock protocol in
+/// miniature), and nothing is left on the word.
 #[test]
 fn loom_close_vs_arrive_handoff() {
     loom::model(|| {
         let c = Arc::new(CSnzi::new(TreeShape::flat(1)));
-        let c2 = Arc::clone(&c);
-
-        // Reader: try to arrive; if successful, depart and note whether we
-        // were told to hand off.
-        let reader = thread::spawn(move || {
-            let t = c2.arrive_tree(0);
-            if t.arrived() {
-                Some(!c2.depart(t)) // true = we must signal the writer
-            } else {
-                None // arrival failed: writer owns the object
-            }
-        });
+        let arrivers: Vec<_> = (0..2)
+            .map(|_| {
+                let c = Arc::clone(&c);
+                thread::spawn(move || arrive_and_leave(&c))
+            })
+            .collect();
 
         // Writer: close; `true` means closed empty (writer-acquired without
-        // waiting), `false` means a reader was inside and the last departer
-        // hands off.
+        // waiting), `false` means somebody was on the word and the last
+        // decrement to leave it hands off.
         let closed_empty = c.close();
 
-        let reader_result = reader.join().unwrap();
-        let w = c.root_snapshot();
-        assert!(!w.open, "writer closed it");
-        assert_eq!(w.surplus(), 0, "reader departed (or never arrived)");
-
-        match reader_result {
-            None => {
-                // Reader failed to arrive ⇒ writer must have closed empty.
-                assert!(closed_empty);
-            }
-            Some(handoff) => {
-                // Reader arrived. Exactly one party learns it owns/hands off:
-                // if the close saw the surplus, the reader's last departure
-                // reports the hand-off; if the close happened after the
-                // departure, it closed empty.
-                assert_eq!(closed_empty, !handoff);
-            }
-        }
+        let handed_off = arrivers
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .filter(|&owns| owns)
+            .count();
+        assert_eq!(
+            handed_off + usize::from(closed_empty),
+            1,
+            "exactly one owner of the closed object"
+        );
+        assert_eq!(c.root_snapshot(), RootWord::CLOSED_EMPTY);
     });
 }
 
@@ -161,67 +169,80 @@ fn loom_trade_to_direct_race() {
     });
 }
 
-/// The GOLL hand-off primitive: a writer (holding closed-empty) performs
-/// `OpenWithArrivals` for two readers, who then depart with root tickets
-/// concurrently; exactly one of them observes the final hand-off when the
-/// object was re-closed.
+/// The GOLL hand-off primitive: a writer (owning the closed object)
+/// performs `OpenWithArrivals` for two readers, who then depart with root
+/// tickets concurrently — while a late arrival lands on the word, before
+/// or after the open (which must keep its increment) and before or after
+/// either departure. The arrival never gets in (the word goes from owned
+/// to draining), and exactly one of the three decrements is the last.
 #[test]
 fn loom_open_with_arrivals_handoff() {
     loom::model(|| {
         let c = Arc::new(CSnzi::new(TreeShape::flat(2)));
-        assert!(c.close()); // writer acquires (closed empty)
+        assert!(c.close()); // writer acquires (owned, empty)
+
+        let late = {
+            let c = Arc::clone(&c);
+            thread::spawn(move || {
+                let t = c.arrive_direct();
+                assert!(!t.arrived(), "the word is never open in this model");
+                t.failure() == Some(CancelOutcome::MustHandOff)
+            })
+        };
 
         // Hand over to two readers with a writer still "queued"
         // (close = true).
         c.open_with_arrivals(2, true);
 
         let c2 = Arc::clone(&c);
-        let t = thread::spawn(move || c2.depart(oll_csnzi::Ticket::ROOT));
-        let mine = c.depart(oll_csnzi::Ticket::ROOT);
+        let t = thread::spawn(move || !c2.depart(Ticket::ROOT));
+        let mine = !c.depart(Ticket::ROOT);
         let theirs = t.join().unwrap();
+        let late = late.join().unwrap();
 
-        // Exactly one departure is the last from the closed C-SNZI.
         assert_eq!(
-            [mine, theirs].iter().filter(|ok| !**ok).count(),
+            [mine, theirs, late].iter().filter(|owns| **owns).count(),
             1,
-            "exactly one reader hands the lock to the waiting writer"
+            "exactly one decrement hands the lock to the waiting writer"
         );
-        let w = c.root_snapshot();
-        assert_eq!(w.surplus(), 0);
-        assert!(!w.open);
+        assert_eq!(c.root_snapshot(), RootWord::CLOSED_EMPTY);
     });
 }
 
 /// CloseIfEmpty (writer fast path) racing a reader arrival: if the close
-/// wins the reader fails and the object is write-acquired; if the arrival
-/// wins the close fails and the object stays read-held.
+/// wins the reader's arrival lands on the owned word and is taken back,
+/// owing nothing; if the arrival wins the close fails and the object stays
+/// read-held.
 #[test]
 fn loom_close_if_empty_vs_arrive() {
     loom::model(|| {
         let c = Arc::new(CSnzi::new(TreeShape::flat(1)));
         let c2 = Arc::clone(&c);
         let reader = thread::spawn(move || {
-            let t = c2.arrive_tree(0);
-            if t.arrived() {
-                assert!(c2.depart(t), "object open: no hand-off duty");
-                true
-            } else {
-                false
+            let t = c2.arrive_direct();
+            match t.failure() {
+                None => {
+                    assert!(c2.depart(t), "object open: no hand-off duty");
+                    true
+                }
+                Some(outcome) => {
+                    assert_eq!(outcome, CancelOutcome::Undone, "the closer owns it");
+                    false
+                }
             }
         });
         let closed = c.close_if_empty();
         let read_won = reader.join().unwrap();
         if closed {
             // Writer acquired; the reader may have squeezed its whole
-            // arrive/depart in before the close, or failed after it.
-            let w = c.root_snapshot();
-            assert!(!w.open);
-            assert_eq!(w.surplus(), 0);
+            // arrive/depart in before the close, or failed after it —
+            // leaving the word exactly as the close made it.
+            assert_eq!(c.root_snapshot(), RootWord::CLOSED_EMPTY);
         } else {
             // Close failed: the reader must have been (or still be) the
             // reason; by join time it departed, leaving the object open.
             assert!(read_won);
-            assert!(c.root_snapshot().open);
+            assert_eq!(c.root_snapshot(), RootWord::OPEN_EMPTY);
         }
     });
 }

@@ -13,7 +13,9 @@
 #![cfg(feature = "telemetry")]
 
 use oll_csnzi::{CSnzi, TreeShape};
-use oll_telemetry::LockEvent::{CsnziNodeWrite, CsnziRootCasFail, CsnziRootWrite};
+use oll_telemetry::LockEvent::{
+    CsnziArriveUndone, CsnziNodeWrite, CsnziRootCasFail, CsnziRootWrite,
+};
 use oll_telemetry::Telemetry;
 
 /// A C-SNZI counting its shared writes into the returned handle.
@@ -43,9 +45,47 @@ fn direct_policy_pays_two_root_writes_per_acquisition() {
         let t = c.arrive_direct();
         c.depart(t);
     }
-    let (root_writes, node_writes, _) = writes(&telemetry);
-    assert_eq!(root_writes, 2 * N, "arrive + depart each CAS the root");
-    assert_eq!(node_writes, 0);
+    assert_eq!(
+        writes(&telemetry),
+        (2 * N, 0, 0),
+        "arrive is one fetch_add, depart one fetch_sub: two root writes, nothing conditional"
+    );
+}
+
+#[test]
+fn a_failed_arrival_costs_two_root_writes_and_is_counted() {
+    let (c, telemetry) = counted(TreeShape::flat(4));
+    assert!(c.close());
+    telemetry.reset();
+    const N: u64 = 100;
+    for _ in 0..N {
+        assert!(!c.arrive_direct().arrived());
+    }
+    assert_eq!(writes(&telemetry), (2 * N, 0, 0), "landed and taken back");
+    let undone = telemetry.snapshot().unwrap().get(CsnziArriveUndone);
+    assert_eq!(undone, N);
+    // The tree path checks the root first and writes nothing.
+    telemetry.reset();
+    assert!(!c.arrive_tree(0).arrived());
+    assert_eq!(writes(&telemetry), (0, 0, 0));
+    c.open();
+}
+
+#[test]
+fn the_last_departer_of_a_closed_object_pays_for_its_claim() {
+    let (c, telemetry) = counted(TreeShape::flat(2));
+    let t = c.arrive_direct();
+    assert!(!c.close());
+    telemetry.reset();
+    assert!(!c.depart(t), "last departer");
+    assert_eq!(
+        writes(&telemetry),
+        (2, 0, 0),
+        "fetch_sub, then the claim CAS"
+    );
+    telemetry.reset();
+    c.open();
+    assert_eq!(writes(&telemetry), (1, 0, 0), "open is one fetch_add");
 }
 
 #[test]

@@ -75,8 +75,13 @@ macro_rules! lock_events {
             /// line).
             CsnziNodeWrite = "csnzi_node_write",
             /// A CAS on the C-SNZI root word failed (wasted shared-line
-            /// traffic).
+            /// traffic). Arrivals are unconditional, so these are the
+            /// closes, the last-departer claim and tree arrivals at the
+            /// root.
             CsnziRootCasFail = "csnzi_root_cas_fail",
+            /// A direct C-SNZI arrival landed on a closed word and took
+            /// itself back (the two root writes a failed arrival costs).
+            CsnziArriveUndone = "csnzi_arrive_undone",
             /// An adaptive C-SNZI inflated: built (or re-activated) its
             /// tree after measuring root contention.
             CsnziInflate = "csnzi_inflate",

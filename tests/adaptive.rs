@@ -97,8 +97,8 @@ fn adaptive_supersedes_lazy_tree() {
 
 #[test]
 fn uncontended_adaptive_locks_never_inflate() {
-    // A single thread never fails the root CAS, so no contention is ever
-    // measured and the tree must not materialize.
+    // A single thread never meets another arrival at the root, so no
+    // contention is ever measured and the tree must not materialize.
     let goll = GollLock::builder(4).adaptive(true).build();
     let mut h = goll.handle().unwrap();
     for _ in 0..200 {
@@ -132,7 +132,7 @@ fn uncontended_adaptive_locks_never_inflate() {
 #[test]
 fn tree_routed_arrivals_inflate_adaptive_locks() {
     // Pinning arrivals to the tree (threshold 0) is the deterministic
-    // stand-in for a root-CAS failure streak: the very first read must
+    // stand-in for a streak of crowded root arrivals: the very first read must
     // build and activate the tree.
     let goll = GollLock::builder(4)
         .adaptive(true)

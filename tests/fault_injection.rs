@@ -657,3 +657,315 @@ fn first_inflation_race_builds_one_tree_and_loses_no_arrivals() {
         }
     }
 }
+
+// ----------------------------------------------------------------------
+// The unconditional arrival's own window: `csnzi.arrive.landed-closed`
+// ----------------------------------------------------------------------
+//
+// A read arrival is one `fetch_add`; if it landed on a closed word it is
+// taken back with a `fetch_sub`. In between, its increment sits on a word
+// somebody else owns, drains or recycles. The site is yield-only (an
+// unwind there would leak the increment), and the plan below stretches
+// *every* occurrence, so each scenario's other party acts while a failed
+// arrival is mid-air: a writer releasing (`open` / `open_with_arrivals`
+// must keep the increment), the last reader departing (the arrival's undo,
+// not the reader's depart, may be the decrement that drains the word, and
+// then owes the hand-off), a timed reader cancelling, and a queue lock's
+// reader node being closed, recycled and reopened under it.
+
+/// What a scenario needs from a family: the lock, and the check that it
+/// came to rest — free, its root word(s) open-empty or owned-empty.
+struct Family<L> {
+    name: &'static str,
+    make: fn() -> L,
+    at_rest: fn(&L),
+}
+
+fn goll_family() -> Family<GollLock> {
+    Family {
+        name: "GOLL",
+        make: || GollLock::new(8),
+        at_rest: |lock| {
+            assert_eq!(
+                lock.csnzi_snapshot(),
+                oll::csnzi::RootWord::OPEN_EMPTY,
+                "GOLL: leaked arrival or lost hand-off"
+            );
+        },
+    }
+}
+
+/// For a queue lock: a final write recycles the reader node the reads
+/// left queued (debug builds assert, at every recycle and every reuse,
+/// that the node's word is owned), after which the queue must be empty.
+fn final_write<L: RwLockFamily>(lock: &L) {
+    let mut h = lock.handle().unwrap();
+    h.lock_write();
+    h.unlock_write();
+}
+
+fn foll_family() -> Family<FollLock> {
+    Family {
+        name: "FOLL",
+        make: || FollLock::new(8),
+        at_rest: |lock| {
+            final_write(lock);
+            assert!(lock.is_queue_empty(), "FOLL: queue not drained");
+        },
+    }
+}
+
+fn roll_family() -> Family<RollLock> {
+    Family {
+        name: "ROLL",
+        make: || RollLock::new(8),
+        at_rest: |lock| {
+            final_write(lock);
+            assert!(lock.is_queue_empty(), "ROLL: queue not drained");
+        },
+    }
+}
+
+/// Runs `rounds` rounds of `round(lock, state, i)` while a prober thread
+/// hammers `try_lock_read` — the supply of arrivals that land closed —
+/// under the stretched window, then checks the lock came to rest and
+/// every node of a queue lock's pool still cycles.
+fn with_arrivals_landing_closed<L>(
+    family: Family<L>,
+    rounds: usize,
+    round: impl Fn(&Arc<L>, &Arc<AtomicI64>, usize),
+) where
+    L: RwLockFamily + Send + Sync + 'static,
+    for<'a> L::Handle<'a>: TimedHandle,
+{
+    let _guard = serial();
+    // "arrive" matches both windows: a queue-lock reader about to arrive
+    // at the node it read from the tail (`foll.read.arrive` — stretched,
+    // the node is closed or recycled under it, which is how an arrival
+    // comes to land closed there at all), and the landed arrival itself.
+    let _plan = FaultPlan::every(0x5EED_0017, "arrive", 8).install();
+    let lock = Arc::new((family.make)());
+    // > 0: readers inside; -1: a writer inside.
+    let state = Arc::new(AtomicI64::new(0));
+    let stop = Arc::new(AtomicBool::new(false));
+    let prober = {
+        let (lock, state, stop) = (lock.clone(), state.clone(), stop.clone());
+        std::thread::spawn(move || {
+            let mut h = lock.handle().unwrap();
+            let mut failed = 0usize;
+            while !stop.load(Ordering::Relaxed) {
+                if h.try_lock_read() {
+                    read_inside(&state);
+                    h.unlock_read();
+                } else {
+                    failed += 1;
+                }
+            }
+            failed
+        })
+    };
+    for i in 0..rounds {
+        round(&lock, &state, i);
+    }
+    stop.store(true, Ordering::Relaxed);
+    let failed = prober.join().unwrap();
+    assert!(
+        failed > 0,
+        "{}: the prober never met a held lock",
+        family.name
+    );
+    // In telemetry builds, pin that they went through the window.
+    if let Some(s) = lock.telemetry().snapshot() {
+        let undone = s.get(oll::telemetry::LockEvent::CsnziArriveUndone);
+        assert!(undone > 0, "{}: no arrival was taken back", family.name);
+    }
+
+    // Every handle slot in turn: a queue lock allocates its reader node
+    // starting from the handle's own slot, so this walks the whole pool.
+    let mut handles: Vec<_> = (0..lock.capacity())
+        .map(|_| lock.handle().unwrap())
+        .collect();
+    for h in &mut handles {
+        h.lock_read();
+        read_inside(&state);
+        h.unlock_read();
+        h.lock_write();
+        write_inside(&state);
+        h.unlock_write();
+    }
+    drop(handles);
+    (family.at_rest)(&lock);
+    let mut h = lock.handle().unwrap();
+    assert!(h.try_lock_write(), "{}: lock not free", family.name);
+    h.unlock_write();
+}
+
+fn read_inside(state: &AtomicI64) {
+    assert!(
+        state.fetch_add(1, Ordering::SeqCst) >= 0,
+        "reader beside writer"
+    );
+    state.fetch_sub(1, Ordering::SeqCst);
+}
+
+fn write_inside(state: &AtomicI64) {
+    assert_eq!(state.swap(-1, Ordering::SeqCst), 0, "writer not alone");
+    state.store(0, Ordering::SeqCst);
+}
+
+fn spawn_with_handle<L>(
+    lock: &Arc<L>,
+    state: &Arc<AtomicI64>,
+    f: impl FnOnce(&mut L::Handle<'_>, &AtomicI64) + Send + 'static,
+) -> std::thread::JoinHandle<()>
+where
+    L: RwLockFamily + Send + Sync + 'static,
+{
+    let (lock, state) = (lock.clone(), state.clone());
+    std::thread::spawn(move || {
+        let mut h = lock.handle().unwrap();
+        f(&mut h, &state);
+    })
+}
+
+/// (i) A writer releases — `open`, or `open_with_arrivals` for the readers
+/// that queued behind it — while failed arrivals have their increments on
+/// the owned word.
+fn landing_closed_vs_writer_release<L>(family: Family<L>)
+where
+    L: RwLockFamily + Send + Sync + 'static,
+    for<'a> L::Handle<'a>: TimedHandle,
+{
+    with_arrivals_landing_closed(family, 150, |lock, state, i| {
+        let mut w = lock.handle().unwrap();
+        w.lock_write();
+        write_inside(state);
+        // Odd rounds: readers queue behind the writer first.
+        let readers: Vec<_> = (0..i % 2 * 2)
+            .map(|_| {
+                spawn_with_handle(lock, state, |h, state| {
+                    h.lock_read();
+                    read_inside(state);
+                    h.unlock_read();
+                })
+            })
+            .collect();
+        std::thread::yield_now();
+        w.unlock_write();
+        for r in readers {
+            r.join().unwrap();
+        }
+    });
+}
+
+/// (ii) The last reader departs a lock a writer waits for, while failed
+/// arrivals land on the draining word: whichever decrement drains it
+/// hands the lock to the writer, exactly once.
+fn landing_closed_vs_last_reader<L>(family: Family<L>)
+where
+    L: RwLockFamily + Send + Sync + 'static,
+    for<'a> L::Handle<'a>: TimedHandle,
+{
+    with_arrivals_landing_closed(family, 150, |lock, state, _| {
+        let mut r = lock.handle().unwrap();
+        r.lock_read();
+        let writer = spawn_with_handle(lock, state, |h, state| {
+            h.lock_write();
+            write_inside(state);
+            h.unlock_write();
+        });
+        read_inside(state);
+        std::thread::yield_now();
+        r.unlock_read();
+        writer.join().unwrap();
+    });
+}
+
+/// (iii) A timed reader gives up its wait (its cancel is a decrement like
+/// any other) between a releasing writer and a queued one, with failed
+/// arrivals landing on whatever word it waited on.
+fn landing_closed_vs_timed_reader<L>(family: Family<L>)
+where
+    L: RwLockFamily + Send + Sync + 'static,
+    for<'a> L::Handle<'a>: TimedHandle,
+{
+    with_arrivals_landing_closed(family, 150, |lock, state, i| {
+        let mut w1 = lock.handle().unwrap();
+        w1.lock_write();
+        write_inside(state);
+        let timeout = Duration::from_micros((i % 50) as u64);
+        let reader = spawn_with_handle(lock, state, move |h, state| {
+            if h.lock_read_timeout(timeout).is_ok() {
+                read_inside(state);
+                h.unlock_read();
+            }
+        });
+        let w2 = spawn_with_handle(lock, state, |h, state| {
+            h.lock_write();
+            write_inside(state);
+            h.unlock_write();
+        });
+        std::thread::yield_now();
+        w1.unlock_write();
+        reader.join().unwrap();
+        w2.join().unwrap();
+    });
+}
+
+/// (iv) Reads and writes alternate, so a queue lock's reader node is
+/// closed, recycled and reopened round after round, under arrivals aimed
+/// at it from a tail read of an earlier life. (GOLL has one word and no
+/// pool; for it this is the plain read/write alternation.)
+fn landing_closed_vs_node_recycling<L>(family: Family<L>)
+where
+    L: RwLockFamily + Send + Sync + 'static,
+    for<'a> L::Handle<'a>: TimedHandle,
+{
+    with_arrivals_landing_closed(family, 60, |lock, state, _| {
+        let churn = spawn_with_handle(lock, state, |h, state| {
+            for _ in 0..10 {
+                h.lock_read();
+                read_inside(state);
+                h.unlock_read();
+            }
+        });
+        let mut h = lock.handle().unwrap();
+        for _ in 0..10 {
+            h.lock_write();
+            write_inside(state);
+            h.unlock_write();
+            h.lock_read();
+            read_inside(state);
+            h.unlock_read();
+        }
+        churn.join().unwrap();
+    });
+}
+
+#[test]
+fn arrival_landing_closed_vs_writer_release() {
+    landing_closed_vs_writer_release(goll_family());
+    landing_closed_vs_writer_release(foll_family());
+    landing_closed_vs_writer_release(roll_family());
+}
+
+#[test]
+fn arrival_landing_closed_vs_last_reader_departing() {
+    landing_closed_vs_last_reader(goll_family());
+    landing_closed_vs_last_reader(foll_family());
+    landing_closed_vs_last_reader(roll_family());
+}
+
+#[test]
+fn arrival_landing_closed_vs_timed_reader_cancelling() {
+    landing_closed_vs_timed_reader(goll_family());
+    landing_closed_vs_timed_reader(foll_family());
+    landing_closed_vs_timed_reader(roll_family());
+}
+
+#[test]
+fn arrival_landing_closed_vs_reader_node_recycling() {
+    landing_closed_vs_node_recycling(goll_family());
+    landing_closed_vs_node_recycling(foll_family());
+    landing_closed_vs_node_recycling(roll_family());
+}

@@ -277,8 +277,9 @@ fn tree_arrivals_write_the_root_less_than_centralized() {
 }
 
 /// The adaptive tentpole's zero-overhead pin: an uncontended single
-/// reader on an adaptive lock must cost exactly one root CAS per acquire
-/// and one per release, with zero tree-node RMWs and no inflation —
+/// reader on an adaptive lock must cost exactly one root RMW per acquire
+/// (the `fetch_add`) and one per release (the `fetch_sub`), neither of
+/// them conditional, with zero tree-node RMWs and no inflation —
 /// byte-for-byte the centralized fast path.
 #[test]
 fn adaptive_uncontended_reader_touches_only_the_root() {
@@ -294,13 +295,66 @@ fn adaptive_uncontended_reader_touches_only_the_root() {
     let s = lock.telemetry().snapshot().expect("instrumented lock");
     assert_eq!(s.get(LockEvent::ArriveDirect), READS);
     assert_eq!(s.get(LockEvent::ArriveTree), 0);
-    // Exactly one successful root CAS per acquire and one per release.
+    // Exactly one root write per acquire and one per release, and
+    // nothing that could fail or had to be taken back.
     assert_eq!(s.get(LockEvent::CsnziRootWrite), 2 * READS);
     assert_eq!(s.get(LockEvent::CsnziRootCasFail), 0);
+    assert_eq!(s.get(LockEvent::CsnziArriveUndone), 0);
     assert_eq!(s.get(LockEvent::CsnziNodeWrite), 0);
     assert_eq!(s.get(LockEvent::CsnziInflate), 0);
     assert_eq!(s.get(LockEvent::CsnziDeflate), 0);
     assert_eq!(s.get(LockEvent::CsnziLeafMigrate), 0);
+}
+
+/// The unconditional arrival, counted: a direct read on any OLL family is
+/// exactly two root writes — the arrival's `fetch_add`, the departure's
+/// `fetch_sub` — and nothing conditional: no CAS that could fail, nothing
+/// taken back.
+#[test]
+fn a_direct_read_is_two_root_writes_and_no_cas() {
+    fn check<L: RwLockFamily>(lock: L, label: &str) {
+        let mut h = lock.handle().unwrap();
+        // The first read of a queue lock enqueues (and opens) its reader
+        // node; measure the steady state behind it.
+        h.lock_read();
+        h.unlock_read();
+        lock.telemetry().reset();
+        for _ in 0..READS {
+            h.lock_read();
+            h.unlock_read();
+        }
+        let s = lock.telemetry().snapshot().expect("instrumented lock");
+        assert_eq!(s.get(LockEvent::ArriveDirect), READS, "{label}");
+        assert_eq!(s.get(LockEvent::CsnziRootWrite), 2 * READS, "{label}");
+        assert_eq!(s.get(LockEvent::CsnziRootCasFail), 0, "{label}");
+        assert_eq!(s.get(LockEvent::CsnziArriveUndone), 0, "{label}");
+        assert_eq!(s.get(LockEvent::CsnziNodeWrite), 0, "{label}");
+    }
+    check(GollLock::new(2), "GOLL");
+    check(FollLock::new(2), "FOLL");
+    check(RollLock::new(2), "ROLL");
+}
+
+/// A read arrival that lands on a write-held lock is counted as undone,
+/// costs its two root writes, and leaves the word as it found it.
+#[test]
+fn an_arrival_that_lands_closed_is_counted_and_taken_back() {
+    let lock = GollLock::new(2);
+    let mut w = lock.handle().unwrap();
+    let mut r = lock.handle().unwrap();
+    w.lock_write();
+    lock.telemetry().reset();
+    for _ in 0..READS {
+        assert!(!r.try_lock_read());
+    }
+    let s = lock.telemetry().snapshot().expect("instrumented lock");
+    assert_eq!(s.get(LockEvent::CsnziArriveUndone), READS);
+    assert_eq!(s.get(LockEvent::CsnziRootWrite), 2 * READS);
+    assert_eq!(s.get(LockEvent::CsnziRootCasFail), 0);
+    assert_eq!(s.reads(), 0, "no read was acquired");
+    assert_eq!(lock.csnzi_snapshot(), oll::csnzi::RootWord::CLOSED_EMPTY);
+    w.unlock_write();
+    assert_eq!(lock.csnzi_snapshot(), oll::csnzi::RootWord::OPEN_EMPTY);
 }
 
 /// Forced tree routing on an adaptive lock records the inflation and the
