@@ -338,8 +338,6 @@ pub struct AsyncRwLockBuilder {
     shape: Option<TreeShape>,
     policy: FairnessPolicy,
     arrival_threshold: u32,
-    lazy_tree: bool,
-    adaptive: bool,
     telemetry_name: Option<String>,
 }
 
@@ -353,8 +351,6 @@ impl AsyncRwLockBuilder {
             shape: None,
             policy: FairnessPolicy::Alternating,
             arrival_threshold: ArrivalPolicy::DEFAULT_THRESHOLD,
-            lazy_tree: false,
-            adaptive: false,
             telemetry_name: None,
         }
     }
@@ -366,6 +362,7 @@ impl AsyncRwLockBuilder {
     }
 
     /// Overrides the C-SNZI tree shape (default: one leaf per worker).
+    /// The tree is allocated by the first arrival that goes to it.
     pub fn tree_shape(mut self, shape: TreeShape) -> Self {
         self.shape = Some(shape);
         self
@@ -386,21 +383,6 @@ impl AsyncRwLockBuilder {
         self
     }
 
-    /// Defers the C-SNZI tree allocation until the first contended
-    /// arrival; uncontended locks then cost a single cache line.
-    pub fn lazy_tree(mut self, lazy: bool) -> Self {
-        self.lazy_tree = lazy;
-        self
-    }
-
-    /// Makes the C-SNZI adaptive (inflates a topology-sized tree under
-    /// measured contention, deflates when quiet). Supersedes
-    /// [`lazy_tree`](Self::lazy_tree).
-    pub fn adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
     /// Names this lock's telemetry instance (default `"ASYNC#<seq>"`).
     /// No effect unless built with the `telemetry` feature.
     pub fn telemetry_name(mut self, name: &str) -> Self {
@@ -417,16 +399,7 @@ impl AsyncRwLockBuilder {
         if let Some(name) = &self.telemetry_name {
             telemetry.rename(name);
         }
-        let mut csnzi = if self.adaptive {
-            let max_leaves = self
-                .shape
-                .map_or(self.concurrency, |s| s.leaf_count().max(1));
-            CSnzi::new_adaptive(max_leaves)
-        } else if self.lazy_tree {
-            CSnzi::new_lazy(shape)
-        } else {
-            CSnzi::new(shape)
-        };
+        let mut csnzi = CSnzi::new(shape);
         csnzi.attach_telemetry(telemetry.clone());
         let hazard = Hazard::new();
         hazard.attach_telemetry(&telemetry);

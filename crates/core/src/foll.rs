@@ -220,37 +220,14 @@ pub(crate) struct ReaderNode {
     pub(crate) prev: AtomicU32,
 }
 
-/// How each pooled reader node materializes its C-SNZI tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TreeMode {
-    /// Allocate the full tree up front (the paper's default).
-    Eager,
-    /// Defer allocation until the node's first tree arrival (§2.2).
-    Lazy,
-    /// Start root-only and let measured contention inflate (and quiet
-    /// spells deflate) the tree at runtime.
-    Adaptive,
-}
-
 impl ReaderNode {
-    fn new(
-        shape: TreeShape,
-        ring_next: usize,
-        mode: TreeMode,
-        telemetry: Telemetry,
-        knobs: std::sync::Arc<TuningKnobs>,
-    ) -> Self {
+    fn new(shape: TreeShape, ring_next: usize, telemetry: Telemetry) -> Self {
         // "when just allocated, has a closed C-SNZI with no surplus" —
-        // owned, here, by whoever allocates the node.
-        let mut csnzi = match mode {
-            TreeMode::Eager => CSnzi::new_closed(shape),
-            TreeMode::Lazy => CSnzi::new_closed_lazy(shape),
-            // The configured shape caps the inflated tree; the adaptive
-            // constructor shrinks it further to the detected parallelism.
-            TreeMode::Adaptive => CSnzi::new_closed_adaptive(shape.leaf_count().max(1)),
-        };
+        // owned, here, by whoever allocates the node. Its tree waits for
+        // the node's first tree arrival, so a lock that never sees read
+        // contention allocates no trees at all.
+        let mut csnzi = CSnzi::new_closed(shape);
         csnzi.attach_telemetry(telemetry);
-        csnzi.attach_knobs(knobs);
         Self {
             csnzi,
             qnext: AtomicU32::new(NodeRef::NIL.raw()),
@@ -270,9 +247,8 @@ pub(crate) struct QueueCore {
     pub(crate) writer_nodes: Box<[CachePadded<WriterNode>]>,
     pub(crate) reader_nodes: Box<[CachePadded<ReaderNode>]>,
     pub(crate) slots: SlotRegistry,
-    /// Live tuning knobs (backoff caps, cohort batch, C-SNZI deflation
-    /// hysteresis); shared between the builder, every pooled node, and an
-    /// optional online controller.
+    /// Live tuning knobs (backoff caps, cohort batch); shared between the
+    /// builder, the cohort gate and an optional online controller.
     pub(crate) knobs: std::sync::Arc<TuningKnobs>,
     pub(crate) arrival_threshold: u32,
     pub(crate) telemetry: Telemetry,
@@ -288,7 +264,6 @@ impl QueueCore {
         shape: TreeShape,
         knobs: std::sync::Arc<TuningKnobs>,
         arrival_threshold: u32,
-        tree_mode: TreeMode,
         telemetry: Telemetry,
     ) -> Self {
         let capacity = capacity.max(1);
@@ -304,9 +279,7 @@ impl QueueCore {
                     CachePadded::new(ReaderNode::new(
                         shape,
                         (i + 1) % capacity,
-                        tree_mode,
                         telemetry.clone(),
-                        knobs.clone(),
                     ))
                 })
                 .collect(),
@@ -763,15 +736,12 @@ pub struct QueueBuilder<P> {
     backoff: BackoffPolicy,
     arrival_threshold: u32,
     pub(crate) use_hint: bool,
-    lazy_tree: bool,
-    adaptive: bool,
     #[cfg(not(loom))]
     biased: bool,
     cohort: bool,
     cohort_batch: u32,
     cohort_ranks: Option<usize>,
     telemetry_name: Option<String>,
-    knobs: Option<std::sync::Arc<TuningKnobs>>,
     order: PhantomData<fn() -> P>,
 }
 
@@ -785,28 +755,14 @@ impl<P: OrderPolicy> QueueBuilder<P> {
             backoff: BackoffPolicy::default(),
             arrival_threshold: ArrivalPolicy::DEFAULT_THRESHOLD,
             use_hint: true,
-            lazy_tree: false,
-            adaptive: false,
             #[cfg(not(loom))]
             biased: false,
             cohort: false,
             cohort_batch: DEFAULT_COHORT_BATCH,
             cohort_ranks: None,
             telemetry_name: None,
-            knobs: None,
             order: PhantomData,
         }
-    }
-
-    /// Shares `knobs` as the lock's live policy source. [`build`](Self::build)
-    /// writes the builder's configured backoff and cohort-batch values into
-    /// it, then every component (wait loops, cohort gate, adaptive C-SNZIs)
-    /// reads from it — the hook an online controller uses to steer the lock
-    /// while it runs. Without this call the lock gets a private block at the
-    /// same defaults.
-    pub fn tuning(mut self, knobs: std::sync::Arc<TuningKnobs>) -> Self {
-        self.knobs = Some(knobs);
-        self
     }
 
     /// Enables the NUMA cohort writer gate: each locality rank (socket)
@@ -869,26 +825,9 @@ impl<P: OrderPolicy> QueueBuilder<P> {
         self
     }
 
-    /// Defers each pooled reader node's C-SNZI tree allocation until the
-    /// node first sees a tree arrival (§2.2's space optimization): a lock
-    /// that never experiences read contention allocates no trees at all.
-    pub fn lazy_tree(mut self, lazy: bool) -> Self {
-        self.lazy_tree = lazy;
-        self
-    }
-
-    /// Makes every pooled reader node's C-SNZI *adaptive*: arrivals start
-    /// root-only and the tree inflates only once crowded root arrivals
-    /// prove contention, deflating back after a quiet spell. Supersedes
-    /// [`lazy_tree`](Self::lazy_tree); an explicit
-    /// [`tree_shape`](Self::tree_shape) caps the inflated leaf count.
-    pub fn adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
-        self
-    }
-
     /// Overrides the per-node C-SNZI tree shape (default: one leaf per
-    /// thread).
+    /// thread). Each node's tree is allocated by the first reader arrival
+    /// that goes to it.
     pub fn tree_shape(mut self, shape: TreeShape) -> Self {
         self.shape = Some(shape);
         self
@@ -915,7 +854,7 @@ impl<P: OrderPolicy> QueueBuilder<P> {
         if let Some(name) = &self.telemetry_name {
             telemetry.rename(name);
         }
-        let knobs = self.knobs.unwrap_or_else(TuningKnobs::shared);
+        let knobs = TuningKnobs::shared();
         knobs.set_backoff_policy(self.backoff);
         knobs.set_cohort_batch(self.cohort_batch);
         let mut core = QueueCore::new(
@@ -924,13 +863,6 @@ impl<P: OrderPolicy> QueueBuilder<P> {
                 .unwrap_or_else(|| TreeShape::for_threads(capacity)),
             knobs,
             self.arrival_threshold,
-            if self.adaptive {
-                TreeMode::Adaptive
-            } else if self.lazy_tree {
-                TreeMode::Lazy
-            } else {
-                TreeMode::Eager
-            },
             telemetry,
         );
         if self.cohort {
@@ -998,16 +930,14 @@ impl<P: OrderPolicy> QueueLock<P> {
         self.core.load_tail().is_nil()
     }
 
-    /// Whether this lock's reader-node C-SNZIs resize themselves at
-    /// runtime (built with [`QueueBuilder::adaptive`]).
-    pub fn is_adaptive(&self) -> bool {
-        self.core.reader_nodes[0].csnzi.is_adaptive()
-    }
-
-    /// Whether any pooled reader node's C-SNZI currently routes arrivals
-    /// through its tree (racy; for diagnostics and tests).
+    /// Whether any pooled reader node's C-SNZI has allocated its tree:
+    /// some reader arrival has gone to it (racy; for diagnostics and
+    /// tests).
     pub fn is_inflated(&self) -> bool {
-        self.core.reader_nodes.iter().any(|n| n.csnzi.is_inflated())
+        self.core
+            .reader_nodes
+            .iter()
+            .any(|n| n.csnzi.is_tree_allocated())
     }
 
     /// Whether writers go through the NUMA cohort gate

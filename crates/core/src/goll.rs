@@ -42,12 +42,9 @@ pub struct GollBuilder {
     strategy: WaitStrategy,
     policy: FairnessPolicy,
     arrival_threshold: u32,
-    lazy_tree: bool,
-    adaptive: bool,
     #[cfg(not(loom))]
     biased: bool,
     telemetry_name: Option<String>,
-    knobs: Option<std::sync::Arc<oll_util::knobs::TuningKnobs>>,
 }
 
 impl GollBuilder {
@@ -60,22 +57,10 @@ impl GollBuilder {
             strategy: WaitStrategy::SpinThenYield,
             policy: FairnessPolicy::Alternating,
             arrival_threshold: ArrivalPolicy::DEFAULT_THRESHOLD,
-            lazy_tree: false,
-            adaptive: false,
             #[cfg(not(loom))]
             biased: false,
             telemetry_name: None,
-            knobs: None,
         }
-    }
-
-    /// Shares `knobs` as the lock's live policy source (the adaptive
-    /// C-SNZI's deflation hysteresis reads from it) — the hook an online
-    /// controller uses to steer the lock while it runs. Without this call
-    /// the lock gets a private block at the documented defaults.
-    pub fn tuning(mut self, knobs: std::sync::Arc<oll_util::knobs::TuningKnobs>) -> Self {
-        self.knobs = Some(knobs);
-        self
     }
 
     /// Enables BRAVO-style reader biasing for
@@ -109,27 +94,10 @@ impl GollBuilder {
         self
     }
 
-    /// Defers the C-SNZI tree allocation until the first contended
-    /// arrival (§2.2's space optimization). Uncontended locks then cost a
-    /// single cache line.
-    pub fn lazy_tree(mut self, lazy: bool) -> Self {
-        self.lazy_tree = lazy;
-        self
-    }
-
     /// Overrides the C-SNZI tree shape (default: one leaf per thread).
+    /// The tree is allocated by the first reader arrival that goes to it.
     pub fn tree_shape(mut self, shape: TreeShape) -> Self {
         self.shape = Some(shape);
-        self
-    }
-
-    /// Makes the C-SNZI adaptive: it starts root-only (one cache line,
-    /// no tree), inflates a topology-sized tree when arrivals measure
-    /// contention, and deflates back to root-only routing after a quiet
-    /// spell. Supersedes [`lazy_tree`](Self::lazy_tree); an explicit
-    /// [`tree_shape`](Self::tree_shape) caps the inflated leaf count.
-    pub fn adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
         self
     }
 
@@ -164,19 +132,8 @@ impl GollBuilder {
         if let Some(name) = &self.telemetry_name {
             telemetry.rename(name);
         }
-        let mut csnzi = if self.adaptive {
-            let max_leaves = self.shape.map_or(capacity, |s| s.leaf_count().max(1));
-            CSnzi::new_adaptive(max_leaves)
-        } else if self.lazy_tree {
-            CSnzi::new_lazy(shape)
-        } else {
-            CSnzi::new(shape)
-        };
+        let mut csnzi = CSnzi::new(shape);
         csnzi.attach_telemetry(telemetry.clone());
-        let knobs = self
-            .knobs
-            .unwrap_or_else(oll_util::knobs::TuningKnobs::shared);
-        csnzi.attach_knobs(knobs.clone());
         let hazard = Hazard::new();
         hazard.attach_telemetry(&telemetry);
         GollLock {
@@ -187,7 +144,7 @@ impl GollBuilder {
             arrival_threshold: self.arrival_threshold,
             telemetry,
             hazard,
-            knobs,
+            knobs: oll_util::knobs::TuningKnobs::shared(),
         }
     }
 }
@@ -241,19 +198,15 @@ impl GollLock {
         self.csnzi.root_snapshot()
     }
 
-    /// Whether this lock's C-SNZI adapts its tree at runtime.
-    pub fn is_adaptive(&self) -> bool {
-        self.csnzi.is_adaptive()
-    }
-
-    /// Whether reader arrivals may currently be routed to the C-SNZI tree
-    /// (tracks inflation state on an adaptive lock).
+    /// Whether the C-SNZI has allocated its tree: some reader arrival has
+    /// gone to it (racy; for diagnostics and tests).
     pub fn is_inflated(&self) -> bool {
-        self.csnzi.is_inflated()
+        self.csnzi.is_tree_allocated()
     }
 
-    /// The live tuning-knob block this lock reads (share it with a
-    /// controller to steer the lock while it runs).
+    /// The tuning-knob block this lock shares with its wrappers (the BRAVO
+    /// layer's re-arm multiplier and bias permission, which a controller
+    /// steers); GOLL's own paths read none of it.
     pub fn knobs(&self) -> &std::sync::Arc<oll_util::knobs::TuningKnobs> {
         &self.knobs
     }

@@ -11,9 +11,7 @@
 //! points as the observed read/write mix and revocation cost change.
 
 use oll_util::backoff::BackoffPolicy;
-use oll_util::knobs::{
-    TuningKnobs, DEFAULT_COHORT_BATCH, DEFAULT_DEFLATE_AFTER, DEFAULT_REARM_MULTIPLIER,
-};
+use oll_util::knobs::{TuningKnobs, DEFAULT_COHORT_BATCH, DEFAULT_REARM_MULTIPLIER};
 
 /// The contention regime a sampling window is classified into.
 ///
@@ -23,15 +21,14 @@ use oll_util::knobs::{
 #[repr(u8)]
 pub enum Regime {
     /// Reads dominate and writers are rare: bias aggressively toward the
-    /// zero-RMW read path and let C-SNZI trees stay inflated longer.
+    /// zero-RMW read path.
     ReadHeavy = 0,
     /// No clear winner: the documented default knob values (the regime
     /// every lock starts in).
     Mixed = 1,
     /// Writers are frequent (or bias revocations are thrashing): disarm
-    /// reader bias, deflate C-SNZIs quickly, batch cohort hand-offs
-    /// harder, and spin longer before yielding (writer critical sections
-    /// hand over quickly).
+    /// reader bias, batch cohort hand-offs harder, and spin longer before
+    /// yielding (writer critical sections hand over quickly).
     WriteHeavy = 2,
 }
 
@@ -116,15 +113,6 @@ impl Default for PolicyConfig {
     }
 }
 
-/// [`Regime::ReadHeavy`]'s deflation hysteresis: keep C-SNZI trees
-/// inflated 4× longer than the default — quiet spells between reader
-/// bursts should not collapse the tree readers are about to need.
-pub const READ_HEAVY_DEFLATE_AFTER: u32 = 256;
-
-/// [`Regime::WriteHeavy`]'s deflation hysteresis: collapse quickly —
-/// every tree level a departing reader walks delays the waiting writer.
-pub const WRITE_HEAVY_DEFLATE_AFTER: u32 = 16;
-
 /// [`Regime::WriteHeavy`]'s cohort batch bound: double the default
 /// same-socket hand-off budget, trading short-term remote fairness for
 /// cache-resident writer throughput while writers dominate anyway.
@@ -168,21 +156,18 @@ pub fn apply(regime: Regime, knobs: &TuningKnobs) {
             // rare, so revocation overhead is already bounded and the
             // bias pays from the first bypassed read.
             knobs.set_rearm_multiplier(1);
-            knobs.set_deflate_after(READ_HEAVY_DEFLATE_AFTER);
             knobs.set_cohort_batch(DEFAULT_COHORT_BATCH);
             knobs.set_backoff_policy(BackoffPolicy::default());
         }
         Regime::Mixed => {
             knobs.set_bias_allowed(true);
             knobs.set_rearm_multiplier(DEFAULT_REARM_MULTIPLIER);
-            knobs.set_deflate_after(DEFAULT_DEFLATE_AFTER);
             knobs.set_cohort_batch(DEFAULT_COHORT_BATCH);
             knobs.set_backoff_policy(BackoffPolicy::default());
         }
         Regime::WriteHeavy => {
             knobs.set_bias_allowed(false);
             knobs.set_rearm_multiplier(DEFAULT_REARM_MULTIPLIER);
-            knobs.set_deflate_after(WRITE_HEAVY_DEFLATE_AFTER);
             knobs.set_cohort_batch(WRITE_HEAVY_COHORT_BATCH);
             knobs.set_backoff_policy(WRITE_HEAVY_BACKOFF);
         }
@@ -228,13 +213,12 @@ mod tests {
         let k = TuningKnobs::new();
         apply(Regime::WriteHeavy, &k);
         assert!(!k.bias_allowed());
-        assert_eq!(k.deflate_after(), WRITE_HEAVY_DEFLATE_AFTER);
+        assert_eq!(k.rearm_multiplier(), DEFAULT_REARM_MULTIPLIER);
         assert_eq!(k.cohort_batch(), WRITE_HEAVY_COHORT_BATCH);
         assert_eq!(k.backoff_policy(), WRITE_HEAVY_BACKOFF);
 
         apply(Regime::Mixed, &k);
         assert!(k.bias_allowed());
-        assert_eq!(k.deflate_after(), DEFAULT_DEFLATE_AFTER);
         assert_eq!(k.rearm_multiplier(), DEFAULT_REARM_MULTIPLIER);
         assert_eq!(k.cohort_batch(), DEFAULT_COHORT_BATCH);
         assert_eq!(k.backoff_policy(), BackoffPolicy::default());
@@ -242,7 +226,8 @@ mod tests {
         apply(Regime::ReadHeavy, &k);
         assert!(k.bias_allowed());
         assert_eq!(k.rearm_multiplier(), 1);
-        assert_eq!(k.deflate_after(), READ_HEAVY_DEFLATE_AFTER);
+        assert_eq!(k.cohort_batch(), DEFAULT_COHORT_BATCH);
+        assert_eq!(k.backoff_policy(), BackoffPolicy::default());
     }
 
     #[test]

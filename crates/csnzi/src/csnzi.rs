@@ -5,7 +5,6 @@ use crate::policy::ArrivalPolicy;
 use crate::root::{Decrement, RootWord};
 use oll_telemetry::{LockEvent, Telemetry};
 use oll_util::fault;
-use oll_util::knobs::TuningKnobs;
 use oll_util::sync::{AtomicU64, Ordering};
 use oll_util::CachePadded;
 
@@ -168,77 +167,74 @@ impl LeafCursor {
 /// nodes; a subtree's root has nonzero surplus iff some node in the subtree
 /// does, so `query` needs only the root word while concurrent arrivals and
 /// departures at distinct leaves touch distinct cache lines.
+///
+/// The tree is allocated by its first arrival (§2.2: "we can avoid
+/// allocating the tree (other than the root node) until it is needed, thus
+/// incurring the associated space overhead only for those SNZI objects that
+/// are heavily contended"). Each handle's [`ArrivalPolicy`] decides where
+/// its own arrivals go, so an object whose readers never meet contention
+/// stays one cache line. Once allocated the tree is never freed: a tree
+/// ticket is departable for as long as the object lives.
 #[derive(Debug)]
 pub struct CSnzi {
     root: CachePadded<AtomicU64>,
-    nodes: NodeStorage,
+    nodes: TreeNodes,
     shape: TreeShape,
     /// Owning lock's telemetry, if any (see [`CSnzi::attach_telemetry`]).
     /// Zero-sized and inert without the `telemetry` feature.
     telemetry: Telemetry,
-    /// Owning lock's shared tuning knobs, if any (see
-    /// [`CSnzi::attach_knobs`]); unattached objects use the documented
-    /// defaults, so static builds behave exactly as before knobs existed.
-    knobs: Option<std::sync::Arc<TuningKnobs>>,
 }
 
-/// Tree-node storage: eager (allocated at construction) or lazy
-/// (allocated on the first tree arrival). §2.2: "we can avoid allocating
-/// the tree (other than the root node) until it is needed, thus incurring
-/// the associated space overhead only for those SNZI objects that are
-/// heavily contended." FOLL/ROLL allocate one C-SNZI per pooled reader
-/// node, so lazy trees keep the per-lock footprint proportional to the
-/// contention actually observed.
+/// The tree's node array: empty until the first tree arrival allocates
+/// it, then fixed.
 #[derive(Debug)]
-enum NodeStorage {
-    Eager(Box<[CachePadded<SnziNode>]>),
-    // loom cannot model std::sync::OnceLock, and the lazy path is an
-    // allocation-time optimization with no new synchronization to check,
-    // so loom builds are always eager.
+struct TreeNodes {
     #[cfg(not(loom))]
-    Lazy(std::sync::OnceLock<Box<[CachePadded<SnziNode>]>>),
-    // Contention-driven: allocated lazily *and* routed dynamically — the
-    // tree receives arrivals only while inflated, and a sustained quiet
-    // spell deflates routing back to the root (BRAVO/Fissile-style
-    // adaptation). Loom builds fall back to Eager.
-    #[cfg(not(loom))]
-    Adaptive(AdaptiveTree),
+    cell: std::sync::OnceLock<Box<[CachePadded<SnziNode>]>>,
+    // loom cannot model `OnceLock`, and allocating adds no synchronization
+    // of its own to check, so loom builds allocate at construction.
+    #[cfg(loom)]
+    cell: Box<[CachePadded<SnziNode>]>,
 }
 
-/// State of an adaptive tree beyond the shared node array.
-#[cfg(not(loom))]
-#[derive(Debug)]
-struct AdaptiveTree {
-    nodes: std::sync::OnceLock<Box<[CachePadded<SnziNode>]>>,
-    /// Routing flag: arrivals may use the tree. Once allocated the node
-    /// array is never freed — deflation only clears this flag — so
-    /// outstanding tree tickets stay departable with no reclamation
-    /// protocol.
-    active: std::sync::atomic::AtomicBool,
-    /// Consecutive successful direct root arrivals that observed zero
-    /// tree surplus while inflated; reaching [`CSnzi::DEFLATE_AFTER`]
-    /// deflates.
-    quiet: std::sync::atomic::AtomicU32,
-}
-
-impl NodeStorage {
-    fn get(&self, shape: TreeShape) -> &[CachePadded<SnziNode>] {
-        match self {
-            NodeStorage::Eager(nodes) => nodes,
+impl TreeNodes {
+    fn new(shape: TreeShape) -> Self {
+        #[cfg(not(loom))]
+        let _ = shape;
+        Self {
             #[cfg(not(loom))]
-            NodeStorage::Lazy(cell) => cell.get_or_init(|| shape.alloc_nodes()),
-            #[cfg(not(loom))]
-            NodeStorage::Adaptive(a) => a.nodes.get_or_init(|| shape.alloc_nodes()),
+            cell: std::sync::OnceLock::new(),
+            #[cfg(loom)]
+            cell: shape.alloc_nodes(),
         }
     }
 
-    fn is_allocated(&self) -> bool {
-        match self {
-            NodeStorage::Eager(_) => true,
-            #[cfg(not(loom))]
-            NodeStorage::Lazy(cell) => cell.get().is_some(),
-            #[cfg(not(loom))]
-            NodeStorage::Adaptive(a) => a.nodes.get().is_some(),
+    #[inline]
+    fn get(&self) -> Option<&[CachePadded<SnziNode>]> {
+        #[cfg(not(loom))]
+        {
+            self.cell.get().map(|nodes| &**nodes)
+        }
+        #[cfg(loom)]
+        {
+            Some(&self.cell)
+        }
+    }
+
+    /// The array, allocated by this call unless another arrival already
+    /// has; `allocated` runs only in the call that allocates.
+    fn get_or_alloc(&self, shape: TreeShape, allocated: impl FnOnce()) -> &[CachePadded<SnziNode>] {
+        #[cfg(not(loom))]
+        {
+            self.cell.get_or_init(|| {
+                allocated();
+                shape.alloc_nodes()
+            })
+        }
+        #[cfg(loom)]
+        {
+            let _ = (shape, allocated);
+            &self.cell
         }
     }
 }
@@ -250,161 +246,40 @@ impl Default for CSnzi {
 }
 
 impl CSnzi {
-    /// Creates an open, empty C-SNZI with the given tree shape.
+    /// Creates an open, empty C-SNZI with the given tree shape. The tree
+    /// is allocated by the first arrival that goes to it.
     pub fn new(shape: TreeShape) -> Self {
-        Self {
-            root: CachePadded::new(AtomicU64::new(RootWord::OPEN_EMPTY.pack())),
-            nodes: NodeStorage::Eager(shape.alloc_nodes()),
-            shape,
-            telemetry: Telemetry::disabled(),
-            knobs: None,
-        }
-    }
-
-    /// Creates an open, empty C-SNZI whose tree is allocated only when
-    /// the first arrival actually lands on it (§2.2's space optimization).
-    /// Until then the object costs one cache line, like a plain counter.
-    ///
-    /// Under loom (`--cfg loom`) this falls back to eager allocation.
-    pub fn new_lazy(shape: TreeShape) -> Self {
-        Self {
-            root: CachePadded::new(AtomicU64::new(RootWord::OPEN_EMPTY.pack())),
-            #[cfg(not(loom))]
-            nodes: NodeStorage::Lazy(std::sync::OnceLock::new()),
-            #[cfg(loom)]
-            nodes: NodeStorage::Eager(shape.alloc_nodes()),
-            shape,
-            telemetry: Telemetry::disabled(),
-            knobs: None,
-        }
-    }
-
-    /// Like [`new_lazy`](Self::new_lazy), but starting closed and owned
-    /// (by whoever allocates the node) — the pooled FOLL/ROLL reader-node
-    /// configuration, where the per-node trees only materialize on locks
-    /// that actually see read contention.
-    pub fn new_closed_lazy(shape: TreeShape) -> Self {
-        Self {
-            root: CachePadded::new(AtomicU64::new(RootWord::CLOSED_EMPTY.pack())),
-            #[cfg(not(loom))]
-            nodes: NodeStorage::Lazy(std::sync::OnceLock::new()),
-            #[cfg(loom)]
-            nodes: NodeStorage::Eager(shape.alloc_nodes()),
-            shape,
-            telemetry: Telemetry::disabled(),
-            knobs: None,
-        }
-    }
-
-    /// Creates an open, empty, *adaptive* C-SNZI: it starts root-only
-    /// (one cache line, no tree allocation) and inflates to a tree shaped
-    /// for `min(detected CPUs, max_leaves)` threads when its arrival
-    /// policy reports contention — a streak of crowded root arrivals or
-    /// observed tree surplus. After [`DEFLATE_AFTER`](Self::DEFLATE_AFTER)
-    /// consecutive uncontended direct arrivals it deflates: routing
-    /// returns to the root while the allocation (if any) is kept for the
-    /// next inflation.
-    ///
-    /// Under loom (`--cfg loom`) this falls back to an eager tree of the
-    /// same shape.
-    pub fn new_adaptive(max_leaves: usize) -> Self {
-        Self::adaptive_with_state(max_leaves, RootWord::OPEN_EMPTY)
-    }
-
-    /// Like [`new_adaptive`](Self::new_adaptive), but starting closed —
-    /// the pooled FOLL/ROLL reader-node configuration.
-    pub fn new_closed_adaptive(max_leaves: usize) -> Self {
-        Self::adaptive_with_state(max_leaves, RootWord::CLOSED_EMPTY)
-    }
-
-    fn adaptive_with_state(max_leaves: usize, word: RootWord) -> Self {
-        let cpus = oll_util::topology::Topology::get().cpus();
-        let shape = TreeShape::for_threads(cpus.min(max_leaves.max(1)));
-        Self {
-            root: CachePadded::new(AtomicU64::new(word.pack())),
-            #[cfg(not(loom))]
-            nodes: NodeStorage::Adaptive(AdaptiveTree {
-                nodes: std::sync::OnceLock::new(),
-                active: std::sync::atomic::AtomicBool::new(false),
-                quiet: std::sync::atomic::AtomicU32::new(0),
-            }),
-            #[cfg(loom)]
-            nodes: NodeStorage::Eager(shape.alloc_nodes()),
-            shape,
-            telemetry: Telemetry::disabled(),
-            knobs: None,
-        }
-    }
-
-    /// Whether the tree's node array has been allocated yet (always true
-    /// for eagerly constructed objects).
-    pub fn is_tree_allocated(&self) -> bool {
-        self.nodes.is_allocated()
-    }
-
-    /// Whether this C-SNZI adapts its tree routing at runtime.
-    pub fn is_adaptive(&self) -> bool {
-        #[cfg(not(loom))]
-        {
-            matches!(self.nodes, NodeStorage::Adaptive(_))
-        }
-        #[cfg(loom)]
-        {
-            false
-        }
-    }
-
-    /// Whether arrivals may currently be routed to the tree: always true
-    /// for a static tree with `depth > 0`, and tracks the inflation state
-    /// of an adaptive object.
-    pub fn is_inflated(&self) -> bool {
-        match &self.nodes {
-            NodeStorage::Eager(_) => self.shape.depth > 0,
-            #[cfg(not(loom))]
-            NodeStorage::Lazy(_) => self.shape.depth > 0,
-            #[cfg(not(loom))]
-            NodeStorage::Adaptive(a) => a.active.load(Ordering::Acquire),
-        }
+        Self::with_word(shape, RootWord::OPEN_EMPTY)
     }
 
     /// Creates a closed, empty C-SNZI owned by its creator (FOLL reader
     /// nodes start this way: "when just allocated, has a closed C-SNZI
     /// with no surplus", §4.2).
     pub fn new_closed(shape: TreeShape) -> Self {
+        Self::with_word(shape, RootWord::CLOSED_EMPTY)
+    }
+
+    fn with_word(shape: TreeShape, word: RootWord) -> Self {
         Self {
-            root: CachePadded::new(AtomicU64::new(RootWord::CLOSED_EMPTY.pack())),
-            nodes: NodeStorage::Eager(shape.alloc_nodes()),
+            root: CachePadded::new(AtomicU64::new(word.pack())),
+            nodes: TreeNodes::new(shape),
             shape,
             telemetry: Telemetry::disabled(),
-            knobs: None,
         }
+    }
+
+    /// Whether the first tree arrival has allocated the tree yet (always
+    /// true under loom, which allocates at construction).
+    pub fn is_tree_allocated(&self) -> bool {
+        self.nodes.get().is_some()
     }
 
     /// Routes this object's shared-write counts into an owning lock's
     /// telemetry handle (as `csnzi_root_write` / `csnzi_node_write` /
-    /// `csnzi_root_cas_fail` / `csnzi_arrive_undone` events). Locks attach
-    /// at construction, before sharing.
+    /// `csnzi_root_cas_fail` / `csnzi_arrive_undone` / `csnzi_inflate`
+    /// events). Locks attach at construction, before sharing.
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-    }
-
-    /// Routes this object's tunable thresholds (today: the deflation
-    /// quiet-run length) through an owning lock's shared
-    /// [`TuningKnobs`], so a static builder and an online controller
-    /// steer the same value. Locks attach at construction, before
-    /// sharing; unattached objects use
-    /// [`DEFLATE_AFTER`](Self::DEFLATE_AFTER).
-    pub fn attach_knobs(&mut self, knobs: std::sync::Arc<TuningKnobs>) {
-        self.knobs = Some(knobs);
-    }
-
-    /// The live deflation quiet-run threshold: the attached knob block's
-    /// value, or the documented default when none is attached.
-    #[inline]
-    fn deflate_after(&self) -> u32 {
-        self.knobs
-            .as_ref()
-            .map_or(Self::DEFLATE_AFTER, |k| k.deflate_after())
     }
 
     #[inline]
@@ -472,15 +347,6 @@ impl CSnzi {
         }
     }
 
-    /// Default number of consecutive direct root arrivals that must
-    /// observe zero tree surplus before an inflated adaptive C-SNZI
-    /// deflates. Hysteresis: one quiet arrival is noise, sixty-four in a
-    /// row is a regime change. The *live* value is read from the
-    /// attached [`TuningKnobs`] (see [`attach_knobs`](Self::attach_knobs))
-    /// when a lock wires one up, so an online controller can lengthen or
-    /// shorten the quiet run without rebuilding the lock.
-    pub const DEFLATE_AFTER: u32 = oll_util::knobs::DEFAULT_DEFLATE_AFTER;
-
     /// Max cached-leaf migrations per arrival; past this the cursor stops
     /// chasing quiet cache lines and rides out the CAS loop where it is.
     const MAX_MIGRATIONS_PER_ARRIVAL: u32 = 2;
@@ -505,8 +371,7 @@ impl CSnzi {
     /// [`arrive`](Self::arrive) with a handle-owned [`LeafCursor`]: the
     /// tree path starts at the cursor's cached leaf (topology-placed on
     /// first use) and migrates to a neighbouring leaf only when a
-    /// leaf-level CAS fails. On an adaptive object this is also where
-    /// inflation and deflation are decided.
+    /// leaf-level CAS fails. The first tree arrival allocates the tree.
     ///
     /// The direct arm is [rule 1](crate::root): one `fetch_add`, no load
     /// before it and no retry after it. Only a handle whose policy
@@ -525,9 +390,7 @@ impl CSnzi {
         let old = self.root.fetch_add(RootWord::ONE_DIRECT, Ordering::Acquire);
         self.note_root_write();
         if RootWord::after_arrive(old) {
-            let old = RootWord::unpack(old);
-            policy.record_arrival(old);
-            self.note_direct_success(old);
+            policy.record_arrival(RootWord::unpack(old));
             return Ticket::ROOT;
         }
         self.undo_arrival()
@@ -546,7 +409,7 @@ impl CSnzi {
         if !old.open {
             return Some(Ticket::FAILED);
         }
-        if policy.should_arrive_at_tree(old) && self.tree_route() {
+        if policy.should_arrive_at_tree(old) {
             return Some(self.tree_arrive_cursor(policy, cursor));
         }
         None
@@ -565,81 +428,6 @@ impl CSnzi {
         } else {
             Ticket::FAILED_MUST_HAND_OFF
         }
-    }
-
-    /// Whether the tree path is open for this arrival, inflating an
-    /// adaptive object on the way: by the time the policy asks for the
-    /// tree it has accumulated the contention evidence (a streak of
-    /// crowded root arrivals or observed tree surplus) that justifies
-    /// building one.
-    #[inline]
-    fn tree_route(&self) -> bool {
-        #[cfg(not(loom))]
-        if let Some(a) = self.adaptive() {
-            if !a.active.load(Ordering::Acquire) {
-                self.inflate(a);
-            }
-            // Tree in use: push the deflation epoch back out.
-            a.quiet.store(0, Ordering::Relaxed);
-        }
-        true
-    }
-
-    #[cfg(not(loom))]
-    #[inline]
-    fn adaptive(&self) -> Option<&AdaptiveTree> {
-        match &self.nodes {
-            NodeStorage::Adaptive(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Allocates (once) and activates an adaptive object's tree.
-    #[cfg(not(loom))]
-    fn inflate(&self, a: &AdaptiveTree) {
-        // Sync point for the first-inflation race tests: fault plans can
-        // perturb schedules right before the tree is published.
-        oll_util::fault::inject("csnzi.inflate");
-        a.nodes.get_or_init(|| self.shape.alloc_nodes());
-        if !a.active.swap(true, Ordering::AcqRel) {
-            self.telemetry.incr(LockEvent::CsnziInflate);
-        }
-        a.quiet.store(0, Ordering::Relaxed);
-    }
-
-    /// Deflation bookkeeping after a successful direct root arrival: a
-    /// run of [`DEFLATE_AFTER`](Self::DEFLATE_AFTER) direct arrivals that
-    /// all saw zero tree surplus deflates an inflated adaptive object.
-    /// Any observed tree surplus resets the run — deflation never races
-    /// outstanding tree tickets, because leaf surplus propagates to the
-    /// root's tree counter until the last tree holder departs.
-    #[inline]
-    fn note_direct_success(&self, old: RootWord) {
-        #[cfg(not(loom))]
-        if let Some(a) = self.adaptive() {
-            if a.active.load(Ordering::Relaxed) {
-                if old.tree == 0 {
-                    let quiet = a.quiet.fetch_add(1, Ordering::Relaxed) + 1;
-                    if quiet >= self.deflate_after() {
-                        // Sync point for deflation racing a late tree
-                        // arrival: fault plans can widen the window
-                        // between the quiet-run decision and the swap.
-                        // Yield-only: the caller's direct arrival has
-                        // already landed, so an unwind here would leak
-                        // a surplus no one could depart.
-                        oll_util::fault::inject_yield_only("csnzi.deflate");
-                        if a.active.swap(false, Ordering::AcqRel) {
-                            a.quiet.store(0, Ordering::Relaxed);
-                            self.telemetry.incr(LockEvent::CsnziDeflate);
-                        }
-                    }
-                } else {
-                    a.quiet.store(0, Ordering::Relaxed);
-                }
-            }
-        }
-        #[cfg(loom)]
-        let _ = old;
     }
 
     /// The tree-path arrival for [`arrive_cached`](Self::arrive_cached):
@@ -859,8 +647,30 @@ impl CSnzi {
     // Tree operations (Figure 2's TreeArrive / TreeDepart)
     // ------------------------------------------------------------------
 
+    /// Tree node `idx`. An arrival's first call allocates the tree if no
+    /// arrival has yet, before the arrival's first RMW; a departure's
+    /// ticket proves the tree is there.
+    #[inline]
     fn node(&self, idx: usize) -> &SnziNode {
-        &self.nodes.get(self.shape)[idx]
+        match self.nodes.get() {
+            Some(nodes) => &nodes[idx],
+            None => &self.alloc_tree()[idx],
+        }
+    }
+
+    /// §2.2's deferred allocation. Several first arrivals may get here
+    /// together; one allocates and counts it, the rest wait for its array.
+    /// Nothing of the arrival is on any word yet, so an unwind from here
+    /// leaves nothing behind.
+    #[cold]
+    #[inline(never)]
+    fn alloc_tree(&self) -> &[CachePadded<SnziNode>] {
+        // Sync point for the first-allocation race: fault plans widen the
+        // window in which several arrivals find no tree.
+        fault::inject("csnzi.inflate");
+        self.nodes.get_or_alloc(self.shape, || {
+            self.telemetry.incr(LockEvent::CsnziInflate);
+        })
     }
 
     fn parent_arrive(&self, parent: Parent) -> bool {
@@ -1454,15 +1264,15 @@ mod tests {
 }
 
 #[cfg(all(test, not(loom)))]
-mod lazy_tests {
+mod allocation_tests {
     use super::*;
 
     #[test]
-    fn lazy_tree_allocates_only_on_first_tree_arrival() {
-        let c = CSnzi::new_lazy(TreeShape::flat(8));
+    fn tree_is_allocated_at_its_first_tree_arrival() {
+        let c = CSnzi::new(TreeShape::flat(8));
         assert!(!c.is_tree_allocated());
 
-        // Root-path operations never materialize the tree.
+        // Root-path operations never allocate the tree.
         let t = c.arrive_direct();
         assert!(!c.is_tree_allocated());
         assert!(c.depart(t));
@@ -1474,45 +1284,44 @@ mod lazy_tests {
         assert!(c.depart(Ticket::ROOT));
         assert!(!c.is_tree_allocated());
 
-        // First tree arrival materializes it.
+        // The first tree arrival allocates it.
         let t = c.arrive_tree(3);
         assert!(c.is_tree_allocated());
         assert!(c.depart(t));
     }
 
     #[test]
-    fn eager_tree_is_always_allocated() {
-        let c = CSnzi::new(TreeShape::flat(2));
-        assert!(c.is_tree_allocated());
-        let c = CSnzi::new_closed(TreeShape::flat(2));
-        assert!(c.is_tree_allocated());
+    fn construction_allocates_no_tree() {
+        assert!(!CSnzi::new(TreeShape::flat(2)).is_tree_allocated());
+        assert!(!CSnzi::new_closed(TreeShape::flat(2)).is_tree_allocated());
+        // A root-only shape has no tree to allocate.
+        let c = CSnzi::new(TreeShape::ROOT_ONLY);
+        let t = c.arrive_tree(0);
+        assert!(t.is_root());
+        assert!(c.depart(t));
     }
 
     #[test]
-    fn lazy_tree_behaves_identically_after_materialization() {
-        let lazy = CSnzi::new_lazy(TreeShape::flat(4));
-        let eager = CSnzi::new(TreeShape::flat(4));
+    fn allocation_is_invisible_to_tree_arrivals() {
+        // One object allocates mid-sequence, the other before it.
+        let fresh = CSnzi::new(TreeShape::flat(4));
+        let built = CSnzi::new(TreeShape::flat(4));
+        assert!(built.depart(built.arrive_tree(0)));
         for hint in 0..8 {
-            let tl = lazy.arrive_tree(hint);
-            let te = eager.arrive_tree(hint);
-            assert_eq!(tl.arrived(), te.arrived());
-            assert_eq!(lazy.query(), eager.query());
-            assert_eq!(lazy.depart(tl), eager.depart(te));
+            let tf = fresh.arrive_tree(hint);
+            let tb = built.arrive_tree(hint);
+            assert_eq!(tf.arrived(), tb.arrived());
+            assert_eq!(fresh.query(), built.query());
+            assert_eq!(fresh.depart(tf), built.depart(tb));
         }
         // Both drained: closing an empty, open object succeeds.
-        assert!(lazy.close());
-        assert!(eager.close());
+        assert!(fresh.close());
+        assert!(built.close());
     }
 
     #[test]
-    fn adaptive_starts_root_only_and_unallocated() {
-        let c = CSnzi::new_adaptive(8);
-        assert!(c.is_adaptive());
-        assert!(!c.is_inflated());
-        assert!(!c.is_tree_allocated());
-        assert!(c.shape().depth > 0, "target shape is sized, not ROOT_ONLY");
-
-        // Uncontended traffic stays on the root and never allocates.
+    fn uncontended_arrivals_never_allocate_the_tree() {
+        let c = CSnzi::new(TreeShape::flat(8));
         let mut p = ArrivalPolicy::default();
         let mut cursor = LeafCursor::new();
         for _ in 0..100 {
@@ -1520,66 +1329,53 @@ mod lazy_tests {
             assert!(t.is_root());
             assert!(c.depart(t));
         }
-        assert!(!c.is_inflated());
         assert!(!c.is_tree_allocated());
     }
 
     #[test]
-    fn adaptive_inflates_on_failure_streak() {
-        let c = CSnzi::new_adaptive(8);
+    fn a_failure_streak_allocates_the_tree() {
+        let c = CSnzi::new(TreeShape::flat(8));
         // The contention evidence a run of crowded root arrivals leaves.
         let mut p = tests_support::contended_policy();
         let mut cursor = LeafCursor::new();
         let t = c.arrive_cached(&mut p, &mut cursor);
         assert!(t.arrived());
         assert!(!t.is_root(), "contended arrival lands on the tree");
-        assert!(c.is_inflated());
         assert!(c.is_tree_allocated());
         assert!(c.query().nonzero);
         assert!(c.depart(t));
     }
 
     #[test]
-    fn adaptive_deflates_after_quiet_spell_and_reinflates() {
-        let c = CSnzi::new_adaptive(4);
+    fn the_tree_once_allocated_is_never_freed() {
+        let c = CSnzi::new(TreeShape::flat(4));
         let mut hot = tests_support::contended_policy();
         let mut cursor = LeafCursor::new();
         let t = c.arrive_cached(&mut hot, &mut cursor);
-        assert!(c.is_inflated());
-
-        // A held tree ticket keeps root tree surplus nonzero, which
-        // blocks deflation no matter how many quiet arrivals pass.
-        let mut probe = ArrivalPolicy::always_direct();
-        for _ in 0..(CSnzi::DEFLATE_AFTER * 2) {
-            let d = c.arrive_cached(&mut probe, &mut LeafCursor::new());
-            assert!(d.is_root());
-            assert!(c.depart(d));
-        }
-        assert!(c.is_inflated(), "tree surplus must hold off deflation");
-
+        assert!(!t.is_root());
         assert!(c.depart(t));
-        // With the tree drained, a quiet spell deflates.
+
+        // A long quiet spell of direct arrivals keeps the allocation.
         let mut calm = ArrivalPolicy::default();
-        for _ in 0..CSnzi::DEFLATE_AFTER {
+        for _ in 0..256 {
             let d = c.arrive_cached(&mut calm, &mut cursor);
             assert!(d.is_root());
             assert!(c.depart(d));
         }
-        assert!(!c.is_inflated());
-        assert!(c.is_tree_allocated(), "deflation keeps the allocation");
+        assert!(c.is_tree_allocated(), "the tree is never freed");
 
-        // Fresh contention evidence re-inflates (reusing the allocation).
+        // Fresh contention evidence lands on the same tree.
         let mut hot2 = tests_support::contended_policy();
         let t2 = c.arrive_cached(&mut hot2, &mut cursor);
         assert!(!t2.is_root());
-        assert!(c.is_inflated());
         assert!(c.depart(t2));
     }
 
     #[test]
-    fn adaptive_closed_variant_rejects_arrivals() {
-        let c = CSnzi::new_closed_adaptive(4);
+    fn closed_objects_reject_arrivals_without_allocating() {
+        let c = CSnzi::new_closed(TreeShape::flat(4));
         assert!(!c.arrive(&mut ArrivalPolicy::default(), 0).arrived());
+        assert!(!c.arrive(&mut ArrivalPolicy::always_tree(), 0).arrived());
         assert!(!c.is_tree_allocated());
         c.open();
         let t = c.arrive(&mut ArrivalPolicy::default(), 0);
@@ -1588,10 +1384,10 @@ mod lazy_tests {
     }
 
     #[test]
-    fn adaptive_full_protocol_once_inflated() {
-        // close/open/open_with_arrivals/trade/upgrade all behave like a
-        // static tree once the adaptive object is inflated.
-        let c = CSnzi::new_adaptive(4);
+    fn full_protocol_from_a_first_tree_arrival() {
+        // close/open/open_with_arrivals/trade/upgrade on an object whose
+        // tree a contended arrival just allocated.
+        let c = CSnzi::new(TreeShape::flat(4));
         let mut hot = tests_support::contended_policy();
         let mut cursor = LeafCursor::new();
         let t = c.arrive_cached(&mut hot, &mut cursor);
@@ -1637,13 +1433,13 @@ mod lazy_tests {
     }
 
     #[test]
-    fn adaptive_concurrent_stress_with_inflation_and_deflation() {
+    fn concurrent_stress_from_an_unallocated_tree() {
         use std::sync::atomic::{AtomicI64, Ordering as O};
         use std::sync::Arc;
 
         const THREADS: usize = 8;
         const OPS: usize = 2_000;
-        let c = Arc::new(CSnzi::new_adaptive(THREADS));
+        let c = Arc::new(CSnzi::new(TreeShape::for_threads(THREADS)));
         let oracle = Arc::new(AtomicI64::new(0));
         let mut handles = Vec::new();
         for _ in 0..THREADS {
@@ -1678,7 +1474,7 @@ mod lazy_tests {
     #[test]
     fn concurrent_first_tree_arrivals_race_safely() {
         use std::sync::Arc;
-        let c = Arc::new(CSnzi::new_lazy(TreeShape::flat(4)));
+        let c = Arc::new(CSnzi::new(TreeShape::flat(4)));
         let mut handles = Vec::new();
         for tid in 0..4 {
             let c = Arc::clone(&c);

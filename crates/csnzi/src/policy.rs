@@ -110,8 +110,8 @@ impl ArrivalPolicy {
         self.mode
     }
 
-    /// Current crowded-arrival credit (contention evidence an adaptive
-    /// C-SNZI consults when deciding to inflate).
+    /// Current crowded-arrival credit (the contention evidence that
+    /// sends the handle's arrivals to the tree).
     pub fn failure_streak(&self) -> u32 {
         self.failures
     }

@@ -4,7 +4,7 @@
 //!
 //! The levels are ordered by severity so a future `SelfTuning<L>` can
 //! compare them directly: anything at or above
-//! [`LockHealth::Contended`] is a reason to adapt (inflate the C-SNZI,
+//! [`LockHealth::Contended`] is a reason to adapt (batch cohort hand-offs,
 //! drop reader bias), anything at [`LockHealth::Degraded`] is a reason
 //! to alert. Scoring uses only ratios over the scored interval — never
 //! absolute counts — so the same thresholds work for a 100 ms window

@@ -9,7 +9,7 @@
 //! self-tuning item needs: a [`Sampler`] periodically sweeps
 //! `oll_telemetry::registry`, diffs consecutive sweeps into per-lock
 //! delta windows (acquisitions, hand-offs, timeouts, bias revocations,
-//! C-SNZI inflations, plus p50/p99/p999 acquire and hold estimates
+//! C-SNZI tree allocations, plus p50/p99/p999 acquire and hold estimates
 //! from the log2 histograms), and retains them in a [`SeriesRing`]
 //! whose evictions fold into exact run totals. [`Sampler::serve`]
 //! exposes it all over a dependency-free HTTP listener (`/metrics` for

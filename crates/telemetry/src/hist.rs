@@ -1,14 +1,15 @@
-//! Concurrent log2-bucketed histograms for latency and hold times.
+//! Log2-bucketed histograms for latency and hold times.
 //!
-//! Same bucket layout as the workload harness's offline
-//! `LatencyHistogram` (64 buckets, `bucket = floor(log2(ns))`, covering
-//! 1 ns … ~9 s), but recordable concurrently: each bucket is a relaxed
-//! `AtomicU64`, so a record is one `fetch_add` plus one `fetch_max` and
-//! merging across locks is a vector add. Histograms are per-lock, not
-//! per-shard — a record already touches a distribution-dependent bucket,
-//! so the line-spread of the buckets themselves provides most of the
-//! sharding effect; the hot monotone counters are the sharded ones (see
-//! [`crate::counters`]).
+//! One bucket layout (64 buckets, `bucket = floor(log2(ns))`, covering
+//! 1 ns … ~9 s) in two forms. [`AtomicHistogram`] is recordable
+//! concurrently: each bucket is a relaxed `AtomicU64`, so a record is
+//! one `fetch_add` plus one `fetch_max`. [`HistogramSnapshot`] is its
+//! plain copy, also recordable by a single owner (the workload
+//! harness's per-thread latency samples); merging either is a vector
+//! add. Histograms are per-lock, not per-shard — a record already
+//! touches a distribution-dependent bucket, so the line-spread of the
+//! buckets themselves provides most of the sharding effect; the hot
+//! monotone counters are the sharded ones (see [`crate::counters`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -97,6 +98,15 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
+    /// Records one sample (the single-owner counterpart of
+    /// [`AtomicHistogram::record`]).
+    #[inline]
+    pub fn record(&mut self, ns: u64) {
+        self.buckets[bucket_for(ns)] += 1;
+        self.count += 1;
+        self.max_ns = self.max_ns.max(ns);
+    }
+
     /// Approximate percentile (upper bound of the containing bucket), ns.
     /// `p` in `[0, 1]`.
     pub fn percentile_ns(&self, p: f64) -> u64 {
@@ -151,6 +161,8 @@ mod tests {
         assert_eq!(bucket_for(0), 0);
         assert_eq!(bucket_for(1), 0);
         assert_eq!(bucket_for(2), 1);
+        assert_eq!(bucket_for(3), 1);
+        assert_eq!(bucket_for(4), 2);
         assert_eq!(bucket_for(1023), 9);
         assert_eq!(bucket_for(1024), 10);
         assert_eq!(bucket_for(u64::MAX), BUCKETS - 1);
@@ -191,5 +203,45 @@ mod tests {
         let s = AtomicHistogram::new().snapshot();
         assert!(s.is_empty());
         assert_eq!(s.percentile_ns(0.99), 0);
+        let h = HistogramSnapshot::default();
+        assert_eq!(h.percentile_ns(0.5), 0);
+        assert_eq!(h.count, 0);
+        assert_eq!(h.max_ns, 0);
+    }
+
+    #[test]
+    fn recorded_percentiles_are_monotone_and_bounded() {
+        let mut h = HistogramSnapshot::default();
+        for ns in [10u64, 20, 30, 100, 1_000, 10_000, 100_000] {
+            h.record(ns);
+        }
+        let p50 = h.percentile_ns(0.5);
+        let p99 = h.percentile_ns(0.99);
+        assert!(p50 <= p99);
+        assert!(p99 <= h.max_ns);
+        assert_eq!(h.count, 7);
+    }
+
+    #[test]
+    fn recorded_merge_accumulates() {
+        let mut a = HistogramSnapshot::default();
+        let mut b = HistogramSnapshot::default();
+        a.record(5);
+        b.record(500);
+        b.record(5_000);
+        a.merge(&b);
+        assert_eq!(a.count, 3);
+        assert_eq!(a.max_ns, 5_000);
+    }
+
+    #[test]
+    fn recorded_median_lands_in_right_bucket() {
+        let mut h = HistogramSnapshot::default();
+        for _ in 0..100 {
+            h.record(100); // bucket 6 (64..128)
+        }
+        h.record(1_000_000);
+        let p50 = h.percentile_ns(0.50);
+        assert!((100..256).contains(&p50), "p50 = {p50}");
     }
 }

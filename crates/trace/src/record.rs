@@ -82,12 +82,10 @@ macro_rules! lock_events {
             /// A direct C-SNZI arrival landed on a closed word and took
             /// itself back (the two root writes a failed arrival costs).
             CsnziArriveUndone = "csnzi_arrive_undone",
-            /// An adaptive C-SNZI inflated: built (or re-activated) its
-            /// tree after measuring root contention.
+            /// A C-SNZI allocated its tree: the first arrival a handle's
+            /// contention evidence sent to the tree built it (once per
+            /// object; it is never freed).
             CsnziInflate = "csnzi_inflate",
-            /// An adaptive C-SNZI deflated back to root-only arrivals after
-            /// a quiet period with no tree surplus.
-            CsnziDeflate = "csnzi_deflate",
             /// A handle's cached C-SNZI leaf missed (leaf-level CAS failed)
             /// and the handle migrated to a neighbouring leaf.
             CsnziLeafMigrate = "csnzi_leaf_migrate",
@@ -145,7 +143,7 @@ macro_rules! lock_events {
             /// window, not per slow-path entry).
             TunerSample = "tuner_sample",
             /// The controller changed policy: stored new knob values (bias
-            /// arm/disarm, deflation hysteresis, backoff caps, cohort
+            /// arm/disarm, re-arm multiplier, backoff caps, cohort
             /// batch) after the regime held for the full hysteresis
             /// requirement (as a trace record, `token` carries the packed
             /// old/new regime pair).

@@ -222,12 +222,13 @@ pub fn inject(site: &'static str) {
 /// Like [`inject`], but only ever *delays* — panic draws are skipped.
 ///
 /// For sites inside windows where the surrounding operation has already
-/// committed and an unwind could not be made sound locally (e.g. the
-/// C-SNZI's deflation decision runs after the arrival CAS landed: a
-/// panic there would leak a surplus the unwinding thread can no longer
-/// depart without, in a pathological schedule, becoming the lock's
-/// owner mid-unwind). Yield plans still widen such windows; chaos plans
-/// direct their panics at the sites annotated with plain [`inject`].
+/// committed and an unwind could not be made sound locally (e.g. a
+/// C-SNZI arrival that landed on a closed word and has not yet taken
+/// itself back: a panic there would leak a surplus the unwinding thread
+/// can no longer depart without, in a pathological schedule, becoming
+/// the lock's owner mid-unwind). Yield plans still widen such windows;
+/// chaos plans direct their panics at the sites annotated with plain
+/// [`inject`].
 #[cfg(feature = "fault-injection")]
 #[inline(always)]
 pub fn inject_yield_only(site: &'static str) {

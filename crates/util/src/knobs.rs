@@ -2,15 +2,15 @@
 //! in the workspace, behind one atomics-backed struct.
 //!
 //! Before this module each knob was a hard-coded constant or a
-//! construction-time field scattered across crates: the adaptive C-SNZI's
-//! deflation hysteresis lived in `oll-csnzi`, the BRAVO re-arm multiplier
-//! and the cohort batch bound in `oll-core`, and the backoff spin caps in
-//! [`BackoffPolicy`]. A static build and a self-tuned build therefore read
-//! *different* sources of truth. Now both read a [`TuningKnobs`] instance:
-//! lock builders write their configured (or default) values into it at
-//! construction, the hot paths load from it with `Relaxed` atomics, and an
-//! online controller (`oll_core::SelfTuning`) may store new values at any
-//! time without stopping the lock.
+//! construction-time field scattered across crates: the BRAVO re-arm
+//! multiplier and the cohort batch bound in `oll-core`, and the backoff
+//! spin caps in [`BackoffPolicy`]. A static build and a self-tuned
+//! build therefore read *different* sources of truth. Now both read a
+//! [`TuningKnobs`] instance: lock builders write their configured (or
+//! default) values into it at construction, the hot paths load from it
+//! with `Relaxed` atomics, and an online controller
+//! (`oll_core::SelfTuning`) may store new values at any time without
+//! stopping the lock.
 //!
 //! Memory ordering: every field is an independent heuristic input — a
 //! stale read steers a policy one episode late, never breaks mutual
@@ -21,11 +21,6 @@
 use crate::backoff::BackoffPolicy;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Arc;
-
-/// Default [`TuningKnobs::deflate_after`]: consecutive quiet direct root
-/// arrivals before an inflated adaptive C-SNZI deflates. One quiet
-/// arrival is noise; sixty-four in a row is a regime change.
-pub const DEFAULT_DEFLATE_AFTER: u32 = 64;
 
 /// Default [`TuningKnobs::rearm_multiplier`]: BRAVO's `N` — after a bias
 /// revocation that took `T` ns, re-arming is inhibited for `N × T` ns, so
@@ -39,7 +34,7 @@ pub const DEFAULT_REARM_MULTIPLIER: u32 = 9;
 pub const DEFAULT_COHORT_BATCH: u32 = 64;
 
 /// Every runtime-steerable tuning knob, shared between a lock's
-/// components (C-SNZI, BRAVO wrapper, cohort gate, backoff loops) and
+/// components (BRAVO wrapper, cohort gate, backoff loops) and
 /// whoever steers them — a builder writing static configuration once, or
 /// an online controller storing new values while the lock runs.
 ///
@@ -49,8 +44,6 @@ pub const DEFAULT_COHORT_BATCH: u32 = 64;
 /// driven by measured (hence arbitrary) values.
 #[derive(Debug)]
 pub struct TuningKnobs {
-    /// See [`DEFAULT_DEFLATE_AFTER`]. Clamped to ≥ 1.
-    deflate_after: AtomicU32,
     /// See [`DEFAULT_REARM_MULTIPLIER`].
     rearm_multiplier: AtomicU32,
     /// [`BackoffPolicy::spin_limit`] for the owning lock's wait loops.
@@ -83,7 +76,6 @@ impl TuningKnobs {
     pub fn new() -> Self {
         let backoff = BackoffPolicy::default();
         Self {
-            deflate_after: AtomicU32::new(DEFAULT_DEFLATE_AFTER),
             rearm_multiplier: AtomicU32::new(DEFAULT_REARM_MULTIPLIER),
             spin_limit: AtomicU32::new(backoff.spin_limit),
             yield_limit: AtomicU32::new(backoff.yield_limit),
@@ -108,18 +100,6 @@ impl TuningKnobs {
     #[inline]
     pub fn revision(&self) -> u32 {
         self.revision.load(Ordering::Relaxed)
-    }
-
-    /// Quiet-run length before adaptive C-SNZI deflation (≥ 1).
-    #[inline]
-    pub fn deflate_after(&self) -> u32 {
-        self.deflate_after.load(Ordering::Relaxed).max(1)
-    }
-
-    /// Sets [`deflate_after`](Self::deflate_after) (clamped to ≥ 1).
-    pub fn set_deflate_after(&self, v: u32) {
-        self.deflate_after.store(v.max(1), Ordering::Relaxed);
-        self.bump();
     }
 
     /// BRAVO re-arm inhibit multiplier.
@@ -183,7 +163,6 @@ mod tests {
     #[test]
     fn defaults_match_the_historical_constants() {
         let k = TuningKnobs::new();
-        assert_eq!(k.deflate_after(), DEFAULT_DEFLATE_AFTER);
         assert_eq!(k.rearm_multiplier(), DEFAULT_REARM_MULTIPLIER);
         assert_eq!(k.cohort_batch(), DEFAULT_COHORT_BATCH);
         assert_eq!(k.backoff_policy(), BackoffPolicy::default());
@@ -194,8 +173,6 @@ mod tests {
     #[test]
     fn setters_clamp_and_bump_revision() {
         let k = TuningKnobs::new();
-        k.set_deflate_after(0);
-        assert_eq!(k.deflate_after(), 1);
         k.set_cohort_batch(0);
         assert_eq!(k.cohort_batch(), 1);
         k.set_rearm_multiplier(3);
@@ -208,6 +185,6 @@ mod tests {
         };
         k.set_backoff_policy(p);
         assert_eq!(k.backoff_policy(), p);
-        assert_eq!(k.revision(), 5);
+        assert_eq!(k.revision(), 4);
     }
 }

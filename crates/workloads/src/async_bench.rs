@@ -20,10 +20,10 @@
 //! `oll.fig5_async` JSON document; `regen_results.sh` commits the
 //! million-task run as `BENCH_async.json`.
 
-use crate::latency::{LatencyHistogram, LatencySummary};
+use crate::latency::LatencySummary;
 use oll_async::AsyncRwLock;
 use oll_telemetry::report::render_lock_json;
-use oll_telemetry::LockSnapshot;
+use oll_telemetry::{HistogramSnapshot, LockSnapshot};
 use oll_util::XorShift64;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -126,9 +126,9 @@ pub fn run_async_bench(config: &AsyncBenchConfig) -> AsyncBenchResult {
         writes: AtomicU64::new(0),
         timed_out: AtomicU64::new(0),
     });
-    let shards: Arc<Vec<Mutex<LatencyHistogram>>> = Arc::new(
+    let shards: Arc<Vec<Mutex<HistogramSnapshot>>> = Arc::new(
         (0..SHARDS)
-            .map(|_| Mutex::new(LatencyHistogram::new()))
+            .map(|_| Mutex::new(HistogramSnapshot::default()))
             .collect(),
     );
 
@@ -195,7 +195,7 @@ pub fn run_async_bench(config: &AsyncBenchConfig) -> AsyncBenchResult {
     let elapsed = start.elapsed();
     drop(exec);
 
-    let mut merged = LatencyHistogram::new();
+    let mut merged = HistogramSnapshot::default();
     for shard in shards.iter() {
         merged.merge(&shard.lock().unwrap());
     }
@@ -213,7 +213,7 @@ pub fn run_async_bench(config: &AsyncBenchConfig) -> AsyncBenchResult {
         timed_out: counters.timed_out.load(Ordering::Relaxed),
         elapsed,
         tasks_per_sec: config.tasks as f64 / elapsed.as_secs_f64().max(1e-9),
-        grant_latency: merged.summarize(),
+        grant_latency: LatencySummary::from(&merged),
         surplus_at_exit: lock.csnzi_snapshot().surplus(),
         queued_at_exit: lock.queued_waiters(),
         telemetry,

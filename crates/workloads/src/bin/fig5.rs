@@ -5,8 +5,8 @@
 //!   fig5 [--panel a|b|c|d|e|f|all] [--threads 1,2,4,8,16]
 //!        [--locks GOLL,FOLL,ROLL,KSUH,Solaris-Like,...|all]
 //!        [--acquisitions N] [--runs N] [--paper] [--verify]
-//!        [--adaptive] [--biased] [--hazard] [--cohort] [--self-tuning]
-//!        [--shape N] [--pair adaptive|biased|hazard|cohort|self-tuning|obs]
+//!        [--biased] [--hazard] [--cohort] [--self-tuning]
+//!        [--shape N] [--pair biased|hazard|cohort|self-tuning|obs]
 //!        [--csv PATH] [--json PATH] [--telemetry]
 //!        [--trace PATH] [--trace-json PATH] [--flame PATH]
 //!        [--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]
@@ -23,10 +23,8 @@
 //! Perfetto (needs a `--features trace` build); `--trace-json` also
 //! writes the raw capture as an `oll.trace` document.
 //!
-//! `--adaptive` builds the OLL locks (GOLL/FOLL/ROLL) with adaptive
-//! C-SNZIs — root-only until contention inflates the tree — and
-//! `--shape N` overrides the tree shape to one sized for N threads
-//! (capping the adaptive tree). `--biased` wraps the OLL locks in the
+//! `--shape N` overrides the OLL locks' (GOLL/FOLL/ROLL) C-SNZI tree
+//! shape to one sized for N threads. `--biased` wraps the OLL locks in the
 //! BRAVO reader-biasing layer: biased reads publish into the global
 //! visible-readers table and skip the underlying lock entirely until a
 //! writer revokes the bias. `--hazard` arms the `oll-hazard` hardening
@@ -38,10 +36,9 @@
 //! releasing cross-node (GOLL and the baselines ignore it).
 //! `--self-tuning` wraps the OLL locks in the `SelfTuning` online policy
 //! controller: the lock's own observed read/write mix, slow-path
-//! fraction, and revocation cost steer its BRAVO bias, C-SNZI deflation,
-//! backoff, and cohort-batch knobs while the sweep runs (the baselines
-//! have no knobs and ignore it). All six options are recorded in the
-//! JSON report.
+//! fraction, and revocation cost steer its BRAVO bias, backoff, and
+//! cohort-batch knobs while the sweep runs (the baselines have no knobs
+//! and ignore it). All five options are recorded in the JSON report.
 //!
 //! `--pair OPT` turns the sweep into a paired comparison of one option
 //! (`oll_workloads::paired` has the method and why): every selected
@@ -95,9 +92,9 @@ fn usage(msg: &str) -> ! {
     eprintln!(
         "usage: fig5 [--panel a|b|c|d|e|f|all] [--threads 1,2,4]\n\
          \t[--locks name,...|all] [--acquisitions N] [--runs N]\n\
-         \t[--paper] [--verify] [--adaptive] [--biased] [--hazard] [--cohort]\n\
+         \t[--paper] [--verify] [--biased] [--hazard] [--cohort]\n\
          \t[--self-tuning] [--shape N]\n\
-         \t[--pair adaptive|biased|hazard|cohort|self-tuning|obs]\n\
+         \t[--pair biased|hazard|cohort|self-tuning|obs]\n\
          \t[--csv PATH] [--json PATH] [--telemetry]\n\
          \t[--trace PATH] [--trace-json PATH] [--flame PATH]\n\
          \t[--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]"
@@ -189,7 +186,6 @@ fn parse_args() -> Args {
             }
             "--paper" => paper = true,
             "--verify" => opts.base.verify = true,
-            "--adaptive" => opts.lock_options.adaptive = true,
             "--biased" => opts.lock_options.biased = true,
             "--hazard" => opts.lock_options.hazard = true,
             "--cohort" => opts.lock_options.cohort = true,

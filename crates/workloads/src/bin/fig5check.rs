@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! USAGE:
-//!   fig5check PATH [--expect-adaptive] [--expect-biased] [--expect-hazard]
-//!             [--expect-shape N] [--expect-pair OPT] [--expect-async-tasks N]
+//!   fig5check PATH [--expect-biased] [--expect-hazard] [--expect-shape N]
+//!             [--expect-pair OPT] [--expect-async-tasks N]
 //! ```
 //!
 //! Parses PATH with the in-tree parser and hands it to
@@ -21,8 +21,8 @@ use std::process::exit;
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: fig5check PATH [--expect-adaptive] [--expect-biased] [--expect-hazard] \
-         [--expect-shape N] [--expect-pair adaptive|biased|hazard|cohort|self-tuning|obs] \
+        "usage: fig5check PATH [--expect-biased] [--expect-hazard] \
+         [--expect-shape N] [--expect-pair biased|hazard|cohort|self-tuning|obs] \
          [--expect-async-tasks N]"
     );
     exit(2);
@@ -39,7 +39,6 @@ fn main() {
                 .unwrap_or_else(|| usage(&format!("missing value for {}", argv[i])))
         };
         match argv[i].as_str() {
-            "--expect-adaptive" => expect.adaptive = true,
             "--expect-biased" => expect.biased = true,
             "--expect-hazard" => expect.hazard = true,
             "--expect-shape" => {

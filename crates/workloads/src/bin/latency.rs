@@ -3,7 +3,7 @@
 //! ```text
 //! USAGE:
 //!   latency [--threads N] [--read-pct P] [--acquisitions N]
-//!           [--locks name,...|all] [--adaptive] [--biased] [--hazard]
+//!           [--locks name,...|all] [--biased] [--hazard]
 //!           [--cohort] [--self-tuning] [--shape N] [--json PATH] [--telemetry]
 //!           [--trace PATH] [--trace-json PATH] [--flame PATH]
 //!           [--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]
@@ -13,8 +13,8 @@
 //! visibility: how long can a single `lock_read` / `lock_write` stall
 //! under the given mix? The lock-option flags mean exactly what they
 //! mean to `fig5` (one dispatcher builds the locks for both):
-//! `--adaptive` builds the OLL locks (GOLL/FOLL/ROLL) with adaptive
-//! C-SNZIs and `--shape N` sizes their tree for N threads; `--biased`
+//! `--shape N` sizes the OLL locks' (GOLL/FOLL/ROLL) C-SNZI tree for N
+//! threads; `--biased`
 //! wraps the OLL locks in the BRAVO reader-biasing layer, exposing the
 //! biased read fast path's latency. `--hazard` arms the `oll-hazard` hardening layer on
 //! every lock (poison policy + deadlock-detection tracking) so its cost
@@ -23,7 +23,7 @@
 //! gate (batched same-socket write hand-off), exposing what the batch
 //! bound does to writer tails. `--self-tuning` wraps the OLL locks in
 //! the `SelfTuning` online policy controller, so the tails include any
-//! mid-run knob steering (bias arm/disarm, deflation, backoff) the
+//! mid-run knob steering (bias arm/disarm, backoff, cohort batch) the
 //! controller decides on. `--telemetry` additionally prints each lock's
 //! contention profile (needs a `--features telemetry` build to record);
 //! `--json` writes a schema-versioned `oll.latency` document. `--trace`
@@ -48,7 +48,7 @@ fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
         "usage: latency [--threads N] [--read-pct P] [--acquisitions N] [--locks name,...|all] \
-         [--adaptive] [--biased] [--hazard] [--cohort] [--self-tuning] [--shape N] \
+         [--biased] [--hazard] [--cohort] [--self-tuning] [--shape N] \
          [--json PATH] [--telemetry] \
          [--trace PATH] [--trace-json PATH] \
          [--flame PATH] [--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]"
@@ -128,7 +128,6 @@ fn main() {
                 json = Some(value(i));
                 i += 1;
             }
-            "--adaptive" => lock_options.adaptive = true,
             "--shape" => {
                 let n: usize = value(i).parse().unwrap_or_else(|_| usage("bad --shape"));
                 if n == 0 {

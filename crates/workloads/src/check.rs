@@ -8,8 +8,8 @@
 //! [`check`] dispatches on the document's `"schema"`:
 //!
 //! - `oll.fig5` — every panel carries its option flags and every point a
-//!   finite positive throughput; `adaptive` / `biased` / `hazard` /
-//!   `shape` demand the panels ran with that option.
+//!   finite positive throughput; `biased` / `hazard` / `shape` demand
+//!   the panels ran with that option.
 //! - `oll.fig5_pair` — the sweep parameters are recorded, every row names
 //!   one of the document's panels and has finite positive rates on both
 //!   sides, a finite delta and a positive shortest-half time; `pair`
@@ -30,8 +30,6 @@ use crate::paired::PairOption;
 /// (the `fig5check --expect-*` flags).
 #[derive(Debug, Clone, Default)]
 pub struct Expect {
-    /// `oll.fig5`: every panel ran `--adaptive`.
-    pub adaptive: bool,
     /// `oll.fig5`: every panel ran `--biased`.
     pub biased: bool,
     /// `oll.fig5`: every panel ran `--hazard`.
@@ -78,7 +76,6 @@ pub fn check(doc: &Value, expect: &Expect) -> Result<String, String> {
     let schema = get(doc, "schema", Value::as_str, "document")?;
     get(doc, "version", Value::as_u64, "document")?;
     for (flag, set, applies_to) in [
-        ("--expect-adaptive", expect.adaptive, "oll.fig5"),
         ("--expect-biased", expect.biased, "oll.fig5"),
         ("--expect-hazard", expect.hazard, "oll.fig5"),
         ("--expect-shape", expect.shape.is_some(), "oll.fig5"),
@@ -104,11 +101,7 @@ pub fn check(doc: &Value, expect: &Expect) -> Result<String, String> {
 }
 
 fn check_fig5(doc: &Value, expect: &Expect) -> Result<String, String> {
-    let flags = [
-        ("adaptive", expect.adaptive),
-        ("biased", expect.biased),
-        ("hazard", expect.hazard),
-    ];
+    let flags = [("biased", expect.biased), ("hazard", expect.hazard)];
     let panels = nonempty(doc, "panels", "document")?;
     let mut points = 0usize;
     for (pi, panel) in panels.iter().enumerate() {
@@ -314,18 +307,17 @@ mod tests {
     #[test]
     fn expectations_must_apply_to_the_schema() {
         let fig5 = parse(
-            r#"{"schema":"oll.fig5","version":1,"panels":[{"panel":"b","adaptive":true,
+            r#"{"schema":"oll.fig5","version":1,"panels":[{"panel":"b",
             "biased":false,"hazard":false,"shape_threads":4,"series":[{"lock":"GOLL",
             "points":[{"threads":1,"acquires_per_sec":4e7}]}]}]}"#,
         )
         .unwrap();
-        let adaptive = Expect {
-            adaptive: true,
+        let shape = Expect {
             shape: Some(4),
             ..Expect::default()
         };
-        let ok = check(&fig5, &adaptive).unwrap();
-        assert_eq!(ok, "1 panel(s), 1 point(s), adaptive, shape_threads=4");
+        let ok = check(&fig5, &shape).unwrap();
+        assert_eq!(ok, "1 panel(s), 1 point(s), shape_threads=4");
         let biased = Expect {
             biased: true,
             ..Expect::default()
@@ -334,7 +326,7 @@ mod tests {
 
         let err = check(&fig5, &expecting(PairOption::Cohort)).unwrap_err();
         assert!(err.contains("--expect-pair checks an oll.fig5_pair document"));
-        assert!(check(&pair("cohort", ""), &adaptive).is_err());
+        assert!(check(&pair("cohort", ""), &shape).is_err());
         let other = parse(r#"{"schema":"oll.latency","version":1}"#).unwrap();
         assert!(check(&other, &Expect::default())
             .unwrap_err()

@@ -106,13 +106,8 @@ impl LockKind {
 /// baselines have no C-SNZI tree to configure and ignore these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LockOptions {
-    /// Build the OLL locks with adaptive C-SNZIs: arrivals stay root-only
-    /// until measured contention inflates the tree, and a quiet spell
-    /// deflates it again.
-    pub adaptive: bool,
-    /// Override the C-SNZI tree shape to one sized for this many threads
-    /// (for adaptive locks this caps the inflated leaf count). `None`
-    /// keeps the default one-leaf-per-thread shape.
+    /// Override the C-SNZI tree shape to one sized for this many threads.
+    /// `None` keeps the default one-leaf-per-thread shape.
     pub shape_threads: Option<usize>,
     /// Wrap the OLL locks in the BRAVO reader-biasing layer
     /// (`oll_core::Bravo`): biased reads bypass the lock through the
@@ -131,8 +126,8 @@ pub struct LockOptions {
     pub cohort: bool,
     /// Wrap the OLL locks in the `oll_core::SelfTuning` online policy
     /// controller: the lock's observed read/write mix and slow-path
-    /// fraction steer its BRAVO bias, C-SNZI deflation, backoff, and
-    /// cohort-batch knobs while it runs. Ignored by the baselines,
+    /// fraction steer its BRAVO bias, backoff, and cohort-batch knobs
+    /// while it runs. Ignored by the baselines,
     /// which have no knobs to steer.
     pub self_tuning: bool,
 }

@@ -42,8 +42,8 @@ fn arm<L: RwLockFamily + 'static, V: LockVisitor>(lock: L, opts: &LockOptions, v
 impl LockKind {
     /// Builds this kind of lock for `capacity` threads under `opts` and
     /// passes it to `visitor`. The OLL locks take every option, in this
-    /// order: builder options (`adaptive`, `shape_threads`, and on
-    /// FOLL/ROLL `cohort`), then the `Bravo` wrapper when `biased`, then
+    /// order: builder options (`shape_threads`, and on FOLL/ROLL
+    /// `cohort`), then the `Bravo` wrapper when `biased`, then
     /// the [`SelfTuning`] wrapper when `self_tuning`. The baselines have
     /// nothing to configure and ignore all of those. `hazard` arms the
     /// poison policy and deadlock detection on whatever was built.
@@ -55,7 +55,7 @@ impl LockKind {
     ) -> V::Out {
         macro_rules! oll {
             ($builder:expr) => {{
-                let mut b = $builder.adaptive(opts.adaptive);
+                let mut b = $builder;
                 if let Some(n) = opts.shape_threads {
                     b = b.tree_shape(TreeShape::for_threads(n));
                 }
@@ -134,14 +134,14 @@ mod tests {
                 "{what}: {ty}"
             );
 
-            // (adaptive, cohort) as the OLL lock underneath reports them;
-            // `None` when there is no OLL lock underneath.
+            // The cohort gate as the OLL lock underneath reports it; `None`
+            // when there is no OLL lock underneath.
             let any: &dyn Any = &lock;
             let built = None
-                .or_else(|| peel::<GollLock>(any).map(|g| (g.is_adaptive(), false)))
-                .or_else(|| peel::<FollLock>(any).map(|f| (f.is_adaptive(), f.is_cohort())))
-                .or_else(|| peel::<RollLock>(any).map(|r| (r.is_adaptive(), r.is_cohort())));
-            let asked = (opts.adaptive, opts.cohort && kind != LockKind::Goll);
+                .or_else(|| peel::<GollLock>(any).map(|_| false))
+                .or_else(|| peel::<FollLock>(any).map(FollLock::is_cohort))
+                .or_else(|| peel::<RollLock>(any).map(RollLock::is_cohort));
+            let asked = opts.cohort && kind != LockKind::Goll;
             assert_eq!(built, oll.then_some(asked), "{what}");
 
             // Arming is observable only where the hazard layer exists.
@@ -156,16 +156,15 @@ mod tests {
     #[test]
     fn every_kind_under_every_option_set_is_what_was_asked_for() {
         for kind in LockKind::ALL {
-            let names: std::collections::HashSet<_> = (0..64u32)
+            let names: std::collections::HashSet<_> = (0..32u32)
                 .map(|bits| {
                     let on = |bit: u32| bits & (1 << bit) != 0;
                     let opts = LockOptions {
-                        adaptive: on(0),
-                        shape_threads: on(1).then_some(2),
-                        biased: on(2),
-                        hazard: on(3),
-                        cohort: on(4),
-                        self_tuning: on(5),
+                        shape_threads: on(0).then_some(2),
+                        biased: on(1),
+                        hazard: on(2),
+                        cohort: on(3),
+                        self_tuning: on(4),
                     };
                     kind.with_lock(2, &opts, Probe(kind, opts))
                 })

@@ -53,10 +53,9 @@ pub fn render_fig5_json(panels: &[PanelResult]) -> String {
         };
         let _ = write!(
             out,
-            "{{\"panel\":\"{}\",\"read_pct\":{},\"adaptive\":{},\"biased\":{},\"hazard\":{},\"cohort\":{},\"self_tuning\":{},\"shape_threads\":{},\"thread_counts\":{:?},\"series\":[",
+            "{{\"panel\":\"{}\",\"read_pct\":{},\"biased\":{},\"hazard\":{},\"cohort\":{},\"self_tuning\":{},\"shape_threads\":{},\"thread_counts\":{:?},\"series\":[",
             panel.panel.tag(),
             panel.panel.read_pct(),
-            panel.options.adaptive,
             panel.options.biased,
             panel.options.hazard,
             panel.options.cohort,
@@ -699,27 +698,24 @@ mod tests {
     }
 
     #[test]
-    fn fig5_adaptive_options_round_trip() {
+    fn fig5_shape_option_round_trips() {
         let mut opts = tiny_opts();
         opts.lock_options = LockOptions {
-            adaptive: true,
             shape_threads: Some(4),
             ..LockOptions::default()
         };
         let panel = run_panel(Fig5Panel::A, &opts);
         let doc = render_fig5_json(&[panel]);
-        let v = parse::parse(&doc).expect("adaptive fig5 doc must parse");
+        let v = parse::parse(&doc).expect("shaped fig5 doc must parse");
         let p = v.get("panels").and_then(|p| p.idx(0)).expect("one panel");
-        assert_eq!(p.get("adaptive").and_then(Value::as_bool), Some(true));
         assert_eq!(p.get("biased").and_then(Value::as_bool), Some(false));
         assert_eq!(p.get("shape_threads").and_then(Value::as_u64), Some(4));
 
-        // Default options serialize as non-adaptive with a null shape.
+        // Default options serialize with every flag off and a null shape.
         let panel = run_panel(Fig5Panel::A, &tiny_opts());
         let doc = render_fig5_json(&[panel]);
         let v = parse::parse(&doc).unwrap();
         let p = v.get("panels").and_then(|p| p.idx(0)).unwrap();
-        assert_eq!(p.get("adaptive").and_then(Value::as_bool), Some(false));
         assert_eq!(p.get("biased").and_then(Value::as_bool), Some(false));
         assert_eq!(p.get("hazard").and_then(Value::as_bool), Some(false));
         assert_eq!(p.get("shape_threads"), Some(&Value::Null));
@@ -737,7 +733,7 @@ mod tests {
         let v = parse::parse(&doc).expect("biased fig5 doc must parse");
         let p = v.get("panels").and_then(|p| p.idx(0)).expect("one panel");
         assert_eq!(p.get("biased").and_then(Value::as_bool), Some(true));
-        assert_eq!(p.get("adaptive").and_then(Value::as_bool), Some(false));
+        assert_eq!(p.get("hazard").and_then(Value::as_bool), Some(false));
     }
 
     #[test]

@@ -44,9 +44,7 @@ pub mod traceio;
 pub use async_bench::{run_async_bench, AsyncBenchConfig, AsyncBenchResult};
 pub use config::{Fig5Panel, LockKind, LockOptions, WorkloadConfig};
 pub use dispatch::LockVisitor;
-pub use latency::{
-    run_latency, run_latency_profiled, LatencyHistogram, LatencyResult, LatencySummary,
-};
+pub use latency::{run_latency, run_latency_profiled, LatencyResult, LatencySummary};
 pub use runner::{
     run_throughput, run_throughput_profiled, run_throughput_profiled_with, ThroughputResult,
 };

@@ -42,8 +42,6 @@ use std::fmt::Write as _;
 /// the caller passes; "on" is the same plus this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PairOption {
-    /// [`LockOptions::adaptive`].
-    Adaptive,
     /// [`LockOptions::biased`].
     Biased,
     /// [`LockOptions::hazard`].
@@ -59,8 +57,7 @@ pub enum PairOption {
 
 impl PairOption {
     /// Every option, in `--pair` usage order.
-    pub const ALL: [PairOption; 6] = [
-        PairOption::Adaptive,
+    pub const ALL: [PairOption; 5] = [
         PairOption::Biased,
         PairOption::Hazard,
         PairOption::Cohort,
@@ -71,7 +68,6 @@ impl PairOption {
     /// The `--pair` spelling, also the document's `"option"`.
     pub fn name(self) -> &'static str {
         match self {
-            PairOption::Adaptive => "adaptive",
             PairOption::Biased => "biased",
             PairOption::Hazard => "hazard",
             PairOption::Cohort => "cohort",
@@ -89,7 +85,6 @@ impl PairOption {
     pub fn turned_on(self, off: LockOptions) -> LockOptions {
         let mut on = off;
         match self {
-            PairOption::Adaptive => on.adaptive = true,
             PairOption::Biased => on.biased = true,
             PairOption::Hazard => on.hazard = true,
             PairOption::Cohort => on.cohort = true,

@@ -205,9 +205,8 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_options_produce_working_oll_locks() {
+    fn shape_options_produce_working_oll_locks() {
         let opts = LockOptions {
-            adaptive: true,
             shape_threads: Some(2),
             ..LockOptions::default()
         };
@@ -215,7 +214,7 @@ mod tests {
             let (r, _) = run_throughput_profiled_with(kind, &tiny(90), &opts);
             assert!(
                 r.acquires_per_sec > 0.0,
-                "{}: nonpositive adaptive throughput",
+                "{}: nonpositive shaped throughput",
                 kind.name()
             );
         }

@@ -47,7 +47,7 @@ pub struct SweepOptions {
     /// feature; otherwise every profile stays `None`).
     pub collect_telemetry: bool,
     /// Construction options applied to the OLL locks at every point
-    /// (adaptive C-SNZIs, explicit tree shapes).
+    /// (explicit tree shapes, wrappers, the cohort gate).
     pub lock_options: LockOptions,
 }
 

@@ -1,7 +1,9 @@
-//! The adaptive C-SNZI option end-to-end: all three OLL locks must
-//! behave identically when their reader C-SNZIs start root-only and
-//! inflate under measured contention, and the inflation lifecycle must
-//! be observable through the lock API.
+//! The C-SNZI tree adapts to contention end to end: every OLL lock's
+//! reader C-SNZI allocates its tree at its first tree arrival (§2.2), and
+//! each handle routes its own arrivals there only on its own contention
+//! evidence. All three OLL locks must behave identically whether or not
+//! the tree has been allocated, and the allocation must be observable
+//! through the lock API.
 
 use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -39,134 +41,81 @@ fn exclusion_stress<L: RwLockFamily + 'static>(lock: L, threads: usize) {
 
 #[test]
 fn goll_adaptive_stress() {
-    exclusion_stress(GollLock::builder(4).adaptive(true).build(), 4);
+    exclusion_stress(GollLock::new(4), 4);
 }
 
 #[test]
 fn foll_adaptive_stress() {
-    exclusion_stress(FollLock::builder(4).adaptive(true).build(), 4);
+    exclusion_stress(FollLock::new(4), 4);
 }
 
 #[test]
 fn roll_adaptive_stress() {
-    exclusion_stress(RollLock::builder(4).adaptive(true).build(), 4);
+    exclusion_stress(RollLock::new(4), 4);
 }
 
 #[test]
 fn adaptive_stress_with_eager_tree_threshold() {
     // arrival_threshold(0) pins every arrival to the tree, so the whole
-    // stress runs on inflated C-SNZIs (maximum tree traffic).
-    exclusion_stress(
-        GollLock::builder(4)
-            .adaptive(true)
-            .arrival_threshold(0)
-            .build(),
-        4,
-    );
-    exclusion_stress(
-        FollLock::builder(4)
-            .adaptive(true)
-            .arrival_threshold(0)
-            .build(),
-        4,
-    );
-    exclusion_stress(
-        RollLock::builder(4)
-            .adaptive(true)
-            .arrival_threshold(0)
-            .build(),
-        4,
-    );
-}
-
-#[test]
-fn builders_report_adaptive_mode() {
-    assert!(GollLock::builder(2).adaptive(true).build().is_adaptive());
-    assert!(FollLock::builder(2).adaptive(true).build().is_adaptive());
-    assert!(RollLock::builder(2).adaptive(true).build().is_adaptive());
-    assert!(!GollLock::new(2).is_adaptive());
-    assert!(!FollLock::new(2).is_adaptive());
-    assert!(!RollLock::new(2).is_adaptive());
-}
-
-#[test]
-fn adaptive_supersedes_lazy_tree() {
-    let lock = GollLock::builder(2).lazy_tree(true).adaptive(true).build();
-    assert!(lock.is_adaptive());
+    // stress runs on allocated trees (maximum tree traffic).
+    exclusion_stress(GollLock::builder(4).arrival_threshold(0).build(), 4);
+    exclusion_stress(FollLock::builder(4).arrival_threshold(0).build(), 4);
+    exclusion_stress(RollLock::builder(4).arrival_threshold(0).build(), 4);
 }
 
 #[test]
 fn uncontended_adaptive_locks_never_inflate() {
     // A single thread never meets another arrival at the root, so no
-    // contention is ever measured and the tree must not materialize.
-    let goll = GollLock::builder(4).adaptive(true).build();
-    let mut h = goll.handle().unwrap();
-    for _ in 0..200 {
-        h.lock_read();
-        h.unlock_read();
-        h.lock_write();
-        h.unlock_write();
+    // contention is ever measured and no tree may be allocated.
+    fn check<L: RwLockFamily>(lock: L, label: &str, inflated: fn(&L) -> bool) {
+        assert!(!inflated(&lock), "{label} allocated a tree at build");
+        let mut h = lock.handle().unwrap();
+        for _ in 0..200 {
+            h.lock_read();
+            h.unlock_read();
+            h.lock_write();
+            h.unlock_write();
+        }
+        drop(h);
+        assert!(!inflated(&lock), "{label} allocated without contention");
     }
-    drop(h);
-    assert!(!goll.is_inflated(), "GOLL inflated without contention");
-
-    let foll = FollLock::builder(4).adaptive(true).build();
-    let mut h = foll.handle().unwrap();
-    for _ in 0..200 {
-        h.lock_read();
-        h.unlock_read();
-    }
-    drop(h);
-    assert!(!foll.is_inflated(), "FOLL inflated without contention");
-
-    let roll = RollLock::builder(4).adaptive(true).build();
-    let mut h = roll.handle().unwrap();
-    for _ in 0..200 {
-        h.lock_read();
-        h.unlock_read();
-    }
-    drop(h);
-    assert!(!roll.is_inflated(), "ROLL inflated without contention");
+    check(GollLock::new(4), "GOLL", GollLock::is_inflated);
+    check(FollLock::new(4), "FOLL", FollLock::is_inflated);
+    check(RollLock::new(4), "ROLL", RollLock::is_inflated);
 }
 
 #[test]
 fn tree_routed_arrivals_inflate_adaptive_locks() {
     // Pinning arrivals to the tree (threshold 0) is the deterministic
-    // stand-in for a streak of crowded root arrivals: the very first read must
-    // build and activate the tree.
-    let goll = GollLock::builder(4)
-        .adaptive(true)
-        .arrival_threshold(0)
-        .build();
+    // stand-in for a streak of crowded root arrivals: the very first read
+    // must allocate the tree.
+    let goll = GollLock::builder(4).arrival_threshold(0).build();
+    assert!(!goll.is_inflated());
     let mut h = goll.handle().unwrap();
     h.lock_read();
-    assert!(goll.is_inflated(), "GOLL tree arrival did not inflate");
+    assert!(goll.is_inflated(), "GOLL tree arrival did not allocate");
     h.unlock_read();
 
-    let foll = FollLock::builder(4)
-        .adaptive(true)
-        .arrival_threshold(0)
-        .build();
+    let foll = FollLock::builder(4).arrival_threshold(0).build();
+    assert!(!foll.is_inflated());
     let mut h = foll.handle().unwrap();
     h.lock_read();
-    assert!(foll.is_inflated(), "FOLL tree arrival did not inflate");
+    assert!(foll.is_inflated(), "FOLL tree arrival did not allocate");
     h.unlock_read();
 
-    let roll = RollLock::builder(4)
-        .adaptive(true)
-        .arrival_threshold(0)
-        .build();
+    let roll = RollLock::builder(4).arrival_threshold(0).build();
+    assert!(!roll.is_inflated());
     let mut h = roll.handle().unwrap();
     h.lock_read();
-    assert!(roll.is_inflated(), "ROLL tree arrival did not inflate");
+    assert!(roll.is_inflated(), "ROLL tree arrival did not allocate");
     h.unlock_read();
 }
 
 #[test]
 fn adaptive_locks_work_at_capacity_one() {
     // Degenerate sizing: capacity 1 clamps every shape computation.
-    for _ in 0..3 {
-        let lock = GollLock::builder(1).adaptive(true).build();
+    for threshold in [0, oll::csnzi::ArrivalPolicy::DEFAULT_THRESHOLD] {
+        let lock = GollLock::builder(1).arrival_threshold(threshold).build();
         let mut h = lock.handle().unwrap();
         h.lock_read();
         h.unlock_read();
@@ -177,15 +126,10 @@ fn adaptive_locks_work_at_capacity_one() {
 
 #[test]
 fn adaptive_handles_survive_reader_writer_interleaving() {
-    // Readers join while a writer queues: the adaptive C-SNZI is closed
-    // and reopened across the hand-off, exercising inflation state across
-    // open/close cycles.
-    let lock = Arc::new(
-        FollLock::builder(3)
-            .adaptive(true)
-            .arrival_threshold(0)
-            .build(),
-    );
+    // Readers join while a writer queues: the C-SNZI is closed and
+    // reopened across the hand-off, and its tree (allocated by the first
+    // pinned tree arrival) stays in use across open/close cycles.
+    let lock = Arc::new(FollLock::builder(3).arrival_threshold(0).build());
     std::thread::scope(|scope| {
         for tid in 0..3 {
             let lock = Arc::clone(&lock);

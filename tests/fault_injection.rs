@@ -548,10 +548,10 @@ fn bravo_revocation_vs_panicking_biased_readers() {
     h.unlock_read();
 }
 
-/// The adaptive C-SNZI's unwind coverage: panics drawn at the inflation
-/// sync point (deflation's is yield-only — it sits after the arrival
-/// already committed) plus yields at both must never wedge the tree —
-/// arrivals keep landing and the lock keeps serving both modes.
+/// The C-SNZI's unwind coverage: panics drawn at the tree-allocation
+/// sync point (before the arriving reader has touched any word) plus
+/// yields at every `csnzi` site must never wedge the tree — arrivals keep
+/// landing and the lock keeps serving both modes.
 #[test]
 fn adaptive_csnzi_survives_inflate_deflate_panics() {
     const ITERS: usize = 400;
@@ -561,7 +561,7 @@ fn adaptive_csnzi_survives_inflate_deflate_panics() {
         .with_panic_percent(20)
         .install();
 
-    let lock = Arc::new(GollLock::builder(4).adaptive(true).build());
+    let lock = Arc::new(GollLock::new(4));
     let stop = Arc::new(AtomicBool::new(false));
     let churn = {
         let lock = Arc::clone(&lock);
@@ -599,15 +599,14 @@ fn adaptive_csnzi_survives_inflate_deflate_panics() {
     h.unlock_read();
 }
 
-/// The tentpole's directed race: N threads simultaneously route their
-/// first arrival through an adaptive C-SNZI that has never built its
-/// tree. The injected yields at the `csnzi.inflate` sync point widen the
-/// window in which several threads observe the tree as inactive; only
-/// one may win the activation, every arrival must still land, and no
-/// surplus may be lost across the race.
+/// The directed first-allocation race: N threads simultaneously route
+/// their first arrival through a C-SNZI that has never built its tree.
+/// The injected yields at the `csnzi.inflate` sync point widen the window
+/// in which several threads find no tree; only one may allocate it, every
+/// arrival must still land, and no surplus may be lost across the race.
 #[test]
 fn first_inflation_race_builds_one_tree_and_loses_no_arrivals() {
-    use oll::csnzi::{ArrivalPolicy, CSnzi};
+    use oll::csnzi::{ArrivalPolicy, CSnzi, TreeShape};
 
     const THREADS: usize = 8;
     const ROUNDS: usize = 50;
@@ -616,11 +615,11 @@ fn first_inflation_race_builds_one_tree_and_loses_no_arrivals() {
     for round in 0..ROUNDS {
         let telemetry = oll::telemetry::Telemetry::register("CSNZI");
         let c = {
-            let mut c = CSnzi::new_adaptive(THREADS);
+            let mut c = CSnzi::new(TreeShape::for_threads(THREADS));
             c.attach_telemetry(telemetry.clone());
             Arc::new(c)
         };
-        assert!(!c.is_inflated(), "round {round}: starts root-only");
+        assert!(!c.is_tree_allocated(), "round {round}: starts root-only");
         let barrier = Arc::new(std::sync::Barrier::new(THREADS));
         let mut joins = Vec::new();
         for t in 0..THREADS {
@@ -635,14 +634,14 @@ fn first_inflation_race_builds_one_tree_and_loses_no_arrivals() {
             }));
         }
         let tickets: Vec<_> = joins.into_iter().map(|j| j.join().unwrap()).collect();
-        assert!(c.is_inflated(), "round {round}: tree not activated");
+        assert!(c.is_tree_allocated(), "round {round}: tree not allocated");
         assert!(c.query().nonzero, "round {round}: surplus lost");
         for t in tickets {
             c.depart(t);
         }
         assert!(!c.query().nonzero, "round {round}: departures unbalanced");
         // In telemetry builds, pin "exactly one tree built": only the
-        // activation winner records the inflation.
+        // arrival that allocated records it.
         if let Some(s) = telemetry.snapshot() {
             use oll::telemetry::LockEvent;
             assert_eq!(

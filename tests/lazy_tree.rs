@@ -1,5 +1,6 @@
-//! The §2.2 lazy-tree option end-to-end: all three OLL locks must behave
-//! identically with deferred C-SNZI tree allocation.
+//! The §2.2 lazy-tree allocation end-to-end: every OLL lock defers its
+//! C-SNZI tree until the first tree arrival, and all three must behave
+//! identically whether or not that tree has been allocated yet.
 
 use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily};
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -37,24 +38,24 @@ fn exclusion_stress<L: RwLockFamily + 'static>(lock: L, threads: usize) {
 
 #[test]
 fn goll_lazy_tree_stress() {
-    exclusion_stress(GollLock::builder(4).lazy_tree(true).build(), 4);
+    exclusion_stress(GollLock::builder(4).build(), 4);
 }
 
 #[test]
 fn foll_lazy_tree_stress() {
-    exclusion_stress(FollLock::builder(4).lazy_tree(true).build(), 4);
+    exclusion_stress(FollLock::builder(4).build(), 4);
 }
 
 #[test]
 fn roll_lazy_tree_stress() {
-    exclusion_stress(RollLock::builder(4).lazy_tree(true).build(), 4);
+    exclusion_stress(RollLock::builder(4).build(), 4);
 }
 
 #[test]
 fn goll_lazy_tree_stays_unallocated_without_contention() {
     // A single uncontended thread always arrives at the root, so the tree
     // never materializes.
-    let lock = GollLock::builder(4).lazy_tree(true).build();
+    let lock = GollLock::builder(4).build();
     let mut h = lock.handle().unwrap();
     for _ in 0..100 {
         h.lock_read();
@@ -62,7 +63,6 @@ fn goll_lazy_tree_stays_unallocated_without_contention() {
         h.lock_write();
         h.unlock_write();
     }
-    // (Verified via the csnzi-level test; the lock API intentionally does
-    // not expose its internal C-SNZI. Completing without allocation panics
-    // or hangs is the contract here.)
+    drop(h);
+    assert!(!lock.is_inflated());
 }

@@ -276,15 +276,14 @@ fn tree_arrivals_write_the_root_less_than_centralized() {
     assert!(tree < 0.1, "tree = {tree}");
 }
 
-/// The adaptive tentpole's zero-overhead pin: an uncontended single
-/// reader on an adaptive lock must cost exactly one root RMW per acquire
-/// (the `fetch_add`) and one per release (the `fetch_sub`), neither of
-/// them conditional, with zero tree-node RMWs and no inflation —
-/// byte-for-byte the centralized fast path.
+/// The deferred tree's zero-overhead pin: an uncontended single reader
+/// must cost exactly one root RMW per acquire (the `fetch_add`) and one
+/// per release (the `fetch_sub`), neither of them conditional, with zero
+/// tree-node RMWs and no tree allocated — byte-for-byte the centralized
+/// fast path.
 #[test]
 fn adaptive_uncontended_reader_touches_only_the_root() {
-    let lock = GollLock::builder(2).adaptive(true).build();
-    assert!(lock.is_adaptive());
+    let lock = GollLock::new(2);
     let mut h = lock.handle().unwrap();
     for _ in 0..READS {
         h.lock_read();
@@ -302,7 +301,6 @@ fn adaptive_uncontended_reader_touches_only_the_root() {
     assert_eq!(s.get(LockEvent::CsnziArriveUndone), 0);
     assert_eq!(s.get(LockEvent::CsnziNodeWrite), 0);
     assert_eq!(s.get(LockEvent::CsnziInflate), 0);
-    assert_eq!(s.get(LockEvent::CsnziDeflate), 0);
     assert_eq!(s.get(LockEvent::CsnziLeafMigrate), 0);
 }
 
@@ -357,14 +355,11 @@ fn an_arrival_that_lands_closed_is_counted_and_taken_back() {
     assert_eq!(lock.csnzi_snapshot(), oll::csnzi::RootWord::OPEN_EMPTY);
 }
 
-/// Forced tree routing on an adaptive lock records the inflation and the
-/// tree arrivals it unlocks.
+/// Forced tree routing records the one tree allocation and the tree
+/// arrivals it serves.
 #[test]
 fn adaptive_inflation_is_counted() {
-    let lock = GollLock::builder(2)
-        .adaptive(true)
-        .arrival_threshold(0)
-        .build();
+    let lock = GollLock::builder(2).arrival_threshold(0).build();
     let mut h = lock.handle().unwrap();
     for _ in 0..READS {
         h.lock_read();
@@ -387,7 +382,7 @@ fn adaptive_inflation_is_counted() {
 /// tests out of this lock's hash space.
 #[test]
 fn biased_read_only_run_performs_zero_shared_rmws() {
-    let lock = Bravo::wrapping(GollLock::builder(2).adaptive(true).build(), true).private_table(64);
+    let lock = Bravo::wrapping(GollLock::new(2), true).private_table(64);
     let mut h = lock.handle().unwrap();
     for _ in 0..READS {
         h.lock_read();

@@ -71,7 +71,8 @@ fn square_wave_workload_has_a_pinned_flip_count() {
     assert_eq!(lock.flips(), 1, "one phase change, one flip");
     assert_eq!(lock.holds(), 1, "the first read-heavy window was held");
     assert_eq!(lock.knobs().rearm_multiplier(), 1);
-    assert_eq!(lock.knobs().deflate_after(), 256);
+    assert!(lock.knobs().bias_allowed());
+    assert_eq!(lock.knobs().cohort_batch(), oll::core::DEFAULT_COHORT_BATCH);
 
     // Square wave: alternate write-heavy and read-heavy every window.
     // Each disagreeing window's streak is reset by the next agreeing
