@@ -80,11 +80,7 @@ impl GollBuilder {
     #[cfg(not(loom))]
     pub fn build_biased(self) -> crate::Bravo<GollLock> {
         let biased = self.biased;
-        let lock = self.build();
-        // One knob block steers both layers: the wrapper's re-arm
-        // multiplier and bias permission live next to the lock's knobs.
-        let knobs = lock.knobs().clone();
-        crate::Bravo::wrapping(lock, biased).tuning(knobs)
+        crate::Bravo::wrapping(self.build(), biased)
     }
 
     /// Names this lock's telemetry instance (default `"GOLL#<seq>"`).
@@ -144,7 +140,6 @@ impl GollBuilder {
             arrival_threshold: self.arrival_threshold,
             telemetry,
             hazard,
-            knobs: oll_util::knobs::TuningKnobs::shared(),
         }
     }
 }
@@ -178,7 +173,6 @@ pub struct GollLock {
     arrival_threshold: u32,
     telemetry: Telemetry,
     hazard: Hazard,
-    knobs: std::sync::Arc<oll_util::knobs::TuningKnobs>,
 }
 
 impl GollLock {
@@ -202,13 +196,6 @@ impl GollLock {
     /// gone to it (racy; for diagnostics and tests).
     pub fn is_inflated(&self) -> bool {
         self.csnzi.is_tree_allocated()
-    }
-
-    /// The tuning-knob block this lock shares with its wrappers (the BRAVO
-    /// layer's re-arm multiplier and bias permission, which a controller
-    /// steers); GOLL's own paths read none of it.
-    pub fn knobs(&self) -> &std::sync::Arc<oll_util::knobs::TuningKnobs> {
-        &self.knobs
     }
 
     /// Delivers a hand-off; called once the queue mutex is dropped.
@@ -291,10 +278,6 @@ impl RwLockFamily for GollLock {
 
     fn hazard(&self) -> Hazard {
         self.hazard.clone()
-    }
-
-    fn tuning_knobs(&self) -> Option<&std::sync::Arc<oll_util::knobs::TuningKnobs>> {
-        Some(&self.knobs)
     }
 }
 

@@ -46,9 +46,9 @@ pub trait RwLockFamily: Send + Sync {
     }
 
     /// The live tuning-knob block this lock reads its policy values
-    /// from, when it has one. The OLL locks (and the [`Bravo`] wrapper)
-    /// return their shared [`TuningKnobs`]; baselines with no steerable
-    /// policy keep the `None` default. `SelfTuning` uses this to steer a
+    /// from, when it has one. FOLL, ROLL and the [`Bravo`] wrapper return
+    /// their shared [`TuningKnobs`]; GOLL and the baselines, whose paths
+    /// read no knob, keep the `None` default. `SelfTuning` uses this to steer a
     /// wrapped lock without separate plumbing.
     ///
     /// [`Bravo`]: crate::Bravo

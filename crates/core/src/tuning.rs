@@ -148,8 +148,8 @@ impl CtlShared {
 /// A lock wrapped with the online policy controller.
 ///
 /// Wrap any [`RwLockFamily`] whose `tuning_knobs()` returns its live
-/// knob block (every OLL lock and the [`Bravo`](crate::Bravo) wrapper
-/// does); the controller steers those knobs from the lock's own observed
+/// knob block (FOLL, ROLL and the [`Bravo`](crate::Bravo) wrapper
+/// do); the controller steers those knobs from the lock's own observed
 /// read/write mix, slow-path fraction, and — on telemetry builds — bias
 /// revocation and C-SNZI root-contention deltas. Wrapping a lock without
 /// knobs is harmless: the controller still classifies, but its stores go

@@ -2,11 +2,10 @@
 //! [`Sampler::serve`](crate::Sampler::serve) (only compiled with the
 //! `enabled` feature).
 //!
-//! Deliberately tiny, same no-dependency discipline as
-//! `oll_workloads::json` and the async executor: a non-blocking
-//! `TcpListener` polled by one thread, one request per connection,
-//! `Connection: close` semantics. It speaks just enough HTTP/1.1 for
-//! `curl` and a Prometheus scraper:
+//! Deliberately tiny, same no-dependency discipline as `oll_util::json`
+//! and the async executor: a non-blocking `TcpListener` polled by one
+//! thread, one request per connection, `Connection: close` semantics. It
+//! speaks just enough HTTP/1.1 for `curl` and a Prometheus scraper:
 //!
 //! * `GET /metrics` — Prometheus text exposition (format 0.0.4)
 //! * `GET /json` (or `/`) — the `oll.obs` v1 JSON document
@@ -18,6 +17,7 @@
 use crate::health::{score_all, HealthConfig};
 use crate::report::render_obs_json;
 use crate::sampler::Shared;
+use oll_util::json::{obj, text, Value};
 use std::fmt::Write as _;
 use std::io::{ErrorKind, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -119,20 +119,14 @@ fn handle(stream: &mut TcpStream, shared: &Shared) {
         Some("/health") => {
             let state = shared.state_copy();
             let health = score_all(&state, &HealthConfig::default());
-            let mut body = String::from("[");
-            for (i, h) in health.iter().enumerate() {
-                if i > 0 {
-                    body.push(',');
-                }
-                let _ = write!(
-                    body,
-                    "{{\"lock\":\"{}\",\"health\":\"{}\",\"severity\":{}}}",
-                    oll_telemetry::report::json_escape(&h.name),
-                    h.health.name(),
-                    h.health.severity()
-                );
-            }
-            body.push(']');
+            let rows = health.iter().map(|h| {
+                obj([
+                    ("lock", text(&h.name)),
+                    ("health", text(h.health.name())),
+                    ("severity", h.health.severity().into()),
+                ])
+            });
+            let body = rows.collect::<Value>().render();
             response("200 OK", "application/json", &body)
         }
         Some(_) => response("404 Not Found", "text/plain; charset=utf-8", "not found\n"),

@@ -1,8 +1,9 @@
 //! Prometheus text exposition (format 0.0.4) over a sampler state.
 //!
-//! Hand-rolled like every other serializer in the workspace: `# HELP` /
-//! `# TYPE` headers, `name{label="value"} value` samples, label values
-//! escaped per the exposition spec (backslash, double-quote, newline).
+//! Hand-rolled, as the workspace carries no serialization dependency
+//! (JSON goes through `oll_util::json`): `# HELP` / `# TYPE` headers,
+//! `name{label="value"} value` samples, label values escaped per the
+//! exposition spec (backslash, double-quote, newline).
 //! Counters come from the exact run totals; gauges (rates, quantiles)
 //! come from the most recent window a lock was active in, so a scrape
 //! sees current behaviour, not run-averaged history.

@@ -23,32 +23,20 @@
 //! }
 //! ```
 //!
-//! `totals` reuses the `oll.telemetry` per-lock object verbatim (name,
-//! kind, sparse event map, sparse histograms); `series` rows are the
-//! compact per-window digests — counts, rates, and quantile estimates —
-//! so a long retention window stays small. `read_ratio` / `slow_ratio`
-//! are `null` when the lock recorded no acquisitions.
+//! `totals` reuses the `oll.telemetry` per-lock object
+//! ([`oll_telemetry::report::lock_json`]: name, kind, sparse event map,
+//! sparse histograms); `series` rows are the compact per-window digests —
+//! counts, rates, and quantile estimates — so a long retention window
+//! stays small. Rates and `elapsed_secs` carry three decimals, the ratios
+//! six; `read_ratio` / `slow_ratio` are `null` when the lock recorded no
+//! acquisitions, and any non-finite number is `null` too.
 
 use crate::health::LockHealthReport;
 use crate::series::{ObsState, SampleWindow};
-use oll_telemetry::report::{json_escape, render_lock_json, SCHEMA_VERSION};
+use oll_telemetry::report::{fmt_ns, lock_json, SCHEMA_VERSION};
 use oll_telemetry::{HistogramSnapshot, LockSnapshot};
+use oll_util::json::{obj, rounded, text, Value};
 use std::fmt::Write as _;
-
-fn opt_f64(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x:.6}"),
-        _ => "null".to_string(),
-    }
-}
-
-fn f64_or_zero(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "0".to_string()
-    }
-}
 
 fn merged(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSnapshot {
     let mut out = *a;
@@ -56,115 +44,65 @@ fn merged(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSnapshot {
     out
 }
 
-fn window_lock_json(w: &SampleWindow, d: &LockSnapshot) -> String {
+fn window_lock_json(w: &SampleWindow, d: &LockSnapshot) -> Value {
     let secs = w.dt_ns.max(1) as f64 / 1e9;
     let acquire = merged(&d.read_acquire, &d.write_acquire);
     let hold = merged(&d.read_hold, &d.write_hold);
-    format!(
-        "{{\"lock\":\"{}\",\"kind\":\"{}\",\"reads\":{},\"writes\":{},\
-         \"read_rate\":{},\"write_rate\":{},\
-         \"acquire_p50_ns\":{},\"acquire_p99_ns\":{},\"acquire_p999_ns\":{},\
-         \"hold_p50_ns\":{},\"hold_p99_ns\":{},\"hold_p999_ns\":{}}}",
-        json_escape(&d.name),
-        json_escape(&d.kind),
-        d.reads(),
-        d.writes(),
-        f64_or_zero(d.reads() as f64 / secs),
-        f64_or_zero(d.writes() as f64 / secs),
-        acquire.percentile_ns(0.50),
-        acquire.percentile_ns(0.99),
-        acquire.percentile_ns(0.999),
-        hold.percentile_ns(0.50),
-        hold.percentile_ns(0.99),
-        hold.percentile_ns(0.999),
-    )
+    obj([
+        ("lock", text(&d.name)),
+        ("kind", text(&d.kind)),
+        ("reads", d.reads().into()),
+        ("writes", d.writes().into()),
+        ("read_rate", rounded(d.reads() as f64 / secs, 3)),
+        ("write_rate", rounded(d.writes() as f64 / secs, 3)),
+        ("acquire_p50_ns", acquire.percentile_ns(0.50).into()),
+        ("acquire_p99_ns", acquire.percentile_ns(0.99).into()),
+        ("acquire_p999_ns", acquire.percentile_ns(0.999).into()),
+        ("hold_p50_ns", hold.percentile_ns(0.50).into()),
+        ("hold_p99_ns", hold.percentile_ns(0.99).into()),
+        ("hold_p999_ns", hold.percentile_ns(0.999).into()),
+    ])
 }
 
-fn health_json(h: &LockHealthReport) -> String {
-    let mut reasons = String::from("[");
-    for (i, r) in h.reasons.iter().enumerate() {
-        if i > 0 {
-            reasons.push(',');
-        }
-        let _ = write!(reasons, "\"{}\"", json_escape(r));
-    }
-    reasons.push(']');
-    format!(
-        "{{\"lock\":\"{}\",\"kind\":\"{}\",\"health\":\"{}\",\"severity\":{},\
-         \"acquires\":{},\"read_ratio\":{},\"slow_ratio\":{},\"acquire_rate\":{},\
-         \"reasons\":{}}}",
-        json_escape(&h.name),
-        json_escape(&h.kind),
-        h.health.name(),
-        h.health.severity(),
-        h.acquires,
-        opt_f64(h.read_ratio),
-        opt_f64(h.slow_ratio),
-        f64_or_zero(h.acquire_rate),
-        reasons,
-    )
+fn health_json(h: &LockHealthReport) -> Value {
+    let ratio = |r: Option<f64>| r.map_or(Value::Null, |r| rounded(r, 6));
+    obj([
+        ("lock", text(&h.name)),
+        ("kind", text(&h.kind)),
+        ("health", text(h.health.name())),
+        ("severity", h.health.severity().into()),
+        ("acquires", h.acquires.into()),
+        ("read_ratio", ratio(h.read_ratio)),
+        ("slow_ratio", ratio(h.slow_ratio)),
+        ("acquire_rate", rounded(h.acquire_rate, 3)),
+        ("reasons", h.reasons.iter().copied().collect()),
+    ])
 }
 
 /// Renders the schema-versioned `oll.obs` document (no trailing
 /// newline).
 pub fn render_obs_json(state: &ObsState, health: &[LockHealthReport]) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"oll.obs\",\"version\":{SCHEMA_VERSION},\
-         \"interval_ms\":{},\"elapsed_secs\":{},\"samples\":{},\
-         \"windows_retained\":{},\"windows_evicted\":{},\"health\":[",
-        state.interval_ns / 1_000_000,
-        f64_or_zero(state.elapsed_ns as f64 / 1e9),
-        state.samples,
-        state.windows.len(),
-        state.windows_evicted,
-    );
-    for (i, h) in health.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&health_json(h));
-    }
-    out.push_str("],\"totals\":[");
-    for (i, s) in state.totals.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&render_lock_json(s));
-    }
-    out.push_str("],\"series\":[");
-    for (i, w) in state.windows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"t_ns\":{},\"dt_ns\":{},\"locks\":[",
-            w.t_ns, w.dt_ns
-        );
-        for (j, d) in w.deltas.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&window_lock_json(w, d));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.2}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.2}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
+    let series = state.windows.iter().map(|w| {
+        let locks = w.deltas.iter().map(|d| window_lock_json(w, d));
+        obj([
+            ("t_ns", w.t_ns.into()),
+            ("dt_ns", w.dt_ns.into()),
+            ("locks", locks.collect()),
+        ])
+    });
+    obj([
+        ("schema", text("oll.obs")),
+        ("version", SCHEMA_VERSION.into()),
+        ("interval_ms", (state.interval_ns / 1_000_000).into()),
+        ("elapsed_secs", rounded(state.elapsed_ns as f64 / 1e9, 3)),
+        ("samples", state.samples.into()),
+        ("windows_retained", state.windows.len().into()),
+        ("windows_evicted", state.windows_evicted.into()),
+        ("health", health.iter().map(health_json).collect()),
+        ("totals", state.totals.iter().map(lock_json).collect()),
+        ("series", series.collect()),
+    ])
+    .render()
 }
 
 /// Renders the one-shot text summary (the `--obs` end-of-run block).
@@ -250,7 +188,55 @@ mod tests {
         assert!(doc.contains("\"health\":[{\"lock\":\"obs/ROLL\""));
         assert!(doc.contains("\"write_slow\":10"));
         assert!(doc.contains("\"acquire_p99_ns\":"));
-        assert!(doc.contains("\"read_rate\":900.000"));
+        let doc = oll_util::json::parse(&doc).expect("document parses");
+        let window = doc
+            .get("series")
+            .and_then(|s| s.idx(0))
+            .expect("one window");
+        let lock = window
+            .get("locks")
+            .and_then(|l| l.idx(0))
+            .expect("one lock");
+        assert_eq!(lock.get("read_rate").and_then(Value::as_f64), Some(900.0));
+    }
+
+    #[test]
+    fn json_doc_round_trips() {
+        let st = state();
+        let health = score_all(&st, &HealthConfig::default());
+        let doc = oll_util::json::parse(&render_obs_json(&st, &health)).expect("document parses");
+        assert_eq!(doc.get("schema").and_then(Value::as_str), Some("oll.obs"));
+        assert_eq!(doc.get("version").and_then(Value::as_u64), Some(1));
+        assert_eq!(doc.get("samples").and_then(Value::as_u64), Some(5));
+        assert_eq!(doc.get("elapsed_secs").and_then(Value::as_f64), Some(0.5));
+        assert_eq!(doc.get("windows_retained").and_then(Value::as_u64), Some(1));
+        let h = doc
+            .get("health")
+            .and_then(|h| h.idx(0))
+            .expect("one health row");
+        assert_eq!(h.get("lock").and_then(Value::as_str), Some("obs/ROLL"));
+        assert_eq!(
+            h.get("health").and_then(Value::as_str),
+            Some(health[0].health.name())
+        );
+        assert_eq!(h.get("acquires").and_then(Value::as_u64), Some(100));
+        assert_eq!(h.get("read_ratio").and_then(Value::as_f64), Some(0.9));
+        let total = doc.get("totals").and_then(|t| t.idx(0)).expect("one total");
+        assert_eq!(total, &lock_json(&st.totals[0]));
+        let window = doc
+            .get("series")
+            .and_then(|s| s.idx(0))
+            .expect("one window");
+        assert_eq!(
+            window.get("dt_ns").and_then(Value::as_u64),
+            Some(100_000_000)
+        );
+        let lock = window
+            .get("locks")
+            .and_then(|l| l.idx(0))
+            .expect("one lock");
+        assert_eq!(lock.get("writes").and_then(Value::as_u64), Some(10));
+        assert_eq!(lock.get("write_rate").and_then(Value::as_f64), Some(100.0));
     }
 
     #[test]

@@ -1,39 +1,24 @@
 //! Text and JSON renderers for telemetry snapshots.
 //!
-//! JSON is hand-rolled (the workspace carries no serialization
-//! dependency) and schema-versioned: consumers check `"schema"` /
-//! `"version"` before parsing. The same escape/format helpers back the
-//! workload bins' `--json` reports.
+//! JSON documents are schema-versioned — consumers check `"schema"` /
+//! `"version"` before parsing — and built as [`oll_util::json::Value`]s.
+//! [`lock_json`] is the per-lock object that the `oll.obs` totals and
+//! the workload bins' `oll.fig5` / `oll.latency` / `oll.fig5_async`
+//! documents embed.
 
 use crate::event::LockEvent;
 use crate::hist::HistogramSnapshot;
 use crate::snapshot::LockSnapshot;
+use oll_util::json::{obj, text, Value};
 use std::fmt::Write as _;
 
 /// Version of every JSON document this crate emits. Bump on any
 /// backwards-incompatible field change.
 pub const SCHEMA_VERSION: u32 = 1;
 
-/// Escapes a string for inclusion in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn fmt_ns(ns: u64) -> String {
+/// A duration for a human: whole nanoseconds below 1 µs, else two
+/// decimals of the largest unit that keeps the value ≥ 1.
+pub fn fmt_ns(ns: u64) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.2}s", ns as f64 / 1e9)
     } else if ns >= 1_000_000 {
@@ -121,75 +106,43 @@ pub fn render_text(snaps: &[LockSnapshot]) -> String {
     out
 }
 
-fn json_hist(h: &HistogramSnapshot) -> String {
+fn hist_json(h: &HistogramSnapshot) -> Value {
     // Sparse bucket encoding: only non-zero buckets, as [index, count]
     // pairs, so empty histograms stay tiny.
-    let mut buckets = String::from("[");
-    let mut first = true;
-    for (i, &c) in h.buckets.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        if !first {
-            buckets.push(',');
-        }
-        first = false;
-        let _ = write!(buckets, "[{i},{c}]");
-    }
-    buckets.push(']');
-    format!(
-        "{{\"count\":{},\"max_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"buckets\":{}}}",
-        h.count,
-        h.max_ns,
-        h.percentile_ns(0.50),
-        h.percentile_ns(0.99),
-        buckets
-    )
+    let buckets = h.buckets.iter().enumerate().filter(|&(_, &c)| c != 0);
+    let buckets = buckets.map(|(i, &c)| Value::Arr(vec![i.into(), c.into()]));
+    obj([
+        ("count", h.count.into()),
+        ("max_ns", h.max_ns.into()),
+        ("p50_ns", h.percentile_ns(0.50).into()),
+        ("p99_ns", h.percentile_ns(0.99).into()),
+        ("buckets", buckets.collect()),
+    ])
 }
 
-/// Renders one lock's profile as a JSON object (no trailing newline).
-pub fn render_lock_json(s: &LockSnapshot) -> String {
-    let mut events = String::from("{");
-    let mut first = true;
-    for e in LockEvent::ALL {
-        let c = s.get(e);
-        if c == 0 {
-            continue;
-        }
-        if !first {
-            events.push(',');
-        }
-        first = false;
-        let _ = write!(events, "\"{}\":{c}", e.name());
-    }
-    events.push('}');
-    format!(
-        "{{\"name\":\"{}\",\"kind\":\"{}\",\"events\":{},\"read_acquire\":{},\"write_acquire\":{},\"read_hold\":{},\"write_hold\":{}}}",
-        json_escape(&s.name),
-        json_escape(&s.kind),
-        events,
-        json_hist(&s.read_acquire),
-        json_hist(&s.write_acquire),
-        json_hist(&s.read_hold),
-        json_hist(&s.write_hold),
-    )
+/// One lock's profile as a JSON object: its name, kind, the nonzero
+/// events by name, and the four histograms.
+pub fn lock_json(s: &LockSnapshot) -> Value {
+    let events = LockEvent::ALL.into_iter().filter(|&e| s.get(e) != 0);
+    obj([
+        ("name", text(&s.name)),
+        ("kind", text(&s.kind)),
+        ("events", obj(events.map(|e| (e.name(), s.get(e).into())))),
+        ("read_acquire", hist_json(&s.read_acquire)),
+        ("write_acquire", hist_json(&s.write_acquire)),
+        ("read_hold", hist_json(&s.read_hold)),
+        ("write_hold", hist_json(&s.write_hold)),
+    ])
 }
 
 /// Renders a sweep of lock profiles as a schema-versioned JSON document.
 pub fn render_json(snaps: &[LockSnapshot]) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"oll.telemetry\",\"version\":{SCHEMA_VERSION},\"locks\":["
-    );
-    for (i, s) in snaps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&render_lock_json(s));
-    }
-    out.push_str("]}");
-    out
+    obj([
+        ("schema", text("oll.telemetry")),
+        ("version", SCHEMA_VERSION.into()),
+        ("locks", snaps.iter().map(lock_json).collect()),
+    ])
+    .render()
 }
 
 #[cfg(test)]
@@ -237,7 +190,7 @@ mod tests {
             s.events[e.index()] = 1_000 + i as u64;
         }
         let txt = render_lock_text(&s);
-        let json = render_lock_json(&s);
+        let json = lock_json(&s);
         for (i, e) in LockEvent::ALL.iter().enumerate() {
             let count = 1_000 + i as u64;
             match e {
@@ -252,8 +205,9 @@ mod tests {
                     e.name()
                 ),
             }
-            assert!(
-                json.contains(&format!("\"{}\":{count}", e.name())),
+            assert_eq!(
+                json.get("events").and_then(|ev| ev.get(e.name())),
+                Some(&Value::from(count)),
                 "JSON report is missing a key for `{}`",
                 e.name()
             );
@@ -261,8 +215,32 @@ mod tests {
     }
 
     #[test]
-    fn escape_handles_controls() {
-        assert_eq!(json_escape("a\"b\\c\n\u{1}"), "a\\\"b\\\\c\\n\\u0001");
+    fn json_round_trips() {
+        let doc = oll_util::json::parse(&render_json(&[sample()])).expect("document parses");
+        assert_eq!(
+            doc.get("schema").and_then(Value::as_str),
+            Some("oll.telemetry")
+        );
+        assert_eq!(doc.get("version").and_then(Value::as_u64), Some(1));
+        let lock = doc.get("locks").and_then(|l| l.idx(0)).expect("one lock");
+        assert_eq!(
+            lock.get("name").and_then(Value::as_str),
+            Some("fig5/GOLL \"x\"")
+        );
+        assert_eq!(lock.get("kind").and_then(Value::as_str), Some("GOLL"));
+        let events = lock.get("events").expect("events");
+        assert_eq!(events.get("read_fast").and_then(Value::as_u64), Some(100));
+        assert_eq!(
+            events.get("handoff_to_readers").and_then(Value::as_u64),
+            Some(3)
+        );
+        let read = lock.get("read_acquire").expect("read_acquire");
+        assert_eq!(read.get("count").and_then(Value::as_u64), Some(110));
+        assert_eq!(read.get("max_ns").and_then(Value::as_u64), Some(200));
+        assert_eq!(
+            read.get("buckets").map(Value::render).as_deref(),
+            Some("[[7,110]]")
+        );
     }
 
     #[test]

@@ -6,67 +6,50 @@
 //! on top of those, a pairing pass derives duration (`"ph":"X"`) events
 //! so acquisition waits (`read_begin → read_acquired`) and hold times
 //! (`read_acquired → read_release`) render as proper slices on each
-//! thread track. Timestamps are microseconds with the nanosecond kept
-//! as the fractional part. Ring overflow is surfaced, never hidden:
-//! `otherData` carries `dropped` and `truncated`.
+//! thread track. Timestamps are microseconds (`ts_ns / 1e3`, so the
+//! nanosecond survives as the fractional part). Ring overflow is
+//! surfaced, never hidden: `otherData` carries `dropped` and `truncated`.
 
 use crate::collect::Timeline;
 use crate::record::{TraceKind, TraceRecord};
+use oll_util::json::{obj, text, Value};
 
-/// Escapes `s` as JSON string contents (no surrounding quotes).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// Nanoseconds → microsecond timestamp with ns precision.
+fn us(ts_ns: u64) -> Value {
+    Value::Num(ts_ns as f64 / 1e3)
 }
 
-/// Nanoseconds → microsecond timestamp string with ns precision.
-fn us(ts_ns: u64) -> String {
-    format!("{}.{:03}", ts_ns / 1_000, ts_ns % 1_000)
-}
-
-fn instant_event(tl: &Timeline, r: &TraceRecord) -> String {
-    let mut args = format!("\"lock\":\"{}\"", json_escape(tl.lock_name(r.lock)));
+fn instant_event(tl: &Timeline, r: &TraceRecord) -> Value {
+    let mut args = vec![("lock", text(tl.lock_name(r.lock)))];
     if r.token != 0 {
-        args.push_str(&format!(",\"token\":\"{:#x}\"", r.token));
+        args.push(("token", format!("{:#x}", r.token).into()));
     }
-    format!(
-        "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"pid\":1,\"tid\":{},\"ts\":{},\"args\":{{{args}}}}}",
-        r.kind.name(),
-        r.tid,
-        us(r.ts_ns),
-    )
+    obj([
+        ("name", text(r.kind.name())),
+        ("ph", text("i")),
+        ("s", text("t")),
+        ("pid", 1u32.into()),
+        ("tid", r.tid.into()),
+        ("ts", us(r.ts_ns)),
+        ("args", obj(args)),
+    ])
 }
 
-fn span_event(
-    tl: &Timeline,
-    name: &str,
-    tid: u32,
-    lock: u32,
-    start_ns: u64,
-    end_ns: u64,
-) -> String {
-    format!(
-        "{{\"name\":\"{name}\",\"ph\":\"X\",\"pid\":1,\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{\"lock\":\"{}\"}}}}",
-        us(start_ns),
-        us(end_ns.saturating_sub(start_ns)),
-        json_escape(tl.lock_name(lock)),
-    )
+fn span_event(tl: &Timeline, name: &str, tid: u32, lock: u32, start_ns: u64, end_ns: u64) -> Value {
+    obj([
+        ("name", text(name)),
+        ("ph", text("X")),
+        ("pid", 1u32.into()),
+        ("tid", tid.into()),
+        ("ts", us(start_ns)),
+        ("dur", us(end_ns.saturating_sub(start_ns))),
+        ("args", obj([("lock", text(tl.lock_name(lock)))])),
+    ])
 }
 
 /// Derives acquire/hold duration events by pairing the begin/acquired/
 /// release markers per `(tid, lock)`.
-fn derive_spans(tl: &Timeline, out: &mut Vec<String>) {
+fn derive_spans(tl: &Timeline, out: &mut Vec<Value>) {
     use std::collections::HashMap;
     // (tid, lock) -> (wait_start, hold_start) per side.
     let mut read: HashMap<(u32, u32), (Option<u64>, Option<u64>)> = HashMap::new();
@@ -108,35 +91,39 @@ fn derive_spans(tl: &Timeline, out: &mut Vec<String>) {
 /// Renders the whole timeline as a Chrome Trace Event / Perfetto JSON
 /// document.
 pub fn render_chrome_trace(tl: &Timeline) -> String {
-    let mut events: Vec<String> = Vec::with_capacity(tl.records.len() + tl.threads.len() + 8);
-    events.push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"oll\"}}"
-            .to_string(),
-    );
+    let mut events = Vec::with_capacity(tl.records.len() + tl.threads.len() + 8);
+    let name_args = |name: &str| obj([("name", text(name))]);
+    events.push(obj([
+        ("name", text("process_name")),
+        ("ph", text("M")),
+        ("pid", 1u32.into()),
+        ("args", name_args("oll")),
+    ]));
     for t in &tl.threads {
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-            t.tid,
-            json_escape(&tl.thread_name(t.tid)),
-        ));
+        events.push(obj([
+            ("name", text("thread_name")),
+            ("ph", text("M")),
+            ("pid", 1u32.into()),
+            ("tid", t.tid.into()),
+            ("args", name_args(&tl.thread_name(t.tid))),
+        ]));
     }
-    for r in &tl.records {
-        events.push(instant_event(tl, r));
-    }
+    events.extend(tl.records.iter().map(|r| instant_event(tl, r)));
     derive_spans(tl, &mut events);
-
-    let mut out = String::new();
-    out.push_str("{\n\"displayTimeUnit\":\"ns\",\n");
-    out.push_str(&format!(
-        "\"otherData\":{{\"schema\":\"oll.trace.chrome\",\"records\":{},\"dropped\":{},\"truncated\":{}}},\n",
-        tl.records.len(),
-        tl.dropped,
-        tl.truncated(),
-    ));
-    out.push_str("\"traceEvents\":[\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n]}\n");
-    out
+    obj([
+        ("displayTimeUnit", text("ns")),
+        (
+            "otherData",
+            obj([
+                ("schema", text("oll.trace.chrome")),
+                ("records", tl.records.len().into()),
+                ("dropped", tl.dropped.into()),
+                ("truncated", tl.truncated().into()),
+            ]),
+        ),
+        ("traceEvents", Value::Arr(events)),
+    ])
+    .render()
 }
 
 #[cfg(test)]
@@ -193,9 +180,48 @@ mod tests {
         assert!(doc.contains("export \\\"test\\\""));
         assert!(doc.contains("\"name\":\"acquire:read\""));
         assert!(doc.contains("\"name\":\"hold:read\""));
-        assert!(doc.contains("\"ts\":0.100"));
         assert!(doc.contains("\"token\":\"0xbeef\""));
         // Unnamed threads get a synthesized track name.
         assert!(doc.contains("thread-2"));
+    }
+
+    #[test]
+    fn chrome_trace_round_trips() {
+        let tl = tiny_timeline();
+        let doc = oll_util::json::parse(&render_chrome_trace(&tl)).expect("trace parses");
+        assert_eq!(
+            doc.get("displayTimeUnit").and_then(Value::as_str),
+            Some("ns")
+        );
+        let other = doc.get("otherData").expect("otherData");
+        assert_eq!(other.get("records").and_then(Value::as_u64), Some(6));
+        assert_eq!(other.get("dropped").and_then(Value::as_u64), Some(3));
+        assert_eq!(other.get("truncated").and_then(Value::as_bool), Some(true));
+        let events = doc
+            .get("traceEvents")
+            .and_then(Value::as_arr)
+            .expect("events");
+        let named = |name: &str| {
+            events
+                .iter()
+                .find(|e| e.get("name").and_then(Value::as_str) == Some(name))
+                .unwrap_or_else(|| panic!("no {name} event"))
+        };
+        // Fractional-µs timestamps: 100 ns is 0.1 µs.
+        let begin = named("read_begin");
+        assert_eq!(begin.get("ts").and_then(Value::as_f64), Some(0.1));
+        assert_eq!(begin.get("tid").and_then(Value::as_u64), Some(1));
+        let lock = begin.get("args").and_then(|a| a.get("lock"));
+        assert_eq!(lock.and_then(Value::as_str), Some("export \"test\""));
+        let enqueued = named("enqueued").get("args").and_then(|a| a.get("token"));
+        assert_eq!(enqueued.and_then(Value::as_str), Some("0xbeef"));
+        // read_begin at 100 ns → read_acquired at 450 ns: a 0.35 µs wait.
+        let wait = named("acquire:read");
+        assert_eq!(wait.get("ts").and_then(Value::as_f64), Some(0.1));
+        assert_eq!(wait.get("dur").and_then(Value::as_f64), Some(0.35));
+        assert_eq!(
+            named("hold:read").get("dur").and_then(Value::as_f64),
+            Some(0.45)
+        );
     }
 }

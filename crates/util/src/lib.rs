@@ -25,6 +25,8 @@
 //!   BRAVO-style reader biasing (`oll_core::Bravo`).
 //! * [`XorShift64`] — the per-thread PRNG the evaluation harness uses to
 //!   choose read vs. write acquisitions (§5.1 of the paper).
+//! * [`json`] — the one JSON writer ([`json::Value::render`]) and reader
+//!   ([`json::parse`]) behind every document the workspace emits.
 //!
 //! The [`sync`] module re-exports either `std` or `loom` primitives so the
 //! algorithm crates can be model-checked with `RUSTFLAGS="--cfg loom"`.
@@ -35,6 +37,7 @@ pub mod backoff;
 pub mod cache_padded;
 pub mod event;
 pub mod fault;
+pub mod json;
 pub mod knobs;
 pub mod rng;
 pub mod slots;

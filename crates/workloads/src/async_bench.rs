@@ -20,10 +20,12 @@
 //! `oll.fig5_async` JSON document; `regen_results.sh` commits the
 //! million-task run as `BENCH_async.json`.
 
+use crate::json::summary_json;
 use crate::latency::LatencySummary;
 use oll_async::AsyncRwLock;
-use oll_telemetry::report::render_lock_json;
+use oll_telemetry::report::{lock_json, SCHEMA_VERSION};
 use oll_telemetry::{HistogramSnapshot, LockSnapshot};
+use oll_util::json::{obj, rounded, text, Value};
 use oll_util::XorShift64;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -223,43 +225,30 @@ pub fn run_async_bench(config: &AsyncBenchConfig) -> AsyncBenchResult {
 /// Renders one async bench run as an `oll.fig5_async` document (same
 /// versioning regime as the other OLL JSON schemas).
 pub fn render_fig5_async_json(r: &AsyncBenchResult) -> String {
-    use oll_telemetry::report::SCHEMA_VERSION;
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"oll.fig5_async\",\"version\":{SCHEMA_VERSION},\
-         \"tasks\":{},\"workers\":{},\"write_pct\":{},\"cancel_pct\":{},\
-         \"deadline_ms\":{},\"seed\":{},\
-         \"granted_reads\":{},\"granted_writes\":{},\"timed_out\":{},\
-         \"elapsed_secs\":{:.6},\"tasks_per_sec\":{:.1},",
-        r.config.tasks,
-        r.config.workers,
-        r.config.write_pct,
-        r.config.cancel_pct,
-        r.config.deadline_ms,
-        r.config.seed,
-        r.granted_reads,
-        r.granted_writes,
-        r.timed_out,
-        r.elapsed.as_secs_f64(),
-        r.tasks_per_sec,
-    );
-    let l = &r.grant_latency;
-    let _ = write!(
-        out,
-        "\"grant_latency\":{{\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"max_ns\":{}}},",
-        l.count, l.p50_ns, l.p99_ns, l.p999_ns, l.max_ns
-    );
-    let telemetry = match &r.telemetry {
-        Some(s) => render_lock_json(s),
-        None => "null".to_string(),
-    };
-    let _ = write!(
-        out,
-        "\"surplus_at_exit\":{},\"queued_at_exit\":{},\"telemetry\":{}}}",
-        r.surplus_at_exit, r.queued_at_exit, telemetry
-    );
-    out
+    let c = &r.config;
+    obj([
+        ("schema", text("oll.fig5_async")),
+        ("version", SCHEMA_VERSION.into()),
+        ("tasks", c.tasks.into()),
+        ("workers", c.workers.into()),
+        ("write_pct", c.write_pct.into()),
+        ("cancel_pct", c.cancel_pct.into()),
+        ("deadline_ms", c.deadline_ms.into()),
+        ("seed", c.seed.into()),
+        ("granted_reads", r.granted_reads.into()),
+        ("granted_writes", r.granted_writes.into()),
+        ("timed_out", r.timed_out.into()),
+        ("elapsed_secs", rounded(r.elapsed.as_secs_f64(), 6)),
+        ("tasks_per_sec", rounded(r.tasks_per_sec, 1)),
+        ("grant_latency", summary_json(&r.grant_latency)),
+        ("surplus_at_exit", r.surplus_at_exit.into()),
+        ("queued_at_exit", r.queued_at_exit.into()),
+        (
+            "telemetry",
+            r.telemetry.as_ref().map_or(Value::Null, lock_json),
+        ),
+    ])
+    .render()
 }
 
 /// A human-readable summary block for the terminal.

@@ -36,6 +36,7 @@
 //! optionally serving Prometheus text on ADDR; `--obs-json` writes the
 //! final `oll.obs` document.
 
+use oll_telemetry::report::fmt_ns;
 use oll_trace::TraceSession;
 use oll_workloads::config::{LockKind, LockOptions, WorkloadConfig};
 use oll_workloads::json::render_latency_json;
@@ -54,16 +55,6 @@ fn usage(msg: &str) -> ! {
          [--flame PATH] [--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]"
     );
     exit(2);
-}
-
-fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.1}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
 }
 
 fn main() {

@@ -1,9 +1,9 @@
 //! Schema-versioned JSON reports for the workload binaries.
 //!
-//! Hand-rolled like `oll_telemetry::report` (the workspace carries no
-//! serialization dependency). Three document schemas are rendered here
-//! (`oll.fig5_pair` is built in [`crate::paired`], `oll.fig5_async` in
-//! `crate::async_bench`):
+//! Each document is built as an [`oll_util::json::Value`] and written by
+//! its `render`, like every other document the workspace emits. Three
+//! document schemas are built here (`oll.fig5_pair` is built in
+//! [`crate::paired`], `oll.fig5_async` in `crate::async_bench`):
 //!
 //! - `oll.fig5` — the panels of a `fig5` run: every (lock × threads)
 //!   point with throughput and, when collected, the lock's telemetry
@@ -17,89 +17,78 @@
 //!
 //! Consumers should check `"schema"` and `"version"` before parsing;
 //! [`oll_telemetry::report::SCHEMA_VERSION`] is bumped on any
-//! backwards-incompatible change across all OLL JSON documents. The
-//! [`parse`] submodule carries a small JSON reader used to round-trip
-//! test every document this module emits.
+//! backwards-incompatible change across all OLL JSON documents.
 
 use crate::latency::{LatencyResult, LatencySummary};
 use crate::sweep::PanelResult;
-use oll_telemetry::report::{json_escape, render_lock_json, SCHEMA_VERSION};
+use oll_telemetry::report::{lock_json, SCHEMA_VERSION};
 use oll_telemetry::LockSnapshot;
 use oll_trace::{Timeline, TraceReport};
-use std::fmt::Write as _;
+use oll_util::json::{obj, rounded, text, Value};
 
-fn json_telemetry(profile: &Option<LockSnapshot>) -> String {
-    match profile {
-        Some(s) => render_lock_json(s),
-        None => "null".to_string(),
-    }
+/// [`oll_util::json`] — the reader and value tree — under the path the
+/// workload bins and `benchmark/` import it from.
+pub use oll_util::json as parse;
+
+/// The `i`-th profile as an `oll.telemetry` lock object, or `null`.
+fn telemetry_json(profiles: &[Option<LockSnapshot>], i: usize) -> Value {
+    profiles
+        .get(i)
+        .and_then(Option::as_ref)
+        .map_or(Value::Null, lock_json)
 }
 
 /// Renders a set of regenerated Figure 5 panels as one `oll.fig5`
 /// document.
 pub fn render_fig5_json(panels: &[PanelResult]) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"oll.fig5\",\"version\":{SCHEMA_VERSION},\"panels\":["
-    );
-    for (pi, panel) in panels.iter().enumerate() {
-        if pi > 0 {
-            out.push(',');
-        }
-        let shape = match panel.options.shape_threads {
-            Some(n) => n.to_string(),
-            None => "null".to_string(),
-        };
-        let _ = write!(
-            out,
-            "{{\"panel\":\"{}\",\"read_pct\":{},\"biased\":{},\"hazard\":{},\"cohort\":{},\"self_tuning\":{},\"shape_threads\":{},\"thread_counts\":{:?},\"series\":[",
-            panel.panel.tag(),
-            panel.panel.read_pct(),
-            panel.options.biased,
-            panel.options.hazard,
-            panel.options.cohort,
-            panel.options.self_tuning,
-            shape,
-            panel.thread_counts,
-        );
-        for (si, s) in panel.series.iter().enumerate() {
-            if si > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"lock\":\"{}\",\"points\":[",
-                json_escape(s.kind.name())
-            );
-            for (i, p) in s.points.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let profile = s.profiles.get(i).cloned().flatten();
-                let _ = write!(
-                    out,
-                    "{{\"threads\":{},\"acquires_per_sec\":{:.1},\"elapsed_secs\":{:.6},\"total_acquisitions\":{},\"telemetry\":{}}}",
-                    p.threads,
-                    p.acquires_per_sec,
-                    p.elapsed.as_secs_f64(),
-                    p.total_acquisitions,
-                    json_telemetry(&profile),
-                );
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
+    let panel_json = |panel: &PanelResult| {
+        let series = panel.series.iter().map(|s| {
+            let points = s.points.iter().enumerate().map(|(i, p)| {
+                obj([
+                    ("threads", p.threads.into()),
+                    ("acquires_per_sec", rounded(p.acquires_per_sec, 1)),
+                    ("elapsed_secs", rounded(p.elapsed.as_secs_f64(), 6)),
+                    ("total_acquisitions", p.total_acquisitions.into()),
+                    ("telemetry", telemetry_json(&s.profiles, i)),
+                ])
+            });
+            obj([("lock", text(s.kind.name())), ("points", points.collect())])
+        });
+        let options = &panel.options;
+        obj([
+            ("panel", text(panel.panel.tag())),
+            ("read_pct", panel.panel.read_pct().into()),
+            ("biased", options.biased.into()),
+            ("hazard", options.hazard.into()),
+            ("cohort", options.cohort.into()),
+            ("self_tuning", options.self_tuning.into()),
+            (
+                "shape_threads",
+                options.shape_threads.map_or(Value::Null, Value::from),
+            ),
+            (
+                "thread_counts",
+                panel.thread_counts.iter().copied().collect(),
+            ),
+            ("series", series.collect()),
+        ])
+    };
+    obj([
+        ("schema", text("oll.fig5")),
+        ("version", SCHEMA_VERSION.into()),
+        ("panels", panels.iter().map(panel_json).collect()),
+    ])
+    .render()
 }
 
-fn json_summary(s: &LatencySummary) -> String {
-    format!(
-        "{{\"count\":{},\"p50_ns\":{},\"p99_ns\":{},\"p999_ns\":{},\"max_ns\":{}}}",
-        s.count, s.p50_ns, s.p99_ns, s.p999_ns, s.max_ns
-    )
+pub(crate) fn summary_json(s: &LatencySummary) -> Value {
+    obj([
+        ("count", s.count.into()),
+        ("p50_ns", s.p50_ns.into()),
+        ("p99_ns", s.p99_ns.into()),
+        ("p999_ns", s.p999_ns.into()),
+        ("max_ns", s.max_ns.into()),
+    ])
 }
 
 /// Renders a latency run as one `oll.latency` document. `profiles` must
@@ -113,39 +102,23 @@ pub fn render_latency_json(
     profiles: &[Option<LockSnapshot>],
 ) -> String {
     debug_assert_eq!(results.len(), profiles.len());
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"oll.latency\",\"version\":{SCHEMA_VERSION},\"threads\":{threads},\"read_pct\":{read_pct},\"acquisitions_per_thread\":{acquisitions_per_thread},\"locks\":["
-    );
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let profile = profiles.get(i).cloned().flatten();
-        let _ = write!(
-            out,
-            "{{\"lock\":\"{}\",\"read\":{},\"write\":{},\"telemetry\":{}}}",
-            json_escape(r.kind.name()),
-            json_summary(&r.read),
-            json_summary(&r.write),
-            json_telemetry(&profile),
-        );
-    }
-    out.push_str("]}");
-    out
-}
-
-fn json_u32s(v: &[u32]) -> String {
-    let mut out = String::from("[");
-    for (i, x) in v.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{x}");
-    }
-    out.push(']');
-    out
+    let locks = results.iter().enumerate().map(|(i, r)| {
+        obj([
+            ("lock", text(r.kind.name())),
+            ("read", summary_json(&r.read)),
+            ("write", summary_json(&r.write)),
+            ("telemetry", telemetry_json(profiles, i)),
+        ])
+    });
+    obj([
+        ("schema", text("oll.latency")),
+        ("version", SCHEMA_VERSION.into()),
+        ("threads", threads.into()),
+        ("read_pct", read_pct.into()),
+        ("acquisitions_per_thread", acquisitions_per_thread.into()),
+        ("locks", locks.collect()),
+    ])
+    .render()
 }
 
 /// Renders a flight-recorder capture and its analysis as one `oll.trace`
@@ -153,504 +126,96 @@ fn json_u32s(v: &[u32]) -> String {
 /// as JSON numbers: f64 holds them exactly for ~104 days of uptime);
 /// causality tokens are raw 64-bit values and travel as hex strings.
 pub fn render_trace_json(tl: &Timeline, report: &TraceReport) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"schema\":\"oll.trace\",\"version\":{SCHEMA_VERSION},\"records\":{},\"dropped\":{},\"truncated\":{},\"locks\":[",
-        tl.records.len(),
-        tl.dropped,
-        tl.truncated(),
-    );
-    for (i, l) in tl.locks.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"kind\":\"{}\",\"name\":\"{}\"}}",
-            l.id,
-            json_escape(&l.kind),
-            json_escape(&l.name),
-        );
-    }
-    out.push_str("],\"threads\":[");
-    for (i, t) in tl.threads.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"tid\":{},\"name\":\"{}\"}}",
-            t.tid,
-            json_escape(&t.name)
-        );
-    }
+    let locks = tl.locks.iter().map(|l| {
+        obj([
+            ("id", l.id.into()),
+            ("kind", text(&l.kind)),
+            ("name", text(&l.name)),
+        ])
+    });
+    let threads = tl
+        .threads
+        .iter()
+        .map(|t| obj([("tid", t.tid.into()), ("name", text(&t.name))]));
     // Each event is a compact [ts_ns, tid, lock, "kind", "0x<token>"] row.
-    out.push_str("],\"events\":[");
-    for (i, r) in tl.records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "[{},{},{},\"{}\",\"0x{:x}\"]",
-            r.ts_ns,
-            r.tid,
-            r.lock,
-            r.kind.name(),
-            r.token,
-        );
-    }
-    let _ = write!(
-        out,
-        "],\"analysis\":{{\"acquisitions\":{},\"handoff_edges\":{},\"unmatched_grants\":{},\"breakdown\":[",
-        report.acquisitions.len(),
-        report.edges.len(),
-        report.unmatched_grants,
-    );
-    for (i, b) in report.breakdowns.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"lock\":{},\"acquisitions\":{},\"queued\":{},\"via_handoff\":{},\"spin_ns\":{},\"queued_ns\":{},\"handoff_ns\":{},\"max_total_ns\":{}}}",
-            b.lock, b.acquisitions, b.queued, b.via_handoff, b.spin_ns, b.queued_ns, b.handoff_ns, b.max_total_ns,
-        );
-    }
-    out.push_str("],\"cascades\":[");
-    for (i, c) in report.cascades.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"lock\":{},\"tids\":{},\"start_ns\":{},\"end_ns\":{}}}",
-            c.lock,
-            json_u32s(&c.tids),
-            c.start_ns,
-            c.end_ns,
-        );
-    }
-    out.push_str("],\"convoys\":[");
-    for (i, c) in report.convoys.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"lock\":{},\"length\":{},\"start_ns\":{},\"end_ns\":{}}}",
-            c.lock, c.length, c.start_ns, c.end_ns,
-        );
-    }
-    out.push_str("],\"starvations\":[");
-    for (i, s) in report.starvations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"lock\":{},\"tid\":{},\"queued_ns\":{},\"threshold_ns\":{}}}",
-            s.lock, s.tid, s.queued_ns, s.threshold_ns,
-        );
-    }
-    out.push_str("],\"wait_chains\":[");
-    for (i, w) in report.wait_chains.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"tids\":{},\"locks\":{},\"ts_ns\":{}}}",
-            json_u32s(&w.tids),
-            json_u32s(&w.locks),
-            w.ts_ns,
-        );
-    }
-    out.push_str("]}}");
-    out
-}
-
-/// A minimal JSON reader for the documents this module emits: round-trip
-/// tests and the `--trace` CI smoke check parse with it. Full JSON
-/// grammar; numbers come back as f64 (which is why 64-bit tokens travel
-/// as hex strings in `oll.trace`).
-pub mod parse {
-    use std::fmt;
-
-    /// A parsed JSON value. Objects keep their key order.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// `null`.
-        Null,
-        /// `true` / `false`.
-        Bool(bool),
-        /// Any JSON number.
-        Num(f64),
-        /// A string, with escapes resolved.
-        Str(String),
-        /// An array.
-        Arr(Vec<Value>),
-        /// An object, as ordered key/value pairs.
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        /// Serializes this value back to JSON text (compact, key order
-        /// preserved). Numbers render via Rust's shortest-round-trip
-        /// `f64` formatting, so a parse → render → parse cycle is
-        /// lossless.
-        pub fn render(&self) -> String {
-            let mut out = String::new();
-            self.render_into(&mut out);
-            out
-        }
-
-        fn render_into(&self, out: &mut String) {
-            use std::fmt::Write as _;
-            match self {
-                Value::Null => out.push_str("null"),
-                Value::Bool(true) => out.push_str("true"),
-                Value::Bool(false) => out.push_str("false"),
-                Value::Num(n) => {
-                    let _ = write!(out, "{n}");
-                }
-                Value::Str(s) => {
-                    let _ = write!(out, "\"{}\"", oll_telemetry::report::json_escape(s));
-                }
-                Value::Arr(items) => {
-                    out.push('[');
-                    for (i, v) in items.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        v.render_into(out);
-                    }
-                    out.push(']');
-                }
-                Value::Obj(members) => {
-                    out.push('{');
-                    for (i, (k, v)) in members.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "\"{}\":", oll_telemetry::report::json_escape(k));
-                        v.render_into(out);
-                    }
-                    out.push('}');
-                }
-            }
-        }
-
-        /// Object member lookup.
-        pub fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        /// Array element lookup.
-        pub fn idx(&self, i: usize) -> Option<&Value> {
-            match self {
-                Value::Arr(items) => items.get(i),
-                _ => None,
-            }
-        }
-
-        /// The array items, if this is an array.
-        pub fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        /// The string contents, if this is a string.
-        pub fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        /// The number, if this is a number.
-        pub fn as_f64(&self) -> Option<f64> {
-            match self {
-                Value::Num(n) => Some(*n),
-                _ => None,
-            }
-        }
-
-        /// The number as an exact non-negative integer, if it is one.
-        pub fn as_u64(&self) -> Option<u64> {
-            let n = self.as_f64()?;
-            (n >= 0.0 && n.fract() == 0.0 && n <= 2f64.powi(53)).then_some(n as u64)
-        }
-
-        /// The boolean, if this is one.
-        pub fn as_bool(&self) -> Option<bool> {
-            match self {
-                Value::Bool(b) => Some(*b),
-                _ => None,
-            }
-        }
-    }
-
-    /// A syntax error, with the byte offset it was found at.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub struct ParseError {
-        /// Byte offset into the input.
-        pub pos: usize,
-        /// What went wrong.
-        pub msg: &'static str,
-    }
-
-    impl fmt::Display for ParseError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "JSON error at byte {}: {}", self.pos, self.msg)
-        }
-    }
-
-    impl std::error::Error for ParseError {}
-
-    /// Parses one JSON document; trailing non-whitespace is an error.
-    pub fn parse(input: &str) -> Result<Value, ParseError> {
-        let mut p = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing data after document"));
-        }
-        Ok(v)
-    }
-
-    struct Parser<'a> {
-        bytes: &'a [u8],
-        pos: usize,
-    }
-
-    impl Parser<'_> {
-        fn err(&self, msg: &'static str) -> ParseError {
-            ParseError { pos: self.pos, msg }
-        }
-
-        fn peek(&self) -> Option<u8> {
-            self.bytes.get(self.pos).copied()
-        }
-
-        fn skip_ws(&mut self) {
-            while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-                self.pos += 1;
-            }
-        }
-
-        fn expect(&mut self, b: u8) -> Result<(), ParseError> {
-            if self.peek() == Some(b) {
-                self.pos += 1;
-                Ok(())
-            } else {
-                Err(self.err("unexpected character"))
-            }
-        }
-
-        fn literal(&mut self, word: &str, v: Value) -> Result<Value, ParseError> {
-            if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-                self.pos += word.len();
-                Ok(v)
-            } else {
-                Err(self.err("invalid literal"))
-            }
-        }
-
-        fn value(&mut self) -> Result<Value, ParseError> {
-            match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
-                Some(b'"') => Ok(Value::Str(self.string()?)),
-                Some(b't') => self.literal("true", Value::Bool(true)),
-                Some(b'f') => self.literal("false", Value::Bool(false)),
-                Some(b'n') => self.literal("null", Value::Null),
-                Some(b'-' | b'0'..=b'9') => self.number(),
-                _ => Err(self.err("expected a value")),
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, ParseError> {
-            self.expect(b'{')?;
-            let mut members = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b'}') {
-                self.pos += 1;
-                return Ok(Value::Obj(members));
-            }
-            loop {
-                self.skip_ws();
-                let key = self.string()?;
-                self.skip_ws();
-                self.expect(b':')?;
-                self.skip_ws();
-                members.push((key, self.value()?));
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b'}') => {
-                        self.pos += 1;
-                        return Ok(Value::Obj(members));
-                    }
-                    _ => return Err(self.err("expected ',' or '}'")),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, ParseError> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            self.skip_ws();
-            if self.peek() == Some(b']') {
-                self.pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                self.skip_ws();
-                items.push(self.value()?);
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b']') => {
-                        self.pos += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    _ => return Err(self.err("expected ',' or ']'")),
-                }
-            }
-        }
-
-        fn hex4(&mut self) -> Result<u16, ParseError> {
-            let end = self.pos + 4;
-            let digits = self
-                .bytes
-                .get(self.pos..end)
-                .and_then(|h| std::str::from_utf8(h).ok())
-                .and_then(|h| u16::from_str_radix(h, 16).ok())
-                .ok_or_else(|| self.err("invalid \\u escape"))?;
-            self.pos = end;
-            Ok(digits)
-        }
-
-        fn string(&mut self) -> Result<String, ParseError> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                match self.peek().ok_or_else(|| self.err("unterminated string"))? {
-                    b'"' => {
-                        self.pos += 1;
-                        return Ok(out);
-                    }
-                    b'\\' => {
-                        self.pos += 1;
-                        let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                        self.pos += 1;
-                        match esc {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'b' => out.push('\u{8}'),
-                            b'f' => out.push('\u{c}'),
-                            b'n' => out.push('\n'),
-                            b'r' => out.push('\r'),
-                            b't' => out.push('\t'),
-                            b'u' => {
-                                let hi = self.hex4()?;
-                                let code = if (0xD800..0xDC00).contains(&hi) {
-                                    // Surrogate pair: a second \uXXXX must follow.
-                                    if self.peek() != Some(b'\\') {
-                                        return Err(self.err("unpaired surrogate"));
-                                    }
-                                    self.pos += 1;
-                                    if self.peek() != Some(b'u') {
-                                        return Err(self.err("unpaired surrogate"));
-                                    }
-                                    self.pos += 1;
-                                    let lo = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&lo) {
-                                        return Err(self.err("unpaired surrogate"));
-                                    }
-                                    0x10000
-                                        + ((u32::from(hi) - 0xD800) << 10)
-                                        + (u32::from(lo) - 0xDC00)
-                                } else {
-                                    u32::from(hi)
-                                };
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| self.err("invalid \\u escape"))?,
-                                );
-                            }
-                            _ => return Err(self.err("invalid escape")),
-                        }
-                    }
-                    first => {
-                        // Copy one UTF-8 scalar (the input is a &str, so
-                        // the sequence is valid).
-                        let len = match first {
-                            0x00..=0x7F => 1,
-                            0xC0..=0xDF => 2,
-                            0xE0..=0xEF => 3,
-                            _ => 4,
-                        };
-                        let chunk = self
-                            .bytes
-                            .get(self.pos..self.pos + len)
-                            .and_then(|c| std::str::from_utf8(c).ok())
-                            .ok_or_else(|| self.err("unterminated string"))?;
-                        out.push_str(chunk);
-                        self.pos += len;
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, ParseError> {
-            let start = self.pos;
-            if self.peek() == Some(b'-') {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
-            if self.peek() == Some(b'.') {
-                self.pos += 1;
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
-            if matches!(self.peek(), Some(b'e' | b'E')) {
-                self.pos += 1;
-                if matches!(self.peek(), Some(b'+' | b'-')) {
-                    self.pos += 1;
-                }
-                while matches!(self.peek(), Some(b'0'..=b'9')) {
-                    self.pos += 1;
-                }
-            }
-            std::str::from_utf8(&self.bytes[start..self.pos])
-                .ok()
-                .and_then(|s| s.parse::<f64>().ok())
-                .filter(|n| n.is_finite())
-                .map(Value::Num)
-                .ok_or_else(|| self.err("invalid number"))
-        }
-    }
+    let events = tl.records.iter().map(|r| {
+        Value::Arr(vec![
+            r.ts_ns.into(),
+            r.tid.into(),
+            r.lock.into(),
+            text(r.kind.name()),
+            format!("0x{:x}", r.token).into(),
+        ])
+    });
+    let breakdown = report.breakdowns.iter().map(|b| {
+        obj([
+            ("lock", b.lock.into()),
+            ("acquisitions", b.acquisitions.into()),
+            ("queued", b.queued.into()),
+            ("via_handoff", b.via_handoff.into()),
+            ("spin_ns", b.spin_ns.into()),
+            ("queued_ns", b.queued_ns.into()),
+            ("handoff_ns", b.handoff_ns.into()),
+            ("max_total_ns", b.max_total_ns.into()),
+        ])
+    });
+    let cascades = report.cascades.iter().map(|c| {
+        obj([
+            ("lock", c.lock.into()),
+            ("tids", c.tids.iter().copied().collect()),
+            ("start_ns", c.start_ns.into()),
+            ("end_ns", c.end_ns.into()),
+        ])
+    });
+    let convoys = report.convoys.iter().map(|c| {
+        obj([
+            ("lock", c.lock.into()),
+            ("length", c.length.into()),
+            ("start_ns", c.start_ns.into()),
+            ("end_ns", c.end_ns.into()),
+        ])
+    });
+    let starvations = report.starvations.iter().map(|s| {
+        obj([
+            ("lock", s.lock.into()),
+            ("tid", s.tid.into()),
+            ("queued_ns", s.queued_ns.into()),
+            ("threshold_ns", s.threshold_ns.into()),
+        ])
+    });
+    let wait_chains = report.wait_chains.iter().map(|w| {
+        obj([
+            ("tids", w.tids.iter().copied().collect()),
+            ("locks", w.locks.iter().copied().collect()),
+            ("ts_ns", w.ts_ns.into()),
+        ])
+    });
+    let analysis = obj([
+        ("acquisitions", report.acquisitions.len().into()),
+        ("handoff_edges", report.edges.len().into()),
+        ("unmatched_grants", report.unmatched_grants.into()),
+        ("breakdown", breakdown.collect()),
+        ("cascades", cascades.collect()),
+        ("convoys", convoys.collect()),
+        ("starvations", starvations.collect()),
+        ("wait_chains", wait_chains.collect()),
+    ]);
+    obj([
+        ("schema", text("oll.trace")),
+        ("version", SCHEMA_VERSION.into()),
+        ("records", tl.records.len().into()),
+        ("dropped", tl.dropped.into()),
+        ("truncated", tl.truncated().into()),
+        ("locks", locks.collect()),
+        ("threads", threads.collect()),
+        ("events", events.collect()),
+        ("analysis", analysis),
+    ])
+    .render()
 }
 
 #[cfg(test)]
 mod tests {
-    use super::parse::Value;
     use super::*;
     use crate::config::{Fig5Panel, LockKind, LockOptions, WorkloadConfig};
     use crate::latency::run_latency;
@@ -794,31 +359,6 @@ mod tests {
         let v = parse::parse(&doc).unwrap();
         let p = v.get("panels").and_then(|p| p.idx(0)).unwrap();
         assert_eq!(p.get("self_tuning").and_then(Value::as_bool), Some(false));
-    }
-
-    #[test]
-    fn parser_handles_escapes_numbers_and_nesting() {
-        let v = parse::parse(r#"{"a":[1,-2.5,1e3],"s":"q\" \\ \n A 😀","t":true,"n":null,"o":{}}"#)
-            .unwrap();
-        assert_eq!(
-            v.get("a").and_then(|a| a.idx(0)).and_then(Value::as_u64),
-            Some(1)
-        );
-        assert_eq!(
-            v.get("a").and_then(|a| a.idx(1)).and_then(Value::as_f64),
-            Some(-2.5)
-        );
-        assert_eq!(
-            v.get("a").and_then(|a| a.idx(2)).and_then(Value::as_f64),
-            Some(1000.0)
-        );
-        assert_eq!(v.get("s").and_then(Value::as_str), Some("q\" \\ \n A 😀"));
-        assert_eq!(v.get("t").and_then(Value::as_bool), Some(true));
-        assert_eq!(v.get("n"), Some(&Value::Null));
-        assert_eq!(v.get("o"), Some(&Value::Obj(Vec::new())));
-        assert!(parse::parse("{\"unterminated\":").is_err());
-        assert!(parse::parse("[1,2,]").is_err());
-        assert!(parse::parse("{} trailing").is_err());
     }
 
     #[test]
@@ -968,16 +508,6 @@ mod tests {
             breakdown.get("via_handoff").and_then(Value::as_u64),
             Some(1)
         );
-    }
-
-    #[test]
-    fn render_is_parse_inverse() {
-        let doc = r#"{"a":[1,-2.5,1e3,true,null],"s":"q\" \\ A 😀","o":{"k":0.000087}}"#;
-        let v = parse::parse(doc).unwrap();
-        let rendered = v.render();
-        assert_eq!(parse::parse(&rendered).unwrap(), v);
-        // Idempotent: rendering the re-parse reproduces the same text.
-        assert_eq!(parse::parse(&rendered).unwrap().render(), rendered);
     }
 
     #[test]

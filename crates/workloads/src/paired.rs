@@ -31,11 +31,11 @@
 //! this mode is the quick look over any panel, lock set and option.
 
 use crate::config::{Fig5Panel, LockOptions};
-use crate::json::parse::Value;
 use crate::runner::run_throughput_profiled_with;
 use crate::sweep::SweepOptions;
 use oll_obs::{Sampler, SamplerConfig};
 use oll_telemetry::report::SCHEMA_VERSION;
+use oll_util::json::{obj, rounded, text, Value};
 use std::fmt::Write as _;
 
 /// The option a comparison turns on. "Off" is whatever [`LockOptions`]
@@ -150,20 +150,6 @@ pub fn summarize(pairs: &[Pair]) -> (f64, f64, f64) {
     (column(|p| p.off), column(|p| p.on), column(Pair::delta_pct))
 }
 
-fn obj(members: Vec<(&str, Value)>) -> Value {
-    let owned = members.into_iter().map(|(k, v)| (k.to_string(), v));
-    Value::Obj(owned.collect())
-}
-
-fn rounded(n: f64, decimals: i32) -> Value {
-    let scale = 10f64.powi(decimals);
-    Value::Num((n * scale).round() / scale)
-}
-
-fn text(s: &str) -> Value {
-    Value::Str(s.to_string())
-}
-
 /// Runs the comparison — `option` off vs. on (off being
 /// `sweep.lock_options`) over `panels` × `sweep.locks` ×
 /// `sweep.thread_counts`, `sweep.base.runs` pairs per point, `sampler`
@@ -227,31 +213,24 @@ pub fn compare(
             ]));
         }
     }
-    let count = |n: usize| Value::Num(n as f64);
     let mut doc = vec![
         ("schema", text("oll.fig5_pair")),
-        ("version", Value::Num(f64::from(SCHEMA_VERSION))),
+        ("version", SCHEMA_VERSION.into()),
         ("option", text(option.name())),
-        (
-            "panels",
-            Value::Arr(panels.iter().map(|p| text(p.tag())).collect()),
-        ),
-        (
-            "threads",
-            Value::Arr(sweep.thread_counts.iter().map(|&t| count(t)).collect()),
-        ),
+        ("panels", panels.iter().map(|p| p.tag()).collect()),
+        ("threads", sweep.thread_counts.iter().copied().collect()),
         (
             "acquisitions_per_thread",
-            count(sweep.base.acquisitions_per_thread),
+            sweep.base.acquisitions_per_thread.into(),
         ),
-        ("runs", count(sweep.base.runs.max(1))),
-        ("ranks", count(oll_util::topology::rank_count())),
+        ("runs", sweep.base.runs.max(1).into()),
+        ("ranks", oll_util::topology::rank_count().into()),
         ("rows", Value::Arr(rows)),
         ("overall_delta_pct", rounded(median(&mut all_deltas), 3)),
     ];
     if option == PairOption::Obs {
-        doc.push(("sampler_active", Value::Bool(sampler_active)));
-        doc.push(("samples", Value::Num(samples as f64)));
+        doc.push(("sampler_active", sampler_active.into()));
+        doc.push(("samples", samples.into()));
     }
     obj(doc)
 }
@@ -407,7 +386,7 @@ mod tests {
         );
         assert!(doc.get("sampler_active").is_none());
         assert!(render_table(&doc).contains("with cohort on"));
-        let doc = crate::json::parse::parse(&doc.render()).expect("renders as JSON");
+        let doc = oll_util::json::parse(&doc.render()).expect("renders as JSON");
         let expect = crate::check::Expect {
             pair: Some(PairOption::Cohort),
             ..Default::default()

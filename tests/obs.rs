@@ -7,7 +7,7 @@
 
 #![cfg(feature = "obs")]
 
-use oll::obs::{HealthConfig, Sampler, SamplerConfig};
+use oll::obs::{HealthConfig, LockHealth, Sampler, SamplerConfig};
 use oll::telemetry::registry;
 use oll::util::XorShift64;
 use oll::{GollLock, RwHandle, RwLockFamily};
@@ -138,6 +138,28 @@ fn exposition_endpoint_serves_metrics_json_and_health() {
         "{body}"
     );
     assert!(doc.get("totals").is_some());
+
+    let (head, body) = http_get(addr, "/health");
+    assert!(head.starts_with("HTTP/1.1 200"), "head: {head}");
+    assert!(head.contains("application/json"), "head: {head}");
+    let rows = oll::util::json::parse(&body).expect("health array parses");
+    let row = rows
+        .as_arr()
+        .expect("health is an array")
+        .iter()
+        .find(|r| r.get("lock").and_then(|v| v.as_str()) == Some(name))
+        .unwrap_or_else(|| panic!("no health row for {name}: {body}"));
+    let health = row.get("health").and_then(|v| v.as_str());
+    let level = LockHealth::ALL
+        .into_iter()
+        .find(|l| Some(l.name()) == health)
+        .unwrap_or_else(|| panic!("unknown health level: {body}"));
+    assert_ne!(level, LockHealth::Idle, "a hammered lock is live: {body}");
+    assert_eq!(
+        row.get("severity").and_then(|v| v.as_u64()),
+        Some(u64::from(level.severity())),
+        "{body}"
+    );
 
     let (head, _) = http_get(addr, "/nope");
     assert!(head.starts_with("HTTP/1.1 404"), "head: {head}");

@@ -133,10 +133,9 @@ fn idle_windows_steer_nothing() {
     assert_eq!(lock.knobs().revision(), before, "no evidence, no stores");
 }
 
-/// A lock family with no knob block (here: a raw GOLL built without the
-/// shared-knob constructor path would still have one, so use the trait
-/// object's default) — the wrapper must still work, steering a private
-/// block. Mostly a compile-shape test: SelfTuning over any family.
+/// A lock family with no knob block (here: a raw GOLL, whose paths read
+/// no knob) — the wrapper must still work, steering a private block.
+/// Mostly a compile-shape test: SelfTuning over any family.
 #[test]
 fn wrapping_any_family_works() {
     let lock = SelfTuning::new(GollLock::new(2));
