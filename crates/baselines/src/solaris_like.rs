@@ -410,11 +410,11 @@ impl RwHandle for SolarisLikeHandle<'_> {
 /// turnstile (`SolarisLikeHandle::cancel_wait`).
 #[cfg(not(loom))]
 impl oll_core::raw::TimedHandle for SolarisLikeHandle<'_> {
-    fn lock_read_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+    fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         self.acquire_read(deadline)
     }
 
-    fn lock_write_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+    fn lock_write_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         self.acquire_write(deadline)
     }
 }

@@ -4,6 +4,8 @@
 
 use oll_core::raw::{RwHandle, RwLockFamily};
 use oll_hazard::Hazard;
+#[cfg(not(loom))]
+use oll_util::backoff::Deadline;
 use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -133,10 +135,7 @@ impl oll_core::raw::TimedHandle for StdRwHandle<'_> {
     /// std has no native timed acquisition, so poll `try_read` under a
     /// deadline-bounded backoff. Unlike the queue locks this can starve
     /// under heavy contention, which is itself a useful baseline contrast.
-    fn lock_read_deadline(
-        &mut self,
-        deadline: std::time::Instant,
-    ) -> Result<(), oll_core::TimedOut> {
+    fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), oll_core::TimedOut> {
         use oll_util::backoff::{spin_until_deadline, BackoffPolicy};
         debug_assert!(self.read_guard.is_none() && self.write_guard.is_none());
         if spin_until_deadline(BackoffPolicy::default(), deadline, || self.try_lock_read()) {
@@ -146,10 +145,7 @@ impl oll_core::raw::TimedHandle for StdRwHandle<'_> {
         }
     }
 
-    fn lock_write_deadline(
-        &mut self,
-        deadline: std::time::Instant,
-    ) -> Result<(), oll_core::TimedOut> {
+    fn lock_write_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), oll_core::TimedOut> {
         use oll_util::backoff::{spin_until_deadline, BackoffPolicy};
         debug_assert!(self.read_guard.is_none() && self.write_guard.is_none());
         if spin_until_deadline(BackoffPolicy::default(), deadline, || self.try_lock_write()) {

@@ -501,7 +501,7 @@ impl<'a, L: RwLockFamily> TimedHandle for BravoHandle<'a, L>
 where
     L::Handle<'a>: TimedHandle,
 {
-    fn lock_read_deadline(&mut self, deadline: Instant) -> Result<(), TimedOut> {
+    fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         // The fast path never blocks; on failure it has already undone
         // any published slot, leaving no trace (the timed contract).
         if self.try_fast_read() {
@@ -512,7 +512,7 @@ where
         Ok(())
     }
 
-    fn lock_write_deadline(&mut self, deadline: Instant) -> Result<(), TimedOut> {
+    fn lock_write_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         self.inner.lock_write_deadline(deadline)?;
         // The underlying grant alone does not establish exclusion — fast
         // readers are invisible to the inner lock — so the revocation

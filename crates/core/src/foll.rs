@@ -1420,11 +1420,11 @@ impl<P: OrderPolicy> RwHandle for QueueHandle<'_, P> {
 
 #[cfg(not(loom))]
 impl<P: OrderPolicy> crate::raw::TimedHandle for QueueHandle<'_, P> {
-    fn lock_read_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+    fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         self.acquire_read(deadline)
     }
 
-    fn lock_write_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+    fn lock_write_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         self.acquire_write(deadline)
     }
 }

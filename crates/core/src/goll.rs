@@ -576,11 +576,11 @@ impl RwHandle for GollHandle<'_> {
 
 #[cfg(not(loom))]
 impl crate::raw::TimedHandle for GollHandle<'_> {
-    fn lock_read_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+    fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         self.acquire_read(deadline)
     }
 
-    fn lock_write_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+    fn lock_write_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         self.acquire_write(deadline)
     }
 }

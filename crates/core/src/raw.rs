@@ -10,6 +10,8 @@
 //! balanced lock/unlock pairs at compile time.
 
 use oll_hazard::Hazard;
+#[cfg(not(loom))]
+use oll_util::backoff::{Deadline, Timeout};
 use oll_util::slots::SlotError;
 
 /// A reader-writer lock whose per-thread state lives in a handle.
@@ -248,28 +250,34 @@ impl std::error::Error for TimedOut {}
 /// timeout once the thread has been granted ownership — lock hand-off is
 /// irrevocable, so the grant must be kept or released, and keeping it is
 /// both cheaper and what callers expect from, e.g., `pthread`'s timed
-/// locks).
+/// locks). A relative timeout counts from the first moment the
+/// acquisition has to wait, so one that never waits reads no clock; an
+/// `Err(TimedOut)` still means at least `timeout` has passed since the
+/// call. A timeout too long for an [`Instant`] to hold (`Duration::MAX`)
+/// never expires.
 ///
 /// Unavailable under loom (wall-clock time has no meaning in a model
 /// checker); the timed paths are exercised by the fault-injection suites.
+///
+/// [`Instant`]: std::time::Instant
 #[cfg(not(loom))]
 pub trait TimedHandle: RwHandle {
-    /// Acquires for reading (shared), giving up at `deadline`.
-    fn lock_read_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut>;
+    /// Acquires for reading (shared), giving up once `deadline` expires —
+    /// an [`Instant`](std::time::Instant), or any other
+    /// [`Deadline`](oll_util::backoff::Deadline).
+    fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut>;
 
-    /// Acquires for writing (exclusive), giving up at `deadline`.
-    fn lock_write_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut>;
+    /// Acquires for writing (exclusive), giving up once `deadline` expires.
+    fn lock_write_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut>;
 
     /// Acquires for reading with a relative timeout.
     fn lock_read_timeout(&mut self, timeout: std::time::Duration) -> Result<(), TimedOut> {
-        let deadline = std::time::Instant::now() + timeout;
-        self.lock_read_deadline(deadline)
+        self.lock_read_deadline(&Timeout::new(timeout))
     }
 
     /// Acquires for writing with a relative timeout.
     fn lock_write_timeout(&mut self, timeout: std::time::Duration) -> Result<(), TimedOut> {
-        let deadline = std::time::Instant::now() + timeout;
-        self.lock_write_deadline(deadline)
+        self.lock_write_deadline(&Timeout::new(timeout))
     }
 
     /// Deadline-bounded read acquisition returning a guard.
@@ -304,7 +312,8 @@ pub trait TimedHandle: RwHandle {
     where
         Self: Sized,
     {
-        self.read_deadline(std::time::Instant::now() + timeout)
+        self.lock_read_timeout(timeout)?;
+        Ok(ReadGuard::new(self))
     }
 
     /// Timeout-bounded write acquisition returning a guard.
@@ -315,7 +324,8 @@ pub trait TimedHandle: RwHandle {
     where
         Self: Sized,
     {
-        self.write_deadline(std::time::Instant::now() + timeout)
+        self.lock_write_timeout(timeout)?;
+        Ok(WriteGuard::new(self))
     }
 }
 

@@ -139,21 +139,38 @@ impl<'l, T, L: RwLockFamily> RwLockOwner<'l, T, L>
 where
     L::Handle<'l>: crate::raw::TimedHandle,
 {
-    /// Acquires for reading, giving up after `timeout`; on `Err(TimedOut)`
-    /// the acquisition left no trace and the owner may retry immediately.
+    /// Acquires for reading, giving up after `timeout` — counted from the
+    /// first moment it has to wait, so a read that never waits reads no
+    /// clock. On `Err(TimedOut)` the acquisition left no trace and the
+    /// owner may retry immediately.
     pub fn read_timeout(
         &mut self,
         timeout: std::time::Duration,
     ) -> Result<RwLockReadGuard<'_, T, L::Handle<'l>>, crate::raw::TimedOut> {
-        self.read_deadline(std::time::Instant::now() + timeout)
+        use crate::raw::TimedHandle as _;
+        let data = self.data.get();
+        let inner = self.handle.read_timeout(timeout)?;
+        // SAFETY: as in `read`.
+        Ok(RwLockReadGuard {
+            data: unsafe { &*data },
+            _inner: inner,
+        })
     }
 
-    /// Acquires for writing, giving up after `timeout`.
+    /// Acquires for writing, giving up after `timeout` (counted as in
+    /// [`read_timeout`](Self::read_timeout)).
     pub fn write_timeout(
         &mut self,
         timeout: std::time::Duration,
     ) -> Result<RwLockWriteGuard<'_, T, L::Handle<'l>>, crate::raw::TimedOut> {
-        self.write_deadline(std::time::Instant::now() + timeout)
+        use crate::raw::TimedHandle as _;
+        let data = self.data.get();
+        let inner = self.handle.write_timeout(timeout)?;
+        // SAFETY: as in `write`.
+        Ok(RwLockWriteGuard {
+            data: unsafe { &mut *data },
+            _inner: inner,
+        })
     }
 
     /// Acquires for reading, giving up at `deadline`.

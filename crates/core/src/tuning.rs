@@ -51,6 +51,7 @@ pub mod policy;
 use crate::raw::{RwHandle, RwLockFamily, TimedHandle, TimedOut, UpgradableHandle};
 use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry};
+use oll_util::backoff::Deadline;
 use oll_util::fault;
 use oll_util::knobs::TuningKnobs;
 use oll_util::slots::SlotError;
@@ -502,7 +503,7 @@ impl<'a, L: RwLockFamily> TimedHandle for TunedHandle<'a, L>
 where
     L::Handle<'a>: TimedHandle,
 {
-    fn lock_read_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+    fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         if self.inner.try_lock_read() {
             self.fast_reads = self.fast_reads.saturating_add(1);
             return Ok(());
@@ -511,7 +512,7 @@ where
         self.inner.lock_read_deadline(deadline)
     }
 
-    fn lock_write_deadline(&mut self, deadline: std::time::Instant) -> Result<(), TimedOut> {
+    fn lock_write_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         if self.inner.try_lock_write() {
             self.fast_writes = self.fast_writes.saturating_add(1);
             return Ok(());

@@ -198,6 +198,11 @@ impl Backoff {
 /// blocking call is the timed call instantiated with [`Never`]: `expired` is
 /// a constant `false` there and the compiler deletes the clock reads and
 /// every cancellation branch that hangs off them.
+///
+/// Implementors: [`Never`], [`std::time::Instant`] (an absolute deadline)
+/// and `&`[`Timeout`] (a relative one whose clock starts at its first
+/// query). A wait loop asks only once it has to wait, so an acquisition
+/// that never waits never queries its deadline.
 #[doc(hidden)]
 pub trait Deadline: Copy {
     /// Whether the deadline has passed.
@@ -239,6 +244,62 @@ impl Deadline for std::time::Instant {
         let left = self.saturating_duration_since(std::time::Instant::now());
         if !left.is_zero() {
             std::thread::park_timeout(left);
+        }
+    }
+}
+
+/// A relative timeout whose clock starts when the wait does: the instant
+/// it expires at is fixed by its first [`Deadline`] query, `after` past
+/// that moment. An acquisition that never waits never queries it, and so
+/// reads no clock; one that does wait still gives up no earlier than
+/// `after` past the call. Passed as `&Timeout`, so the waits of one
+/// acquisition (the inner lock's, then BRAVO's revocation scan) share one
+/// clock.
+///
+/// An expiry instant past what [`std::time::Instant`] can hold (say,
+/// `Duration::MAX`) never expires.
+#[cfg(not(loom))]
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct Timeout {
+    after: std::time::Duration,
+    /// `None` until the first query; then the expiry instant, or `None`
+    /// inside if it cannot be represented.
+    at: std::cell::Cell<Option<Option<std::time::Instant>>>,
+}
+
+#[cfg(not(loom))]
+impl Timeout {
+    /// A timeout of `after`, not yet started.
+    pub fn new(after: std::time::Duration) -> Self {
+        Self {
+            after,
+            at: std::cell::Cell::new(None),
+        }
+    }
+
+    /// The expiry instant, fixed by the first call.
+    fn at(&self) -> Option<std::time::Instant> {
+        if let Some(at) = self.at.get() {
+            return at;
+        }
+        let at = std::time::Instant::now().checked_add(self.after);
+        self.at.set(Some(at));
+        at
+    }
+}
+
+#[cfg(not(loom))]
+impl Deadline for &Timeout {
+    #[inline]
+    fn expired(self) -> bool {
+        self.at().is_some_and(Deadline::expired)
+    }
+
+    fn park(self) {
+        match self.at() {
+            Some(at) => at.park(),
+            None => std::thread::park(),
         }
     }
 }
@@ -407,6 +468,78 @@ mod tests {
         );
         assert!(ok);
         h.join().unwrap();
+    }
+
+    #[test]
+    fn timeout_is_unstarted_until_its_first_query() {
+        use std::time::Duration;
+        let t = Timeout::new(Duration::from_secs(60));
+        assert!(
+            t.at.get().is_none(),
+            "constructing a timeout reads no clock"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+        let before = std::time::Instant::now();
+        assert!(!(&t).expired());
+        let at = t.at.get().flatten().expect("started at its first query");
+        // Fixed at the query, not at construction 5 ms earlier.
+        assert!(at >= before + Duration::from_secs(60));
+        assert!(!(&t).expired());
+        assert_eq!(t.at.get().flatten(), Some(at), "later queries keep it");
+    }
+
+    #[test]
+    fn zero_timeout_is_expired_at_its_first_query() {
+        let t = Timeout::new(std::time::Duration::ZERO);
+        assert!((&t).expired());
+        assert!((&t).expired());
+    }
+
+    #[test]
+    fn timeout_never_expires_before_after_past_its_first_query() {
+        use std::time::{Duration, Instant};
+        let after = Duration::from_millis(20);
+        let t = Timeout::new(after);
+        let first = Instant::now();
+        assert!(!(&t).expired());
+        while !(&t).expired() {
+            std::hint::spin_loop();
+        }
+        assert!(first.elapsed() >= after);
+    }
+
+    #[test]
+    fn timeout_park_returns_within_what_is_left() {
+        use std::time::{Duration, Instant};
+        // Nobody unparks this thread: a park that ignored the time left
+        // would hang the test, not fail it.
+        let after = Duration::from_millis(30);
+        let t = Timeout::new(after);
+        let start = Instant::now();
+        (&t).park(); // the first query: starts the clock, then parks
+        while !(&t).expired() {
+            (&t).park();
+        }
+        let took = start.elapsed();
+        assert!(took >= after, "gave up early: {took:?}");
+        assert!(took < Duration::from_secs(10), "overslept: {took:?}");
+        // Once expired, nothing is left to wait for.
+        let expired_at = Instant::now();
+        (&t).park();
+        assert!(expired_at.elapsed() < Duration::from_secs(10));
+    }
+
+    #[test]
+    fn max_timeout_never_expires() {
+        let t = Timeout::new(std::time::Duration::MAX);
+        for _ in 0..3 {
+            assert!(!(&t).expired());
+        }
+        assert_eq!(t.at.get(), Some(None), "started, with no instant");
+        // An unbounded park waits for an unpark; the token is already here.
+        std::thread::current().unpark();
+        (&t).park();
+        assert!(!(&t).expired());
     }
 
     #[test]

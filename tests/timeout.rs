@@ -5,8 +5,12 @@
 //! re-acquirable in both modes.
 
 use oll::telemetry::LockEvent;
-use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily, TimedHandle};
+use oll::util::backoff::Deadline;
+use oll::{
+    Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SelfTuning, TimedHandle, TimedOut,
+};
 use oll_baselines::{SolarisLikeRwLock, StdRwLock};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -203,6 +207,138 @@ where
     h.unlock_write();
 }
 
+/// A deadline that counts how often it is asked, and reports expired from
+/// its `expires_at`-th query on. Parks for a millisecond at most, so a
+/// wait that parks on it still comes back to ask again.
+struct Counting {
+    queries: Cell<u32>,
+    expires_at: u32,
+}
+
+impl Counting {
+    fn new(expires_at: u32) -> Self {
+        Self {
+            queries: Cell::new(0),
+            expires_at,
+        }
+    }
+
+    fn query(&self) -> bool {
+        let n = self.queries.get() + 1;
+        self.queries.set(n);
+        n >= self.expires_at
+    }
+}
+
+impl Deadline for &Counting {
+    fn expired(self) -> bool {
+        self.query()
+    }
+
+    fn park(self) {
+        if !self.query() {
+            std::thread::park_timeout(Duration::from_millis(1));
+        }
+    }
+}
+
+/// The property a relative timeout's saving rests on: an acquisition that
+/// does not wait never asks its deadline (so `*_timeout` reads no clock),
+/// and one that waits does, gives up when told to, and leaves no trace.
+fn deadline_queried_only_when_waiting<L>(lock: L)
+where
+    L: RwLockFamily,
+    for<'a> L::Handle<'a>: TimedHandle,
+{
+    let mut holder = lock.handle().unwrap();
+    let mut h = lock.handle().unwrap();
+
+    // Free lock: a deadline that would expire at its first query is
+    // never asked.
+    let d = Counting::new(1);
+    h.lock_read_deadline(&d)
+        .expect("a free lock cannot time out");
+    h.unlock_read();
+    assert_eq!(d.queries.get(), 0, "uncontended read asked its deadline");
+    let d = Counting::new(1);
+    h.lock_write_deadline(&d)
+        .expect("a free lock cannot time out");
+    h.unlock_write();
+    assert_eq!(d.queries.get(), 0, "uncontended write asked its deadline");
+
+    // Behind a holder: asked, and obeyed.
+    holder.lock_write();
+    let d = Counting::new(3);
+    assert_eq!(h.lock_read_deadline(&d), Err(TimedOut));
+    assert!(d.queries.get() >= 1, "blocked read never asked");
+    let d = Counting::new(3);
+    assert_eq!(h.lock_write_deadline(&d), Err(TimedOut));
+    assert!(d.queries.get() >= 1, "blocked write never asked");
+    holder.unlock_write();
+    holder.lock_read();
+    let d = Counting::new(3);
+    assert_eq!(h.lock_write_deadline(&d), Err(TimedOut));
+    assert!(
+        d.queries.get() >= 1,
+        "write blocked by a reader never asked"
+    );
+    holder.unlock_read();
+
+    // Nothing left behind: both modes acquire.
+    h.lock_write_timeout(MUST).expect("lock not re-acquirable");
+    h.unlock_write();
+    h.lock_read_timeout(MUST).expect("lock not re-acquirable");
+    holder
+        .lock_read_timeout(MUST)
+        .expect("lock not re-acquirable");
+    h.unlock_read();
+    holder.unlock_read();
+}
+
+/// `Duration::MAX` is a timeout that never fires, not an overflow: it
+/// acquires a free lock, and waits out a holder that lets go.
+fn max_timeout_acquires<L>(lock: L)
+where
+    L: RwLockFamily + Send + Sync + 'static,
+    for<'a> L::Handle<'a>: TimedHandle,
+{
+    {
+        let mut h = lock.handle().unwrap();
+        h.lock_read_timeout(Duration::MAX).unwrap();
+        h.unlock_read();
+        h.lock_write_timeout(Duration::MAX).unwrap();
+        h.unlock_write();
+        drop(h.read_timeout(Duration::MAX).unwrap());
+        drop(h.write_timeout(Duration::MAX).unwrap());
+    }
+
+    let lock = Arc::new(lock);
+    let announced = Arc::new(AtomicU64::new(0));
+    let mut w = lock.handle().unwrap();
+    for write in [false, true] {
+        w.lock_write();
+        let already = queued(&*lock, &announced);
+        let waiter = {
+            let lock = Arc::clone(&lock);
+            let announced = Arc::clone(&announced);
+            std::thread::spawn(move || {
+                let mut h = lock.handle().unwrap();
+                announced.fetch_add(1, Ordering::SeqCst);
+                if write {
+                    h.lock_write_timeout(Duration::MAX).unwrap();
+                    h.unlock_write();
+                } else {
+                    h.lock_read_timeout(Duration::MAX).unwrap();
+                    h.unlock_read();
+                }
+            })
+        };
+        wait_queued(&*lock, &announced, already + 1);
+        w.unlock_write();
+        waiter.join().expect("Duration::MAX waiter failed");
+    }
+}
+
 macro_rules! timed_lock_suite {
     ($mod_name:ident, $make:expr, $seed:expr) => {
         mod $mod_name {
@@ -227,6 +363,16 @@ macro_rules! timed_lock_suite {
             fn mixed_timed_stress_keeps_exclusion() {
                 mixed_timed_stress($make(8), $seed);
             }
+
+            #[test]
+            fn deadline_queried_only_when_waiting() {
+                super::deadline_queried_only_when_waiting($make(4));
+            }
+
+            #[test]
+            fn max_timeout_acquires() {
+                super::max_timeout_acquires($make(4));
+            }
         }
     };
 }
@@ -236,6 +382,12 @@ timed_lock_suite!(foll, FollLock::new, 0xB0B);
 timed_lock_suite!(roll, RollLock::new, 0xCAFE);
 timed_lock_suite!(solaris_like, SolarisLikeRwLock::new, 0xD00D);
 timed_lock_suite!(std_rw, StdRwLock::new, 0xE66);
+timed_lock_suite!(bravo_roll, |n| Bravo::new(RollLock::new(n)), 0xB1A5);
+timed_lock_suite!(
+    self_tuning,
+    |n| SelfTuning::new(Bravo::new(RollLock::new(n))),
+    0x70E
+);
 
 /// Regression: a GOLL writer that closes the C-SNZI (readers inside) and
 /// then times out before enqueuing leaves the lock *closed with readers
