@@ -1,4 +1,4 @@
-//! Baseline reader-writer locks the paper compares against or builds on
+//! Baseline reader-writer locks the paper compares against
 //! (*Scalable Reader-Writer Locks*, SPAA 2009).
 //!
 //! Every lock here implements [`oll_core::RwLockFamily`], so the Figure 5
@@ -8,32 +8,22 @@
 //! * [`CentralizedRwLock`] — one CAS word; the strawman of §1.
 //! * [`SolarisLikeRwLock`] — central lockword + turnstile hand-off (§3.1);
 //!   the lock GOLL improves on, benchmarked in Figure 5 as "Solaris Like".
-//! * [`McsMutex`] — the MCS queue mutex (§4.1), substrate of FOLL/ROLL.
-//! * [`McsRwLock`] — Mellor-Crummey & Scott's fair queue RW lock \[11\],
-//!   plus its reader-preference ([`McsRwReaderPref`]) and
-//!   writer-preference ([`McsRwWriterPref`]) siblings.
 //! * [`KsuhLock`] — Krieger et al.'s doubly-linked-queue RW lock \[8\],
 //!   the paper's fastest MCS-style competitor, benchmarked in Figure 5.
-//! * [`PerThreadRwLock`] — Hsieh & Weihl's private-mutex-per-thread
-//!   design \[7\]: scalable reads bought with O(threads) writes.
 //! * [`StdRwLock`] — `std::sync::RwLock` for a platform sanity line.
+//!
+//! The locks the paper only cites — the MCS mutex (FOLL/ROLL's own queue
+//! is one), MCS-RW \[11\] and Hsieh & Weihl \[7\] — are not built here
+//! (DESIGN.md §1, rows S8, S9 and S13).
 
 #![warn(missing_docs)]
 
 pub mod centralized;
 pub mod ksuh;
-pub mod mcs_mutex;
-pub mod mcs_rw;
-pub mod mcs_rw_pref;
-pub mod per_thread;
 pub mod solaris_like;
 pub mod std_rw;
 
 pub use centralized::CentralizedRwLock;
 pub use ksuh::KsuhLock;
-pub use mcs_mutex::McsMutex;
-pub use mcs_rw::McsRwLock;
-pub use mcs_rw_pref::{McsRwReaderPref, McsRwWriterPref};
-pub use per_thread::PerThreadRwLock;
 pub use solaris_like::SolarisLikeRwLock;
 pub use std_rw::StdRwLock;

@@ -14,7 +14,7 @@
 use loom::model::Builder;
 use loom::sync::atomic::{AtomicI64, Ordering};
 use loom::sync::Arc;
-use oll_baselines::{CentralizedRwLock, KsuhLock, McsRwLock, SolarisLikeRwLock};
+use oll_baselines::{CentralizedRwLock, KsuhLock, SolarisLikeRwLock};
 use oll_core::{RwHandle, RwLockFamily};
 
 fn model(f: impl Fn() + Sync + Send + 'static) {
@@ -85,13 +85,6 @@ fn loom_ksuh_two_readers_splice() {
         w.unlock_write();
     });
 }
-
-// NOTE: no loom model for McsRwLock. Its writer acquires by spinning on
-// the *central* reader_count word with no hand-off edge loom can follow,
-// so even small models exceed loom's bounded-search budget (the loom
-// docs call this out for algorithms that "require the processor to make
-// progress"). MCS-RW correctness is covered by the exclusion stress and
-// model-based property suites instead.
 
 #[test]
 fn loom_solaris_like_reader_vs_writer() {

@@ -158,21 +158,13 @@ fn parse_args() -> Args {
                 if opts.thread_counts.is_empty() {
                     usage("--threads needs at least one value");
                 }
+                if opts.thread_counts.contains(&0) {
+                    usage("--threads needs positive thread counts");
+                }
             }
             "--locks" => {
-                let v = value(i);
+                opts.locks = LockKind::parse_list(&value(i)).unwrap_or_else(|e| usage(&e));
                 i += 1;
-                if v.eq_ignore_ascii_case("all") {
-                    opts.locks = LockKind::ALL.to_vec();
-                } else {
-                    opts.locks = v
-                        .split(',')
-                        .map(|l| {
-                            LockKind::parse(l)
-                                .unwrap_or_else(|| usage(&format!("unknown lock `{l}`")))
-                        })
-                        .collect();
-                }
             }
             "--acquisitions" => {
                 opts.base.acquisitions_per_thread = value(i)

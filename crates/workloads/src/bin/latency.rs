@@ -85,6 +85,9 @@ fn main() {
         match argv[i].as_str() {
             "--threads" => {
                 threads = value(i).parse().unwrap_or_else(|_| usage("bad --threads"));
+                if threads == 0 {
+                    usage("--threads needs a positive thread count");
+                }
                 i += 1;
             }
             "--read-pct" => {
@@ -101,19 +104,8 @@ fn main() {
                 i += 1;
             }
             "--locks" => {
-                let v = value(i);
+                locks = LockKind::parse_list(&value(i)).unwrap_or_else(|e| usage(&e));
                 i += 1;
-                if v.eq_ignore_ascii_case("all") {
-                    locks = LockKind::ALL.to_vec();
-                } else {
-                    locks = v
-                        .split(',')
-                        .map(|l| {
-                            LockKind::parse(l)
-                                .unwrap_or_else(|| usage(&format!("unknown lock `{l}`")))
-                        })
-                        .collect();
-                }
             }
             "--json" => {
                 json = Some(value(i));

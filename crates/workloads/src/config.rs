@@ -15,18 +15,8 @@ pub enum LockKind {
     SolarisLike,
     /// The naive single-CAS-word lock.
     Centralized,
-    /// Mellor-Crummey & Scott's fair queue RW lock.
-    McsRw,
-    /// Reader-preference MCS RW lock.
-    McsRwReaderPref,
-    /// Writer-preference MCS RW lock.
-    McsRwWriterPref,
-    /// Hsieh & Weihl's per-thread-mutex lock.
-    PerThread,
     /// `std::sync::RwLock`.
     StdRw,
-    /// The MCS mutex treating reads as writes.
-    McsMutex,
 }
 
 impl LockKind {
@@ -39,20 +29,16 @@ impl LockKind {
         LockKind::SolarisLike,
     ];
 
-    /// Every lock in the workspace.
-    pub const ALL: [LockKind; 12] = [
+    /// Every lock in the workspace: Figure 5's five, then the two
+    /// yardsticks.
+    pub const ALL: [LockKind; 7] = [
         LockKind::Goll,
         LockKind::Foll,
         LockKind::Roll,
         LockKind::Ksuh,
         LockKind::SolarisLike,
         LockKind::Centralized,
-        LockKind::McsRw,
-        LockKind::McsRwReaderPref,
-        LockKind::McsRwWriterPref,
-        LockKind::PerThread,
         LockKind::StdRw,
-        LockKind::McsMutex,
     ];
 
     /// Display name matching the paper's legend where applicable.
@@ -64,21 +50,8 @@ impl LockKind {
             LockKind::Ksuh => "KSUH",
             LockKind::SolarisLike => "Solaris Like",
             LockKind::Centralized => "Centralized",
-            LockKind::McsRw => "MCS-RW",
-            LockKind::McsRwReaderPref => "MCS-RW-rp",
-            LockKind::McsRwWriterPref => "MCS-RW-wp",
-            LockKind::PerThread => "Per-thread",
             LockKind::StdRw => "std RwLock",
-            LockKind::McsMutex => "MCS mutex",
         }
-    }
-
-    /// Whether concurrent readers can hold this lock together. `false`
-    /// only for the mutual-exclusion baseline (the MCS mutex treats every
-    /// acquisition as exclusive); conformance tests use this to skip
-    /// reader-sharing assertions.
-    pub fn readers_share(self) -> bool {
-        !matches!(self, LockKind::McsMutex)
     }
 
     /// Parses a CLI name (case-insensitive; accepts paper legend names).
@@ -91,14 +64,21 @@ impl LockKind {
             "ksuh" => LockKind::Ksuh,
             "solaris" | "solaris-like" => LockKind::SolarisLike,
             "centralized" | "naive" => LockKind::Centralized,
-            "mcs-rw" | "mcsrw" => LockKind::McsRw,
-            "mcs-rw-rp" | "mcsrw-rp" => LockKind::McsRwReaderPref,
-            "mcs-rw-wp" | "mcsrw-wp" => LockKind::McsRwWriterPref,
-            "per-thread" | "perthread" | "hsieh-weihl" => LockKind::PerThread,
             "std" | "std-rwlock" => LockKind::StdRw,
-            "mcs" | "mcs-mutex" => LockKind::McsMutex,
             _ => return None,
         })
+    }
+
+    /// Parses a `--locks` value: `all` is [`LockKind::ALL`], anything
+    /// else a comma-separated list of [`parse`](Self::parse) names, kept
+    /// in the order given. The error names the first unknown entry.
+    pub fn parse_list(s: &str) -> Result<Vec<LockKind>, String> {
+        if s.eq_ignore_ascii_case("all") {
+            return Ok(LockKind::ALL.to_vec());
+        }
+        s.split(',')
+            .map(|l| LockKind::parse(l).ok_or_else(|| format!("unknown lock `{l}`")))
+            .collect()
     }
 }
 
@@ -291,6 +271,24 @@ mod tests {
         }
         assert_eq!(LockKind::parse("solaris like"), Some(LockKind::SolarisLike));
         assert!(LockKind::parse("nope").is_none());
+
+        assert_eq!(LockKind::parse_list("all"), Ok(LockKind::ALL.to_vec()));
+        assert_eq!(LockKind::ALL.len(), 7);
+        assert_eq!(
+            LockKind::parse_list("std,GOLL,solaris like"),
+            Ok(vec![LockKind::StdRw, LockKind::Goll, LockKind::SolarisLike])
+        );
+        for gone in [
+            "MCS-RW",
+            "MCS-RW-rp",
+            "MCS-RW-wp",
+            "Per-thread",
+            "MCS mutex",
+        ] {
+            assert_eq!(LockKind::parse(gone), None, "{gone}");
+            let err = LockKind::parse_list(&format!("GOLL,{gone}")).unwrap_err();
+            assert!(err.contains(gone), "{gone}: {err}");
+        }
     }
 
     #[test]

@@ -9,10 +9,7 @@
 //! it here covers every consumer at once.
 
 use crate::config::{LockKind, LockOptions};
-use oll_baselines::{
-    CentralizedRwLock, KsuhLock, McsMutex, McsRwLock, McsRwReaderPref, McsRwWriterPref,
-    PerThreadRwLock, SolarisLikeRwLock, StdRwLock,
-};
+use oll_baselines::{CentralizedRwLock, KsuhLock, SolarisLikeRwLock, StdRwLock};
 use oll_core::{FollLock, GollLock, RollLock, RwLockFamily, SelfTuning};
 use oll_csnzi::TreeShape;
 use oll_hazard::PoisonPolicy;
@@ -78,12 +75,7 @@ impl LockKind {
             LockKind::Ksuh => arm(KsuhLock::new(capacity), opts, visitor),
             LockKind::SolarisLike => arm(SolarisLikeRwLock::new(capacity), opts, visitor),
             LockKind::Centralized => arm(CentralizedRwLock::new(capacity), opts, visitor),
-            LockKind::McsRw => arm(McsRwLock::new(capacity), opts, visitor),
-            LockKind::McsRwReaderPref => arm(McsRwReaderPref::new(capacity), opts, visitor),
-            LockKind::McsRwWriterPref => arm(McsRwWriterPref::new(capacity), opts, visitor),
-            LockKind::PerThread => arm(PerThreadRwLock::new(capacity), opts, visitor),
             LockKind::StdRw => arm(StdRwLock::new(capacity), opts, visitor),
-            LockKind::McsMutex => arm(McsMutex::new(capacity), opts, visitor),
         }
     }
 }

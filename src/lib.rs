@@ -42,8 +42,7 @@
 //!
 //! * [`csnzi`] — SNZI / closable-SNZI (the paper's §2).
 //! * [`core`] (re-exported at the root) — GOLL, FOLL, ROLL (§3–4).
-//! * [`baselines`] — KSUH, Solaris-like, MCS, MCS-RW, centralized,
-//!   per-thread, std (§1, §5).
+//! * [`baselines`] — KSUH, Solaris-like, centralized, std (§1, §5).
 //! * [`workloads`] — the Figure 5 throughput harness (§5).
 //! * `async_lock` — the futures-native [`AsyncRwLock`] family: task-waker
 //!   hand-off over the same C-SNZI cores, cancel-on-drop, deadlines
@@ -73,10 +72,7 @@ pub use oll_trace as trace;
 pub use oll_util as util;
 pub use oll_workloads as workloads;
 
-pub use oll_baselines::{
-    CentralizedRwLock, KsuhLock, McsMutex, McsRwLock, McsRwReaderPref, McsRwWriterPref,
-    PerThreadRwLock, SolarisLikeRwLock, StdRwLock,
-};
+pub use oll_baselines::{CentralizedRwLock, KsuhLock, SolarisLikeRwLock, StdRwLock};
 pub use oll_core::PoisonError;
 #[cfg(not(loom))]
 pub use oll_core::TimedHandle;

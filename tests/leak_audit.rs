@@ -5,8 +5,7 @@
 //! * **Blocking** acquirers may wait forever on a leaked hold — that is
 //!   what blocking means — but **`try_*` acquirers must fail fast**, not
 //!   spin until the (never-arriving) release.
-//! * Where readers share, other readers must still get in beside a
-//!   leaked *read* hold.
+//! * Other readers must still get in beside a leaked *read* hold.
 //!
 //! Per-family notes on how a leaked read hold presents:
 //!
@@ -16,18 +15,8 @@
 //!   tail; `try_write`'s tail CAS fails immediately.
 //! * **KSUH** — the leaked reader node stays queued (`tail != NIL`);
 //!   the try paths refuse a non-empty queue.
-//! * **MCS-RW** — `reader_count` stays nonzero, failing the emptiness
-//!   precheck. The conservative fallback (reached when readers slip in
-//!   *between* the precheck and the enqueue) used to block; it now
-//!   withdraws the queue node and fails fast unless a successor has
-//!   already committed it to the queue.
-//! * **MCS-RW-rp / MCS-RW-wp** — the reader count lives in the lock
-//!   word; the word CAS fails and the queue candidacy is rolled back.
 //! * **Solaris-like / Centralized / std** — a reader-count/word check
 //!   fails the CAS (std reports `WouldBlock`).
-//! * **Per-thread** — the leaked reader's own mutex stays held; the
-//!   writer's all-mutex sweep fails on it and rolls back.
-//! * **MCS mutex** — a "read" hold is exclusive; the tail CAS fails.
 //! * **BRAVO-wrapped** — a leaked *fast* read hold stays published in
 //!   the visible-readers table; `try_write`'s one-shot revocation scan
 //!   sights it, restores the bias, and fails without waiting.
@@ -40,7 +29,7 @@ use std::time::{Duration, Instant};
 /// generous enough for any scheduler hiccup, far below "spins forever".
 const FAIL_FAST: Duration = Duration::from_secs(2);
 
-fn leaked_read_guard_fails_fast<L: RwLockFamily>(lock: L, name: &str, readers_share: bool) {
+fn leaked_read_guard_fails_fast<L: RwLockFamily>(lock: L, name: &str) {
     let mut a = lock.handle().unwrap();
     let mut b = lock.handle().unwrap();
     std::mem::forget(a.read());
@@ -55,14 +44,12 @@ fn leaked_read_guard_fails_fast<L: RwLockFamily>(lock: L, name: &str, readers_sh
         "{name}: try_write spun {:?} instead of failing fast",
         start.elapsed()
     );
-    if readers_share {
-        // A leaked read hold must not shut other readers out. (Some try
-        // paths are conservative about queue residue, so probe with the
-        // blocking path under a generous watchdog: it either returns
-        // quickly or the test harness times the hang out.)
-        b.lock_read();
-        b.unlock_read();
-    }
+    // A leaked read hold must not shut other readers out. (Some try
+    // paths are conservative about queue residue, so probe with the
+    // blocking path under a generous watchdog: it either returns
+    // quickly or the test harness times the hang out.)
+    b.lock_read();
+    b.unlock_read();
     // The handle behind the leak still believes it holds the lock (the
     // guard's drop never ran to clear it); its own drop-time leak check
     // would fire. Leak it too — exactly what happens when the leaking
@@ -108,7 +95,7 @@ impl LockVisitor for Audit {
         if self.leak_write {
             leaked_write_guard_fails_fast(lock, name);
         } else {
-            leaked_read_guard_fails_fast(lock, name, self.kind.readers_share());
+            leaked_read_guard_fails_fast(lock, name);
         }
     }
 }

@@ -45,4 +45,3 @@ marathon_test!(roll_marathon_mixed, LockKind::Roll, 50);
 marathon_test!(ksuh_marathon_read_heavy, LockKind::Ksuh, 95);
 marathon_test!(ksuh_marathon_mixed, LockKind::Ksuh, 50);
 marathon_test!(solaris_marathon_mixed, LockKind::SolarisLike, 50);
-marathon_test!(mcs_rw_marathon_mixed, LockKind::McsRw, 50);

@@ -14,8 +14,8 @@
 #![cfg(feature = "proptest")]
 
 use oll::{
-    CentralizedRwLock, FollLock, GollLock, KsuhLock, McsRwLock, McsRwReaderPref, McsRwWriterPref,
-    PerThreadRwLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock, StdRwLock,
+    CentralizedRwLock, FollLock, GollLock, KsuhLock, RollLock, RwHandle, RwLockFamily,
+    SolarisLikeRwLock, StdRwLock,
 };
 use proptest::prelude::*;
 
@@ -147,8 +147,4 @@ model_test!(roll_follows_model, RollLock::new);
 model_test!(ksuh_follows_model, KsuhLock::new);
 model_test!(solaris_like_follows_model, SolarisLikeRwLock::new);
 model_test!(centralized_follows_model, CentralizedRwLock::new);
-model_test!(mcs_rw_follows_model, McsRwLock::new);
-model_test!(mcs_rw_rp_follows_model, McsRwReaderPref::new);
-model_test!(mcs_rw_wp_follows_model, McsRwWriterPref::new);
-model_test!(per_thread_follows_model, PerThreadRwLock::new);
 model_test!(std_rw_follows_model, StdRwLock::new);

@@ -153,15 +153,11 @@ fn readers_share_writers_exclude() {
         let name = kind.name();
         t.with_two_handles(&mut |a, b| {
             a.lock_read();
-            // A second reader must be admitted without blocking (KSUH and
-            // MCS-RW admit a reader whose predecessor is an active reader
-            // on their *blocking* path; their try paths are deliberately
-            // conservative). The MCS mutex serves `lock_read` exclusively,
-            // so a concurrent reader would deadlock — skip that half.
-            if kind.readers_share() {
-                b.lock_read();
-                b.unlock_read();
-            }
+            // A second reader must be admitted without blocking (KSUH
+            // admits a reader whose predecessor is an active reader on its
+            // *blocking* path; its try path is deliberately conservative).
+            b.lock_read();
+            b.unlock_read();
             assert!(!b.try_lock_write(), "{name}: writer entered beside reader");
             a.unlock_read();
         });
@@ -223,15 +219,10 @@ fn bravo_wrapped_readers_share_writers_exclude() {
             let name = kind.name();
             t.with_two_handles(&mut |a, b| {
                 a.lock_read();
-                // With the bias armed even the MCS mutex admits a second
-                // *fast* reader (the wrapper bypasses the inner lock), but
-                // a colliding slot would route b to the exclusive inner
-                // path and deadlock — so only probe sharing where the
-                // inner lock itself shares.
-                if kind.readers_share() {
-                    b.lock_read();
-                    b.unlock_read();
-                }
+                // A fast reader (the wrapper bypasses the inner lock) or,
+                // on a colliding slot, an inner one: either way b shares.
+                b.lock_read();
+                b.unlock_read();
                 assert!(
                     !b.try_lock_write(),
                     "{name} (bias={bias}): writer entered beside reader"
