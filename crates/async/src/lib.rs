@@ -27,7 +27,10 @@
 //! * **Hand-off semantics.** Releases *grant* ownership: a woken reader's
 //!   root arrival is already committed (`OpenWithArrivals` runs before
 //!   any node word flips to `GRANTED`), and a woken writer wakes in the
-//!   closed-empty (write-acquired) state.
+//!   closed-empty (write-acquired) state. The rule is GOLL's (§5.1): a
+//!   releasing writer grants every waiting reader, or else the first
+//!   writer; a releasing reader grants the first writer, or else every
+//!   waiting reader.
 //!
 //! ```
 //! use oll_async::{block_on, AsyncRwLock};
@@ -48,7 +51,7 @@ mod timer;
 pub mod waker;
 
 pub use future::{ReadFuture, TimedReadFuture, TimedWriteFuture, WriteFuture};
-pub use oll_core::{FairnessPolicy, TimedOut};
+pub use oll_core::TimedOut;
 
 use oll_core::node_state::{GRANTED, RELEASED, WAITING};
 use oll_csnzi::{ArrivalPolicy, CSnzi, CancelOutcome, LeafCursor, Ticket, TreeShape};
@@ -70,7 +73,6 @@ use std::time::Instant;
 pub(crate) struct RawLock {
     pub(crate) csnzi: CSnzi,
     pub(crate) queue: CachePadded<SpinMutex<WaitQueue>>,
-    pub(crate) policy: FairnessPolicy,
     pub(crate) arrival_threshold: u32,
     pub(crate) telemetry: Telemetry,
     pub(crate) hazard: Hazard,
@@ -108,9 +110,8 @@ impl RawLock {
     /// Releases the lock from the write-acquired (owned) state the
     /// caller owns: hand it to waiter(s), or actually open it.
     ///
-    /// `from_reader` selects the fairness policy's release class (the
-    /// caller is the last departing reader of a closed C-SNZI, or a
-    /// write holder).
+    /// `from_reader` selects the release class (the caller is the last
+    /// departing reader of a closed C-SNZI, or a write holder).
     ///
     /// This is the granter side of the waker protocol. The order is
     /// load-bearing: for readers, `open_with_arrivals` commits every
@@ -125,9 +126,9 @@ impl RawLock {
         loop {
             let mut q = self.queue.lock();
             let handoff = if from_reader {
-                q.dequeue_for_reader_release(self.policy)
+                q.dequeue_for_reader_release()
             } else {
-                q.dequeue_for_writer_release(self.policy)
+                q.dequeue_for_writer_release()
             };
             match handoff {
                 Handoff::None => {
@@ -336,7 +337,6 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for AsyncRwLock<T> {
 pub struct AsyncRwLockBuilder {
     concurrency: usize,
     shape: Option<TreeShape>,
-    policy: FairnessPolicy,
     arrival_threshold: u32,
     telemetry_name: Option<String>,
 }
@@ -349,7 +349,6 @@ impl AsyncRwLockBuilder {
         Self {
             concurrency: oll_util::topology::Topology::get().cpus(),
             shape: None,
-            policy: FairnessPolicy::Alternating,
             arrival_threshold: ArrivalPolicy::DEFAULT_THRESHOLD,
             telemetry_name: None,
         }
@@ -365,12 +364,6 @@ impl AsyncRwLockBuilder {
     /// The tree is allocated by the first arrival that goes to it.
     pub fn tree_shape(mut self, shape: TreeShape) -> Self {
         self.shape = Some(shape);
-        self
-    }
-
-    /// Sets the queuing policy (default: Alternating, as in §5.1).
-    pub fn fairness(mut self, policy: FairnessPolicy) -> Self {
-        self.policy = policy;
         self
     }
 
@@ -407,7 +400,6 @@ impl AsyncRwLockBuilder {
             raw: RawLock {
                 csnzi,
                 queue: CachePadded::new(SpinMutex::new(WaitQueue::new())),
-                policy: self.policy,
                 arrival_threshold: self.arrival_threshold,
                 telemetry,
                 hazard,

@@ -1,4 +1,5 @@
-//! The async wait queue: GOLL's group-coalescing turnstile with `Arc`'d
+//! The async wait queue: GOLL's turnstile — a FIFO of writers plus one
+//! waiting readers group, under the same hand-off rule — with `Arc`'d
 //! waiter nodes in place of wait events.
 //!
 //! The blocking locks' queue (`oll_util::turnstile`, GOLL's and the
@@ -12,11 +13,10 @@
 //! (a `WAITING → ABANDONED` CAS on the waiter's four-state node word) and
 //! the *granter* cascades over abandoned nodes, undoing their pre-arrivals
 //! through the C-SNZI (`GrantCascade`). Tombstoned members therefore stay
-//! in their group until a release dequeues the group.
+//! queued until a release dequeues them.
 
 use crate::waker::WakerSlot;
 use oll_core::node_state::WAITING;
-use oll_core::FairnessPolicy;
 use std::collections::VecDeque;
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
@@ -51,18 +51,13 @@ impl Waiter {
     }
 }
 
-pub(crate) enum Group {
-    Readers { members: Vec<Arc<Waiter>> },
-    Writer { waiter: Arc<Waiter> },
-}
-
 /// What a releasing task hands the lock to.
 pub(crate) enum Handoff {
     /// Nobody waiting: actually release.
     None,
     /// A single writer: the lock stays in the closed-empty state.
     Writer(Arc<Waiter>),
-    /// One or more groups of readers.
+    /// Every waiting reader.
     Readers {
         members: Vec<Arc<Waiter>>,
         /// Whether writers remain queued (the reopened C-SNZI must then
@@ -71,150 +66,78 @@ pub(crate) enum Handoff {
     },
 }
 
+/// The waiting writers in arrival order, and the one waiting readers
+/// group every new reader joins.
 pub(crate) struct WaitQueue {
-    groups: VecDeque<Group>,
-    num_writers: usize,
+    writers: VecDeque<Arc<Waiter>>,
+    readers: Vec<Arc<Waiter>>,
 }
 
 impl WaitQueue {
     pub(crate) fn new() -> Self {
         Self {
-            groups: VecDeque::new(),
-            num_writers: 0,
+            writers: VecDeque::new(),
+            readers: Vec::new(),
         }
     }
 
     #[cfg(test)]
     pub(crate) fn is_empty(&self) -> bool {
-        self.groups.is_empty()
+        self.writers.is_empty() && self.readers.is_empty()
     }
 
     /// Queued acquisitions, tombstones included (they leave the count
-    /// only when a release dequeues their group).
+    /// only when a release dequeues them).
     pub(crate) fn waiter_count(&self) -> usize {
-        self.groups
-            .iter()
-            .map(|g| match g {
-                Group::Readers { members } => members.len(),
-                Group::Writer { .. } => 1,
-            })
-            .sum()
+        self.writers.len() + self.readers.len()
     }
 
     pub(crate) fn enqueue_writer(&mut self) -> Arc<Waiter> {
         let w = Waiter::new();
-        self.groups.push_back(Group::Writer {
-            waiter: Arc::clone(&w),
-        });
-        self.num_writers += 1;
+        self.writers.push_back(Arc::clone(&w));
         w
     }
 
-    /// Joins the readers group at the tail, or starts a new one. Reader
-    /// groups only coalesce at the tail, so two reader groups are never
-    /// adjacent in the queue.
+    /// Joins the waiting readers group.
     pub(crate) fn join_readers(&mut self) -> Arc<Waiter> {
         let w = Waiter::new();
-        if let Some(Group::Readers { members }) = self.groups.back_mut() {
-            members.push(Arc::clone(&w));
-            return w;
-        }
-        self.groups.push_back(Group::Readers {
-            members: vec![Arc::clone(&w)],
-        });
+        self.readers.push(Arc::clone(&w));
         w
     }
 
-    fn pop_front(&mut self) -> Handoff {
-        match self.groups.pop_front() {
-            None => Handoff::None,
-            Some(Group::Writer { waiter }) => {
-                self.num_writers -= 1;
-                Handoff::Writer(waiter)
-            }
-            Some(Group::Readers { members }) => Handoff::Readers {
-                members,
-                writers_remain: self.num_writers > 0,
-            },
-        }
+    fn first_writer(&mut self) -> Handoff {
+        self.writers
+            .pop_front()
+            .map_or(Handoff::None, Handoff::Writer)
     }
 
-    /// Removes *every* readers group (Alternating writer-release).
-    fn drain_all_readers(&mut self) -> Handoff {
-        let mut members = Vec::new();
-        self.groups.retain_mut(|g| match g {
-            Group::Readers { members: m } => {
-                members.append(m);
-                false
-            }
-            Group::Writer { .. } => true,
-        });
-        if members.is_empty() {
-            Handoff::None
-        } else {
-            Handoff::Readers {
-                members,
-                writers_remain: self.num_writers > 0,
-            }
-        }
-    }
-
-    /// Removes the first queued writer (FIFO among writers — the async
-    /// queue carries no priorities).
-    fn take_first_writer(&mut self) -> Handoff {
-        let Some(idx) = self
-            .groups
-            .iter()
-            .position(|g| matches!(g, Group::Writer { .. }))
-        else {
+    fn every_reader(&mut self) -> Handoff {
+        if self.readers.is_empty() {
             return Handoff::None;
-        };
-        match self.groups.remove(idx) {
-            Some(Group::Writer { waiter }) => {
-                self.num_writers -= 1;
-                Handoff::Writer(waiter)
-            }
-            _ => unreachable!("index located a writer"),
+        }
+        Handoff::Readers {
+            members: std::mem::take(&mut self.readers),
+            writers_remain: !self.writers.is_empty(),
         }
     }
 
-    fn has_waiting_readers(&self) -> bool {
-        self.num_writers < self.groups.len()
-    }
-
-    fn readers_first(&mut self) -> Handoff {
-        if self.has_waiting_readers() {
-            self.drain_all_readers()
+    /// Chooses the hand-off target for a releasing *writer*: every waiting
+    /// reader, or else the first writer (§5.1).
+    pub(crate) fn dequeue_for_writer_release(&mut self) -> Handoff {
+        if self.readers.is_empty() {
+            self.first_writer()
         } else {
-            self.take_first_writer()
+            self.every_reader()
         }
     }
 
-    fn writers_first(&mut self) -> Handoff {
-        if self.num_writers > 0 {
-            self.take_first_writer()
+    /// Chooses the hand-off target for a releasing *reader*: the first
+    /// writer, or else every waiting reader.
+    pub(crate) fn dequeue_for_reader_release(&mut self) -> Handoff {
+        if self.writers.is_empty() {
+            self.every_reader()
         } else {
-            self.drain_all_readers()
-        }
-    }
-
-    /// Chooses the hand-off target for a releasing *writer*.
-    pub(crate) fn dequeue_for_writer_release(&mut self, policy: FairnessPolicy) -> Handoff {
-        match policy {
-            FairnessPolicy::Fifo => self.pop_front(),
-            // No priorities in the async queue, so "readers first unless a
-            // higher-priority writer waits" reduces to readers-first.
-            FairnessPolicy::Alternating | FairnessPolicy::ReaderPreference => self.readers_first(),
-            FairnessPolicy::WriterPreference => self.writers_first(),
-        }
-    }
-
-    /// Chooses the hand-off target for a releasing *reader*.
-    pub(crate) fn dequeue_for_reader_release(&mut self, policy: FairnessPolicy) -> Handoff {
-        match policy {
-            FairnessPolicy::Fifo => self.pop_front(),
-            FairnessPolicy::Alternating | FairnessPolicy::WriterPreference => self.writers_first(),
-            FairnessPolicy::ReaderPreference => self.readers_first(),
+            self.first_writer()
         }
     }
 }
@@ -232,18 +155,14 @@ mod tests {
     }
 
     #[test]
-    fn readers_coalesce_only_at_the_tail() {
+    fn readers_join_one_group_past_queued_writers() {
         let mut q = WaitQueue::new();
-        q.join_readers();
         q.join_readers();
         let _w = q.enqueue_writer();
         q.join_readers();
-        assert_eq!(q.waiter_count(), 4);
-        // Front group has the two pre-writer readers.
-        assert_eq!(members_of(q.pop_front()), 2);
-        assert!(matches!(q.pop_front(), Handoff::Writer(_)));
-        assert_eq!(members_of(q.pop_front()), 1);
-        assert!(q.is_empty());
+        assert_eq!(q.waiter_count(), 3);
+        // One readers group of two, and the writer.
+        assert_eq!((q.readers.len(), q.writers.len()), (2, 1));
     }
 
     #[test]
@@ -252,7 +171,7 @@ mod tests {
         q.join_readers();
         q.enqueue_writer();
         q.join_readers();
-        let h = q.dequeue_for_writer_release(FairnessPolicy::Alternating);
+        let h = q.dequeue_for_writer_release();
         match h {
             Handoff::Readers {
                 members,
@@ -263,10 +182,7 @@ mod tests {
             }
             _ => panic!("expected readers"),
         }
-        assert!(matches!(
-            q.dequeue_for_writer_release(FairnessPolicy::Alternating),
-            Handoff::Writer(_)
-        ));
+        assert!(matches!(q.dequeue_for_writer_release(), Handoff::Writer(_)));
         assert!(q.is_empty());
     }
 
@@ -275,32 +191,7 @@ mod tests {
         let mut q = WaitQueue::new();
         q.join_readers();
         q.enqueue_writer();
-        assert!(matches!(
-            q.dequeue_for_reader_release(FairnessPolicy::Alternating),
-            Handoff::Writer(_)
-        ));
-        assert_eq!(
-            members_of(q.dequeue_for_reader_release(FairnessPolicy::Alternating)),
-            1
-        );
-    }
-
-    #[test]
-    fn fifo_preserves_arrival_order() {
-        let mut q = WaitQueue::new();
-        q.enqueue_writer();
-        q.join_readers();
-        assert!(matches!(
-            q.dequeue_for_writer_release(FairnessPolicy::Fifo),
-            Handoff::Writer(_)
-        ));
-        assert_eq!(
-            members_of(q.dequeue_for_writer_release(FairnessPolicy::Fifo)),
-            1
-        );
-        assert!(matches!(
-            q.dequeue_for_writer_release(FairnessPolicy::Fifo),
-            Handoff::None
-        ));
+        assert!(matches!(q.dequeue_for_reader_release(), Handoff::Writer(_)));
+        assert_eq!(members_of(q.dequeue_for_reader_release()), 1);
     }
 }

@@ -16,7 +16,7 @@
 //! and differ in what this file holds, the lockword protocol.
 
 use oll_core::raw::{RwHandle, RwLockFamily};
-use oll_core::{FairnessPolicy, TimedOut};
+use oll_core::TimedOut;
 use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry, Timer};
 use oll_util::backoff::{Backoff, BackoffPolicy, Deadline, Never};
@@ -112,16 +112,16 @@ impl SolarisLikeRwLock {
 
     /// Hand-off after a write release or a last-reader release; called
     /// with the turnstile locked and the lock still owned by the caller.
-    /// Alternating policy, as in GOLL and the kernel: writers hand to all
+    /// §5.1's policy, as in GOLL and the kernel: writers hand to all
     /// waiting readers, readers hand to the first waiting writer. The
     /// lockword is moved to the next holder's state — which also recomputes
     /// waiter bits a timed-out waiter left stale — before the mutex drops,
     /// and the waiters are woken after.
     fn handover(&self, mut q: LockedQueue<'_>, from_reader: bool) {
         let handoff = if from_reader {
-            q.dequeue_for_reader_release(FairnessPolicy::Alternating)
+            q.dequeue_for_reader_release()
         } else {
-            q.dequeue_for_writer_release(FairnessPolicy::Alternating)
+            q.dequeue_for_writer_release()
         };
         let word = match handoff {
             // Spurious hasWaiters: actually free the lock.
@@ -130,7 +130,7 @@ impl SolarisLikeRwLock {
                 self.telemetry.incr(LockEvent::HandoffToWriter);
                 Word::make(0, true, q.has_writers(), !q.is_empty())
             }
-            // Every group goes at once, so what remains queued is writers.
+            // The readers go at once, so what remains queued is writers.
             Handoff::Readers {
                 total,
                 writers_remain,
@@ -225,7 +225,7 @@ impl SolarisLikeHandle<'_> {
             if !w.has_waiters() && !lock.cas(w, Word(w.0 | HAS_WAITERS)) {
                 continue; // lockword moved; re-evaluate
             }
-            let group = q.join_readers(self.slot.slot(), 0);
+            let group = q.join_readers(self.slot.slot());
             lock.telemetry.incr(LockEvent::ReadSlow);
             lock.telemetry.trace_enqueued(u64::from(group));
             drop(q);
@@ -271,7 +271,7 @@ impl SolarisLikeHandle<'_> {
             if w.free_for_writer() || !lock.cas(w, Word(w.0 | HAS_WAITERS | WRITE_WANTED)) {
                 continue;
             }
-            let cell = q.enqueue_writer(self.slot.slot(), 0);
+            let cell = q.enqueue_writer(self.slot.slot());
             lock.telemetry.incr(LockEvent::WriteSlow);
             lock.telemetry.trace_enqueued(u64::from(cell));
             drop(q);

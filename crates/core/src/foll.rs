@@ -166,11 +166,8 @@ mod sealed {
         /// [`QueueCore::writer_lock`](super::QueueCore::writer_lock)).
         const WAIT_FOR_ACTIVE: bool;
 
-        /// Builds the policy state ([`QueueBuilder::last_reader_hint`]
-        /// is the only knob any policy has).
-        ///
-        /// [`QueueBuilder::last_reader_hint`]: super::QueueBuilder::last_reader_hint
-        fn new_state(last_reader_hint: bool) -> Self::State;
+        /// Builds the policy state.
+        fn new_state() -> Self::State;
 
         /// A reader found the writer `tail` at the end of the queue: try to
         /// overtake it by arriving (through
@@ -719,7 +716,7 @@ impl OrderPolicy for Fifo {
     const SITES: ReadSites = read_sites!("foll");
     const WAIT_FOR_ACTIVE: bool = false;
 
-    fn new_state(_last_reader_hint: bool) {}
+    fn new_state() {}
 
     fn overtake(_: &mut QueueHandle<'_, Self>, _: NodeRef) -> Option<(usize, Ticket)> {
         None
@@ -735,7 +732,6 @@ pub struct QueueBuilder<P> {
     shape: Option<TreeShape>,
     backoff: BackoffPolicy,
     arrival_threshold: u32,
-    pub(crate) use_hint: bool,
     #[cfg(not(loom))]
     biased: bool,
     cohort: bool,
@@ -754,7 +750,6 @@ impl<P: OrderPolicy> QueueBuilder<P> {
             shape: None,
             backoff: BackoffPolicy::default(),
             arrival_threshold: ArrivalPolicy::DEFAULT_THRESHOLD,
-            use_hint: true,
             #[cfg(not(loom))]
             biased: false,
             cohort: false,
@@ -877,7 +872,7 @@ impl<P: OrderPolicy> QueueBuilder<P> {
         }
         QueueLock {
             core,
-            order: P::new_state(self.use_hint),
+            order: P::new_state(),
         }
     }
 }

@@ -32,7 +32,7 @@ use oll_util::backoff::{Deadline, Never};
 use oll_util::event::WaitStrategy;
 use oll_util::fault;
 use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
-use oll_util::turnstile::{FairnessPolicy, Handoff, Turnstile, NIL};
+use oll_util::turnstile::{Handoff, Turnstile, NIL};
 
 /// Builder for [`GollLock`].
 #[derive(Debug, Clone)]
@@ -40,7 +40,6 @@ pub struct GollBuilder {
     capacity: usize,
     shape: Option<TreeShape>,
     strategy: WaitStrategy,
-    policy: FairnessPolicy,
     arrival_threshold: u32,
     #[cfg(not(loom))]
     biased: bool,
@@ -55,7 +54,6 @@ impl GollBuilder {
             capacity,
             shape: None,
             strategy: WaitStrategy::SpinThenYield,
-            policy: FairnessPolicy::Alternating,
             arrival_threshold: ArrivalPolicy::DEFAULT_THRESHOLD,
             #[cfg(not(loom))]
             biased: false,
@@ -104,12 +102,6 @@ impl GollBuilder {
         self
     }
 
-    /// Sets the queuing policy (default: Alternating, as in §5.1).
-    pub fn fairness(mut self, policy: FairnessPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Sets the C-SNZI arrival threshold: a root arrival that finds this
     /// many others in flight is a crowded one, and this many crowded ones
     /// in a row move the handle's arrivals to the tree.
@@ -136,7 +128,6 @@ impl GollBuilder {
             csnzi,
             turnstile: Turnstile::new(capacity, self.strategy),
             slots: SlotRegistry::new(capacity),
-            policy: self.policy,
             arrival_threshold: self.arrival_threshold,
             telemetry,
             hazard,
@@ -147,11 +138,9 @@ impl GollBuilder {
 /// The general OLL reader-writer lock (§3.2).
 ///
 /// ```
-/// use oll_core::{FairnessPolicy, GollLock, RwHandle, RwLockFamily, UpgradableHandle};
+/// use oll_core::{GollLock, RwHandle, RwLockFamily, UpgradableHandle};
 ///
-/// let lock = GollLock::builder(4)
-///     .fairness(FairnessPolicy::Alternating) // the paper's §5.1 policy
-///     .build();
+/// let lock = GollLock::new(4);
 /// let mut me = lock.handle().unwrap();
 ///
 /// // Check-then-act with an atomic upgrade (§3.2.1):
@@ -169,7 +158,6 @@ pub struct GollLock {
     /// on: the handle on slot `i` queues for writing on cell `i`.
     turnstile: Turnstile,
     slots: SlotRegistry,
-    policy: FairnessPolicy,
     arrival_threshold: u32,
     telemetry: Telemetry,
     hazard: Hazard,
@@ -211,14 +199,15 @@ impl GollLock {
 
     /// The caller owns the lock in the write-acquired state (the C-SNZI is
     /// *owned*) — a releasing writer, or the last departer of a closed
-    /// C-SNZI — and hands it to whom the policy picks.
+    /// C-SNZI — and hands it on: a writer to every waiting reader, a
+    /// reader to the first waiting writer (§5.1).
     #[inline]
     fn release_owned(&self, from_reader: bool) {
         let mut q = self.turnstile.lock();
         let handoff = if from_reader {
-            q.dequeue_for_reader_release(self.policy)
+            q.dequeue_for_reader_release()
         } else {
-            q.dequeue_for_writer_release(self.policy)
+            q.dequeue_for_writer_release()
         };
         match handoff {
             // Nobody waits. After a reader that is possible too: the
@@ -235,9 +224,9 @@ impl GollLock {
             } => {
                 self.telemetry.incr(LockEvent::HandoffToReaders);
                 // Reopen directly into the read-acquired state, staying
-                // closed iff writers remain. (After a reader: the policy
-                // let readers overtake the writer that closed the C-SNZI,
-                // or that writer cancelled and only readers remain.)
+                // closed iff writers remain. (After a reader: the writer
+                // that closed the C-SNZI cancelled and only readers
+                // remain.)
                 self.csnzi.open_with_arrivals(total, writers_remain);
             }
         }
@@ -259,7 +248,6 @@ impl RwLockFamily for GollLock {
             cursor: LeafCursor::new(),
             read_ticket: None,
             write_held: false,
-            priority: 0,
             hold: Timer::inactive(),
         })
     }
@@ -298,29 +286,12 @@ pub struct GollHandle<'a> {
     cursor: LeafCursor,
     read_ticket: Option<Ticket>,
     write_held: bool,
-    priority: u8,
     /// Started when an acquisition succeeds, recorded as hold time at
     /// release. One outstanding acquisition per handle, so one timer.
     hold: Timer,
 }
 
 impl GollHandle<'_> {
-    /// Sets this thread's queuing priority (default 0). Under the
-    /// [`Alternating`](FairnessPolicy::Alternating) policy, a releasing
-    /// writer hands the lock to waiting readers *unless a strictly
-    /// higher-priority writer is waiting* (§5.1's Solaris behavior), and
-    /// among waiting writers the highest priority goes first (the
-    /// turnstile is a priority queue, §3.1). Only affects contended
-    /// acquisitions that reach the wait queue.
-    pub fn set_priority(&mut self, priority: u8) {
-        self.priority = priority;
-    }
-
-    /// This thread's queuing priority.
-    pub fn priority(&self) -> u8 {
-        self.priority
-    }
-
     /// The read fast path: one C-SNZI arrival. `false`: the C-SNZI is
     /// closed — and if taking the failed arrival back made this thread the
     /// last departer, the lock has been handed on before returning, so the
@@ -379,7 +350,7 @@ impl GollHandle<'_> {
                 drop(q);
                 continue;
             }
-            let group = q.join_readers(self.slot.slot(), self.priority);
+            let group = q.join_readers(self.slot.slot());
             self.waiting_on = group;
             lock.telemetry.incr(LockEvent::ReadSlow);
             lock.telemetry.trace_enqueued(u64::from(group));
@@ -491,7 +462,7 @@ impl GollHandle<'_> {
             lock.telemetry.incr(LockEvent::Timeout);
             return Err(TimedOut);
         }
-        let cell = q.enqueue_writer(self.slot.slot(), self.priority);
+        let cell = q.enqueue_writer(self.slot.slot());
         self.waiting_on = cell;
         lock.telemetry.incr(LockEvent::WriteSlow);
         lock.telemetry.trace_enqueued(u64::from(cell));
@@ -619,7 +590,7 @@ impl UpgradableHandle for GollHandle<'_> {
         // (they would otherwise sit behind us even though the lock is now
         // read-held).
         let mut q = self.lock.turnstile.lock();
-        let handoff = q.dequeue_for_downgrade(self.lock.policy);
+        let handoff = q.dequeue_for_downgrade();
         match &handoff {
             Handoff::Readers { total, .. } => {
                 self.lock.telemetry.incr(LockEvent::HandoffToReaders);
@@ -808,31 +779,17 @@ mod tests {
 
     #[test]
     fn readers_and_writers_exclude() {
-        rw_exclusion_stress(FairnessPolicy::Alternating);
-    }
-
-    #[test]
-    fn readers_and_writers_exclude_fifo() {
-        rw_exclusion_stress(FairnessPolicy::Fifo);
+        for strategy in STRATEGIES {
+            rw_exclusion_stress_with(strategy);
+        }
     }
 
     const STRATEGIES: [WaitStrategy; 2] = [WaitStrategy::SpinThenYield, WaitStrategy::SpinThenPark];
 
-    fn rw_exclusion_stress(policy: FairnessPolicy) {
-        for strategy in STRATEGIES {
-            rw_exclusion_stress_with(policy, strategy);
-        }
-    }
-
-    fn rw_exclusion_stress_with(policy: FairnessPolicy, strategy: WaitStrategy) {
+    fn rw_exclusion_stress_with(strategy: WaitStrategy) {
         const THREADS: usize = 6;
         const ITERS: usize = 1_500;
-        let lock = StdArc::new(
-            GollLock::builder(THREADS)
-                .fairness(policy)
-                .wait_strategy(strategy)
-                .build(),
-        );
+        let lock = StdArc::new(GollLock::builder(THREADS).wait_strategy(strategy).build());
         // counter > 0: readers inside; counter == -1: a writer inside.
         let state = StdArc::new(AtomicI64::new(0));
         let mut handles = Vec::new();
@@ -895,16 +852,11 @@ mod tests {
     /// Sets up: W0 holds for writing; one reader and one writer queue
     /// behind it (in that order); W0 releases. Returns which class entered
     /// first ('R' or 'W').
-    fn first_after_writer_release(policy: FairnessPolicy, strategy: WaitStrategy) -> char {
+    fn first_after_writer_release(strategy: WaitStrategy) -> char {
         use std::sync::atomic::AtomicU8;
         use std::time::Duration;
 
-        let lock = StdArc::new(
-            GollLock::builder(4)
-                .fairness(policy)
-                .wait_strategy(strategy)
-                .build(),
-        );
+        let lock = StdArc::new(GollLock::builder(4).wait_strategy(strategy).build());
         let mut w0 = lock.handle().unwrap();
         w0.lock_write();
 
@@ -941,26 +893,11 @@ mod tests {
 
     #[test]
     fn writer_release_handoff_order_follows_policy() {
-        // Reader enqueued first, so FIFO and the reader-preferring
-        // policies all wake it first; WriterPreference jumps the writer
-        // over it.
+        // A releasing writer hands to the waiting readers (§5.1), here
+        // also the earlier arrival.
         for strategy in STRATEGIES {
-            let first = |policy| first_after_writer_release(policy, strategy);
-            assert_eq!(first(FairnessPolicy::Fifo), 'R');
-            assert_eq!(first(FairnessPolicy::Alternating), 'R');
-            assert_eq!(first(FairnessPolicy::ReaderPreference), 'R');
-            assert_eq!(first(FairnessPolicy::WriterPreference), 'W');
+            assert_eq!(first_after_writer_release(strategy), 'R');
         }
-    }
-
-    #[test]
-    fn reader_preference_policy_exclusion_stress() {
-        rw_exclusion_stress(FairnessPolicy::ReaderPreference);
-    }
-
-    #[test]
-    fn writer_preference_policy_exclusion_stress() {
-        rw_exclusion_stress(FairnessPolicy::WriterPreference);
     }
 
     #[test]

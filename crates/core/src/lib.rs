@@ -6,8 +6,9 @@
 //! indicator](oll_csnzi::CSnzi) instead of a counter:
 //!
 //! * [`GollLock`] — the **G**eneral OLL lock (§3): Solaris-kernel-style,
-//!   with a mutex-protected wait queue, pluggable [`FairnessPolicy`], and
-//!   write [upgrade/downgrade](UpgradableHandle) support.
+//!   with a mutex-protected wait queue on which readers and writers hand
+//!   the lock to each other in turn (§5.1), and write
+//!   [upgrade/downgrade](UpgradableHandle) support.
 //! * [`FollLock`] — the **F**IFO OLL lock (§4.2): an MCS-queue lock where
 //!   successive readers share one queue node through its C-SNZI.
 //! * [`RollLock`] — the **R**eader-preference OLL lock (§4.3): FOLL with a
@@ -72,4 +73,3 @@ pub use tuning::{policy::PolicyConfig, policy::Regime, SelfTuning, TunedHandle, 
 pub use watch::{AcquireError, WatchedHandle};
 
 pub use oll_util::knobs::TuningKnobs;
-pub use oll_util::turnstile::FairnessPolicy;

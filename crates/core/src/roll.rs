@@ -44,9 +44,7 @@ pub type RollBuilder = QueueBuilder<ReaderPreference>;
 /// ```
 /// use oll_core::{RollLock, RwHandle, RwLockFamily};
 ///
-/// let lock = RollLock::builder(8)
-///     .last_reader_hint(true) // §4.3's search shortcut (default on)
-///     .build();
+/// let lock = RollLock::new(8);
 /// let mut me = lock.handle().unwrap();
 /// assert!(me.try_read().is_some());
 /// ```
@@ -55,48 +53,30 @@ pub type RollLock = QueueLock<ReaderPreference>;
 /// Per-thread handle for [`RollLock`].
 pub type RollHandle<'a> = QueueHandle<'a, ReaderPreference>;
 
-impl RollBuilder {
-    /// Enables/disables the cached last-reader-node pointer (§4.3's search
-    /// optimization). On by default; the ablation bench turns it off.
-    pub fn last_reader_hint(mut self, enabled: bool) -> Self {
-        self.use_hint = enabled;
-        self
-    }
-}
-
 /// ROLL's lock-wide state: a cached reference to the last known
-/// still-waiting reader node.
+/// still-waiting reader node (§4.3's search optimization).
 pub struct LastReaderHint {
     node: CachePadded<AtomicU32>,
-    enabled: bool,
 }
 
 impl LastReaderHint {
     fn set(&self, node: NodeRef) {
-        if self.enabled {
-            self.node.store(node.raw(), Ordering::Release);
-        }
+        self.node.store(node.raw(), Ordering::Release);
     }
 
     fn clear(&self, node: NodeRef) {
-        if self.enabled {
-            // Only clear our own stale value; someone may have published a
-            // fresher hint.
-            let _ = self.node.compare_exchange(
-                node.raw(),
-                NodeRef::NIL.raw(),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            );
-        }
+        // Only clear our own stale value; someone may have published a
+        // fresher hint.
+        let _ = self.node.compare_exchange(
+            node.raw(),
+            NodeRef::NIL.raw(),
+            Ordering::AcqRel,
+            Ordering::Relaxed,
+        );
     }
 
     fn load(&self) -> NodeRef {
-        if self.enabled {
-            NodeRef::from_raw(self.node.load(Ordering::Acquire))
-        } else {
-            NodeRef::NIL
-        }
+        NodeRef::from_raw(self.node.load(Ordering::Acquire))
     }
 }
 
@@ -108,10 +88,9 @@ impl OrderPolicy for ReaderPreference {
     /// joinable until it holds the lock.
     const WAIT_FOR_ACTIVE: bool = true;
 
-    fn new_state(last_reader_hint: bool) -> LastReaderHint {
+    fn new_state() -> LastReaderHint {
         LastReaderHint {
             node: CachePadded::new(AtomicU32::new(NodeRef::NIL.raw())),
-            enabled: last_reader_hint,
         }
     }
 
@@ -327,38 +306,6 @@ mod tests {
                 let mut rng = oll_util::XorShift64::for_thread(99, tid);
                 for _ in 0..ITERS {
                     if rng.percent(70) {
-                        h.lock_read();
-                        assert!(state.fetch_add(1, O::SeqCst) >= 0);
-                        state.fetch_sub(1, O::SeqCst);
-                        h.unlock_read();
-                    } else {
-                        h.lock_write();
-                        assert_eq!(state.swap(-1, O::SeqCst), 0);
-                        state.store(0, O::SeqCst);
-                        h.unlock_write();
-                    }
-                }
-            }));
-        }
-        for t in handles {
-            t.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn hint_disabled_still_correct() {
-        const THREADS: usize = 4;
-        let lock = Arc::new(RollLock::builder(THREADS).last_reader_hint(false).build());
-        let state = Arc::new(AtomicI64::new(0));
-        let mut handles = Vec::new();
-        for tid in 0..THREADS {
-            let lock = Arc::clone(&lock);
-            let state = Arc::clone(&state);
-            handles.push(std::thread::spawn(move || {
-                let mut h = lock.handle().unwrap();
-                let mut rng = oll_util::XorShift64::for_thread(5, tid);
-                for _ in 0..1_000 {
-                    if rng.percent(60) {
                         h.lock_read();
                         assert!(state.fetch_add(1, O::SeqCst) >= 0);
                         state.fetch_sub(1, O::SeqCst);

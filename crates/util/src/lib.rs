@@ -18,9 +18,10 @@
 //!   per-thread `Local` records, default queue nodes and the turnstile's
 //!   writer cells are indexed by slot).
 //! * [`turnstile`] — the one mutex-protected wait queue of the blocking
-//!   locks (GOLL and the Solaris-like baseline): lock-owned wait cells,
-//!   reader groups, the [`turnstile::FairnessPolicy`] dequeues, timeout
-//!   excision and the hand-off grant, built from the three items above.
+//!   locks (GOLL and the Solaris-like baseline): lock-owned wait cells, a
+//!   FIFO of writers plus one waiting readers group, the §5.1 alternating
+//!   hand-off, timeout excision and the grant, built from the three items
+//!   above.
 //! * [`VisibleReaders`] — the process-global visible-readers table behind
 //!   BRAVO-style reader biasing (`oll_core::Bravo`).
 //! * [`XorShift64`] — the per-thread PRNG the evaluation harness uses to

@@ -10,22 +10,31 @@
 //! `oll_baselines::SolarisLikeRwLock` both hold a [`Turnstile`]; what they
 //! do to their lockword around it is theirs.
 //!
-//! A [`Turnstile`] is a [`SpinMutex`] over the queue's two ends plus, in one
+//! The hand-off rule is the Solaris one the paper evaluates (§5.1):
+//! "readers hand the lock over to writers, and writers hand the lock over
+//! to readers". A releasing writer takes every waiting reader, or else the
+//! first writer; a releasing reader takes the first writer, or else every
+//! waiting reader; a downgrading writer takes every waiting reader. Under
+//! that rule where a reader waits relative to the writers never decides a
+//! hand-off, so the queue is a FIFO of writers plus at most one waiting
+//! readers group, which every new reader joins.
+//!
+//! A [`Turnstile`] is a [`SpinMutex`] over that queue's state plus, in one
 //! allocation made when the lock is built, `2 × capacity` wait cells, each
 //! on a cache line of its own: cell `i < capacity` is the writer cell of the
 //! handle on [`SlotRegistry`](crate::SlotRegistry) slot `i`, the other
-//! `capacity` are a pool of reader-group cells. The queue is an intrusive
-//! list of cell indices, so enqueue, hand-off, wake-up and timeout excision
-//! relink cells and allocate nothing. With the mutex held
+//! `capacity` are a pool of reader-group cells. The writers are an
+//! intrusive list of cell indices, so enqueue, hand-off, wake-up and
+//! timeout excision relink cells and allocate nothing. With the mutex held
 //! ([`Turnstile::lock`]) a waiter enqueues itself
 //! ([`enqueue_writer`](LockedQueue::enqueue_writer),
-//! [`join_readers`](LockedQueue::join_readers) — consecutive readers
-//! coalesce into one group at the tail) and a releaser picks its successors
-//! by [`FairnessPolicy`]
+//! [`join_readers`](LockedQueue::join_readers)) and a releaser picks its
+//! successors
 //! ([`dequeue_for_writer_release`](LockedQueue::dequeue_for_writer_release),
-//! [`dequeue_for_reader_release`](LockedQueue::dequeue_for_reader_release));
-//! it moves the lockword to their state, drops the mutex and only then wakes
-//! them ([`Turnstile::grant`]). A waiter polls its cell's [`Event`]
+//! [`dequeue_for_reader_release`](LockedQueue::dequeue_for_reader_release),
+//! [`dequeue_for_downgrade`](LockedQueue::dequeue_for_downgrade)); it moves
+//! the lockword to their state, drops the mutex and only then wakes them
+//! ([`Turnstile::grant`]). A waiter polls its cell's [`Event`]
 //! ([`Turnstile::wait_until`]); one that gives up — a deadline, an unwind —
 //! takes the mutex again and [`excise`](LockedQueue::excise)s its cell:
 //! still queued means it is out and holds nothing, already dequeued means
@@ -38,31 +47,6 @@ use crate::event::{Event, WaitStrategy};
 use crate::sync::{AtomicBool, AtomicU32, Ordering};
 use crate::{CachePadded, SpinMutex, SpinMutexGuard};
 
-/// Queuing policy for conflicting lock requests.
-///
-/// The paper's evaluation (§5.1) uses the Solaris policy: "readers hand
-/// the lock over to writers, and writers hand the lock over to readers" —
-/// [`Alternating`](FairnessPolicy::Alternating). The queue mutex makes the
-/// policy pluggable ("allows a sophisticated queuing policy", §1); strict
-/// [`Fifo`](FairnessPolicy::Fifo) is also provided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FairnessPolicy {
-    /// Releases hand the lock to the group at the head of the queue.
-    Fifo,
-    /// Writers hand over to *all* waiting readers; readers hand over to
-    /// the first waiting writer (the Solaris/paper evaluation policy).
-    #[default]
-    Alternating,
-    /// Every release prefers waiting readers; writers advance only when
-    /// no readers wait. Maximizes read throughput; writers may starve
-    /// under a sustained reader stream (compare ROLL, §4.3).
-    ReaderPreference,
-    /// Every release prefers the first waiting writer; readers advance
-    /// only when no writers wait. Keeps data maximally fresh; readers may
-    /// starve under a sustained writer stream.
-    WriterPreference,
-}
-
 /// "No cell": ends a list, and what a handle that waits on nothing holds.
 pub const NIL: u32 = u32::MAX;
 
@@ -71,26 +55,22 @@ pub const NIL: u32 = u32::MAX;
 /// owns every cell, allocated once in [`Turnstile::new`]: cells
 /// `0..capacity` are the writer cells (the handle on slot `i` waits on cell
 /// `i`) and cells `capacity..2 * capacity` are a pool of group cells, so an
-/// index also tells a cell's kind and the queue is a list of indices through
-/// the cells.
+/// index also tells a cell's kind.
 ///
-/// The links, the mark and the priority are read and written with the
-/// queue mutex held — its acquire/release orders them, hence `Relaxed` —
-/// with one exception: the `next` of a cell a releaser has *dequeued*,
-/// which that releaser alone walks after it drops the mutex.
+/// The links and the mark are read and written with the queue mutex held —
+/// its acquire/release orders them, hence `Relaxed`.
 struct WaitCell {
     /// Set by the granter as its last access to the cell, cleared by
-    /// whoever links the cell into the queue. Nothing else on this line is
-    /// written while a waiter polls it, except by a reader joining or
-    /// leaving the group or a neighbour being linked or unlinked.
+    /// whoever queues the cell. Nothing else on this line is written while
+    /// a waiter polls it, except by a reader joining or leaving the group
+    /// or a neighbouring writer being linked or unlinked.
     event: Event,
+    /// Writer cells: the neighbours in the writer list.
     next: AtomicU32,
     prev: AtomicU32,
-    /// Linked into the queue. What a waiter that gives up reads, under the
-    /// mutex, to learn whether a releaser has already taken it out.
+    /// Queued. What a waiter that gives up reads, under the mutex, to learn
+    /// whether a releaser has already taken it out.
     queued: AtomicBool,
-    /// The writer's priority, or the highest among the group's members.
-    priority: AtomicU32,
     /// Group cells: members that have joined and have neither left nor
     /// acknowledged the wake-up. The first member claims a cell that reads
     /// 0, under the mutex; the last to subtract itself frees it. Joining
@@ -107,17 +87,8 @@ impl WaitCell {
             next: AtomicU32::new(NIL),
             prev: AtomicU32::new(NIL),
             queued: AtomicBool::new(false),
-            priority: AtomicU32::new(0),
             members: AtomicU32::new(0),
         }
-    }
-
-    fn next(&self) -> u32 {
-        self.next.load(Ordering::Relaxed)
-    }
-
-    fn priority(&self) -> u32 {
-        self.priority.load(Ordering::Relaxed)
     }
 }
 
@@ -127,7 +98,7 @@ fn is_group(cells: &[CachePadded<WaitCell>], i: u32) -> bool {
     i as usize >= cells.len() / 2
 }
 
-/// What a releasing thread hands the lock to: cells it has taken out of
+/// What a releasing thread hands the lock to: a cell it has taken out of
 /// the queue and will [`grant`](Turnstile::grant) once the queue mutex is
 /// dropped.
 #[derive(Debug, PartialEq, Eq)]
@@ -137,11 +108,10 @@ pub enum Handoff {
     /// A single writer: the lock is already in (or stays in) the
     /// write-acquired state; just wake it.
     Writer(u32),
-    /// One or more groups of readers, `total` threads in all, chained
-    /// through their cells' `next` from `first`.
+    /// The waiting readers group, `total` threads.
     Readers {
-        /// The first group's cell.
-        first: u32,
+        /// The group's cell.
+        group: u32,
         /// How many readers the releaser must count into the lockword.
         total: u64,
         /// Whether writers remain queued (the reopened lockword must then
@@ -150,15 +120,16 @@ pub enum Handoff {
     },
 }
 
-/// The ends of the wait queue and what is in it. This is what the queue
-/// mutex guards directly, so it shares the mutex's cache line: a releaser
-/// that finds one waiter learns which cell to grant, and of which kind,
-/// from the line it already owns.
+/// The writer list's ends and the waiting readers group. This is what the
+/// queue mutex guards directly, so it shares the mutex's cache line: a
+/// releaser that finds one waiter learns which cell to grant, and of which
+/// kind, from the line it already owns.
 struct WaitQueue {
     head: u32,
     tail: u32,
     num_writers: u32,
-    num_groups: u32,
+    /// The waiting readers group's cell, or [`NIL`].
+    readers: u32,
 }
 
 /// A lock's wait queue and the cells its handles wait on; see the
@@ -178,7 +149,7 @@ impl Turnstile {
                 head: NIL,
                 tail: NIL,
                 num_writers: 0,
-                num_groups: 0,
+                readers: NIL,
             })),
             cells: (0..2 * capacity)
                 .map(|_| CachePadded::new(WaitCell::new(strategy)))
@@ -218,31 +189,20 @@ impl Turnstile {
             .fetch_sub(1, Ordering::Release);
     }
 
-    /// Delivers a hand-off — wakes the waiters on its cells, which already
+    /// Delivers a hand-off — wakes the waiters on its cell, which already
     /// own the lock; called once the queue mutex is dropped. `granting`
-    /// sees each cell's index just before its waiters are woken: the index
+    /// sees the cell's index just before its waiters are woken: the index
     /// is the one value the granting and the woken thread share, so it is
     /// what a lock stamps on both ends of a traced hand-off.
     #[inline]
-    pub fn grant(&self, handoff: Handoff, mut granting: impl FnMut(u32)) {
-        let mut grant = |i: u32| {
-            granting(i);
-            self.cells[i as usize].event.signal();
+    pub fn grant(&self, handoff: Handoff, granting: impl FnOnce(u32)) {
+        let cell = match handoff {
+            Handoff::None => return,
+            Handoff::Writer(w) => w,
+            Handoff::Readers { group, .. } => group,
         };
-        match handoff {
-            Handoff::None => {}
-            Handoff::Writer(w) => grant(w),
-            Handoff::Readers { first, .. } => {
-                let mut g = first;
-                while g != NIL {
-                    // Before the grant: a woken group may free its cell,
-                    // and the next group to claim it relinks it, at once.
-                    let next = self.cells[g as usize].next();
-                    grant(g);
-                    g = next;
-                }
-            }
-        }
+        granting(cell);
+        self.cells[cell as usize].event.signal();
     }
 }
 
@@ -266,7 +226,7 @@ impl LockedQueue<'_> {
     /// Whether nothing is queued.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.ends.head == NIL
+        self.ends.head == NIL && self.ends.readers == NIL
     }
 
     /// Whether a writer is queued.
@@ -275,89 +235,35 @@ impl LockedQueue<'_> {
         self.ends.num_writers > 0
     }
 
-    /// Whether the queue's first entry is a readers group.
+    /// Queues the writer on `slot` at the tail of the writer list; returns
+    /// its cell.
     #[inline]
-    fn head_is_group(&self) -> bool {
-        !self.is_empty() && self.is_group(self.ends.head)
-    }
-
-    /// Links cell `i` in at the tail, re-armed for its next grant.
-    #[inline]
-    fn push_back(&mut self, i: u32) {
+    pub fn enqueue_writer(&mut self, slot: usize) -> u32 {
+        let w = slot as u32;
         let tail = self.ends.tail;
-        let cell = self.cell(i);
+        let cell = self.cell(w);
         cell.event.reset();
         cell.next.store(NIL, Ordering::Relaxed);
         cell.prev.store(tail, Ordering::Relaxed);
         cell.queued.store(true, Ordering::Relaxed);
         if tail == NIL {
-            self.ends.head = i;
+            self.ends.head = w;
         } else {
-            self.cell(tail).next.store(i, Ordering::Relaxed);
+            self.cell(tail).next.store(w, Ordering::Relaxed);
         }
-        self.ends.tail = i;
-        if self.is_group(i) {
-            self.ends.num_groups += 1;
-        } else {
-            self.ends.num_writers += 1;
-        }
-    }
-
-    /// Takes the queued cell `i` out, wherever it is. Its own `next` is
-    /// left as it was.
-    #[inline]
-    fn unlink(&mut self, i: u32) {
-        let cell = self.cell(i);
-        cell.queued.store(false, Ordering::Relaxed);
-        // A lone entry's links are known without a look at its cell, so the
-        // first thing a releaser does to its one waiter's line is write it:
-        // one transfer of the line, where a read first would make it two.
-        let (prev, next) = if self.ends.head == i && self.ends.tail == i {
-            (NIL, NIL)
-        } else {
-            (cell.prev.load(Ordering::Relaxed), cell.next())
-        };
-        if prev == NIL {
-            self.ends.head = next;
-        } else {
-            self.cell(prev).next.store(next, Ordering::Relaxed);
-        }
-        if next == NIL {
-            self.ends.tail = prev;
-        } else {
-            self.cell(next).prev.store(prev, Ordering::Relaxed);
-        }
-        if self.is_group(i) {
-            self.ends.num_groups -= 1;
-        } else {
-            self.ends.num_writers -= 1;
-        }
-    }
-
-    /// Queues the writer on `slot`; returns its cell.
-    #[inline]
-    pub fn enqueue_writer(&mut self, slot: usize, priority: u8) -> u32 {
-        let w = slot as u32;
-        self.cell(w)
-            .priority
-            .store(u32::from(priority), Ordering::Relaxed);
-        self.push_back(w);
+        self.ends.tail = w;
+        self.ends.num_writers += 1;
         w
     }
 
-    /// Joins the readers group at the tail, or starts a new one; returns
-    /// the group's cell. Reader groups only coalesce at the tail.
+    /// Joins the waiting readers group, or starts it; returns the group's
+    /// cell.
     #[inline]
-    pub fn join_readers(&mut self, slot: usize, priority: u8) -> u32 {
-        let priority = u32::from(priority);
-        let tail = self.ends.tail;
-        if tail != NIL && self.is_group(tail) {
-            let group = self.cell(tail);
-            group
-                .priority
-                .store(group.priority().max(priority), Ordering::Relaxed);
-            group.members.fetch_add(1, Ordering::Relaxed);
-            return tail;
+    pub fn join_readers(&mut self, slot: usize) -> u32 {
+        let readers = self.ends.readers;
+        if readers != NIL {
+            self.cell(readers).members.fetch_add(1, Ordering::Relaxed);
+            return readers;
         }
         // A handle is a member of at most one group from joining it to
         // acknowledging its wake-up, and this one is in none: the other
@@ -370,194 +276,97 @@ impl LockedQueue<'_> {
             .find(|&g| self.cell(g).members.load(Ordering::Acquire) == 0)
             .expect("every group cell is in use by another handle");
         let group = self.cell(g);
-        group.priority.store(priority, Ordering::Relaxed);
+        group.event.reset();
         group.members.store(1, Ordering::Relaxed);
-        self.push_back(g);
+        group.queued.store(true, Ordering::Relaxed);
+        self.ends.readers = g;
         g
     }
 
-    /// Highest priority among queued reader groups and among queued
-    /// writers (0 for a class that has none queued).
-    fn max_priorities(&self) -> (u32, u32) {
-        let (mut readers, mut writers) = (0, 0);
-        let mut i = self.ends.head;
-        while i != NIL {
-            let cell = self.cell(i);
-            let class = if self.is_group(i) {
-                &mut readers
-            } else {
-                &mut writers
-            };
-            *class = cell.priority().max(*class);
-            i = cell.next();
-        }
-        (readers, writers)
-    }
-
-    /// Takes the queued group `g` out as the last cell of a dequeued chain;
-    /// returns how many members the releaser must pre-arrive for.
+    /// Takes the queued writer `w` out, wherever it is in the list. Its own
+    /// links are left as they were.
     #[inline]
-    fn take_group(&mut self, g: u32) -> u64 {
-        let members = self.cell(g).members.load(Ordering::Relaxed);
-        self.unlink(g);
-        self.cell(g).next.store(NIL, Ordering::Relaxed);
-        u64::from(members)
-    }
-
-    /// Removes whatever is at the head (the [`Fifo`](FairnessPolicy::Fifo)
-    /// release).
-    #[inline]
-    fn pop_front(&mut self) -> Handoff {
-        let head = self.ends.head;
-        if head == NIL {
-            Handoff::None
-        } else if self.is_group(head) {
-            Handoff::Readers {
-                first: head,
-                total: self.take_group(head),
-                writers_remain: self.ends.num_writers > 0,
-            }
+    fn unlink_writer(&mut self, w: u32) {
+        let cell = self.cell(w);
+        cell.queued.store(false, Ordering::Relaxed);
+        // A lone writer's links are known without a look at its cell, so the
+        // first thing a releaser does to its one waiter's line is write it:
+        // one transfer of the line, where a read first would make it two.
+        let (prev, next) = if self.ends.head == w && self.ends.tail == w {
+            (NIL, NIL)
         } else {
-            self.unlink(head);
-            Handoff::Writer(head)
-        }
-    }
-
-    /// Removes *every* readers group (Alternating writer-release), chained
-    /// in queue order.
-    #[inline]
-    fn drain_all_readers(&mut self) -> Handoff {
-        let (mut first, mut last, mut total) = (NIL, NIL, 0u64);
-        let mut i = self.ends.head;
-        while self.ends.num_groups > 0 {
-            let next = self.cell(i).next();
-            if self.is_group(i) {
-                total += self.take_group(i);
-                if last == NIL {
-                    first = i;
-                } else {
-                    self.cell(last).next.store(i, Ordering::Relaxed);
-                }
-                last = i;
-            }
-            i = next;
-        }
-        if first == NIL {
-            Handoff::None
+            (
+                cell.prev.load(Ordering::Relaxed),
+                cell.next.load(Ordering::Relaxed),
+            )
+        };
+        if prev == NIL {
+            self.ends.head = next;
         } else {
-            Handoff::Readers {
-                first,
-                total,
-                writers_remain: self.ends.num_writers > 0,
-            }
+            self.cell(prev).next.store(next, Ordering::Relaxed);
         }
+        if next == NIL {
+            self.ends.tail = prev;
+        } else {
+            self.cell(next).prev.store(prev, Ordering::Relaxed);
+        }
+        self.ends.num_writers -= 1;
     }
 
-    /// The first writer at or after cell `i`.
-    #[inline]
-    fn skip_groups(&self, mut i: u32) -> u32 {
-        while i != NIL && self.is_group(i) {
-            i = self.cell(i).next();
-        }
-        i
-    }
-
-    /// Removes the highest-priority writer (earliest among ties —
-    /// turnstiles order by priority, then FIFO).
+    /// Removes the first writer.
     #[inline]
     fn take_first_writer(&mut self) -> Handoff {
-        if self.ends.num_writers == 0 {
+        let head = self.ends.head;
+        if head == NIL {
             return Handoff::None;
         }
-        let mut best = self.skip_groups(self.ends.head);
-        // A lone writer has nobody to be compared with (and, at the head,
-        // is granted without a read of its cell: see `unlink`).
-        if self.ends.num_writers > 1 {
-            let mut i = best;
-            loop {
-                i = self.skip_groups(self.cell(i).next());
-                if i == NIL {
-                    break;
-                }
-                if self.cell(i).priority() > self.cell(best).priority() {
-                    best = i;
-                }
-            }
-        }
-        self.unlink(best);
-        Handoff::Writer(best)
+        self.unlink_writer(head);
+        Handoff::Writer(head)
     }
 
-    /// Prefer readers: wake every waiting reader if any exist, else the
-    /// first writer.
+    /// Removes the waiting readers group.
     #[inline]
-    fn readers_first(&mut self) -> Handoff {
-        if self.ends.num_groups > 0 {
-            self.drain_all_readers()
+    fn take_readers(&mut self) -> Handoff {
+        let group = std::mem::replace(&mut self.ends.readers, NIL);
+        if group == NIL {
+            return Handoff::None;
+        }
+        let cell = self.cell(group);
+        cell.queued.store(false, Ordering::Relaxed);
+        Handoff::Readers {
+            group,
+            total: u64::from(cell.members.load(Ordering::Relaxed)),
+            writers_remain: self.ends.num_writers > 0,
+        }
+    }
+
+    /// Chooses the hand-off target for a releasing *writer*: every waiting
+    /// reader, or else the first writer.
+    #[inline]
+    pub fn dequeue_for_writer_release(&mut self) -> Handoff {
+        if self.ends.readers != NIL {
+            self.take_readers()
         } else {
             self.take_first_writer()
         }
     }
 
-    /// The §5.1 policy with priorities: "writers hand the lock over to
-    /// readers (unless a higher-priority writer is waiting)".
+    /// Chooses the hand-off target for a releasing *reader*: the first
+    /// writer, or else every waiting reader.
     #[inline]
-    fn readers_first_unless_higher_priority_writer(&mut self) -> Handoff {
-        // Priorities decide only when both classes wait.
-        if self.ends.num_groups > 0 && self.ends.num_writers > 0 {
-            let (readers, writers) = self.max_priorities();
-            if writers > readers {
-                return self.take_first_writer();
-            }
-        }
-        self.readers_first()
-    }
-
-    /// Prefer writers: wake the first writer if any exists, else every
-    /// waiting reader.
-    #[inline]
-    fn writers_first(&mut self) -> Handoff {
+    pub fn dequeue_for_reader_release(&mut self) -> Handoff {
         if self.ends.num_writers > 0 {
             self.take_first_writer()
         } else {
-            self.drain_all_readers()
+            self.take_readers()
         }
     }
 
-    /// Chooses the hand-off target for a releasing *writer*.
+    /// Chooses who comes along when the write holder *downgrades*: every
+    /// waiting reader, since they can all share the read hold it keeps.
     #[inline]
-    pub fn dequeue_for_writer_release(&mut self, policy: FairnessPolicy) -> Handoff {
-        match policy {
-            FairnessPolicy::Fifo => self.pop_front(),
-            FairnessPolicy::Alternating => self.readers_first_unless_higher_priority_writer(),
-            FairnessPolicy::ReaderPreference => self.readers_first(),
-            FairnessPolicy::WriterPreference => self.writers_first(),
-        }
-    }
-
-    /// Chooses the hand-off target for a releasing *reader*.
-    #[inline]
-    pub fn dequeue_for_reader_release(&mut self, policy: FairnessPolicy) -> Handoff {
-        match policy {
-            FairnessPolicy::Fifo => self.pop_front(),
-            FairnessPolicy::Alternating | FairnessPolicy::WriterPreference => self.writers_first(),
-            FairnessPolicy::ReaderPreference => self.readers_first(),
-        }
-    }
-
-    /// Chooses who comes along when the write holder *downgrades*: readers
-    /// only, since they can all share the read hold it keeps — every
-    /// waiting one, or under [`Fifo`](FairnessPolicy::Fifo) the group at
-    /// the head, if that is what is there.
-    #[inline]
-    pub fn dequeue_for_downgrade(&mut self, policy: FairnessPolicy) -> Handoff {
-        match policy {
-            FairnessPolicy::Fifo if self.head_is_group() => self.pop_front(),
-            FairnessPolicy::Fifo => Handoff::None,
-            FairnessPolicy::Alternating
-            | FairnessPolicy::ReaderPreference
-            | FairnessPolicy::WriterPreference => self.drain_all_readers(),
-        }
+    pub fn dequeue_for_downgrade(&mut self) -> Handoff {
+        self.take_readers()
     }
 
     /// A waiter gives up on cell `i`. Returns `true` if the cell was still
@@ -573,10 +382,13 @@ impl LockedQueue<'_> {
         if !cell.queued.load(Ordering::Relaxed) {
             return false;
         }
-        // `Release` for the same reason as in `acknowledge`: leaving may
-        // free the cell.
-        if !self.is_group(i) || cell.members.fetch_sub(1, Ordering::Release) == 1 {
-            self.unlink(i);
+        // `Release` for the same reason as in `acknowledge`: a reader's
+        // leaving may free the cell.
+        if !self.is_group(i) {
+            self.unlink_writer(i);
+        } else if cell.members.fetch_sub(1, Ordering::Release) == 1 {
+            cell.queued.store(false, Ordering::Relaxed);
+            self.ends.readers = NIL;
         }
         true
     }
@@ -584,8 +396,9 @@ impl LockedQueue<'_> {
 
 #[cfg(all(test, not(loom)))]
 mod tests {
-    use super::FairnessPolicy::{Alternating, Fifo, ReaderPreference, WriterPreference};
     use super::*;
+    use crate::XorShift64;
+    use std::collections::{BTreeSet, VecDeque};
 
     fn turnstile(capacity: usize) -> Turnstile {
         Turnstile::new(capacity, WaitStrategy::SpinThenYield)
@@ -610,225 +423,275 @@ mod tests {
     }
 
     #[test]
-    fn reader_groups_coalesce_only_at_the_tail() {
-        let t = turnstile(4);
+    fn readers_join_one_group_past_queued_writers() {
+        let t = turnstile(3);
         let mut q = t.lock();
-        let front = q.join_readers(0, 0);
-        assert!(t.is_group(front));
-        assert_eq!(q.join_readers(1, 0), front);
-        let w = q.enqueue_writer(2, 0);
-        assert_eq!((w, t.is_group(w)), (2, false));
-        // The tail is a writer now: a new group, behind it.
-        let back = q.join_readers(3, 0);
-        assert_ne!(back, front);
-        assert!(q.head_is_group() && q.has_writers());
-
+        let group = q.join_readers(0);
+        assert!(t.is_group(group));
+        let w = q.enqueue_writer(1);
+        assert_eq!((w, t.is_group(w)), (1, false));
+        // A writer behind the group does not start a second one.
+        assert_eq!(q.join_readers(2), group);
+        let handoff = q.dequeue_for_writer_release();
         assert_eq!(
-            q.pop_front(),
+            handoff,
             Handoff::Readers {
-                first: front,
+                group,
                 total: 2,
                 writers_remain: true
             }
         );
-        assert_eq!(q.pop_front(), Handoff::Writer(w));
-        assert!(!q.has_writers());
-        assert_eq!(
-            q.pop_front(),
-            Handoff::Readers {
-                first: back,
-                total: 1,
-                writers_remain: false
-            }
-        );
-        assert!(q.is_empty());
-        assert_eq!(q.pop_front(), Handoff::None);
+        drop(q);
+        assert_eq!(granted(&t, handoff), [group]);
+        assert_eq!(t.lock().dequeue_for_reader_release(), Handoff::Writer(w));
+        assert!(t.lock().is_empty());
     }
 
-    /// What a release under `policy` takes from a queue of a readers group,
-    /// a writer (on slot 1) and a second readers group, as the cells it
-    /// wakes, in order: `[1]` is the writer, `[front]` the head group,
-    /// `[front, back]` every reader.
-    fn release(policy: FairnessPolicy, from_reader: bool) -> (Vec<u32>, [u32; 2]) {
+    /// What a release takes from a queue of a reader (slot 0), a writer
+    /// (slot 1) and a second reader (slot 2), as the cells it wakes: `[1]`
+    /// is the writer, `[group]` both readers.
+    fn release(from_reader: bool) -> (Vec<u32>, u32) {
         let t = turnstile(3);
         let mut q = t.lock();
-        let front = q.join_readers(0, 0);
-        q.enqueue_writer(1, 0);
-        let back = q.join_readers(2, 0);
+        let group = q.join_readers(0);
+        q.enqueue_writer(1);
+        q.join_readers(2);
         let handoff = if from_reader {
-            q.dequeue_for_reader_release(policy)
+            q.dequeue_for_reader_release()
         } else {
-            q.dequeue_for_writer_release(policy)
+            q.dequeue_for_writer_release()
         };
-        // One member to a group, and the writer stays behind them.
-        let readers = match handoff {
-            Handoff::Readers {
-                total,
-                writers_remain,
-                ..
-            } => Some((total as usize, writers_remain)),
-            _ => None,
-        };
+        // Both readers, and the writer stays behind them.
+        if let Handoff::Readers {
+            total,
+            writers_remain,
+            ..
+        } = handoff
+        {
+            assert_eq!((total, writers_remain), (2, true));
+        }
         drop(q);
-        let woken = granted(&t, handoff);
-        assert!(readers.is_none() || readers == Some((woken.len(), true)));
-        (woken, [front, back])
+        (granted(&t, handoff), group)
     }
 
     #[test]
     fn each_policy_and_release_kind_picks_its_documented_target() {
-        for from_reader in [false, true] {
-            let (woken, [front, _]) = release(Fifo, from_reader);
-            assert_eq!(woken, [front], "Fifo: the head, whatever it is");
-            let (woken, [front, back]) = release(ReaderPreference, from_reader);
-            assert_eq!(woken, [front, back], "every reader, in queue order");
-            let (woken, _) = release(WriterPreference, from_reader);
-            assert_eq!(woken, [1], "the writer, over the group ahead of it");
-        }
         // The Solaris policy: writers hand to all readers, readers to the
         // first writer.
-        let (woken, [front, back]) = release(Alternating, false);
-        assert_eq!(woken, [front, back]);
-        let (woken, _) = release(Alternating, true);
+        let (woken, group) = release(false);
+        assert_eq!(woken, [group]);
+        let (woken, _) = release(true);
         assert_eq!(woken, [1]);
     }
 
     #[test]
     fn only_the_class_that_waits_is_picked_when_the_preferred_one_is_absent() {
-        for policy in [Fifo, Alternating, ReaderPreference, WriterPreference] {
-            let t = turnstile(2);
-            let mut q = t.lock();
-            q.enqueue_writer(1, 0);
-            assert_eq!(q.dequeue_for_writer_release(policy), Handoff::Writer(1));
-            let g = q.join_readers(0, 0);
-            let readers = Handoff::Readers {
-                first: g,
-                total: 1,
-                writers_remain: false,
-            };
-            assert_eq!(q.dequeue_for_reader_release(policy), readers);
-            assert_eq!(q.dequeue_for_reader_release(policy), Handoff::None);
-            assert_eq!(q.dequeue_for_writer_release(policy), Handoff::None);
-        }
-    }
-
-    #[test]
-    fn alternating_writer_release_yields_to_a_strictly_higher_priority_writer() {
-        let t = turnstile(4);
+        let t = turnstile(2);
         let mut q = t.lock();
-        let readers = q.join_readers(0, 1);
-        q.join_readers(1, 3); // the group's priority is its highest member's
-        q.enqueue_writer(2, 3);
-        // Equal is not higher: the readers go.
-        assert_eq!(
-            q.dequeue_for_writer_release(Alternating),
-            Handoff::Readers {
-                first: readers,
-                total: 2,
-                writers_remain: true
-            }
-        );
-        let readers = q.join_readers(0, 3);
-        q.enqueue_writer(3, 4);
-        q.enqueue_writer(1, 4);
-        // Strictly higher: the first of the highest-priority writers goes,
-        // past the earlier, lower one; the other policies do not look.
-        assert_eq!(
-            q.dequeue_for_writer_release(Alternating),
-            Handoff::Writer(3)
-        );
-        assert_eq!(
-            q.dequeue_for_reader_release(Alternating),
-            Handoff::Writer(1)
-        );
-        assert_eq!(
-            q.dequeue_for_writer_release(ReaderPreference),
-            Handoff::Readers {
-                first: readers,
-                total: 1,
-                writers_remain: true
-            }
-        );
-        assert_eq!(
-            q.dequeue_for_writer_release(Alternating),
-            Handoff::Writer(2)
-        );
-        assert!(q.is_empty());
+        q.enqueue_writer(1);
+        assert_eq!(q.dequeue_for_writer_release(), Handoff::Writer(1));
+        let group = q.join_readers(0);
+        let readers = Handoff::Readers {
+            group,
+            total: 1,
+            writers_remain: false,
+        };
+        assert_eq!(q.dequeue_for_reader_release(), readers);
+        assert_eq!(q.dequeue_for_reader_release(), Handoff::None);
+        assert_eq!(q.dequeue_for_writer_release(), Handoff::None);
     }
 
     #[test]
     fn a_downgrade_brings_readers_along_and_never_a_writer() {
-        for policy in [Fifo, Alternating, ReaderPreference, WriterPreference] {
-            let t = turnstile(3);
-            let mut q = t.lock();
-            q.enqueue_writer(0, 0);
-            assert!(policy != Fifo || q.dequeue_for_downgrade(policy) == Handoff::None);
-            let behind = q.join_readers(1, 0);
-            // Fifo takes a group only from the head; the rest, from anywhere.
-            let writer_stays = if policy == Fifo {
-                assert_eq!(q.pop_front(), Handoff::Writer(0));
-                false
-            } else {
-                true
-            };
-            assert_eq!(
-                q.dequeue_for_downgrade(policy),
-                Handoff::Readers {
-                    first: behind,
-                    total: 1,
-                    writers_remain: writer_stays
-                }
-            );
-            assert_eq!(q.dequeue_for_downgrade(policy), Handoff::None);
-            assert_eq!(q.has_writers(), writer_stays);
-        }
+        let t = turnstile(3);
+        let mut q = t.lock();
+        q.enqueue_writer(0);
+        assert_eq!(q.dequeue_for_downgrade(), Handoff::None);
+        let behind = q.join_readers(1);
+        assert_eq!(
+            q.dequeue_for_downgrade(),
+            Handoff::Readers {
+                group: behind,
+                total: 1,
+                writers_remain: true
+            }
+        );
+        assert_eq!(q.dequeue_for_downgrade(), Handoff::None);
+        assert!(q.has_writers());
     }
 
     #[test]
     fn excise_takes_out_what_is_queued_and_refuses_what_is_dequeued() {
         let t = turnstile(3);
         let mut q = t.lock();
-        // A reader leaves its group; the last one out unlinks the cell.
-        let g = q.join_readers(0, 0);
-        q.join_readers(1, 0);
+        // A reader leaves its group; the last one out takes the cell out.
+        let g = q.join_readers(0);
+        q.join_readers(1);
         assert!(q.excise(g));
-        assert!(q.head_is_group());
+        assert!(!q.is_empty());
         assert!(q.excise(g));
         assert!(q.is_empty());
         // A writer comes out of the middle.
         for slot in 0..3 {
-            q.enqueue_writer(slot, 0);
+            q.enqueue_writer(slot);
         }
         assert!(q.excise(1));
-        assert_eq!(q.pop_front(), Handoff::Writer(0));
+        assert_eq!(q.dequeue_for_reader_release(), Handoff::Writer(0));
         // Dequeued: the hand-off is this waiter's to accept.
         assert!(!q.excise(0));
-        assert_eq!(q.pop_front(), Handoff::Writer(2));
+        assert_eq!(q.dequeue_for_reader_release(), Handoff::Writer(2));
         assert!(q.is_empty() && !q.has_writers());
-        let g = q.join_readers(0, 0);
-        assert!(matches!(q.drain_all_readers(), Handoff::Readers { .. }));
+        let g = q.join_readers(0);
+        assert!(matches!(q.dequeue_for_downgrade(), Handoff::Readers { .. }));
         assert!(!q.excise(g));
     }
 
     #[test]
     fn a_group_cell_is_reclaimed_only_after_its_last_acknowledge() {
         let t = turnstile(2);
-        let g = t.lock().join_readers(0, 0);
-        assert_eq!(t.lock().join_readers(1, 0), g);
-        let handoff = t.lock().pop_front();
+        let g = t.lock().join_readers(0);
+        assert_eq!(t.lock().join_readers(1), g);
+        let handoff = t.lock().dequeue_for_writer_release();
         assert_eq!(granted(&t, handoff), [g]);
         // One member is still looking at the cell: slot 0's next group
         // starts its search there and must pass it over.
         t.acknowledge(g);
-        let other = t.lock().join_readers(0, 0);
+        let other = t.lock().join_readers(0);
         assert_ne!(other, g);
         assert!(t.lock().excise(other));
         // Both are through: the cell is claimed again, and re-armed.
         t.acknowledge(g);
-        assert_eq!(t.lock().join_readers(0, 0), g);
+        assert_eq!(t.lock().join_readers(0), g);
         assert!(!t.cells[g as usize].event.is_set());
         assert!(!t.wait_until(g, std::time::Instant::now()));
         assert!(t.lock().excise(g));
         assert!(t.lock().is_empty());
+    }
+
+    /// A hand-off as the slots it wakes.
+    #[derive(Debug, PartialEq)]
+    enum Woken {
+        None,
+        Writer(usize),
+        /// The readers, and whether writers remain queued.
+        Readers(BTreeSet<usize>, bool),
+    }
+
+    /// The reference: the writers in arrival order and the set of waiting
+    /// readers, under the §5.1 rule.
+    #[derive(Default)]
+    struct Model {
+        writers: VecDeque<usize>,
+        readers: BTreeSet<usize>,
+    }
+
+    impl Model {
+        fn first_writer(&mut self) -> Woken {
+            self.writers.pop_front().map_or(Woken::None, Woken::Writer)
+        }
+
+        fn every_reader(&mut self) -> Woken {
+            if self.readers.is_empty() {
+                return Woken::None;
+            }
+            let readers = std::mem::take(&mut self.readers);
+            Woken::Readers(readers, !self.writers.is_empty())
+        }
+
+        fn writer_release(&mut self) -> Woken {
+            if self.readers.is_empty() {
+                self.first_writer()
+            } else {
+                self.every_reader()
+            }
+        }
+
+        fn reader_release(&mut self) -> Woken {
+            if self.writers.is_empty() {
+                self.every_reader()
+            } else {
+                self.first_writer()
+            }
+        }
+
+        fn leave(&mut self, slot: usize) {
+            self.writers.retain(|&w| w != slot);
+            self.readers.remove(&slot);
+        }
+    }
+
+    #[test]
+    fn hand_offs_match_a_writer_fifo_and_a_reader_set() {
+        const SLOTS: usize = 6;
+        let mut rng = XorShift64::new(0x7475_726e_7374_696c);
+        for _ in 0..10_000 {
+            let t = turnstile(SLOTS);
+            let mut model = Model::default();
+            // The cell each slot waits on, or NIL.
+            let mut waiting = [NIL; SLOTS];
+            for _ in 0..1 + rng.next_below(40) {
+                let slot = rng.next_below(SLOTS as u64) as usize;
+                let mut q = t.lock();
+                let (handoff, expected) = match rng.next_below(6) {
+                    0 if waiting[slot] == NIL => {
+                        model.writers.push_back(slot);
+                        waiting[slot] = q.enqueue_writer(slot);
+                        continue;
+                    }
+                    1 if waiting[slot] == NIL => {
+                        model.readers.insert(slot);
+                        waiting[slot] = q.join_readers(slot);
+                        continue;
+                    }
+                    2 if waiting[slot] != NIL => {
+                        assert!(q.excise(waiting[slot]));
+                        model.leave(slot);
+                        waiting[slot] = NIL;
+                        continue;
+                    }
+                    3 => (q.dequeue_for_writer_release(), model.writer_release()),
+                    4 => (q.dequeue_for_reader_release(), model.reader_release()),
+                    5 => (q.dequeue_for_downgrade(), model.every_reader()),
+                    _ => continue,
+                };
+                assert_eq!(q.has_writers(), !model.writers.is_empty());
+                assert_eq!(
+                    q.is_empty(),
+                    model.writers.is_empty() && model.readers.is_empty()
+                );
+                drop(q);
+                let readers = match handoff {
+                    Handoff::Readers {
+                        total,
+                        writers_remain,
+                        ..
+                    } => Some((total, writers_remain)),
+                    _ => None,
+                };
+                let cells = granted(&t, handoff);
+                let slots: BTreeSet<usize> = (0..SLOTS)
+                    .filter(|&s| cells.contains(&waiting[s]))
+                    .collect();
+                let woken = match readers {
+                    _ if cells.is_empty() => Woken::None,
+                    None => Woken::Writer(cells[0] as usize),
+                    Some((total, writers_remain)) => {
+                        assert_eq!(total, slots.len() as u64);
+                        Woken::Readers(slots.clone(), writers_remain)
+                    }
+                };
+                assert_eq!(woken, expected);
+                for s in slots {
+                    // A waiter that gave up too late still owns the grant.
+                    if rng.percent(50) {
+                        assert!(!t.lock().excise(waiting[s]));
+                    }
+                    if t.is_group(waiting[s]) {
+                        t.acknowledge(waiting[s]);
+                    }
+                    waiting[s] = NIL;
+                }
+            }
+        }
     }
 }

@@ -12,7 +12,7 @@
 //!   [`FollLock`].
 //! * Read-mostly data, maximize reader throughput, writers may wait
 //!   longer → [`RollLock`].
-//! * Need blocking waiters, priority-style policies, or write
+//! * Need blocking waiters, readers and writers taking turns, or write
 //!   upgrade/downgrade → [`GollLock`].
 //!
 //! # Quickstart
@@ -81,8 +81,8 @@ pub use oll_core::{AcquireError, WatchedHandle};
 #[cfg(not(loom))]
 pub use oll_core::{Bravo, BravoHandle};
 pub use oll_core::{
-    FairnessPolicy, FollBuilder, FollLock, GollBuilder, GollLock, RollBuilder, RollLock, RwHandle,
-    RwLock, RwLockFamily, TimedOut, UpgradableHandle,
+    FollBuilder, FollLock, GollBuilder, GollLock, RollBuilder, RollLock, RwHandle, RwLock,
+    RwLockFamily, TimedOut, UpgradableHandle,
 };
 #[cfg(not(loom))]
 pub use oll_core::{PolicyConfig, Regime, SelfTuning, TunedHandle, TuningConfig, TuningKnobs};

@@ -2,7 +2,7 @@
 //! starved by a reader stream), ROLL's reader preference (readers
 //! overtake queued writers), and GOLL's alternating hand-off.
 
-use oll::{FairnessPolicy, FollLock, GollLock, RollLock, RwHandle, RwLockFamily};
+use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,18 +17,6 @@ fn foll_writer_not_starved_by_reader_stream() {
 #[test]
 fn goll_writer_not_starved_by_reader_stream() {
     writer_completes_under_reader_stream(GollLock::new, "GOLL");
-}
-
-#[test]
-fn goll_fifo_writer_not_starved() {
-    writer_completes_under_reader_stream(
-        |cap| {
-            GollLock::builder(cap)
-                .fairness(FairnessPolicy::Fifo)
-                .build()
-        },
-        "GOLL/FIFO",
-    );
 }
 
 fn writer_completes_under_reader_stream<L, F>(make: F, name: &'static str)

@@ -8,7 +8,7 @@
 
 use oll::baselines::SolarisLikeRwLock;
 use oll::util::WaitStrategy;
-use oll::{FairnessPolicy, GollLock, RwLockFamily, TimedHandle};
+use oll::{GollLock, RwLockFamily, TimedHandle};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -134,24 +134,16 @@ fn turnstile_users_allocate_nothing_after_setup() {
     // once, and whether the warm-up below gets that far is up to the
     // scheduler.
     oll::util::topology::Topology::get();
-    for policy in [
-        FairnessPolicy::Fifo,
-        FairnessPolicy::Alternating,
-        FairnessPolicy::ReaderPreference,
-        FairnessPolicy::WriterPreference,
-    ] {
-        let lock = GollLock::builder(THREADS)
-            .fairness(policy)
-            .wait_strategy(WaitStrategy::SpinThenYield)
-            .build();
-        assert_eq!(
-            allocations_under_churn(&lock),
-            0,
-            "{policy:?}: GOLL allocated on an acquire, release or cancel path"
-        );
-        let root = lock.csnzi_snapshot();
-        assert_eq!((root.surplus(), root.open), (0, true));
-    }
+    let lock = GollLock::builder(THREADS)
+        .wait_strategy(WaitStrategy::SpinThenYield)
+        .build();
+    assert_eq!(
+        allocations_under_churn(&lock),
+        0,
+        "GOLL allocated on an acquire, release or cancel path"
+    );
+    let root = lock.csnzi_snapshot();
+    assert_eq!((root.surplus(), root.open), (0, true));
     // (Under `SpinThenPark` an event's list of parked threads gets its
     // storage the first time a waiter parks on it, once per cell; the
     // warm-up parks on every cell many times over.)
