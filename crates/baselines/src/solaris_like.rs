@@ -2,28 +2,21 @@
 //!
 //! A single central lockword holds the reader count plus `writeLocked`,
 //! `writeWanted`, and `hasWaiters` bits. Conflicting threads enqueue in a
-//! turnstile — [`oll_util::turnstile`], the very one GOLL queues on — after
-//! atomically setting the waiter bits, and releasing threads *hand over*
-//! ownership: the lockword is moved directly to the next holder's state
-//! before they are woken, so "threads always own the lock upon awakening".
+//! turnstile after atomically setting the waiter bits, and releasing
+//! threads *hand over* ownership: the lockword is moved directly to the
+//! next holder's state before they are woken, so "threads always own the
+//! lock upon awakening".
 //!
-//! This is the user-space reproduction the paper itself benchmarks ("the
-//! Solaris implementation cannot be used in user-space", §5.1), with the
-//! same alternating hand-off policy and spin-based waiting. Its scaling
-//! problem — every reader CASes the shared lockword twice per critical
-//! section — is exactly what the GOLL lock's C-SNZI removes: §3.2 defines
-//! GOLL as this lock with the lockword replaced, so the two share the queue
-//! and differ in what this file holds, the lockword protocol.
+//! This is the user-space reproduction the paper itself benchmarks (§5.1).
+//! Its scaling problem — every reader CASes the shared lockword twice per
+//! critical section — is what GOLL's C-SNZI removes: §3.2 defines GOLL as
+//! this lock with the lockword replaced. So both are the one
+//! [`oll_core::turnstile_lock`] skeleton, and this file is the lockword.
 
-use oll_core::raw::{RwHandle, RwLockFamily};
-use oll_core::TimedOut;
-use oll_hazard::Hazard;
-use oll_telemetry::{LockEvent, Telemetry, Timer};
-use oll_util::backoff::{Backoff, BackoffPolicy, Deadline, Never};
-use oll_util::event::WaitStrategy;
-use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
+use oll_core::turnstile_lock::{Attempt, FaultSites, Lockword, TurnstileHandle, TurnstileLock};
+use oll_telemetry::Telemetry;
 use oll_util::sync::{AtomicU64, Ordering};
-use oll_util::turnstile::{Handoff, LockedQueue, Turnstile};
+use oll_util::turnstile::{Handoff, LockedQueue};
 use oll_util::CachePadded;
 
 const WRITE_LOCKED: u64 = 0b001;
@@ -66,362 +59,149 @@ impl Word {
     }
 }
 
-/// The Solaris-like central-lockword reader-writer lock.
-pub struct SolarisLikeRwLock {
-    word: CachePadded<AtomicU64>,
-    /// The handle on slot `i` queues for writing on cell `i`.
-    turnstile: Turnstile,
-    slots: SlotRegistry,
-    backoff: BackoffPolicy,
-    telemetry: Telemetry,
-    hazard: Hazard,
+/// The §3.1 lockword, on a cache line of its own.
+#[doc(hidden)]
+pub struct SolarisWord(CachePadded<AtomicU64>);
+
+impl Default for SolarisWord {
+    fn default() -> Self {
+        Self(CachePadded::new(AtomicU64::new(0)))
+    }
 }
 
-impl SolarisLikeRwLock {
-    /// Creates a lock for at most `capacity` concurrent threads with
-    /// spin-based waiters (the paper's configuration).
-    pub fn new(capacity: usize) -> Self {
-        Self::with_strategy(capacity, WaitStrategy::SpinThenYield)
-    }
-
-    /// Creates a lock with an explicit waiter strategy.
-    pub fn with_strategy(capacity: usize, strategy: WaitStrategy) -> Self {
-        let capacity = capacity.max(1);
-        let telemetry = Telemetry::register("Solaris-like");
-        let hazard = Hazard::new();
-        hazard.attach_telemetry(&telemetry);
-        Self {
-            word: CachePadded::new(AtomicU64::new(0)),
-            turnstile: Turnstile::new(capacity, strategy),
-            slots: SlotRegistry::new(capacity),
-            backoff: BackoffPolicy::default(),
-            telemetry,
-            hazard,
-        }
-    }
-
+impl SolarisWord {
     fn load(&self) -> Word {
-        Word(self.word.load(Ordering::Acquire))
+        Word(self.0.load(Ordering::Acquire))
     }
 
     fn cas(&self, old: Word, new: Word) -> bool {
-        self.word
+        self.0
             .compare_exchange(old.0, new.0, Ordering::AcqRel, Ordering::Acquire)
             .is_ok()
     }
+}
 
-    /// Hand-off after a write release or a last-reader release; called
-    /// with the turnstile locked and the lock still owned by the caller.
-    /// §5.1's policy, as in GOLL and the kernel: writers hand to all
-    /// waiting readers, readers hand to the first waiting writer. The
-    /// lockword is moved to the next holder's state — which also recomputes
-    /// waiter bits a timed-out waiter left stale — before the mutex drops,
-    /// and the waiters are woken after.
-    fn handover(&self, mut q: LockedQueue<'_>, from_reader: bool) {
-        let handoff = if from_reader {
-            q.dequeue_for_reader_release()
+/// Invariant: readers > 0 ∧ `hasWaiters` ⇒ `writeWanted`. A reader sets
+/// `hasWaiters` only on a word that blocks readers, which with readers
+/// inside means `writeWanted`; a writer sets both bits at once; a hand-off
+/// to readers sets both or neither. So once the last reader sees
+/// `hasWaiters`, `writeWanted` keeps every other reader out and nothing
+/// but a writer re-marking it can touch the word: the reader owns the lock
+/// with no re-check under the mutex.
+impl Lockword for SolarisWord {
+    const NAME: &'static str = "Solaris-like";
+    const SITES: FaultSites = FaultSites {
+        read_before_queue_mutex: "solaris.read.before-queue-mutex",
+        read_queued: "solaris.read.queued",
+        read_timeout: "solaris.read.timeout",
+        read_cancel_vs_handoff: "solaris.read.cancel-vs-handoff",
+        write_before_queue_mutex: "solaris.write.before-queue-mutex",
+        write_queued: "solaris.write.queued",
+        write_timeout: "solaris.write.timeout",
+        write_cancel_vs_handoff: "solaris.write.cancel-vs-handoff",
+        unlock_read_before_handoff: "solaris.unlock_read.before-handoff",
+    };
+    type Local = ();
+    type ReadHold = ();
+    const GRANTED_READ: () = ();
+
+    fn try_read(&self, (): &mut (), _: &Telemetry) -> Attempt {
+        let w = self.load();
+        if w.blocks_readers() {
+            Attempt::Blocked
+        } else if self.cas(w, Word(w.0 + READER_UNIT)) {
+            Attempt::Acquired(())
         } else {
-            q.dequeue_for_writer_release()
-        };
-        let word = match handoff {
-            // Spurious hasWaiters: actually free the lock.
-            Handoff::None => Word(0),
-            Handoff::Writer(_) => {
-                self.telemetry.incr(LockEvent::HandoffToWriter);
-                Word::make(0, true, q.has_writers(), !q.is_empty())
+            Attempt::Retry
+        }
+    }
+
+    fn try_write(&self) -> Attempt {
+        let w = self.load();
+        if !w.free_for_writer() {
+            Attempt::Blocked
+        } else if self.cas(w, Word::make(0, true, false, false)) {
+            Attempt::Acquired(())
+        } else {
+            Attempt::Retry
+        }
+    }
+
+    /// Sets `hasWaiters` under the mutex, so that the releaser cannot miss
+    /// the reader about to queue.
+    fn reader_under_mutex(&self) -> bool {
+        let w = self.load();
+        w.blocks_readers() && (w.has_waiters() || self.cas(w, Word(w.0 | HAS_WAITERS)))
+    }
+
+    fn writer_under_mutex(&self) -> Attempt {
+        let w = self.load();
+        if w.free_for_writer() || !self.cas(w, Word(w.0 | HAS_WAITERS | WRITE_WANTED)) {
+            Attempt::Retry
+        } else {
+            Attempt::Blocked
+        }
+    }
+
+    fn release_read(&self, (): ()) -> bool {
+        loop {
+            let w = self.load();
+            debug_assert!(w.readers() > 0, "unlock_read without read hold");
+            debug_assert!(
+                !w.has_waiters() || w.write_wanted(),
+                "hasWaiters without writeWanted"
+            );
+            if w.readers() == 1 && w.has_waiters() {
+                return true;
             }
+            if self.cas(w, Word(w.0 - READER_UNIT)) {
+                return false;
+            }
+        }
+    }
+
+    fn release_write_unqueued(&self) -> bool {
+        loop {
+            let w = self.load();
+            debug_assert!(w.write_locked(), "unlock_write without write hold");
+            if w.has_waiters() {
+                return false;
+            }
+            if self.cas(w, Word(0)) {
+                return true;
+            }
+        }
+    }
+
+    /// Also recomputes the waiter bits that a waiter which gave up left
+    /// stale.
+    fn hand_off(&self, handoff: &Handoff, q: &LockedQueue<'_>) {
+        let word = match *handoff {
+            Handoff::None => Word(0),
+            Handoff::Writer(_) => Word::make(0, true, q.has_writers(), !q.is_empty()),
             // The readers go at once, so what remains queued is writers.
             Handoff::Readers {
                 total,
                 writers_remain,
                 ..
-            } => {
-                self.telemetry.incr(LockEvent::HandoffToReaders);
-                Word::make(total, false, writers_remain, writers_remain)
-            }
+            } => Word::make(total, false, writers_remain, writers_remain),
         };
-        self.word.store(word.0, Ordering::Release);
-        drop(q);
-        // The cell index doubles as the trace causality token, matching
-        // what each waiter stamped on its `enqueued` marker.
-        self.turnstile.grant(handoff, |cell| {
-            self.telemetry.trace_granted(u64::from(cell))
-        });
+        self.0.store(word.0, Ordering::Release);
     }
 }
 
-impl RwLockFamily for SolarisLikeRwLock {
-    type Handle<'a> = SolarisLikeHandle<'a>;
-
-    fn handle(&self) -> Result<SolarisLikeHandle<'_>, SlotError> {
-        let slot = SlotGuard::claim(&self.slots)?;
-        Ok(SolarisLikeHandle {
-            lock: self,
-            slot,
-            hold: Timer::inactive(),
-        })
-    }
-
-    fn capacity(&self) -> usize {
-        self.slots.capacity()
-    }
-
-    fn name(&self) -> &'static str {
-        "Solaris-like"
-    }
-
-    fn telemetry(&self) -> Telemetry {
-        self.telemetry.clone()
-    }
-
-    fn hazard(&self) -> Hazard {
-        self.hazard.clone()
-    }
-}
+/// The Solaris-like central-lockword reader-writer lock; `new` and
+/// `with_strategy` are the skeleton's.
+pub type SolarisLikeRwLock = TurnstileLock<SolarisWord>;
 
 /// Per-thread handle for [`SolarisLikeRwLock`].
-pub struct SolarisLikeHandle<'a> {
-    lock: &'a SolarisLikeRwLock,
-    /// Capacity reservation, and the index of this handle's writer cell.
-    slot: SlotGuard<'a>,
-    /// Hold-time timer for the handle's outstanding acquisition.
-    hold: Timer,
-}
-
-impl SolarisLikeHandle<'_> {
-    /// The read acquisition, blocking and timed alike: a deadline adds a
-    /// give-up point wherever nothing is held yet, and a cancellation after
-    /// a wait that outlasts it.
-    fn acquire_read<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
-        let lock = self.lock;
-        let acquire = lock.telemetry.begin_read();
-        let mut b = Backoff::with_policy(lock.backoff);
-        loop {
-            let w = lock.load();
-            // Fast path: no conflicting request.
-            if !w.blocks_readers() {
-                if lock.cas(w, Word(w.0 + READER_UNIT)) {
-                    lock.telemetry.incr(LockEvent::ReadFast);
-                    lock.telemetry.record_read_acquire(&acquire);
-                    self.hold = lock.telemetry.timer();
-                    return Ok(());
-                }
-                b.backoff();
-                if deadline.expired() {
-                    return self.timed_out();
-                }
-                continue;
-            }
-            if deadline.expired() {
-                return self.timed_out();
-            }
-            // Conflict: enqueue under the turnstile mutex, setting
-            // hasWaiters atomically so releasers cannot miss us.
-            let mut q = lock.turnstile.lock();
-            let w = lock.load();
-            if !w.blocks_readers() {
-                continue; // conflict vanished; retry fast path
-            }
-            if !w.has_waiters() && !lock.cas(w, Word(w.0 | HAS_WAITERS)) {
-                continue; // lockword moved; re-evaluate
-            }
-            let group = q.join_readers(self.slot.slot());
-            lock.telemetry.incr(LockEvent::ReadSlow);
-            lock.telemetry.trace_enqueued(u64::from(group));
-            drop(q);
-            if lock.turnstile.wait_until(group, deadline) {
-                // Ownership was handed over: the releaser already counted
-                // us into the lockword.
-                lock.turnstile.acknowledge(group);
-                lock.telemetry.record_read_acquire(&acquire);
-                self.hold = lock.telemetry.timer();
-                return Ok(());
-            }
-            self.cancel_wait(group);
-            return self.timed_out();
-        }
-    }
-
-    /// The write acquisition, blocking and timed alike; a deadline adds the
-    /// same two things as in [`acquire_read`](Self::acquire_read).
-    fn acquire_write<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
-        let lock = self.lock;
-        let acquire = lock.telemetry.begin_write();
-        let mut b = Backoff::with_policy(lock.backoff);
-        loop {
-            let w = lock.load();
-            if w.free_for_writer() {
-                if lock.cas(w, Word::make(0, true, false, false)) {
-                    lock.telemetry.incr(LockEvent::WriteFast);
-                    lock.telemetry.record_write_acquire(&acquire);
-                    self.hold = lock.telemetry.timer();
-                    return Ok(());
-                }
-                b.backoff();
-                if deadline.expired() {
-                    return self.timed_out();
-                }
-                continue;
-            }
-            if deadline.expired() {
-                return self.timed_out();
-            }
-            let mut q = lock.turnstile.lock();
-            let w = lock.load();
-            if w.free_for_writer() || !lock.cas(w, Word(w.0 | HAS_WAITERS | WRITE_WANTED)) {
-                continue;
-            }
-            let cell = q.enqueue_writer(self.slot.slot());
-            lock.telemetry.incr(LockEvent::WriteSlow);
-            lock.telemetry.trace_enqueued(u64::from(cell));
-            drop(q);
-            if lock.turnstile.wait_until(cell, deadline) {
-                lock.telemetry.record_write_acquire(&acquire);
-                self.hold = lock.telemetry.timer();
-                return Ok(());
-            }
-            self.cancel_wait(cell);
-            return self.timed_out();
-        }
-    }
-
-    /// The deadline passed with nothing held (any more).
-    fn timed_out(&self) -> Result<(), TimedOut> {
-        self.lock.telemetry.incr(LockEvent::Timeout);
-        Err(TimedOut)
-    }
-
-    /// Gives up the wait on `cell` once its deadline has passed. A releaser
-    /// may concurrently dequeue the cell (and, for a reader, count it into
-    /// the lockword), and the turnstile mutex is the arbiter: a cell still
-    /// queued is excised and nothing is held (waiter bits this leaves stale
-    /// are recomputed by the next release's `handover`); a dequeued one
-    /// means the hand-off already made this waiter a holder, which waits
-    /// for the (imminent) signal and undoes the hold with a normal release.
-    fn cancel_wait(&mut self, cell: u32) {
-        let lock = self.lock;
-        if lock.turnstile.lock().excise(cell) {
-            lock.telemetry.incr(LockEvent::Cancel);
-            return;
-        }
-        lock.turnstile.wait_until(cell, Never);
-        self.hold = lock.telemetry.timer();
-        if lock.turnstile.is_group(cell) {
-            lock.turnstile.acknowledge(cell);
-            self.unlock_read();
-        } else {
-            self.unlock_write();
-        }
-    }
-}
-
-impl RwHandle for SolarisLikeHandle<'_> {
-    fn hazard(&self) -> Hazard {
-        self.lock.hazard.clone()
-    }
-
-    fn lock_read(&mut self) {
-        let granted = self.acquire_read(Never);
-        debug_assert!(
-            granted.is_ok(),
-            "an acquisition with no deadline cannot time out"
-        );
-    }
-
-    fn unlock_read(&mut self) {
-        let lock = self.lock;
-        lock.telemetry.record_read_hold(&self.hold);
-        loop {
-            let w = lock.load();
-            debug_assert!(w.readers() > 0, "unlock_read without read hold");
-            if w.readers() > 1 || !w.has_waiters() {
-                if lock.cas(w, Word(w.0 - READER_UNIT)) {
-                    return;
-                }
-                continue;
-            }
-            // Last reader with waiters: hand over instead of releasing.
-            let q = lock.turnstile.lock();
-            // Re-check under the mutex (a reader may have slipped in? No:
-            // writeWanted blocks new readers, and waiters imply a writer —
-            // but re-check anyway to stay robust to policy changes).
-            let w = lock.load();
-            if w.readers() > 1 || !w.has_waiters() {
-                continue;
-            }
-            lock.handover(q, true);
-            return;
-        }
-    }
-
-    fn lock_write(&mut self) {
-        let granted = self.acquire_write(Never);
-        debug_assert!(
-            granted.is_ok(),
-            "an acquisition with no deadline cannot time out"
-        );
-    }
-
-    fn unlock_write(&mut self) {
-        let lock = self.lock;
-        lock.telemetry.record_write_hold(&self.hold);
-        loop {
-            let w = lock.load();
-            debug_assert!(w.write_locked(), "unlock_write without write hold");
-            if !w.has_waiters() {
-                if lock.cas(w, Word(0)) {
-                    return;
-                }
-                continue;
-            }
-            let q = lock.turnstile.lock();
-            if !lock.load().has_waiters() {
-                continue;
-            }
-            lock.handover(q, false);
-            return;
-        }
-    }
-
-    fn try_lock_read(&mut self) -> bool {
-        let w = self.lock.load();
-        if !w.blocks_readers() && self.lock.cas(w, Word(w.0 + READER_UNIT)) {
-            self.lock.telemetry.incr(LockEvent::ReadFast);
-            self.hold = self.lock.telemetry.timer();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn try_lock_write(&mut self) -> bool {
-        let w = self.lock.load();
-        if w.free_for_writer() && self.lock.cas(w, Word::make(0, true, false, false)) {
-            self.lock.telemetry.incr(LockEvent::WriteFast);
-            self.hold = self.lock.telemetry.timer();
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Timed acquisition: a waiter that times out excises itself from the
-/// turnstile (`SolarisLikeHandle::cancel_wait`).
-#[cfg(not(loom))]
-impl oll_core::raw::TimedHandle for SolarisLikeHandle<'_> {
-    fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
-        self.acquire_read(deadline)
-    }
-
-    fn lock_write_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
-        self.acquire_write(deadline)
-    }
-}
+pub type SolarisLikeHandle<'a> = TurnstileHandle<'a, SolarisWord>;
 
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use oll_core::raw::{RwHandle, RwLockFamily};
+    use oll_util::event::WaitStrategy;
     use std::sync::atomic::{AtomicI64, Ordering as O};
     use std::sync::Arc as StdArc;
 
@@ -442,7 +222,7 @@ mod tests {
         h.unlock_read();
         h.lock_write();
         h.unlock_write();
-        assert_eq!(lock.word.load(O::SeqCst), 0);
+        assert_eq!(lock.word().0.load(O::SeqCst), 0);
     }
 
     #[test]
@@ -456,6 +236,21 @@ mod tests {
         assert!(w.try_lock_write());
         assert!(!r.try_lock_read());
         w.unlock_write();
+    }
+
+    #[test]
+    fn a_writer_timed_out_after_marking_leaves_the_bits_to_the_last_reader() {
+        use oll_core::raw::TimedHandle;
+        let lock = SolarisLikeRwLock::new(2);
+        let mut r = lock.handle().unwrap();
+        let mut w = lock.handle().unwrap();
+        r.lock_read();
+        assert!(w.lock_write_deadline(std::time::Instant::now()).is_err());
+        let marked = Word::make(1, false, true, true);
+        assert_eq!(lock.word().0.load(O::SeqCst), marked.0);
+        assert!(lock.is_queue_empty());
+        r.unlock_read();
+        assert_eq!(lock.word().0.load(O::SeqCst), 0);
     }
 
     #[test]
@@ -482,7 +277,7 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(readers_in.load(O::SeqCst), 3);
-        assert_eq!(lock.word.load(O::SeqCst), 0);
+        assert_eq!(lock.word().0.load(O::SeqCst), 0);
     }
 
     #[test]
@@ -532,8 +327,8 @@ mod tests {
             }
             // Every waiter that gave up is out of the queue, and one the
             // hand-off had counted before it gave up has released.
-            assert_eq!(lock.word.load(O::SeqCst), 0);
-            assert!(lock.turnstile.lock().is_empty());
+            assert_eq!(lock.word().0.load(O::SeqCst), 0);
+            assert!(lock.is_queue_empty());
         }
     }
 }

@@ -1,6 +1,9 @@
 //! The **GOLL** lock (§3.2 of the paper): the general OLL reader-writer
-//! lock, modeled on the Solaris kernel lock with the central lockword
-//! replaced by a C-SNZI.
+//! lock, the Solaris kernel lock of §3.1 with the central lockword
+//! replaced by a C-SNZI. So it is the [turnstile lock](crate::turnstile_lock)
+//! over a [`CSnzi`], and this file holds what the C-SNZI does at each of
+//! that lock's steps, plus what needs the C-SNZI's direct count: upgrade
+//! and downgrade (§3.2.1).
 //!
 //! State encoding (the C-SNZI *is* the lockword):
 //!
@@ -20,19 +23,15 @@
 //! `OpenWithArrivals`. Whoever's decrement drains a closed C-SNZI and
 //! wins the claim — a departing reader, or a reader whose arrival landed
 //! on the closed word and was taken back — owns the lock and releases it.
-//! Conflicting requests queue on a mutex-protected wait queue (the
-//! turnstile role), and releases *hand over* ownership: a woken thread
-//! already owns the lock.
+//! Conflicting requests queue on the turnstile, and releases *hand over*
+//! ownership: a woken thread already owns the lock.
 
-use crate::raw::{RwHandle, RwLockFamily, TimedOut, UpgradableHandle};
+use crate::raw::UpgradableHandle;
+use crate::turnstile_lock::{Attempt, FaultSites, Lockword, TurnstileHandle, TurnstileLock};
 use oll_csnzi::{ArrivalPolicy, CSnzi, CancelOutcome, LeafCursor, Ticket, TreeShape};
-use oll_hazard::Hazard;
-use oll_telemetry::{LockEvent, Telemetry, Timer};
-use oll_util::backoff::{Deadline, Never};
+use oll_telemetry::{LockEvent, Telemetry};
 use oll_util::event::WaitStrategy;
-use oll_util::fault;
-use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
-use oll_util::turnstile::{Handoff, Turnstile, NIL};
+use oll_util::turnstile::{Handoff, LockedQueue};
 
 /// Builder for [`GollLock`].
 #[derive(Debug, Clone)]
@@ -122,16 +121,13 @@ impl GollBuilder {
         }
         let mut csnzi = CSnzi::new(shape);
         csnzi.attach_telemetry(telemetry.clone());
-        let hazard = Hazard::new();
-        hazard.attach_telemetry(&telemetry);
-        GollLock {
-            csnzi,
-            turnstile: Turnstile::new(capacity, self.strategy),
-            slots: SlotRegistry::new(capacity),
-            arrival_threshold: self.arrival_threshold,
-            telemetry,
-            hazard,
-        }
+        // Each handle's arrival policy, and the cached C-SNZI leaf it
+        // places on its first tree arrival.
+        let local = (
+            ArrivalPolicy::new(self.arrival_threshold),
+            LeafCursor::new(),
+        );
+        TurnstileLock::from_word(csnzi, local, capacity, self.strategy, telemetry)
     }
 }
 
@@ -152,16 +148,11 @@ impl GollBuilder {
 ///     me.unlock_read();
 /// }
 /// ```
-pub struct GollLock {
-    csnzi: CSnzi,
-    /// The wait queue (the turnstile role) and the cells the handles wait
-    /// on: the handle on slot `i` queues for writing on cell `i`.
-    turnstile: Turnstile,
-    slots: SlotRegistry,
-    arrival_threshold: u32,
-    telemetry: Telemetry,
-    hazard: Hazard,
-}
+pub type GollLock = TurnstileLock<CSnzi>;
+
+/// Per-thread handle for [`GollLock`] (the paper's `Local` record plus the
+/// thread's arrival policy).
+pub type GollHandle<'a> = TurnstileHandle<'a, CSnzi>;
 
 impl GollLock {
     /// Creates a lock for at most `capacity` concurrent threads with the
@@ -177,452 +168,166 @@ impl GollLock {
 
     /// Diagnostic snapshot of the C-SNZI root (racy).
     pub fn csnzi_snapshot(&self) -> oll_csnzi::RootWord {
-        self.csnzi.root_snapshot()
+        self.word.root_snapshot()
     }
 
     /// Whether the C-SNZI has allocated its tree: some reader arrival has
     /// gone to it (racy; for diagnostics and tests).
     pub fn is_inflated(&self) -> bool {
-        self.csnzi.is_tree_allocated()
-    }
-
-    /// Delivers a hand-off; called once the queue mutex is dropped.
-    #[inline]
-    fn signal(&self, handoff: Handoff) {
-        // The cell index doubles as the trace causality token: it is the
-        // one value both the granting and the woken thread share, so
-        // `granted` here joins the grantee's `enqueued`.
-        self.turnstile.grant(handoff, |cell| {
-            self.telemetry.trace_granted(u64::from(cell))
-        });
-    }
-
-    /// The caller owns the lock in the write-acquired state (the C-SNZI is
-    /// *owned*) — a releasing writer, or the last departer of a closed
-    /// C-SNZI — and hands it on: a writer to every waiting reader, a
-    /// reader to the first waiting writer (§5.1).
-    #[inline]
-    fn release_owned(&self, from_reader: bool) {
-        let mut q = self.turnstile.lock();
-        let handoff = if from_reader {
-            q.dequeue_for_reader_release()
-        } else {
-            q.dequeue_for_writer_release()
-        };
-        match handoff {
-            // Nobody waits. After a reader that is possible too: the
-            // writer that closed the C-SNZI has since cancelled its timed
-            // acquisition.
-            Handoff::None => self.csnzi.open(),
-            // Owned is exactly the write-acquired state; nothing to
-            // change.
-            Handoff::Writer(_) => self.telemetry.incr(LockEvent::HandoffToWriter),
-            Handoff::Readers {
-                total,
-                writers_remain,
-                ..
-            } => {
-                self.telemetry.incr(LockEvent::HandoffToReaders);
-                // Reopen directly into the read-acquired state, staying
-                // closed iff writers remain. (After a reader: the writer
-                // that closed the C-SNZI cancelled and only readers
-                // remain.)
-                self.csnzi.open_with_arrivals(total, writers_remain);
-            }
-        }
-        drop(q);
-        self.signal(handoff);
+        self.word.is_tree_allocated()
     }
 }
 
-impl RwLockFamily for GollLock {
-    type Handle<'a> = GollHandle<'a>;
+/// The C-SNZI as the lockword: "blocked" is closed, "marked for the
+/// releaser" is closed too, and the last departer of a closed C-SNZI owns
+/// the lock in the write-acquired state.
+impl Lockword for CSnzi {
+    const NAME: &'static str = "GOLL";
+    const SITES: FaultSites = FaultSites {
+        read_before_queue_mutex: "goll.read.before-queue-mutex",
+        read_queued: "goll.read.queued",
+        read_timeout: "goll.read.timeout",
+        read_cancel_vs_handoff: "goll.read.cancel-vs-handoff",
+        write_before_queue_mutex: "goll.write.before-queue-mutex",
+        write_queued: "goll.write.queued",
+        write_timeout: "goll.write.timeout",
+        write_cancel_vs_handoff: "goll.write.cancel-vs-handoff",
+        unlock_read_before_handoff: "goll.unlock_read.before-handoff",
+    };
+    type Local = (ArrivalPolicy, LeafCursor);
+    type ReadHold = Ticket;
+    /// The releaser pre-arrives at the root on each reader's behalf
+    /// (`OpenWithArrivals`), so they depart directly from the root.
+    const GRANTED_READ: Ticket = Ticket::ROOT;
 
-    fn handle(&self) -> Result<GollHandle<'_>, SlotError> {
-        let slot = SlotGuard::claim(&self.slots)?;
-        Ok(GollHandle {
-            lock: self,
-            slot,
-            waiting_on: NIL,
-            policy: ArrivalPolicy::new(self.arrival_threshold),
-            cursor: LeafCursor::new(),
-            read_ticket: None,
-            write_held: false,
-            hold: Timer::inactive(),
-        })
-    }
-
-    fn capacity(&self) -> usize {
-        self.slots.capacity()
-    }
-
-    fn name(&self) -> &'static str {
-        "GOLL"
-    }
-
-    fn telemetry(&self) -> Telemetry {
-        self.telemetry.clone()
-    }
-
-    fn hazard(&self) -> Hazard {
-        self.hazard.clone()
-    }
-}
-
-/// Per-thread handle for [`GollLock`] (the paper's `Local` record plus the
-/// thread's arrival policy).
-pub struct GollHandle<'a> {
-    lock: &'a GollLock,
-    /// Capacity reservation, and the index of this handle's writer cell
-    /// (the leaf cursor, not the slot index, drives C-SNZI placement).
-    slot: SlotGuard<'a>,
-    /// The cell this handle is queued on — its writer cell, or the cell of
-    /// the readers group it joined — from the enqueue until the grant is
-    /// taken or the wait is cancelled; else [`NIL`].
-    waiting_on: u32,
-    policy: ArrivalPolicy,
-    /// Cached C-SNZI leaf: topology-placed on first tree arrival, then
-    /// sticky until a leaf-level CAS failure migrates it.
-    cursor: LeafCursor,
-    read_ticket: Option<Ticket>,
-    write_held: bool,
-    /// Started when an acquisition succeeds, recorded as hold time at
-    /// release. One outstanding acquisition per handle, so one timer.
-    hold: Timer,
-}
-
-impl GollHandle<'_> {
-    /// The read fast path: one C-SNZI arrival. `false`: the C-SNZI is
-    /// closed — and if taking the failed arrival back made this thread the
-    /// last departer, the lock has been handed on before returning, so the
-    /// caller carries on as after any failed arrival.
+    /// One C-SNZI arrival.
     #[inline]
-    fn arrive(&mut self) -> bool {
-        let lock = self.lock;
-        let ticket = lock.csnzi.arrive_cached(&mut self.policy, &mut self.cursor);
+    fn try_read(
+        &self,
+        (policy, cursor): &mut Self::Local,
+        telemetry: &Telemetry,
+    ) -> Attempt<Ticket> {
+        let ticket = self.arrive_cached(policy, cursor);
         match ticket.failure() {
             None => {
                 // Root-word arrivals hit the shared line, tree arrivals a
                 // distributed one.
-                lock.telemetry.incr(if ticket.is_root() {
+                telemetry.incr(if ticket.is_root() {
                     LockEvent::ArriveDirect
                 } else {
                     LockEvent::ArriveTree
                 });
-                lock.telemetry.incr(LockEvent::ReadFast);
-                self.hold = lock.telemetry.timer();
-                self.read_ticket = Some(ticket);
-                true
+                Attempt::Acquired(ticket)
             }
-            Some(CancelOutcome::Undone) => false,
-            Some(CancelOutcome::MustHandOff) => {
-                lock.release_owned(true);
-                false
-            }
+            Some(CancelOutcome::Undone) => Attempt::Blocked,
+            Some(CancelOutcome::MustHandOff) => Attempt::MustHandOff,
         }
     }
 
-    /// The read acquisition, blocking and timed alike. A deadline adds a
-    /// free give-up point before the queue mutex (nothing is held yet) and
-    /// a cancellation after a wait that outlasts it, arbitrated by the
-    /// queue mutex against the releaser's hand-off.
-    fn acquire_read<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
-        debug_assert!(self.read_ticket.is_none() && !self.write_held);
-        self.settle_interrupted_wait();
-        let lock = self.lock;
-        let acquire = lock.telemetry.begin_read();
-        loop {
-            // Fast path: in the absence of conflicting requests this is the
-            // only step, and it never touches the queue mutex.
-            if self.arrive() {
-                lock.telemetry.record_read_acquire(&acquire);
-                return Ok(());
-            }
-            // C-SNZI closed: a writer owns or has claimed the lock.
-            if deadline.expired() {
-                lock.telemetry.incr(LockEvent::Timeout);
-                return Err(TimedOut);
-            }
-            fault::inject("goll.read.before-queue-mutex");
-            let mut q = lock.turnstile.lock();
-            if lock.csnzi.query().open {
-                // The writer released before we got the mutex; retry.
-                drop(q);
-                continue;
-            }
-            let group = q.join_readers(self.slot.slot());
-            self.waiting_on = group;
-            lock.telemetry.incr(LockEvent::ReadSlow);
-            lock.telemetry.trace_enqueued(u64::from(group));
-            drop(q);
-            fault::inject("goll.read.queued");
-            // The releasing thread pre-arrives at the root on our behalf
-            // (OpenWithArrivals), so we depart directly from the root.
-            if lock.turnstile.wait_until(group, deadline) {
-                lock.telemetry.record_read_acquire(&acquire);
-                self.take_grant();
-                return Ok(());
-            }
-            fault::inject("goll.read.timeout");
-            self.cancel_wait();
-            lock.telemetry.incr(LockEvent::Timeout);
-            return Err(TimedOut);
-        }
-    }
-
-    /// The wait on `waiting_on` is over and this handle owns what it waited
-    /// for: the write hold, or a read hold a releaser pre-arrived for.
-    fn take_grant(&mut self) {
-        let lock = self.lock;
-        let cell = std::mem::replace(&mut self.waiting_on, NIL);
-        self.hold = lock.telemetry.timer();
-        if lock.turnstile.is_group(cell) {
-            lock.turnstile.acknowledge(cell);
-            self.read_ticket = Some(Ticket::ROOT);
-        } else {
-            self.write_held = true;
-        }
-    }
-
-    /// Gives up the wait on `waiting_on`: its deadline passed, or the
-    /// waiter is unwinding. Race: a releaser may concurrently dequeue the
-    /// cell (and, for a reader, pre-arrive on its behalf). The queue mutex
-    /// is the arbiter — a cell still queued is excised and nothing is held;
-    /// a dequeued one means the hand-off already counted this waiter, which
-    /// must take the hold and then undo it with a normal release.
-    fn cancel_wait(&mut self) {
-        let lock = self.lock;
-        let cell = self.waiting_on;
-        let excised = lock.turnstile.lock().excise(cell);
-        if excised {
-            self.waiting_on = NIL;
-            lock.telemetry.incr(LockEvent::Cancel);
-            return;
-        }
-        // Yield-only: the unwind of a panic here would re-enter this
-        // function from `drop`, and a second panic aborts.
-        fault::inject_yield_only(if lock.turnstile.is_group(cell) {
-            "goll.read.cancel-vs-handoff"
-        } else {
-            "goll.write.cancel-vs-handoff"
-        });
-        lock.turnstile.wait_until(cell, Never);
-        self.take_grant();
-        if self.write_held {
-            self.unlock_write();
-        } else {
-            self.unlock_read();
-        }
-    }
-
-    /// A wait that an unwind interrupted (a panic injected at
-    /// `goll.*.queued`) is still pending when the handle is next used, or
-    /// dropped: the cell must not stay linked under a handle that no
-    /// longer waits on it, let alone under the slot's next claimant.
     #[inline]
-    fn settle_interrupted_wait(&mut self) {
-        if self.waiting_on != NIL {
-            self.cancel_wait();
-        }
-    }
-
-    /// The write acquisition, blocking and timed alike; a deadline adds the
-    /// same two things as in [`acquire_read`](Self::acquire_read).
-    fn acquire_write<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
-        debug_assert!(self.read_ticket.is_none() && !self.write_held);
-        self.settle_interrupted_wait();
-        let lock = self.lock;
-        let acquire = lock.telemetry.begin_write();
-        // Fast path: free lock.
-        if lock.csnzi.close_if_empty() {
-            lock.telemetry.incr(LockEvent::WriteFast);
-            lock.telemetry.record_write_acquire(&acquire);
-            self.hold = lock.telemetry.timer();
-            self.write_held = true;
-            return Ok(());
-        }
-        fault::inject("goll.write.before-queue-mutex");
-        let mut q = lock.turnstile.lock();
-        // Close (sets the "write wanted" state): if it returns true the
-        // lock was free after all and we own it.
-        if lock.csnzi.close() {
-            lock.telemetry.incr(LockEvent::WriteSlow);
-            drop(q);
-            lock.telemetry.record_write_acquire(&acquire);
-            self.hold = lock.telemetry.timer();
-            self.write_held = true;
-            return Ok(());
-        }
-        // Expired before enqueueing: leave without a queue entry. Our
-        // `close` may have moved the C-SNZI to closed-with-readers with no
-        // writer queued; the last departing reader handles that (its
-        // dequeue finds nothing and reopens).
-        if deadline.expired() {
-            drop(q);
-            lock.telemetry.incr(LockEvent::Timeout);
-            return Err(TimedOut);
-        }
-        let cell = q.enqueue_writer(self.slot.slot());
-        self.waiting_on = cell;
-        lock.telemetry.incr(LockEvent::WriteSlow);
-        lock.telemetry.trace_enqueued(u64::from(cell));
-        drop(q);
-        fault::inject("goll.write.queued");
-        // Whoever releases the lock hands it to us in the write-acquired
-        // state before signaling.
-        if lock.turnstile.wait_until(cell, deadline) {
-            lock.telemetry.record_write_acquire(&acquire);
-            self.take_grant();
-            return Ok(());
-        }
-        fault::inject("goll.write.timeout");
-        self.cancel_wait();
-        lock.telemetry.incr(LockEvent::Timeout);
-        Err(TimedOut)
-    }
-}
-
-impl RwHandle for GollHandle<'_> {
-    fn hazard(&self) -> Hazard {
-        self.lock.hazard.clone()
-    }
-
-    fn lock_read(&mut self) {
-        let granted = self.acquire_read(Never);
-        debug_assert!(
-            granted.is_ok(),
-            "an acquisition with no deadline cannot time out"
-        );
-    }
-
-    fn unlock_read(&mut self) {
-        let ticket = self
-            .read_ticket
-            .take()
-            .expect("unlock_read without read hold");
-        self.lock.telemetry.record_read_hold(&self.hold);
-        if self.lock.csnzi.depart(ticket) {
-            return;
-        }
-        // We are the last departer of a *closed* C-SNZI: the lock is now in
-        // the write-acquired state and we must hand it to a waiter.
-        fault::inject("goll.unlock_read.before-handoff");
-        self.lock.release_owned(true);
-    }
-
-    fn lock_write(&mut self) {
-        let granted = self.acquire_write(Never);
-        debug_assert!(
-            granted.is_ok(),
-            "an acquisition with no deadline cannot time out"
-        );
-    }
-
-    fn unlock_write(&mut self) {
-        debug_assert!(self.write_held, "unlock_write without write hold");
-        self.write_held = false;
-        self.lock.telemetry.record_write_hold(&self.hold);
-        self.lock.release_owned(false);
-    }
-
-    fn try_lock_read(&mut self) -> bool {
-        debug_assert!(self.read_ticket.is_none() && !self.write_held);
-        self.settle_interrupted_wait();
-        self.arrive()
-    }
-
-    fn try_lock_write(&mut self) -> bool {
-        debug_assert!(self.read_ticket.is_none() && !self.write_held);
-        self.settle_interrupted_wait();
-        if self.lock.csnzi.close_if_empty() {
-            self.lock.telemetry.incr(LockEvent::WriteFast);
-            self.hold = self.lock.telemetry.timer();
-            self.write_held = true;
-            true
+    fn try_write(&self) -> Attempt {
+        if self.close_if_empty() {
+            Attempt::Acquired(())
         } else {
-            false
+            Attempt::Blocked
         }
     }
-}
 
-#[cfg(not(loom))]
-impl crate::raw::TimedHandle for GollHandle<'_> {
-    fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
-        self.acquire_read(deadline)
+    #[inline]
+    fn reader_under_mutex(&self) -> bool {
+        !self.query().open
     }
 
-    fn lock_write_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
-        self.acquire_write(deadline)
+    /// `Close` sets the "write wanted" state: if it returns true the lock
+    /// was free after all and the writer owns it.
+    #[inline]
+    fn writer_under_mutex(&self) -> Attempt {
+        if self.close() {
+            Attempt::Acquired(())
+        } else {
+            Attempt::Blocked
+        }
+    }
+
+    #[inline]
+    fn release_read(&self, ticket: Ticket) -> bool {
+        !self.depart(ticket)
+    }
+
+    #[inline]
+    fn hand_off(&self, handoff: &Handoff, _: &LockedQueue<'_>) {
+        match *handoff {
+            Handoff::None => self.open(),
+            // Owned is exactly the write-acquired state.
+            Handoff::Writer(_) => {}
+            // Reopen directly into the read-acquired state, staying closed
+            // iff writers remain.
+            Handoff::Readers {
+                total,
+                writers_remain,
+                ..
+            } => self.open_with_arrivals(total, writers_remain),
+        }
     }
 }
 
 impl UpgradableHandle for GollHandle<'_> {
     fn try_upgrade(&mut self) -> bool {
         let ticket = self
-            .read_ticket
+            .read_hold
             .take()
             .expect("try_upgrade without read hold");
+        let lock = self.lock;
         // §3.2.1: trade our arrival for a direct arrival at the root, then
         // we are the sole holder iff the root shows exactly (direct = 1,
         // tree = 0). The upgrade commits by CASing that word (open flavor)
         // to owned-empty, consuming our arrival.
-        let ticket = self.lock.csnzi.trade_to_direct(ticket);
-        if self.lock.csnzi.try_upgrade_sole_direct() {
-            self.lock.telemetry.incr(LockEvent::Upgrade);
-            self.lock.telemetry.record_read_hold(&self.hold);
-            self.hold = self.lock.telemetry.timer();
+        let ticket = lock.word.trade_to_direct(ticket);
+        if lock.word.try_upgrade_sole_direct() {
+            lock.telemetry.incr(LockEvent::Upgrade);
+            lock.telemetry.record_read_hold(&self.hold);
+            self.hold = lock.telemetry.timer();
             self.write_held = true;
             true
         } else {
             // Keep holding for reading (with the traded root ticket).
-            self.lock.telemetry.incr(LockEvent::UpgradeFail);
-            self.read_ticket = Some(ticket);
+            lock.telemetry.incr(LockEvent::UpgradeFail);
+            self.read_hold = Some(ticket);
             false
         }
     }
 
     fn downgrade(&mut self) {
         debug_assert!(self.write_held, "downgrade without write hold");
+        let lock = self.lock;
         self.write_held = false;
-        self.lock.telemetry.incr(LockEvent::Downgrade);
-        self.lock.telemetry.record_write_hold(&self.hold);
+        lock.telemetry.incr(LockEvent::Downgrade);
+        lock.telemetry.record_write_hold(&self.hold);
         // Atomically become a reader, bringing any waiting readers along
         // (they would otherwise sit behind us even though the lock is now
         // read-held).
-        let mut q = self.lock.turnstile.lock();
+        let mut q = lock.turnstile.lock();
         let handoff = q.dequeue_for_downgrade();
-        match &handoff {
+        let readers = match handoff {
             Handoff::Readers { total, .. } => {
-                self.lock.telemetry.incr(LockEvent::HandoffToReaders);
-                let close = !q.is_empty();
-                self.lock.csnzi.open_with_arrivals(total + 1, close);
+                lock.telemetry.incr(LockEvent::HandoffToReaders);
+                total
             }
-            Handoff::None => {
-                let close = !q.is_empty();
-                self.lock.csnzi.open_with_arrivals(1, close);
-            }
+            Handoff::None => 0,
             Handoff::Writer(_) => unreachable!("downgrade never dequeues writers"),
-        }
+        };
+        lock.word.open_with_arrivals(readers + 1, !q.is_empty());
         drop(q);
-        self.lock.signal(handoff);
-        self.hold = self.lock.telemetry.timer();
-        self.read_ticket = Some(Ticket::ROOT);
-    }
-}
-
-impl Drop for GollHandle<'_> {
-    fn drop(&mut self) {
-        debug_assert!(
-            self.read_ticket.is_none() && !self.write_held,
-            "GOLL handle dropped while holding the lock"
-        );
-        self.settle_interrupted_wait();
+        lock.signal(handoff);
+        self.hold = lock.telemetry.timer();
+        self.read_hold = Some(Ticket::ROOT);
     }
 }
 
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
+    use crate::raw::{RwHandle, RwLockFamily};
     use std::sync::atomic::{AtomicI64, Ordering};
     use std::sync::Arc as StdArc;
 

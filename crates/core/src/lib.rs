@@ -52,6 +52,7 @@ pub mod roll;
 pub mod rwlock;
 #[cfg(not(loom))]
 pub mod tuning;
+pub mod turnstile_lock;
 #[cfg(not(loom))]
 pub mod watch;
 

@@ -6,9 +6,8 @@
 //! *hands over* ownership, so that a thread always owns the lock by the
 //! time it is woken — and §3.2 defines GOLL as that lock with the lockword
 //! replaced by a C-SNZI: same turnstile, same hand-off. So there is one
-//! turnstile here, and `oll_core::GollLock` and
-//! `oll_baselines::SolarisLikeRwLock` both hold a [`Turnstile`]; what they
-//! do to their lockword around it is theirs.
+//! turnstile here, and one lock that queues on it, `oll_core::turnstile_lock`,
+//! which walks the steps below once for both lockwords.
 //!
 //! The hand-off rule is the Solaris one the paper evaluates (§5.1):
 //! "readers hand the lock over to writers, and writers hand the lock over

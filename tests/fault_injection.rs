@@ -8,7 +8,9 @@
 
 use oll::util::fault::FaultPlan;
 use oll::util::WaitStrategy;
-use oll::{Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, TimedHandle};
+use oll::{
+    Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock, TimedHandle,
+};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -87,9 +89,10 @@ where
     }
 }
 
-/// GOLL waits on lock-owned cells that are re-armed and reused, and the
-/// two strategies leave a cell differently (a parked waiter also has a
-/// handle to take back), so its suites run under both.
+/// GOLL and the Solaris-like lock wait on lock-owned turnstile cells that
+/// are re-armed and reused, and the two strategies leave a cell
+/// differently (a parked waiter also has a handle to take back), so their
+/// suites run under both.
 fn goll_with(strategy: WaitStrategy) -> GollLock {
     GollLock::builder(8).wait_strategy(strategy).build()
 }
@@ -100,6 +103,14 @@ const STRATEGIES: [WaitStrategy; 2] = [WaitStrategy::SpinThenYield, WaitStrategy
 fn goll_timeout_vs_handoff_1000_iters() {
     for strategy in STRATEGIES {
         timeout_vs_handoff_race(goll_with(strategy), "goll.read", 0x5EED_0001);
+    }
+}
+
+#[test]
+fn solaris_like_timeout_vs_handoff_1000_iters() {
+    for strategy in STRATEGIES {
+        let lock = SolarisLikeRwLock::with_strategy(8, strategy);
+        timeout_vs_handoff_race(lock, "solaris.read", 0x5EED_000D);
     }
 }
 
@@ -236,19 +247,30 @@ fn goll_writer_cancel_churn() {
     }
 }
 
-/// A GOLL waiter that unwinds while queued — a panic drawn at
-/// `goll.read.queued` / `goll.write.queued`, after the enqueue and before
-/// the wait — must take its cell out of the queue (or, if a releaser got
-/// there first, take the hand-off and release it): the cells are the
-/// lock's, so a cell left linked would be handed the lock with nobody
-/// waiting on it, and the slot's next claimant would link it a second
-/// time. Half the threads make a handle per acquisition, so the unwind
-/// drops it and the slot is claimed again at once; the others keep one
-/// handle and use it again after the panic. The survivors must keep
-/// acquiring, and the lock must end free with no arrival left behind.
 #[test]
-fn goll_waiter_unwinding_while_queued_is_excised() {
-    const THREADS: usize = 4;
+fn solaris_like_writer_cancel_churn() {
+    for strategy in STRATEGIES {
+        let lock = SolarisLikeRwLock::with_strategy(8, strategy);
+        abandoned_writer_churn(lock, "solaris.write", 0x5EED_000E);
+    }
+}
+
+/// A waiter of a turnstile lock that unwinds while queued — a panic drawn
+/// at its `*.read.queued` / `*.write.queued` site, after the enqueue and
+/// before the wait — must take its cell out of the queue (or, if a
+/// releaser got there first, take the hand-off and release it): the cells
+/// are the lock's, so a cell left linked would be handed the lock with
+/// nobody waiting on it, and the slot's next claimant would link it a
+/// second time. Half the threads make a handle per acquisition, so the
+/// unwind drops it and the slot is claimed again at once; the others keep
+/// one handle and use it again after the panic. The survivors must keep
+/// acquiring, and the lock must end free. `lock` was built with
+/// `strategy`, which the messages name.
+fn waiter_unwinding_while_queued_is_excised<L>(lock: &L, strategy: WaitStrategy)
+where
+    L: RwLockFamily,
+    for<'a> L::Handle<'a>: TimedHandle,
+{
     const ITERS: usize = 500;
 
     /// One checked acquisition and release; a timed one may give up.
@@ -277,50 +299,71 @@ fn goll_waiter_unwinding_while_queued_is_excised() {
         }
     }
 
+    let plan = FaultPlan::panicking(0x5EED_000C, ".queued", 30).install();
+    let state = AtomicI64::new(0);
+    let unwound = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        for tid in 0..UNWINDING_THREADS {
+            let (state, unwound) = (&state, &unwound);
+            scope.spawn(move || {
+                let mut rng = oll_util::XorShift64::for_thread(0x5EED_000C, tid);
+                let mut kept = (tid % 2 == 1).then(|| lock.handle().unwrap());
+                for _ in 0..ITERS {
+                    let (write, timed) = (rng.percent(50), rng.percent(30));
+                    let swallowed = run_swallowing_injected(|| match kept.as_mut() {
+                        Some(h) => acquire(h, state, write, timed),
+                        None => acquire(&mut lock.handle().unwrap(), state, write, timed),
+                    });
+                    unwound.fetch_add(swallowed as usize, Ordering::Relaxed);
+                }
+            });
+        }
+    });
+    let name = lock.name();
+    assert!(
+        unwound.load(Ordering::Relaxed) > 0,
+        "{name} {strategy:?}: no waiter met a `.queued` window"
+    );
+    drop(plan);
+    let mut h = lock.handle().unwrap();
+    assert!(
+        h.try_lock_write(),
+        "{name} {strategy:?}: an unwound waiter left the lock held"
+    );
+    h.unlock_write();
+    h.lock_read();
+    h.unlock_read();
+}
+
+const UNWINDING_THREADS: usize = 4;
+
+#[test]
+fn goll_waiter_unwinding_while_queued_is_excised() {
     let _guard = serial();
     quiet_injected_panics();
     for strategy in STRATEGIES {
-        let plan = FaultPlan::panicking(0x5EED_000C, ".queued", 30).install();
         // Spare slots: a claim scans the registry once, and with every slot
         // spoken for it can miss the one a churning neighbour just released.
-        let lock = GollLock::builder(2 * THREADS)
+        let lock = GollLock::builder(2 * UNWINDING_THREADS)
             .wait_strategy(strategy)
             .build();
-        let state = AtomicI64::new(0);
-        let unwound = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for tid in 0..THREADS {
-                let (lock, state, unwound) = (&lock, &state, &unwound);
-                scope.spawn(move || {
-                    let mut rng = oll_util::XorShift64::for_thread(0x5EED_000C, tid);
-                    let mut kept = (tid % 2 == 1).then(|| lock.handle().unwrap());
-                    for _ in 0..ITERS {
-                        let (write, timed) = (rng.percent(50), rng.percent(30));
-                        let swallowed = run_swallowing_injected(|| match kept.as_mut() {
-                            Some(h) => acquire(h, state, write, timed),
-                            None => acquire(&mut lock.handle().unwrap(), state, write, timed),
-                        });
-                        unwound.fetch_add(swallowed as usize, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert!(
-            unwound.load(Ordering::Relaxed) > 0,
-            "{strategy:?}: no waiter met a `.queued` window"
-        );
-        drop(plan);
+        waiter_unwinding_while_queued_is_excised(&lock, strategy);
         let root = lock.csnzi_snapshot();
         assert_eq!(
             (root.surplus(), root.open),
             (0, true),
-            "{strategy:?}: an unwound waiter left the lock held"
+            "{strategy:?}: an unwound waiter left an arrival behind"
         );
-        let mut h = lock.handle().unwrap();
-        h.lock_write();
-        h.unlock_write();
-        h.lock_read();
-        h.unlock_read();
+    }
+}
+
+#[test]
+fn solaris_like_waiter_unwinding_while_queued_is_excised() {
+    let _guard = serial();
+    quiet_injected_panics();
+    for strategy in STRATEGIES {
+        let lock = SolarisLikeRwLock::with_strategy(2 * UNWINDING_THREADS, strategy);
+        waiter_unwinding_while_queued_is_excised(&lock, strategy);
     }
 }
 

@@ -389,27 +389,41 @@ timed_lock_suite!(
     0x70E
 );
 
-/// Regression: a GOLL writer that closes the C-SNZI (readers inside) and
-/// then times out before enqueuing leaves the lock *closed with readers
-/// and an empty queue*. The last departing reader must reopen it, or
-/// every later reader blocks forever.
-#[test]
-fn goll_cancelled_writer_reopens_csnzi() {
-    let lock = GollLock::new(4);
+/// Regression: a turnstile-lock writer marks the word under the queue
+/// mutex before it checks its deadline — GOLL closes the C-SNZI, the
+/// Solaris-like lock sets `writeWanted|hasWaiters` — so one that finds
+/// readers inside and times out there leaves the lock *marked with readers
+/// and an empty queue*. The last departing reader's hand-off must free the
+/// word, or every later reader blocks forever.
+fn cancelled_writer_leaves_no_stale_mark<L>(lock: L)
+where
+    L: RwLockFamily,
+    for<'a> L::Handle<'a>: TimedHandle,
+{
     let mut r = lock.handle().unwrap();
     r.lock_read();
 
     let mut w = lock.handle().unwrap();
     assert!(w.lock_write_deadline(Instant::now()).is_err());
 
-    r.unlock_read(); // must reopen the closed-with-readers C-SNZI
+    r.unlock_read(); // must free the marked word
 
     let mut r2 = lock.handle().unwrap();
     r2.lock_read_timeout(MUST)
-        .expect("C-SNZI left closed by the cancelled writer");
+        .expect("word left marked by the cancelled writer");
     r2.unlock_read();
     w.lock_write_timeout(MUST).unwrap();
     w.unlock_write();
+}
+
+#[test]
+fn goll_cancelled_writer_reopens_csnzi() {
+    cancelled_writer_leaves_no_stale_mark(GollLock::new(4));
+}
+
+#[test]
+fn solaris_like_cancelled_writer_clears_waiter_bits() {
+    cancelled_writer_leaves_no_stale_mark(SolarisLikeRwLock::new(4));
 }
 
 /// FOLL: a reader whose node was closed by a queued writer and whose
