@@ -66,9 +66,6 @@ struct Acquire<'a> {
     cursor: LeafCursor,
     backoff: Backoff,
     acquire: Timer,
-    /// When the waiter joined the queue (deadline futures only; feeds
-    /// the starvation watchdog's stall accounting).
-    wait_started: Option<Instant>,
 }
 
 impl<'a> Acquire<'a> {
@@ -87,7 +84,6 @@ impl<'a> Acquire<'a> {
             cursor: LeafCursor::new(),
             backoff: Backoff::new(),
             acquire,
-            wait_started: None,
         }
     }
 
@@ -97,7 +93,6 @@ impl<'a> Acquire<'a> {
         self.state = State::Done;
         if self.write {
             self.raw.telemetry.record_write_acquire(&self.acquire);
-            self.raw.hazard.note_progress(true);
             Poll::Ready(Ok(Grant::Write))
         } else {
             self.raw.telemetry.record_read_acquire(&self.acquire);
@@ -165,7 +160,6 @@ impl<'a> Acquire<'a> {
         self.raw.telemetry.incr(LockEvent::ReadSlow);
         self.raw.telemetry.trace_enqueued(w.token());
         drop(q);
-        self.note_queued();
         self.state = State::Queued(w);
         None
     }
@@ -209,7 +203,6 @@ impl<'a> Acquire<'a> {
         self.raw.telemetry.incr(LockEvent::WriteSlow);
         self.raw.telemetry.trace_enqueued(w.token());
         drop(q);
-        self.note_queued();
         self.state = State::Queued(w);
         None
     }
@@ -262,38 +255,13 @@ impl<'a> Acquire<'a> {
             return self.finish_granted();
         }
         if let Some(deadline) = self.deadline {
-            self.arm_timer(deadline, cx);
+            crate::timer::schedule(deadline, cx.waker().clone());
         }
         Poll::Pending
     }
 
     fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    fn note_queued(&mut self) {
-        if self.deadline.is_some() {
-            self.wait_started = Some(Instant::now());
-        }
-    }
-
-    /// Schedules the wake that re-polls us at the deadline — or earlier,
-    /// at the hazard watch interval, so a stalled watched writer feeds
-    /// the starvation watchdog while it waits.
-    fn arm_timer(&self, deadline: Instant, cx: &Context<'_>) {
-        let now = Instant::now();
-        let tick = match self.raw.hazard.watch_interval() {
-            Some(interval) if self.write => {
-                if let Some(started) = self.wait_started {
-                    self.raw
-                        .hazard
-                        .note_writer_stall(now.duration_since(started));
-                }
-                deadline.min(now + interval)
-            }
-            _ => deadline,
-        };
-        crate::timer::schedule(tick, cx.waker().clone());
     }
 }
 
@@ -389,7 +357,6 @@ pub(crate) fn write_deadline<T: ?Sized>(
 }
 
 fn read_guard<'a, T: ?Sized>(lock: &'a AsyncRwLock<T>, ticket: Ticket) -> AsyncReadGuard<'a, T> {
-    lock.raw.hazard.on_guard_acquire(false);
     AsyncReadGuard {
         lock,
         ticket,
@@ -398,7 +365,6 @@ fn read_guard<'a, T: ?Sized>(lock: &'a AsyncRwLock<T>, ticket: Ticket) -> AsyncR
 }
 
 fn write_guard<T: ?Sized>(lock: &AsyncRwLock<T>) -> AsyncWriteGuard<'_, T> {
-    lock.raw.hazard.on_guard_acquire(true);
     AsyncWriteGuard {
         lock,
         hold: lock.raw.telemetry.timer(),

@@ -55,7 +55,6 @@ pub use oll_core::TimedOut;
 
 use oll_core::node_state::{GRANTED, RELEASED, WAITING};
 use oll_csnzi::{ArrivalPolicy, CSnzi, CancelOutcome, LeafCursor, Ticket, TreeShape};
-use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry, Timer};
 use oll_util::{CachePadded, SpinMutex};
 use queue::{Handoff, WaitQueue};
@@ -75,7 +74,6 @@ pub(crate) struct RawLock {
     pub(crate) queue: CachePadded<SpinMutex<WaitQueue>>,
     pub(crate) arrival_threshold: u32,
     pub(crate) telemetry: Telemetry,
-    pub(crate) hazard: Hazard,
 }
 
 impl RawLock {
@@ -267,7 +265,6 @@ impl<T: ?Sized> AsyncRwLock<T> {
         let mut policy = ArrivalPolicy::new(self.raw.arrival_threshold);
         let mut cursor = LeafCursor::new();
         let ticket = self.raw.arrive(&mut policy, &mut cursor)?;
-        self.raw.hazard.on_guard_acquire(false);
         Some(AsyncReadGuard {
             lock: self,
             ticket,
@@ -281,7 +278,6 @@ impl<T: ?Sized> AsyncRwLock<T> {
             return None;
         }
         self.raw.telemetry.incr(LockEvent::WriteFast);
-        self.raw.hazard.on_guard_acquire(true);
         Some(AsyncWriteGuard {
             lock: self,
             hold: self.raw.telemetry.timer(),
@@ -307,11 +303,6 @@ impl<T: ?Sized> AsyncRwLock<T> {
     /// This lock's telemetry handle.
     pub fn telemetry(&self) -> Telemetry {
         self.raw.telemetry.clone()
-    }
-
-    /// This lock's hazard handle.
-    pub fn hazard(&self) -> Hazard {
-        self.raw.hazard.clone()
     }
 }
 
@@ -394,15 +385,12 @@ impl AsyncRwLockBuilder {
         }
         let mut csnzi = CSnzi::new(shape);
         csnzi.attach_telemetry(telemetry.clone());
-        let hazard = Hazard::new();
-        hazard.attach_telemetry(&telemetry);
         AsyncRwLock {
             raw: RawLock {
                 csnzi,
                 queue: CachePadded::new(SpinMutex::new(WaitQueue::new())),
                 arrival_threshold: self.arrival_threshold,
                 telemetry,
-                hazard,
             },
             value: UnsafeCell::new(value),
         }
@@ -438,7 +426,6 @@ impl<T: ?Sized> Deref for AsyncReadGuard<'_, T> {
 impl<T: ?Sized> Drop for AsyncReadGuard<'_, T> {
     fn drop(&mut self) {
         self.lock.raw.telemetry.record_read_hold(&self.hold);
-        self.lock.raw.hazard.on_guard_drop(false);
         if !self.lock.raw.csnzi.depart(self.ticket) {
             // Last departer of a closed C-SNZI: the lock is now in the
             // write-acquired state and we must hand it to a waiter.
@@ -480,8 +467,6 @@ impl<T: ?Sized> DerefMut for AsyncWriteGuard<'_, T> {
 impl<T: ?Sized> Drop for AsyncWriteGuard<'_, T> {
     fn drop(&mut self) {
         self.lock.raw.telemetry.record_write_hold(&self.hold);
-        self.lock.raw.hazard.on_guard_drop(true);
-        self.lock.raw.hazard.note_progress(true);
         self.lock.raw.release_owned(false);
     }
 }

@@ -11,7 +11,6 @@
 //! not starved by a steady reader stream), bits 2.. = reader count.
 
 use oll_core::raw::{RwHandle, RwLockFamily};
-use oll_hazard::Hazard;
 use oll_util::backoff::{Backoff, BackoffPolicy};
 use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
 use oll_util::sync::{AtomicU64, Ordering};
@@ -26,7 +25,6 @@ pub struct CentralizedRwLock {
     word: CachePadded<AtomicU64>,
     slots: SlotRegistry,
     backoff: BackoffPolicy,
-    hazard: Hazard,
 }
 
 impl CentralizedRwLock {
@@ -36,7 +34,6 @@ impl CentralizedRwLock {
             word: CachePadded::new(AtomicU64::new(0)),
             slots: SlotRegistry::new(capacity.max(1)),
             backoff: BackoffPolicy::default(),
-            hazard: Hazard::new(),
         }
     }
 
@@ -77,10 +74,6 @@ impl RwLockFamily for CentralizedRwLock {
     fn name(&self) -> &'static str {
         "Centralized"
     }
-
-    fn hazard(&self) -> Hazard {
-        self.hazard.clone()
-    }
 }
 
 /// Per-thread handle for [`CentralizedRwLock`].
@@ -91,10 +84,6 @@ pub struct CentralizedHandle<'a> {
 }
 
 impl RwHandle for CentralizedHandle<'_> {
-    fn hazard(&self) -> Hazard {
-        self.lock.hazard.clone()
-    }
-
     fn lock_read(&mut self) {
         let mut b = Backoff::with_policy(self.lock.backoff);
         while !self.lock.try_read_once() {

@@ -21,7 +21,6 @@
 //! order between `spin` writes and `next` reads.
 
 use oll_core::raw::{RwHandle, RwLockFamily};
-use oll_hazard::Hazard;
 use oll_util::backoff::{spin_until, Backoff, BackoffPolicy};
 use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
 use oll_util::sync::{AtomicBool, AtomicU32, Ordering::SeqCst};
@@ -47,7 +46,6 @@ pub struct KsuhLock {
     nodes: Box<[CachePadded<Node>]>,
     slots: SlotRegistry,
     backoff: BackoffPolicy,
-    hazard: Hazard,
 }
 
 impl KsuhLock {
@@ -69,7 +67,6 @@ impl KsuhLock {
                 .collect(),
             slots: SlotRegistry::new(capacity),
             backoff: BackoffPolicy::default(),
-            hazard: Hazard::new(),
         }
     }
 
@@ -236,10 +233,6 @@ impl RwLockFamily for KsuhLock {
     fn name(&self) -> &'static str {
         "KSUH"
     }
-
-    fn hazard(&self) -> Hazard {
-        self.hazard.clone()
-    }
 }
 
 /// Per-thread handle for [`KsuhLock`].
@@ -249,10 +242,6 @@ pub struct KsuhHandle<'a> {
 }
 
 impl RwHandle for KsuhHandle<'_> {
-    fn hazard(&self) -> Hazard {
-        self.lock.hazard.clone()
-    }
-
     fn lock_read(&mut self) {
         self.lock.reader_lock(self.slot.slot() as u32);
     }

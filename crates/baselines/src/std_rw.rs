@@ -3,7 +3,6 @@
 //! harness can compare it on the same workloads.
 
 use oll_core::raw::{RwHandle, RwLockFamily};
-use oll_hazard::Hazard;
 #[cfg(not(loom))]
 use oll_util::backoff::Deadline;
 use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
@@ -13,7 +12,6 @@ use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 pub struct StdRwLock {
     inner: RwLock<()>,
     slots: SlotRegistry,
-    hazard: Hazard,
 }
 
 impl StdRwLock {
@@ -23,7 +21,6 @@ impl StdRwLock {
         Self {
             inner: RwLock::new(()),
             slots: SlotRegistry::new(capacity.max(1)),
-            hazard: Hazard::new(),
         }
     }
 }
@@ -48,10 +45,6 @@ impl RwLockFamily for StdRwLock {
     fn name(&self) -> &'static str {
         "std::sync::RwLock"
     }
-
-    fn hazard(&self) -> Hazard {
-        self.hazard.clone()
-    }
 }
 
 /// Per-thread handle for [`StdRwLock`]; stores the live std guard between
@@ -64,12 +57,8 @@ pub struct StdRwHandle<'a> {
 }
 
 impl RwHandle for StdRwHandle<'_> {
-    fn hazard(&self) -> Hazard {
-        self.lock.hazard.clone()
-    }
-
     /// std's native poison mark is absorbed (`into_inner`) rather than
-    /// propagated: poisoning is the hazard layer's job, and the other
+    /// propagated: poisoning is the `Watched` wrapper's job, and the other
     /// families all stay acquirable after a panicking holder. Without
     /// this, one panicked writer would turn every later acquisition into
     /// a panic — and the try paths into permanent failures.

@@ -40,7 +40,6 @@
 //! window expired re-arms the bias.
 
 use crate::raw::{RwHandle, RwLockFamily, TimedHandle, TimedOut, UpgradableHandle};
-use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry, Timer};
 use oll_util::backoff::{spin_until_deadline, BackoffPolicy, Deadline, Never};
 use oll_util::fault;
@@ -111,7 +110,6 @@ pub struct Bravo<L> {
     knobs: Arc<TuningKnobs>,
     table: Table,
     enabled: bool,
-    hazard: Hazard,
 }
 
 impl<L> Bravo<L> {
@@ -131,7 +129,6 @@ impl<L> Bravo<L> {
             knobs: TuningKnobs::shared(),
             table: Table::Global,
             enabled: biased,
-            hazard: Hazard::new(),
         }
     }
 
@@ -213,7 +210,6 @@ impl<L: RwLockFamily> RwLockFamily for Bravo<L> {
         L: 'a;
 
     fn handle(&self) -> Result<Self::Handle<'_>, SlotError> {
-        self.hazard.attach_telemetry(&self.inner.telemetry());
         Ok(BravoHandle {
             lock: self,
             inner: self.inner.handle()?,
@@ -233,10 +229,6 @@ impl<L: RwLockFamily> RwLockFamily for Bravo<L> {
 
     fn telemetry(&self) -> Telemetry {
         self.inner.telemetry()
-    }
-
-    fn hazard(&self) -> Hazard {
-        self.hazard.clone()
     }
 
     fn tuning_knobs(&self) -> Option<&Arc<TuningKnobs>> {
@@ -306,7 +298,7 @@ impl<L: RwLockFamily> BravoHandle<'_, L> {
     /// — the "undo" the timed paths rely on.
     fn try_fast_read(&mut self) -> bool {
         let lock = self.lock;
-        if !(lock.enabled && lock.rbias.load(Ordering::SeqCst) && lock.hazard.bias_allowed()) {
+        if !(lock.enabled && lock.rbias.load(Ordering::SeqCst)) {
             return false;
         }
         let timer = self.telemetry.begin_read();
@@ -350,7 +342,6 @@ impl<L: RwLockFamily> BravoHandle<'_, L> {
         let lock = self.lock;
         if lock.enabled
             && !lock.rbias.load(Ordering::Relaxed)
-            && lock.hazard.bias_allowed()
             && lock.knobs.bias_allowed()
             && now_ns() >= lock.inhibit_until_ns.load(Ordering::Relaxed)
         {
@@ -428,10 +419,6 @@ impl<L: RwLockFamily> BravoHandle<'_, L> {
 }
 
 impl<L: RwLockFamily> RwHandle for BravoHandle<'_, L> {
-    fn hazard(&self) -> Hazard {
-        self.lock.hazard.clone()
-    }
-
     fn lock_read(&mut self) {
         if self.try_fast_read() {
             return;

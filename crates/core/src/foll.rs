@@ -21,7 +21,6 @@
 use crate::cohort::{CohortGate, CohortHold, CohortRelease, DEFAULT_COHORT_BATCH};
 use crate::raw::{RwHandle, RwLockFamily, TimedOut};
 use oll_csnzi::{ArrivalPolicy, CSnzi, CancelOutcome, LeafCursor, Ticket, TreeShape};
-use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry, Timer};
 use oll_util::backoff::{spin_until, spin_until_deadline, Backoff, BackoffPolicy, Deadline, Never};
 use oll_util::fault;
@@ -249,7 +248,6 @@ pub(crate) struct QueueCore {
     pub(crate) knobs: std::sync::Arc<TuningKnobs>,
     pub(crate) arrival_threshold: u32,
     pub(crate) telemetry: Telemetry,
-    pub(crate) hazard: Hazard,
     /// NUMA cohort writer gate (per-socket writer queues layered over
     /// this global queue); `None` = plain single-tail writer path.
     pub(crate) cohort: Option<Box<CohortGate>>,
@@ -264,8 +262,6 @@ impl QueueCore {
         telemetry: Telemetry,
     ) -> Self {
         let capacity = capacity.max(1);
-        let hazard = Hazard::new();
-        hazard.attach_telemetry(&telemetry);
         Self {
             tail: CachePadded::new(AtomicU32::new(NodeRef::NIL.raw())),
             writer_nodes: (0..capacity)
@@ -284,7 +280,6 @@ impl QueueCore {
             knobs,
             arrival_threshold,
             telemetry,
-            hazard,
             cohort: None,
         }
     }
@@ -992,10 +987,6 @@ impl<P: OrderPolicy> RwLockFamily for QueueLock<P> {
         self.core.telemetry.clone()
     }
 
-    fn hazard(&self) -> Hazard {
-        self.core.hazard.clone()
-    }
-
     fn tuning_knobs(&self) -> Option<&std::sync::Arc<TuningKnobs>> {
         Some(&self.core.knobs)
     }
@@ -1306,10 +1297,6 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
 }
 
 impl<P: OrderPolicy> RwHandle for QueueHandle<'_, P> {
-    fn hazard(&self) -> Hazard {
-        self.lock.core.hazard.clone()
-    }
-
     fn lock_read(&mut self) {
         let granted = self.acquire_read(Never);
         debug_assert!(

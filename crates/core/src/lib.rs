@@ -53,8 +53,6 @@ pub mod rwlock;
 #[cfg(not(loom))]
 pub mod tuning;
 pub mod turnstile_lock;
-#[cfg(not(loom))]
-pub mod watch;
 
 #[cfg(not(loom))]
 pub use bravo::{Bravo, BravoHandle, DEFAULT_REARM_MULTIPLIER};
@@ -63,14 +61,10 @@ pub use foll::{node_state, FollBuilder, FollLock};
 pub use goll::{GollBuilder, GollLock};
 #[cfg(not(loom))]
 pub use raw::TimedHandle;
-pub use raw::{
-    PoisonError, ReadGuard, RwHandle, RwLockFamily, TimedOut, UpgradableHandle, WriteGuard,
-};
+pub use raw::{ReadGuard, RwHandle, RwLockFamily, TimedOut, UpgradableHandle, WriteGuard};
 pub use roll::{RollBuilder, RollLock};
 pub use rwlock::{RwLock, RwLockOwner, RwLockReadGuard, RwLockWriteGuard};
 #[cfg(not(loom))]
 pub use tuning::{policy::PolicyConfig, policy::Regime, SelfTuning, TunedHandle, TuningConfig};
-#[cfg(not(loom))]
-pub use watch::{AcquireError, WatchedHandle};
 
 pub use oll_util::knobs::TuningKnobs;

@@ -9,7 +9,6 @@
 //! RAII guards returned by [`RwHandle::read`] / [`RwHandle::write`] enforce
 //! balanced lock/unlock pairs at compile time.
 
-use oll_hazard::Hazard;
 #[cfg(not(loom))]
 use oll_util::backoff::{Deadline, Timeout};
 use oll_util::slots::SlotError;
@@ -37,14 +36,6 @@ pub trait RwLockFamily: Send + Sync {
     /// handle, so uninstrumented baselines need no code.
     fn telemetry(&self) -> oll_telemetry::Telemetry {
         oll_telemetry::Telemetry::disabled()
-    }
-
-    /// This lock's hazard handle (panic poisoning, deadlock detection,
-    /// starvation watchdog — see `oll-hazard`). Locks in this workspace
-    /// return their live handle when built with the `hazard` feature;
-    /// the default is an inert handle that records nothing.
-    fn hazard(&self) -> Hazard {
-        Hazard::disabled()
     }
 
     /// The live tuning-knob block this lock reads its policy values
@@ -92,13 +83,6 @@ pub trait RwHandle {
     /// under contention.
     fn try_lock_write(&mut self) -> bool;
 
-    /// The owning lock's hazard handle (same handle as
-    /// [`RwLockFamily::hazard`]; inert by default). Guard construction
-    /// and drop route their poison/ownership bookkeeping through it.
-    fn hazard(&self) -> Hazard {
-        Hazard::disabled()
-    }
-
     /// Acquires for reading and returns a guard that releases on drop.
     fn read(&mut self) -> ReadGuard<'_, Self>
     where
@@ -140,87 +124,7 @@ pub trait RwHandle {
             None
         }
     }
-
-    /// Like [`read`](Self::read), but reports whether a previous write
-    /// holder panicked (with a [`PoisonPolicy::Poison`] policy armed —
-    /// see `oll-hazard`). The lock *is* acquired either way; the `Err`
-    /// arm carries the guard so the caller can inspect the protected
-    /// state and [`Hazard::clear_poison`] after restoring invariants.
-    /// Without the `hazard` feature this is exactly `Ok(self.read())`.
-    ///
-    /// [`PoisonPolicy::Poison`]: oll_hazard::PoisonPolicy::Poison
-    /// [`Hazard::clear_poison`]: oll_hazard::Hazard::clear_poison
-    fn read_checked(&mut self) -> Result<ReadGuard<'_, Self>, PoisonError<ReadGuard<'_, Self>>>
-    where
-        Self: Sized,
-    {
-        let guard = self.read();
-        if guard.handle.hazard().is_poisoned() {
-            Err(PoisonError::new(guard))
-        } else {
-            Ok(guard)
-        }
-    }
-
-    /// Like [`write`](Self::write), but reports poisoning; see
-    /// [`read_checked`](Self::read_checked).
-    fn write_checked(&mut self) -> Result<WriteGuard<'_, Self>, PoisonError<WriteGuard<'_, Self>>>
-    where
-        Self: Sized,
-    {
-        let guard = self.write();
-        if guard.handle.hazard().is_poisoned() {
-            Err(PoisonError::new(guard))
-        } else {
-            Ok(guard)
-        }
-    }
 }
-
-/// The lock was acquired, but a previous write holder panicked inside
-/// its critical section (under a `Poison` policy) and nobody has called
-/// `clear_poison` yet. Carries the guard: acquisition succeeded and the
-/// caller decides whether the protected state is salvageable — the same
-/// shape as [`std::sync::PoisonError`].
-pub struct PoisonError<G> {
-    guard: G,
-}
-
-impl<G> PoisonError<G> {
-    /// Wraps a guard acquired on a poisoned lock.
-    pub fn new(guard: G) -> Self {
-        Self { guard }
-    }
-
-    /// Consumes the error, yielding the guard it carries.
-    pub fn into_inner(self) -> G {
-        self.guard
-    }
-
-    /// The guard, by shared reference.
-    pub fn get_ref(&self) -> &G {
-        &self.guard
-    }
-
-    /// The guard, by exclusive reference.
-    pub fn get_mut(&mut self) -> &mut G {
-        &mut self.guard
-    }
-}
-
-impl<G> core::fmt::Debug for PoisonError<G> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.debug_struct("PoisonError").finish_non_exhaustive()
-    }
-}
-
-impl<G> core::fmt::Display for PoisonError<G> {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str("lock poisoned: a write holder panicked in its critical section")
-    }
-}
-
-impl<G> std::error::Error for PoisonError<G> {}
 
 /// A timed acquisition gave up: the deadline passed before the lock could
 /// be acquired. The acquisition was fully undone — no ticket, queue node,
@@ -353,20 +257,17 @@ pub struct ReadGuard<'h, H: RwHandle> {
 }
 
 impl<'h, H: RwHandle> ReadGuard<'h, H> {
-    /// Wraps an already-acquired read hold, recording the acquisition
-    /// with the lock's hazard handle.
-    pub(crate) fn new(handle: &'h mut H) -> Self {
-        handle.hazard().on_guard_acquire(false);
+    /// Wraps a read hold `handle` already has; the guard releases it on
+    /// drop. For handle wrappers whose own acquisition methods return
+    /// guards.
+    #[doc(hidden)]
+    pub fn new(handle: &'h mut H) -> Self {
         ReadGuard { handle }
     }
 }
 
 impl<H: RwHandle> Drop for ReadGuard<'_, H> {
     fn drop(&mut self) {
-        // Hazard bookkeeping runs *before* the release: a panicking
-        // holder's poison mark must be visible to the waiters the
-        // unlock wakes.
-        self.handle.hazard().on_guard_drop(false);
         self.handle.unlock_read();
     }
 }
@@ -378,19 +279,15 @@ pub struct WriteGuard<'h, H: RwHandle> {
 }
 
 impl<'h, H: RwHandle> WriteGuard<'h, H> {
-    /// Wraps an already-acquired write hold, recording the acquisition
-    /// with the lock's hazard handle.
-    pub(crate) fn new(handle: &'h mut H) -> Self {
-        handle.hazard().on_guard_acquire(true);
+    /// Wraps a write hold `handle` already has; see [`ReadGuard::new`].
+    #[doc(hidden)]
+    pub fn new(handle: &'h mut H) -> Self {
         WriteGuard { handle }
     }
 }
 
 impl<H: RwHandle> Drop for WriteGuard<'_, H> {
     fn drop(&mut self) {
-        // Poison (policy permitting) before the unlock hands the lock
-        // to the next waiter — see ReadGuard::drop.
-        self.handle.hazard().on_guard_drop(true);
         self.handle.unlock_write();
     }
 }
@@ -403,9 +300,6 @@ impl<'h, H: UpgradableHandle> WriteGuard<'h, H> {
         let this = core::mem::ManuallyDrop::new(self);
         // SAFETY: `this` is never used again and its Drop is suppressed.
         let handle: &'h mut H = unsafe { core::ptr::read(&this.handle) };
-        // For the hazard layer a downgrade is a write release plus a
-        // read acquisition that never lets the lock go in between.
-        handle.hazard().on_guard_drop(true);
         handle.downgrade();
         ReadGuard::new(handle)
     }
@@ -415,19 +309,12 @@ impl<'h, H: UpgradableHandle> ReadGuard<'h, H> {
     /// Attempts to upgrade this read guard to a write guard. On failure
     /// the read guard is returned unchanged (the lock stays read-held).
     pub fn try_upgrade(self) -> Result<WriteGuard<'h, H>, Self> {
-        let mut this = core::mem::ManuallyDrop::new(self);
-        if this.handle.try_upgrade() {
-            // SAFETY: `this` is never used again and its Drop is suppressed.
-            let handle: &'h mut H = unsafe { core::ptr::read(&this.handle) };
-            // Mirror of WriteGuard::downgrade: read release + write
-            // acquisition, atomically from the lock's point of view.
-            handle.hazard().on_guard_drop(false);
-            Ok(WriteGuard::new(handle))
-        } else {
-            // SAFETY: as above; we rebuild the read guard without
-            // re-running the acquisition hook (the hold is unchanged).
-            let handle: &'h mut H = unsafe { core::ptr::read(&this.handle) };
-            Err(ReadGuard { handle })
+        if !self.handle.try_upgrade() {
+            return Err(self);
         }
+        let this = core::mem::ManuallyDrop::new(self);
+        // SAFETY: `this` is never used again and its Drop is suppressed.
+        let handle: &'h mut H = unsafe { core::ptr::read(&this.handle) };
+        Ok(WriteGuard::new(handle))
     }
 }

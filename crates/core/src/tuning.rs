@@ -49,7 +49,6 @@
 pub mod policy;
 
 use crate::raw::{RwHandle, RwLockFamily, TimedHandle, TimedOut, UpgradableHandle};
-use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry};
 use oll_util::backoff::Deadline;
 use oll_util::fault;
@@ -371,10 +370,6 @@ impl<L: RwLockFamily> RwLockFamily for SelfTuning<L> {
         self.telemetry.clone()
     }
 
-    fn hazard(&self) -> Hazard {
-        self.inner.hazard()
-    }
-
     fn tuning_knobs(&self) -> Option<&Arc<TuningKnobs>> {
         Some(&self.knobs)
     }
@@ -485,10 +480,6 @@ impl<L: RwLockFamily> RwHandle for TunedHandle<'_, L> {
         } else {
             false
         }
-    }
-
-    fn hazard(&self) -> Hazard {
-        self.inner.hazard()
     }
 }
 

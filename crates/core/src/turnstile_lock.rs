@@ -14,7 +14,6 @@
 //! reader count and `writeLocked`/`writeWanted`/`hasWaiters` bits.
 
 use crate::raw::{RwHandle, RwLockFamily, TimedOut};
-use oll_hazard::Hazard;
 use oll_telemetry::{LockEvent, Telemetry, Timer};
 use oll_util::backoff::{Backoff, Deadline, Never};
 use oll_util::event::WaitStrategy;
@@ -113,7 +112,6 @@ pub struct TurnstileLock<W: Lockword> {
     /// The read fast-path state each new handle starts from.
     local: W::Local,
     pub(crate) telemetry: Telemetry,
-    hazard: Hazard,
 }
 
 impl<W: Lockword> TurnstileLock<W> {
@@ -128,15 +126,12 @@ impl<W: Lockword> TurnstileLock<W> {
         telemetry: Telemetry,
     ) -> Self {
         let capacity = capacity.max(1);
-        let hazard = Hazard::new();
-        hazard.attach_telemetry(&telemetry);
         Self {
             word,
             turnstile: Turnstile::new(capacity, strategy),
             slots: SlotRegistry::new(capacity),
             local,
             telemetry,
-            hazard,
         }
     }
 
@@ -234,10 +229,6 @@ impl<W: Lockword> RwLockFamily for TurnstileLock<W> {
 
     fn telemetry(&self) -> Telemetry {
         self.telemetry.clone()
-    }
-
-    fn hazard(&self) -> Hazard {
-        self.hazard.clone()
     }
 }
 
@@ -451,10 +442,6 @@ impl<W: Lockword> TurnstileHandle<'_, W> {
 }
 
 impl<W: Lockword> RwHandle for TurnstileHandle<'_, W> {
-    fn hazard(&self) -> Hazard {
-        self.lock.hazard.clone()
-    }
-
     fn lock_read(&mut self) {
         let granted = self.acquire_read(Never);
         debug_assert!(

@@ -1,7 +1,7 @@
 //! The process-global wait-for graph behind online deadlock detection.
 //!
-//! Every hazard-watched slow-path blocker publishes one edge — *thread →
-//! lock it waits on* — and every hazard-tracked acquisition records the
+//! Every watched blocker publishes one edge — *thread → lock it waits
+//! on* — and every hold on a [`Watched`](crate::Watched) lock records the
 //! reverse ownership mapping — *lock → holder thread(s)*. A cycle check
 //! walks `waits ∘ owners` from the calling thread; finding the caller
 //! again proves a deadlock that no amount of waiting will resolve.
@@ -9,12 +9,11 @@
 //! Threads are named by the same dense-id scheme `oll-trace` uses for its
 //! ring records: a process-global counter assigns each thread a small id
 //! at first contact, cached in a thread-local. Locks are named by their
-//! [`Hazard`](crate::Hazard) instance's process-unique id (which doubles
-//! as the causality token the trace integration reports).
+//! `Watched` wrapper's process-unique id.
 //!
-//! Everything here is slow-path-only: the graph mutex is taken when a
-//! blocker gives up a wait slice, when a tracked acquisition completes,
-//! and when a tracked hold is released — never on a fast path.
+//! The graph mutex is taken on every acquisition and release of a
+//! `Watched` lock and each time a watched blocker gives up a wait slice;
+//! a lock that is not wrapped never touches it.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};

@@ -1,66 +1,52 @@
 //! Hardening layer for the OLL reader-writer locks: panic-safe
 //! poisoning, online deadlock detection, and a starvation watchdog with
-//! graceful degradation.
+//! graceful degradation, as one wrapper, [`Watched<L>`], over any
+//! [`RwLockFamily`] lock.
 //!
 //! The paper's C-SNZI/queue algorithms assume every acquirer eventually
 //! releases. In a long-running service three things break that
 //! assumption: a holder *panics* mid-critical-section, two locks are
 //! acquired in *inconsistent order*, and a biased lock's revocation
-//! *stalls* behind a reader convoy. This crate gives each lock a
-//! [`Hazard`] handle that reacts to all three while the process can
-//! still do something about it:
+//! *stalls* behind a reader convoy. A [`Watched`] lock reacts to all
+//! three while the process can still do something about it:
 //!
 //! * **Panic-safe poisoning** — the RAII guards in `oll-core` already
 //!   route an unwinding release through the normal undo machinery
 //!   (C-SNZI departs, four-state node hand-off, turnstile excision,
-//!   bias-slot erase), so a panicking holder never strands waiters. With
-//!   a [`PoisonPolicy::Poison`] policy installed, an unwinding *write*
-//!   guard additionally marks the lock poisoned; later acquirers using
-//!   the checked API see the flag and can [`Hazard::clear_poison`] after
-//!   restoring invariants.
-//! * **Online deadlock detection** — watched blockers publish wait-for
-//!   edges into a process-global [`graph`] (dense thread ids mirroring
-//!   the `oll-trace` scheme); a cycle check on the deadline/park path
-//!   turns a hang into `AcquireError::DeadlockDetected`.
-//! * **Starvation watchdog** — a watched writer that outwaits the
-//!   configured stall threshold escalates: telemetry event → trace
-//!   anomaly → *graceful degradation* (reader bias disabled, forcing
-//!   fair hand-off through the underlying lock) until progress resumes.
+//!   bias-slot erase), so a panicking holder never strands waiters. A
+//!   write released while its thread panics additionally marks the
+//!   `Watched` lock poisoned; [`WatchedHandle::read_checked`] /
+//!   [`WatchedHandle::write_checked`] surface the mark until
+//!   [`Watched::clear_poison`].
+//! * **Online deadlock detection** — every hold is recorded in a
+//!   process-global wait-for [`graph`] (dense thread ids mirroring the
+//!   `oll-trace` scheme), and a watched blocker publishes the edge to
+//!   the lock it waits on; a cycle check on each expired wait slice
+//!   turns a hang into [`AcquireError::DeadlockDetected`].
+//! * **Starvation watchdog** — a watched writer that outwaits the stall
+//!   threshold escalates: telemetry event → trace anomaly → *graceful
+//!   degradation*, which clears the wrapped lock's
+//!   [`TuningKnobs::bias_allowed`] so a BRAVO bias cannot re-arm until a
+//!   write gets through again.
 //!
-//! # Zero cost when disabled
+//! The wrapper is the switch: a lock that is not wrapped carries no
+//! hazard state and runs no hazard code.
 //!
-//! Without this crate's `enabled` feature (exposed downstream as
-//! `hazard`) [`Hazard`] is zero-sized and every method is an empty
-//! `#[inline]` function — the same facade pattern as `oll-telemetry`
-//! and `oll-trace`, pinned by `tests/hazard_off.rs`.
+//! [`TuningKnobs::bias_allowed`]: oll_util::knobs::TuningKnobs::bias_allowed
 
+#![cfg(not(loom))]
 #![warn(missing_docs)]
 
-#[cfg(feature = "enabled")]
 pub mod graph;
 
-use oll_telemetry::Telemetry;
-
-#[cfg(feature = "enabled")]
+use oll_core::{
+    ReadGuard, RwHandle, RwLockFamily, TimedHandle, TimedOut, UpgradableHandle, WriteGuard,
+};
 use oll_telemetry::LockEvent;
-#[cfg(feature = "enabled")]
+use oll_util::backoff::Deadline;
+use oll_util::slots::SlotError;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-#[cfg(feature = "enabled")]
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
-
-/// What an unwinding write guard does to the lock it releases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PoisonPolicy {
-    /// Pre-hazard behavior (the default): the unwinding release still
-    /// runs — no waiter is ever stranded — but no poison mark is left.
-    #[default]
-    Ignore,
-    /// Mark the lock poisoned when a write guard drops during a panic;
-    /// checked acquisitions then surface the mark until
-    /// [`Hazard::clear_poison`].
-    Poison,
-}
+use std::time::{Duration, Instant};
 
 /// Default wait-slice length for watched acquisitions: how often a
 /// watched blocker wakes to run the deadlock/watchdog checks.
@@ -69,544 +55,598 @@ pub const DEFAULT_WATCH_INTERVAL: Duration = Duration::from_millis(2);
 /// Default writer stall threshold before the watchdog starts escalating.
 pub const DEFAULT_STALL_THRESHOLD: Duration = Duration::from_millis(100);
 
-#[cfg(feature = "enabled")]
-#[derive(Debug)]
-struct HazardInner {
-    /// Process-unique nonzero id naming this lock in the wait-for graph
-    /// (also the causality token hazard trace records carry).
-    lock_id: u64,
-    policy: AtomicU8,
-    poisoned: AtomicBool,
-    /// Wait-for edge publication + cycle checks on watched paths.
-    detect: AtomicBool,
-    watch_interval_ns: AtomicU64,
-    stall_threshold_ns: AtomicU64,
-    /// Watchdog escalation: 0 = quiet, 1 = telemetry, 2 = trace
-    /// anomaly, 3 = degraded (bias disabled).
-    stall_level: AtomicU8,
-    degraded: AtomicBool,
-    /// The lock's telemetry handle, attached at construction so hazard
-    /// events land in the same per-lock counters (slow-path only).
-    telemetry: Mutex<Telemetry>,
-}
-
-#[cfg(feature = "enabled")]
 fn next_lock_id() -> u64 {
     static NEXT: AtomicU64 = AtomicU64::new(1);
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Handle to one lock's hazard state, embedded in the lock itself.
+/// A hazard-watching layer over any [`RwLockFamily`] lock: poisons on a
+/// panicking write release, records every hold in the wait-for graph,
+/// and runs the deadlock check and the starvation watchdog while a
+/// watched acquisition waits.
 ///
-/// With the `enabled` feature off this is a zero-sized type and every
-/// method is an empty inline function. With it on, the handle is either
-/// *active* (created by [`Hazard::new`], holding shared state) or
-/// *inactive* ([`Hazard::disabled`], recording nothing) — locks built
-/// outside the workspace constructors pay only a null check.
-#[derive(Debug, Clone, Default)]
-pub struct Hazard {
-    #[cfg(feature = "enabled")]
-    inner: Option<Arc<HazardInner>>,
+/// ```
+/// use oll_core::{GollLock, RwHandle, RwLockFamily};
+/// use oll_hazard::{AcquireError, Watched};
+/// use std::time::{Duration, Instant};
+///
+/// let lock = Watched::new(GollLock::new(8));
+/// let mut h = lock.handle().unwrap();
+/// match h.write_checked() {                    // std-style checked API
+///     Ok(g) => drop(g),
+///     Err(poisoned) => {                       // lock still acquired; repair
+///         lock.clear_poison();
+///         drop(poisoned.into_inner());
+///     }
+/// }
+/// match h.lock_write_watched(Instant::now() + Duration::from_secs(1)) {
+///     Ok(()) => h.unlock_write(),
+///     Err(AcquireError::DeadlockDetected) => { /* cycle reported, wait withdrawn */ }
+///     Err(AcquireError::TimedOut) => { /* plain deadline expiry */ }
+/// }
+/// ```
+pub struct Watched<L> {
+    inner: L,
+    /// Process-unique nonzero id naming this lock in the wait-for graph.
+    lock_id: u64,
+    poisoned: AtomicBool,
+    /// Watchdog escalation: 0 = quiet, 1 = telemetry, 2 = trace
+    /// anomaly, 3 = degraded (bias re-arming refused).
+    stall_level: AtomicU8,
+    /// Whether the watchdog is what cleared the wrapped lock's
+    /// `bias_allowed` knob, so write progress knows whether to set it
+    /// back (a knob the user cleared stays cleared).
+    cleared_bias: AtomicBool,
+    interval: Duration,
+    stall_threshold: Duration,
 }
 
-impl Hazard {
-    /// Whether hazard support is compiled in at all.
-    pub const fn enabled() -> bool {
-        cfg!(feature = "enabled")
-    }
-
-    /// An inactive handle that tracks nothing (the [`Default`]).
-    pub const fn disabled() -> Self {
+impl<L> Watched<L> {
+    /// Wraps `inner`, with [`DEFAULT_WATCH_INTERVAL`] slices and a
+    /// [`DEFAULT_STALL_THRESHOLD`] watchdog.
+    pub fn new(inner: L) -> Self {
         Self {
-            #[cfg(feature = "enabled")]
-            inner: None,
+            inner,
+            lock_id: next_lock_id(),
+            poisoned: AtomicBool::new(false),
+            stall_level: AtomicU8::new(0),
+            cleared_bias: AtomicBool::new(false),
+            interval: DEFAULT_WATCH_INTERVAL,
+            stall_threshold: DEFAULT_STALL_THRESHOLD,
         }
     }
 
-    /// A `'static` inactive handle, for trait default methods.
-    pub fn disabled_ref() -> &'static Hazard {
-        static DISABLED: Hazard = Hazard::disabled();
-        &DISABLED
-    }
-
-    /// Creates an active per-lock hazard handle (policy
-    /// [`PoisonPolicy::Ignore`], detection off — everything is opt-in).
-    /// Compiles to [`Hazard::disabled`] when the feature is off.
-    pub fn new() -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            Self {
-                inner: Some(Arc::new(HazardInner {
-                    lock_id: next_lock_id(),
-                    policy: AtomicU8::new(0),
-                    poisoned: AtomicBool::new(false),
-                    detect: AtomicBool::new(false),
-                    watch_interval_ns: AtomicU64::new(DEFAULT_WATCH_INTERVAL.as_nanos() as u64),
-                    stall_threshold_ns: AtomicU64::new(DEFAULT_STALL_THRESHOLD.as_nanos() as u64),
-                    stall_level: AtomicU8::new(0),
-                    degraded: AtomicBool::new(false),
-                    telemetry: Mutex::new(Telemetry::disabled()),
-                })),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Self {}
-        }
-    }
-
-    /// Whether this handle actually tracks (feature on *and* active).
-    #[inline]
-    pub fn is_active(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.is_some()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            false
-        }
-    }
-
-    /// This lock's wait-for-graph id (0 when inactive).
-    pub fn lock_id(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.as_ref().map_or(0, |i| i.lock_id)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
-    }
-
-    /// Routes hazard events (poison, deadlock, watchdog) into the
-    /// lock's telemetry counters. Idempotent; constructors call it.
-    pub fn attach_telemetry(&self, telemetry: &Telemetry) {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            *i.telemetry.lock().unwrap() = telemetry.clone();
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = telemetry;
-        }
-    }
-
-    #[cfg(feature = "enabled")]
-    fn tel(inner: &HazardInner) -> Telemetry {
-        inner.telemetry.lock().unwrap().clone()
-    }
-
-    /// Installs the per-lock poison policy.
-    pub fn set_poison_policy(&self, policy: PoisonPolicy) {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            i.policy.store(policy as u8, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = policy;
-        }
-    }
-
-    /// The installed poison policy ([`PoisonPolicy::Ignore`] when
-    /// inactive).
-    pub fn poison_policy(&self) -> PoisonPolicy {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            return if i.policy.load(Ordering::Relaxed) == PoisonPolicy::Poison as u8 {
-                PoisonPolicy::Poison
-            } else {
-                PoisonPolicy::Ignore
-            };
-        }
-        PoisonPolicy::Ignore
-    }
-
-    /// Whether a write holder has panicked since the last
-    /// [`Hazard::clear_poison`] (always `false` when inactive).
-    #[inline]
-    pub fn is_poisoned(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner
-                .as_ref()
-                .is_some_and(|i| i.poisoned.load(Ordering::Acquire))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            false
-        }
-    }
-
-    /// Marks the lock poisoned (regardless of policy) and counts a
-    /// `poisoned` telemetry event.
-    pub fn poison(&self) {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            if !i.poisoned.swap(true, Ordering::AcqRel) {
-                Self::tel(i).incr(LockEvent::Poisoned);
-            }
-        }
-    }
-
-    /// Clears the poison mark after the caller has restored whatever
-    /// invariant the panicking writer may have broken.
-    pub fn clear_poison(&self) {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            if i.poisoned.swap(false, Ordering::AcqRel) {
-                Self::tel(i).incr(LockEvent::PoisonCleared);
-            }
-        }
-    }
-
-    /// Guard-drop hook, called by the RAII guards in `oll-core`
-    /// *before* the release itself runs: applies the poison policy when
-    /// the drop is part of a panic unwind, notes watchdog progress, and
-    /// withdraws this thread from the lock's ownership record.
-    #[inline]
-    pub fn on_guard_drop(&self, write: bool) {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            if write
-                && std::thread::panicking()
-                && i.policy.load(Ordering::Relaxed) == PoisonPolicy::Poison as u8
-            {
-                self.poison();
-            }
-            self.note_progress(write);
-            if i.detect.load(Ordering::Relaxed) {
-                graph::released(i.lock_id, write);
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = write;
-        }
-    }
-
-    /// Acquisition hook, called by the RAII guard constructors in
-    /// `oll-core`: records this thread in the lock's ownership record
-    /// (only while deadlock detection is on) and notes progress.
-    #[inline]
-    pub fn on_guard_acquire(&self, write: bool) {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            self.note_progress(write);
-            if i.detect.load(Ordering::Relaxed) {
-                graph::acquired(i.lock_id, write);
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = write;
-        }
-    }
-
-    /// Turns wait-for-edge publication and cycle checks on or off for
-    /// this lock's watched acquisitions.
-    pub fn detect_deadlocks(&self, on: bool) {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            i.detect.store(on, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = on;
-        }
-    }
-
-    /// Whether deadlock detection is on (diagnostics/tests).
-    pub fn detects_deadlocks(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner
-                .as_ref()
-                .is_some_and(|i| i.detect.load(Ordering::Relaxed))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            false
-        }
-    }
-
-    /// The wait-slice length watched acquisitions chop their deadline
-    /// into, or `None` when this handle is inactive (callers then skip
-    /// slicing entirely and issue one plain deadline wait).
-    pub fn watch_interval(&self) -> Option<Duration> {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner
-                .as_ref()
-                .map(|i| Duration::from_nanos(i.watch_interval_ns.load(Ordering::Relaxed)))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            None
-        }
-    }
-
-    /// Sets the watched-acquisition wait slice (floored at 100µs so a
-    /// misconfigured interval cannot busy-spin the checks).
-    pub fn set_watch_interval(&self, interval: Duration) {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            let ns = (interval.as_nanos() as u64).max(100_000);
-            i.watch_interval_ns.store(ns, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = interval;
-        }
+    /// Sets the wait-slice length watched acquisitions chop their
+    /// deadline into (floored at 100 µs so a misconfigured interval
+    /// cannot busy-spin the checks).
+    pub fn watch_interval(mut self, interval: Duration) -> Self {
+        self.interval = interval.max(Duration::from_micros(100));
+        self
     }
 
     /// Sets the writer stall threshold the watchdog escalates at.
-    pub fn set_stall_threshold(&self, threshold: Duration) {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            let ns = (threshold.as_nanos() as u64).max(1);
-            i.stall_threshold_ns.store(ns, Ordering::Relaxed);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = threshold;
-        }
+    pub fn stall_threshold(mut self, threshold: Duration) -> Self {
+        self.stall_threshold = threshold.max(Duration::from_nanos(1));
+        self
     }
 
-    /// Publishes this thread's wait-for edge onto the lock (no-op
-    /// unless active and detecting).
-    #[inline]
-    pub fn begin_wait(&self) {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            if i.detect.load(Ordering::Relaxed) {
-                graph::begin_wait(i.lock_id);
-            }
-        }
+    /// The wrapped lock.
+    pub fn inner(&self) -> &L {
+        &self.inner
     }
 
-    /// Withdraws this thread's wait-for edge (wait abandoned).
-    #[inline]
-    pub fn cancel_wait(&self) {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            if i.detect.load(Ordering::Relaxed) {
-                graph::end_wait();
-            }
-        }
-    }
-
-    /// Runs the cycle check from the calling (blocked) thread. `true`
-    /// means the published wait-for edges form a cycle through this
-    /// thread — waiting longer cannot succeed. Counts a
-    /// `deadlock_detected` telemetry event on a positive answer.
-    pub fn deadlock_check(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            if i.detect.load(Ordering::Relaxed) && graph::deadlocked() {
-                Self::tel(i).incr(LockEvent::DeadlockDetected);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Watchdog input: a watched writer has been waiting `stalled` so
-    /// far. Escalates through the ladder — `≥ 1×` threshold counts a
-    /// `watchdog_stall` telemetry event, `≥ 2×` counts another (the
-    /// trace anomaly pass picks repeated stalls up), `≥ 3×` degrades
-    /// the lock: [`Hazard::bias_allowed`] turns `false`, which the
-    /// BRAVO layer reads as *disable the reader bias and fall back to
-    /// fair hand-off* until progress resumes.
-    pub fn note_writer_stall(&self, stalled: Duration) {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            let threshold = i.stall_threshold_ns.load(Ordering::Relaxed).max(1);
-            let stalled_ns = stalled.as_nanos() as u64;
-            let target = (stalled_ns / threshold).min(3) as u8;
-            let mut level = i.stall_level.load(Ordering::Relaxed);
-            while level < target {
-                match i.stall_level.compare_exchange(
-                    level,
-                    level + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        level += 1;
-                        match level {
-                            1 | 2 => Self::tel(i).incr(LockEvent::WatchdogStall),
-                            _ => {
-                                i.degraded.store(true, Ordering::Relaxed);
-                                Self::tel(i).incr(LockEvent::BiasDegraded);
-                            }
-                        }
-                    }
-                    Err(now) => level = now,
-                }
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = stalled;
-        }
-    }
-
-    /// Progress note: an acquisition or release completed. Resets the
-    /// watchdog ladder; a write completing also lifts degradation.
-    #[inline]
-    pub fn note_progress(&self, write: bool) {
-        #[cfg(feature = "enabled")]
-        if let Some(i) = &self.inner {
-            if i.stall_level.load(Ordering::Relaxed) != 0 {
-                i.stall_level.store(0, Ordering::Relaxed);
-            }
-            // Checked independently of the stall level: a reader's
-            // progress may have reset the level already, but only a
-            // *write* getting through proves the degradation did its
-            // job and the bias can come back.
-            if write && i.degraded.load(Ordering::Relaxed) {
-                i.degraded.store(false, Ordering::Relaxed);
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = write;
-        }
-    }
-
-    /// Whether the reader bias may be used/re-armed. `false` only while
-    /// the watchdog has degraded the lock (always `true` when inactive
-    /// — an absent hazard layer never constrains the bias).
-    #[inline]
-    pub fn bias_allowed(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        {
-            !self
-                .inner
-                .as_ref()
-                .is_some_and(|i| i.degraded.load(Ordering::Relaxed))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            true
-        }
+    /// Whether a write holder has panicked since the last
+    /// [`Watched::clear_poison`].
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
     }
 
     /// Current watchdog escalation level, 0–3 (diagnostics/tests).
     pub fn stall_level(&self) -> u8 {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner
-                .as_ref()
-                .map_or(0, |i| i.stall_level.load(Ordering::Relaxed))
+        self.stall_level.load(Ordering::Relaxed)
+    }
+}
+
+impl<L: RwLockFamily> Watched<L> {
+    /// Clears the poison mark after the caller has restored whatever
+    /// invariant the panicking writer may have broken.
+    pub fn clear_poison(&self) {
+        if self.poisoned.swap(false, Ordering::AcqRel) {
+            self.inner.telemetry().incr(LockEvent::PoisonCleared);
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
+    }
+
+    fn poison(&self) {
+        if !self.poisoned.swap(true, Ordering::AcqRel) {
+            self.inner.telemetry().incr(LockEvent::Poisoned);
         }
+    }
+
+    /// Runs the cycle check from the calling (blocked) thread, counting
+    /// a `deadlock_detected` event on a positive answer.
+    fn deadlocked(&self) -> bool {
+        let found = graph::deadlocked();
+        if found {
+            self.inner.telemetry().incr(LockEvent::DeadlockDetected);
+        }
+        found
+    }
+
+    /// Watchdog input: a watched writer has been waiting `stalled` so
+    /// far. `≥ 1×` the threshold counts a `watchdog_stall` event, `≥ 2×`
+    /// another (the trace anomaly pass picks repeated stalls up), `≥ 3×`
+    /// degrades the lock. The degrade is re-applied on every slice while
+    /// it lasts, because a `SelfTuning` window rewrites the whole knob
+    /// set.
+    fn note_writer_stall(&self, stalled: Duration) {
+        let threshold = self.stall_threshold.as_nanos();
+        let target = (stalled.as_nanos() / threshold).min(3) as u8;
+        let mut level = self.stall_level.load(Ordering::Relaxed);
+        while level < target {
+            match self.stall_level.compare_exchange(
+                level,
+                level + 1,
+                Ordering::Relaxed,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => {
+                    level += 1;
+                    let event = if level == 3 {
+                        LockEvent::BiasDegraded
+                    } else {
+                        LockEvent::WatchdogStall
+                    };
+                    self.inner.telemetry().incr(event);
+                }
+                Err(now) => level = now,
+            }
+        }
+        if level == 3 {
+            if let Some(knobs) = self.inner.tuning_knobs() {
+                if knobs.bias_allowed() {
+                    knobs.set_bias_allowed(false);
+                    self.cleared_bias.store(true, Ordering::Relaxed);
+                }
+            }
+        }
+    }
+
+    /// Progress note: an acquisition or release completed. Resets the
+    /// watchdog ladder; only a *write* getting through proves the
+    /// degradation did its job, so only a write gives the bias back.
+    fn note_progress(&self, write: bool) {
+        if self.stall_level.load(Ordering::Relaxed) != 0 {
+            self.stall_level.store(0, Ordering::Relaxed);
+        }
+        if write
+            && self.cleared_bias.load(Ordering::Relaxed)
+            && self.cleared_bias.swap(false, Ordering::Relaxed)
+        {
+            if let Some(knobs) = self.inner.tuning_knobs() {
+                knobs.set_bias_allowed(true);
+            }
+        }
+    }
+}
+
+impl<L: RwLockFamily> RwLockFamily for Watched<L> {
+    type Handle<'a>
+        = WatchedHandle<'a, L>
+    where
+        Self: 'a,
+        L: 'a;
+
+    fn handle(&self) -> Result<Self::Handle<'_>, SlotError> {
+        Ok(WatchedHandle {
+            lock: self,
+            inner: self.inner.handle()?,
+        })
+    }
+
+    fn capacity(&self) -> usize {
+        self.inner.capacity()
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn telemetry(&self) -> oll_telemetry::Telemetry {
+        self.inner.telemetry()
+    }
+
+    fn tuning_knobs(&self) -> Option<&std::sync::Arc<oll_util::knobs::TuningKnobs>> {
+        self.inner.tuning_knobs()
+    }
+}
+
+/// Why a watched acquisition returned without the lock.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AcquireError {
+    /// The deadline passed. Same guarantees as [`TimedOut`]: the
+    /// acquisition was fully undone.
+    TimedOut,
+    /// The process-global wait-for graph contains a cycle through the
+    /// calling thread: every hold this wait depends on is itself
+    /// blocked, transitively, on a lock this thread holds. Waiting
+    /// longer cannot succeed; the acquisition was fully undone so the
+    /// caller can release what it holds and retry in a consistent
+    /// order.
+    DeadlockDetected,
+}
+
+impl core::fmt::Display for AcquireError {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        match self {
+            AcquireError::TimedOut => f.write_str("lock acquisition timed out"),
+            AcquireError::DeadlockDetected => {
+                f.write_str("lock acquisition abandoned: wait-for cycle detected")
+            }
+        }
+    }
+}
+
+impl std::error::Error for AcquireError {}
+
+impl From<TimedOut> for AcquireError {
+    fn from(_: TimedOut) -> Self {
+        AcquireError::TimedOut
+    }
+}
+
+/// The lock was acquired, but a previous write holder panicked inside
+/// its critical section and nobody has called [`Watched::clear_poison`]
+/// yet. Carries the guard: acquisition succeeded and the caller decides
+/// whether the protected state is salvageable — the same shape as
+/// [`std::sync::PoisonError`].
+pub struct PoisonError<G> {
+    guard: G,
+}
+
+impl<G> PoisonError<G> {
+    /// Wraps a guard acquired on a poisoned lock.
+    pub fn new(guard: G) -> Self {
+        Self { guard }
+    }
+
+    /// Consumes the error, yielding the guard it carries.
+    pub fn into_inner(self) -> G {
+        self.guard
+    }
+
+    /// The guard, by shared reference.
+    pub fn get_ref(&self) -> &G {
+        &self.guard
+    }
+
+    /// The guard, by exclusive reference.
+    pub fn get_mut(&mut self) -> &mut G {
+        &mut self.guard
+    }
+}
+
+impl<G> core::fmt::Debug for PoisonError<G> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("PoisonError").finish_non_exhaustive()
+    }
+}
+
+impl<G> core::fmt::Display for PoisonError<G> {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.write_str("lock poisoned: a write holder panicked in its critical section")
+    }
+}
+
+impl<G> std::error::Error for PoisonError<G> {}
+
+/// A registered thread's view of a [`Watched`] lock: the wrapped lock's
+/// handle plus the hazard bookkeeping around each of its operations.
+pub struct WatchedHandle<'a, L: RwLockFamily> {
+    lock: &'a Watched<L>,
+    inner: L::Handle<'a>,
+}
+
+impl<L: RwLockFamily> WatchedHandle<'_, L> {
+    /// A hold was taken: record it in the wait-for graph (which also
+    /// withdraws any wait edge) and note progress.
+    fn acquired(&self, write: bool) {
+        graph::acquired(self.lock.lock_id, write);
+        self.lock.note_progress(write);
+    }
+
+    /// A hold is about to be released. Poisons a write released during
+    /// a panic unwind *before* the release, so the mark is visible to
+    /// the waiters the unlock wakes.
+    fn releasing(&self, write: bool) {
+        if write && std::thread::panicking() {
+            self.lock.poison();
+        }
+        self.lock.note_progress(write);
+        graph::released(self.lock.lock_id, write);
+    }
+
+    /// Like [`read`](RwHandle::read), but reports whether a previous
+    /// write holder panicked. The lock *is* acquired either way; the
+    /// `Err` arm carries the guard so the caller can inspect the
+    /// protected state and [`Watched::clear_poison`] after restoring
+    /// invariants.
+    pub fn read_checked(
+        &mut self,
+    ) -> Result<ReadGuard<'_, Self>, PoisonError<ReadGuard<'_, Self>>> {
+        let lock = self.lock;
+        let guard = self.read();
+        if lock.is_poisoned() {
+            Err(PoisonError::new(guard))
+        } else {
+            Ok(guard)
+        }
+    }
+
+    /// Like [`write`](RwHandle::write), but reports poisoning; see
+    /// [`read_checked`](Self::read_checked).
+    pub fn write_checked(
+        &mut self,
+    ) -> Result<WriteGuard<'_, Self>, PoisonError<WriteGuard<'_, Self>>> {
+        let lock = self.lock;
+        let guard = self.write();
+        if lock.is_poisoned() {
+            Err(PoisonError::new(guard))
+        } else {
+            Ok(guard)
+        }
+    }
+}
+
+impl<L: RwLockFamily> RwHandle for WatchedHandle<'_, L> {
+    fn lock_read(&mut self) {
+        self.inner.lock_read();
+        self.acquired(false);
+    }
+
+    fn unlock_read(&mut self) {
+        self.releasing(false);
+        self.inner.unlock_read();
+    }
+
+    fn lock_write(&mut self) {
+        self.inner.lock_write();
+        self.acquired(true);
+    }
+
+    fn unlock_write(&mut self) {
+        self.releasing(true);
+        self.inner.unlock_write();
+    }
+
+    fn try_lock_read(&mut self) -> bool {
+        let ok = self.inner.try_lock_read();
+        if ok {
+            self.acquired(false);
+        }
+        ok
+    }
+
+    fn try_lock_write(&mut self) -> bool {
+        let ok = self.inner.try_lock_write();
+        if ok {
+            self.acquired(true);
+        }
+        ok
+    }
+}
+
+impl<'a, L: RwLockFamily> TimedHandle for WatchedHandle<'a, L>
+where
+    L::Handle<'a>: TimedHandle,
+{
+    fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
+        self.inner.lock_read_deadline(deadline)?;
+        self.acquired(false);
+        Ok(())
+    }
+
+    fn lock_write_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
+        self.inner.lock_write_deadline(deadline)?;
+        self.acquired(true);
+        Ok(())
+    }
+}
+
+/// Watched acquisitions: deadline waits that run the deadlock and
+/// starvation checks while blocked.
+///
+/// A watched acquisition publishes its wait-for edge, then chops its
+/// deadline into watch-interval slices and issues one [`TimedHandle`]
+/// deadline wait per slice. Each time a slice expires without a grant,
+/// the blocker — from its own context, no background thread — runs the
+/// cycle check over the wait-for graph and, for writers, feeds the
+/// watchdog's escalation ladder. The slicing relies on the
+/// [`TimedHandle`] contract: an expired slice leaves *no* partial
+/// arrival behind (C-SNZI departed, queue node excised), so re-arriving
+/// for the next slice is always legal.
+impl<'a, L: RwLockFamily> WatchedHandle<'a, L>
+where
+    L::Handle<'a>: TimedHandle,
+{
+    fn lock_watched(&mut self, write: bool, deadline: Instant) -> Result<(), AcquireError> {
+        let lock = self.lock;
+        let start = Instant::now();
+        graph::begin_wait(lock.lock_id);
+        let err = loop {
+            let slice = deadline.min(Instant::now() + lock.interval);
+            let granted = if write {
+                self.inner.lock_write_deadline(slice)
+            } else {
+                self.inner.lock_read_deadline(slice)
+            };
+            if granted.is_ok() {
+                // Recording the hold withdraws the wait edge too.
+                self.acquired(write);
+                return Ok(());
+            }
+            if Instant::now() >= deadline {
+                break AcquireError::TimedOut;
+            }
+            if lock.deadlocked() {
+                break AcquireError::DeadlockDetected;
+            }
+            if write {
+                lock.note_writer_stall(start.elapsed());
+            }
+        };
+        graph::end_wait();
+        Err(err)
+    }
+
+    /// Acquires for reading, running the deadlock check while blocked.
+    pub fn lock_read_watched(&mut self, deadline: Instant) -> Result<(), AcquireError> {
+        self.lock_watched(false, deadline)
+    }
+
+    /// Acquires for writing, running the deadlock check and the
+    /// starvation watchdog while blocked.
+    pub fn lock_write_watched(&mut self, deadline: Instant) -> Result<(), AcquireError> {
+        self.lock_watched(true, deadline)
+    }
+
+    /// Watched read acquisition returning a guard.
+    pub fn read_watched(&mut self, deadline: Instant) -> Result<ReadGuard<'_, Self>, AcquireError> {
+        self.lock_read_watched(deadline)?;
+        Ok(ReadGuard::new(self))
+    }
+
+    /// Watched write acquisition returning a guard.
+    pub fn write_watched(
+        &mut self,
+        deadline: Instant,
+    ) -> Result<WriteGuard<'_, Self>, AcquireError> {
+        self.lock_write_watched(deadline)?;
+        Ok(WriteGuard::new(self))
+    }
+}
+
+impl<'a, L: RwLockFamily> UpgradableHandle for WatchedHandle<'a, L>
+where
+    L::Handle<'a>: UpgradableHandle,
+{
+    fn try_upgrade(&mut self) -> bool {
+        let ok = self.inner.try_upgrade();
+        if ok {
+            // A read release plus a write acquisition, atomically from
+            // the lock's point of view.
+            graph::released(self.lock.lock_id, false);
+            self.acquired(true);
+        }
+        ok
+    }
+
+    fn downgrade(&mut self) {
+        // A write release plus a read acquisition that never lets the
+        // lock go in between.
+        self.releasing(true);
+        self.inner.downgrade();
+        self.acquired(false);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oll_core::{Bravo, GollLock};
 
     #[test]
-    fn disabled_handle_is_silent() {
-        let h = Hazard::disabled();
-        assert!(!h.is_active());
-        assert_eq!(h.lock_id(), 0);
-        assert!(!h.is_poisoned());
-        h.poison();
-        assert!(!h.is_poisoned(), "inactive handles cannot be poisoned");
-        h.clear_poison();
-        h.on_guard_drop(true);
-        h.on_guard_acquire(false);
-        assert!(!h.deadlock_check());
-        assert!(h.bias_allowed());
-        assert_eq!(h.stall_level(), 0);
-        assert_eq!(h.poison_policy(), PoisonPolicy::Ignore);
+    fn poison_round_trip() {
+        let w = Watched::new(GollLock::new(2));
+        assert!(w.lock_id > 0);
+        let mut h = w.handle().unwrap();
+        // Not panicking, so a write release leaves it clean.
+        h.lock_write();
+        h.unlock_write();
+        assert!(!w.is_poisoned());
+        // Direct poisoning works.
+        w.poison();
+        assert!(w.is_poisoned());
+        assert!(h.write_checked().is_err());
+        w.clear_poison();
+        assert!(!w.is_poisoned());
+        assert!(h.read_checked().is_ok());
     }
 
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_type_is_zero_sized() {
-        assert_eq!(std::mem::size_of::<Hazard>(), 0);
-        assert!(!Hazard::enabled());
-        assert!(!Hazard::new().is_active());
-        assert!(Hazard::new().watch_interval().is_none());
-    }
-
-    #[cfg(feature = "enabled")]
-    #[test]
-    fn poison_round_trip_follows_policy() {
-        let h = Hazard::new();
-        assert!(h.is_active());
-        assert!(h.lock_id() > 0);
-        // Default policy ignores panicking drops.
-        h.on_guard_drop(true);
-        assert!(!h.is_poisoned());
-        // Direct poisoning works regardless of policy.
-        h.poison();
-        assert!(h.is_poisoned());
-        h.clear_poison();
-        assert!(!h.is_poisoned());
-        h.set_poison_policy(PoisonPolicy::Poison);
-        assert_eq!(h.poison_policy(), PoisonPolicy::Poison);
-        // Not panicking, so the drop hook still leaves it clean.
-        h.on_guard_drop(true);
-        assert!(!h.is_poisoned());
-    }
-
-    #[cfg(feature = "enabled")]
     #[test]
     fn watchdog_ladder_escalates_and_resets() {
-        let h = Hazard::new();
-        h.set_stall_threshold(Duration::from_millis(10));
-        h.note_writer_stall(Duration::from_millis(5));
-        assert_eq!(h.stall_level(), 0);
-        h.note_writer_stall(Duration::from_millis(12));
-        assert_eq!(h.stall_level(), 1);
-        assert!(h.bias_allowed());
-        h.note_writer_stall(Duration::from_millis(25));
-        assert_eq!(h.stall_level(), 2);
-        assert!(h.bias_allowed());
-        h.note_writer_stall(Duration::from_millis(35));
-        assert_eq!(h.stall_level(), 3);
-        assert!(!h.bias_allowed(), "level 3 degrades the bias");
-        // A further stall note cannot go past 3.
-        h.note_writer_stall(Duration::from_secs(1));
-        assert_eq!(h.stall_level(), 3);
-        // Write progress lifts the degradation.
-        h.note_progress(true);
-        assert_eq!(h.stall_level(), 0);
-        assert!(h.bias_allowed());
+        let w =
+            Watched::new(Bravo::new(GollLock::new(2))).stall_threshold(Duration::from_millis(10));
+        let knobs = w.inner().knobs();
+        w.note_writer_stall(Duration::from_millis(5));
+        assert_eq!(w.stall_level(), 0);
+        w.note_writer_stall(Duration::from_millis(12));
+        assert_eq!(w.stall_level(), 1);
+        assert!(knobs.bias_allowed());
+        w.note_writer_stall(Duration::from_millis(25));
+        assert_eq!(w.stall_level(), 2);
+        assert!(knobs.bias_allowed());
+        w.note_writer_stall(Duration::from_millis(35));
+        assert_eq!(w.stall_level(), 3);
+        assert!(!knobs.bias_allowed(), "level 3 degrades the bias");
+        // A further stall note cannot go past 3, and re-applies the
+        // degrade a knob rewrite undid.
+        knobs.set_bias_allowed(true);
+        w.note_writer_stall(Duration::from_secs(1));
+        assert_eq!(w.stall_level(), 3);
+        assert!(!knobs.bias_allowed());
+        // Read progress resets the ladder but not the degrade; write
+        // progress lifts it.
+        w.note_progress(false);
+        assert_eq!(w.stall_level(), 0);
+        assert!(!knobs.bias_allowed());
+        w.note_progress(true);
+        assert!(knobs.bias_allowed());
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn watch_interval_is_floored() {
-        let h = Hazard::new();
-        h.set_watch_interval(Duration::from_nanos(1));
-        assert_eq!(h.watch_interval(), Some(Duration::from_micros(100)));
-        h.set_watch_interval(Duration::from_millis(7));
-        assert_eq!(h.watch_interval(), Some(Duration::from_millis(7)));
+        let w = Watched::new(GollLock::new(1)).watch_interval(Duration::from_nanos(1));
+        assert_eq!(w.interval, Duration::from_micros(100));
+        let w = w.watch_interval(Duration::from_millis(7));
+        assert_eq!(w.interval, Duration::from_millis(7));
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
-    fn detection_gates_graph_traffic() {
-        let h = Hazard::new();
-        assert!(!h.detects_deadlocks());
-        h.begin_wait(); // no-op: detection off
-        assert!(!h.deadlock_check());
-        h.detect_deadlocks(true);
-        assert!(h.detects_deadlocks());
-        h.begin_wait();
-        assert!(!h.deadlock_check(), "sole waiter cannot deadlock");
-        h.cancel_wait();
+    fn sole_waiter_is_not_deadlocked() {
+        let w = Watched::new(GollLock::new(2));
+        let held = std::sync::Barrier::new(2);
+        let done = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut a = w.handle().unwrap();
+                a.lock_write();
+                held.wait();
+                done.wait();
+                a.unlock_write();
+            });
+            held.wait();
+            let mut b = w.handle().unwrap();
+            let err = b
+                .lock_write_watched(Instant::now() + Duration::from_millis(20))
+                .unwrap_err();
+            assert_eq!(err, AcquireError::TimedOut, "sole waiter cannot deadlock");
+            done.wait();
+        });
+    }
+
+    #[test]
+    fn waiting_on_a_lock_this_thread_holds_is_a_deadlock() {
+        let w = Watched::new(GollLock::new(2)).watch_interval(Duration::from_millis(1));
+        let mut a = w.handle().unwrap();
+        let mut b = w.handle().unwrap();
+        a.lock_write();
+        let err = b
+            .lock_read_watched(Instant::now() + Duration::from_secs(20))
+            .unwrap_err();
+        assert_eq!(err, AcquireError::DeadlockDetected);
+        a.unlock_write();
+        b.lock_read_watched(Instant::now() + Duration::from_secs(20))
+            .unwrap();
+        b.unlock_read();
     }
 }

@@ -102,11 +102,10 @@ macro_rules! lock_events {
             /// Reader bias re-armed after the adaptive inhibit window
             /// elapsed.
             BiasRearm = "bias_rearm",
-            /// A write holder panicked in its critical section and the
-            /// lock's `Poison` hazard policy marked the lock poisoned (as a
-            /// trace record, `token` carries the hazard lock id).
+            /// A write holder panicked in its critical section and its
+            /// release marked the `Watched` lock poisoned.
             Poisoned = "poisoned",
-            /// A poison mark was cleared (`Hazard::clear_poison`).
+            /// A poison mark was cleared (`Watched::clear_poison`).
             PoisonCleared = "poison_cleared",
             /// A watched blocker found a wait-for cycle through itself and
             /// abandoned the acquisition
@@ -116,8 +115,9 @@ macro_rules! lock_events {
             /// stall threshold (counted at each escalation below
             /// degradation).
             WatchdogStall = "watchdog_stall",
-            /// The watchdog degraded the lock: reader bias disabled, forced
-            /// fair hand-off until a write completes.
+            /// The watchdog degraded the lock: its `bias_allowed` knob is
+            /// cleared, so the reader bias cannot re-arm until a write
+            /// completes.
             BiasDegraded = "bias_degraded",
             /// An async acquisition stored its task waker and returned
             /// `Pending` (the futures-native analogue of parking a

@@ -27,10 +27,10 @@
 //! shape to one sized for N threads. `--biased` wraps the OLL locks in the
 //! BRAVO reader-biasing layer: biased reads publish into the global
 //! visible-readers table and skip the underlying lock entirely until a
-//! writer revokes the bias. `--hazard` arms the `oll-hazard` hardening
-//! layer on every lock (poison policy + deadlock-detection tracking) so
-//! its steady-state overhead is measurable; it needs a build with the
-//! `hazard` cargo feature to do anything. `--cohort` builds FOLL/ROLL
+//! writer revokes the bias. `--hazard` wraps every lock in the
+//! `oll_hazard::Watched` hardening layer (poisoning + wait-for-graph
+//! tracking of every hold) so its steady-state overhead is measurable.
+//! `--cohort` builds FOLL/ROLL
 //! with the NUMA cohort writer gate: per-socket writer queues that hand
 //! the write lock to same-socket waiters up to a batch bound before
 //! releasing cross-node (GOLL and the baselines ignore it).

@@ -16,10 +16,9 @@
 //! `--shape N` sizes the OLL locks' (GOLL/FOLL/ROLL) C-SNZI tree for N
 //! threads; `--biased`
 //! wraps the OLL locks in the BRAVO reader-biasing layer, exposing the
-//! biased read fast path's latency. `--hazard` arms the `oll-hazard` hardening layer on
-//! every lock (poison policy + deadlock-detection tracking) so its cost
-//! shows in the tails; needs a `--features hazard` build to do
-//! anything. `--cohort` builds FOLL/ROLL with the NUMA cohort writer
+//! biased read fast path's latency. `--hazard` wraps every lock in the
+//! `oll_hazard::Watched` hardening layer (poisoning + wait-for-graph
+//! tracking of every hold) so its cost shows in the tails. `--cohort` builds FOLL/ROLL with the NUMA cohort writer
 //! gate (batched same-socket write hand-off), exposing what the batch
 //! bound does to writer tails. `--self-tuning` wraps the OLL locks in
 //! the `SelfTuning` online policy controller, so the tails include any

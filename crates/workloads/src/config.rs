@@ -93,11 +93,11 @@ pub struct LockOptions {
     /// (`oll_core::Bravo`): biased reads bypass the lock through the
     /// process-global visible-readers table until a writer revokes.
     pub biased: bool,
-    /// Arm the `oll-hazard` layer on every constructed lock (poison
-    /// policy `Poison`, deadlock detection on) so its steady-state
-    /// tracking cost shows up in the measurement. Unlike the other
-    /// options this applies to the baselines too. A no-op unless the
-    /// workspace is built with the `hazard` feature.
+    /// Wrap every constructed lock, outermost, in the hazard layer
+    /// (`oll_hazard::Watched`: poisoning, wait-for-graph tracking of
+    /// every hold, starvation watchdog) so its steady-state cost shows up
+    /// in the measurement. Unlike the other options this applies to the
+    /// baselines too.
     pub hazard: bool,
     /// Build FOLL/ROLL with the NUMA cohort writer gate: per-socket
     /// writer queues with batched local hand-off before a cross-node

@@ -12,7 +12,7 @@ use crate::config::{LockKind, LockOptions};
 use oll_baselines::{CentralizedRwLock, KsuhLock, SolarisLikeRwLock, StdRwLock};
 use oll_core::{FollLock, GollLock, RollLock, RwLockFamily, SelfTuning};
 use oll_csnzi::TreeShape;
-use oll_hazard::PoisonPolicy;
+use oll_hazard::Watched;
 
 /// Generic code to run over one constructed lock. A trait rather than a
 /// closure because the lock's type differs per kind and option set, and
@@ -25,15 +25,14 @@ pub trait LockVisitor {
     fn visit<L: RwLockFamily + 'static>(self, lock: L) -> Self::Out;
 }
 
-/// Arms the hazard layer when asked (on every kind, baselines included)
-/// and hands the lock over.
+/// Wraps the lock in [`Watched`] when `hazard` is asked for (on every
+/// kind, baselines included) and hands it over.
 fn arm<L: RwLockFamily + 'static, V: LockVisitor>(lock: L, opts: &LockOptions, v: V) -> V::Out {
     if opts.hazard {
-        let h = lock.hazard();
-        h.set_poison_policy(PoisonPolicy::Poison);
-        h.detect_deadlocks(true);
+        v.visit(Watched::new(lock))
+    } else {
+        v.visit(lock)
     }
-    v.visit(lock)
 }
 
 impl LockKind {
@@ -42,8 +41,8 @@ impl LockKind {
     /// order: builder options (`shape_threads`, and on FOLL/ROLL
     /// `cohort`), then the `Bravo` wrapper when `biased`, then
     /// the [`SelfTuning`] wrapper when `self_tuning`. The baselines have
-    /// nothing to configure and ignore all of those. `hazard` arms the
-    /// poison policy and deadlock detection on whatever was built.
+    /// nothing to configure and ignore all of those. `hazard` wraps
+    /// whatever was built in [`Watched`], outermost.
     pub fn with_lock<V: LockVisitor>(
         self,
         capacity: usize,
@@ -89,13 +88,16 @@ mod tests {
     /// Finds the OLL lock `Q` under whichever wrappers the options put
     /// around it.
     fn peel<Q: RwLockFamily + 'static>(lock: &dyn Any) -> Option<&Q> {
-        None.or_else(|| lock.downcast_ref::<Q>())
-            .or_else(|| lock.downcast_ref::<Bravo<Q>>().map(Bravo::inner))
-            .or_else(|| lock.downcast_ref::<SelfTuning<Q>>().map(SelfTuning::inner))
-            .or_else(|| {
-                lock.downcast_ref::<SelfTuning<Bravo<Q>>>()
-                    .map(|t| t.inner().inner())
-            })
+        /// `S`, bare or watched, unwrapped down to `Q`.
+        fn shape<S: 'static, Q>(lock: &dyn Any, unwrap: fn(&S) -> &Q) -> Option<&Q> {
+            lock.downcast_ref::<S>()
+                .or_else(|| lock.downcast_ref::<Watched<S>>().map(Watched::inner))
+                .map(unwrap)
+        }
+        None.or_else(|| shape::<Q, Q>(lock, |q| q))
+            .or_else(|| shape(lock, Bravo::<Q>::inner))
+            .or_else(|| shape(lock, SelfTuning::<Q>::inner))
+            .or_else(|| shape(lock, |t: &SelfTuning<Bravo<Q>>| t.inner().inner()))
     }
 
     /// Checks that the lock handed over works and shows the options as
@@ -136,11 +138,7 @@ mod tests {
             let asked = opts.cohort && kind != LockKind::Goll;
             assert_eq!(built, oll.then_some(asked), "{what}");
 
-            // Arming is observable only where the hazard layer exists.
-            let armed = opts.hazard && oll_hazard::Hazard::enabled();
-            let hz = lock.hazard();
-            assert_eq!(hz.detects_deadlocks(), armed, "{what}");
-            assert_eq!(hz.poison_policy() == PoisonPolicy::Poison, armed, "{what}");
+            assert_eq!(ty.contains("Watched"), opts.hazard, "{what}: {ty}");
             lock.name()
         }
     }

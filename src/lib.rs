@@ -49,9 +49,9 @@
 //!   (build with the `async` feature; absent otherwise).
 //! * [`telemetry`] — per-lock contention profiling (build with the
 //!   `telemetry` feature to record; zero-cost no-ops otherwise).
-//! * [`hazard`] — panic-safe poisoning, online deadlock detection, and
-//!   a starvation watchdog (build with the `hazard` feature to arm;
-//!   zero-cost no-ops otherwise).
+//! * [`hazard`] — the [`Watched`] wrapper: panic-safe poisoning, online
+//!   deadlock detection, and a starvation watchdog over any lock (an
+//!   unwrapped lock carries none of it).
 //! * [`trace`] — flight-recorder event tracing with Perfetto export and
 //!   wait-chain analysis (build with the `trace` feature to record).
 //! * [`obs`] — continuous monitoring: sampler daemon, time-series ring,
@@ -73,11 +73,8 @@ pub use oll_util as util;
 pub use oll_workloads as workloads;
 
 pub use oll_baselines::{CentralizedRwLock, KsuhLock, SolarisLikeRwLock, StdRwLock};
-pub use oll_core::PoisonError;
 #[cfg(not(loom))]
 pub use oll_core::TimedHandle;
-#[cfg(not(loom))]
-pub use oll_core::{AcquireError, WatchedHandle};
 #[cfg(not(loom))]
 pub use oll_core::{Bravo, BravoHandle};
 pub use oll_core::{
@@ -87,7 +84,8 @@ pub use oll_core::{
 #[cfg(not(loom))]
 pub use oll_core::{PolicyConfig, Regime, SelfTuning, TunedHandle, TuningConfig, TuningKnobs};
 pub use oll_csnzi::{ArrivalMode, ArrivalPolicy, CSnzi, CancelOutcome, LeafCursor, TreeShape};
-pub use oll_hazard::{Hazard, PoisonPolicy};
+#[cfg(not(loom))]
+pub use oll_hazard::{AcquireError, PoisonError, Watched, WatchedHandle};
 
 #[cfg(feature = "async")]
 pub use oll_async::{

@@ -7,7 +7,7 @@
 //! catches the regression that would break it: `async` (or `dep:oll-async`)
 //! leaking into the default feature set.
 //!
-//! Mirrors `telemetry_off.rs` / `hazard_off.rs`.
+//! Mirrors `telemetry_off.rs` / `trace_off.rs`.
 
 #![cfg(not(feature = "async"))]
 

@@ -1,19 +1,12 @@
-//! Chaos campaigns for the hazard layer: panicking lock holders must
-//! never strand other threads, poison marks must follow the policy, and
-//! a real wait-for cycle must be reported as a deadlock instead of
-//! hanging.
-//!
-//! Run with `cargo test --features hazard --test chaos`. Without the
-//! feature this file compiles to nothing (the hooks it exercises are
-//! zero-sized no-ops, so there would be nothing to test).
+//! Chaos campaigns for the hazard layer (`Watched`): panicking lock
+//! holders must never strand other threads, poison marks must follow
+//! panicking writers, and a real wait-for cycle must be reported as a
+//! deadlock instead of hanging.
 
-#![cfg(all(feature = "hazard", not(loom)))]
+#![cfg(not(loom))]
 
-use oll::hazard::PoisonPolicy;
 use oll::workloads::{LockKind, LockOptions, LockVisitor};
-use oll::{
-    AcquireError, Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, WatchedHandle,
-};
+use oll::{AcquireError, Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, Watched};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -52,8 +45,8 @@ where
     L: RwLockFamily,
 {
     quiet_chaos_panics();
-    let hz = lock.hazard();
-    hz.set_poison_policy(PoisonPolicy::Poison);
+    let lock = Watched::new(lock);
+    let hz = &lock;
     assert!(!hz.is_poisoned(), "{name}: fresh lock poisoned");
 
     let stop = AtomicBool::new(false);
@@ -210,15 +203,11 @@ fn bravo_biased_families_1000_panics() {
 /// instead of timing out (or hanging a plain blocking wait).
 #[test]
 fn abba_cycle_is_reported_as_deadlock() {
-    let a = GollLock::new(2);
-    let b = GollLock::new(2);
-    for lock in [&a, &b] {
-        lock.hazard().detect_deadlocks(true);
-        // One watch interval is the detection latency floor; keep the
-        // deadline comfortably above it and assert detection at a
-        // fraction of the deadline.
-        lock.hazard().set_watch_interval(Duration::from_millis(1));
-    }
+    // One watch interval is the detection latency floor; keep the
+    // deadline comfortably above it and assert detection at a fraction
+    // of the deadline.
+    let a = Watched::new(GollLock::new(2)).watch_interval(Duration::from_millis(1));
+    let b = Watched::new(GollLock::new(2)).watch_interval(Duration::from_millis(1));
     let deadline = Duration::from_secs(20);
 
     let barrier = std::sync::Barrier::new(2);
@@ -278,15 +267,65 @@ fn abba_cycle_is_reported_as_deadlock() {
     }
 }
 
+/// The ABBA cycle again, with both outer holds taken through the raw
+/// watched API rather than a guard: those holds must be in the wait-for
+/// graph too, or the cycle is invisible and both sides run into their
+/// deadlines.
+#[test]
+fn abba_cycle_between_raw_holds_is_reported() {
+    let a = Watched::new(GollLock::new(2)).watch_interval(Duration::from_millis(1));
+    let b = Watched::new(GollLock::new(2)).watch_interval(Duration::from_millis(1));
+    let deadline = Duration::from_secs(2);
+
+    let barrier = std::sync::Barrier::new(2);
+    let (r1, r2) = std::thread::scope(|scope| {
+        let t1 = scope.spawn(|| {
+            let mut ha = a.handle().unwrap();
+            let mut hb = b.handle().unwrap();
+            ha.lock_write_watched(Instant::now() + deadline).unwrap();
+            barrier.wait();
+            let r = hb.lock_write_watched(Instant::now() + deadline);
+            if r.is_ok() {
+                hb.unlock_write();
+            }
+            ha.unlock_write();
+            r
+        });
+        let t2 = scope.spawn(|| {
+            let mut hb = b.handle().unwrap();
+            let mut ha = a.handle().unwrap();
+            hb.lock_write_watched(Instant::now() + deadline).unwrap();
+            barrier.wait();
+            let r = ha.lock_write_watched(Instant::now() + deadline);
+            if r.is_ok() {
+                ha.unlock_write();
+            }
+            hb.unlock_write();
+            r
+        });
+        (t1.join().unwrap(), t2.join().unwrap())
+    });
+
+    // The side that detects withdraws and releases its outer hold, so
+    // the other side is granted.
+    for r in [r1, r2] {
+        assert_ne!(r, Err(AcquireError::TimedOut), "r1 = {r1:?}, r2 = {r2:?}");
+    }
+    assert!(
+        [r1, r2].contains(&Err(AcquireError::DeadlockDetected)),
+        "neither side reported the ABBA cycle: r1 = {r1:?}, r2 = {r2:?}"
+    );
+}
+
 /// A watched writer stalled behind a long-held read must walk the
 /// escalation ladder to degradation, disable the BRAVO bias while
 /// degraded, and re-enable it once a write makes progress again.
 #[test]
 fn starvation_watchdog_degrades_and_recovers() {
-    let lock = Bravo::wrapping(GollLock::new(3), true).private_table(64);
-    let hz = lock.hazard();
-    hz.set_watch_interval(Duration::from_millis(1));
-    hz.set_stall_threshold(Duration::from_millis(5));
+    let lock = Watched::new(Bravo::wrapping(GollLock::new(3), true).private_table(64))
+        .watch_interval(Duration::from_millis(1))
+        .stall_threshold(Duration::from_millis(5));
+    let hz = lock.inner().knobs();
     assert!(hz.bias_allowed());
 
     let hold = AtomicBool::new(true);
@@ -310,7 +349,7 @@ fn starvation_watchdog_degrades_and_recovers() {
             .lock_write_watched(Instant::now() + Duration::from_millis(200))
             .unwrap_err();
         assert_eq!(err, AcquireError::TimedOut);
-        assert_eq!(hz.stall_level(), 3, "watchdog did not reach degradation");
+        assert_eq!(lock.stall_level(), 3, "watchdog did not reach degradation");
         assert!(!hz.bias_allowed(), "degradation must disable the bias");
 
         // Let the reader go; a granted watched write notes progress and
@@ -321,5 +360,48 @@ fn starvation_watchdog_degrades_and_recovers() {
         w.unlock_write();
     });
     assert!(hz.bias_allowed(), "write progress must restore the bias");
-    assert_eq!(hz.stall_level(), 0);
+    assert_eq!(lock.stall_level(), 0);
+}
+
+/// The degrade gives back only what it took: a bias the user had already
+/// forbidden stays forbidden after a degrade-and-recover cycle.
+#[test]
+fn starvation_watchdog_keeps_a_user_cleared_bias_cleared() {
+    let lock = Watched::new(Bravo::wrapping(GollLock::new(3), true).private_table(64))
+        .watch_interval(Duration::from_millis(1))
+        .stall_threshold(Duration::from_millis(5));
+    let knobs = lock.inner().knobs();
+    knobs.set_bias_allowed(false);
+
+    let hold = AtomicBool::new(true);
+    let reading = std::sync::Barrier::new(2);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut r = lock.handle().unwrap();
+            let g = r.read();
+            reading.wait();
+            while hold.load(Ordering::Relaxed) {
+                std::hint::spin_loop();
+            }
+            drop(g);
+        });
+        reading.wait();
+
+        let mut w = lock.handle().unwrap();
+        let err = w
+            .lock_write_watched(Instant::now() + Duration::from_millis(200))
+            .unwrap_err();
+        assert_eq!(err, AcquireError::TimedOut);
+        assert_eq!(lock.stall_level(), 3, "watchdog did not reach degradation");
+
+        hold.store(false, Ordering::Relaxed);
+        w.lock_write_watched(Instant::now() + Duration::from_secs(20))
+            .unwrap();
+        w.unlock_write();
+    });
+    assert_eq!(lock.stall_level(), 0);
+    assert!(
+        !knobs.bias_allowed(),
+        "recovery re-allowed a bias the user forbade"
+    );
 }

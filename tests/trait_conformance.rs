@@ -5,31 +5,62 @@
 use oll::workloads::{LockKind, LockOptions, LockVisitor};
 use oll::{
     Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock, StdRwLock,
-    TimedHandle, UpgradableHandle,
+    TimedHandle, UpgradableHandle, Watched,
 };
 use std::time::Duration;
 
 /// Boxes the lock `LockKind::with_lock` built behind the type-erased
 /// [`Tester`] — plain, or wrapped in the BRAVO biasing layer (with a
 /// private visible-readers table so concurrently running tests cannot
-/// collide in the process-global one) armed or not.
+/// collide in the process-global one) armed or not; and that, when
+/// `watched`, wrapped in the hazard layer.
+#[derive(Clone, Copy)]
 struct MakeTester {
     bravo: Option<bool>,
+    watched: bool,
+}
+
+impl MakeTester {
+    fn tester<L: RwLockFamily + 'static>(self, lock: L) -> Box<dyn Tester + 'static> {
+        if self.watched {
+            let lock: &'static Watched<L> = Box::leak(Box::new(Watched::new(lock)));
+            Box::new(LockTester {
+                lock,
+                poison: Some(lock),
+            })
+        } else {
+            Box::new(LockTester {
+                lock: Box::leak(Box::new(lock)),
+                poison: None,
+            })
+        }
+    }
 }
 
 impl LockVisitor for MakeTester {
     type Out = Box<dyn Tester + 'static>;
 
     fn visit<L: RwLockFamily + 'static>(self, lock: L) -> Self::Out {
-        fn tester<L: RwLockFamily + 'static>(lock: L) -> Box<dyn Tester + 'static> {
-            Box::new(LockTester {
-                lock: Box::leak(Box::new(lock)),
-            })
-        }
         match self.bravo {
-            None => tester(lock),
-            Some(bias) => tester(Bravo::wrapping(lock, bias).private_table(64)),
+            None => self.tester(lock),
+            Some(bias) => self.tester(Bravo::wrapping(lock, bias).private_table(64)),
         }
+    }
+}
+
+/// A lock's poison mark, for the locks that keep one.
+trait PoisonMark {
+    fn is_poisoned(&self) -> bool;
+    fn clear_poison(&self);
+}
+
+impl<L: RwLockFamily> PoisonMark for Watched<L> {
+    fn is_poisoned(&self) -> bool {
+        Watched::is_poisoned(self)
+    }
+
+    fn clear_poison(&self) {
+        Watched::clear_poison(self)
     }
 }
 
@@ -40,11 +71,25 @@ impl LockVisitor for MakeTester {
 /// fails to compile.
 fn for_each(
     bravo: Option<bool>,
+    f: impl FnMut(&dyn Fn(usize) -> Box<dyn Tester + 'static>, LockKind),
+) {
+    for_each_made(
+        MakeTester {
+            bravo,
+            watched: false,
+        },
+        f,
+    );
+}
+
+/// [`for_each`] with the wrappers `tester` names.
+fn for_each_made(
+    tester: MakeTester,
     mut f: impl FnMut(&dyn Fn(usize) -> Box<dyn Tester + 'static>, LockKind),
 ) {
     for kind in LockKind::ALL {
         let make = move |cap: usize| -> Box<dyn Tester + 'static> {
-            kind.with_lock(cap, &LockOptions::default(), MakeTester { bravo })
+            kind.with_lock(cap, &LockOptions::default(), tester)
         };
         f(&make, kind);
     }
@@ -61,6 +106,8 @@ trait Tester {
 
 struct LockTester<L: RwLockFamily + 'static> {
     lock: &'static L,
+    /// The same lock's poison mark, when it keeps one.
+    poison: Option<&'static dyn PoisonMark>,
 }
 
 impl<L: RwLockFamily> Tester for LockTester<L> {
@@ -93,9 +140,6 @@ impl<L: RwLockFamily> Tester for LockTester<L> {
     }
 
     fn panic_in_critical_sections(&self, label: &str) {
-        use oll::hazard::{Hazard, PoisonPolicy};
-        let hz = self.lock.hazard();
-        hz.set_poison_policy(PoisonPolicy::Poison);
         let mut h = self.lock.handle().unwrap();
         for write in [false, true] {
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -115,16 +159,18 @@ impl<L: RwLockFamily> Tester for LockTester<L> {
             other.unlock_read();
             other.lock_write();
             other.unlock_write();
-            // Poison marks a panicking *write* holder only, and only in
-            // hazard builds; a panicking reader never poisons.
-            assert_eq!(
-                hz.is_poisoned(),
-                write && Hazard::enabled(),
-                "{label}: wrong poison state after {} panic",
-                if write { "write" } else { "read" },
-            );
-            hz.clear_poison();
-            assert!(!hz.is_poisoned(), "{label}: clear_poison had no effect");
+            // Poison marks a panicking *write* holder only, and only on
+            // a watched lock; a panicking reader never poisons.
+            if let Some(hz) = self.poison {
+                assert_eq!(
+                    hz.is_poisoned(),
+                    write,
+                    "{label}: wrong poison state after {} panic",
+                    if write { "write" } else { "read" },
+                );
+                hz.clear_poison();
+                assert!(!hz.is_poisoned(), "{label}: clear_poison had no effect");
+            }
         }
     }
 }
@@ -330,9 +376,10 @@ fn bravo_wrapped_timeout_paths() {
 }
 
 /// The robustness sweep: every lock kind × read/write critical-section
-/// panic × plain/BRAVO-wrapped (biased and unbiased) must unwind without
-/// deadlocking a later acquirer, and the poison mark must track exactly
-/// the panicking-write-holder case (in `hazard` builds).
+/// panic × plain/BRAVO-wrapped (biased and unbiased)/watched/watched
+/// BRAVO must unwind without deadlocking a later acquirer, and on the
+/// watched locks the poison mark must track exactly the
+/// panicking-write-holder case.
 #[test]
 fn panicking_holders_never_deadlock_and_poison_correctly() {
     quiet_conformance_panics();
@@ -342,6 +389,16 @@ fn panicking_holders_never_deadlock_and_poison_correctly() {
     for bias in [false, true] {
         for_each(Some(bias), |make, kind| {
             make(2).panic_in_critical_sections(&format!("Bravo<{}> bias={bias}", kind.name()));
+        });
+    }
+    for bravo in [None, Some(true)] {
+        let tester = MakeTester {
+            bravo,
+            watched: true,
+        };
+        for_each_made(tester, |make, kind| {
+            make(2)
+                .panic_in_critical_sections(&format!("Watched<{}> bravo={bravo:?}", kind.name()));
         });
     }
 }
