@@ -284,12 +284,14 @@ impl QueueCore {
         }
     }
 
-    /// Backoff policy for a wait loop about to start, sampled once per
-    /// episode from the live knobs (a steered cap applies from the next
-    /// episode on — wait loops never re-read mid-spin).
+    /// Backoff policy for a wait loop about to start, read from the live
+    /// knobs when the wait first backs off — a wait that passes at its
+    /// first probe reads none — and once per episode (a steered cap
+    /// applies from the next episode on; wait loops never re-read
+    /// mid-spin).
     #[inline]
-    pub(crate) fn backoff(&self) -> BackoffPolicy {
-        self.knobs.backoff_policy()
+    pub(crate) fn backoff(&self) -> impl Fn() -> BackoffPolicy + Copy + '_ {
+        move || self.knobs.backoff_policy()
     }
 
     /// Classifies a successful per-node C-SNZI arrival for telemetry.
@@ -312,6 +314,7 @@ impl QueueCore {
         });
     }
 
+    #[inline]
     pub(crate) fn load_tail(&self) -> NodeRef {
         NodeRef::from_raw(self.tail.load(Ordering::Acquire))
     }
@@ -326,6 +329,7 @@ impl QueueCore {
         NodeRef::from_raw(self.tail.swap(new.raw(), Ordering::AcqRel))
     }
 
+    #[inline]
     pub(crate) fn rnode(&self, idx: usize) -> &ReaderNode {
         &self.reader_nodes[idx]
     }
@@ -419,12 +423,12 @@ impl QueueCore {
         node.state.store(GRANTED, Ordering::Relaxed);
     }
 
-    /// Cancels a read acquisition that is still waiting on `idx`'s grant
-    /// (the timed reader's undo). On return the caller holds nothing and
-    /// owes nothing; any hand-off obligation picked up in the race with a
-    /// concurrent grant is discharged here.
+    /// Takes back an arrival at reader node `idx` that does not hold the
+    /// lock: a timed reader's that gave up waiting for the node's grant, or
+    /// a try's that found the node waiting. On return the caller holds
+    /// nothing and owes nothing; any hand-off obligation picked up in the
+    /// race with a concurrent grant is discharged here.
     pub(crate) fn cancel_read_session(&self, idx: usize, ticket: Ticket) {
-        self.telemetry.incr(LockEvent::Cancel);
         match self.rnode(idx).csnzi.cancel(ticket) {
             // Other readers remain arrived, or the node is simply back to
             // surplus zero. Either way it stays queued — reader nodes
@@ -448,6 +452,8 @@ impl QueueCore {
     /// state and `qnext` are read here, after it. If the node is still
     /// waiting, the obligation is left with its future granter; if the
     /// grant already arrived, the caller owns the lock and passes it on.
+    /// Out of line, so that the read paths that can end here stay small.
+    #[inline(never)]
     pub(crate) fn discharge_drained(&self, idx: usize) {
         let node = self.rnode(idx);
         fault::inject("foll.read.cancel-vs-grant");
@@ -495,10 +501,12 @@ impl QueueCore {
 
     /// Publishes the allocated reader node `r` at the tail behind `pred`
     /// (`NIL` = the queue is empty, so the node is granted at once) and
-    /// opens its C-SNZI. `false` means the tail moved first: nothing was
-    /// published and `r` is still the caller's.
+    /// opens its C-SNZI with `arrivals` direct arrivals already on it, the
+    /// caller's to depart with [`Ticket::ROOT`]: a writer that links in
+    /// behind and closes the node waits for them. `false` means the tail
+    /// moved first: nothing was published and `r` is still the caller's.
     #[inline]
-    pub(crate) fn enqueue_reader_node(&self, r: usize, pred: NodeRef) -> bool {
+    pub(crate) fn enqueue_reader_node(&self, r: usize, pred: NodeRef, arrivals: u64) -> bool {
         let me = NodeRef::reader(r);
         let node = self.rnode(r);
         let state = if pred.is_nil() { GRANTED } else { WAITING };
@@ -508,13 +516,16 @@ impl QueueCore {
         if !self.cas_tail(pred, me) {
             return false;
         }
+        // Yield-only: the node is at the tail, and a writer linking in
+        // behind it waits for the open below.
+        fault::inject_yield_only("foll.read.enqueued");
         if !pred.is_nil() {
             node.prev.store(pred.raw(), Ordering::Release);
             self.set_qnext(pred, me);
         }
         // Only now that the node is enqueued may its C-SNZI open (§4.2
         // explains why this ordering is vital).
-        node.csnzi.open();
+        node.csnzi.open_with_arrivals(arrivals, false);
         true
     }
 
@@ -690,6 +701,7 @@ impl QueueCore {
     }
 
     /// `ReaderUnlock` (Figure 4), shared by FOLL and ROLL.
+    #[inline]
     pub(crate) fn reader_unlock(&self, depart_from: usize, ticket: Ticket) {
         if !self.rnode(depart_from).csnzi.depart(ticket) {
             // Last departure from a closed C-SNZI: a writer closed it after
@@ -1078,6 +1090,7 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
     /// the failed arrival back made this thread the node's last departer,
     /// that duty has been discharged before returning, so the caller
     /// carries on as after any failed arrival.
+    #[inline(always)]
     pub(crate) fn arrive_at(&mut self, idx: usize) -> Option<Ticket> {
         let core = &self.lock.core;
         // Whatever named node `idx` — the tail, ROLL's hint, a `prev` link
@@ -1099,7 +1112,27 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
         }
     }
 
+    /// Publishes the allocated reader node `r` at the tail behind `pred`
+    /// and arrives at it. `Err(())`: the tail moved first, and `r` is still
+    /// the caller's. A direct arrival comes with the node's open, so it
+    /// cannot fail. A handle whose arrivals go to the tree arrives there
+    /// after the open, and finds the node closed (`Ok(None)`) if a writer
+    /// queued behind it first: the node stays queued for that writer.
+    fn enqueue_own_node(&mut self, r: usize, pred: NodeRef) -> Result<Option<Ticket>, ()> {
+        let core = &self.lock.core;
+        let direct = !self.policy.wants_tree();
+        if !core.enqueue_reader_node(r, pred, u64::from(direct)) {
+            return Err(());
+        }
+        Ok(if direct {
+            Some(Ticket::ROOT)
+        } else {
+            self.arrive_at(r)
+        })
+    }
+
     /// Records a read acquisition that needed no wait.
+    #[inline]
     fn read_granted(&mut self, idx: usize, ticket: Ticket) {
         let core = &self.lock.core;
         core.note_arrival(ticket);
@@ -1108,8 +1141,27 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
         self.session = Some((idx, ticket));
     }
 
-    /// `ReaderLock` (Figure 4) — the one reader acquire loop, for every
-    /// ordering policy and for blocking and timed acquisitions alike.
+    /// `ReaderLock` (Figure 4), for every ordering policy and for blocking
+    /// and timed acquisitions alike: the no-wait arm. If the tail is a
+    /// reader node whose readers hold the lock, one arrival there is the
+    /// whole acquisition (one that still waits is waited for, out of
+    /// line); anything else goes on to [`acquire_read`](Self::acquire_read).
+    #[inline]
+    fn read<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
+        debug_assert!(self.session.is_none() && !self.write_held);
+        let core = &self.lock.core;
+        let acquire = core.telemetry.begin_read();
+        let tail = core.load_tail();
+        if tail.is_reader() {
+            if let Some(ticket) = self.arrive_at(tail.index()) {
+                return self.joined_tail(tail, ticket, deadline, &acquire);
+            }
+        }
+        self.acquire_read(deadline, &acquire)
+    }
+
+    /// The reader acquire loop, entered when the no-wait arm found no
+    /// reader node to arrive at.
     ///
     /// A deadline adds two things to the blocking walk: between attempts
     /// (nothing enqueued or arrived, so only the spare allocation needs
@@ -1117,12 +1169,11 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
     /// outlasts it departs the C-SNZI again through
     /// [`QueueCore::cancel_read_session`], which also discharges any
     /// hand-off obligation picked up in the race with the grant.
-    fn acquire_read<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
-        debug_assert!(self.session.is_none() && !self.write_held);
+    #[inline(never)]
+    fn acquire_read<D: Deadline>(&mut self, deadline: D, acquire: &Timer) -> Result<(), TimedOut> {
         let lock = self.lock;
         let core = &lock.core;
         let slot = self.slot_idx();
-        let acquire = core.telemetry.begin_read();
         let mut rnode: Option<usize> = None;
         let mut backoff = Backoff::with_policy(core.backoff());
         loop {
@@ -1130,18 +1181,18 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
             if tail.is_nil() {
                 // Empty queue: enqueue a reader node we immediately own.
                 let r = rnode.take().unwrap_or_else(|| core.alloc_reader_node(slot));
-                if core.enqueue_reader_node(r, NodeRef::NIL) {
-                    if let Some(ticket) = self.arrive_at(r) {
+                match self.enqueue_own_node(r, NodeRef::NIL) {
+                    Ok(Some(ticket)) => {
                         // Granted on enqueue — no wait, so nothing left to
                         // time out on.
                         self.read_granted(r, ticket);
-                        core.telemetry.record_read_acquire(&acquire);
+                        core.telemetry.record_read_acquire(acquire);
                         return Ok(());
                     }
                     // A writer already queued behind us and closed the
                     // C-SNZI; our node stays in the queue for it.
-                } else {
-                    rnode = Some(r); // keep the allocation for the retry
+                    Ok(None) => {}
+                    Err(()) => rnode = Some(r), // keep the allocation for the retry
                 }
             } else if tail.is_reader() {
                 // Tail is a reader node: share it via its C-SNZI.
@@ -1149,26 +1200,7 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
                     if let Some(n) = rnode.take() {
                         core.free_reader_node(n);
                     }
-                    core.note_arrival(ticket);
-                    // Joining a node whose readers are already active is a
-                    // fast-path read (the wait falls straight through); a
-                    // still-waiting node means we queued. The classifying
-                    // load is skipped entirely in telemetry-free builds.
-                    if !Telemetry::enabled()
-                        || core.rnode(tail.index()).state.load(Ordering::Acquire) == GRANTED
-                    {
-                        core.telemetry.incr(LockEvent::ReadFast);
-                    } else {
-                        core.telemetry.incr(LockEvent::ReadSlow);
-                        core.telemetry.trace_enqueued(u64::from(tail.raw()));
-                    }
-                    return self.await_grant(
-                        tail.index(),
-                        ticket,
-                        P::SITES.waiting,
-                        deadline,
-                        &acquire,
-                    );
+                    return self.joined_tail(tail, ticket, deadline, acquire);
                 }
                 // C-SNZI closed ⇒ a writer queued behind that node ⇒ the
                 // tail changed; retry.
@@ -1184,21 +1216,21 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
                 core.telemetry.incr(LockEvent::ReadSlow);
                 core.telemetry
                     .trace_enqueued(u64::from(NodeRef::reader(idx).raw()));
-                return self.await_grant(idx, ticket, P::SITES.joined, deadline, &acquire);
+                return self.await_grant(idx, ticket, P::SITES.joined, deadline, acquire);
             } else {
                 // Tail is a writer: enqueue a reader node behind it.
                 let r = rnode.take().unwrap_or_else(|| core.alloc_reader_node(slot));
-                if core.enqueue_reader_node(r, tail) {
-                    if let Some(ticket) = self.arrive_at(r) {
+                match self.enqueue_own_node(r, tail) {
+                    Ok(Some(ticket)) => {
                         core.note_arrival(ticket);
                         core.telemetry.incr(LockEvent::ReadSlow);
                         P::enqueued_behind_writer(lock, NodeRef::reader(r));
                         core.telemetry
                             .trace_enqueued(u64::from(NodeRef::reader(r).raw()));
-                        return self.await_grant(r, ticket, P::SITES.waiting, deadline, &acquire);
+                        return self.await_grant(r, ticket, P::SITES.waiting, deadline, acquire);
                     }
-                } else {
-                    rnode = Some(r);
+                    Ok(None) => {}
+                    Err(()) => rnode = Some(r),
                 }
             }
             if deadline.expired() {
@@ -1211,8 +1243,32 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
         }
     }
 
-    /// The tail of every waiting arm of [`acquire_read`](Self::acquire_read):
-    /// arrived at node `idx` with `ticket`, wait for the node's grant.
+    /// Arrived with `ticket` at the reader node `tail`: if its readers hold
+    /// the lock, so does the caller, at once; else the node still waits
+    /// behind a writer, and so does the caller.
+    #[inline(always)]
+    fn joined_tail<D: Deadline>(
+        &mut self,
+        tail: NodeRef,
+        ticket: Ticket,
+        deadline: D,
+        acquire: &Timer,
+    ) -> Result<(), TimedOut> {
+        let core = &self.lock.core;
+        if core.rnode(tail.index()).state.load(Ordering::Acquire) == GRANTED {
+            self.read_granted(tail.index(), ticket);
+            core.telemetry.record_read_acquire(acquire);
+            return Ok(());
+        }
+        core.note_arrival(ticket);
+        core.telemetry.incr(LockEvent::ReadSlow);
+        core.telemetry.trace_enqueued(u64::from(tail.raw()));
+        self.await_grant(tail.index(), ticket, P::SITES.waiting, deadline, acquire)
+    }
+
+    /// The tail of every waiting arm of the read acquisition: arrived at
+    /// node `idx` with `ticket`, wait for the node's grant.
+    #[inline(never)]
     fn await_grant<D: Deadline>(
         &mut self,
         idx: usize,
@@ -1234,6 +1290,7 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
         }
         fault::inject(P::SITES.timeout);
         core.telemetry.incr(LockEvent::Timeout);
+        core.telemetry.incr(LockEvent::Cancel);
         self.session = None;
         core.cancel_read_session(idx, ticket);
         Err(TimedOut)
@@ -1297,14 +1354,16 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
 }
 
 impl<P: OrderPolicy> RwHandle for QueueHandle<'_, P> {
+    #[inline]
     fn lock_read(&mut self) {
-        let granted = self.acquire_read(Never);
+        let granted = self.read(Never);
         debug_assert!(
             granted.is_ok(),
             "an acquisition with no deadline cannot time out"
         );
     }
 
+    #[inline]
     fn unlock_read(&mut self) {
         let (depart_from, ticket) = self.session.take().expect("unlock_read without read hold");
         self.lock.core.telemetry.record_read_hold(&self.hold);
@@ -1351,33 +1410,43 @@ impl<P: OrderPolicy> RwHandle for QueueHandle<'_, P> {
         debug_assert!(self.session.is_none() && !self.write_held);
         let core = &self.lock.core;
         let tail = core.load_tail();
-        let idx = if tail.is_nil() {
+        if tail.is_nil() {
             let r = core.alloc_reader_node(self.slot_idx());
-            if !core.enqueue_reader_node(r, NodeRef::NIL) {
-                core.free_reader_node(r);
-                return false;
-            }
-            r
-        } else if tail.is_reader()
-            // Only join without waiting: the node's readers must already
-            // be active. (An enqueued node never leaves GRANTED, so the
-            // acquisition is immediate.)
-            && core.rnode(tail.index()).state.load(Ordering::Acquire) == GRANTED
-        {
-            tail.index()
-        } else {
+            return match self.enqueue_own_node(r, NodeRef::NIL) {
+                Ok(Some(ticket)) => {
+                    self.read_granted(r, ticket);
+                    true
+                }
+                // A writer queued behind the node and closed it first; the
+                // node stays queued, and that writer owns its recycling.
+                Ok(None) => false,
+                Err(()) => {
+                    core.free_reader_node(r);
+                    false
+                }
+            };
+        }
+        // Only join without waiting: the node's readers must already be
+        // active.
+        let granted = |idx| core.rnode(idx).state.load(Ordering::Acquire) == GRANTED;
+        if !tail.is_reader() || !granted(tail.index()) {
+            return false;
+        }
+        let idx = tail.index();
+        // `None`: a writer queued behind the node and closed it first.
+        let Some(ticket) = self.arrive_at(idx) else {
             return false;
         };
-        match self.arrive_at(idx) {
-            Some(ticket) => {
-                self.read_granted(idx, ticket);
-                true
-            }
-            // A writer queued behind the node and closed it first. If the
-            // node is the one we just enqueued, it stays queued and that
-            // writer owns its recycling now.
-            None => false,
+        // Between the check and the arrival, the node may have been
+        // drained, recycled and enqueued again behind a writer. The
+        // arrival keeps it from moving on, so this check is the one that
+        // counts.
+        if !granted(idx) {
+            core.cancel_read_session(idx, ticket);
+            return false;
         }
+        self.read_granted(idx, ticket);
+        true
     }
 
     /// Non-blocking write attempt: succeeds only when the queue is empty.
@@ -1402,8 +1471,9 @@ impl<P: OrderPolicy> RwHandle for QueueHandle<'_, P> {
 
 #[cfg(not(loom))]
 impl<P: OrderPolicy> crate::raw::TimedHandle for QueueHandle<'_, P> {
+    #[inline]
     fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
-        self.acquire_read(deadline)
+        self.read(deadline)
     }
 
     fn lock_write_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {

@@ -181,6 +181,14 @@ impl<W: Lockword> TurnstileLock<W> {
         drop(q);
         self.signal(handoff);
     }
+
+    /// [`release_owned`](Self::release_owned) for the last reader of a
+    /// marked word. Out of line, so that the read arms that can end here
+    /// (an arrival's undo, a release) stay small.
+    #[cold]
+    fn release_from_reader(&self) {
+        self.release_owned(true);
+    }
 }
 
 /// A word that needs no configuration, and whose handles keep no state of
@@ -263,7 +271,7 @@ impl<W: Lockword> TurnstileHandle<'_, W> {
                 Attempt::Acquired(())
             }
             Attempt::MustHandOff => {
-                lock.release_owned(true);
+                lock.release_from_reader();
                 Attempt::Blocked
             }
             Attempt::Blocked => Attempt::Blocked,
@@ -271,26 +279,48 @@ impl<W: Lockword> TurnstileHandle<'_, W> {
         }
     }
 
-    /// The read acquisition, blocking and timed alike. A deadline adds a
-    /// free give-up point before the queue mutex (nothing is held yet) and
-    /// a cancellation after a wait that outlasts it, arbitrated by the
-    /// queue mutex against the releaser's hand-off.
-    fn acquire_read<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
+    /// The read acquisition, blocking and timed alike: the no-wait arm.
+    /// In the absence of conflicting requests the fast path is the only
+    /// step, and it never touches the queue mutex; anything else goes on
+    /// to [`acquire_read`](Self::acquire_read) with what the fast path
+    /// found.
+    #[inline]
+    fn read<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
         debug_assert!(self.read_hold.is_none() && !self.write_held);
         self.settle_interrupted_wait();
+        let acquire = self.lock.telemetry.begin_read();
+        let first = self.arrive();
+        if first == Attempt::Acquired(()) {
+            self.lock.telemetry.record_read_acquire(&acquire);
+            return Ok(());
+        }
+        self.acquire_read(deadline, &acquire, first)
+    }
+
+    /// The read acquisition's loop, entered with the outcome of a fast
+    /// path that did not acquire. A deadline adds a free give-up point
+    /// before the queue mutex (nothing is held yet) and a cancellation
+    /// after a wait that outlasts it, arbitrated by the queue mutex
+    /// against the releaser's hand-off.
+    #[inline(never)]
+    fn acquire_read<D: Deadline>(
+        &mut self,
+        deadline: D,
+        acquire: &Timer,
+        first: Attempt,
+    ) -> Result<(), TimedOut> {
         let lock = self.lock;
-        let acquire = lock.telemetry.begin_read();
         let mut backoff = Backoff::new();
+        let mut attempt = first;
         loop {
-            // Fast path: in the absence of conflicting requests this is the
-            // only step, and it never touches the queue mutex.
-            match self.arrive() {
+            match attempt {
                 Attempt::Acquired(()) => {
-                    lock.telemetry.record_read_acquire(&acquire);
+                    lock.telemetry.record_read_acquire(acquire);
                     return Ok(());
                 }
                 Attempt::Retry => {
                     backoff.backoff();
+                    attempt = self.arrive();
                     continue;
                 }
                 Attempt::Blocked | Attempt::MustHandOff => {}
@@ -305,6 +335,7 @@ impl<W: Lockword> TurnstileHandle<'_, W> {
             if !lock.word.reader_under_mutex() {
                 // The writer released before we got the mutex; retry.
                 drop(q);
+                attempt = self.arrive();
                 continue;
             }
             let group = q.join_readers(self.slot.slot());
@@ -315,7 +346,7 @@ impl<W: Lockword> TurnstileHandle<'_, W> {
             fault::inject(W::SITES.read_queued);
             // The releaser counts us into the word before it wakes us.
             if lock.turnstile.wait_until(group, deadline) {
-                lock.telemetry.record_read_acquire(&acquire);
+                lock.telemetry.record_read_acquire(acquire);
                 self.take_grant();
                 return Ok(());
             }
@@ -404,6 +435,7 @@ impl<W: Lockword> TurnstileHandle<'_, W> {
     /// the arbiter — a cell still queued is excised and nothing is held; a
     /// dequeued one means the hand-off already counted this waiter, which
     /// must take the hold and then undo it with a normal release.
+    #[cold]
     fn cancel_wait(&mut self) {
         let lock = self.lock;
         let cell = self.waiting_on;
@@ -442,25 +474,26 @@ impl<W: Lockword> TurnstileHandle<'_, W> {
 }
 
 impl<W: Lockword> RwHandle for TurnstileHandle<'_, W> {
+    #[inline]
     fn lock_read(&mut self) {
-        let granted = self.acquire_read(Never);
+        let granted = self.read(Never);
         debug_assert!(
             granted.is_ok(),
             "an acquisition with no deadline cannot time out"
         );
     }
 
+    #[inline]
     fn unlock_read(&mut self) {
         let hold = self
             .read_hold
             .take()
             .expect("unlock_read without read hold");
         self.lock.telemetry.record_read_hold(&self.hold);
-        if !self.lock.word.release_read(hold) {
-            return;
+        if self.lock.word.release_read(hold) {
+            fault::inject(W::SITES.unlock_read_before_handoff);
+            self.lock.release_from_reader();
         }
-        fault::inject(W::SITES.unlock_read_before_handoff);
-        self.lock.release_owned(true);
     }
 
     fn lock_write(&mut self) {
@@ -501,8 +534,9 @@ impl<W: Lockword> RwHandle for TurnstileHandle<'_, W> {
 
 #[cfg(not(loom))]
 impl<W: Lockword> crate::raw::TimedHandle for TurnstileHandle<'_, W> {
+    #[inline]
     fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {
-        self.acquire_read(deadline)
+        self.read(deadline)
     }
 
     fn lock_write_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut> {

@@ -81,9 +81,13 @@ impl Backoff {
         Self::with_policy(BackoffPolicy::default())
     }
 
-    /// New backoff with an explicit policy.
-    pub fn with_policy(policy: BackoffPolicy) -> Self {
-        Self { step: 0, policy }
+    /// New backoff with an explicit policy (a value, or a
+    /// [`PolicySource`] read here).
+    pub fn with_policy(policy: impl PolicySource) -> Self {
+        Self {
+            step: 0,
+            policy: policy.policy(),
+        }
     }
 
     /// Resets to the initial (shortest) delay.
@@ -166,9 +170,13 @@ impl Backoff {
         true
     }
 
-    /// One relax step with no exponential growth; for tight "wait until flag
-    /// flips" loops where the waiter is next in line and the wait is expected
-    /// to be short (queue hand-offs).
+    /// One relax step, for tight "wait until flag flips" loops where the
+    /// waiter is next in line and the wait is expected to be short (queue
+    /// hand-offs). The spin doubles each call up to `2^spin_limit` hints,
+    /// as [`backoff`](Self::backoff)'s does (1 + 2 + … + 64 = 127 hints
+    /// over the first seven calls under the default policy); past that,
+    /// every call spins `2^spin_limit` hints and yields, and the delay
+    /// stays flat.
     pub fn relax(&mut self) {
         #[cfg(loom)]
         {
@@ -304,34 +312,60 @@ impl Deadline for &Timeout {
     }
 }
 
+/// Where a wait gets its [`BackoffPolicy`]: a policy value, or a closure
+/// that reads one (say, from a lock's live knobs), called only once the
+/// wait has to back off.
+pub trait PolicySource {
+    /// The policy.
+    fn policy(self) -> BackoffPolicy;
+}
+
+impl PolicySource for BackoffPolicy {
+    #[inline]
+    fn policy(self) -> BackoffPolicy {
+        self
+    }
+}
+
+impl<F: FnOnce() -> BackoffPolicy> PolicySource for F {
+    #[inline]
+    fn policy(self) -> BackoffPolicy {
+        self()
+    }
+}
+
 /// Spins until `cond()` is true or `deadline` expires, backing off between
 /// probes; returns whether the condition was observed. The workhorse behind
 /// every `repeat until !spin` in the paper's pseudocode.
 ///
-/// `cond` is re-checked once after the deadline expires, so a condition
-/// that flips concurrently with the clock read is never misreported as a
-/// timeout.
+/// The first probe comes before the policy is read, so a wait that passes
+/// at once costs one probe and nothing else. `cond` is re-checked once
+/// after the deadline expires, so a condition that flips concurrently with
+/// the clock read is never misreported as a timeout.
 #[inline]
 pub fn spin_until_deadline<D: Deadline>(
-    policy: BackoffPolicy,
+    policy: impl PolicySource,
     deadline: D,
     mut cond: impl FnMut() -> bool,
 ) -> bool {
+    if cond() {
+        return true;
+    }
     let mut b = Backoff::with_policy(policy);
     loop {
-        if cond() {
-            return true;
-        }
         if deadline.expired() {
             return cond();
         }
         b.relax();
+        if cond() {
+            return true;
+        }
     }
 }
 
 /// Spins until `cond()` is true: [`spin_until_deadline`] with no deadline.
 #[inline]
-pub fn spin_until(policy: BackoffPolicy, cond: impl FnMut() -> bool) {
+pub fn spin_until(policy: impl PolicySource, cond: impl FnMut() -> bool) {
     spin_until_deadline(policy, Never, cond);
 }
 
@@ -468,6 +502,27 @@ mod tests {
         );
         assert!(ok);
         h.join().unwrap();
+    }
+
+    #[test]
+    fn a_wait_that_passes_at_once_reads_no_policy() {
+        let unread = || -> BackoffPolicy { panic!("the policy was read") };
+        assert!(spin_until_deadline(unread, Never, || true));
+        spin_until(unread, || true);
+        // A wait that has to back off reads it, once.
+        let reads = std::cell::Cell::new(0);
+        let mut probes = 0;
+        spin_until(
+            || {
+                reads.set(reads.get() + 1);
+                BackoffPolicy::default()
+            },
+            || {
+                probes += 1;
+                probes == 3
+            },
+        );
+        assert_eq!(reads.get(), 1);
     }
 
     #[test]

@@ -1011,3 +1011,135 @@ fn arrival_landing_closed_vs_reader_node_recycling() {
     landing_closed_vs_node_recycling(foll_family());
     landing_closed_vs_node_recycling(roll_family());
 }
+
+// ----------------------------------------------------------------------
+// A reader's fresh node between its tail CAS and its open:
+// `foll.read.enqueued`
+// ----------------------------------------------------------------------
+
+/// A queue-lock reader that enqueues its own node — into the empty queue,
+/// or behind a held writer — opens it with its own arrival already on it.
+/// The plan stretches every occurrence of the window between the tail CAS
+/// and that open, and a writer links in behind the fresh node inside it:
+/// the writer must wait for the open, close the node on the reader's
+/// arrival, and be handed the lock by the reader's departure.
+fn writer_behind_a_fresh_reader_node<L>(family: Family<L>, queue_is_empty: fn(&L) -> bool)
+where
+    L: RwLockFamily + Send + Sync + 'static,
+{
+    const ITERS: usize = 1000;
+    let _guard = serial();
+    let _plan = FaultPlan::every(0x5EED_0018, "read.enqueued", 8).install();
+    let lock = Arc::new((family.make)());
+    // > 0: readers inside; -1: a writer inside.
+    let state = Arc::new(AtomicI64::new(0));
+    for i in 0..ITERS {
+        // Odd rounds: the reader's node goes in behind a held writer.
+        let mut holder = lock.handle().unwrap();
+        let behind_writer = i % 2 == 1;
+        if behind_writer {
+            holder.lock_write();
+            assert_eq!(state.swap(-1, Ordering::SeqCst), 0, "writer not alone");
+        }
+        let reader = spawn_with_handle(&lock, &state, |h, state| {
+            h.lock_read();
+            read_inside(state);
+            h.unlock_read();
+        });
+        let writer = {
+            let (lock, state) = (lock.clone(), state.clone());
+            std::thread::spawn(move || {
+                let mut h = lock.handle().unwrap();
+                // Even rounds: link in as soon as the reader's node is
+                // at the tail, while it is still in the window.
+                while !behind_writer && queue_is_empty(&lock) {
+                    std::hint::spin_loop();
+                }
+                h.lock_write();
+                write_inside(&state);
+                h.unlock_write();
+            })
+        };
+        if behind_writer {
+            std::thread::yield_now();
+            state.store(0, Ordering::SeqCst);
+            holder.unlock_write();
+        }
+        reader.join().unwrap();
+        writer.join().unwrap();
+        drop(holder);
+        // The rounds start from an empty queue.
+        final_write(&*lock);
+    }
+    (family.at_rest)(&lock);
+    let mut h = lock.handle().unwrap();
+    assert!(h.try_lock_write(), "{}: lock not free", family.name);
+    h.unlock_write();
+}
+
+#[test]
+fn writer_links_behind_a_reader_node_before_it_opens() {
+    writer_behind_a_fresh_reader_node(foll_family(), FollLock::is_queue_empty);
+    writer_behind_a_fresh_reader_node(roll_family(), RollLock::is_queue_empty);
+}
+
+/// A try-read checks that the tail's reader node holds the lock, then
+/// arrives. Stretched between the two (`foll.read.arrive`), the node can be
+/// closed and recycled by a writer, and enqueued again behind that writer:
+/// the arrival then lands on a node that waits, and a try that trusted its
+/// earlier check would read beside the writer.
+fn try_read_vs_node_recycled_behind_a_writer<L>(family: Family<L>)
+where
+    L: RwLockFamily + Send + Sync + 'static,
+{
+    let _guard = serial();
+    let _plan = FaultPlan::every(0x5EED_0019, "read.arrive", 8).install();
+    let lock = (family.make)();
+    // > 0: readers inside; -1: a writer inside.
+    let state = AtomicI64::new(0);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut h = lock.handle().unwrap();
+            while !stop.load(Ordering::Relaxed) {
+                if h.try_lock_read() {
+                    read_inside(&state);
+                    h.unlock_read();
+                }
+            }
+        });
+        // Re-enqueues the recycled node behind the next writer.
+        scope.spawn(|| {
+            let mut h = lock.handle().unwrap();
+            while !stop.load(Ordering::Relaxed) {
+                h.lock_read();
+                read_inside(&state);
+                h.unlock_read();
+            }
+        });
+        // Stops the other two however this thread leaves, a failed
+        // assertion included, so that a failure is not a hang.
+        struct StopOnDrop<'a>(&'a AtomicBool);
+        impl Drop for StopOnDrop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+        let _stop = StopOnDrop(&stop);
+        let mut h = lock.handle().unwrap();
+        for _ in 0..20_000 {
+            h.lock_write();
+            assert_eq!(state.swap(-1, Ordering::SeqCst), 0, "writer not alone");
+            std::thread::yield_now();
+            state.store(0, Ordering::SeqCst);
+            h.unlock_write();
+        }
+    });
+    (family.at_rest)(&lock);
+}
+
+#[test]
+fn try_read_never_joins_a_node_recycled_behind_a_writer() {
+    try_read_vs_node_recycled_behind_a_writer(foll_family());
+    try_read_vs_node_recycled_behind_a_writer(roll_family());
+}

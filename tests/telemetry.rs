@@ -333,6 +333,31 @@ fn a_direct_read_is_two_root_writes_and_no_cas() {
     check(RollLock::new(2), "ROLL");
 }
 
+/// A FOLL/ROLL reader that enqueues its own node opens it with its
+/// arrival already on it: the first read after a write is one root write
+/// for the open, one for the departure, and one direct arrival.
+#[test]
+fn a_read_that_enqueues_its_node_is_one_open_and_one_depart() {
+    fn check<L: RwLockFamily>(lock: L, label: &str) {
+        let mut h = lock.handle().unwrap();
+        h.lock_read();
+        h.unlock_read();
+        // The write recycles the reader node: the queue is empty again.
+        h.lock_write();
+        h.unlock_write();
+        lock.telemetry().reset();
+        h.lock_read();
+        h.unlock_read();
+        let s = lock.telemetry().snapshot().expect("instrumented lock");
+        assert_eq!(s.get(LockEvent::CsnziRootWrite), 2, "{label}");
+        assert_eq!(s.get(LockEvent::ArriveDirect), 1, "{label}");
+        assert_eq!(s.get(LockEvent::ReadFast), 1, "{label}");
+        assert_eq!(s.reads(), 1, "{label}");
+    }
+    check(FollLock::new(2), "FOLL");
+    check(RollLock::new(2), "ROLL");
+}
+
 /// A read arrival that lands on a write-held lock is counted as undone,
 /// costs its two root writes, and leaves the word as it found it.
 #[test]
@@ -432,12 +457,13 @@ fn bias_revocation_and_rearm_are_counted() {
     assert_eq!(s.writes(), 1);
 }
 
-/// How [`scripted_scenario`]'s threads acquire: through the blocking
-/// calls, or through the timed ones with a deadline that never fires.
+/// How a scenario's threads acquire: through the blocking calls, or
+/// through the timed ones with a deadline or a timeout that never fires.
 #[derive(Clone, Copy, Debug)]
 enum Mode {
     Blocking,
     FarDeadline,
+    LongTimeout,
 }
 
 impl Mode {
@@ -449,6 +475,9 @@ impl Mode {
         match self {
             Mode::Blocking => h.lock_read(),
             Mode::FarDeadline => h.lock_read_deadline(Self::far()).expect("far deadline"),
+            Mode::LongTimeout => h
+                .lock_read_timeout(Duration::from_secs(20))
+                .expect("long timeout"),
         }
     }
 
@@ -456,6 +485,9 @@ impl Mode {
         match self {
             Mode::Blocking => h.lock_write(),
             Mode::FarDeadline => h.lock_write_deadline(Self::far()).expect("far deadline"),
+            Mode::LongTimeout => h
+                .lock_write_timeout(Duration::from_secs(20))
+                .expect("long timeout"),
         }
     }
 }
@@ -578,6 +610,55 @@ fn blocking_and_far_deadline_acquisitions_record_the_same_events() {
         on_rank,
         "FOLL+cohort",
     );
+}
+
+/// Every arm of the read and write paths counts each acquisition once: a
+/// 9:1 read/write loop on two threads (the no-wait arm, a fresh node
+/// enqueued, a waiting node joined, a wait behind a writer), through the
+/// blocking calls and through the timeout ones, leaves exactly as many
+/// reads, writes, and acquire and hold samples as it issued.
+#[test]
+fn interleaved_reads_and_writes_count_every_acquisition_once() {
+    fn check<L>(make: fn() -> L, label: &str)
+    where
+        L: RwLockFamily + Sync,
+        for<'a> L::Handle<'a>: TimedHandle,
+    {
+        const THREADS: u64 = 2;
+        const OPS: u64 = 2_000;
+        for mode in [Mode::Blocking, Mode::LongTimeout] {
+            let lock = make();
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        let mut h = lock.handle().unwrap();
+                        for i in 0..OPS {
+                            if i % 10 == 9 {
+                                mode.write(&mut h);
+                                h.unlock_write();
+                            } else {
+                                mode.read(&mut h);
+                                h.unlock_read();
+                            }
+                        }
+                    });
+                }
+            });
+            let s = lock.telemetry().snapshot().expect("instrumented lock");
+            let writes = THREADS * OPS / 10;
+            let reads = THREADS * OPS - writes;
+            assert_eq!(s.reads(), reads, "{label} {mode:?}: reads");
+            assert_eq!(s.writes(), writes, "{label} {mode:?}: writes");
+            assert_eq!(s.read_acquire.count, reads, "{label} {mode:?}");
+            assert_eq!(s.write_acquire.count, writes, "{label} {mode:?}");
+            assert_eq!(s.read_hold.count, reads, "{label} {mode:?}");
+            assert_eq!(s.write_hold.count, writes, "{label} {mode:?}");
+            assert_eq!(s.get(LockEvent::Timeout), 0, "{label} {mode:?}");
+        }
+    }
+    check(|| GollLock::new(2), "GOLL");
+    check(|| FollLock::new(2), "FOLL");
+    check(|| RollLock::new(2), "ROLL");
 }
 
 #[test]
