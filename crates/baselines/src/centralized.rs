@@ -4,8 +4,9 @@
 //! This is the strawman every scalable-lock paper (including §1 of ours)
 //! opens with: correct, simple, and serializing — every acquisition and
 //! every release is a compare-and-swap on the same cache line, so
-//! read-only workloads degrade as threads are added. It doubles as the
-//! "counter" side of the `ablation_csnzi_vs_counter` benchmark.
+//! read-only workloads degrade as threads are added. `benchmark/`
+//! reports it as `baselines.centralized.ops_s`, the yardstick for the
+//! C-SNZI locks on the same workload.
 //!
 //! Word layout: bit 0 = write-locked, bit 1 = write-wanted (so writers are
 //! not starved by a steady reader stream), bits 2.. = reader count.

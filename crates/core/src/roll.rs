@@ -19,7 +19,7 @@
 //! The lock also caches a pointer to "the last known reader node with
 //! threads still busy-waiting" ([`LastReaderHint`]), updated on joins and
 //! enqueues and cleared on failed joins, which short-circuits most
-//! searches (the §4.3 optimization; `ablation_roll_hint` measures it).
+//! searches (the §4.3 optimization).
 
 use crate::foll::node_state::WAITING;
 use crate::foll::{

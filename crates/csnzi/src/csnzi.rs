@@ -122,7 +122,7 @@ impl LeafCursor {
 
     /// A cursor pinned to an explicit identity hint (the legacy
     /// `hint % leaf_count` placement of Figure 2's `GetLeafForThread`);
-    /// used by [`CSnzi::arrive`] and the ablation benches.
+    /// used by [`CSnzi::arrive`], so by [`CSnzi::arrive_tree`] too.
     pub fn pinned(hint: usize) -> Self {
         Self {
             ordinal: hint,
@@ -481,14 +481,15 @@ impl CSnzi {
     }
 
     /// Arrives directly at the root regardless of policy (still fails if
-    /// closed). Exposed for ablation benchmarks.
+    /// closed). `benchmark/` times it as `csnzi.arrive_depart_direct_ns`.
     pub fn arrive_direct(&self) -> Ticket {
         let mut p = ArrivalPolicy::always_direct();
         self.arrive(&mut p, 0)
     }
 
     /// Arrives at this thread's leaf regardless of policy (still fails if
-    /// the C-SNZI is closed). Exposed for ablation benchmarks.
+    /// the C-SNZI is closed). `benchmark/` times it as
+    /// `csnzi.arrive_depart_tree_ns`.
     pub fn arrive_tree(&self, leaf_hint: usize) -> Ticket {
         if self.shape.depth == 0 {
             return self.arrive_direct();

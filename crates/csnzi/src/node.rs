@@ -246,7 +246,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "proptest")]
     mod props {
         use super::*;
         use proptest::prelude::*;

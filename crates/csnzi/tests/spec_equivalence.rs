@@ -3,9 +3,6 @@
 //! operation's return value, for arbitrary operation sequences and tree
 //! shapes, when driven single-threaded.
 
-// Gated: run with `cargo test --features proptest`.
-#![cfg(feature = "proptest")]
-
 use oll_csnzi::{ArrivalPolicy, CSnzi, SpecCsnzi, Ticket, TreeShape};
 use proptest::prelude::*;
 

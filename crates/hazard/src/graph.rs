@@ -6,10 +6,9 @@
 //! walks `waits ∘ owners` from the calling thread; finding the caller
 //! again proves a deadlock that no amount of waiting will resolve.
 //!
-//! Threads are named by the same dense-id scheme `oll-trace` uses for its
-//! ring records: a process-global counter assigns each thread a small id
-//! at first contact, cached in a thread-local. Locks are named by their
-//! `Watched` wrapper's process-unique id.
+//! Threads are named by the id `oll-trace` stamps on their ring
+//! records, `oll_util::topology::dense_thread_id() + 1`. Locks are named
+//! by their `Watched` wrapper's process-unique id.
 //!
 //! The graph mutex is taken on every acquisition and release of a
 //! `Watched` lock and each time a watched blocker gives up a wait slice;
@@ -54,15 +53,10 @@ fn graph() -> &'static Mutex<WaitGraph> {
     GRAPH.get_or_init(|| Mutex::new(WaitGraph::default()))
 }
 
-/// Dense thread ids, assigned at first contact (mirrors the
-/// `oll-trace` ring tid scheme so the two correlate in reports).
+/// The calling thread's id: its `dense_thread_id() + 1`, the tid its
+/// `oll-trace` records carry, so the two correlate in reports.
 pub fn dense_tid() -> u64 {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local! {
-        static TID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    TID.with(|t| *t)
+    oll_util::topology::dense_thread_id() as u64 + 1
 }
 
 /// Publishes the calling thread's wait edge onto `lock_id`.

@@ -1,6 +1,6 @@
 //! The std-only exposition listener behind
-//! [`Sampler::serve`](crate::Sampler::serve) (only compiled with the
-//! `enabled` feature).
+//! [`Sampler::serve`](crate::Sampler::serve) (served only by a started
+//! sampler).
 //!
 //! Deliberately tiny, same no-dependency discipline as `oll_util::json`
 //! and the async executor: a non-blocking `TcpListener` polled by one

@@ -18,14 +18,16 @@
 //! a [`LockHealth`] level; [`flame::render_folded`] renders trace
 //! analyzer breakdowns for standard flamegraph tooling.
 //!
-//! # Zero cost when disabled
+//! # Started, or inert
 //!
-//! Without the `enabled` feature, [`Sampler`] and [`ObsServer`] are
-//! zero-sized, [`Sampler::start`] spawns nothing, [`Sampler::serve`]
-//! returns `ErrorKind::Unsupported`, and no thread, socket, or clock
-//! code is linked (pinned by `tests/obs_off.rs`). The analysis and
-//! rendering types ([`SeriesRing`], [`ObsState`], [`LockHealth`], the
-//! renderers) compile either way so tooling needs no `cfg` of its own.
+//! Everything here compiles in every build. The switch is
+//! [`Sampler::start`]: nothing samples, spawns or listens until it is
+//! called. Without the workspace's `telemetry` feature
+//! (`oll_telemetry::Telemetry::enabled()` is `false`) there is nothing
+//! to sample, so `start` returns an inert sampler — because that test is
+//! a constant, the daemon and the listener are dead code in that build
+//! — and [`Sampler::serve`] on it returns `ErrorKind::Unsupported`
+//! (pinned by `tests/obs_off.rs`).
 //!
 //! # Quickstart
 //!
@@ -49,20 +51,15 @@ pub mod prom;
 pub mod report;
 pub mod series;
 
-#[cfg(feature = "enabled")]
 mod http;
-#[cfg(feature = "enabled")]
 mod sampler;
 
 pub use health::{HealthConfig, LockHealth, LockHealthReport};
 pub use series::{ObsState, SampleWindow, SeriesRing};
 
+use oll_telemetry::Telemetry;
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Whether the sampler daemon and HTTP listener are compiled in at all.
-pub const fn enabled() -> bool {
-    cfg!(feature = "enabled")
-}
 
 /// Sampler tuning.
 #[derive(Debug, Clone)]
@@ -85,64 +82,50 @@ impl Default for SamplerConfig {
     }
 }
 
-/// The sampling daemon's handle. Zero-sized and inert without the
-/// `enabled` feature.
+/// The sampling daemon's handle; inert when the build has no telemetry
+/// to sample.
 #[derive(Debug, Default)]
 pub struct Sampler {
-    #[cfg(feature = "enabled")]
-    shared: Option<std::sync::Arc<sampler::Shared>>,
-    #[cfg(feature = "enabled")]
+    shared: Option<Arc<sampler::Shared>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Sampler {
-    /// Whether this build's sampler can record anything.
-    pub const fn enabled() -> bool {
-        crate::enabled()
-    }
-
     /// Starts the daemon: a baseline registry sweep now, then one tick
     /// per `config.interval` until [`Sampler::stop`] (or drop). Inert
-    /// without the `enabled` feature.
+    /// unless `Telemetry::enabled()`.
     pub fn start(config: SamplerConfig) -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            let shared =
-                std::sync::Arc::new(sampler::Shared::new(config.interval, config.ring_capacity));
-            let daemon = std::sync::Arc::clone(&shared);
-            let thread = std::thread::Builder::new()
-                .name("oll-obs-sampler".into())
-                .spawn(move || daemon.run())
-                .ok();
-            Self {
-                shared: Some(shared),
-                thread,
-            }
+        if !Telemetry::enabled() {
+            return Self::default();
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = config;
-            Self {}
+        let shared = Arc::new(sampler::Shared::new(config.interval, config.ring_capacity));
+        let daemon = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name("oll-obs-sampler".into())
+            .spawn(move || daemon.run())
+            .ok();
+        Self {
+            shared: Some(shared),
+            thread,
         }
+    }
+
+    /// The daemon's state, `None` when inert. Always `None` without
+    /// telemetry, and the compiler sees that, so that build drops the
+    /// sampling and serving code.
+    fn shared(&self) -> Option<&Arc<sampler::Shared>> {
+        self.shared.as_ref().filter(|_| Telemetry::enabled())
     }
 
     /// Whether a daemon is running behind this handle.
     pub fn is_active(&self) -> bool {
-        #[cfg(feature = "enabled")]
-        {
-            self.shared.is_some()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            false
-        }
+        self.shared().is_some()
     }
 
     /// Takes one sample immediately (serialized with the daemon's
     /// ticks). No-op when inert.
     pub fn sample_now(&self) {
-        #[cfg(feature = "enabled")]
-        if let Some(s) = &self.shared {
+        if let Some(s) = self.shared() {
             s.tick();
         }
     }
@@ -150,75 +133,60 @@ impl Sampler {
     /// Copies the accumulated state out without stopping the daemon.
     /// Empty when inert.
     pub fn state(&self) -> ObsState {
-        #[cfg(feature = "enabled")]
-        if let Some(s) = &self.shared {
-            return s.state_copy();
-        }
-        ObsState::default()
+        self.shared()
+            .map_or_else(ObsState::default, |s| s.state_copy())
     }
 
     /// Binds `addr` (e.g. `"127.0.0.1:9184"`, port 0 for ephemeral) and
     /// serves `/metrics`, `/json`, and `/health` from this sampler's
     /// state until the returned [`ObsServer`] is shut down or dropped.
-    /// Fails with [`std::io::ErrorKind::Unsupported`] when the facade
-    /// is compiled out.
+    /// Fails with [`std::io::ErrorKind::Unsupported`] on an inert
+    /// sampler.
     pub fn serve(&self, addr: &str) -> std::io::Result<ObsServer> {
-        #[cfg(feature = "enabled")]
-        {
-            let shared = self.shared.as_ref().ok_or_else(|| {
-                std::io::Error::new(std::io::ErrorKind::NotConnected, "sampler is inert")
-            })?;
-            let server = http::serve(addr, std::sync::Arc::clone(shared))?;
-            Ok(ObsServer {
-                inner: Some(server),
-            })
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = addr;
-            Err(std::io::Error::new(
+        let shared = self.shared().ok_or_else(|| {
+            std::io::Error::new(
                 std::io::ErrorKind::Unsupported,
-                "oll-obs was built without the `enabled` feature",
-            ))
-        }
+                "the sampler is inert: built without the `telemetry` feature",
+            )
+        })?;
+        let server = http::serve(addr, Arc::clone(shared))?;
+        Ok(ObsServer {
+            inner: Some(server),
+        })
     }
 
     /// Stops the daemon, folds in one final sample (so nothing recorded
     /// after the last timer tick is lost), and returns the state.
-    #[cfg_attr(not(feature = "enabled"), allow(unused_mut))]
     pub fn stop(mut self) -> ObsState {
-        #[cfg(feature = "enabled")]
-        {
-            if let Some(shared) = self.shared.take() {
-                shared.request_stop();
-                if let Some(t) = self.thread.take() {
-                    let _ = t.join();
-                }
+        match self.halt() {
+            Some(shared) => {
                 shared.tick();
-                return shared.state_copy();
+                shared.state_copy()
             }
+            None => ObsState::default(),
         }
-        ObsState::default()
+    }
+
+    /// Asks the daemon to exit and joins it.
+    fn halt(&mut self) -> Option<Arc<sampler::Shared>> {
+        let shared = self.shared.take().filter(|_| Telemetry::enabled())?;
+        shared.request_stop();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+        Some(shared)
     }
 }
 
 impl Drop for Sampler {
     fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
-        if let Some(shared) = self.shared.take() {
-            shared.request_stop();
-            if let Some(t) = self.thread.take() {
-                let _ = t.join();
-            }
-        }
+        self.halt();
     }
 }
 
-/// A running exposition listener. Zero-sized and inert without the
-/// `enabled` feature; shuts down on drop.
+/// A running exposition listener; shuts down on drop.
 #[derive(Debug, Default)]
 pub struct ObsServer {
-    #[cfg(feature = "enabled")]
     inner: Option<http::Server>,
 }
 
@@ -226,24 +194,13 @@ impl ObsServer {
     /// The bound address (resolves port 0 to the ephemeral port).
     /// `None` when inert.
     pub fn local_addr(&self) -> Option<std::net::SocketAddr> {
-        #[cfg(feature = "enabled")]
-        {
-            self.inner.as_ref().map(|s| s.addr())
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            None
-        }
+        self.inner.as_ref().map(|s| s.addr())
     }
 
     /// Stops the accept loop and joins its thread.
-    pub fn shutdown(self) {
-        #[cfg(feature = "enabled")]
-        {
-            let mut this = self;
-            if let Some(s) = this.inner.take() {
-                s.shutdown();
-            }
+    pub fn shutdown(mut self) {
+        if let Some(s) = self.inner.take() {
+            s.shutdown();
         }
     }
 }
@@ -252,33 +209,23 @@ impl ObsServer {
 mod tests {
     use super::*;
 
-    #[cfg(not(feature = "enabled"))]
-    #[test]
-    fn disabled_is_zero_sized_and_inert() {
-        assert!(!enabled());
-        assert_eq!(std::mem::size_of::<Sampler>(), 0);
-        assert_eq!(std::mem::size_of::<ObsServer>(), 0);
-        let s = Sampler::start(SamplerConfig::default());
-        assert!(!s.is_active());
-        s.sample_now();
-        assert_eq!(s.state().samples, 0);
-        let err = s.serve("127.0.0.1:0").unwrap_err();
-        assert_eq!(err.kind(), std::io::ErrorKind::Unsupported);
-        let state = s.stop();
-        assert!(state.windows.is_empty());
-        assert!(state.totals.is_empty());
-    }
-
-    #[cfg(feature = "enabled")]
     #[test]
     fn start_tick_stop_round_trip() {
         let s = Sampler::start(SamplerConfig {
             interval: Duration::from_millis(500),
             ring_capacity: 8,
         });
-        assert!(s.is_active());
+        assert_eq!(s.is_active(), Telemetry::enabled());
         s.sample_now();
         let st = s.state();
+        if !Telemetry::enabled() {
+            // Inert: nothing sampled, nothing to stop.
+            assert_eq!(st.samples, 0);
+            let state = s.stop();
+            assert!(state.windows.is_empty());
+            assert!(state.totals.is_empty());
+            return;
+        }
         assert!(st.samples >= 1);
         assert_eq!(st.interval_ns, 500_000_000);
         let stopped = s.stop();
@@ -286,11 +233,15 @@ mod tests {
         assert!(stopped.samples > st.samples);
     }
 
-    #[cfg(feature = "enabled")]
     #[test]
     fn serve_binds_an_ephemeral_port() {
         let s = Sampler::start(SamplerConfig::default());
-        let server = s.serve("127.0.0.1:0").expect("bind");
+        let served = s.serve("127.0.0.1:0");
+        if !Telemetry::enabled() {
+            assert_eq!(served.unwrap_err().kind(), std::io::ErrorKind::Unsupported);
+            return;
+        }
+        let server = served.expect("bind");
         let addr = server.local_addr().expect("bound address");
         assert_ne!(addr.port(), 0);
         server.shutdown();

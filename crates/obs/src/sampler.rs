@@ -1,5 +1,5 @@
-//! The daemon behind the [`Sampler`](crate::Sampler) facade (only
-//! compiled with the `enabled` feature).
+//! The daemon behind the [`Sampler`](crate::Sampler) facade (started
+//! only in a build with telemetry compiled in).
 //!
 //! # Tick protocol
 //!

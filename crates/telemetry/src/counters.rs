@@ -5,30 +5,21 @@
 //! single shared counter CASed by every fast-path read would be exactly
 //! the centralized lockword the paper eliminates. Counts are therefore
 //! **sharded**: [`SHARDS`] cache-padded arrays of relaxed `AtomicU64`s,
-//! indexed by a per-thread shard id (threads get round-robin shard ids on
-//! first use, so up to [`SHARDS`] recording threads never share a line).
+//! indexed by the thread's `oll_util::topology::dense_thread_id()`
+//! folded into the shard range, so up to [`SHARDS`] threads never share
+//! a line.
 //! A snapshot sums the shards; it is racy but exact once quiescent.
 
 use crate::event::LockEvent;
 use crate::hist::AtomicHistogram;
 use crate::snapshot::LockSnapshot;
+use oll_util::topology::dense_thread_id;
 use oll_util::CachePadded;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Number of counter shards (power of two).
 pub const SHARDS: usize = 16;
-
-/// This thread's shard index: threads are numbered round-robin on first
-/// use, folded into the shard range. One TLS read per recording.
-#[inline]
-fn shard_index() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static SHARD: usize = NEXT.fetch_add(1, Ordering::Relaxed);
-    }
-    SHARD.with(|s| *s) & (SHARDS - 1)
-}
 
 #[derive(Debug)]
 struct Shard {
@@ -52,14 +43,15 @@ impl Shard {
 pub struct LockTelemetry {
     /// Instance name (auto-generated, overridable via
     /// [`Telemetry::rename`](crate::Telemetry::rename)). Read only at
-    /// snapshot/registration time, hence the plain mutex.
+    /// snapshot/registration time, hence the plain mutex; it also
+    /// orders a rename against the lock's entry into the trace table.
     name: Mutex<String>,
     /// The lock algorithm (e.g. `"GOLL"`).
     kind: &'static str,
-    /// This instance's id in the `oll_trace` lock registry, stamped on
-    /// every trace record the facade emits for it.
-    #[cfg(feature = "trace")]
-    trace_id: u32,
+    /// This instance's id in the `oll_trace` lock table, stamped on
+    /// every trace record the facade emits for it; 0 until its first
+    /// record (or `trace_id` call) enters it there.
+    trace_id: AtomicU32,
     shards: Box<[CachePadded<Shard>]>,
     /// `lock_read` wall time, entry to success.
     pub(crate) read_acquire: AtomicHistogram,
@@ -74,13 +66,10 @@ pub struct LockTelemetry {
 impl LockTelemetry {
     /// Creates empty state for a lock of algorithm `kind` named `name`.
     pub fn new(name: String, kind: &'static str) -> Self {
-        #[cfg(feature = "trace")]
-        let trace_id = oll_trace::register_lock(kind, &name);
         Self {
             name: Mutex::new(name),
             kind,
-            #[cfg(feature = "trace")]
-            trace_id,
+            trace_id: AtomicU32::new(0),
             shards: (0..SHARDS)
                 .map(|_| CachePadded::new(Shard::new()))
                 .collect(),
@@ -103,22 +92,18 @@ impl LockTelemetry {
 
     /// Renames the instance (shows up in subsequent snapshots).
     pub fn set_name(&self, name: &str) {
-        *self.name.lock().unwrap() = name.to_string();
-        #[cfg(feature = "trace")]
-        oll_trace::rename_lock(self.trace_id, name);
-    }
-
-    /// This instance's `oll_trace` lock id.
-    #[cfg(feature = "trace")]
-    #[inline]
-    pub(crate) fn trace_id(&self) -> u32 {
-        self.trace_id
+        let mut current = self.name.lock().unwrap();
+        *current = name.to_string();
+        // Id 0 (not in the trace table yet) is a no-op: the entry, when
+        // made, takes the name under this same mutex.
+        oll_trace::rename_lock(self.trace_id.load(Ordering::Acquire), name);
     }
 
     /// Adds `n` to `event`'s counter on this thread's shard.
     #[inline]
     pub fn add(&self, event: LockEvent, n: u64) {
-        self.shards[shard_index()].counts[event.index()].fetch_add(n, Ordering::Relaxed);
+        let shard = dense_thread_id() & (SHARDS - 1);
+        self.shards[shard].counts[event.index()].fetch_add(n, Ordering::Relaxed);
     }
 
     /// Sums `event`'s counter across shards.
@@ -159,6 +144,35 @@ impl LockTelemetry {
         self.write_acquire.reset();
         self.read_hold.reset();
         self.write_hold.reset();
+    }
+}
+
+/// The flight-recorder side, reached only through the
+/// [`Telemetry`](crate::Telemetry) facade.
+#[cfg(feature = "enabled")]
+impl LockTelemetry {
+    /// Puts one record of `kind` carrying `token` in the calling
+    /// thread's trace ring, if a trace session is open.
+    #[inline]
+    pub(crate) fn trace(&self, kind: oll_trace::TraceKind, token: u64) {
+        if oll_trace::enabled() {
+            oll_trace::emit(self.trace_id(), kind, token);
+        }
+    }
+
+    /// This instance's `oll_trace` lock id, entering it in the lock
+    /// table on first use.
+    pub(crate) fn trace_id(&self) -> u32 {
+        let id = self.trace_id.load(Ordering::Acquire);
+        if id != 0 {
+            return id;
+        }
+        let name = self.name.lock().unwrap();
+        if self.trace_id.load(Ordering::Acquire) == 0 {
+            let id = oll_trace::register_lock(self.kind, &name);
+            self.trace_id.store(id, Ordering::Release);
+        }
+        self.trace_id.load(Ordering::Acquire)
     }
 }
 

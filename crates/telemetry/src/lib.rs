@@ -7,15 +7,22 @@
 //! histograms of acquisition latency and hold time, so a `fig5
 //! --telemetry` run can show *why* a curve bends, not just that it does.
 //!
-//! # Zero cost when disabled
+//! # One switch at compile time, two at run time
 //!
 //! Everything locks embed goes through the [`Telemetry`] and [`Timer`]
 //! facades. Without this crate's `enabled` feature (exposed downstream
-//! as `telemetry`) both are zero-sized and every recording method is an
-//! empty `#[inline]` function: no atomics, no branches, no `Instant`
-//! reads on any path. The snapshot/report types stay compiled either way
-//! so tooling code needs no `cfg` of its own — a disabled build just
-//! never produces a snapshot.
+//! as `telemetry`, the workspace's only observability feature) both are
+//! zero-sized and every recording method is an empty `#[inline]`
+//! function: no atomics, no branches, no `Instant` reads on any path.
+//! The snapshot/report types stay compiled either way so tooling code
+//! needs no `cfg` of its own — a disabled build just never produces a
+//! snapshot.
+//!
+//! With the feature, an active handle counts, and two things are
+//! decided at run time: the facade also puts each event in the calling
+//! thread's `oll_trace` ring while a `TraceSession` is open (one
+//! `Relaxed` load per marker otherwise), and `oll_obs`'s sampler sweeps
+//! the [`registry`] once someone starts it.
 //!
 //! # Architecture
 //!
@@ -44,20 +51,9 @@ pub use snapshot::LockSnapshot;
 
 #[cfg(feature = "enabled")]
 use counters::LockTelemetry;
+use oll_trace::TraceKind;
 #[cfg(feature = "enabled")]
 use std::sync::Arc;
-
-#[cfg(feature = "trace")]
-use oll_trace::TraceKind;
-
-/// Maps a counted event onto its trace-record kind. Both enums are
-/// generated from the one `oll_trace::lock_events!` list, `TraceKind`
-/// appending its markers after it, so an event's index *is* its kind's.
-#[cfg(feature = "trace")]
-#[inline]
-fn trace_kind(event: LockEvent) -> TraceKind {
-    TraceKind::ALL[event.index()]
-}
 
 /// Handle to one lock's telemetry, embedded in the lock itself.
 ///
@@ -148,17 +144,19 @@ impl Telemetry {
         self.add(event, 1);
     }
 
-    /// Counts `n` occurrences of `event`. With the `trace` feature, one
-    /// record of the matching kind also lands in the calling thread's
-    /// trace ring (a batched count is still a single occurrence in
-    /// time, so it traces as one record).
+    /// Counts `n` occurrences of `event`. While a trace session is
+    /// open, one record of the matching kind also lands in the calling
+    /// thread's trace ring (a batched count is still a single occurrence
+    /// in time, so it traces as one record).
     #[inline]
     pub fn add(&self, event: LockEvent, n: u64) {
         #[cfg(feature = "enabled")]
         if let Some(t) = &self.inner {
             t.add(event, n);
-            #[cfg(feature = "trace")]
-            oll_trace::emit(t.trace_id(), trace_kind(event), 0);
+            // Both enums are generated from the one `lock_events!` list,
+            // `TraceKind` appending its markers after it, so an event's
+            // index is its kind's.
+            t.trace(TraceKind::ALL[event.index()], 0);
         }
         #[cfg(not(feature = "enabled"))]
         {
@@ -166,28 +164,31 @@ impl Telemetry {
         }
     }
 
-    /// This instance's `oll_trace` lock id, when tracing is compiled in
-    /// and the handle is active (tests use it to filter timelines).
+    /// This instance's `oll_trace` lock id, when the feature is on and
+    /// the handle is active (tests use it to filter timelines). The
+    /// first call enters the lock in the recorder's lock table, as its
+    /// first trace record would.
     pub fn trace_id(&self) -> Option<u32> {
-        #[cfg(feature = "trace")]
+        #[cfg(feature = "enabled")]
         {
             self.inner.as_ref().map(|t| t.trace_id())
         }
-        #[cfg(not(feature = "trace"))]
+        #[cfg(not(feature = "enabled"))]
         {
             None
         }
     }
 
     /// Emits a bare trace marker of `kind` carrying `token` (no counter
-    /// touched). Empty inline no-op without the `trace` feature.
+    /// touched) while a trace session is open. Empty inline no-op
+    /// without the feature.
     #[inline]
-    fn trace_mark(&self, kind: oll_trace::TraceKind, token: u64) {
-        #[cfg(feature = "trace")]
+    fn trace_mark(&self, kind: TraceKind, token: u64) {
+        #[cfg(feature = "enabled")]
         if let Some(t) = &self.inner {
-            oll_trace::emit(t.trace_id(), kind, token);
+            t.trace(kind, token);
         }
-        #[cfg(not(feature = "trace"))]
+        #[cfg(not(feature = "enabled"))]
         {
             let _ = (kind, token);
         }
@@ -197,7 +198,7 @@ impl Telemetry {
     /// `read_begin` trace marker opening the acquisition span.
     #[inline]
     pub fn begin_read(&self) -> Timer {
-        self.trace_mark(oll_trace::TraceKind::ReadBegin, 0);
+        self.trace_mark(TraceKind::ReadBegin, 0);
         self.timer()
     }
 
@@ -205,7 +206,7 @@ impl Telemetry {
     /// `write_begin` trace marker opening the acquisition span.
     #[inline]
     pub fn begin_write(&self) -> Timer {
-        self.trace_mark(oll_trace::TraceKind::WriteBegin, 0);
+        self.trace_mark(TraceKind::WriteBegin, 0);
         self.timer()
     }
 
@@ -215,18 +216,19 @@ impl Telemetry {
     /// the hand-off edge.
     #[inline]
     pub fn trace_enqueued(&self, token: u64) {
-        self.trace_mark(oll_trace::TraceKind::Enqueued, token);
+        self.trace_mark(TraceKind::Enqueued, token);
     }
 
     /// Marks that the calling thread granted ownership to the waiter(s)
     /// parked on `token`.
     #[inline]
     pub fn trace_granted(&self, token: u64) {
-        self.trace_mark(oll_trace::TraceKind::Granted, token);
+        self.trace_mark(TraceKind::Granted, token);
     }
 
     /// Counts a controller policy flip ([`LockEvent::TunerFlip`]) and,
-    /// under `trace`, emits the matching record carrying `token` — the
+    /// while a trace session is open, emits the matching record carrying
+    /// `token` — the
     /// packed `old_regime << 8 | new_regime` pair, so the analyzer can
     /// label the transition (plain [`Telemetry::incr`] always traces
     /// token 0).
@@ -236,8 +238,7 @@ impl Telemetry {
         #[cfg(feature = "enabled")]
         if let Some(t) = &self.inner {
             t.add(LockEvent::TunerFlip, 1);
-            #[cfg(feature = "trace")]
-            oll_trace::emit(t.trace_id(), oll_trace::TraceKind::TunerFlip, token);
+            t.trace(TraceKind::TunerFlip, token);
         }
     }
 
@@ -258,15 +259,15 @@ impl Telemetry {
     }
 
     /// Records a completed `lock_read` latency sample from `timer`, and
-    /// (under `trace`) a `read_acquired` marker closing the span opened
-    /// by [`Telemetry::begin_read`].
+    /// (in a trace session) a `read_acquired` marker closing the span
+    /// opened by [`Telemetry::begin_read`].
     #[inline]
     pub fn record_read_acquire(&self, timer: &Timer) {
         #[cfg(feature = "enabled")]
         if let (Some(t), Some(ns)) = (&self.inner, timer.elapsed_ns()) {
             t.read_acquire.record(ns);
         }
-        self.trace_mark(oll_trace::TraceKind::ReadAcquired, 0);
+        self.trace_mark(TraceKind::ReadAcquired, 0);
         #[cfg(not(feature = "enabled"))]
         {
             let _ = timer;
@@ -274,44 +275,44 @@ impl Telemetry {
     }
 
     /// Records a completed `lock_write` latency sample from `timer`,
-    /// and (under `trace`) a `write_acquired` marker.
+    /// and (in a trace session) a `write_acquired` marker.
     #[inline]
     pub fn record_write_acquire(&self, timer: &Timer) {
         #[cfg(feature = "enabled")]
         if let (Some(t), Some(ns)) = (&self.inner, timer.elapsed_ns()) {
             t.write_acquire.record(ns);
         }
-        self.trace_mark(oll_trace::TraceKind::WriteAcquired, 0);
+        self.trace_mark(TraceKind::WriteAcquired, 0);
         #[cfg(not(feature = "enabled"))]
         {
             let _ = timer;
         }
     }
 
-    /// Records a read-hold duration sample from `timer`, and (under
-    /// `trace`) a `read_release` marker closing the hold span.
+    /// Records a read-hold duration sample from `timer`, and (in a trace
+    /// session) a `read_release` marker closing the hold span.
     #[inline]
     pub fn record_read_hold(&self, timer: &Timer) {
         #[cfg(feature = "enabled")]
         if let (Some(t), Some(ns)) = (&self.inner, timer.elapsed_ns()) {
             t.read_hold.record(ns);
         }
-        self.trace_mark(oll_trace::TraceKind::ReadRelease, 0);
+        self.trace_mark(TraceKind::ReadRelease, 0);
         #[cfg(not(feature = "enabled"))]
         {
             let _ = timer;
         }
     }
 
-    /// Records a write-hold duration sample from `timer`, and (under
-    /// `trace`) a `write_release` marker.
+    /// Records a write-hold duration sample from `timer`, and (in a
+    /// trace session) a `write_release` marker.
     #[inline]
     pub fn record_write_hold(&self, timer: &Timer) {
         #[cfg(feature = "enabled")]
         if let (Some(t), Some(ns)) = (&self.inner, timer.elapsed_ns()) {
             t.write_hold.record(ns);
         }
-        self.trace_mark(oll_trace::TraceKind::WriteRelease, 0);
+        self.trace_mark(TraceKind::WriteRelease, 0);
         #[cfg(not(feature = "enabled"))]
         {
             let _ = timer;
@@ -416,16 +417,15 @@ mod tests {
         assert!(t.snapshot().unwrap().is_empty());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn lock_event_taxonomy_is_trace_kind_prefix() {
         for e in LockEvent::ALL {
-            assert_eq!(trace_kind(e).name(), e.name());
-            assert_eq!(trace_kind(e).index(), e.index());
+            assert_eq!(TraceKind::ALL[e.index()].name(), e.name());
+            assert_eq!(TraceKind::ALL[e.index()].index(), e.index());
         }
     }
 
-    #[cfg(feature = "trace")]
+    #[cfg(feature = "enabled")]
     #[test]
     fn facade_emits_trace_records() {
         let t = Telemetry::register("TEST");

@@ -40,9 +40,9 @@ pub struct AnalyzerConfig {
     /// Maps a trace thread id to a locality (cohort) rank so hand-off
     /// edges can be classified as same-socket or cross-socket. The
     /// default mirrors the cohort lock's own placement heuristic
-    /// (`oll_util::topology::cohort_of_current`): trace tids are dense
-    /// registration-order counters, exactly like `dense_thread_id`, so
-    /// `cohort_of(tid % cpus)` reproduces the lock-side mapping. On
+    /// (`oll_util::topology::cohort_of_current`): a trace tid is the
+    /// recording thread's `dense_thread_id() + 1`, so
+    /// `cohort_of((tid - 1) % cpus)` reproduces the lock-side mapping. On
     /// undetected (single-socket fallback) topologies every tid maps to
     /// rank 0 and the cross-socket count is deterministically zero.
     pub cohort_of_tid: fn(u32) -> usize,
@@ -52,7 +52,7 @@ pub struct AnalyzerConfig {
 /// the cohort writer path would pick for this dense thread id.
 fn topology_cohort_of_tid(tid: u32) -> usize {
     let t = oll_util::topology::Topology::get();
-    t.cohort_of(tid as usize % t.cpus())
+    t.cohort_of((tid as usize).saturating_sub(1) % t.cpus())
 }
 
 impl Default for AnalyzerConfig {
@@ -850,6 +850,19 @@ mod tests {
         assert_eq!(report.cross_socket_handoffs, 0);
         let text = render_report_text(&cascade_timeline(), &report);
         assert!(text.contains("cross-socket hand-offs: 0 / 2 (0.0%)"));
+    }
+
+    #[test]
+    fn default_cohort_mapping_is_the_lock_sides() {
+        use oll_util::topology::{cohort_of_current, dense_thread_id};
+        let cohort_of_tid = AnalyzerConfig::default().cohort_of_tid;
+        for _ in 0..4 {
+            let (tid, cohort) =
+                std::thread::spawn(|| (dense_thread_id() as u32 + 1, cohort_of_current()))
+                    .join()
+                    .unwrap();
+            assert_eq!(cohort_of_tid(tid), cohort, "tid {tid}");
+        }
     }
 
     #[test]

@@ -11,17 +11,11 @@
 //! window — plus any record the owner laps mid-copy — as **dropped**.
 //! Collection is non-destructive: cursors live in the session, not the
 //! ring, so concurrent sessions never steal each other's records.
+//! `begin` also counts the session open, and its drop counts it closed:
+//! [`enabled`] reads that count, and the telemetry facade emits only
+//! while it is nonzero.
 
 use crate::record::TraceRecord;
-
-#[cfg(feature = "enabled")]
-use crate::record::TraceKind;
-#[cfg(feature = "enabled")]
-use crate::ring::{Ring, DEFAULT_RING_CAPACITY};
-#[cfg(feature = "enabled")]
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-#[cfg(feature = "enabled")]
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// One lock instance in the timeline's header.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,7 +31,8 @@ pub struct LockDescriptor {
 /// One recording thread in the timeline's header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ThreadDescriptor {
-    /// The dense id carried by records (1-based, first-emit order).
+    /// The id carried by records: the thread's
+    /// `oll_util::topology::dense_thread_id() + 1` (0 = unattributed).
     pub tid: u32,
     /// OS thread name at first emit, if any.
     pub name: String,
@@ -101,23 +96,42 @@ impl Timeline {
 #[cfg(feature = "enabled")]
 mod recorder {
     use super::*;
+    use crate::record::TraceKind;
+    use crate::ring::Ring;
+    use crate::DEFAULT_RING_CAPACITY;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Arc, Mutex, OnceLock};
 
-    pub(super) fn rings() -> &'static Mutex<Vec<Arc<Ring>>> {
+    /// `(ring, written-at-begin)` for the rings alive when a session
+    /// began.
+    pub(super) type Marks = Vec<(Arc<Ring>, u64)>;
+
+    /// Number of open [`TraceSession`]s. `Relaxed` throughout: it
+    /// publishes no data, and a record emitted while a session opens or
+    /// closes may land or not; the session's marks bound what it keeps.
+    static OPEN: AtomicUsize = AtomicUsize::new(0);
+
+    static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
+
+    fn rings() -> &'static Mutex<Vec<Arc<Ring>>> {
         static RINGS: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
         RINGS.get_or_init(|| Mutex::new(Vec::new()))
     }
 
-    pub(super) struct LockEntry {
-        pub kind: String,
-        pub name: Mutex<String>,
+    struct LockEntry {
+        kind: String,
+        name: Mutex<String>,
     }
 
-    pub(super) fn locks() -> &'static Mutex<Vec<Arc<LockEntry>>> {
+    fn locks() -> &'static Mutex<Vec<Arc<LockEntry>>> {
         static LOCKS: OnceLock<Mutex<Vec<Arc<LockEntry>>>> = OnceLock::new();
         LOCKS.get_or_init(|| Mutex::new(Vec::new()))
     }
 
-    pub(super) static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
+    #[inline]
+    pub(super) fn recording() -> bool {
+        OPEN.load(Ordering::Relaxed) != 0
+    }
 
     /// Monotonic clock shared by every ring: nanoseconds since the first
     /// call in the process.
@@ -130,8 +144,7 @@ mod recorder {
     }
 
     fn install_ring() -> Arc<Ring> {
-        static NEXT_TID: AtomicU32 = AtomicU32::new(1);
-        let tid = NEXT_TID.fetch_add(1, Ordering::Relaxed);
+        let tid = oll_util::topology::dense_thread_id() as u32 + 1;
         let name = std::thread::current().name().map(str::to_string);
         let ring = Arc::new(Ring::new(tid, name, RING_CAPACITY.load(Ordering::Relaxed)));
         rings().lock().unwrap().push(Arc::clone(&ring));
@@ -161,181 +174,201 @@ mod recorder {
             });
         });
     }
+
+    pub(super) fn register_lock(kind: &str, name: &str) -> u32 {
+        let mut locks = locks().lock().unwrap();
+        locks.push(Arc::new(LockEntry {
+            kind: kind.to_string(),
+            name: Mutex::new(name.to_string()),
+        }));
+        locks.len() as u32
+    }
+
+    pub(super) fn rename_lock(id: u32, name: &str) {
+        let entry = match id {
+            0 => None,
+            id => locks().lock().unwrap().get(id as usize - 1).cloned(),
+        };
+        if let Some(e) = entry {
+            *e.name.lock().unwrap() = name.to_string();
+        }
+    }
+
+    pub(super) fn set_ring_capacity(records: usize) {
+        RING_CAPACITY.store(records.max(1), Ordering::Relaxed);
+    }
+
+    /// Opens a session: counts it, then marks every live ring.
+    pub(super) fn open() -> Marks {
+        OPEN.fetch_add(1, Ordering::Relaxed);
+        rings()
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|r| (Arc::clone(r), r.written()))
+            .collect()
+    }
+
+    pub(super) fn close() {
+        OPEN.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Drains every ring from its mark in `marks` (rings without one
+    /// from position 0) into a merged, time-sorted [`Timeline`].
+    pub(super) fn collect(marks: &Marks) -> Timeline {
+        let all: Vec<Arc<Ring>> = rings().lock().unwrap().clone();
+        let start_of = |ring: &Arc<Ring>| -> u64 {
+            marks
+                .iter()
+                .find(|(r, _)| Arc::ptr_eq(r, ring))
+                .map(|(_, pos)| *pos)
+                .unwrap_or(0)
+        };
+        let mut tl = Timeline::default();
+        for ring in &all {
+            let start = start_of(ring);
+            let end = ring.written();
+            let lo = start.max(end.saturating_sub(ring.capacity()));
+            tl.dropped += lo - start;
+            for pos in lo..end {
+                match ring.read_at(pos) {
+                    Some(r) => tl.records.push(r),
+                    None => tl.dropped += 1,
+                }
+            }
+            tl.threads.push(ThreadDescriptor {
+                tid: ring.tid(),
+                name: ring.thread_name().unwrap_or("").to_string(),
+            });
+        }
+        tl.records.sort_by_key(|r| (r.ts_ns, r.tid));
+        tl.threads.sort_by_key(|t| t.tid);
+        tl.locks = locks()
+            .lock()
+            .unwrap()
+            .iter()
+            .enumerate()
+            .map(|(i, e)| LockDescriptor {
+                id: i as u32 + 1,
+                kind: e.kind.clone(),
+                name: e.name.lock().unwrap().clone(),
+            })
+            .collect();
+        tl
+    }
+}
+
+/// The recorder compiled out: no rings, atomics or clock reads; every
+/// hook is an empty function and a session is zero-sized.
+#[cfg(not(feature = "enabled"))]
+mod recorder {
+    use super::Timeline;
+    use crate::record::TraceKind;
+
+    pub(super) type Marks = ();
+
+    #[inline]
+    pub(super) fn recording() -> bool {
+        false
+    }
+    pub(super) fn now_ns() -> u64 {
+        0
+    }
+    #[inline]
+    pub(super) fn emit(_: u32, _: TraceKind, _: u64) {}
+    pub(super) fn register_lock(_: &str, _: &str) -> u32 {
+        0
+    }
+    pub(super) fn rename_lock(_: u32, _: &str) {}
+    pub(super) fn set_ring_capacity(_: usize) {}
+    pub(super) fn open() -> Marks {}
+    pub(super) fn close() {}
+    pub(super) fn collect(_: &Marks) -> Timeline {
+        Timeline::default()
+    }
+}
+
+/// Whether the flight recorder is recording right now: compiled in
+/// (this crate's `enabled` feature) and at least one [`TraceSession`]
+/// open. One `Relaxed` load; a constant `false` without the feature.
+/// The telemetry facade asks this before every record, so a build that
+/// never opens a session creates no ring and no lock-table entry.
+#[inline]
+pub fn enabled() -> bool {
+    recorder::recording()
 }
 
 /// Nanoseconds on the trace clock (monotonic, process-wide epoch).
 /// Always 0 when the `enabled` feature is off.
 #[inline]
 pub fn now_ns() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        recorder::now_ns()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        0
-    }
+    recorder::now_ns()
 }
 
-/// Appends a record to the calling thread's ring. Empty inline no-op
-/// without the `enabled` feature.
+/// Appends a record to the calling thread's ring, session or not (the
+/// telemetry facade checks [`enabled`] first). A no-op without the
+/// `enabled` feature.
 #[inline]
 pub fn emit(lock: u32, kind: crate::record::TraceKind, token: u64) {
-    #[cfg(feature = "enabled")]
     recorder::emit(lock, kind, token);
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (lock, kind, token);
-    }
 }
 
 /// Registers a lock instance; the returned id attributes its records.
 /// Returns 0 (the unattributed id) when tracing is compiled out.
 pub fn register_lock(kind: &str, name: &str) -> u32 {
-    #[cfg(feature = "enabled")]
-    {
-        let mut locks = recorder::locks().lock().unwrap();
-        locks.push(std::sync::Arc::new(recorder::LockEntry {
-            kind: kind.to_string(),
-            name: Mutex::new(name.to_string()),
-        }));
-        locks.len() as u32
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (kind, name);
-        0
-    }
+    recorder::register_lock(kind, name)
 }
 
-/// Renames a registered lock (shows up in subsequent collections).
+/// Renames a registered lock (shows up in subsequent collections); id 0
+/// is a no-op.
 pub fn rename_lock(id: u32, name: &str) {
-    #[cfg(feature = "enabled")]
-    {
-        if id == 0 {
-            return;
-        }
-        let entry = recorder::locks()
-            .lock()
-            .unwrap()
-            .get(id as usize - 1)
-            .cloned();
-        if let Some(e) = entry {
-            *e.name.lock().unwrap() = name.to_string();
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = (id, name);
-    }
+    recorder::rename_lock(id, name);
 }
 
 /// Sets the capacity (in records) of rings created *after* this call.
 /// Existing rings keep their size. No-op when tracing is compiled out.
 pub fn set_thread_ring_capacity(records: usize) {
-    #[cfg(feature = "enabled")]
-    recorder::RING_CAPACITY.store(records.max(1), std::sync::atomic::Ordering::Relaxed);
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = records;
-    }
+    recorder::set_ring_capacity(records);
 }
 
-/// A collection window over the flight recorder.
+/// A collection window over the flight recorder, and the switch that
+/// turns it on: the telemetry facade records while at least one session
+/// is open ([`enabled`]), and dropping the last one stops it.
 ///
 /// Zero-sized when the `enabled` feature is off ([`TraceSession::begin`]
 /// and [`TraceSession::collect`] still exist; `collect` returns an empty
 /// [`Timeline`]), so tooling needs no `cfg` of its own.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct TraceSession {
-    /// `(ring, written-at-begin)` for rings alive at `begin`.
-    #[cfg(feature = "enabled")]
-    marks: Vec<(Arc<Ring>, u64)>,
+    marks: recorder::Marks,
 }
 
 impl TraceSession {
-    /// Opens a window: subsequent [`TraceSession::collect`] calls return
-    /// records emitted from this point on (rings born later are included
-    /// from their first record).
+    /// Opens a window and starts recording: subsequent
+    /// [`TraceSession::collect`] calls return records emitted from this
+    /// point on (rings born later are included from their first record).
     pub fn begin() -> Self {
-        #[cfg(feature = "enabled")]
-        {
-            let marks = recorder::rings()
-                .lock()
-                .unwrap()
-                .iter()
-                .map(|r| (Arc::clone(r), r.written()))
-                .collect();
-            Self { marks }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Self {}
+        Self {
+            marks: recorder::open(),
         }
     }
 
     /// Drains every ring into a merged, time-sorted [`Timeline`].
     /// Non-destructive; callable repeatedly on one session.
     pub fn collect(&self) -> Timeline {
-        #[cfg(feature = "enabled")]
-        {
-            let all: Vec<Arc<Ring>> = recorder::rings().lock().unwrap().clone();
-            let start_of = |ring: &Arc<Ring>| -> u64 {
-                self.marks
-                    .iter()
-                    .find(|(r, _)| Arc::ptr_eq(r, ring))
-                    .map(|(_, pos)| *pos)
-                    .unwrap_or(0)
-            };
-            let mut tl = Timeline::default();
-            for ring in &all {
-                let start = start_of(ring);
-                let end = ring.written();
-                let lo = start.max(end.saturating_sub(ring.capacity()));
-                tl.dropped += lo - start;
-                for pos in lo..end {
-                    match ring.read_at(pos) {
-                        Some(r) => tl.records.push(r),
-                        None => tl.dropped += 1,
-                    }
-                }
-                tl.threads.push(ThreadDescriptor {
-                    tid: ring.tid(),
-                    name: ring.thread_name().unwrap_or("").to_string(),
-                });
-            }
-            tl.records.sort_by_key(|r| (r.ts_ns, r.tid));
-            tl.threads.sort_by_key(|t| t.tid);
-            tl.locks = recorder::locks()
-                .lock()
-                .unwrap()
-                .iter()
-                .enumerate()
-                .map(|(i, e)| LockDescriptor {
-                    id: i as u32 + 1,
-                    kind: e.kind.clone(),
-                    name: e.name.lock().unwrap().clone(),
-                })
-                .collect();
-            tl
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Timeline::default()
-        }
+        recorder::collect(&self.marks)
+    }
+}
+
+impl Drop for TraceSession {
+    fn drop(&mut self) {
+        recorder::close();
     }
 }
 
 /// Everything still retained in every ring, since process start.
 pub fn capture_all() -> Timeline {
-    #[cfg(feature = "enabled")]
-    {
-        TraceSession { marks: Vec::new() }.collect()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Timeline::default()
-    }
+    recorder::collect(&Default::default())
 }
 
 #[cfg(all(test, feature = "enabled"))]
@@ -394,7 +427,7 @@ mod tests {
         })
         .join()
         .unwrap();
-        set_thread_ring_capacity(crate::ring::DEFAULT_RING_CAPACITY);
+        set_thread_ring_capacity(crate::DEFAULT_RING_CAPACITY);
         let tl = session.collect();
         let mine = tl.filter_lock(lock);
         // 100 written into a 16-slot ring: at least 84 dropped, the
@@ -404,6 +437,38 @@ mod tests {
         assert!(mine.records.len() <= 16);
         assert!(mine.records.iter().any(|r| r.token == 99));
         assert!(!mine.records.iter().any(|r| r.token == 0));
+    }
+
+    #[test]
+    fn an_open_session_turns_recording_on() {
+        let outer = TraceSession::begin();
+        let inner = TraceSession::begin();
+        drop(outer);
+        assert!(enabled(), "one session is still open");
+        drop(inner);
+    }
+
+    #[test]
+    fn ring_tid_is_the_dense_thread_id_plus_one() {
+        use oll_util::topology::dense_thread_id;
+        let lock = register_lock("TEST", "collect/tid");
+        let session = TraceSession::begin();
+        let mut expected = Vec::new();
+        for _ in 0..4 {
+            // A thread that never emits still takes a dense id, so the
+            // ring tids cannot be a count of emitting threads.
+            std::thread::spawn(dense_thread_id).join().unwrap();
+            let dense = std::thread::spawn(move || {
+                emit(lock, TraceKind::ReadFast, 0);
+                dense_thread_id()
+            })
+            .join()
+            .unwrap();
+            expected.push(dense as u32 + 1);
+        }
+        let tl = session.collect().filter_lock(lock);
+        let tids: Vec<u32> = tl.records.iter().map(|r| r.tid).collect();
+        assert_eq!(tids, expected);
     }
 
     #[test]

@@ -10,13 +10,17 @@
 //! chains, and convoy/starvation anomalies; an [exporter](export)
 //! renders Chrome Trace Event JSON that loads directly in Perfetto.
 //!
-//! # Zero cost when disabled
+//! # Compiled in by telemetry, switched on by a session
 //!
 //! Locks never talk to this crate directly — they record through the
-//! `oll_telemetry::Telemetry` facade, whose `trace` feature forwards to
-//! this crate's `enabled` feature. Without it, [`emit`] and the
-//! registration hooks are empty `#[inline]` functions, [`TraceSession`]
-//! is zero-sized, and no rings, atomics, or clock reads exist anywhere.
+//! `oll_telemetry::Telemetry` facade, whose `enabled` feature (the
+//! workspace's `telemetry`) turns on this crate's `enabled` feature.
+//! Without it, [`emit`] and the registration hooks are empty `#[inline]`
+//! functions, [`TraceSession`] is zero-sized, and no rings, atomics, or
+//! clock reads exist anywhere. With it, nothing is recorded until a
+//! [`TraceSession`] opens: the facade checks [`enabled`] (one `Relaxed`
+//! load of the open-session count) before each record, so a telemetry
+//! build that never traces creates no ring and no lock-table entry.
 //! The timeline/analyzer/export types compile either way so tooling
 //! needs no `cfg` of its own — a disabled build just collects an empty
 //! timeline.
@@ -40,25 +44,17 @@ pub mod record;
 
 #[cfg(feature = "enabled")]
 mod ring;
-#[cfg(not(feature = "enabled"))]
-mod ring {
-    /// Default per-thread ring capacity (records).
-    pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
-}
 
 pub use analyze::{analyze, render_report_text, AnalyzerConfig, TraceReport};
 pub use collect::{
-    capture_all, emit, now_ns, register_lock, rename_lock, set_thread_ring_capacity,
+    capture_all, emit, enabled, now_ns, register_lock, rename_lock, set_thread_ring_capacity,
     LockDescriptor, ThreadDescriptor, Timeline, TraceSession,
 };
 pub use export::render_chrome_trace;
 pub use record::{TraceKind, TraceRecord};
-pub use ring::DEFAULT_RING_CAPACITY;
 
-/// Whether the flight recorder is compiled in at all.
-pub const fn enabled() -> bool {
-    cfg!(feature = "enabled")
-}
+/// Default per-thread ring capacity (records).
+pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
 
 #[cfg(test)]
 mod tests {
@@ -81,10 +77,10 @@ mod tests {
     #[cfg(feature = "enabled")]
     #[test]
     fn enabled_end_to_end() {
-        assert!(enabled());
         let lock = register_lock("TEST", "lib/e2e");
         assert!(lock > 0);
         let session = TraceSession::begin();
+        assert!(enabled());
         emit(lock, TraceKind::WriteBegin, 0);
         emit(lock, TraceKind::WriteAcquired, 0);
         emit(lock, TraceKind::WriteRelease, 0);

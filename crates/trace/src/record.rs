@@ -235,7 +235,8 @@ pub const MAX_TID: u32 = (1 << 24) - 1;
 pub struct TraceRecord {
     /// Monotonic nanoseconds since the process trace epoch.
     pub ts_ns: u64,
-    /// Recording thread (small dense ids assigned at first emit).
+    /// Recording thread: `oll_util::topology::dense_thread_id() + 1`
+    /// (0 = unattributed).
     pub tid: u32,
     /// Lock instance id from lock registration (0 = unattributed).
     pub lock: u32,

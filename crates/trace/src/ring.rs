@@ -14,9 +14,6 @@
 use crate::record::TraceRecord;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-/// Default per-thread ring capacity (records).
-pub const DEFAULT_RING_CAPACITY: usize = 1 << 16;
-
 #[derive(Debug)]
 struct Slot {
     seq: AtomicU64,

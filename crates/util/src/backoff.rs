@@ -612,7 +612,6 @@ mod tests {
     /// panic in debug builds). `absurd_spin_limit_is_clamped_to_max_exponent`
     /// above checks one hand-picked policy; this sweeps random ones and
     /// always includes the `u32::MAX` corner.
-    #[cfg(feature = "proptest")]
     mod props {
         use super::*;
         use proptest::prelude::*;

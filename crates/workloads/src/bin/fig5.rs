@@ -20,7 +20,8 @@
 //! whole run as a schema-versioned `oll.fig5` document, including the
 //! profiles when collected. `--trace` captures the run in the flight
 //! recorder and writes a Chrome Trace Event file that loads directly in
-//! Perfetto (needs a `--features trace` build); `--trace-json` also
+//! Perfetto (needs a `--features telemetry` build, like `--obs` and
+//! `--pair obs`: without it they are usage errors); `--trace-json` also
 //! writes the raw capture as an `oll.trace` document.
 //!
 //! `--shape N` overrides the OLL locks' (GOLL/FOLL/ROLL) C-SNZI tree
@@ -57,7 +58,7 @@
 //! ```
 //!
 //! `--obs` runs the whole sweep under the continuous-monitoring sampler
-//! (needs a `--features obs` build); with an ADDR it also serves
+//! (needs a `--features telemetry` build); with an ADDR it also serves
 //! Prometheus text on `http://ADDR/metrics` (plus `/json` and
 //! `/health`) for the duration of the run, and `--obs-json` writes the
 //! final `oll.obs` document. `--flame` writes the trace analyzer's wait
@@ -251,6 +252,15 @@ fn parse_args() -> Args {
             usage(&format!("--pair {0}: --{0} is already on", option.name()));
         }
     }
+    for (asked, flag) in [
+        (trace.is_some(), "--trace"),
+        (obs.on, "--obs"),
+        (pair == Some(PairOption::Obs), "--pair obs"),
+    ] {
+        if asked {
+            oll_workloads::require_telemetry(flag).unwrap_or_else(|m| usage(&m));
+        }
+    }
     Args {
         panels,
         opts,
@@ -287,12 +297,6 @@ fn write_file(path: &str, contents: &str) {
 
 /// `--pair OPT`: the paired off/on comparison in place of the sweep.
 fn run_pair(option: PairOption, args: &Args) {
-    if option == PairOption::Obs && !oll_obs::enabled() {
-        eprintln!(
-            "warning: this binary was built without the `obs` feature; no sampler will \
-             run and the comparison is of a run with itself. Rebuild with --features obs."
-        );
-    }
     let doc = paired::compare(option, &args.panels, &args.opts, &args.obs.config());
     println!("{}", paired::render_table(&doc));
     if let Some(path) = &args.json {
@@ -330,12 +334,6 @@ fn main() {
         return run_pair(option, &args);
     }
 
-    if args.trace.is_some() {
-        traceio::warn_if_disabled("fig5");
-    }
-    if args.obs.on {
-        obsio::warn_if_disabled("fig5");
-    }
     let session = args.trace.as_ref().map(|_| TraceSession::begin());
     let obs_session = obsio::start(&args.obs, &mut |m| usage(m));
 

@@ -22,6 +22,10 @@
 //!     --tasks 1000000 --workers 8 --json BENCH_async.json
 //! ```
 //!
+//! `--obs` (the continuous-monitoring sampler, as in `fig5`) needs a
+//! `--features async,telemetry` build: without telemetry it is a usage
+//! error (exit 2).
+//!
 //! `--json` writes the run as an `oll.fig5_async` document, which
 //! `fig5check --expect-async-tasks N` validates. The binary exits
 //! nonzero if the run leaks state: every task must end
@@ -155,7 +159,7 @@ fn main() {
         );
     }
     if args.obs.on {
-        obsio::warn_if_disabled("fig5_async");
+        oll_workloads::require_telemetry("--obs").unwrap_or_else(|m| usage(&m));
     }
     let obs_session = obsio::start(&args.obs, &mut |m| usage(m));
 

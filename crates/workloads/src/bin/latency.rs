@@ -27,13 +27,14 @@
 //! contention profile (needs a `--features telemetry` build to record);
 //! `--json` writes a schema-versioned `oll.latency` document. `--trace`
 //! captures the run in the flight recorder and writes a Perfetto-loadable
-//! Chrome Trace Event file (needs a `--features trace` build);
+//! Chrome Trace Event file;
 //! `--trace-json` also writes the raw capture as an `oll.trace`
 //! document, and `--flame` the analyzer's wait breakdowns as folded
 //! stacks for flamegraph tooling. `--obs` runs the measurement under
-//! the continuous-monitoring sampler (needs a `--features obs` build),
-//! optionally serving Prometheus text on ADDR; `--obs-json` writes the
-//! final `oll.obs` document.
+//! the continuous-monitoring sampler, optionally serving Prometheus text
+//! on ADDR; `--obs-json` writes the final `oll.obs` document. `--trace`
+//! and `--obs` need a `--features telemetry` build: without it they are
+//! usage errors (exit 2).
 
 use oll_telemetry::report::fmt_ns;
 use oll_trace::TraceSession;
@@ -154,11 +155,10 @@ fn main() {
     if trace.is_none() && flame.is_some() {
         usage("--flame needs --trace");
     }
-    if trace.is_some() {
-        traceio::warn_if_disabled("latency");
-    }
-    if obs.on {
-        obsio::warn_if_disabled("latency");
+    for (asked, flag) in [(trace.is_some(), "--trace"), (obs.on, "--obs")] {
+        if asked {
+            oll_workloads::require_telemetry(flag).unwrap_or_else(|m| usage(&m));
+        }
     }
     let session = trace.as_ref().map(|_| TraceSession::begin());
     let obs_session = obsio::start(&obs, &mut |m| usage(m));

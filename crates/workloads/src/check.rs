@@ -190,7 +190,7 @@ fn check_pair(doc: &Value, expect: Option<PairOption>) -> Result<String, String>
     if option == PairOption::Obs {
         if !get(doc, "sampler_active", Value::as_bool, ctx)? {
             return Err(format!(
-                "{ctx}: sampler was not active (built without the obs feature?)"
+                "{ctx}: sampler was not active (built without the telemetry feature?)"
             ));
         }
         let samples = get(doc, "samples", Value::as_u64, ctx)?;

@@ -49,3 +49,17 @@ pub use runner::{
     run_throughput, run_throughput_profiled, run_throughput_profiled_with, ThroughputResult,
 };
 pub use sweep::{run_panel, PanelResult, Series, SweepOptions};
+
+/// The one check behind `--trace`, `--obs` and `--pair obs`: the flight
+/// recorder and the sampler have nothing to record without the
+/// telemetry hooks, so in a build without them `flag` is a usage error.
+/// The `Err` is the message for the caller's `error:` line.
+pub fn require_telemetry(flag: &str) -> Result<(), String> {
+    if oll_telemetry::Telemetry::enabled() {
+        Ok(())
+    } else {
+        Err(format!(
+            "{flag} needs the telemetry hooks: rebuild with `--features telemetry`"
+        ))
+    }
+}

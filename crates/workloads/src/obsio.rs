@@ -84,18 +84,6 @@ pub fn parse_flag(
     }
 }
 
-/// Warns when an `--obs` flag can record nothing in this build.
-pub fn warn_if_disabled(bin: &str) {
-    if !oll_obs::enabled() {
-        eprintln!(
-            "warning: this binary was built without the `obs` feature; the \
-             sampler is compiled out and the monitoring report will be empty. \
-             Rebuild with:\n  \
-             cargo run -p oll-workloads --release --features obs --bin {bin} -- --obs"
-        );
-    }
-}
-
 /// A running monitoring session: the sampler daemon plus the optional
 /// exposition listener.
 #[derive(Debug)]

@@ -159,7 +159,7 @@ pub fn summarize(pairs: &[Pair]) -> (f64, f64, f64) {
 /// (median off and on rates, median of the paired deltas, elapsed seconds
 /// of the shortest half), the median of every paired delta of the run,
 /// and for `obs` whether a sampler actually ran (not in a build without
-/// the `obs` feature) and how many samples the on halves took.
+/// the `telemetry` feature) and how many samples the on halves took.
 pub fn compare(
     option: PairOption,
     panels: &[Fig5Panel],

@@ -11,18 +11,6 @@
 use crate::json::render_trace_json;
 use oll_trace::{analyze, render_chrome_trace, render_report_text, AnalyzerConfig, Timeline};
 
-/// Warns when a `--trace` flag can record nothing in this build.
-pub fn warn_if_disabled(bin: &str) {
-    if !oll_trace::enabled() {
-        eprintln!(
-            "warning: this binary was built without the `trace` feature; the \
-             flight recorder is compiled out and the trace will be empty. \
-             Rebuild with:\n  \
-             cargo run -p oll-workloads --release --features trace --bin {bin} -- --trace out.json"
-        );
-    }
-}
-
 fn write_file(path: &str, contents: &str) -> std::io::Result<()> {
     std::fs::write(path, format!("{contents}\n"))?;
     eprintln!("wrote {path}");

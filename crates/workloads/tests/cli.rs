@@ -62,3 +62,40 @@ fn latency_over_all_locks_prints_one_row_per_kind() {
         "{stdout}"
     );
 }
+
+/// Tracing and sampling need the telemetry hooks: without them the flags
+/// that ask for either are refused, rather than writing an empty trace
+/// or comparing a run with itself.
+#[cfg(not(feature = "telemetry"))]
+#[test]
+fn observability_flags_need_telemetry() {
+    let fig5 = env!("CARGO_BIN_EXE_fig5");
+    let latency = env!("CARGO_BIN_EXE_latency");
+    let dir = std::env::temp_dir().join(format!("oll-cli-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.json");
+    let small = "--threads 1 --acquisitions 10 --locks GOLL";
+    let cases = [
+        (
+            fig5,
+            format!("--panel b {small} --trace {}", trace.display()),
+        ),
+        (fig5, format!("--panel b {small} --obs")),
+        (fig5, format!("--panel b {small} --pair obs --runs 1")),
+        (latency, format!("{small} --trace {}", trace.display())),
+        (latency, format!("{small} --obs")),
+    ];
+    for (bin, args) in &cases {
+        let args: Vec<&str> = args.split(' ').collect();
+        let out = run(bin, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains("error:"), "{bin} {args:?}: {stderr}");
+        assert!(
+            stderr.contains("--features telemetry"),
+            "{bin} {args:?}: {stderr}"
+        );
+    }
+    assert!(!trace.exists(), "a refused --trace wrote a file");
+    let _ = std::fs::remove_dir_all(&dir);
+}

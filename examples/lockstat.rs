@@ -7,8 +7,8 @@
 //! cargo run --release --features telemetry --example lockstat -- --json
 //! cargo run --release --features telemetry --example lockstat -- --biased
 //! cargo run --release --features telemetry --example lockstat -- --self-tuning
-//! cargo run --release --features trace --example lockstat -- --trace out.json
-//! cargo run --release --features obs --example lockstat -- --obs 127.0.0.1:9184
+//! cargo run --release --features telemetry --example lockstat -- --trace out.json
+//! cargo run --release --features telemetry --example lockstat -- --obs 127.0.0.1:9184
 //! ```
 //!
 //! Without the `telemetry` feature the example still runs, but every
@@ -24,11 +24,11 @@
 //! `tuner_flip` / `tuner_hold` counters alongside whatever knob
 //! steering the observed mix provoked.
 //! `--trace PATH` additionally captures the run in the flight recorder
-//! and writes a Perfetto-loadable Chrome Trace Event file (needs a
-//! `--features trace` build). `--obs [ADDR]` runs the sweep under the
-//! continuous-monitoring sampler (needs a `--features obs` build),
+//! and writes a Perfetto-loadable Chrome Trace Event file. `--obs
+//! [ADDR]` runs the sweep under the continuous-monitoring sampler,
 //! optionally serving Prometheus text on ADDR, and `--obs-json PATH`
-//! writes the final `oll.obs` document.
+//! writes the final `oll.obs` document. Both need the `telemetry`
+//! feature: without it they are usage errors (exit 2).
 
 use oll::telemetry::{registry, report, Telemetry};
 use oll::trace::TraceSession;
@@ -102,18 +102,20 @@ fn main() {
             i += 1;
         }
     }
+    for (asked, flag) in [(trace.is_some(), "--trace"), (obs.on, "--obs")] {
+        if asked {
+            if let Err(m) = oll::workloads::require_telemetry(flag) {
+                eprintln!("error: {m}");
+                std::process::exit(2);
+            }
+        }
+    }
     if !Telemetry::enabled() {
         eprintln!(
             "note: built without the `telemetry` feature, so nothing is \
              recorded. Rebuild with:\n  \
              cargo run --release --features telemetry --example lockstat"
         );
-    }
-    if trace.is_some() {
-        traceio::warn_if_disabled("lockstat");
-    }
-    if obs.on {
-        obsio::warn_if_disabled("lockstat");
     }
     let session = trace.as_ref().map(|_| TraceSession::begin());
     let obs_session = obsio::start(&obs, &mut |m| {

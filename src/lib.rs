@@ -48,16 +48,18 @@
 //!   hand-off over the same C-SNZI cores, cancel-on-drop, deadlines
 //!   (build with the `async` feature; absent otherwise).
 //! * [`telemetry`] — per-lock contention profiling (build with the
-//!   `telemetry` feature to record; zero-cost no-ops otherwise).
+//!   `telemetry` feature to record; zero-cost no-ops otherwise). That
+//!   feature is the one observability switch: [`trace`] and [`obs`]
+//!   need it too.
 //! * [`hazard`] — the [`Watched`] wrapper: panic-safe poisoning, online
 //!   deadlock detection, and a starvation watchdog over any lock (an
 //!   unwrapped lock carries none of it).
 //! * [`trace`] — flight-recorder event tracing with Perfetto export and
-//!   wait-chain analysis (build with the `trace` feature to record).
+//!   wait-chain analysis (records while a `TraceSession` is open).
 //! * [`obs`] — continuous monitoring: sampler daemon, time-series ring,
 //!   Prometheus exposition, per-lock health scores, flamegraph export
-//!   (build with the `obs` feature to sample; zero-cost no-ops
-//!   otherwise).
+//!   (samples once `Sampler::start` is called; inert without
+//!   telemetry).
 //! * [`util`] — backoff, cache padding, events, spin mutex, thread slots.
 
 #[cfg(feature = "async")]
@@ -100,11 +102,3 @@ pub use oll_async::{
 /// so a build without the `async` feature does not merely disable the
 /// machinery, it never links the crate that defines it.
 pub const HAS_ASYNC_LOCKS: bool = cfg!(feature = "async");
-
-/// Whether this build carries the continuous-monitoring subsystem (the
-/// sampler daemon and the HTTP exposition listener — `oll-obs`'s
-/// `enabled` half is the only code that contains either).
-/// `tests/obs_off.rs` pins this to `false` for the default feature set:
-/// without the `obs` feature the facade types are zero-sized, no
-/// sampler thread can start, and no socket code is linked.
-pub const HAS_OBS: bool = cfg!(feature = "obs");

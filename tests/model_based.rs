@@ -10,9 +10,6 @@
 //! their documented contract — so the checks are implications, not
 //! equivalences.
 
-// Gated: run with `cargo test --features proptest`.
-#![cfg(feature = "proptest")]
-
 use oll::{
     CentralizedRwLock, FollLock, GollLock, KsuhLock, RollLock, RwHandle, RwLockFamily,
     SolarisLikeRwLock, StdRwLock,

@@ -5,7 +5,7 @@
 //! HTTP, the flamegraph export round-trips against the trace analyzer
 //! with zero unmatched records, and a hammered lock scores as live.
 
-#![cfg(feature = "obs")]
+#![cfg(feature = "telemetry")]
 
 use oll::obs::{HealthConfig, LockHealth, Sampler, SamplerConfig};
 use oll::telemetry::registry;

@@ -6,10 +6,10 @@
 //! bucket (±1) as the telemetry histogram's sample for the same
 //! acquisition.
 //!
-//! The whole suite needs recording compiled in; `trace_off.rs` checks
-//! the disabled build.
+//! The whole suite needs recording compiled in (the `telemetry`
+//! feature); `trace_off.rs` checks the build without it.
 
-#![cfg(feature = "trace")]
+#![cfg(feature = "telemetry")]
 
 use oll::telemetry::LockEvent;
 use oll::trace::{analyze, AnalyzerConfig, Timeline, TraceKind, TraceReport, TraceSession};

@@ -1,10 +1,10 @@
-//! The other half of the tracing contract: without the `trace` feature
-//! the recorder is zero-sized, emission and registration compile to
-//! nothing, the clock is never read, and a session collects an empty
+//! The other half of the tracing contract: without the `telemetry`
+//! feature the recorder is zero-sized, emission and registration compile
+//! to nothing, the clock is never read, and a session collects an empty
 //! timeline even while instrumented locks run — the flight recorder
 //! costs nothing unless asked for.
 
-#![cfg(not(feature = "trace"))]
+#![cfg(not(feature = "telemetry"))]
 
 use oll::trace::{self, analyze, AnalyzerConfig, TraceKind, TraceSession};
 use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock};
@@ -37,8 +37,7 @@ fn emission_is_inert() {
 #[test]
 fn telemetry_facade_trace_hooks_are_inert() {
     // These methods exist on the facade in every build; without the
-    // `trace` feature they must reach no ring regardless of whether
-    // telemetry itself is recording.
+    // `telemetry` feature they must reach no ring.
     let t = oll::telemetry::Telemetry::register("TEST");
     let timer = t.begin_write();
     t.trace_enqueued(0xbeef);
