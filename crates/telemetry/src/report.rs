@@ -3,8 +3,7 @@
 //! JSON documents are schema-versioned — consumers check `"schema"` /
 //! `"version"` before parsing — and built as [`oll_util::json::Value`]s.
 //! [`lock_json`] is the per-lock object that the `oll.obs` totals and
-//! the workload bins' `oll.fig5` / `oll.latency` / `oll.fig5_async`
-//! documents embed.
+//! the workload bins' `oll.fig5` / `oll.fig5_async` documents embed.
 
 use crate::event::LockEvent;
 use crate::hist::HistogramSnapshot;

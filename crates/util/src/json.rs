@@ -1,8 +1,8 @@
 //! The workspace's one JSON writer and reader.
 //!
 //! Every document the workspace emits — `oll.telemetry`, `oll.obs`, the
-//! Chrome trace, `oll.fig5`, `oll.fig5_pair`, `oll.latency`, `oll.trace`,
-//! `oll.fig5_async` and the benchmark's result line — is built as a
+//! Chrome trace, `oll.fig5`, `oll.trace`, `oll.fig5_async` and the
+//! benchmark's result line — is built as a
 //! [`Value`] tree and written by [`Value::render`], the only place that
 //! escapes a string or formats a number. [`parse`] reads any of them
 //! back: the round-trip tests and the `fig5check` validator use it. The

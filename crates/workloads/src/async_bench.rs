@@ -20,8 +20,6 @@
 //! `oll.fig5_async` JSON document; `regen_results.sh` commits the
 //! million-task run as `BENCH_async.json`.
 
-use crate::json::summary_json;
-use crate::latency::LatencySummary;
 use oll_async::AsyncRwLock;
 use oll_telemetry::report::{lock_json, SCHEMA_VERSION};
 use oll_telemetry::{HistogramSnapshot, LockSnapshot};
@@ -35,6 +33,44 @@ use std::time::{Duration, Instant};
 /// Latency shards: tasks record into `shard[task % SHARDS]` so eight
 /// workers rarely collide on one mutex.
 const SHARDS: usize = 16;
+
+/// Latency percentiles over the granted tasks, from the telemetry
+/// crate's 64-bucket log2 histogram (1 ns … ~9 s).
+#[derive(Debug, Clone, Copy)]
+pub struct LatencySummary {
+    /// Samples recorded.
+    pub count: u64,
+    /// Median (bucket upper bound), ns.
+    pub p50_ns: u64,
+    /// 99th percentile, ns.
+    pub p99_ns: u64,
+    /// 99.9th percentile, ns.
+    pub p999_ns: u64,
+    /// Maximum, ns.
+    pub max_ns: u64,
+}
+
+impl LatencySummary {
+    fn from(h: &HistogramSnapshot) -> Self {
+        Self {
+            count: h.count,
+            p50_ns: h.percentile_ns(0.50),
+            p99_ns: h.percentile_ns(0.99),
+            p999_ns: h.percentile_ns(0.999),
+            max_ns: h.max_ns,
+        }
+    }
+}
+
+fn summary_json(s: &LatencySummary) -> Value {
+    obj([
+        ("count", s.count.into()),
+        ("p50_ns", s.p50_ns.into()),
+        ("p99_ns", s.p99_ns.into()),
+        ("p999_ns", s.p999_ns.into()),
+        ("max_ns", s.max_ns.into()),
+    ])
+}
 
 /// Parameters of one async bench run.
 #[derive(Debug, Clone)]

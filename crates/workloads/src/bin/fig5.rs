@@ -5,8 +5,7 @@
 //!   fig5 [--panel a|b|c|d|e|f|all] [--threads 1,2,4,8,16]
 //!        [--locks GOLL,FOLL,ROLL,KSUH,Solaris-Like,...|all]
 //!        [--acquisitions N] [--runs N] [--paper] [--verify]
-//!        [--biased] [--hazard] [--cohort] [--self-tuning]
-//!        [--shape N] [--pair biased|hazard|cohort|self-tuning|obs]
+//!        [--biased] [--hazard] [--cohort] [--self-tuning] [--shape N]
 //!        [--csv PATH] [--json PATH] [--telemetry]
 //!        [--trace PATH] [--trace-json PATH] [--flame PATH]
 //!        [--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]
@@ -20,8 +19,8 @@
 //! whole run as a schema-versioned `oll.fig5` document, including the
 //! profiles when collected. `--trace` captures the run in the flight
 //! recorder and writes a Chrome Trace Event file that loads directly in
-//! Perfetto (needs a `--features telemetry` build, like `--obs` and
-//! `--pair obs`: without it they are usage errors); `--trace-json` also
+//! Perfetto (needs a `--features telemetry` build, like `--obs`:
+//! without it both are usage errors); `--trace-json` also
 //! writes the raw capture as an `oll.trace` document.
 //!
 //! `--shape N` overrides the OLL locks' (GOLL/FOLL/ROLL) C-SNZI tree
@@ -39,23 +38,10 @@
 //! controller: the lock's own observed read/write mix, slow-path
 //! fraction, and revocation cost steer its BRAVO bias, backoff, and
 //! cohort-batch knobs while the sweep runs (the baselines have no knobs
-//! and ignore it). All five options are recorded in the JSON report.
-//!
-//! `--pair OPT` turns the sweep into a paired comparison of one option
-//! (`oll_workloads::paired` has the method and why): every selected
-//! (panel, lock, threads) point runs `--runs` off/on pairs — "off" being
-//! the lock options the other flags give, "on" the same plus OPT (for
-//! `obs`: the same run under a live sampler ticking at
-//! `--obs-interval-ms`) — and the table reports the median of the paired
-//! deltas per (panel, lock) and overall. `--json` then writes an
-//! `oll.fig5_pair` document, which `fig5check --expect-pair OPT`
-//! validates. What used to be three bins:
-//!
-//! ```sh
-//! fig5 --pair cohort      --panel f     --locks FOLL,ROLL        # fig5_cohort
-//! fig5 --pair self-tuning --panel b,e,f --locks GOLL,FOLL,ROLL   # fig5_tuned
-//! fig5 --pair obs         --panel b                              # fig5_obs
-//! ```
+//! and ignore it). All five options are recorded in the JSON report,
+//! where `fig5check --expect-option` and `--expect-shape` check them.
+//! What an option costs is measured by `benchmark/run.sh`, at fixed
+//! duration with a noise bound; this sweep shows the panels.
 //!
 //! `--obs` runs the whole sweep under the continuous-monitoring sampler
 //! (needs a `--features telemetry` build); with an ADDR it also serves
@@ -69,7 +55,6 @@ use oll_trace::TraceSession;
 use oll_workloads::config::{Fig5Panel, LockKind, WorkloadConfig};
 use oll_workloads::json::render_fig5_json;
 use oll_workloads::obsio::{self, ObsArgs};
-use oll_workloads::paired::{self, PairOption};
 use oll_workloads::report::{render_csv, render_table};
 use oll_workloads::sweep::{run_panel, PanelResult, SweepOptions};
 use oll_workloads::traceio;
@@ -78,7 +63,6 @@ use std::process::exit;
 struct Args {
     panels: Vec<Fig5Panel>,
     opts: SweepOptions,
-    pair: Option<PairOption>,
     csv: Option<String>,
     json: Option<String>,
     telemetry: bool,
@@ -95,7 +79,6 @@ fn usage(msg: &str) -> ! {
          \t[--locks name,...|all] [--acquisitions N] [--runs N]\n\
          \t[--paper] [--verify] [--biased] [--hazard] [--cohort]\n\
          \t[--self-tuning] [--shape N]\n\
-         \t[--pair biased|hazard|cohort|self-tuning|obs]\n\
          \t[--csv PATH] [--json PATH] [--telemetry]\n\
          \t[--trace PATH] [--trace-json PATH] [--flame PATH]\n\
          \t[--obs [ADDR]] [--obs-json PATH] [--obs-interval-ms N]"
@@ -107,7 +90,6 @@ fn parse_args() -> Args {
     let mut panels = Fig5Panel::ALL.to_vec();
     let mut opts = SweepOptions::quick();
     opts.progress = true;
-    let mut pair = None;
     let mut csv = None;
     let mut json = None;
     let mut telemetry = false;
@@ -191,14 +173,6 @@ fn parse_args() -> Args {
                 opts.lock_options.shape_threads = Some(n);
                 i += 1;
             }
-            "--pair" => {
-                let v = value(i);
-                i += 1;
-                pair = Some(
-                    PairOption::parse(&v)
-                        .unwrap_or_else(|| usage(&format!("unknown --pair option `{v}`"))),
-                );
-            }
             "--csv" => {
                 csv = Some(value(i));
                 i += 1;
@@ -242,21 +216,7 @@ fn parse_args() -> Args {
     if trace.is_none() && flame.is_some() {
         usage("--flame needs --trace");
     }
-    if let Some(option) = pair {
-        if csv.is_some() || telemetry || trace.is_some() || obs.on {
-            usage(
-                "--pair writes its table and --json only (no --csv, --telemetry, --trace, --obs)",
-            );
-        }
-        if option != PairOption::Obs && option.turned_on(opts.lock_options) == opts.lock_options {
-            usage(&format!("--pair {0}: --{0} is already on", option.name()));
-        }
-    }
-    for (asked, flag) in [
-        (trace.is_some(), "--trace"),
-        (obs.on, "--obs"),
-        (pair == Some(PairOption::Obs), "--pair obs"),
-    ] {
+    for (asked, flag) in [(trace.is_some(), "--trace"), (obs.on, "--obs")] {
         if asked {
             oll_workloads::require_telemetry(flag).unwrap_or_else(|m| usage(&m));
         }
@@ -264,7 +224,6 @@ fn parse_args() -> Args {
     Args {
         panels,
         opts,
-        pair,
         csv,
         json,
         telemetry,
@@ -295,15 +254,6 @@ fn write_file(path: &str, contents: &str) {
     eprintln!("wrote {path}");
 }
 
-/// `--pair OPT`: the paired off/on comparison in place of the sweep.
-fn run_pair(option: PairOption, args: &Args) {
-    let doc = paired::compare(option, &args.panels, &args.opts, &args.obs.config());
-    println!("{}", paired::render_table(&doc));
-    if let Some(path) = &args.json {
-        write_file(path, &(doc.render() + "\n"));
-    }
-}
-
 fn main() {
     let args = parse_args();
     if args.telemetry && !oll_telemetry::Telemetry::enabled() {
@@ -314,24 +264,14 @@ fn main() {
         );
     }
     eprintln!(
-        "fig5: {} panel(s), threads {:?}, {} acquisitions/thread (/10 at <=50% reads), {}",
+        "fig5: {} panel(s), threads {:?}, {} acquisitions/thread (/10 at <=50% reads), {} run(s) averaged",
         args.panels.len(),
         args.opts.thread_counts,
         args.opts.base.acquisitions_per_thread,
-        match args.pair {
-            Some(option) => format!(
-                "{} pair(s) per point, {} off/on",
-                args.opts.base.runs.max(1),
-                option.name()
-            ),
-            None => format!("{} run(s) averaged", args.opts.base.runs),
-        },
+        args.opts.base.runs,
     );
     if !args.opts.lock_options.is_default() {
         eprintln!("fig5: lock options: {:?}", args.opts.lock_options);
-    }
-    if let Some(option) = args.pair {
-        return run_pair(option, &args);
     }
 
     let session = args.trace.as_ref().map(|_| TraceSession::begin());

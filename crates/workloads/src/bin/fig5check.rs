@@ -2,28 +2,25 @@
 //!
 //! ```text
 //! USAGE:
-//!   fig5check PATH [--expect-biased] [--expect-hazard] [--expect-shape N]
-//!             [--expect-pair OPT] [--expect-async-tasks N]
+//!   fig5check PATH [--expect-option biased|hazard|cohort|self-tuning]...
+//!             [--expect-shape N] [--expect-async-tasks N]
 //! ```
 //!
 //! Parses PATH with the in-tree parser and hands it to
 //! [`oll_workloads::check`], which validates it against its own
-//! `"schema"` — `oll.fig5` (`fig5 --json`), `oll.fig5_pair`
-//! (`fig5 --pair OPT --json`) or `oll.fig5_async` (`fig5_async --json`) —
-//! and against the `--expect-*` flags given. Exits 1 with a diagnostic on
-//! the first violation.
+//! `"schema"` — `oll.fig5` (`fig5 --json`) or `oll.fig5_async`
+//! (`fig5_async --json`) — and against the `--expect-*` flags given.
+//! Exits 1 with a diagnostic on the first violation.
 
-use oll_workloads::check::{check, Expect};
+use oll_workloads::check::{check, Expect, LOCK_OPTIONS};
 use oll_workloads::json::parse;
-use oll_workloads::paired::PairOption;
 use std::process::exit;
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!(
-        "usage: fig5check PATH [--expect-biased] [--expect-hazard] \
-         [--expect-shape N] [--expect-pair biased|hazard|cohort|self-tuning|obs] \
-         [--expect-async-tasks N]"
+        "usage: fig5check PATH [--expect-option biased|hazard|cohort|self-tuning]... \
+         [--expect-shape N] [--expect-async-tasks N]"
     );
     exit(2);
 }
@@ -39,16 +36,17 @@ fn main() {
                 .unwrap_or_else(|| usage(&format!("missing value for {}", argv[i])))
         };
         match argv[i].as_str() {
-            "--expect-biased" => expect.biased = true,
-            "--expect-hazard" => expect.hazard = true,
+            "--expect-option" => {
+                let name = value();
+                let key = LOCK_OPTIONS.iter().find(|(flag, _)| flag == name);
+                let (_, key) =
+                    key.unwrap_or_else(|| usage(&format!("bad --expect-option `{name}`")));
+                expect.options.push(key);
+                i += 1;
+            }
             "--expect-shape" => {
                 let n = value().parse().ok();
                 expect.shape = Some(n.unwrap_or_else(|| usage("bad --expect-shape")));
-                i += 1;
-            }
-            "--expect-pair" => {
-                let option = PairOption::parse(value());
-                expect.pair = Some(option.unwrap_or_else(|| usage("bad --expect-pair")));
                 i += 1;
             }
             "--expect-async-tasks" => {

@@ -1,20 +1,14 @@
 //! Validators for the documents the workload binaries write — what the
 //! `fig5check` bin runs after parsing its arguments. CI pipes short
-//! `fig5 --json`, `fig5 --pair … --json` and `fig5_async --json` runs
-//! through it so every option path is checked end to end: CLI flag →
-//! lock dispatcher → sweep → JSON → in-tree parser → the shape the
-//! renderer promises.
+//! `fig5 --json` and `fig5_async --json` runs through it so every option
+//! path is checked end to end: CLI flag → lock dispatcher → sweep → JSON
+//! → in-tree parser → the shape the renderer promises.
 //!
 //! [`check`] dispatches on the document's `"schema"`:
 //!
-//! - `oll.fig5` — every panel carries its option flags and every point a
-//!   finite positive throughput; `biased` / `hazard` / `shape` demand
-//!   the panels ran with that option.
-//! - `oll.fig5_pair` — the sweep parameters are recorded, every row names
-//!   one of the document's panels and has finite positive rates on both
-//!   sides, a finite delta and a positive shortest-half time; `pair`
-//!   demands the option compared. An `obs` comparison must additionally
-//!   have had a live sampler, or it compared a run with itself.
+//! - `oll.fig5` — every panel carries its option flags (one per
+//!   [`LOCK_OPTIONS`] entry) and every point a finite positive
+//!   throughput; `options` / `shape` demand the panels ran with them.
 //! - `oll.fig5_async` — every task accounted for (granted or timed out),
 //!   zero C-SNZI surplus and zero queued waiters at exit, positive
 //!   throughput; `async_tasks` demands at least that many tasks.
@@ -22,22 +16,26 @@
 //! An expectation that does not apply to the document's schema is an
 //! error, not a pass: it would have checked nothing.
 
-use crate::config::Fig5Panel;
 use crate::json::parse::Value;
-use crate::paired::PairOption;
+
+/// The lock options an `oll.fig5` panel records: the `fig5` flag's
+/// name (also what `fig5check --expect-option` takes) and the panel key.
+pub const LOCK_OPTIONS: [(&str, &str); 4] = [
+    ("biased", "biased"),
+    ("hazard", "hazard"),
+    ("cohort", "cohort"),
+    ("self-tuning", "self_tuning"),
+];
 
 /// What the caller requires of the document beyond being well-formed
 /// (the `fig5check --expect-*` flags).
 #[derive(Debug, Clone, Default)]
 pub struct Expect {
-    /// `oll.fig5`: every panel ran `--biased`.
-    pub biased: bool,
-    /// `oll.fig5`: every panel ran `--hazard`.
-    pub hazard: bool,
+    /// `oll.fig5`: every panel ran with these options on, each named by
+    /// its panel key (the second column of [`LOCK_OPTIONS`]).
+    pub options: Vec<&'static str>,
     /// `oll.fig5`: every panel ran `--shape` with this value.
     pub shape: Option<u64>,
-    /// `oll.fig5_pair`: the comparison was of this option.
-    pub pair: Option<PairOption>,
     /// `oll.fig5_async`: the run drove at least this many tasks.
     pub async_tasks: Option<u64>,
 }
@@ -76,10 +74,8 @@ pub fn check(doc: &Value, expect: &Expect) -> Result<String, String> {
     let schema = get(doc, "schema", Value::as_str, "document")?;
     get(doc, "version", Value::as_u64, "document")?;
     for (flag, set, applies_to) in [
-        ("--expect-biased", expect.biased, "oll.fig5"),
-        ("--expect-hazard", expect.hazard, "oll.fig5"),
+        ("--expect-option", !expect.options.is_empty(), "oll.fig5"),
         ("--expect-shape", expect.shape.is_some(), "oll.fig5"),
-        ("--expect-pair", expect.pair.is_some(), "oll.fig5_pair"),
         (
             "--expect-async-tasks",
             expect.async_tasks.is_some(),
@@ -94,22 +90,20 @@ pub fn check(doc: &Value, expect: &Expect) -> Result<String, String> {
     }
     match schema {
         "oll.fig5" => check_fig5(doc, expect),
-        "oll.fig5_pair" => check_pair(doc, expect.pair),
         "oll.fig5_async" => check_async(doc, expect.async_tasks),
         other => Err(format!("unknown schema \"{other}\"")),
     }
 }
 
 fn check_fig5(doc: &Value, expect: &Expect) -> Result<String, String> {
-    let flags = [("biased", expect.biased), ("hazard", expect.hazard)];
     let panels = nonempty(doc, "panels", "document")?;
     let mut points = 0usize;
     for (pi, panel) in panels.iter().enumerate() {
         let tag = get(panel, "panel", Value::as_str, &format!("panel[{pi}]"))?;
         let ctx = format!("panel {tag}");
-        for (key, wanted) in flags {
+        for (_, key) in LOCK_OPTIONS {
             let on = get(panel, key, Value::as_bool, &ctx)?;
-            if wanted && !on {
+            if !on && expect.options.contains(&key) {
                 return Err(format!("{ctx}: {key}=false, expected true"));
             }
         }
@@ -130,71 +124,11 @@ fn check_fig5(doc: &Value, expect: &Expect) -> Result<String, String> {
         }
     }
     let mut summary = format!("{} panel(s), {points} point(s)", panels.len());
-    for (name, _) in flags.iter().filter(|(_, wanted)| *wanted) {
-        summary.push_str(&format!(", {name}"));
+    for key in &expect.options {
+        summary.push_str(&format!(", {key}"));
     }
     if let Some(n) = expect.shape {
         summary.push_str(&format!(", shape_threads={n}"));
-    }
-    Ok(summary)
-}
-
-fn check_pair(doc: &Value, expect: Option<PairOption>) -> Result<String, String> {
-    let ctx = "pair";
-    let name = get(doc, "option", Value::as_str, ctx)?;
-    let option =
-        PairOption::parse(name).ok_or_else(|| format!("{ctx}: unknown option \"{name}\""))?;
-    if let Some(want) = expect.filter(|&want| want != option) {
-        return Err(format!(
-            "{ctx}: compares \"{name}\", expected \"{}\"",
-            want.name()
-        ));
-    }
-    let panels = nonempty(doc, "panels", ctx)?;
-    for p in panels {
-        if p.as_str().and_then(Fig5Panel::parse).is_none() {
-            return Err(format!("{ctx}: unknown panel {}", p.render()));
-        }
-    }
-    nonempty(doc, "threads", ctx)?;
-    for key in ["acquisitions_per_thread", "runs", "ranks"] {
-        if get(doc, key, Value::as_u64, ctx)? == 0 {
-            return Err(format!("{ctx}: zero {key}"));
-        }
-    }
-    let rows = nonempty(doc, "rows", ctx)?;
-    let mut shortest = f64::INFINITY;
-    for row in rows {
-        let lock = get(row, "lock", Value::as_str, ctx)?;
-        let panel = row.get("panel").filter(|p| panels.contains(p));
-        let panel = panel.and_then(Value::as_str).ok_or_else(|| {
-            format!("{ctx}/{lock}: row's panel is not one of the document's panels")
-        })?;
-        let ctx = format!("{ctx}/{lock}/{panel}");
-        positive(row, "off_acquires_per_sec", &ctx)?;
-        positive(row, "on_acquires_per_sec", &ctx)?;
-        if !get(row, "delta_pct", Value::as_f64, &ctx)?.is_finite() {
-            return Err(format!("{ctx}: non-finite delta_pct"));
-        }
-        shortest = shortest.min(positive(row, "min_elapsed_secs", &ctx)?);
-    }
-    let overall = get(doc, "overall_delta_pct", Value::as_f64, ctx)?;
-    if !overall.is_finite() {
-        return Err(format!("{ctx}: non-finite overall_delta_pct"));
-    }
-    let mut summary = format!(
-        "pair {name}: {} row(s), {overall:+.2}% overall, shortest half {:.3} ms",
-        rows.len(),
-        shortest * 1e3,
-    );
-    if option == PairOption::Obs {
-        if !get(doc, "sampler_active", Value::as_bool, ctx)? {
-            return Err(format!(
-                "{ctx}: sampler was not active (built without the telemetry feature?)"
-            ));
-        }
-        let samples = get(doc, "samples", Value::as_u64, ctx)?;
-        summary.push_str(&format!(", {samples} sample(s)"));
     }
     Ok(summary)
 }
@@ -234,59 +168,9 @@ mod tests {
     use super::*;
     use crate::json::parse::parse;
 
-    const PAIR: &str = r#"{"schema":"oll.fig5_pair","version":1,"option":"OPTION",
-        "panels":["b","f"],"threads":[1,2],"acquisitions_per_thread":2000,"runs":3,"ranks":1,
-        "rows":[{"panel":"b","lock":"FOLL","off_acquires_per_sec":31e6,
-                 "on_acquires_per_sec":30e6,"delta_pct":-3.2,"min_elapsed_secs":0.00013},
-                {"panel":"f","lock":"FOLL","off_acquires_per_sec":25e6,
-                 "on_acquires_per_sec":26e6,"delta_pct":4.0,"min_elapsed_secs":0.00002}],
-        "overall_delta_pct":0.4 EXTRA}"#;
-
     const ASYNC: &str = r#"{"schema":"oll.fig5_async","version":1,"tasks":1000,"workers":4,
         "granted_reads":880,"granted_writes":20,"timed_out":TIMED_OUT,"tasks_per_sec":1.5e5,
         "grant_latency":{"count":900},"surplus_at_exit":0,"queued_at_exit":0}"#;
-
-    fn pair(option: &str, extra: &str) -> Value {
-        parse(&PAIR.replace("OPTION", option).replace("EXTRA", extra)).unwrap()
-    }
-
-    fn expecting(option: PairOption) -> Expect {
-        Expect {
-            pair: Some(option),
-            ..Expect::default()
-        }
-    }
-
-    #[test]
-    fn pair_documents() {
-        let ok = check(&pair("cohort", ""), &expecting(PairOption::Cohort)).unwrap();
-        assert!(ok.contains("2 row(s)") && ok.contains("0.020 ms"), "{ok}");
-        check(&pair("cohort", ""), &Expect::default()).expect("no expectation, still valid");
-
-        let wrong = check(&pair("self-tuning", ""), &expecting(PairOption::Cohort));
-        assert!(wrong.unwrap_err().contains("expected \"cohort\""));
-        assert!(check(&pair("tuned", ""), &Expect::default()).is_err());
-
-        // A row from a panel the document did not sweep; a zero rate.
-        let stray = PAIR.replace(r#""panel":"f","lock""#, r#""panel":"e","lock""#);
-        let stray = parse(&stray.replace("OPTION", "cohort").replace("EXTRA", "")).unwrap();
-        assert!(check(&stray, &Expect::default()).is_err());
-        let dead = PAIR.replace("26e6", "0").replace("OPTION", "cohort");
-        let dead = parse(&dead.replace("EXTRA", "")).unwrap();
-        let err = check(&dead, &Expect::default()).unwrap_err();
-        assert!(err.contains("pair/FOLL/f: non-positive on_acquires_per_sec"));
-    }
-
-    #[test]
-    fn an_obs_pair_needs_a_live_sampler() {
-        let live = pair("obs", r#","sampler_active":true,"samples":12"#);
-        let ok = check(&live, &expecting(PairOption::Obs)).unwrap();
-        assert!(ok.contains("12 sample(s)"), "{ok}");
-        let inert = pair("obs", r#","sampler_active":false,"samples":0"#);
-        let err = check(&inert, &expecting(PairOption::Obs)).unwrap_err();
-        assert!(err.contains("sampler was not active"), "{err}");
-        assert!(check(&pair("obs", ""), &Expect::default()).is_err());
-    }
 
     #[test]
     fn async_documents() {
@@ -306,28 +190,60 @@ mod tests {
 
     #[test]
     fn expectations_must_apply_to_the_schema() {
-        let fig5 = parse(
-            r#"{"schema":"oll.fig5","version":1,"panels":[{"panel":"b",
-            "biased":false,"hazard":false,"shape_threads":4,"series":[{"lock":"GOLL",
-            "points":[{"threads":1,"acquires_per_sec":4e7}]}]}]}"#,
-        )
-        .unwrap();
+        // One panel per on/off setting of every lock option.
+        let fig5 = |on: bool| {
+            let flags = LOCK_OPTIONS.map(|(_, key)| format!(r#""{key}":{on},"#));
+            parse(&format!(
+                r#"{{"schema":"oll.fig5","version":1,"panels":[{{"panel":"b",{}
+                "shape_threads":4,"series":[{{"lock":"GOLL",
+                "points":[{{"threads":1,"acquires_per_sec":4e7}}]}}]}}]}}"#,
+                flags.concat()
+            ))
+            .unwrap()
+        };
+        let expecting = |options: &[&'static str]| Expect {
+            options: options.to_vec(),
+            ..Expect::default()
+        };
         let shape = Expect {
             shape: Some(4),
             ..Expect::default()
         };
-        let ok = check(&fig5, &shape).unwrap();
+        let ok = check(&fig5(false), &shape).unwrap();
         assert_eq!(ok, "1 panel(s), 1 point(s), shape_threads=4");
-        let biased = Expect {
-            biased: true,
+
+        // Each option: a panel that ran with it off fails, one that ran
+        // with it on passes and says so.
+        for (_, key) in LOCK_OPTIONS {
+            let err = check(&fig5(false), &expecting(&[key])).unwrap_err();
+            assert_eq!(err, format!("panel b: {key}=false, expected true"));
+            let ok = check(&fig5(true), &expecting(&[key])).unwrap();
+            assert_eq!(ok, format!("1 panel(s), 1 point(s), {key}"));
+        }
+        let all = LOCK_OPTIONS.map(|(_, key)| key);
+        let ok = check(&fig5(true), &expecting(&all)).unwrap();
+        assert!(ok.ends_with("biased, hazard, cohort, self_tuning"), "{ok}");
+
+        // A panel that does not record an option is malformed.
+        let bare = parse(
+            r#"{"schema":"oll.fig5","version":1,"panels":[{"panel":"b",
+            "biased":true,"hazard":true,"series":[{"lock":"GOLL",
+            "points":[{"threads":1,"acquires_per_sec":4e7}]}]}]}"#,
+        )
+        .unwrap();
+        let err = check(&bare, &Expect::default()).unwrap_err();
+        assert_eq!(err, "panel b: missing cohort");
+
+        let clean = parse(&ASYNC.replace("TIMED_OUT", "100")).unwrap();
+        let err = check(&clean, &expecting(&["cohort"])).unwrap_err();
+        assert!(err.contains("--expect-option checks an oll.fig5 document"));
+        assert!(check(&clean, &shape).is_err());
+        let tasks = Expect {
+            async_tasks: Some(1),
             ..Expect::default()
         };
-        assert!(check(&fig5, &biased).unwrap_err().contains("biased=false"));
-
-        let err = check(&fig5, &expecting(PairOption::Cohort)).unwrap_err();
-        assert!(err.contains("--expect-pair checks an oll.fig5_pair document"));
-        assert!(check(&pair("cohort", ""), &shape).is_err());
-        let other = parse(r#"{"schema":"oll.latency","version":1}"#).unwrap();
+        assert!(check(&fig5(true), &tasks).is_err());
+        let other = parse(r#"{"schema":"oll.unknown","version":1}"#).unwrap();
         assert!(check(&other, &Expect::default())
             .unwrap_err()
             .contains("unknown schema"));

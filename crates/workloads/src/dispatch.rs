@@ -2,7 +2,7 @@
 //! concrete lock type.
 //!
 //! Every consumer that must run generic code over "the lock this kind
-//! names" — the throughput and latency runners, the conformance, leak
+//! names" — the throughput runner, the conformance, leak
 //! and chaos suites, `examples/lockstat.rs` — is a [`LockVisitor`]
 //! handed to [`LockKind::with_lock`]. The match below is exhaustive, so
 //! adding a lock kind without wiring it here fails to compile, and wiring

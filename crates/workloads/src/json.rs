@@ -1,17 +1,15 @@
 //! Schema-versioned JSON reports for the workload binaries.
 //!
 //! Each document is built as an [`oll_util::json::Value`] and written by
-//! its `render`, like every other document the workspace emits. Three
-//! document schemas are built here (`oll.fig5_pair` is built in
-//! [`crate::paired`], `oll.fig5_async` in `crate::async_bench`):
+//! its `render`, like every other document the workspace emits. Two
+//! document schemas are built here (`oll.fig5_async` is built in
+//! `crate::async_bench`):
 //!
 //! - `oll.fig5` — the panels of a `fig5` run: every (lock × threads)
 //!   point with throughput and, when collected, the lock's telemetry
 //!   profile.
-//! - `oll.latency` — a `latency` run: per-lock acquisition-latency
-//!   percentiles, plus telemetry profiles when collected.
-//! - `oll.trace` — a flight-recorder capture (`--trace` on either
-//!   binary): the merged record timeline plus the analyzer's findings.
+//! - `oll.trace` — a flight-recorder capture (`fig5 --trace`): the
+//!   merged record timeline plus the analyzer's findings.
 //!   Causality tokens are 64-bit and travel as `"0x…"` hex strings —
 //!   JSON numbers are f64 and would corrupt them.
 //!
@@ -19,24 +17,14 @@
 //! [`oll_telemetry::report::SCHEMA_VERSION`] is bumped on any
 //! backwards-incompatible change across all OLL JSON documents.
 
-use crate::latency::{LatencyResult, LatencySummary};
 use crate::sweep::PanelResult;
 use oll_telemetry::report::{lock_json, SCHEMA_VERSION};
-use oll_telemetry::LockSnapshot;
 use oll_trace::{Timeline, TraceReport};
 use oll_util::json::{obj, rounded, text, Value};
 
 /// [`oll_util::json`] — the reader and value tree — under the path the
 /// workload bins and `benchmark/` import it from.
 pub use oll_util::json as parse;
-
-/// The `i`-th profile as an `oll.telemetry` lock object, or `null`.
-fn telemetry_json(profiles: &[Option<LockSnapshot>], i: usize) -> Value {
-    profiles
-        .get(i)
-        .and_then(Option::as_ref)
-        .map_or(Value::Null, lock_json)
-}
 
 /// Renders a set of regenerated Figure 5 panels as one `oll.fig5`
 /// document.
@@ -49,7 +37,13 @@ pub fn render_fig5_json(panels: &[PanelResult]) -> String {
                     ("acquires_per_sec", rounded(p.acquires_per_sec, 1)),
                     ("elapsed_secs", rounded(p.elapsed.as_secs_f64(), 6)),
                     ("total_acquisitions", p.total_acquisitions.into()),
-                    ("telemetry", telemetry_json(&s.profiles, i)),
+                    (
+                        "telemetry",
+                        s.profiles
+                            .get(i)
+                            .and_then(Option::as_ref)
+                            .map_or(Value::Null, lock_json),
+                    ),
                 ])
             });
             obj([("lock", text(s.kind.name())), ("points", points.collect())])
@@ -77,46 +71,6 @@ pub fn render_fig5_json(panels: &[PanelResult]) -> String {
         ("schema", text("oll.fig5")),
         ("version", SCHEMA_VERSION.into()),
         ("panels", panels.iter().map(panel_json).collect()),
-    ])
-    .render()
-}
-
-pub(crate) fn summary_json(s: &LatencySummary) -> Value {
-    obj([
-        ("count", s.count.into()),
-        ("p50_ns", s.p50_ns.into()),
-        ("p99_ns", s.p99_ns.into()),
-        ("p999_ns", s.p999_ns.into()),
-        ("max_ns", s.max_ns.into()),
-    ])
-}
-
-/// Renders a latency run as one `oll.latency` document. `profiles` must
-/// be parallel to `results` (pass an all-`None` slice when telemetry was
-/// not collected).
-pub fn render_latency_json(
-    threads: usize,
-    read_pct: u32,
-    acquisitions_per_thread: usize,
-    results: &[LatencyResult],
-    profiles: &[Option<LockSnapshot>],
-) -> String {
-    debug_assert_eq!(results.len(), profiles.len());
-    let locks = results.iter().enumerate().map(|(i, r)| {
-        obj([
-            ("lock", text(r.kind.name())),
-            ("read", summary_json(&r.read)),
-            ("write", summary_json(&r.write)),
-            ("telemetry", telemetry_json(profiles, i)),
-        ])
-    });
-    obj([
-        ("schema", text("oll.latency")),
-        ("version", SCHEMA_VERSION.into()),
-        ("threads", threads.into()),
-        ("read_pct", read_pct.into()),
-        ("acquisitions_per_thread", acquisitions_per_thread.into()),
-        ("locks", locks.collect()),
     ])
     .render()
 }
@@ -218,7 +172,6 @@ pub fn render_trace_json(tl: &Timeline, report: &TraceReport) -> String {
 mod tests {
     use super::*;
     use crate::config::{Fig5Panel, LockKind, LockOptions, WorkloadConfig};
-    use crate::latency::run_latency;
     use crate::sweep::{run_panel, SweepOptions};
 
     fn tiny_opts() -> SweepOptions {
@@ -387,38 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_round_trip() {
-        let config = WorkloadConfig {
-            threads: 2,
-            read_pct: 80,
-            acquisitions_per_thread: 200,
-            critical_work: 0,
-            outside_work: 0,
-            seed: 7,
-            runs: 1,
-            verify: false,
-        };
-        let r = run_latency(LockKind::SolarisLike, &config);
-        let p50 = r.read.p50_ns;
-        let count = r.read.count;
-        let doc = render_latency_json(2, 80, 200, &[r], &[None]);
-        let v = parse::parse(&doc).expect("latency doc must parse");
-        assert_eq!(v.get("schema").and_then(Value::as_str), Some("oll.latency"));
-        assert_eq!(
-            v.get("version").and_then(Value::as_u64),
-            Some(u64::from(SCHEMA_VERSION))
-        );
-        assert_eq!(v.get("read_pct").and_then(Value::as_u64), Some(80));
-        let read = v
-            .get("locks")
-            .and_then(|l| l.idx(0))
-            .and_then(|l| l.get("read"))
-            .expect("read summary");
-        assert_eq!(read.get("count").and_then(Value::as_u64), Some(count));
-        assert_eq!(read.get("p50_ns").and_then(Value::as_u64), Some(p50));
-    }
-
-    #[test]
     fn trace_round_trip() {
         use oll_trace::{
             analyze, AnalyzerConfig, LockDescriptor, ThreadDescriptor, Timeline, TraceKind,
@@ -508,25 +429,5 @@ mod tests {
             breakdown.get("via_handoff").and_then(Value::as_u64),
             Some(1)
         );
-    }
-
-    #[test]
-    fn latency_document_shape() {
-        let config = WorkloadConfig {
-            threads: 2,
-            read_pct: 80,
-            acquisitions_per_thread: 200,
-            critical_work: 0,
-            outside_work: 0,
-            seed: 7,
-            runs: 1,
-            verify: false,
-        };
-        let r = run_latency(LockKind::SolarisLike, &config);
-        let doc = render_latency_json(2, 80, 200, &[r], &[None]);
-        assert!(doc.starts_with("{\"schema\":\"oll.latency\",\"version\":1,"));
-        assert!(doc.contains("\"lock\":\"Solaris Like\""));
-        assert!(doc.contains("\"read\":{\"count\":"));
-        assert!(doc.contains("\"telemetry\":null"));
     }
 }

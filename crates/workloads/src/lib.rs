@@ -11,16 +11,20 @@
 //! Each further thing is said once as well: [`LockKind::with_lock`] is
 //! the only place a kind and its [`LockOptions`] become a concrete lock
 //! type (the runners, the conformance suites and `lockstat` are
-//! [`LockVisitor`]s), [`paired`] is the off/on comparison of any one
-//! option, and [`check`] validates every document the binaries write.
+//! [`LockVisitor`]s), and [`check`] validates every document the
+//! binaries write.
 //!
 //! The `fig5` binary drives it all:
 //!
 //! ```sh
 //! cargo run -p oll-workloads --release --bin fig5 -- --panel a
 //! cargo run -p oll-workloads --release --bin fig5 -- --panel all --csv fig5.csv
-//! cargo run -p oll-workloads --release --bin fig5 -- --pair cohort --panel f
+//! cargo run -p oll-workloads --release --bin fig5 -- --panel f --cohort --json f.json
 //! ```
+//!
+//! What one option costs, at fixed duration and with a noise bound, is
+//! the benchmark's to say (`benchmark/run.sh`: `bravo.*`, `cohort.*`,
+//! `tuning.*`, `telemetry.idle_overhead_pct`, per-lock p50/p99).
 
 #![warn(missing_docs)]
 
@@ -32,9 +36,7 @@ pub mod check;
 pub mod config;
 mod dispatch;
 pub mod json;
-pub mod latency;
 pub mod obsio;
-pub mod paired;
 pub mod report;
 pub mod runner;
 pub mod sweep;
@@ -44,15 +46,14 @@ pub mod traceio;
 pub use async_bench::{run_async_bench, AsyncBenchConfig, AsyncBenchResult};
 pub use config::{Fig5Panel, LockKind, LockOptions, WorkloadConfig};
 pub use dispatch::LockVisitor;
-pub use latency::{run_latency, run_latency_profiled, LatencyResult, LatencySummary};
 pub use runner::{
     run_throughput, run_throughput_profiled, run_throughput_profiled_with, ThroughputResult,
 };
 pub use sweep::{run_panel, PanelResult, Series, SweepOptions};
 
-/// The one check behind `--trace`, `--obs` and `--pair obs`: the flight
-/// recorder and the sampler have nothing to record without the
-/// telemetry hooks, so in a build without them `flag` is a usage error.
+/// The one check behind `--trace` and `--obs`: the flight recorder and
+/// the sampler have nothing to record without the telemetry hooks, so
+/// in a build without them `flag` is a usage error.
 /// The `Err` is the message for the caller's `error:` line.
 pub fn require_telemetry(flag: &str) -> Result<(), String> {
     if oll_telemetry::Telemetry::enabled() {

@@ -1,6 +1,6 @@
 //! `--obs` plumbing shared by the workload binaries.
 //!
-//! `fig5`, `latency`, `fig5_async`, and `examples/lockstat.rs` all
+//! `fig5`, `fig5_async`, and `examples/lockstat.rs` all
 //! offer the same monitoring flags: `--obs [ADDR]` starts the
 //! [`oll_obs::Sampler`] daemon for the duration of the run (and, when
 //! ADDR is given, serves `/metrics`, `/json`, and `/health` from it),

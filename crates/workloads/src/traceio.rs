@@ -1,6 +1,6 @@
 //! `--trace` plumbing shared by the workload binaries.
 //!
-//! Both `fig5` and `latency` (and `examples/lockstat.rs`) offer a
+//! Both `fig5` and `examples/lockstat.rs` offer a
 //! `--trace PATH` flag: start a [`TraceSession`] before the runs, then
 //! hand the collected [`Timeline`] here to write the Chrome Trace Event
 //! file (loadable in Perfetto or `chrome://tracing`), optionally an

@@ -4,13 +4,12 @@
 # refreshed) with one command on the current machine:
 #
 #   fig5_results.txt / fig5_results.csv   full Figure 5 sweep
-#   latency_results.txt                   tail-latency table
 #   BENCH_async.json                      the million-task async drain
 #
-# Everything about how fast the locks are — end to end, per layer, with
-# a noise bound and a machine fingerprint — is benchmark/run.sh's to
-# say (see benchmark/README.md), and what one lock option costs is a
-# `fig5 --pair OPT` away; neither leaves a file here.
+# Everything about how fast the locks are and what one lock option
+# costs — end to end, per layer, with a noise bound and a machine
+# fingerprint — is benchmark/run.sh's to say (see benchmark/README.md);
+# it leaves no file here.
 #
 # Usage:  ./scripts/regen_results.sh
 set -euo pipefail
@@ -22,9 +21,6 @@ cargo build --release -p oll-workloads --features async
 echo "==> fig5_results.{txt,csv}: full panel sweep"
 target/release/fig5 --panel all --threads 1,2,4,8,16 --runs 3 \
     --csv fig5_results.csv | tee fig5_results.txt
-
-echo "==> latency_results.txt"
-target/release/latency --threads 4 --read-pct 95 --locks all | tee latency_results.txt
 
 echo "==> BENCH_async.json: 1M tasks on 8 workers (fig5_async)"
 # The async lock family's headline demonstration: one million
