@@ -6,9 +6,10 @@
 //! walks `waits ∘ owners` from the calling thread; finding the caller
 //! again proves a deadlock that no amount of waiting will resolve.
 //!
-//! Threads are named by the id `oll-trace` stamps on their ring
-//! records, `oll_util::topology::dense_thread_id() + 1`. Locks are named
-//! by their `Watched` wrapper's process-unique id.
+//! Threads are named by the id the flight recorder
+//! (`oll_telemetry::trace`) stamps on its ring records,
+//! `oll_util::topology::dense_thread_id() + 1`. Locks are named by their
+//! `Watched` wrapper's process-unique id.
 //!
 //! The graph mutex is taken on every acquisition and release of a
 //! `Watched` lock and each time a watched blocker gives up a wait slice;
@@ -54,7 +55,8 @@ fn graph() -> &'static Mutex<WaitGraph> {
 }
 
 /// The calling thread's id: its `dense_thread_id() + 1`, the tid its
-/// `oll-trace` records carry, so the two correlate in reports.
+/// flight-recorder (`oll_telemetry::trace`) records carry, so the two
+/// correlate in reports.
 pub fn dense_tid() -> u64 {
     oll_util::topology::dense_thread_id() as u64 + 1
 }

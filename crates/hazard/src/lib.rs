@@ -20,7 +20,7 @@
 //!   [`Watched::clear_poison`].
 //! * **Online deadlock detection** — every hold is recorded in a
 //!   process-global wait-for [`graph`] (dense thread ids mirroring the
-//!   `oll-trace` scheme), and a watched blocker publishes the edge to
+//!   flight recorder's), and a watched blocker publishes the edge to
 //!   the lock it waits on; a cycle check on each expired wait slice
 //!   turns a hang into [`AcquireError::DeadlockDetected`].
 //! * **Starvation watchdog** — a watched writer that outwaits the stall

@@ -13,11 +13,12 @@
 //!
 //! Because `spin + queued + handoff == total` for every acquisition by
 //! analyzer construction, the folded totals per lock equal the
-//! analyzer's [`LockBreakdown`](oll_trace::analyze::LockBreakdown) sums exactly
-//! — `tests/obs.rs` round-trips the text through [`parse_folded`] and
+//! analyzer's [`LockBreakdown`](crate::analyze::LockBreakdown) sums
+//! exactly — `tests/obs.rs` round-trips the text through [`parse_folded`] and
 //! checks that identity with zero unmatched records.
 
-use oll_trace::{Timeline, TraceReport};
+use crate::TraceReport;
+use oll_telemetry::trace::Timeline;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -94,7 +95,8 @@ pub fn parse_folded(text: &str) -> Result<Vec<FoldedLine>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oll_trace::{analyze, AnalyzerConfig, TraceKind, TraceRecord};
+    use crate::{analyze, AnalyzerConfig};
+    use oll_telemetry::trace::{TraceKind, TraceRecord};
 
     fn rec(ts_ns: u64, tid: u32, lock: u32, kind: TraceKind, token: u64) -> TraceRecord {
         TraceRecord {
@@ -107,7 +109,7 @@ mod tests {
     }
 
     fn timeline() -> Timeline {
-        use oll_trace::LockDescriptor;
+        use oll_telemetry::trace::LockDescriptor;
         // One spin-only read (t=0..10) and one fully staged write
         // (begin 0, enqueue 5, grant 20, acquire 30).
         Timeline {

@@ -11,8 +11,9 @@
 //! and a whole run.
 
 use crate::series::ObsState;
+use crate::TraceReport;
+use oll_telemetry::trace::Timeline;
 use oll_telemetry::{LockEvent, LockSnapshot};
-use oll_trace::{Timeline, TraceReport};
 
 /// Health of one lock over a scored interval, worst condition wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

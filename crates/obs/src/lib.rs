@@ -1,12 +1,17 @@
-//! Continuous monitoring for the OLL lock family: a background sampler
+//! Observability tooling for the OLL lock family: a background sampler
 //! daemon over the telemetry registry, a fixed-capacity time-series
-//! ring, Prometheus text exposition, per-lock health scoring, and a
-//! folded-stack flamegraph exporter over `oll-trace` records.
+//! ring, Prometheus text exposition, per-lock health scoring, the
+//! flight-recorder analyzer and its Perfetto exporter, and a
+//! folded-stack flamegraph exporter over trace records.
 //!
-//! `oll-telemetry` (PR 2) answers *what happened by the end of the run*
-//! and `oll-trace` (PR 3) *exactly when, once drained* — both offline.
-//! This crate closes the loop the ROADMAP's contention-aware
-//! self-tuning item needs: a [`Sampler`] periodically sweeps
+//! `oll-telemetry` records: its counters answer *what happened by the
+//! end of the run*, its flight recorder (`oll_telemetry::trace`)
+//! *exactly when, once drained*. This crate reads what it records, and
+//! no lock links it. [`analyze()`] turns a drained `Timeline` into
+//! per-acquisition wait breakdowns, stitched hand-off edges, grant
+//! cascades, wait-for chains and convoy/starvation anomalies;
+//! [`render_chrome_trace`] writes Chrome Trace Event JSON that loads in
+//! Perfetto. For the live view, a [`Sampler`] periodically sweeps
 //! `oll_telemetry::registry`, diffs consecutive sweeps into per-lock
 //! delta windows (acquisitions, hand-offs, timeouts, bias revocations,
 //! C-SNZI tree allocations, plus p50/p99/p999 acquire and hold estimates
@@ -45,6 +50,8 @@
 
 #![warn(missing_docs)]
 
+pub mod analyze;
+pub mod export;
 pub mod flame;
 pub mod health;
 pub mod prom;
@@ -54,6 +61,8 @@ pub mod series;
 mod http;
 mod sampler;
 
+pub use analyze::{analyze, render_report_text, AnalyzerConfig, TraceReport};
+pub use export::render_chrome_trace;
 pub use health::{HealthConfig, LockHealth, LockHealthReport};
 pub use series::{ObsState, SampleWindow, SeriesRing};
 
@@ -246,5 +255,27 @@ mod tests {
         assert_ne!(addr.port(), 0);
         server.shutdown();
         s.stop();
+    }
+
+    #[test]
+    fn enabled_end_to_end() {
+        use oll_telemetry::trace::{emit, enabled, register_lock, TraceKind, TraceSession};
+        if !Telemetry::enabled() {
+            return;
+        }
+        let lock = register_lock("TEST", "lib/e2e");
+        assert!(lock > 0);
+        let session = TraceSession::begin();
+        assert!(enabled());
+        emit(lock, TraceKind::WriteBegin, 0);
+        emit(lock, TraceKind::WriteAcquired, 0);
+        emit(lock, TraceKind::WriteRelease, 0);
+        let tl = session.collect().filter_lock(lock);
+        assert_eq!(tl.records.len(), 3);
+        let report = analyze(&tl, &AnalyzerConfig::default());
+        assert_eq!(report.acquisitions.len(), 1);
+        assert_eq!(report.acquisitions[0].queued_ns, 0);
+        let doc = render_chrome_trace(&tl);
+        assert!(doc.contains("\"name\":\"hold:write\""));
     }
 }

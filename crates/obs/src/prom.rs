@@ -9,6 +9,7 @@
 //! sees current behaviour, not run-averaged history.
 
 use crate::health::LockHealthReport;
+use crate::report::merged;
 use crate::series::ObsState;
 use oll_telemetry::{HistogramSnapshot, LockEvent, LockSnapshot};
 use std::fmt::Write as _;
@@ -46,13 +47,6 @@ fn labels(s: &LockSnapshot) -> String {
         label_escape(&s.name),
         label_escape(&s.kind)
     )
-}
-
-/// Merged read+write view of an acquire or hold histogram pair.
-fn merged(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSnapshot {
-    let mut out = *a;
-    out.merge(b);
-    out
 }
 
 const QUANTILES: [(f64, &str); 3] = [(0.50, "0.5"), (0.99, "0.99"), (0.999, "0.999")];

@@ -38,7 +38,8 @@ use oll_telemetry::{HistogramSnapshot, LockSnapshot};
 use oll_util::json::{obj, rounded, text, Value};
 use std::fmt::Write as _;
 
-fn merged(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSnapshot {
+/// Merged read+write view of an acquire or hold histogram pair.
+pub(crate) fn merged(a: &HistogramSnapshot, b: &HistogramSnapshot) -> HistogramSnapshot {
     let mut out = *a;
     out.merge(b);
     out

@@ -48,7 +48,7 @@ pub struct LockTelemetry {
     name: Mutex<String>,
     /// The lock algorithm (e.g. `"GOLL"`).
     kind: &'static str,
-    /// This instance's id in the `oll_trace` lock table, stamped on
+    /// This instance's id in the `trace` lock table, stamped on
     /// every trace record the facade emits for it; 0 until its first
     /// record (or `trace_id` call) enters it there.
     trace_id: AtomicU32,
@@ -96,7 +96,7 @@ impl LockTelemetry {
         *current = name.to_string();
         // Id 0 (not in the trace table yet) is a no-op: the entry, when
         // made, takes the name under this same mutex.
-        oll_trace::rename_lock(self.trace_id.load(Ordering::Acquire), name);
+        crate::trace::rename_lock(self.trace_id.load(Ordering::Acquire), name);
     }
 
     /// Adds `n` to `event`'s counter on this thread's shard.
@@ -154,13 +154,13 @@ impl LockTelemetry {
     /// Puts one record of `kind` carrying `token` in the calling
     /// thread's trace ring, if a trace session is open.
     #[inline]
-    pub(crate) fn trace(&self, kind: oll_trace::TraceKind, token: u64) {
-        if oll_trace::enabled() {
-            oll_trace::emit(self.trace_id(), kind, token);
+    pub(crate) fn trace(&self, kind: crate::trace::TraceKind, token: u64) {
+        if crate::trace::enabled() {
+            crate::trace::emit(self.trace_id(), kind, token);
         }
     }
 
-    /// This instance's `oll_trace` lock id, entering it in the lock
+    /// This instance's `trace` lock id, entering it in the lock
     /// table on first use.
     pub(crate) fn trace_id(&self) -> u32 {
         let id = self.trace_id.load(Ordering::Acquire);
@@ -169,7 +169,7 @@ impl LockTelemetry {
         }
         let name = self.name.lock().unwrap();
         if self.trace_id.load(Ordering::Acquire) == 0 {
-            let id = oll_trace::register_lock(self.kind, &name);
+            let id = crate::trace::register_lock(self.kind, &name);
             self.trace_id.store(id, Ordering::Release);
         }
         self.trace_id.load(Ordering::Acquire)

@@ -20,9 +20,9 @@
 //!
 //! With the feature, an active handle counts, and two things are
 //! decided at run time: the facade also puts each event in the calling
-//! thread's `oll_trace` ring while a `TraceSession` is open (one
-//! `Relaxed` load per marker otherwise), and `oll_obs`'s sampler sweeps
-//! the [`registry`] once someone starts it.
+//! thread's [`trace`] ring while a [`TraceSession`](trace::TraceSession)
+//! is open (one `Relaxed` load per marker otherwise), and `oll_obs`'s
+//! sampler sweeps the [`registry`] once someone starts it.
 //!
 //! # Architecture
 //!
@@ -35,6 +35,8 @@
 //! - [`LockSnapshot`] / [`HistogramSnapshot`] — copy-out types with
 //!   `diff`/`merge` interval algebra.
 //! - [`report`] — text and schema-versioned JSON renderers.
+//! - [`trace`] — the flight recorder: per-thread record rings drained
+//!   by a [`TraceSession`](trace::TraceSession) into a `Timeline`.
 
 #![warn(missing_docs)]
 
@@ -44,6 +46,7 @@ pub mod hist;
 pub mod registry;
 pub mod report;
 pub mod snapshot;
+pub mod trace;
 
 pub use event::LockEvent;
 pub use hist::{HistogramSnapshot, BUCKETS};
@@ -51,9 +54,9 @@ pub use snapshot::LockSnapshot;
 
 #[cfg(feature = "enabled")]
 use counters::LockTelemetry;
-use oll_trace::TraceKind;
 #[cfg(feature = "enabled")]
 use std::sync::Arc;
+use trace::TraceKind;
 
 /// Handle to one lock's telemetry, embedded in the lock itself.
 ///
@@ -164,7 +167,7 @@ impl Telemetry {
         }
     }
 
-    /// This instance's `oll_trace` lock id, when the feature is on and
+    /// This instance's [`trace`] lock id, when the feature is on and
     /// the handle is active (tests use it to filter timelines). The
     /// first call enters the lock in the recorder's lock table, as its
     /// first trace record would.
@@ -430,7 +433,7 @@ mod tests {
     fn facade_emits_trace_records() {
         let t = Telemetry::register("TEST");
         let id = t.trace_id().expect("active traced handle has an id");
-        let session = oll_trace::TraceSession::begin();
+        let session = trace::TraceSession::begin();
         let timer = t.begin_write();
         t.incr(LockEvent::WriteSlow);
         t.trace_enqueued(0xabc);
@@ -440,7 +443,7 @@ mod tests {
         t.record_write_hold(&hold);
         let tl = session.collect().filter_lock(id);
         let kinds: Vec<_> = tl.records.iter().map(|r| r.kind).collect();
-        use oll_trace::TraceKind as K;
+        use trace::TraceKind as K;
         assert_eq!(
             kinds,
             vec![
@@ -455,7 +458,7 @@ mod tests {
         assert_eq!(tl.records[2].token, 0xabc);
         // Rename propagates into the trace lock registry.
         t.rename("facade/trace");
-        assert_eq!(oll_trace::capture_all().lock_name(id), "facade/trace");
+        assert_eq!(trace::capture_all().lock_name(id), "facade/trace");
         // Inactive handles stay silent.
         let quiet = Telemetry::disabled();
         assert_eq!(quiet.trace_id(), None);

@@ -20,11 +20,11 @@
 //! `oll.fig5_async` JSON document; `regen_results.sh` commits the
 //! million-task run as `BENCH_async.json`.
 
-use oll_async::AsyncRwLock;
-use oll_telemetry::report::{lock_json, SCHEMA_VERSION};
-use oll_telemetry::{HistogramSnapshot, LockSnapshot};
-use oll_util::json::{obj, rounded, text, Value};
-use oll_util::XorShift64;
+use oll::async_lock::AsyncRwLock;
+use oll::telemetry::report::{lock_json, SCHEMA_VERSION};
+use oll::telemetry::{HistogramSnapshot, LockSnapshot};
+use oll::util::json::{obj, rounded, text, Value};
+use oll::util::XorShift64;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};

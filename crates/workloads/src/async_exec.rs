@@ -4,7 +4,7 @@
 //! threads*: a handful of OS threads can carry millions of concurrently
 //! queued acquisitions. This executor exists to demonstrate exactly
 //! that — `fig5_async` drives ≥1M lock-user tasks over
-//! [`oll_async::AsyncRwLock`] on ≤8 workers — so it is deliberately
+//! `oll::AsyncRwLock` on ≤8 workers — so it is deliberately
 //! tiny: one shared injector queue, one `std::task::Wake` waker per
 //! task, no work stealing, no timers (the lock's deadline futures bring
 //! their own).

@@ -28,7 +28,7 @@
 //! BRAVO reader-biasing layer: biased reads publish into the global
 //! visible-readers table and skip the underlying lock entirely until a
 //! writer revokes the bias. `--hazard` wraps every lock in the
-//! `oll_hazard::Watched` hardening layer (poisoning + wait-for-graph
+//! `oll::hazard::Watched` hardening layer (poisoning + wait-for-graph
 //! tracking of every hold) so its steady-state overhead is measurable.
 //! `--cohort` builds FOLL/ROLL
 //! with the NUMA cohort writer gate: per-socket writer queues that hand
@@ -51,7 +51,7 @@
 //! breakdowns as folded stacks for flamegraph tooling (needs
 //! `--trace`).
 
-use oll_trace::TraceSession;
+use oll::trace::TraceSession;
 use oll_workloads::config::{Fig5Panel, LockKind, WorkloadConfig};
 use oll_workloads::json::render_fig5_json;
 use oll_workloads::obsio::{self, ObsArgs};
@@ -246,7 +246,7 @@ fn print_panel_telemetry(result: &PanelResult) {
         "-- telemetry at {} thread(s) --",
         result.thread_counts.last().copied().unwrap_or(0)
     );
-    println!("{}", oll_telemetry::report::render_text(&profiles));
+    println!("{}", oll::telemetry::report::render_text(&profiles));
 }
 
 fn write_file(path: &str, contents: &str) {
@@ -256,7 +256,7 @@ fn write_file(path: &str, contents: &str) {
 
 fn main() {
     let args = parse_args();
-    if args.telemetry && !oll_telemetry::Telemetry::enabled() {
+    if args.telemetry && !oll::telemetry::Telemetry::enabled() {
         eprintln!(
             "warning: this binary was built without the `telemetry` feature; \
              no profiles will be recorded. Rebuild with:\n  \

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Spawns `--tasks` futures that each acquire an
-//! `oll_async::AsyncRwLock` (a `--write-pct` slice as writers, a
+//! `oll::async_lock::AsyncRwLock` (a `--write-pct` slice as writers, a
 //! `--cancel-pct` slice with a deadline so timeouts exercise the
 //! tombstone-cancellation path) on `--workers` OS threads, behind a
 //! write-lock gate so the whole backlog queues before the grant cascade
@@ -140,7 +140,7 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    if args.telemetry && !oll_telemetry::Telemetry::enabled() {
+    if args.telemetry && !oll::telemetry::Telemetry::enabled() {
         eprintln!(
             "warning: this binary was built without the `telemetry` feature; \
              no profiles will be recorded. Rebuild with:\n  \
@@ -174,7 +174,7 @@ fn main() {
         if let Some(profile) = &result.telemetry {
             println!(
                 "{}",
-                oll_telemetry::report::render_text(std::slice::from_ref(profile))
+                oll::telemetry::report::render_text(std::slice::from_ref(profile))
             );
         }
     }

@@ -13,7 +13,6 @@
 //! Exits 1 with a diagnostic on the first violation.
 
 use oll_workloads::check::{check, Expect, LOCK_OPTIONS};
-use oll_workloads::json::parse;
 use std::process::exit;
 
 fn usage(msg: &str) -> ! {
@@ -63,7 +62,7 @@ fn main() {
     let path = path.unwrap_or_else(|| usage("missing PATH"));
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| usage(&format!("cannot read {path}: {e}")));
-    let verdict = parse::parse(&text)
+    let verdict = oll::util::json::parse(&text)
         .map_err(|e| format!("not valid JSON: {e}"))
         .and_then(|doc| check(&doc, &expect));
     match verdict {

@@ -16,7 +16,7 @@
 //! An expectation that does not apply to the document's schema is an
 //! error, not a pass: it would have checked nothing.
 
-use crate::json::parse::Value;
+use oll::util::json::Value;
 
 /// The lock options an `oll.fig5` panel records: the `fig5` flag's
 /// name (also what `fig5check --expect-option` takes) and the panel key.
@@ -166,7 +166,7 @@ fn check_async(doc: &Value, expect_tasks: Option<u64>) -> Result<String, String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse::parse;
+    use oll::util::json::parse;
 
     const ASYNC: &str = r#"{"schema":"oll.fig5_async","version":1,"tasks":1000,"workers":4,
         "granted_reads":880,"granted_writes":20,"timed_out":TIMED_OUT,"tasks_per_sec":1.5e5,

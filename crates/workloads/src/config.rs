@@ -90,11 +90,11 @@ pub struct LockOptions {
     /// `None` keeps the default one-leaf-per-thread shape.
     pub shape_threads: Option<usize>,
     /// Wrap the OLL locks in the BRAVO reader-biasing layer
-    /// (`oll_core::Bravo`): biased reads bypass the lock through the
+    /// (`oll::core::Bravo`): biased reads bypass the lock through the
     /// process-global visible-readers table until a writer revokes.
     pub biased: bool,
     /// Wrap every constructed lock, outermost, in the hazard layer
-    /// (`oll_hazard::Watched`: poisoning, wait-for-graph tracking of
+    /// (`oll::hazard::Watched`: poisoning, wait-for-graph tracking of
     /// every hold, starvation watchdog) so its steady-state cost shows up
     /// in the measurement. Unlike the other options this applies to the
     /// baselines too.
@@ -104,7 +104,7 @@ pub struct LockOptions {
     /// release (`FollBuilder::cohort` / `RollBuilder::cohort`). Ignored
     /// by GOLL and the baselines, which have no cohort path.
     pub cohort: bool,
-    /// Wrap the OLL locks in the `oll_core::SelfTuning` online policy
+    /// Wrap the OLL locks in the `oll::core::SelfTuning` online policy
     /// controller: the lock's observed read/write mix and slow-path
     /// fraction steer its BRAVO bias, backoff, and cohort-batch knobs
     /// while it runs. Ignored by the baselines,

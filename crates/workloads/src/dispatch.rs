@@ -9,10 +9,10 @@
 //! it here covers every consumer at once.
 
 use crate::config::{LockKind, LockOptions};
-use oll_baselines::{CentralizedRwLock, KsuhLock, SolarisLikeRwLock, StdRwLock};
-use oll_core::{FollLock, GollLock, RollLock, RwLockFamily, SelfTuning};
-use oll_csnzi::TreeShape;
-use oll_hazard::Watched;
+use oll::baselines::{CentralizedRwLock, KsuhLock, SolarisLikeRwLock, StdRwLock};
+use oll::core::{FollLock, GollLock, RollLock, RwLockFamily, SelfTuning};
+use oll::csnzi::TreeShape;
+use oll::hazard::Watched;
 
 /// Generic code to run over one constructed lock. A trait rather than a
 /// closure because the lock's type differs per kind and option set, and
@@ -82,7 +82,7 @@ impl LockKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oll_core::{Bravo, RwHandle};
+    use oll::core::{Bravo, RwHandle};
     use std::any::{type_name, Any};
 
     /// Finds the OLL lock `Q` under whichever wrappers the options put

@@ -1,6 +1,6 @@
 //! Schema-versioned JSON reports for the workload binaries.
 //!
-//! Each document is built as an [`oll_util::json::Value`] and written by
+//! Each document is built as an [`oll::util::json::Value`] and written by
 //! its `render`, like every other document the workspace emits. Two
 //! document schemas are built here (`oll.fig5_async` is built in
 //! `crate::async_bench`):
@@ -14,17 +14,14 @@
 //!   JSON numbers are f64 and would corrupt them.
 //!
 //! Consumers should check `"schema"` and `"version"` before parsing;
-//! [`oll_telemetry::report::SCHEMA_VERSION`] is bumped on any
+//! [`oll::telemetry::report::SCHEMA_VERSION`] is bumped on any
 //! backwards-incompatible change across all OLL JSON documents.
 
 use crate::sweep::PanelResult;
-use oll_telemetry::report::{lock_json, SCHEMA_VERSION};
-use oll_trace::{Timeline, TraceReport};
-use oll_util::json::{obj, rounded, text, Value};
-
-/// [`oll_util::json`] — the reader and value tree — under the path the
-/// workload bins and `benchmark/` import it from.
-pub use oll_util::json as parse;
+use oll::telemetry::report::{lock_json, SCHEMA_VERSION};
+use oll::trace::Timeline;
+use oll::util::json::{obj, rounded, text, Value};
+use oll_obs::TraceReport;
 
 /// Renders a set of regenerated Figure 5 panels as one `oll.fig5`
 /// document.
@@ -173,6 +170,7 @@ mod tests {
     use super::*;
     use crate::config::{Fig5Panel, LockKind, LockOptions, WorkloadConfig};
     use crate::sweep::{run_panel, SweepOptions};
+    use oll::util::json;
 
     fn tiny_opts() -> SweepOptions {
         SweepOptions {
@@ -208,7 +206,7 @@ mod tests {
         assert_eq!(doc.matches("\"telemetry\":").count(), 2);
         // With the feature off, profiles must be null; with it on, FOLL
         // records and its profile must carry the acquisition counts.
-        if oll_telemetry::Telemetry::enabled() {
+        if oll::telemetry::Telemetry::enabled() {
             assert!(doc.contains("\"read_fast\""), "doc: {doc}");
         } else {
             assert!(doc.contains("\"telemetry\":null"));
@@ -224,7 +222,7 @@ mod tests {
         };
         let panel = run_panel(Fig5Panel::A, &opts);
         let doc = render_fig5_json(&[panel]);
-        let v = parse::parse(&doc).expect("shaped fig5 doc must parse");
+        let v = json::parse(&doc).expect("shaped fig5 doc must parse");
         let p = v.get("panels").and_then(|p| p.idx(0)).expect("one panel");
         assert_eq!(p.get("biased").and_then(Value::as_bool), Some(false));
         assert_eq!(p.get("shape_threads").and_then(Value::as_u64), Some(4));
@@ -232,7 +230,7 @@ mod tests {
         // Default options serialize with every flag off and a null shape.
         let panel = run_panel(Fig5Panel::A, &tiny_opts());
         let doc = render_fig5_json(&[panel]);
-        let v = parse::parse(&doc).unwrap();
+        let v = json::parse(&doc).unwrap();
         let p = v.get("panels").and_then(|p| p.idx(0)).unwrap();
         assert_eq!(p.get("biased").and_then(Value::as_bool), Some(false));
         assert_eq!(p.get("hazard").and_then(Value::as_bool), Some(false));
@@ -248,7 +246,7 @@ mod tests {
         };
         let panel = run_panel(Fig5Panel::A, &opts);
         let doc = render_fig5_json(&[panel]);
-        let v = parse::parse(&doc).expect("biased fig5 doc must parse");
+        let v = json::parse(&doc).expect("biased fig5 doc must parse");
         let p = v.get("panels").and_then(|p| p.idx(0)).expect("one panel");
         assert_eq!(p.get("biased").and_then(Value::as_bool), Some(true));
         assert_eq!(p.get("hazard").and_then(Value::as_bool), Some(false));
@@ -263,7 +261,7 @@ mod tests {
         };
         let panel = run_panel(Fig5Panel::A, &opts);
         let doc = render_fig5_json(&[panel]);
-        let v = parse::parse(&doc).expect("hazard fig5 doc must parse");
+        let v = json::parse(&doc).expect("hazard fig5 doc must parse");
         let p = v.get("panels").and_then(|p| p.idx(0)).expect("one panel");
         assert_eq!(p.get("hazard").and_then(Value::as_bool), Some(true));
         assert_eq!(p.get("biased").and_then(Value::as_bool), Some(false));
@@ -278,7 +276,7 @@ mod tests {
         };
         let panel = run_panel(Fig5Panel::A, &opts);
         let doc = render_fig5_json(&[panel]);
-        let v = parse::parse(&doc).expect("cohort fig5 doc must parse");
+        let v = json::parse(&doc).expect("cohort fig5 doc must parse");
         let p = v.get("panels").and_then(|p| p.idx(0)).expect("one panel");
         assert_eq!(p.get("cohort").and_then(Value::as_bool), Some(true));
         assert_eq!(p.get("biased").and_then(Value::as_bool), Some(false));
@@ -286,7 +284,7 @@ mod tests {
         // Default options serialize with the gate off.
         let panel = run_panel(Fig5Panel::A, &tiny_opts());
         let doc = render_fig5_json(&[panel]);
-        let v = parse::parse(&doc).unwrap();
+        let v = json::parse(&doc).unwrap();
         let p = v.get("panels").and_then(|p| p.idx(0)).unwrap();
         assert_eq!(p.get("cohort").and_then(Value::as_bool), Some(false));
     }
@@ -301,7 +299,7 @@ mod tests {
         };
         let panel = run_panel(Fig5Panel::A, &opts);
         let doc = render_fig5_json(&[panel]);
-        let v = parse::parse(&doc).expect("self-tuning fig5 doc must parse");
+        let v = json::parse(&doc).expect("self-tuning fig5 doc must parse");
         let p = v.get("panels").and_then(|p| p.idx(0)).expect("one panel");
         assert_eq!(p.get("self_tuning").and_then(Value::as_bool), Some(true));
         assert_eq!(p.get("biased").and_then(Value::as_bool), Some(true));
@@ -309,7 +307,7 @@ mod tests {
         // Default options serialize with the controller off.
         let panel = run_panel(Fig5Panel::A, &tiny_opts());
         let doc = render_fig5_json(&[panel]);
-        let v = parse::parse(&doc).unwrap();
+        let v = json::parse(&doc).unwrap();
         let p = v.get("panels").and_then(|p| p.idx(0)).unwrap();
         assert_eq!(p.get("self_tuning").and_then(Value::as_bool), Some(false));
     }
@@ -318,7 +316,7 @@ mod tests {
     fn fig5_round_trip() {
         let panel = run_panel(Fig5Panel::B, &tiny_opts());
         let doc = render_fig5_json(&[panel]);
-        let v = parse::parse(&doc).expect("fig5 doc must parse");
+        let v = json::parse(&doc).expect("fig5 doc must parse");
         assert_eq!(v.get("schema").and_then(Value::as_str), Some("oll.fig5"));
         assert_eq!(
             v.get("version").and_then(Value::as_u64),
@@ -341,10 +339,8 @@ mod tests {
 
     #[test]
     fn trace_round_trip() {
-        use oll_trace::{
-            analyze, AnalyzerConfig, LockDescriptor, ThreadDescriptor, Timeline, TraceKind,
-            TraceRecord,
-        };
+        use oll::trace::{LockDescriptor, ThreadDescriptor, Timeline, TraceKind, TraceRecord};
+        use oll_obs::{analyze, AnalyzerConfig};
 
         // Tokens above 2^53 prove the hex-string path survives where a
         // JSON number would round.
@@ -379,7 +375,7 @@ mod tests {
         let report = analyze(&tl, &AnalyzerConfig::default());
         assert_eq!(report.edges.len(), 1);
         let doc = render_trace_json(&tl, &report);
-        let v = parse::parse(&doc).expect("trace doc must parse");
+        let v = json::parse(&doc).expect("trace doc must parse");
         assert_eq!(v.get("schema").and_then(Value::as_str), Some("oll.trace"));
         assert_eq!(
             v.get("version").and_then(Value::as_u64),

@@ -30,7 +30,6 @@
 
 #[cfg(feature = "async")]
 pub mod async_bench;
-#[cfg(feature = "async")]
 pub mod async_exec;
 pub mod check;
 pub mod config;
@@ -56,7 +55,7 @@ pub use sweep::{run_panel, PanelResult, Series, SweepOptions};
 /// in a build without them `flag` is a usage error.
 /// The `Err` is the message for the caller's `error:` line.
 pub fn require_telemetry(flag: &str) -> Result<(), String> {
-    if oll_telemetry::Telemetry::enabled() {
+    if oll::telemetry::Telemetry::enabled() {
         Ok(())
     } else {
         Err(format!(

@@ -2,9 +2,9 @@
 
 use crate::config::{LockKind, LockOptions, WorkloadConfig};
 use crate::dispatch::LockVisitor;
-use oll_core::{RwHandle, RwLockFamily};
-use oll_telemetry::LockSnapshot;
-use oll_util::XorShift64;
+use oll::core::{RwHandle, RwLockFamily};
+use oll::telemetry::LockSnapshot;
+use oll::util::XorShift64;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};

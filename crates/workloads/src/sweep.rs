@@ -3,7 +3,7 @@
 
 use crate::config::{Fig5Panel, LockKind, LockOptions, WorkloadConfig};
 use crate::runner::{run_throughput_profiled_with, ThroughputResult};
-use oll_telemetry::LockSnapshot;
+use oll::telemetry::LockSnapshot;
 
 /// One regenerated panel: a throughput series per lock.
 #[derive(Debug, Clone)]

@@ -1,15 +1,16 @@
 //! `--trace` plumbing shared by the workload binaries.
 //!
-//! Both `fig5` and `examples/lockstat.rs` offer a
-//! `--trace PATH` flag: start a [`TraceSession`] before the runs, then
-//! hand the collected [`Timeline`] here to write the Chrome Trace Event
-//! file (loadable in Perfetto or `chrome://tracing`), optionally an
+//! Both `fig5` and `examples/lockstat.rs` offer a `--trace PATH` flag:
+//! start a [`TraceSession`](oll::trace::TraceSession) before the runs,
+//! then hand the collected [`Timeline`] here to write the Chrome Trace
+//! Event file (loadable in Perfetto or `chrome://tracing`), optionally an
 //! `oll.trace` document and/or a folded-stack contention flamegraph
 //! (`--flame`, consumable by `flamegraph.pl` and friends), and get back
 //! the analyzer's text report.
 
 use crate::json::render_trace_json;
-use oll_trace::{analyze, render_chrome_trace, render_report_text, AnalyzerConfig, Timeline};
+use oll::trace::Timeline;
+use oll_obs::{analyze, render_chrome_trace, render_report_text, AnalyzerConfig};
 
 fn write_file(path: &str, contents: &str) -> std::io::Result<()> {
     std::fs::write(path, format!("{contents}\n"))?;

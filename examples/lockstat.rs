@@ -33,9 +33,9 @@
 use oll::telemetry::{registry, report, Telemetry};
 use oll::trace::TraceSession;
 use oll::util::XorShift64;
-use oll::workloads::obsio::{self, ObsArgs};
-use oll::workloads::{traceio, LockKind, LockOptions, LockVisitor};
 use oll::{RwHandle, RwLockFamily};
+use oll_workloads::obsio::{self, ObsArgs};
+use oll_workloads::{traceio, LockKind, LockOptions, LockVisitor};
 use std::any::Any;
 
 const THREADS: usize = 4;
@@ -104,7 +104,7 @@ fn main() {
     }
     for (asked, flag) in [(trace.is_some(), "--trace"), (obs.on, "--obs")] {
         if asked {
-            if let Err(m) = oll::workloads::require_telemetry(flag) {
+            if let Err(m) = oll_workloads::require_telemetry(flag) {
                 eprintln!("error: {m}");
                 std::process::exit(2);
             }

@@ -2,9 +2,11 @@
 //!
 //! A from-scratch Rust implementation of *Scalable Reader-Writer Locks*
 //! (Lev, Luchangco & Olszewski, SPAA 2009): the C-SNZI data structure,
-//! the three OLL lock algorithms it powers, the baseline locks the paper
-//! compares against, and the full evaluation harness that regenerates the
-//! paper's Figure 5.
+//! the three OLL lock algorithms it powers, and the baseline locks the
+//! paper compares against. The evaluation harness that regenerates the
+//! paper's Figure 5 (`oll-workloads`) and the observability tooling
+//! (`oll-obs`) are crates of their own that depend on this one; a lock
+//! user links neither.
 //!
 //! # Which lock should I use?
 //!
@@ -43,23 +45,18 @@
 //! * [`csnzi`] — SNZI / closable-SNZI (the paper's §2).
 //! * [`core`] (re-exported at the root) — GOLL, FOLL, ROLL (§3–4).
 //! * [`baselines`] — KSUH, Solaris-like, centralized, std (§1, §5).
-//! * [`workloads`] — the Figure 5 throughput harness (§5).
 //! * `async_lock` — the futures-native [`AsyncRwLock`] family: task-waker
 //!   hand-off over the same C-SNZI cores, cancel-on-drop, deadlines
 //!   (build with the `async` feature; absent otherwise).
 //! * [`telemetry`] — per-lock contention profiling (build with the
 //!   `telemetry` feature to record; zero-cost no-ops otherwise). That
-//!   feature is the one observability switch: [`trace`] and [`obs`]
-//!   need it too.
+//!   feature is the one observability switch: [`trace`] needs it too.
 //! * [`hazard`] — the [`Watched`] wrapper: panic-safe poisoning, online
 //!   deadlock detection, and a starvation watchdog over any lock (an
 //!   unwrapped lock carries none of it).
-//! * [`trace`] — flight-recorder event tracing with Perfetto export and
-//!   wait-chain analysis (records while a `TraceSession` is open).
-//! * [`obs`] — continuous monitoring: sampler daemon, time-series ring,
-//!   Prometheus exposition, per-lock health scores, flamegraph export
-//!   (samples once `Sampler::start` is called; inert without
-//!   telemetry).
+//! * [`trace`] — the flight recorder, `oll_telemetry::trace`: records
+//!   while a `TraceSession` is open. The analyzer and Perfetto export
+//!   that read a recording, and the live sampler, are in `oll-obs`.
 //! * [`util`] — backoff, cache padding, events, spin mutex, thread slots.
 
 #[cfg(feature = "async")]
@@ -68,11 +65,19 @@ pub use oll_baselines as baselines;
 pub use oll_core as core;
 pub use oll_csnzi as csnzi;
 pub use oll_hazard as hazard;
-pub use oll_obs as obs;
 pub use oll_telemetry as telemetry;
-pub use oll_trace as trace;
+pub use oll_telemetry::trace;
 pub use oll_util as util;
-pub use oll_workloads as workloads;
+
+/// The path `benchmark/` reads its JSON through; [`util::json`] is the
+/// module itself.
+#[doc(hidden)]
+pub mod workloads {
+    /// See [`crate::util::json`].
+    pub mod json {
+        pub use oll_util::json as parse;
+    }
+}
 
 pub use oll_baselines::{CentralizedRwLock, KsuhLock, SolarisLikeRwLock, StdRwLock};
 #[cfg(not(loom))]

@@ -13,8 +13,8 @@
 #![cfg(all(feature = "async", feature = "fault-injection", not(loom)))]
 
 use oll::util::fault::FaultPlan;
-use oll::workloads::async_exec::Executor;
 use oll::AsyncRwLock;
+use oll_workloads::async_exec::Executor;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 

@@ -7,8 +7,8 @@
 
 #![cfg(all(feature = "async", not(loom)))]
 
-use oll::workloads::async_exec::Executor;
 use oll::{block_on, AsyncRwLock};
+use oll_workloads::async_exec::Executor;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};

@@ -5,8 +5,8 @@
 
 #![cfg(not(loom))]
 
-use oll::workloads::{LockKind, LockOptions, LockVisitor};
 use oll::{AcquireError, Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, Watched};
+use oll_workloads::{LockKind, LockOptions, LockVisitor};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::{Duration, Instant};

@@ -9,8 +9,8 @@
 //! `cohort_ranks(2)` and pin threads with `set_cohort`, so they run the
 //! remote path deterministically even on single-socket CI hardware.
 
-use oll::workloads::{run_throughput_profiled_with, LockKind, LockOptions, WorkloadConfig};
 use oll::{FollLock, RollLock, RwHandle, RwLockFamily};
+use oll_workloads::{run_throughput_profiled_with, LockKind, LockOptions, WorkloadConfig};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;

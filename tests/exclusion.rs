@@ -4,7 +4,7 @@
 //! enabled, so the code path measured by Figure 5 is the code path
 //! verified here.
 
-use oll::workloads::{run_throughput, LockKind, WorkloadConfig};
+use oll_workloads::{run_throughput, LockKind, WorkloadConfig};
 
 fn verified(threads: usize, read_pct: u32, acquisitions: usize) -> WorkloadConfig {
     WorkloadConfig {

@@ -2,10 +2,10 @@
 //! complete, well-formed output, and the relationships that should hold
 //! on *any* machine (not just the paper's 256-thread T5440) do hold.
 
-use oll::workloads::config::{Fig5Panel, LockKind, LockOptions, WorkloadConfig};
-use oll::workloads::report::{factor_at_peak, render_csv, render_table};
-use oll::workloads::sweep::{run_panel, SweepOptions};
 use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily};
+use oll_workloads::config::{Fig5Panel, LockKind, LockOptions, WorkloadConfig};
+use oll_workloads::report::{factor_at_peak, render_csv, render_table};
+use oll_workloads::sweep::{run_panel, SweepOptions};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 

@@ -21,8 +21,8 @@
 //!   the visible-readers table; `try_write`'s one-shot revocation scan
 //!   sights it, restores the bias, and fails without waiting.
 
-use oll::workloads::{LockKind, LockOptions, LockVisitor};
 use oll::{Bravo, GollLock, RwHandle, RwLockFamily};
+use oll_workloads::{LockKind, LockOptions, LockVisitor};
 use std::time::{Duration, Instant};
 
 /// `try_*` calls beside a leaked hold must return within this bound —

@@ -9,7 +9,7 @@
 //! (holders descheduled mid-critical-section, hand-offs landing on
 //! sleeping threads, node pools cycling thousands of times).
 
-use oll::workloads::{run_throughput, LockKind, WorkloadConfig};
+use oll_workloads::{run_throughput, LockKind, WorkloadConfig};
 
 fn marathon(kind: LockKind, read_pct: u32) {
     let config = WorkloadConfig {

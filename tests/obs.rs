@@ -7,10 +7,10 @@
 
 #![cfg(feature = "telemetry")]
 
-use oll::obs::{HealthConfig, LockHealth, Sampler, SamplerConfig};
 use oll::telemetry::registry;
 use oll::util::XorShift64;
 use oll::{GollLock, RwHandle, RwLockFamily};
+use oll_obs::{HealthConfig, LockHealth, Sampler, SamplerConfig};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -131,7 +131,7 @@ fn exposition_endpoint_serves_metrics_json_and_health() {
 
     let (head, body) = http_get(addr, "/json");
     assert!(head.starts_with("HTTP/1.1 200"));
-    let doc = oll::workloads::json::parse::parse(&body).expect("oll.obs document parses");
+    let doc = oll::util::json::parse(&body).expect("oll.obs document parses");
     assert_eq!(
         doc.get("schema").and_then(|v| v.as_str()),
         Some("oll.obs"),
@@ -172,7 +172,8 @@ fn exposition_endpoint_serves_metrics_json_and_health() {
 
 #[test]
 fn flamegraph_round_trips_against_the_analyzer() {
-    use oll::trace::{analyze, AnalyzerConfig, LockDescriptor, Timeline, TraceKind, TraceRecord};
+    use oll::trace::{LockDescriptor, Timeline, TraceKind, TraceRecord};
+    use oll_obs::{analyze, AnalyzerConfig};
     let rec = |ts_ns, tid, kind, token| TraceRecord {
         ts_ns,
         tid,
@@ -201,8 +202,8 @@ fn flamegraph_round_trips_against_the_analyzer() {
     let report = analyze(&tl, &AnalyzerConfig::default());
     assert_eq!(report.unmatched_grants, 0);
 
-    let folded = oll::obs::flame::render_folded(&tl, &report);
-    let lines = oll::obs::flame::parse_folded(&folded).expect("own output parses");
+    let folded = oll_obs::flame::render_folded(&tl, &report);
+    let lines = oll_obs::flame::parse_folded(&folded).expect("own output parses");
     assert!(!lines.is_empty());
     let total: u64 = lines.iter().map(|l| l.weight).sum();
     let breakdown: u64 = report
@@ -227,7 +228,7 @@ fn hammered_lock_scores_as_live() {
     hammer(&lock, 50, Duration::from_millis(30));
     let state = sampler.stop();
 
-    let health = oll::obs::health::score_all(&state, &HealthConfig::default());
+    let health = oll_obs::health::score_all(&state, &HealthConfig::default());
     let mine = health
         .iter()
         .find(|h| h.name == name)

@@ -5,7 +5,7 @@
 
 #![cfg(not(feature = "telemetry"))]
 
-use oll::obs::{Sampler, SamplerConfig};
+use oll_obs::{Sampler, SamplerConfig};
 
 #[test]
 #[allow(clippy::assertions_on_constants)]
@@ -43,6 +43,6 @@ fn stop_returns_empty_state() {
     assert_eq!(state.samples, 0);
     assert_eq!(state.windows_evicted, 0);
     assert!(state.windows.is_empty());
-    let health = oll::obs::health::score_all(&state, &oll::obs::HealthConfig::default());
+    let health = oll_obs::health::score_all(&state, &oll_obs::HealthConfig::default());
     assert!(health.is_empty());
 }

@@ -12,8 +12,9 @@
 #![cfg(feature = "telemetry")]
 
 use oll::telemetry::LockEvent;
-use oll::trace::{analyze, AnalyzerConfig, Timeline, TraceKind, TraceReport, TraceSession};
+use oll::trace::{Timeline, TraceKind, TraceSession};
 use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock};
+use oll_obs::{analyze, AnalyzerConfig, TraceReport};
 use std::time::{Duration, Instant};
 
 /// Polls a lock's telemetry snapshot until `pred` holds. Slow-path
@@ -225,7 +226,7 @@ fn cohort_handoffs_report_cross_socket_ratio() {
         report.cross_socket_handoffs, 0,
         "a single-rank mapping admits no cross-socket hand-offs"
     );
-    let text = oll::trace::render_report_text(&tl, &report);
+    let text = oll_obs::render_report_text(&tl, &report);
     let expected = format!(
         "cross-socket hand-offs: 0 / {} (0.0%)",
         report.total_handoffs

@@ -6,8 +6,9 @@
 
 #![cfg(not(feature = "telemetry"))]
 
-use oll::trace::{self, analyze, AnalyzerConfig, TraceKind, TraceSession};
+use oll::trace::{self, TraceKind, TraceSession};
 use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock};
+use oll_obs::{analyze, render_chrome_trace, AnalyzerConfig};
 
 #[test]
 fn recorder_is_zero_sized_and_disabled() {
@@ -76,5 +77,5 @@ fn instrumented_locks_leave_no_trace() {
     assert!(report.acquisitions.is_empty());
     assert!(report.edges.is_empty());
     assert_eq!(report.unmatched_grants, 0);
-    assert!(trace::render_chrome_trace(&tl).contains("\"traceEvents\""));
+    assert!(render_chrome_trace(&tl).contains("\"traceEvents\""));
 }

@@ -2,11 +2,11 @@
 //! the same contract — guard semantics, try-lock semantics, capacity
 //! accounting, and slot reuse — checked generically.
 
-use oll::workloads::{LockKind, LockOptions, LockVisitor};
 use oll::{
     Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock, StdRwLock,
     TimedHandle, UpgradableHandle, Watched,
 };
+use oll_workloads::{LockKind, LockOptions, LockVisitor};
 use std::time::Duration;
 
 /// Boxes the lock `LockKind::with_lock` built behind the type-erased
