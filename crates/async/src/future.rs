@@ -80,7 +80,7 @@ impl<'a> Acquire<'a> {
             write,
             deadline,
             state: State::Init,
-            policy: ArrivalPolicy::new(raw.arrival_threshold),
+            policy: ArrivalPolicy::default(),
             cursor: LeafCursor::new(),
             backoff: Backoff::new(),
             acquire,

@@ -72,7 +72,6 @@ use std::time::Instant;
 pub(crate) struct RawLock {
     pub(crate) csnzi: CSnzi,
     pub(crate) queue: CachePadded<SpinMutex<WaitQueue>>,
-    pub(crate) arrival_threshold: u32,
     pub(crate) telemetry: Telemetry,
 }
 
@@ -262,7 +261,7 @@ impl<T: ?Sized> AsyncRwLock<T> {
 
     /// Attempts a read hold without waiting (fast path only).
     pub fn try_read(&self) -> Option<AsyncReadGuard<'_, T>> {
-        let mut policy = ArrivalPolicy::new(self.raw.arrival_threshold);
+        let mut policy = ArrivalPolicy::default();
         let mut cursor = LeafCursor::new();
         let ticket = self.raw.arrive(&mut policy, &mut cursor)?;
         Some(AsyncReadGuard {
@@ -327,8 +326,6 @@ impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for AsyncRwLock<T> {
 #[derive(Debug, Clone)]
 pub struct AsyncRwLockBuilder {
     concurrency: usize,
-    shape: Option<TreeShape>,
-    arrival_threshold: u32,
     telemetry_name: Option<String>,
 }
 
@@ -339,8 +336,6 @@ impl AsyncRwLockBuilder {
     pub fn new() -> Self {
         Self {
             concurrency: oll_util::topology::Topology::get().cpus(),
-            shape: None,
-            arrival_threshold: ArrivalPolicy::DEFAULT_THRESHOLD,
             telemetry_name: None,
         }
     }
@@ -348,22 +343,6 @@ impl AsyncRwLockBuilder {
     /// Sets the expected polling concurrency (executor worker threads).
     pub fn concurrency(mut self, workers: usize) -> Self {
         self.concurrency = workers.max(1);
-        self
-    }
-
-    /// Overrides the C-SNZI tree shape (default: one leaf per worker).
-    /// The tree is allocated by the first arrival that goes to it.
-    pub fn tree_shape(mut self, shape: TreeShape) -> Self {
-        self.shape = Some(shape);
-        self
-    }
-
-    /// Sets the C-SNZI arrival threshold (see
-    /// `ArrivalPolicy::new`): how crowded a root arrival must find the
-    /// root, and how many times in a row, before a future's arrivals
-    /// move to the tree.
-    pub fn arrival_threshold(mut self, threshold: u32) -> Self {
-        self.arrival_threshold = threshold;
         self
     }
 
@@ -376,20 +355,16 @@ impl AsyncRwLockBuilder {
 
     /// Builds the lock around `value`.
     pub fn build<T>(self, value: T) -> AsyncRwLock<T> {
-        let shape = self
-            .shape
-            .unwrap_or_else(|| TreeShape::for_threads(self.concurrency));
         let telemetry = Telemetry::register("ASYNC");
         if let Some(name) = &self.telemetry_name {
             telemetry.rename(name);
         }
-        let mut csnzi = CSnzi::new(shape);
+        let mut csnzi = CSnzi::new(TreeShape::for_threads(self.concurrency));
         csnzi.attach_telemetry(telemetry.clone());
         AsyncRwLock {
             raw: RawLock {
                 csnzi,
                 queue: CachePadded::new(SpinMutex::new(WaitQueue::new())),
-                arrival_threshold: self.arrival_threshold,
                 telemetry,
             },
             value: UnsafeCell::new(value),

@@ -41,7 +41,7 @@
 
 use crate::raw::{RwHandle, RwLockFamily, TimedHandle, TimedOut, UpgradableHandle};
 use oll_telemetry::{LockEvent, Telemetry, Timer};
-use oll_util::backoff::{spin_until_deadline, BackoffPolicy, Deadline, Never};
+use oll_util::backoff::{spin_until_deadline, Deadline, Never};
 use oll_util::fault;
 use oll_util::knobs::TuningKnobs;
 use oll_util::slots::{SlotError, VisibleReaders};
@@ -139,15 +139,6 @@ impl<L> Bravo<L> {
     /// [`Bravo::tuning`] if both are used.
     pub fn rearm_multiplier(self, multiplier: u32) -> Self {
         self.knobs.set_rearm_multiplier(multiplier);
-        self
-    }
-
-    /// Sets the backoff policy a revoking writer uses while waiting out
-    /// published readers (clamped by `MAX_SPIN_EXPONENT` like every other
-    /// spin in this workspace). Writes into the current [`TuningKnobs`];
-    /// call after [`Bravo::tuning`] if both are used.
-    pub fn backoff(self, policy: BackoffPolicy) -> Self {
-        self.knobs.set_backoff_policy(policy);
         self
     }
 

@@ -22,7 +22,7 @@
 //!   queues the writer globally, which the protocol already admits.
 //! * A writer first enqueues on its cohort tail (an MCS-style CAS-free
 //!   `swap`). The cohort **head** proceeds to the ordinary global
-//!   [`QueueCore::writer_lock`]; everyone behind it spins on its cohort
+//!   `QueueCore::writer_lock`; everyone behind it spins on its cohort
 //!   node.
 //! * Release resolves the cohort successor first. While the running batch
 //!   is under the bound, the grant word passes the lock itself

@@ -18,7 +18,7 @@
 //! of raw pointers; besides being safe Rust, index+generation-free reuse
 //! is exactly the ring discipline the paper's recycling argument assumes.
 
-use crate::cohort::{CohortGate, CohortHold, CohortRelease, DEFAULT_COHORT_BATCH};
+use crate::cohort::{CohortGate, CohortHold, CohortRelease};
 use crate::raw::{RwHandle, RwLockFamily, TimedOut};
 use oll_csnzi::{ArrivalPolicy, CSnzi, CancelOutcome, LeafCursor, Ticket, TreeShape};
 use oll_telemetry::{LockEvent, Telemetry, Timer};
@@ -42,7 +42,7 @@ use std::marker::PhantomData;
 ///   owns the lock and must release it normally;
 /// * canceller CAS `WAITING → ABANDONED` wins: the waiter is gone, and the
 ///   *granter* performs the release on its behalf when the grant arrives
-///   ([`QueueCore::grant`] cascades over abandoned nodes).
+///   (the grant cascades over abandoned nodes).
 ///
 /// Abandoned reader nodes are recycled by the granter (their C-SNZI is
 /// owned — by whoever abandoned the node, for the granter — exactly the
@@ -737,12 +737,10 @@ impl OrderPolicy for Fifo {
 pub struct QueueBuilder<P> {
     capacity: usize,
     shape: Option<TreeShape>,
-    backoff: BackoffPolicy,
     arrival_threshold: u32,
     #[cfg(not(loom))]
     biased: bool,
     cohort: bool,
-    cohort_batch: u32,
     cohort_ranks: Option<usize>,
     telemetry_name: Option<String>,
     order: PhantomData<fn() -> P>,
@@ -755,12 +753,10 @@ impl<P: OrderPolicy> QueueBuilder<P> {
         Self {
             capacity,
             shape: None,
-            backoff: BackoffPolicy::default(),
             arrival_threshold: ArrivalPolicy::DEFAULT_THRESHOLD,
             #[cfg(not(loom))]
             biased: false,
             cohort: false,
-            cohort_batch: DEFAULT_COHORT_BATCH,
             cohort_ranks: None,
             telemetry_name: None,
             order: PhantomData,
@@ -769,22 +765,14 @@ impl<P: OrderPolicy> QueueBuilder<P> {
 
     /// Enables the NUMA cohort writer gate: each locality rank (socket)
     /// gets its own writer queue, and releases hand the lock to a
-    /// same-socket waiter up to the [batch bound](Self::cohort_batch)
-    /// before releasing through the global queue. On single-socket
+    /// same-socket waiter up to the batch bound (the lock's
+    /// `knobs().cohort_batch()`, default
+    /// [`DEFAULT_COHORT_BATCH`](crate::DEFAULT_COHORT_BATCH)) before
+    /// releasing through the global queue. On single-socket
     /// machines (or when topology detection falls back) every writer
     /// shares one cohort and behaviour degrades to the plain writer path.
     pub fn cohort(mut self, cohort: bool) -> Self {
         self.cohort = cohort;
-        self
-    }
-
-    /// Sets the cohort batch bound: how many consecutive same-socket
-    /// hand-offs one cohort tenure may perform before the release is
-    /// forced through the global queue (default
-    /// [`DEFAULT_COHORT_BATCH`](crate::cohort::DEFAULT_COHORT_BATCH)).
-    /// Clamped to ≥ 1. No effect unless [`cohort`](Self::cohort) is on.
-    pub fn cohort_batch(mut self, batch: u32) -> Self {
-        self.cohort_batch = batch;
         self
     }
 
@@ -835,12 +823,6 @@ impl<P: OrderPolicy> QueueBuilder<P> {
         self
     }
 
-    /// Overrides the busy-wait backoff tuning (§5.1 tunes this per lock).
-    pub fn backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.backoff = policy;
-        self
-    }
-
     /// Sets the C-SNZI arrival threshold: a root arrival that finds this
     /// many others in flight is a crowded one, and this many crowded ones
     /// in a row move the handle's arrivals to the tree.
@@ -856,14 +838,11 @@ impl<P: OrderPolicy> QueueBuilder<P> {
         if let Some(name) = &self.telemetry_name {
             telemetry.rename(name);
         }
-        let knobs = TuningKnobs::shared();
-        knobs.set_backoff_policy(self.backoff);
-        knobs.set_cohort_batch(self.cohort_batch);
         let mut core = QueueCore::new(
             capacity,
             self.shape
                 .unwrap_or_else(|| TreeShape::for_threads(capacity)),
-            knobs,
+            TuningKnobs::shared(),
             self.arrival_threshold,
             telemetry,
         );

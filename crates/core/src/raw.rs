@@ -167,8 +167,7 @@ impl std::error::Error for TimedOut {}
 #[cfg(not(loom))]
 pub trait TimedHandle: RwHandle {
     /// Acquires for reading (shared), giving up once `deadline` expires —
-    /// an [`Instant`](std::time::Instant), or any other
-    /// [`Deadline`](oll_util::backoff::Deadline).
+    /// an [`Instant`](std::time::Instant), or any other [`Deadline`].
     fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), TimedOut>;
 
     /// Acquires for writing (exclusive), giving up once `deadline` expires.

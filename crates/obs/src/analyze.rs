@@ -21,7 +21,7 @@
 //!   chains**: a waiter whose lock holder is itself parked on another
 //!   lock.
 
-use oll_telemetry::report::fmt_ns;
+use crate::report::fmt_ns;
 use oll_telemetry::trace::{Timeline, TraceKind};
 use std::collections::HashMap;
 

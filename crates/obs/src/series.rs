@@ -8,7 +8,7 @@
 //! [`crate::Sampler`]): window `i` holds exactly the events that landed
 //! between tick `i-1` and tick `i`. Summing consecutive windows
 //! telescopes back to `final - baseline`, so as long as an evicted
-//! window's deltas are merged into [`SeriesRing::evicted_totals`] before
+//! window's deltas are merged into the ring's evicted totals before
 //! it is forgotten, the ring-wide invariant
 //!
 //! ```text

@@ -197,7 +197,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use core::ops::Range;
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         len: Range<usize>,

@@ -14,9 +14,9 @@
 //! as `telemetry`, the workspace's only observability feature) both are
 //! zero-sized and every recording method is an empty `#[inline]`
 //! function: no atomics, no branches, no `Instant` reads on any path.
-//! The snapshot/report types stay compiled either way so tooling code
-//! needs no `cfg` of its own — a disabled build just never produces a
-//! snapshot.
+//! The snapshot types stay compiled either way so tooling code needs no
+//! `cfg` of its own — a disabled build just never produces a snapshot.
+//! Rendering snapshots as text or JSON is `oll_obs::report`'s job.
 //!
 //! With the feature, an active handle counts, and two things are
 //! decided at run time: the facade also puts each event in the calling
@@ -34,7 +34,6 @@
 //!   [`registry::snapshot_all`] sweeps the fleet.
 //! - [`LockSnapshot`] / [`HistogramSnapshot`] — copy-out types with
 //!   `diff`/`merge` interval algebra.
-//! - [`report`] — text and schema-versioned JSON renderers.
 //! - [`trace`] — the flight recorder: per-thread record rings drained
 //!   by a [`TraceSession`](trace::TraceSession) into a `Timeline`.
 
@@ -44,7 +43,6 @@ pub mod counters;
 pub mod event;
 pub mod hist;
 pub mod registry;
-pub mod report;
 pub mod snapshot;
 pub mod trace;
 

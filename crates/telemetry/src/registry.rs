@@ -47,18 +47,6 @@ pub fn snapshot_all() -> Vec<LockSnapshot> {
     out
 }
 
-/// Zeroes the counters of every live registered lock.
-pub fn reset_all() {
-    let mut g = entries().lock().unwrap();
-    g.retain(|w| match w.upgrade() {
-        Some(t) => {
-            t.reset();
-            true
-        }
-        None => false,
-    });
-}
-
 /// Number of live registered locks.
 pub fn live_count() -> usize {
     let mut g = entries().lock().unwrap();

@@ -54,11 +54,22 @@ pub struct Event {
 impl Event {
     /// Creates an unsignaled event.
     pub fn new(strategy: WaitStrategy) -> Self {
+        Self::with_waiters(strategy, 0)
+    }
+
+    /// An unsignaled event whose list of parked threads, under
+    /// [`WaitStrategy::SpinThenPark`], already has room for `waiters`, so
+    /// that parking up to that many threads at once allocates nothing.
+    #[cfg_attr(loom, allow(unused_variables))]
+    pub(crate) fn with_waiters(strategy: WaitStrategy, waiters: usize) -> Self {
         Self {
             set: AtomicBool::new(false),
             strategy,
             #[cfg(not(loom))]
-            parked: std::sync::Mutex::new(Vec::new()),
+            parked: std::sync::Mutex::new(match strategy {
+                WaitStrategy::SpinThenYield => Vec::new(),
+                WaitStrategy::SpinThenPark => Vec::with_capacity(waiters),
+            }),
         }
     }
 

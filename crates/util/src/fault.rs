@@ -5,7 +5,7 @@
 //! instructions; stress tests hit them once in millions of iterations, if
 //! ever. This module lets tests *force* those interleavings: the lock code
 //! is annotated with [`inject`]`("site-name")` calls at the interesting
-//! windows, and a test installs a [`FaultPlan`] that deterministically
+//! windows, and a test installs a `FaultPlan` that deterministically
 //! widens chosen windows by yielding the thread there.
 //!
 //! Properties that make this usable as a test oracle:
@@ -17,7 +17,7 @@
 //!   for how long, is a pure function of `(plan.seed, s, k)`. The same plan
 //!   on the same schedule-relevant inputs reproduces the same injected
 //!   delays — no global RNG state, no wall-clock dependence.
-//! * **Scoped.** [`FaultPlan::install`] returns a guard; dropping it
+//! * **Scoped.** `FaultPlan::install` returns a guard; dropping it
 //!   uninstalls the plan, so tests compose under `cargo test` as long as
 //!   fault-injection tests run single-threaded per plan (the plan itself is
 //!   process-global).

@@ -22,9 +22,12 @@
 //! allocation made when the lock is built, `2 × capacity` wait cells, each
 //! on a cache line of its own: cell `i < capacity` is the writer cell of the
 //! handle on [`SlotRegistry`](crate::SlotRegistry) slot `i`, the other
-//! `capacity` are a pool of reader-group cells. The writers are an
-//! intrusive list of cell indices, so enqueue, hand-off, wake-up and
-//! timeout excision relink cells and allocate nothing. With the mutex held
+//! `capacity` are a pool of reader-group cells. Under
+//! [`WaitStrategy::SpinThenPark`] each cell's list of parked threads is
+//! sized when the lock is built too (one entry on a writer cell,
+//! `capacity` on a group cell). The writers are an intrusive list of cell
+//! indices, so enqueue, hand-off, wake-up and timeout excision relink
+//! cells and allocate nothing. With the mutex held
 //! ([`Turnstile::lock`]) a waiter enqueues itself
 //! ([`enqueue_writer`](LockedQueue::enqueue_writer),
 //! [`join_readers`](LockedQueue::join_readers)) and a releaser picks its
@@ -80,9 +83,11 @@ struct WaitCell {
 }
 
 impl WaitCell {
-    fn new(strategy: WaitStrategy) -> Self {
+    /// A cell that at most `waiters` threads wait on at once: one on a
+    /// writer cell, every reader of a group on a group cell.
+    fn new(strategy: WaitStrategy, waiters: usize) -> Self {
         Self {
-            event: Event::new(strategy),
+            event: Event::with_waiters(strategy, waiters),
             next: AtomicU32::new(NIL),
             prev: AtomicU32::new(NIL),
             queued: AtomicBool::new(false),
@@ -151,7 +156,10 @@ impl Turnstile {
                 readers: NIL,
             })),
             cells: (0..2 * capacity)
-                .map(|_| CachePadded::new(WaitCell::new(strategy)))
+                .map(|i| {
+                    let waiters = if i < capacity { 1 } else { capacity };
+                    CachePadded::new(WaitCell::new(strategy, waiters))
+                })
                 .collect(),
         }
     }

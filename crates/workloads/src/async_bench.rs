@@ -21,10 +21,10 @@
 //! million-task run as `BENCH_async.json`.
 
 use oll::async_lock::AsyncRwLock;
-use oll::telemetry::report::{lock_json, SCHEMA_VERSION};
 use oll::telemetry::{HistogramSnapshot, LockSnapshot};
 use oll::util::json::{obj, rounded, text, Value};
 use oll::util::XorShift64;
+use oll_obs::report::{lock_json, SCHEMA_VERSION};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -322,7 +322,7 @@ pub fn render_async_text(r: &AsyncBenchResult) -> String {
 #[cfg(all(test, not(loom)))]
 mod tests {
     use super::*;
-    use crate::json::parse::{self, Value};
+    use oll::util::json::{self as parse, Value};
 
     #[test]
     fn quick_bench_drains_cleanly() {

@@ -246,7 +246,7 @@ fn print_panel_telemetry(result: &PanelResult) {
         "-- telemetry at {} thread(s) --",
         result.thread_counts.last().copied().unwrap_or(0)
     );
-    println!("{}", oll::telemetry::report::render_text(&profiles));
+    println!("{}", oll_obs::report::render_text(&profiles));
 }
 
 fn write_file(path: &str, contents: &str) {

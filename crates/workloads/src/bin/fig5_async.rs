@@ -174,7 +174,7 @@ fn main() {
         if let Some(profile) = &result.telemetry {
             println!(
                 "{}",
-                oll::telemetry::report::render_text(std::slice::from_ref(profile))
+                oll_obs::report::render_text(std::slice::from_ref(profile))
             );
         }
     }

@@ -14,13 +14,13 @@
 //!   JSON numbers are f64 and would corrupt them.
 //!
 //! Consumers should check `"schema"` and `"version"` before parsing;
-//! [`oll::telemetry::report::SCHEMA_VERSION`] is bumped on any
+//! [`oll_obs::report::SCHEMA_VERSION`] is bumped on any
 //! backwards-incompatible change across all OLL JSON documents.
 
 use crate::sweep::PanelResult;
-use oll::telemetry::report::{lock_json, SCHEMA_VERSION};
 use oll::trace::Timeline;
 use oll::util::json::{obj, rounded, text, Value};
+use oll_obs::report::{lock_json, SCHEMA_VERSION};
 use oll_obs::TraceReport;
 
 /// Renders a set of regenerated Figure 5 panels as one `oll.fig5`

@@ -10,7 +10,8 @@
 //! cargo run --release --example kv_cache
 //! ```
 
-use oll::{FollLock, RollLock, RwLockFamily, SolarisLikeRwLock};
+use oll::baselines::SolarisLikeRwLock;
+use oll::{FollLock, RollLock, RwLockFamily};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};

@@ -30,10 +30,11 @@
 //! writes the final `oll.obs` document. Both need the `telemetry`
 //! feature: without it they are usage errors (exit 2).
 
-use oll::telemetry::{registry, report, Telemetry};
+use oll::telemetry::{registry, Telemetry};
 use oll::trace::TraceSession;
 use oll::util::XorShift64;
 use oll::{RwHandle, RwLockFamily};
+use oll_obs::report;
 use oll_workloads::obsio::{self, ObsArgs};
 use oll_workloads::{traceio, LockKind, LockOptions, LockVisitor};
 use std::any::Any;

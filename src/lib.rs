@@ -42,22 +42,40 @@
 //!
 //! # Crate map
 //!
-//! * [`csnzi`] — SNZI / closable-SNZI (the paper's §2).
-//! * [`core`] (re-exported at the root) — GOLL, FOLL, ROLL (§3–4).
+//! The root names what a lock user touches: the three OLL locks and
+//! their builders, the [`RwLock`] guard API and the handle traits, the
+//! wrappers ([`Bravo`], [`SelfTuning`], [`Watched`]) with their error
+//! types, and with the `async` feature the futures-native family.
+//! Everything else is reachable under its crate's path:
+//!
+//! * [`csnzi`] — SNZI / closable-SNZI (the paper's §2): `CSnzi`, the
+//!   arrival policy and tree shape a builder takes.
+//! * [`core`] — GOLL, FOLL, ROLL (§3–4), the guard API, the `Bravo` and
+//!   `SelfTuning` wrappers and their per-thread handles and configs.
 //! * [`baselines`] — KSUH, Solaris-like, centralized, std (§1, §5).
-//! * `async_lock` — the futures-native [`AsyncRwLock`] family: task-waker
+//!   [`CentralizedRwLock`] and [`StdRwLock`] are also at the root; the
+//!   crate stays a dependency of this one (and so does its `telemetry`
+//!   hook in the root's list of instrumented crates) as long as the
+//!   benchmark imports the comparators through `oll`.
+//! * `async_lock` — the futures-native `AsyncRwLock` family: task-waker
 //!   hand-off over the same C-SNZI cores, cancel-on-drop, deadlines
 //!   (build with the `async` feature; absent otherwise).
 //! * [`telemetry`] — per-lock contention profiling (build with the
 //!   `telemetry` feature to record; zero-cost no-ops otherwise). That
 //!   feature is the one observability switch: [`trace`] needs it too.
+//!   Rendering a profile as text or JSON is `oll-obs`'s job.
 //! * [`hazard`] — the [`Watched`] wrapper: panic-safe poisoning, online
 //!   deadlock detection, and a starvation watchdog over any lock (an
 //!   unwrapped lock carries none of it).
 //! * [`trace`] — the flight recorder, `oll_telemetry::trace`: records
 //!   while a `TraceSession` is open. The analyzer and Perfetto export
 //!   that read a recording, and the live sampler, are in `oll-obs`.
-//! * [`util`] — backoff, cache padding, events, spin mutex, thread slots.
+//! * [`util`] — backoff, cache padding, events, spin mutex, thread
+//!   slots, and the `TuningKnobs` block every runtime knob lives in.
+//!
+//! `public-api.txt` at the repository root lists every public item of
+//! this crate and the crates it links; `scripts/public_api.sh`
+//! regenerates it.
 
 #[cfg(feature = "async")]
 pub use oll_async as async_lock;
@@ -79,20 +97,15 @@ pub mod workloads {
     }
 }
 
-pub use oll_baselines::{CentralizedRwLock, KsuhLock, SolarisLikeRwLock, StdRwLock};
+pub use oll_baselines::{CentralizedRwLock, StdRwLock};
 #[cfg(not(loom))]
-pub use oll_core::TimedHandle;
-#[cfg(not(loom))]
-pub use oll_core::{Bravo, BravoHandle};
+pub use oll_core::{Bravo, SelfTuning, TimedHandle};
 pub use oll_core::{
     FollBuilder, FollLock, GollBuilder, GollLock, RollBuilder, RollLock, RwHandle, RwLock,
     RwLockFamily, TimedOut, UpgradableHandle,
 };
 #[cfg(not(loom))]
-pub use oll_core::{PolicyConfig, Regime, SelfTuning, TunedHandle, TuningConfig, TuningKnobs};
-pub use oll_csnzi::{ArrivalMode, ArrivalPolicy, CSnzi, CancelOutcome, LeafCursor, TreeShape};
-#[cfg(not(loom))]
-pub use oll_hazard::{AcquireError, PoisonError, Watched, WatchedHandle};
+pub use oll_hazard::{AcquireError, PoisonError, Watched};
 
 #[cfg(feature = "async")]
 pub use oll_async::{

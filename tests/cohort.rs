@@ -214,9 +214,9 @@ fn batch_bound_releases_cross_cohort() {
         FollLock::builder(2 + LOCALS)
             .cohort(true)
             .cohort_ranks(2)
-            .cohort_batch(BATCH)
             .build(),
     );
+    lock.knobs().set_cohort_batch(BATCH);
     assert_eq!(lock.cohort_batch(), BATCH);
     assert_eq!(lock.cohort_count(), 2);
 
@@ -276,9 +276,9 @@ fn cohort_writer_timeouts_keep_the_lock_functional() {
         FollLock::builder(THREADS)
             .cohort(true)
             .cohort_ranks(2)
-            .cohort_batch(2)
             .build(),
     );
+    lock.knobs().set_cohort_batch(2);
     let state = Arc::new(AtomicI64::new(0));
     let mut threads = Vec::new();
     for tid in 0..THREADS {
@@ -342,9 +342,9 @@ fn cohort_tail_cas_race_under_fault_injection() {
         FollLock::builder(THREADS)
             .cohort(true)
             .cohort_ranks(2)
-            .cohort_batch(2)
             .build(),
     );
+    lock.knobs().set_cohort_batch(2);
     let state = Arc::new(AtomicI64::new(0));
     let mut threads = Vec::new();
     for tid in 0..THREADS {

@@ -6,11 +6,10 @@
 //! the locks are no-ops, so there would be nothing to test).
 #![cfg(feature = "fault-injection")]
 
+use oll::baselines::SolarisLikeRwLock;
 use oll::util::fault::FaultPlan;
 use oll::util::WaitStrategy;
-use oll::{
-    Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock, TimedHandle,
-};
+use oll::{Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, TimedHandle};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;

@@ -10,10 +10,8 @@
 //! their documented contract — so the checks are implications, not
 //! equivalences.
 
-use oll::{
-    CentralizedRwLock, FollLock, GollLock, KsuhLock, RollLock, RwHandle, RwLockFamily,
-    SolarisLikeRwLock, StdRwLock,
-};
+use oll::baselines::{KsuhLock, SolarisLikeRwLock};
+use oll::{CentralizedRwLock, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, StdRwLock};
 use proptest::prelude::*;
 
 const HANDLES: usize = 3;

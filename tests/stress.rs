@@ -2,7 +2,8 @@
 //! deregistering mid-flight), protected-data consistency through the
 //! `RwLock<T>` wrapper, and mixed try/blocking usage.
 
-use oll::{FollLock, GollLock, KsuhLock, RollLock, RwHandle, RwLock, RwLockFamily};
+use oll::baselines::KsuhLock;
+use oll::{FollLock, GollLock, RollLock, RwHandle, RwLock, RwLockFamily};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 

@@ -8,10 +8,12 @@
 
 #![cfg(feature = "telemetry")]
 
+use oll::baselines::SolarisLikeRwLock;
+use oll::csnzi::TreeShape;
 use oll::telemetry::{registry, LockEvent, Telemetry};
 use oll::{
-    Bravo, CentralizedRwLock, FollLock, GollLock, RollLock, RwHandle, RwLockFamily,
-    SolarisLikeRwLock, TimedHandle, TreeShape, UpgradableHandle,
+    Bravo, CentralizedRwLock, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, TimedHandle,
+    UpgradableHandle,
 };
 use std::time::{Duration, Instant};
 

@@ -4,8 +4,9 @@
 
 #![cfg(not(feature = "telemetry"))]
 
+use oll::baselines::SolarisLikeRwLock;
 use oll::telemetry::{registry, LockEvent, Telemetry, Timer};
-use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock};
+use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily};
 
 #[test]
 fn facades_are_zero_sized() {

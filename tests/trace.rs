@@ -11,9 +11,10 @@
 
 #![cfg(feature = "telemetry")]
 
+use oll::baselines::SolarisLikeRwLock;
 use oll::telemetry::LockEvent;
 use oll::trace::{Timeline, TraceKind, TraceSession};
-use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock};
+use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily};
 use oll_obs::{analyze, AnalyzerConfig, TraceReport};
 use std::time::{Duration, Instant};
 

@@ -6,8 +6,9 @@
 
 #![cfg(not(feature = "telemetry"))]
 
+use oll::baselines::SolarisLikeRwLock;
 use oll::trace::{self, TraceKind, TraceSession};
-use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock};
+use oll::{FollLock, GollLock, RollLock, RwHandle, RwLockFamily};
 use oll_obs::{analyze, render_chrome_trace, AnalyzerConfig};
 
 #[test]

@@ -2,9 +2,10 @@
 //! the same contract — guard semantics, try-lock semantics, capacity
 //! accounting, and slot reuse — checked generically.
 
+use oll::baselines::SolarisLikeRwLock;
 use oll::{
-    Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, SolarisLikeRwLock, StdRwLock,
-    TimedHandle, UpgradableHandle, Watched,
+    Bravo, FollLock, GollLock, RollLock, RwHandle, RwLockFamily, StdRwLock, TimedHandle,
+    UpgradableHandle, Watched,
 };
 use oll_workloads::{LockKind, LockOptions, LockVisitor};
 use std::time::Duration;

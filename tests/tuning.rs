@@ -18,10 +18,8 @@
 
 #![cfg(not(loom))]
 
-use oll::{
-    FollBuilder, FollLock, GollLock, PolicyConfig, Regime, RwHandle, RwLockFamily, SelfTuning,
-    TuningConfig,
-};
+use oll::core::{PolicyConfig, Regime, TuningConfig};
+use oll::{FollBuilder, FollLock, GollLock, RwHandle, RwLockFamily, SelfTuning};
 
 /// Windows are closed only by explicit `tick`s (the slow-path clock is
 /// effectively disabled), so every tick classifies exactly the

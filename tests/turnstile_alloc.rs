@@ -144,9 +144,9 @@ fn turnstile_users_allocate_nothing_after_setup() {
     );
     let root = lock.csnzi_snapshot();
     assert_eq!((root.surplus(), root.open), (0, true));
-    // (Under `SpinThenPark` an event's list of parked threads gets its
-    // storage the first time a waiter parks on it, once per cell; the
-    // warm-up parks on every cell many times over.)
+    // (Under `SpinThenPark` every cell's list of parked threads is sized
+    // when the lock is built, so it holds however many of them park at
+    // once, including on a group cell the warm-up never used.)
     for strategy in [WaitStrategy::SpinThenYield, WaitStrategy::SpinThenPark] {
         let lock = SolarisLikeRwLock::with_strategy(THREADS, strategy);
         assert_eq!(
