@@ -12,7 +12,7 @@
 //! not starved by a steady reader stream), bits 2.. = reader count.
 
 use oll_core::raw::{RwHandle, RwLockFamily};
-use oll_util::backoff::{Backoff, BackoffPolicy};
+use oll_util::backoff::Backoff;
 use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
 use oll_util::sync::{AtomicU64, Ordering};
 use oll_util::CachePadded;
@@ -25,7 +25,6 @@ const READER_UNIT: u64 = 0b100;
 pub struct CentralizedRwLock {
     word: CachePadded<AtomicU64>,
     slots: SlotRegistry,
-    backoff: BackoffPolicy,
 }
 
 impl CentralizedRwLock {
@@ -34,7 +33,6 @@ impl CentralizedRwLock {
         Self {
             word: CachePadded::new(AtomicU64::new(0)),
             slots: SlotRegistry::new(capacity.max(1)),
-            backoff: BackoffPolicy::default(),
         }
     }
 
@@ -86,7 +84,7 @@ pub struct CentralizedHandle<'a> {
 
 impl RwHandle for CentralizedHandle<'_> {
     fn lock_read(&mut self) {
-        let mut b = Backoff::with_policy(self.lock.backoff);
+        let mut b = Backoff::new();
         while !self.lock.try_read_once() {
             b.backoff();
         }
@@ -98,7 +96,7 @@ impl RwHandle for CentralizedHandle<'_> {
     }
 
     fn lock_write(&mut self) {
-        let mut b = Backoff::with_policy(self.lock.backoff);
+        let mut b = Backoff::new();
         // Announce intent so readers stop streaming past us.
         loop {
             let w = self.lock.word.load(Ordering::Acquire);

@@ -21,7 +21,7 @@
 //! order between `spin` writes and `next` reads.
 
 use oll_core::raw::{RwHandle, RwLockFamily};
-use oll_util::backoff::{spin_until, Backoff, BackoffPolicy};
+use oll_util::backoff::{spin_until, Backoff};
 use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
 use oll_util::sync::{AtomicBool, AtomicU32, Ordering::SeqCst};
 use oll_util::CachePadded;
@@ -45,7 +45,6 @@ pub struct KsuhLock {
     tail: CachePadded<AtomicU32>,
     nodes: Box<[CachePadded<Node>]>,
     slots: SlotRegistry,
-    backoff: BackoffPolicy,
 }
 
 impl KsuhLock {
@@ -66,7 +65,6 @@ impl KsuhLock {
                 })
                 .collect(),
             slots: SlotRegistry::new(capacity),
-            backoff: BackoffPolicy::default(),
         }
     }
 
@@ -75,7 +73,7 @@ impl KsuhLock {
     }
 
     fn lock_node(&self, i: u32) {
-        let mut b = Backoff::with_policy(self.backoff);
+        let mut b = Backoff::new();
         while self
             .node(i)
             .lk
@@ -117,7 +115,7 @@ impl KsuhLock {
             if pnode.kind.load(SeqCst) == KIND_READER && !pnode.spin.load(SeqCst) {
                 node.spin.store(false, SeqCst);
             } else {
-                spin_until(self.backoff, || !node.spin.load(SeqCst));
+                spin_until(|| !node.spin.load(SeqCst));
             }
         }
         // Chained wakeup: an acquiring reader activates a waiting reader
@@ -134,7 +132,7 @@ impl KsuhLock {
         // Lock our predecessor, re-validating `prev` after each attempt:
         // the predecessor may splice itself out while we chase it.
         let mut prev;
-        let mut b = Backoff::with_policy(self.backoff);
+        let mut b = Backoff::new();
         loop {
             prev = node.prev.load(SeqCst);
             if prev == NIL {
@@ -165,7 +163,7 @@ impl KsuhLock {
             }
             // Someone is enqueuing behind us; wait for the link, then
             // splice below (restoring the predecessor's next).
-            spin_until(self.backoff, || node.next.load(SeqCst) != NIL);
+            spin_until(|| node.next.load(SeqCst) != NIL);
             next = node.next.load(SeqCst);
         }
         let nnode = self.node(next);
@@ -196,7 +194,7 @@ impl KsuhLock {
         }
         node.prev.store(pred, SeqCst);
         self.node(pred).next.store(me, SeqCst);
-        spin_until(self.backoff, || !node.spin.load(SeqCst));
+        spin_until(|| !node.spin.load(SeqCst));
     }
 
     fn writer_unlock(&self, me: u32) {
@@ -209,7 +207,7 @@ impl KsuhLock {
             if self.tail.compare_exchange(me, NIL, SeqCst, SeqCst).is_ok() {
                 return;
             }
-            spin_until(self.backoff, || node.next.load(SeqCst) != NIL);
+            spin_until(|| node.next.load(SeqCst) != NIL);
             next = node.next.load(SeqCst);
         }
         let nnode = self.node(next);

@@ -125,9 +125,9 @@ impl oll_core::raw::TimedHandle for StdRwHandle<'_> {
     /// deadline-bounded backoff. Unlike the queue locks this can starve
     /// under heavy contention, which is itself a useful baseline contrast.
     fn lock_read_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), oll_core::TimedOut> {
-        use oll_util::backoff::{spin_until_deadline, BackoffPolicy};
+        use oll_util::backoff::spin_until_deadline;
         debug_assert!(self.read_guard.is_none() && self.write_guard.is_none());
-        if spin_until_deadline(BackoffPolicy::default(), deadline, || self.try_lock_read()) {
+        if spin_until_deadline(deadline, || self.try_lock_read()) {
             Ok(())
         } else {
             Err(oll_core::TimedOut)
@@ -135,9 +135,9 @@ impl oll_core::raw::TimedHandle for StdRwHandle<'_> {
     }
 
     fn lock_write_deadline<D: Deadline>(&mut self, deadline: D) -> Result<(), oll_core::TimedOut> {
-        use oll_util::backoff::{spin_until_deadline, BackoffPolicy};
+        use oll_util::backoff::spin_until_deadline;
         debug_assert!(self.read_guard.is_none() && self.write_guard.is_none());
-        if spin_until_deadline(BackoffPolicy::default(), deadline, || self.try_lock_write()) {
+        if spin_until_deadline(deadline, || self.try_lock_write()) {
             Ok(())
         } else {
             Err(oll_core::TimedOut)

@@ -26,18 +26,21 @@
 //! other — either the writer sees the published slot and waits, or the
 //! reader sees `rbias == false` and withdraws. Weaker orderings admit
 //! executions where *both* proceed, i.e. a reader and writer inside the
-//! critical section together.
+//! critical section together. The stores that set `rbias` back to `true`
+//! are `SeqCst` too, as the release half of the recheck: a reader that
+//! reads `true` from them also sees every write made before them.
 //!
 //! # Re-arming
 //!
 //! Revocation is expensive (a full table scan) and its cost scales with
 //! how long readers hold the lock, so the bias must not flap on mixed
-//! workloads. Following BRAVO, each revocation measures its own duration
-//! and inhibits re-arming for `revocation_time × multiplier` (default
-//! ×[`DEFAULT_REARM_MULTIPLIER`]): the more revocation costs, the longer
-//! the lock stays unbiased, bounding the worst-case slowdown from biasing
-//! at roughly `1/multiplier`. A slow-path reader that finds the inhibit
-//! window expired re-arms the bias.
+//! workloads. Following BRAVO, every revocation — blocking, timed or
+//! `try` — measures its own duration `t` and inhibits re-arming for
+//! `t × N` (default N = [`DEFAULT_REARM_MULTIPLIER`], fixed when the
+//! lock is built): the more revocation costs, the longer the lock stays
+//! unbiased, bounding the worst-case slowdown from biasing at roughly
+//! `1/N`. A slow-path reader that finds the inhibit window expired, and
+//! the lock's [`TuningKnobs::bias_allowed`] set, re-arms the bias.
 
 use crate::raw::{RwHandle, RwLockFamily, TimedHandle, TimedOut, UpgradableHandle};
 use oll_telemetry::{LockEvent, Telemetry, Timer};
@@ -52,9 +55,22 @@ use std::time::Instant;
 
 /// Default revocation-inhibit multiplier: after a revocation taking `t`
 /// ns, the bias may not re-arm for `9 × t` ns, bounding the throughput
-/// lost to revocations at ~10% of a write-heavy run (BRAVO's `N`). The
-/// live value is read from the lock's [`TuningKnobs`].
-pub const DEFAULT_REARM_MULTIPLIER: u32 = oll_util::knobs::DEFAULT_REARM_MULTIPLIER;
+/// lost to revocations at ~10% of a write-heavy run (BRAVO's `N`).
+pub const DEFAULT_REARM_MULTIPLIER: u32 = 9;
+
+/// The deadline of a `try` revocation: already passed, so the scan
+/// probes each published slot and waits for none.
+#[derive(Clone, Copy)]
+struct Passed;
+
+impl Deadline for Passed {
+    #[inline(always)]
+    fn expired(self) -> bool {
+        true
+    }
+
+    fn park(self) {}
+}
 
 /// Nanoseconds since a process-global epoch; monotonic and cheap enough
 /// for the inhibit-window bookkeeping (read on the slow path only).
@@ -104,9 +120,11 @@ pub struct Bravo<L> {
     /// `now_ns()` before which the bias must not re-arm.
     inhibit_until_ns: AtomicU64,
     lock_id: usize,
-    /// Live policy values (re-arm multiplier, revoke-scan backoff, bias
-    /// permission). Defaults to a private block; a controller steers the
-    /// lock by sharing one via [`Bravo::tuning`].
+    /// BRAVO's `N`: a revocation that took `t` inhibits re-arming for
+    /// `t × N`.
+    rearm_multiplier: u32,
+    /// Whether the bias may re-arm: the one knob a controller steers
+    /// while the lock runs.
     knobs: Arc<TuningKnobs>,
     table: Table,
     enabled: bool,
@@ -126,6 +144,7 @@ impl<L> Bravo<L> {
             rbias: CachePadded::new(AtomicBool::new(biased)),
             inhibit_until_ns: AtomicU64::new(0),
             lock_id: next_lock_id(),
+            rearm_multiplier: DEFAULT_REARM_MULTIPLIER,
             knobs: TuningKnobs::shared(),
             table: Table::Global,
             enabled: biased,
@@ -135,23 +154,13 @@ impl<L> Bravo<L> {
     /// Sets the revocation-inhibit multiplier (default
     /// [`DEFAULT_REARM_MULTIPLIER`]). `0` re-arms immediately after every
     /// revocation — maximum reader throughput, maximum writer cost.
-    /// Writes into the current [`TuningKnobs`]; call after
-    /// [`Bravo::tuning`] if both are used.
-    pub fn rearm_multiplier(self, multiplier: u32) -> Self {
-        self.knobs.set_rearm_multiplier(multiplier);
+    pub fn rearm_multiplier(mut self, multiplier: u32) -> Self {
+        self.rearm_multiplier = multiplier;
         self
     }
 
-    /// Shares `knobs` as this lock's live policy source, replacing the
-    /// private default block — the hook an online controller (or a test)
-    /// uses to steer the re-arm multiplier, revoke-scan backoff, and bias
-    /// permission while the lock runs.
-    pub fn tuning(mut self, knobs: Arc<TuningKnobs>) -> Self {
-        self.knobs = knobs;
-        self
-    }
-
-    /// The live tuning-knob block this lock reads.
+    /// The live tuning-knob block this lock reads: its
+    /// [`bias_allowed`](TuningKnobs::bias_allowed) gates every re-arm.
     pub fn knobs(&self) -> &Arc<TuningKnobs> {
         &self.knobs
     }
@@ -289,7 +298,9 @@ impl<L: RwLockFamily> BravoHandle<'_, L> {
     /// — the "undo" the timed paths rely on.
     fn try_fast_read(&mut self) -> bool {
         let lock = self.lock;
-        if !(lock.enabled && lock.rbias.load(Ordering::SeqCst)) {
+        // Relaxed: only a filter. A stale `true` costs a publish the
+        // SeqCst recheck below withdraws; a stale `false` a slow read.
+        if !(lock.enabled && lock.rbias.load(Ordering::Relaxed)) {
             return false;
         }
         let timer = self.telemetry.begin_read();
@@ -311,6 +322,7 @@ impl<L: RwLockFamily> BravoHandle<'_, L> {
         // The recheck half of the store-buffering pattern (see module
         // docs): if a writer cleared `rbias` concurrently it may have
         // scanned past our slot already, so we must withdraw.
+        // SeqCst: partner of `revoke`'s `rbias.store(false)`.
         if !lock.rbias.load(Ordering::SeqCst) {
             drop(unwind);
             fault::inject("bravo.read.withdrawn");
@@ -336,74 +348,65 @@ impl<L: RwLockFamily> BravoHandle<'_, L> {
             && lock.knobs.bias_allowed()
             && now_ns() >= lock.inhibit_until_ns.load(Ordering::Relaxed)
         {
+            // SeqCst: a release for `try_fast_read`'s recheck.
             lock.rbias.store(true, Ordering::SeqCst);
             self.telemetry.incr(LockEvent::BiasRearm);
         }
     }
 
-    /// Revokes the bias: clears `rbias`, waits out every published
-    /// reader, and starts the inhibit window. Must be called while
-    /// holding the underlying write lock (which is what serializes
-    /// revocations against each other and against re-arms). An associated
-    /// fn (not `&mut self`) so callers can keep a disjoint `&mut` borrow
-    /// of the inner handle for the unwind guard around the scan.
+    /// Revokes the bias — the one place a writer clears `rbias`: clears
+    /// it, waits for every published reader but the caller's own `own`
+    /// slot to leave, and starts the inhibit window (BRAVO's
+    /// `took × N`). Must be called while holding the underlying write
+    /// lock, which serializes revocations against each other and against
+    /// re-arms. An associated fn (not `&mut self`) so callers can keep a
+    /// disjoint `&mut` borrow of the inner handle for the unwind guard
+    /// around the scan.
     ///
     /// Returns `false` — with the bias restored — if a published reader
-    /// outlasts `deadline`; a [`Never`] deadline always revokes.
-    fn revoke_bias<D: Deadline>(lock: &Bravo<L>, telemetry: &Telemetry, deadline: D) -> bool {
-        // `rbias == false` while we hold the underlying write lock means
-        // the last revocation completed and nothing re-armed since; no
-        // fast reader can be active (the fast path requires the flag),
+    /// outlasts `deadline`: a [`Never`] deadline always revokes, and a
+    /// [`Passed`] one (the `try` paths) waits for nobody, so a probe never
+    /// blocks on a fast reader — not even on one its own thread holds
+    /// through another handle.
+    fn revoke<D: Deadline>(
+        lock: &Bravo<L>,
+        telemetry: &Telemetry,
+        own: Option<usize>,
+        deadline: D,
+    ) -> bool {
+        // Relaxed: every store to `rbias` is made under the underlying
+        // lock (re-arms under a read hold, revocations under the write
+        // hold), and the caller holds it exclusively, so the lock's own
+        // release/acquire orders them all before this load. `false` here
+        // means the last revocation completed and nothing re-armed since;
+        // no fast reader can be active (the fast path requires the flag),
         // so the scan can be skipped.
-        if !(lock.enabled && lock.rbias.load(Ordering::SeqCst)) {
+        if !(lock.enabled && lock.rbias.load(Ordering::Relaxed)) {
             return true;
         }
-        let start = Instant::now();
+        let start = now_ns();
+        // SeqCst: partner of `try_fast_read`'s recheck.
         lock.rbias.store(false, Ordering::SeqCst);
         fault::inject("bravo.write.revoke-scan");
         let table = lock.table();
-        for i in 0..table.len() {
+        for i in (0..table.len()).filter(|&i| Some(i) != own) {
             if table.load(i) == lock.lock_id {
                 fault::inject("bravo.write.revoke-mid-scan");
-                if !spin_until_deadline(lock.knobs.backoff_policy(), deadline, || {
-                    table.load(i) != lock.lock_id
-                }) {
+                if !spin_until_deadline(deadline, || table.load(i) != lock.lock_id) {
                     // Safe to restore while we hold the underlying write
                     // lock: no other writer can be mid-revoke.
+                    // SeqCst: a release for `try_fast_read`'s recheck.
                     lock.rbias.store(true, Ordering::SeqCst);
                     return false;
                 }
             }
         }
-        let took = start.elapsed().as_nanos() as u64;
-        lock.inhibit_until_ns.store(
-            now_ns().saturating_add(took.saturating_mul(u64::from(lock.knobs.rearm_multiplier()))),
-            Ordering::Relaxed,
-        );
-        telemetry.incr(LockEvent::BiasRevoke);
-        true
-    }
-
-    /// Non-blocking revocation for the `try` path: clears `rbias` and
-    /// scans the table once. If a published reader is sighted the bias is
-    /// restored and `false` returned — waiting the reader out would turn
-    /// `try_lock_write` into a blocking call (and deadlock a thread that
-    /// probes for a writer while another of its handles holds a fast
-    /// read). Must be called while holding the underlying write lock.
-    fn try_revoke_bias(lock: &Bravo<L>, telemetry: &Telemetry) -> bool {
-        if !(lock.enabled && lock.rbias.load(Ordering::SeqCst)) {
-            return true;
-        }
-        lock.rbias.store(false, Ordering::SeqCst);
-        fault::inject("bravo.write.revoke-scan");
-        let table = lock.table();
-        if (0..table.len()).any(|i| table.load(i) == lock.lock_id) {
-            // Safe to restore while we hold the underlying write lock:
-            // no other writer can be mid-revoke.
-            lock.rbias.store(true, Ordering::SeqCst);
-            return false;
-        }
-        lock.inhibit_until_ns.store(now_ns(), Ordering::Relaxed);
+        let now = now_ns();
+        let inhibit = now
+            .saturating_sub(start)
+            .saturating_mul(u64::from(lock.rearm_multiplier));
+        lock.inhibit_until_ns
+            .store(now.saturating_add(inhibit), Ordering::Relaxed);
         telemetry.incr(LockEvent::BiasRevoke);
         true
     }
@@ -435,7 +438,7 @@ impl<L: RwLockFamily> RwHandle for BravoHandle<'_, L> {
             inner: &mut self.inner,
             armed: true,
         };
-        let revoked = Self::revoke_bias(self.lock, &self.telemetry, Never);
+        let revoked = Self::revoke(self.lock, &self.telemetry, None, Never);
         debug_assert!(revoked, "a revocation with no deadline cannot time out");
         unwind.armed = false;
     }
@@ -463,7 +466,7 @@ impl<L: RwLockFamily> RwHandle for BravoHandle<'_, L> {
             inner: &mut self.inner,
             armed: true,
         };
-        if !Self::try_revoke_bias(self.lock, &self.telemetry) {
+        if !Self::revoke(self.lock, &self.telemetry, None, Passed) {
             // A fast reader is published; waiting it out would block, so
             // the probe fails like it would against an underlying reader.
             // The guard's drop performs the undo on this path too.
@@ -500,7 +503,7 @@ where
             inner: &mut self.inner,
             armed: true,
         };
-        if !Self::revoke_bias(self.lock, &self.telemetry, deadline) {
+        if !Self::revoke(self.lock, &self.telemetry, None, deadline) {
             return Err(TimedOut);
         }
         unwind.armed = false;
@@ -513,31 +516,20 @@ where
     L::Handle<'a>: UpgradableHandle,
 {
     fn try_upgrade(&mut self) -> bool {
-        let lock = self.lock;
         match self.fast_slot {
             // Slow-path read hold: let the underlying lock check for
             // rival *underlying* readers, then make sure no *fast*
             // readers are hiding in the table. The table check must not
             // block (two readers upgrading must both be able to fail),
-            // so on sighting one we restore the bias and downgrade back.
+            // so on sighting one we downgrade back.
             None => {
                 if !self.inner.try_upgrade() {
                     return false;
                 }
-                if lock.enabled && lock.rbias.load(Ordering::SeqCst) {
-                    lock.rbias.store(false, Ordering::SeqCst);
-                    let table = lock.table();
-                    let occupied = (0..table.len()).any(|i| table.load(i) == lock.lock_id);
-                    if occupied {
-                        // Safe to restore while we hold the underlying
-                        // write lock: no other writer can be mid-revoke.
-                        lock.rbias.store(true, Ordering::SeqCst);
-                        self.inner.downgrade();
-                        self.telemetry.incr(LockEvent::UpgradeFail);
-                        return false;
-                    }
-                    lock.inhibit_until_ns.store(now_ns(), Ordering::Relaxed);
-                    self.telemetry.incr(LockEvent::BiasRevoke);
+                if !Self::revoke(self.lock, &self.telemetry, None, Passed) {
+                    self.inner.downgrade();
+                    self.telemetry.incr(LockEvent::UpgradeFail);
+                    return false;
                 }
                 true
             }
@@ -549,20 +541,14 @@ where
                     self.telemetry.incr(LockEvent::UpgradeFail);
                     return false;
                 }
-                lock.rbias.store(false, Ordering::SeqCst);
-                let table = lock.table();
-                let rival = (0..table.len()).any(|i| i != slot && table.load(i) == lock.lock_id);
-                if rival {
-                    lock.rbias.store(true, Ordering::SeqCst);
+                if !Self::revoke(self.lock, &self.telemetry, Some(slot), Passed) {
                     self.inner.unlock_write();
                     self.telemetry.incr(LockEvent::UpgradeFail);
                     return false;
                 }
                 self.telemetry.record_read_hold(&self.hold);
-                table.erase(slot);
+                self.lock.table().erase(slot);
                 self.fast_slot = None;
-                lock.inhibit_until_ns.store(now_ns(), Ordering::Relaxed);
-                self.telemetry.incr(LockEvent::BiasRevoke);
                 self.telemetry.incr(LockEvent::Upgrade);
                 true
             }
@@ -771,6 +757,53 @@ mod tests {
         assert!(h.fast_slot.is_none(), "inhibited bias forces slow path");
         assert!(h.try_upgrade());
         h.unlock_write();
+    }
+
+    /// Every revocation starts the inhibit window, the `try` ones too:
+    /// with a saturating multiplier, the slow read after each of them
+    /// must leave the bias disarmed. (ROLL has no upgrade; GOLL does.)
+    #[test]
+    fn every_revocation_inhibits_rearm() {
+        let build = || {
+            Bravo::new(GollLock::new(2))
+                .private_table(64)
+                .rearm_multiplier(u32::MAX)
+        };
+
+        let lock = Bravo::new(RollLock::new(2))
+            .private_table(64)
+            .rearm_multiplier(u32::MAX);
+        let mut h = lock.handle().unwrap();
+        assert!(h.try_lock_write(), "try_lock_write revokes");
+        h.unlock_write();
+        h.lock_read();
+        h.unlock_read();
+        assert!(!lock.bias_armed(), "re-armed after try_lock_write");
+
+        // Two handles of one thread hash to one slot: `a`'s fast read
+        // sends `b` down the slow path while the bias stays armed.
+        let lock = build();
+        let mut a = lock.handle().unwrap();
+        let mut b = lock.handle().unwrap();
+        a.lock_read();
+        b.lock_read();
+        assert!(a.fast_slot.is_some() && b.fast_slot.is_none());
+        a.unlock_read();
+        assert!(b.try_upgrade(), "sole slow reader upgrades");
+        b.unlock_write();
+        b.lock_read();
+        b.unlock_read();
+        assert!(!lock.bias_armed(), "re-armed after a slow-read upgrade");
+
+        let lock = build();
+        let mut h = lock.handle().unwrap();
+        h.lock_read();
+        assert!(h.fast_slot.is_some());
+        assert!(h.try_upgrade(), "sole fast reader upgrades");
+        h.unlock_write();
+        h.lock_read();
+        h.unlock_read();
+        assert!(!lock.bias_armed(), "re-armed after a fast-read upgrade");
     }
 
     #[cfg(not(loom))]

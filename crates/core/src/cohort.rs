@@ -238,9 +238,8 @@ impl QueueCore {
                 .store(slot as u32 + 1, Ordering::Release);
             fault::inject("cohort.write.enqueued");
             self.telemetry.trace_enqueued(cohort_token(slot));
-            let timed_out = !spin_until_deadline(self.backoff(), deadline, || {
-                me.state.load(Ordering::Acquire) == GRANTED
-            });
+            let timed_out =
+                !spin_until_deadline(deadline, || me.state.load(Ordering::Acquire) == GRANTED);
             if timed_out {
                 fault::inject("cohort.write.abandon-self");
                 if me
@@ -329,7 +328,7 @@ impl QueueCore {
                 };
             }
             // Someone is linking in behind us; wait for the link.
-            spin_until(self.backoff(), || me.qnext.load(Ordering::Acquire) != 0);
+            spin_until(|| me.qnext.load(Ordering::Acquire) != 0);
             succ = me.qnext.load(Ordering::Acquire);
         }
         me.qnext.store(0, Ordering::Relaxed);
@@ -385,7 +384,7 @@ impl QueueCore {
                                 _ => outcome,
                             };
                         }
-                        spin_until(self.backoff(), || node.qnext.load(Ordering::Acquire) != 0);
+                        spin_until(|| node.qnext.load(Ordering::Acquire) != 0);
                         nxt = node.qnext.load(Ordering::Acquire);
                     }
                     node.qnext.store(0, Ordering::Relaxed);
@@ -421,9 +420,7 @@ impl QueueCore {
     pub(crate) fn cohort_reclaim_node(&self, slot: usize) {
         let gate = self.cohort.as_ref().expect("cohort reclaim without a gate");
         let node = gate.node(slot);
-        spin_until(self.backoff(), || {
-            node.state.load(Ordering::Acquire) == RELEASED
-        });
+        spin_until(|| node.state.load(Ordering::Acquire) == RELEASED);
         node.qnext.store(0, Ordering::Relaxed);
         node.state.store(GRANTED, Ordering::Relaxed);
     }

@@ -22,7 +22,7 @@ use crate::cohort::{CohortGate, CohortHold, CohortRelease};
 use crate::raw::{RwHandle, RwLockFamily, TimedOut};
 use oll_csnzi::{ArrivalPolicy, CSnzi, CancelOutcome, LeafCursor, Ticket, TreeShape};
 use oll_telemetry::{LockEvent, Telemetry, Timer};
-use oll_util::backoff::{spin_until, spin_until_deadline, Backoff, BackoffPolicy, Deadline, Never};
+use oll_util::backoff::{spin_until, spin_until_deadline, Backoff, Deadline, Never};
 use oll_util::fault;
 use oll_util::knobs::TuningKnobs;
 use oll_util::slots::{SlotError, SlotGuard, SlotRegistry};
@@ -243,8 +243,8 @@ pub(crate) struct QueueCore {
     pub(crate) writer_nodes: Box<[CachePadded<WriterNode>]>,
     pub(crate) reader_nodes: Box<[CachePadded<ReaderNode>]>,
     pub(crate) slots: SlotRegistry,
-    /// Live tuning knobs (backoff caps, cohort batch); shared between the
-    /// builder, the cohort gate and an optional online controller.
+    /// Live tuning knobs (the cohort batch bound); shared with the
+    /// cohort gate.
     pub(crate) knobs: std::sync::Arc<TuningKnobs>,
     pub(crate) arrival_threshold: u32,
     pub(crate) telemetry: Telemetry,
@@ -282,16 +282,6 @@ impl QueueCore {
             telemetry,
             cohort: None,
         }
-    }
-
-    /// Backoff policy for a wait loop about to start, read from the live
-    /// knobs when the wait first backs off — a wait that passes at its
-    /// first probe reads none — and once per episode (a steered cap
-    /// applies from the next episode on; wait loops never re-read
-    /// mid-spin).
-    #[inline]
-    pub(crate) fn backoff(&self) -> impl Fn() -> BackoffPolicy + Copy + '_ {
-        move || self.knobs.backoff_policy()
     }
 
     /// Classifies a successful per-node C-SNZI arrival for telemetry.
@@ -417,9 +407,7 @@ impl QueueCore {
     /// next enqueue after a [`WriteTimeout::Abandoned`].
     pub(crate) fn reclaim_writer_node(&self, slot: usize) {
         let node = self.wnode(slot);
-        spin_until(self.backoff(), || {
-            node.state.load(Ordering::Acquire) == RELEASED
-        });
+        spin_until(|| node.state.load(Ordering::Acquire) == RELEASED);
         node.state.store(GRANTED, Ordering::Relaxed);
     }
 
@@ -476,7 +464,7 @@ impl QueueCore {
     /// starting at the thread's default node.
     pub(crate) fn alloc_reader_node(&self, slot: usize) -> usize {
         let mut idx = slot;
-        let mut backoff = Backoff::with_policy(self.backoff());
+        let mut backoff = Backoff::new();
         loop {
             let node = self.rnode(idx);
             if !node.in_use.load(Ordering::Relaxed)
@@ -586,7 +574,7 @@ impl QueueCore {
             // C-SNZI of this node incarnation (§4.2). Untimed on purpose:
             // the enqueuer opens it within a few instructions of the CAS
             // that made the node visible.
-            spin_until(self.backoff(), || pnode.csnzi.query().open);
+            spin_until(|| pnode.csnzi.query().open);
             if wait_for_active {
                 // ROLL: let readers keep joining until the group holds the
                 // lock. The predecessor reader node cannot be ABANDONED
@@ -595,9 +583,7 @@ impl QueueCore {
                 // expiry just close early — the acquisition degrades to
                 // FOLL behaviour but stays correct.
                 self.telemetry.trace_enqueued(u64::from(pred.raw()));
-                spin_until_deadline(self.backoff(), deadline, || {
-                    pnode.state.load(Ordering::Acquire) == GRANTED
-                });
+                spin_until_deadline(deadline, || pnode.state.load(Ordering::Acquire) == GRANTED);
             }
             if pnode.csnzi.close() {
                 // No readers will signal us: the group is (or became)
@@ -607,9 +593,8 @@ impl QueueCore {
                 // cancel and abandon the node — it can only be GRANTED.)
                 fault::inject("foll.write.closed-empty");
                 self.telemetry.trace_enqueued(u64::from(pred.raw()));
-                if !spin_until_deadline(self.backoff(), deadline, || {
-                    pnode.state.load(Ordering::Acquire) == GRANTED
-                }) {
+                if !spin_until_deadline(deadline, || pnode.state.load(Ordering::Acquire) == GRANTED)
+                {
                     return Err(self.cancel_takeover(slot, pred.index()));
                 }
                 self.free_reader_node(pred.index());
@@ -621,9 +606,7 @@ impl QueueCore {
         // the node we just closed — will grant us.
         fault::inject("foll.write.waiting");
         self.telemetry.trace_enqueued(u64::from(me.raw()));
-        if !spin_until_deadline(self.backoff(), deadline, || {
-            node.state.load(Ordering::Acquire) == GRANTED
-        }) {
+        if !spin_until_deadline(deadline, || node.state.load(Ordering::Acquire) == GRANTED) {
             return Err(self.cancel_writer_wait(slot));
         }
         self.telemetry.record_write_acquire(&acquire);
@@ -689,9 +672,7 @@ impl QueueCore {
                 return false;
             }
             // Someone is linking in behind us; wait for the link.
-            spin_until(self.backoff(), || {
-                !NodeRef::from_raw(node.qnext.load(Ordering::Acquire)).is_nil()
-            });
+            spin_until(|| !NodeRef::from_raw(node.qnext.load(Ordering::Acquire)).is_nil());
         }
         let succ = NodeRef::from_raw(node.qnext.load(Ordering::Acquire));
         self.note_handoff(succ);
@@ -801,11 +782,7 @@ impl<P: OrderPolicy> QueueBuilder<P> {
     #[cfg(not(loom))]
     pub fn build_biased(self) -> crate::Bravo<QueueLock<P>> {
         let biased = self.biased;
-        let lock = self.build();
-        // One knob block steers both layers: the wrapper's re-arm
-        // multiplier and bias permission live next to the queue's knobs.
-        let knobs = lock.knobs().clone();
-        crate::Bravo::wrapping(lock, biased).tuning(knobs)
+        crate::Bravo::wrapping(self.build(), biased)
     }
 
     /// Names this lock's telemetry instance (default `"<family>#<seq>"`).
@@ -1154,7 +1131,7 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
         let core = &lock.core;
         let slot = self.slot_idx();
         let mut rnode: Option<usize> = None;
-        let mut backoff = Backoff::with_policy(core.backoff());
+        let mut backoff = Backoff::new();
         loop {
             let tail = core.load_tail();
             if tail.is_nil() {
@@ -1260,9 +1237,7 @@ impl<P: OrderPolicy> QueueHandle<'_, P> {
         self.session = Some((idx, ticket));
         fault::inject(site);
         let node = core.rnode(idx);
-        if spin_until_deadline(core.backoff(), deadline, || {
-            node.state.load(Ordering::Acquire) == GRANTED
-        }) {
+        if spin_until_deadline(deadline, || node.state.load(Ordering::Acquire) == GRANTED) {
             core.telemetry.record_read_acquire(acquire);
             self.hold = core.telemetry.timer();
             return Ok(());

@@ -65,6 +65,6 @@ pub use raw::{ReadGuard, RwHandle, RwLockFamily, TimedOut, UpgradableHandle, Wri
 pub use roll::{RollBuilder, RollLock};
 pub use rwlock::{RwLock, RwLockOwner, RwLockReadGuard, RwLockWriteGuard};
 #[cfg(not(loom))]
-pub use tuning::{policy::PolicyConfig, policy::Regime, SelfTuning, TunedHandle, TuningConfig};
+pub use tuning::{Regime, SelfTuning, TunedHandle, TuningConfig};
 
 pub use oll_util::knobs::TuningKnobs;

@@ -1,6 +1,17 @@
-//! Contention-aware self-tuning: [`SelfTuning`] closes the telemetry loop
-//! by feeding a lock's own observed behaviour back into its
-//! [`TuningKnobs`] through a small online policy controller.
+//! Contention-aware self-tuning: [`SelfTuning`] arms or disarms a lock's
+//! BRAVO reader bias from the read/write mix it observes.
+//!
+//! # One lever
+//!
+//! The controller steers one knob, [`TuningKnobs::bias_allowed`]: per
+//! window, a mix with writes at 30 % or more of the acquisitions is
+//! [`Regime::WriteHeavy`] and disallows the bias; any other mix is
+//! [`Regime::Mixed`] and allows it. How long the bias stays off after a
+//! revocation is BRAVO's own rule (`took × N`, in [`Bravo`](crate::Bravo)),
+//! which the controller never overrides: a second controller steering
+//! the same bias would break the first one's bound on what biasing costs
+//! writers. The decision reads only the handles' own acquisition counts,
+//! so it is the same with or without telemetry.
 //!
 //! # Sampling without a timer thread
 //!
@@ -11,9 +22,9 @@
 //! that crosses the threshold — and wins a CAS on a single decider gate —
 //! closes the window: it snapshots the counter deltas, classifies the
 //! window into a [`Regime`], and (subject to hysteresis and cooldown)
-//! stores the regime's knob set. Threads that lose the gate race just
-//! continue into their acquisition; a decision is never worth waiting
-//! for.
+//! stores the regime's bias permission. Threads that lose the gate race
+//! just continue into their acquisition; a decision is never worth
+//! waiting for.
 //!
 //! This gives the zero-overhead property the BRAVO bias already has: an
 //! uncontended lock never enters the slow path, so the controller never
@@ -39,14 +50,12 @@
 //!    streak), while a genuine phase change flips exactly once.
 //! 2. **Cooldown** — after a flip, proposals are held for
 //!    [`TuningConfig::cooldown`] further windows, capping the decision
-//!    rate at one flip per `hysteresis + cooldown` windows even under
-//!    adversarial workloads.
+//!    rate at one flip per `max(hysteresis, cooldown + 1)` windows (3 at
+//!    the defaults) even under adversarial workloads.
 //!
 //! Held proposals are still visible (`tuner_hold` telemetry/trace
 //! events), so the trace analyzer can show *why* the controller did not
 //! move.
-
-pub mod policy;
 
 use crate::raw::{RwHandle, RwLockFamily, TimedHandle, TimedOut, UpgradableHandle};
 use oll_telemetry::{LockEvent, Telemetry};
@@ -54,9 +63,63 @@ use oll_util::backoff::Deadline;
 use oll_util::fault;
 use oll_util::knobs::TuningKnobs;
 use oll_util::slots::SlotError;
-use policy::{PolicyConfig, Regime, WindowStats};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// A window is [`Regime::WriteHeavy`] when writes make up at least this
+/// percentage of its acquisitions: reader bias stops paying for itself
+/// well before writes reach a third of the mix (BRAVO's own break-even
+/// analysis).
+const WRITE_HEAVY_PCT: u64 = 30;
+
+/// The regime a sampling window is classified into.
+///
+/// Discriminants are stable (they are packed into the `tuner_flip` trace
+/// token as `old << 8 | new`) — append, never renumber.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Regime {
+    /// Reads dominate, or no clear winner: the bias may arm (the regime
+    /// every lock starts in).
+    Mixed = 1,
+    /// Writers are frequent: the bias stays disarmed.
+    WriteHeavy = 2,
+}
+
+impl Regime {
+    /// All regimes, in discriminant order.
+    pub const ALL: [Regime; 2] = [Regime::Mixed, Regime::WriteHeavy];
+
+    /// Recovers a regime from its stable discriminant (unknown values
+    /// decode as [`Mixed`](Regime::Mixed) — the do-nothing regime).
+    pub fn from_u8(v: u8) -> Self {
+        match v {
+            2 => Regime::WriteHeavy,
+            _ => Regime::Mixed,
+        }
+    }
+
+    /// Stable snake_case name for reports and JSON.
+    pub fn name(self) -> &'static str {
+        match self {
+            Regime::Mixed => "mixed",
+            Regime::WriteHeavy => "write_heavy",
+        }
+    }
+
+    /// Classifies one window's `reads` and `writes` (deltas since the
+    /// previous window). An empty window (an explicit
+    /// [`tick`](SelfTuning::tick) on an idle lock) is
+    /// [`Mixed`](Regime::Mixed): no evidence, no steering.
+    fn classify(reads: u64, writes: u64) -> Self {
+        let total = reads + writes;
+        if total > 0 && writes * 100 >= total * WRITE_HEAVY_PCT {
+            Regime::WriteHeavy
+        } else {
+            Regime::Mixed
+        }
+    }
+}
 
 /// Controller pacing: how often windows close and how reluctantly the
 /// policy moves.
@@ -92,8 +155,6 @@ struct CtlShared {
     reads: AtomicU64,
     /// Total write acquisitions flushed by handles (fast + slow).
     writes: AtomicU64,
-    /// Total slow-path entries.
-    slow: AtomicU64,
     /// Slow entries since the last window close (the sampling clock).
     window_slow: AtomicU32,
     /// Single-decider gate: the thread that CASes this `false → true`
@@ -116,9 +177,6 @@ struct CtlShared {
     /// Delta baselines: totals as of the last window close.
     prev_reads: AtomicU64,
     prev_writes: AtomicU64,
-    prev_slow: AtomicU64,
-    prev_revocations: AtomicU64,
-    prev_root_cas_fails: AtomicU64,
 }
 
 impl CtlShared {
@@ -126,7 +184,6 @@ impl CtlShared {
         Self {
             reads: AtomicU64::new(0),
             writes: AtomicU64::new(0),
-            slow: AtomicU64::new(0),
             window_slow: AtomicU32::new(0),
             deciding: AtomicBool::new(false),
             windows: AtomicU64::new(0),
@@ -138,22 +195,17 @@ impl CtlShared {
             cooldown_left: AtomicU32::new(0),
             prev_reads: AtomicU64::new(0),
             prev_writes: AtomicU64::new(0),
-            prev_slow: AtomicU64::new(0),
-            prev_revocations: AtomicU64::new(0),
-            prev_root_cas_fails: AtomicU64::new(0),
         }
     }
 }
 
-/// A lock wrapped with the online policy controller.
+/// A lock wrapped with the online bias controller.
 ///
-/// Wrap any [`RwLockFamily`] whose `tuning_knobs()` returns its live
-/// knob block (FOLL, ROLL and the [`Bravo`](crate::Bravo) wrapper
-/// do); the controller steers those knobs from the lock's own observed
-/// read/write mix, slow-path fraction, and — on telemetry builds — bias
-/// revocation and C-SNZI root-contention deltas. Wrapping a lock without
-/// knobs is harmless: the controller still classifies, but its stores go
-/// to a private knob block nobody reads.
+/// Wrap a [`Bravo`](crate::Bravo) lock (say, `build_biased()`'s): the
+/// controller allows or disallows its bias from the lock's own observed
+/// read/write mix. Wrapping a lock without a bias is harmless: the
+/// controller still classifies, but nothing reads the permission it
+/// stores.
 ///
 /// ```
 /// use oll_core::raw::{RwHandle, RwLockFamily};
@@ -170,18 +222,17 @@ pub struct SelfTuning<L: RwLockFamily> {
     telemetry: Telemetry,
     ctl: CtlShared,
     config: TuningConfig,
-    policy: PolicyConfig,
 }
 
 impl<L: RwLockFamily> SelfTuning<L> {
-    /// Wraps `inner` with the default pacing and policy thresholds.
+    /// Wraps `inner` with the default pacing.
     pub fn new(inner: L) -> Self {
-        Self::with_config(inner, TuningConfig::default(), PolicyConfig::default())
+        Self::with_config(inner, TuningConfig::default())
     }
 
-    /// Wraps `inner` with explicit pacing and thresholds (tests use a
-    /// `window` of 1 plus [`tick`](Self::tick) for determinism).
-    pub fn with_config(inner: L, config: TuningConfig, policy: PolicyConfig) -> Self {
+    /// Wraps `inner` with explicit pacing (tests use a `window` of 1 plus
+    /// [`tick`](Self::tick) for determinism).
+    pub fn with_config(inner: L, config: TuningConfig) -> Self {
         let knobs = inner
             .tuning_knobs()
             .cloned()
@@ -197,7 +248,6 @@ impl<L: RwLockFamily> SelfTuning<L> {
                 hysteresis: config.hysteresis.max(1),
                 cooldown: config.cooldown,
             },
-            policy,
         }
     }
 
@@ -206,14 +256,14 @@ impl<L: RwLockFamily> SelfTuning<L> {
         &self.inner
     }
 
-    /// Unwraps the controller, returning the inner lock (its knobs keep
-    /// whatever values the controller last stored).
+    /// Unwraps the controller, returning the inner lock (its bias
+    /// permission stays what the controller last stored).
     pub fn into_inner(self) -> L {
         self.inner
     }
 
-    /// The knob block the controller steers (shared with the inner
-    /// lock's components).
+    /// The knob block whose bias permission the controller steers (the
+    /// inner lock's own).
     pub fn knobs(&self) -> &Arc<TuningKnobs> {
         &self.knobs
     }
@@ -261,37 +311,25 @@ impl<L: RwLockFamily> SelfTuning<L> {
         self.ctl.deciding.store(false, Ordering::Release);
     }
 
-    /// Snapshots this window's deltas, moving the baselines forward.
-    /// Gate-holder only (the `prev_*` swaps are not idempotent).
-    fn window_delta(&self) -> WindowStats {
+    /// Snapshots this window's `(reads, writes)` deltas, moving the
+    /// baselines forward. Gate-holder only (the `prev_*` swaps are not
+    /// idempotent).
+    fn window_delta(&self) -> (u64, u64) {
         let c = &self.ctl;
         let reads = c.reads.load(Ordering::Relaxed);
         let writes = c.writes.load(Ordering::Relaxed);
-        let slow = c.slow.load(Ordering::Relaxed);
-        // Telemetry enrichment: absolute event counters diffed against
-        // our stored baselines. Inactive telemetry reads as all-zero.
-        let (rev, cas) = match self.telemetry.snapshot() {
-            Some(s) => (
-                s.get(LockEvent::BiasRevoke),
-                s.get(LockEvent::CsnziRootCasFail),
-            ),
-            None => (0, 0),
-        };
-        WindowStats {
-            reads: reads.saturating_sub(c.prev_reads.swap(reads, Ordering::Relaxed)),
-            writes: writes.saturating_sub(c.prev_writes.swap(writes, Ordering::Relaxed)),
-            slow: slow.saturating_sub(c.prev_slow.swap(slow, Ordering::Relaxed)),
-            revocations: rev.saturating_sub(c.prev_revocations.swap(rev, Ordering::Relaxed)),
-            root_cas_fails: cas.saturating_sub(c.prev_root_cas_fails.swap(cas, Ordering::Relaxed)),
-        }
+        (
+            reads.saturating_sub(c.prev_reads.swap(reads, Ordering::Relaxed)),
+            writes.saturating_sub(c.prev_writes.swap(writes, Ordering::Relaxed)),
+        )
     }
 
     /// One controller decision. Gate-holder only.
     fn decide(&self) {
-        let stats = self.window_delta();
+        let (reads, writes) = self.window_delta();
         self.ctl.windows.fetch_add(1, Ordering::Relaxed);
         self.telemetry.incr(LockEvent::TunerSample);
-        let proposed = policy::classify(&stats, &self.policy);
+        let proposed = Regime::classify(reads, writes);
         // The arm/disarm race window: a fault plan targeting this site
         // yields the decider between classification and application,
         // letting readers/writers interleave with a half-made decision.
@@ -319,7 +357,7 @@ impl<L: RwLockFamily> SelfTuning<L> {
             .store(proposed as u32, Ordering::Relaxed);
         self.ctl.pending_streak.store(streak, Ordering::Relaxed);
         if streak >= self.config.hysteresis && cooldown == 0 {
-            policy::apply(proposed, &self.knobs);
+            self.knobs.set_bias_allowed(proposed != Regime::WriteHeavy);
             self.ctl.regime.store(proposed as u32, Ordering::Relaxed);
             self.ctl.pending_streak.store(0, Ordering::Relaxed);
             self.ctl
@@ -429,7 +467,6 @@ impl<'a, L: RwLockFamily> TunedHandle<'a, L> {
         } else {
             ctl.reads.fetch_add(1, Ordering::Relaxed);
         }
-        ctl.slow.fetch_add(1, Ordering::Relaxed);
         let filled = ctl.window_slow.fetch_add(1, Ordering::Relaxed) + 1;
         if filled >= self.lock.config.window {
             self.lock.try_close_window();
@@ -523,5 +560,31 @@ where
 
     fn downgrade(&mut self) {
         self.inner.downgrade();
+    }
+}
+
+#[cfg(all(test, not(loom)))]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn classification_thresholds() {
+        assert_eq!(Regime::classify(0, 0), Regime::Mixed);
+        assert_eq!(Regime::classify(95, 5), Regime::Mixed);
+        assert_eq!(Regime::classify(90, 10), Regime::Mixed);
+        assert_eq!(Regime::classify(71, 29), Regime::Mixed);
+        assert_eq!(Regime::classify(70, 30), Regime::WriteHeavy);
+        assert_eq!(Regime::classify(0, 50), Regime::WriteHeavy);
+    }
+
+    #[test]
+    fn regime_discriminants_round_trip() {
+        for r in Regime::ALL {
+            assert_eq!(Regime::from_u8(r as u8), r);
+        }
+        assert_eq!(Regime::Mixed as u8, 1);
+        assert_eq!(Regime::WriteHeavy as u8, 2);
+        assert_eq!(Regime::from_u8(0), Regime::Mixed);
+        assert_eq!(Regime::from_u8(200), Regime::Mixed);
     }
 }

@@ -138,9 +138,8 @@ macro_rules! lock_events {
             /// evaluated its decision table (one count per completed
             /// window, not per slow-path entry).
             TunerSample = "tuner_sample",
-            /// The controller changed policy: stored new knob values (bias
-            /// arm/disarm, re-arm multiplier, backoff caps, cohort
-            /// batch) after the regime held for the full hysteresis
+            /// The controller changed regime: allowed or disallowed the
+            /// BRAVO bias after the regime held for the full hysteresis
             /// requirement (as a trace record, `token` carries the packed
             /// old/new regime pair).
             TunerFlip = "tuner_flip",

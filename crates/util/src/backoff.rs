@@ -1,73 +1,34 @@
-//! Tunable exponential backoff.
+//! Exponential backoff with fixed caps.
 
 use crate::sync::{spin_loop_hint, thread};
 
 /// Exponential backoff for contended retry loops and busy-wait spins.
 ///
-/// The paper tunes exponential backoff per lock (§5.1); [`BackoffPolicy`]
-/// captures those tuning knobs and each lock's builder exposes them.
+/// The paper tunes exponential backoff per lock (§5.1); here one tuning
+/// serves every lock, as two private constants (`SPIN_LIMIT` = 6,
+/// `YIELD_LIMIT` = 10): nothing changes them at run time.
 ///
 /// Two phases:
 /// 1. *Spin*: issue `2^step` CPU relax hints, doubling each call, capped at
-///    `2^spin_limit`.
-/// 2. *Yield*: once past `spin_limit`, also yield the OS thread. This keeps
+///    `2^SPIN_LIMIT`.
+/// 2. *Yield*: once past `SPIN_LIMIT`, also yield the OS thread. This keeps
 ///    the queue-based locks live when there are more runnable threads than
 ///    hardware threads (the original MCS/FOLL algorithms assume a thread per
 ///    processor; yielding is the standard user-space adaptation).
 #[derive(Debug, Clone)]
 pub struct Backoff {
     step: u32,
-    policy: BackoffPolicy,
 }
 
-/// Hard ceiling on the spin exponent, whatever the policy says.
-///
-/// `spin_limit` is a user-tunable `u32`, and the spin count is `1 <<
-/// exponent`: an over-eager policy (say `spin_limit: 40`) would otherwise
-/// spin for a *trillion* relax hints per call — effectively a hang, and on
-/// a 32-bit shift an overflow panic. Every shift in this module clamps the
-/// exponent to this value first, so the longest possible single burst is
-/// `2^16` = 65 536 hints (tens of microseconds), after which escalation
-/// must go through `yield_now` instead of longer spins.
-pub const MAX_SPIN_EXPONENT: u32 = 16;
+/// Phase-1 cap: a call spins at most `2^SPIN_LIMIT` relax hints — 64, long
+/// enough to win short races without burning a scheduling quantum.
+const SPIN_LIMIT: u32 = 6;
 
-/// Tuning knobs for [`Backoff`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BackoffPolicy {
-    /// Phase-1 cap: spin `2^spin_limit` relax hints at most per call.
-    /// Values above [`MAX_SPIN_EXPONENT`] are clamped to it.
-    pub spin_limit: u32,
-    /// Phase-2 cap: growth stops at `2^yield_limit` (hints remain capped at
-    /// `2^spin_limit`; past `spin_limit` each call also yields).
-    ///
-    /// This is the *yield threshold*: once `step` exceeds `spin_limit`,
-    /// every call yields the OS thread exactly once — the per-call spin
-    /// stays at `2^spin_limit` and only the step counter keeps growing (to
-    /// `yield_limit`), which matters solely for [`Backoff::is_contended`]
-    /// consumers. Yielding is what keeps the queue locks live when runnable
-    /// threads outnumber hardware threads.
-    pub yield_limit: u32,
-}
-
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        // 2^6 = 64 relax hints before the first yield: long enough to win
-        // short races without burning a scheduling quantum.
-        Self {
-            spin_limit: 6,
-            yield_limit: 10,
-        }
-    }
-}
-
-impl BackoffPolicy {
-    /// A policy that never spins and always yields — appropriate when the
-    /// expected wait is a whole critical section on an oversubscribed box.
-    pub const YIELD_ONLY: Self = Self {
-        spin_limit: 0,
-        yield_limit: 4,
-    };
-}
+/// Phase-2 cap: the step counter stops growing at `YIELD_LIMIT`. Past
+/// [`SPIN_LIMIT`] every call spins `2^SPIN_LIMIT` hints and yields the OS
+/// thread once; the counter keeps growing only for
+/// [`Backoff::is_contended`]'s sake.
+const YIELD_LIMIT: u32 = 10;
 
 impl Default for Backoff {
     fn default() -> Self {
@@ -76,18 +37,9 @@ impl Default for Backoff {
 }
 
 impl Backoff {
-    /// New backoff with the default policy.
+    /// New backoff at the initial (shortest) delay.
     pub fn new() -> Self {
-        Self::with_policy(BackoffPolicy::default())
-    }
-
-    /// New backoff with an explicit policy (a value, or a
-    /// [`PolicySource`] read here).
-    pub fn with_policy(policy: impl PolicySource) -> Self {
-        Self {
-            step: 0,
-            policy: policy.policy(),
-        }
+        Self { step: 0 }
     }
 
     /// Resets to the initial (shortest) delay.
@@ -103,7 +55,7 @@ impl Backoff {
     /// from "optimistic" to "contended" strategies (e.g. the C-SNZI
     /// `ShouldArriveAtTree` policy).
     pub fn is_contended(&self) -> bool {
-        self.step > self.policy.spin_limit
+        self.step > SPIN_LIMIT
     }
 
     /// Backs off once: spins (and, past the spin limit, yields), then
@@ -115,7 +67,7 @@ impl Backoff {
         #[cfg(loom)]
         {
             spin_loop_hint();
-            if self.step < self.policy.yield_limit {
+            if self.step < YIELD_LIMIT {
                 self.step += 1;
             }
             return;
@@ -126,20 +78,19 @@ impl Backoff {
             for _ in 0..spins {
                 spin_loop_hint();
             }
-            if self.step > self.policy.spin_limit {
+            if self.step > SPIN_LIMIT {
                 thread::yield_now();
             }
-            if self.step < self.policy.yield_limit {
+            if self.step < YIELD_LIMIT {
                 self.step += 1;
             }
         }
     }
 
-    /// Current spin exponent, clamped by both the policy and the module-wide
-    /// [`MAX_SPIN_EXPONENT`] ceiling.
+    /// Current spin exponent, capped at [`SPIN_LIMIT`].
     #[inline]
     fn spin_exponent(&self) -> u32 {
-        self.step.min(self.policy.spin_limit).min(MAX_SPIN_EXPONENT)
+        self.step.min(SPIN_LIMIT)
     }
 
     /// Async-aware backoff step: spins like [`Backoff::backoff`] but
@@ -152,7 +103,7 @@ impl Backoff {
     /// `Poll::Pending` instead of escalating to `yield_now`/parking the
     /// way the thread-based strategies do.
     pub fn poll_relax(&mut self) -> bool {
-        if self.step > self.policy.spin_limit {
+        if self.step > SPIN_LIMIT {
             return false;
         }
         #[cfg(loom)]
@@ -172,11 +123,10 @@ impl Backoff {
 
     /// One relax step, for tight "wait until flag flips" loops where the
     /// waiter is next in line and the wait is expected to be short (queue
-    /// hand-offs). The spin doubles each call up to `2^spin_limit` hints,
+    /// hand-offs). The spin doubles each call up to `2^SPIN_LIMIT` hints,
     /// as [`backoff`](Self::backoff)'s does (1 + 2 + … + 64 = 127 hints
-    /// over the first seven calls under the default policy); past that,
-    /// every call spins `2^spin_limit` hints and yields, and the delay
-    /// stays flat.
+    /// over the first seven calls); past that, every call spins
+    /// `2^SPIN_LIMIT` hints and yields, and the delay stays flat.
     pub fn relax(&mut self) {
         #[cfg(loom)]
         {
@@ -192,7 +142,7 @@ impl Backoff {
             // Escalate to yielding, but keep the delay flat once there:
             // the hand-off we are waiting for is O(1) work away, growing
             // further only adds latency.
-            if self.step <= self.policy.spin_limit {
+            if self.step <= SPIN_LIMIT {
                 self.step += 1;
             } else {
                 thread::yield_now();
@@ -312,46 +262,20 @@ impl Deadline for &Timeout {
     }
 }
 
-/// Where a wait gets its [`BackoffPolicy`]: a policy value, or a closure
-/// that reads one (say, from a lock's live knobs), called only once the
-/// wait has to back off.
-pub trait PolicySource {
-    /// The policy.
-    fn policy(self) -> BackoffPolicy;
-}
-
-impl PolicySource for BackoffPolicy {
-    #[inline]
-    fn policy(self) -> BackoffPolicy {
-        self
-    }
-}
-
-impl<F: FnOnce() -> BackoffPolicy> PolicySource for F {
-    #[inline]
-    fn policy(self) -> BackoffPolicy {
-        self()
-    }
-}
-
 /// Spins until `cond()` is true or `deadline` expires, backing off between
 /// probes; returns whether the condition was observed. The workhorse behind
 /// every `repeat until !spin` in the paper's pseudocode.
 ///
-/// The first probe comes before the policy is read, so a wait that passes
-/// at once costs one probe and nothing else. `cond` is re-checked once
-/// after the deadline expires, so a condition that flips concurrently with
-/// the clock read is never misreported as a timeout.
+/// The first probe comes before anything else, so a wait that passes at
+/// once costs one probe: no backoff state, no deadline query. `cond` is
+/// re-checked once after the deadline expires, so a condition that flips
+/// concurrently with the clock read is never misreported as a timeout.
 #[inline]
-pub fn spin_until_deadline<D: Deadline>(
-    policy: impl PolicySource,
-    deadline: D,
-    mut cond: impl FnMut() -> bool,
-) -> bool {
+pub fn spin_until_deadline<D: Deadline>(deadline: D, mut cond: impl FnMut() -> bool) -> bool {
     if cond() {
         return true;
     }
-    let mut b = Backoff::with_policy(policy);
+    let mut b = Backoff::new();
     loop {
         if deadline.expired() {
             return cond();
@@ -365,8 +289,8 @@ pub fn spin_until_deadline<D: Deadline>(
 
 /// Spins until `cond()` is true: [`spin_until_deadline`] with no deadline.
 #[inline]
-pub fn spin_until(policy: impl PolicySource, cond: impl FnMut() -> bool) {
-    spin_until_deadline(policy, Never, cond);
+pub fn spin_until(cond: impl FnMut() -> bool) {
+    spin_until_deadline(Never, cond);
 }
 
 #[cfg(all(test, not(loom)))]
@@ -377,14 +301,12 @@ mod tests {
 
     #[test]
     fn steps_saturate_at_yield_limit() {
-        let mut b = Backoff::with_policy(BackoffPolicy {
-            spin_limit: 2,
-            yield_limit: 4,
-        });
+        let mut b = Backoff::new();
         for _ in 0..100 {
             b.backoff();
         }
-        assert_eq!(b.step, 4);
+        assert_eq!(b.step, YIELD_LIMIT);
+        assert_eq!(b.spin_exponent(), SPIN_LIMIT);
         b.reset();
         assert_eq!(b.step, 0);
         assert!(!b.is_contended());
@@ -392,12 +314,9 @@ mod tests {
 
     #[test]
     fn contended_after_spin_phase() {
-        let mut b = Backoff::with_policy(BackoffPolicy {
-            spin_limit: 1,
-            yield_limit: 8,
-        });
-        assert!(!b.is_contended());
-        for _ in 0..3 {
+        let mut b = Backoff::new();
+        for _ in 0..=SPIN_LIMIT {
+            assert!(!b.is_contended());
             b.backoff();
         }
         assert!(b.is_contended());
@@ -405,36 +324,26 @@ mod tests {
 
     #[test]
     fn relax_never_exceeds_spin_phase_step() {
-        let mut b = Backoff::with_policy(BackoffPolicy {
-            spin_limit: 3,
-            yield_limit: 10,
-        });
+        let mut b = Backoff::new();
         for _ in 0..50 {
             b.relax();
         }
-        assert_eq!(b.step, b.policy.spin_limit + 1);
+        assert_eq!(b.step, SPIN_LIMIT + 1);
     }
 
     /// The async contract: `poll_relax` spins a *bounded* number of times
     /// and then refuses — it must never reach the yield (or any blocking)
     /// escalation, so a `poll` built on it cannot block its executor
-    /// thread. The budget is exactly `spin_limit + 1` calls.
+    /// thread. The budget is exactly `SPIN_LIMIT + 1` calls.
     #[test]
     fn poll_relax_is_bounded_and_never_yields() {
-        let policy = BackoffPolicy {
-            spin_limit: 3,
-            yield_limit: 10,
-        };
-        let mut b = Backoff::with_policy(policy);
+        let mut b = Backoff::new();
         let mut granted = 0;
         while b.poll_relax() {
             granted += 1;
-            assert!(
-                granted <= policy.spin_limit + 1,
-                "spin budget must be finite"
-            );
+            assert!(granted <= SPIN_LIMIT + 1, "spin budget must be finite");
         }
-        assert_eq!(granted, policy.spin_limit + 1);
+        assert_eq!(granted, SPIN_LIMIT + 1);
         // Exhausted: every further call refuses immediately without
         // touching the step counter (no hidden escalation state).
         let step_after = b.step;
@@ -455,24 +364,8 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
             f2.store(true, Ordering::Release);
         });
-        spin_until(BackoffPolicy::default(), || flag.load(Ordering::Acquire));
+        spin_until(|| flag.load(Ordering::Acquire));
         h.join().unwrap();
-    }
-
-    #[test]
-    fn absurd_spin_limit_is_clamped_to_max_exponent() {
-        // spin_limit: 40 would shift past u32 width (panic) and spin ~10^12
-        // hints per call without the clamp; with it, one call completes in
-        // at most 2^MAX_SPIN_EXPONENT hints.
-        let mut b = Backoff::with_policy(BackoffPolicy {
-            spin_limit: 40,
-            yield_limit: 64,
-        });
-        for _ in 0..(MAX_SPIN_EXPONENT + 4) {
-            b.backoff();
-        }
-        assert_eq!(b.spin_exponent(), MAX_SPIN_EXPONENT);
-        b.relax();
     }
 
     #[test]
@@ -480,11 +373,7 @@ mod tests {
         use std::time::{Duration, Instant};
         // Condition never flips: must report timeout, promptly.
         let start = Instant::now();
-        let ok = spin_until_deadline(
-            BackoffPolicy::default(),
-            start + Duration::from_millis(5),
-            || false,
-        );
+        let ok = spin_until_deadline(start + Duration::from_millis(5), || false);
         assert!(!ok);
         assert!(start.elapsed() >= Duration::from_millis(5));
 
@@ -495,34 +384,39 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
             f2.store(true, Ordering::Release);
         });
-        let ok = spin_until_deadline(
-            BackoffPolicy::default(),
-            Instant::now() + Duration::from_secs(20),
-            || flag.load(Ordering::Acquire),
-        );
+        let ok = spin_until_deadline(Instant::now() + Duration::from_secs(20), || {
+            flag.load(Ordering::Acquire)
+        });
         assert!(ok);
         h.join().unwrap();
     }
 
+    /// A deadline that never expires and counts its queries.
+    #[derive(Clone, Copy)]
+    struct Counted<'a>(&'a std::cell::Cell<u32>);
+
+    impl Deadline for Counted<'_> {
+        fn expired(self) -> bool {
+            self.0.set(self.0.get() + 1);
+            false
+        }
+
+        fn park(self) {}
+    }
+
     #[test]
-    fn a_wait_that_passes_at_once_reads_no_policy() {
-        let unread = || -> BackoffPolicy { panic!("the policy was read") };
-        assert!(spin_until_deadline(unread, Never, || true));
-        spin_until(unread, || true);
-        // A wait that has to back off reads it, once.
-        let reads = std::cell::Cell::new(0);
+    fn a_wait_that_passes_at_once_reads_no_clock() {
+        let queries = std::cell::Cell::new(0);
+        assert!(spin_until_deadline(Counted(&queries), || true));
+        assert_eq!(queries.get(), 0);
+        // A wait that has to back off asks its deadline before each probe
+        // after the first.
         let mut probes = 0;
-        spin_until(
-            || {
-                reads.set(reads.get() + 1);
-                BackoffPolicy::default()
-            },
-            || {
-                probes += 1;
-                probes == 3
-            },
-        );
-        assert_eq!(reads.get(), 1);
+        assert!(spin_until_deadline(Counted(&queries), || {
+            probes += 1;
+            probes == 3
+        }));
+        assert_eq!(queries.get(), 2);
     }
 
     #[test]
@@ -595,58 +489,5 @@ mod tests {
         std::thread::current().unpark();
         (&t).park();
         assert!(!(&t).expired());
-    }
-
-    #[test]
-    fn yield_only_policy_is_contended_immediately_after_one_step() {
-        let mut b = Backoff::with_policy(BackoffPolicy::YIELD_ONLY);
-        b.backoff();
-        assert!(b.is_contended());
-    }
-
-    /// Policy conformance over the whole `u32 × u32` policy space: the
-    /// spin count per call is `1 << spin_exponent()`, so proving the
-    /// exponent never exceeds [`MAX_SPIN_EXPONENT`] pins both halves of
-    /// the contract — no call spins more than `2^MAX_SPIN_EXPONENT`
-    /// relax hints, and no shift reaches the u32 width (which would
-    /// panic in debug builds). `absurd_spin_limit_is_clamped_to_max_exponent`
-    /// above checks one hand-picked policy; this sweeps random ones and
-    /// always includes the `u32::MAX` corner.
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-            #[test]
-            fn any_policy_is_shift_safe_and_clamped(
-                spin_raw in 0u64..(u32::MAX as u64 + 1),
-                yield_raw in 0u64..(u32::MAX as u64 + 1),
-                spin_is_max in any::<bool>(),
-                yield_is_max in any::<bool>(),
-            ) {
-                let policy = BackoffPolicy {
-                    spin_limit: if spin_is_max { u32::MAX } else { spin_raw as u32 },
-                    yield_limit: if yield_is_max { u32::MAX } else { yield_raw as u32 },
-                };
-                let mut b = Backoff::with_policy(policy);
-                // Drive the step counter past every escalation point the
-                // clamp guards (it only ever grows by 1 per call, so
-                // MAX_SPIN_EXPONENT + 4 calls cover exponents 0..=MAX and
-                // the saturated tail).
-                for call in 0..(MAX_SPIN_EXPONENT + 4) {
-                    assert!(
-                        b.spin_exponent() <= MAX_SPIN_EXPONENT,
-                        "call {call}: exponent {} escaped the clamp under {policy:?}",
-                        b.spin_exponent(),
-                    );
-                    b.backoff(); // would panic on an unclamped 32-bit shift
-                    b.relax();
-                }
-                // The contention signal must agree with the step counter
-                // whatever the limits were.
-                assert_eq!(b.is_contended(), b.step > policy.spin_limit);
-            }
-        }
     }
 }

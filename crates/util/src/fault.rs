@@ -248,6 +248,13 @@ pub fn inject_yield_only(_site: &'static str) {}
 #[cfg(all(test, feature = "fault-injection", not(loom)))]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard, PoisonError};
+
+    /// The fault plan is process-global; serialize the tests that install one.
+    fn serial() -> MutexGuard<'static, ()> {
+        static GATE: Mutex<()> = Mutex::new(());
+        GATE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn no_plan_is_a_noop() {
@@ -256,6 +263,7 @@ mod tests {
 
     #[test]
     fn plan_decisions_are_deterministic() {
+        let _serial = serial();
         // Record which of the first 100 occurrences delay, twice, by
         // re-installing the same plan; the schedules must match. We can't
         // observe yields directly, so probe via the decision function by
@@ -274,6 +282,7 @@ mod tests {
 
     #[test]
     fn filter_skips_unrelated_sites() {
+        let _serial = serial();
         let guard = FaultPlan::every(7, "only-this", 2).install();
         // Unmatched site: must not consume occurrence counters or delay.
         for _ in 0..10 {
@@ -284,6 +293,7 @@ mod tests {
 
     #[test]
     fn panic_plans_fire_deterministically() {
+        let _serial = serial();
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let schedule = |seed: u64| {
             let guard = FaultPlan::panicking(seed, "panic-site", 50).install();
@@ -302,6 +312,7 @@ mod tests {
 
     #[test]
     fn yield_only_sites_never_panic() {
+        let _serial = serial();
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let guard = FaultPlan::panicking(3, "committed-window", 100).install();
         for _ in 0..50 {
@@ -315,6 +326,7 @@ mod tests {
 
     #[test]
     fn panic_plans_leave_the_slot_usable() {
+        let _serial = serial();
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let guard = FaultPlan::panicking(1, "always-dies", 100).install();
         assert!(catch_unwind(AssertUnwindSafe(|| inject("always-dies"))).is_err());

@@ -7,7 +7,7 @@
 //! distributed-queue locks (FOLL/ROLL) exist precisely to avoid this kind of
 //! central lock on their fast paths.
 
-use crate::backoff::{Backoff, BackoffPolicy};
+use crate::backoff::Backoff;
 use crate::sync::{AtomicBool, Ordering, UnsafeCell};
 use core::fmt;
 use core::ops::{Deref, DerefMut};
@@ -15,7 +15,6 @@ use core::ops::{Deref, DerefMut};
 /// A TTAS spin mutex guarding a value of type `T`.
 pub struct SpinMutex<T> {
     locked: AtomicBool,
-    policy: BackoffPolicy,
     data: UnsafeCell<T>,
 }
 
@@ -32,14 +31,8 @@ pub struct SpinMutexGuard<'a, T> {
 impl<T> SpinMutex<T> {
     /// Creates an unlocked mutex.
     pub fn new(data: T) -> Self {
-        Self::with_policy(data, BackoffPolicy::default())
-    }
-
-    /// Creates an unlocked mutex with a custom backoff policy.
-    pub fn with_policy(data: T, policy: BackoffPolicy) -> Self {
         Self {
             locked: AtomicBool::new(false),
-            policy,
             data: UnsafeCell::new(data),
         }
     }
@@ -53,7 +46,7 @@ impl<T> SpinMutex<T> {
 impl<T> SpinMutex<T> {
     /// Acquires the lock, spinning with backoff until available.
     pub fn lock(&self) -> SpinMutexGuard<'_, T> {
-        let mut backoff = Backoff::with_policy(self.policy);
+        let mut backoff = Backoff::new();
         loop {
             if let Some(g) = self.try_lock() {
                 return g;

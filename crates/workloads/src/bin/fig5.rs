@@ -34,12 +34,12 @@
 //! with the NUMA cohort writer gate: per-socket writer queues that hand
 //! the write lock to same-socket waiters up to a batch bound before
 //! releasing cross-node (GOLL and the baselines ignore it).
-//! `--self-tuning` wraps the OLL locks in the `SelfTuning` online policy
-//! controller: the lock's own observed read/write mix, slow-path
-//! fraction, and revocation cost steer its BRAVO bias, backoff, and
-//! cohort-batch knobs while the sweep runs (the baselines have no knobs
-//! and ignore it). All five options are recorded in the JSON report,
-//! where `fig5check --expect-option` and `--expect-shape` check them.
+//! `--self-tuning` implies `--biased` and wraps the biased OLL locks in
+//! the `SelfTuning` online controller: the lock's own observed
+//! read/write mix arms or disarms its BRAVO bias while the sweep runs
+//! (the baselines have no bias and ignore it). All five options are
+//! recorded in the JSON report as what ran, where
+//! `fig5check --expect-option` and `--expect-shape` check them.
 //! What an option costs is measured by `benchmark/run.sh`, at fixed
 //! duration with a noise bound; this sweep shows the panels.
 //!
@@ -164,7 +164,10 @@ fn parse_args() -> Args {
             "--biased" => opts.lock_options.biased = true,
             "--hazard" => opts.lock_options.hazard = true,
             "--cohort" => opts.lock_options.cohort = true,
-            "--self-tuning" => opts.lock_options.self_tuning = true,
+            "--self-tuning" => {
+                opts.lock_options.self_tuning = true;
+                opts.lock_options.biased = true;
+            }
             "--shape" => {
                 let n: usize = value(i).parse().unwrap_or_else(|_| usage("bad --shape"));
                 if n == 0 {

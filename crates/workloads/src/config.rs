@@ -104,11 +104,11 @@ pub struct LockOptions {
     /// release (`FollBuilder::cohort` / `RollBuilder::cohort`). Ignored
     /// by GOLL and the baselines, which have no cohort path.
     pub cohort: bool,
-    /// Wrap the OLL locks in the `oll::core::SelfTuning` online policy
-    /// controller: the lock's observed read/write mix and slow-path
-    /// fraction steer its BRAVO bias, backoff, and cohort-batch knobs
-    /// while it runs. Ignored by the baselines,
-    /// which have no knobs to steer.
+    /// Wrap the OLL locks in the BRAVO layer and the
+    /// `oll::core::SelfTuning` online controller over it: the lock's
+    /// observed read/write mix arms or disarms its bias while it runs, so
+    /// this implies `biased`. Ignored by the baselines, which have no
+    /// bias to steer.
     pub self_tuning: bool,
 }
 

@@ -39,8 +39,9 @@ impl LockKind {
     /// Builds this kind of lock for `capacity` threads under `opts` and
     /// passes it to `visitor`. The OLL locks take every option, in this
     /// order: builder options (`shape_threads`, and on FOLL/ROLL
-    /// `cohort`), then the `Bravo` wrapper when `biased`, then
-    /// the [`SelfTuning`] wrapper when `self_tuning`. The baselines have
+    /// `cohort`), then the `Bravo` wrapper when `biased` or
+    /// `self_tuning`, then the [`SelfTuning`] wrapper when `self_tuning`
+    /// (the bias is the controller's only lever). The baselines have
     /// nothing to configure and ignore all of those. `hazard` wraps
     /// whatever was built in [`Watched`], outermost.
     pub fn with_lock<V: LockVisitor>(
@@ -55,15 +56,16 @@ impl LockKind {
                 if let Some(n) = opts.shape_threads {
                     b = b.tree_shape(TreeShape::for_threads(n));
                 }
-                match (opts.biased, opts.self_tuning) {
-                    (false, false) => arm(b.build(), opts, visitor),
-                    (true, false) => arm(b.biased(true).build_biased(), opts, visitor),
-                    (false, true) => arm(SelfTuning::new(b.build()), opts, visitor),
-                    (true, true) => arm(
+                if opts.self_tuning {
+                    arm(
                         SelfTuning::new(b.biased(true).build_biased()),
                         opts,
                         visitor,
-                    ),
+                    )
+                } else if opts.biased {
+                    arm(b.biased(true).build_biased(), opts, visitor)
+                } else {
+                    arm(b.build(), opts, visitor)
                 }
             }};
         }
@@ -96,7 +98,6 @@ mod tests {
         }
         None.or_else(|| shape::<Q, Q>(lock, |q| q))
             .or_else(|| shape(lock, Bravo::<Q>::inner))
-            .or_else(|| shape(lock, SelfTuning::<Q>::inner))
             .or_else(|| shape(lock, |t: &SelfTuning<Bravo<Q>>| t.inner().inner()))
     }
 
@@ -121,7 +122,8 @@ mod tests {
 
             let oll = matches!(kind, LockKind::Goll | LockKind::Foll | LockKind::Roll);
             let ty = type_name::<L>();
-            assert_eq!(ty.contains("Bravo"), oll && opts.biased, "{what}: {ty}");
+            let biased = opts.biased || opts.self_tuning;
+            assert_eq!(ty.contains("Bravo"), oll && biased, "{what}: {ty}");
             assert_eq!(
                 ty.contains("SelfTuning"),
                 oll && opts.self_tuning,

@@ -19,10 +19,10 @@
 //! `--cohort` builds FOLL/ROLL with the NUMA cohort writer gate, so the
 //! profiles show the `cohort_local_handoff` / `cohort_remote_handoff` /
 //! `cohort_batch_exhausted` counters (GOLL has no cohort path).
-//! `--self-tuning` wraps the three OLL locks in the `SelfTuning` online
-//! policy controller, so the profiles show the `tuner_sample` /
-//! `tuner_flip` / `tuner_hold` counters alongside whatever knob
-//! steering the observed mix provoked.
+//! `--self-tuning` implies `--biased` and wraps the three biased OLL
+//! locks in the `SelfTuning` online controller, so the profiles show the
+//! `tuner_sample` / `tuner_flip` / `tuner_hold` counters alongside the
+//! bias the observed mix armed or disarmed.
 //! `--trace PATH` additionally captures the run in the flight recorder
 //! and writes a Perfetto-loadable Chrome Trace Event file. `--obs
 //! [ADDR]` runs the sweep under the continuous-monitoring sampler,
@@ -84,9 +84,10 @@ impl LockVisitor for Hammer {
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let json = argv.iter().any(|a| a == "--json");
-    let biased = argv.iter().any(|a| a == "--biased");
-    let cohort = argv.iter().any(|a| a == "--cohort");
     let tuned = argv.iter().any(|a| a == "--self-tuning");
+    // The controller's only lever is the bias, so tuning implies it.
+    let biased = tuned || argv.iter().any(|a| a == "--biased");
+    let cohort = argv.iter().any(|a| a == "--cohort");
     let trace = argv
         .iter()
         .position(|a| a == "--trace")
