@@ -40,17 +40,25 @@
 //! lock is built): the more revocation costs, the longer the lock stays
 //! unbiased, bounding the worst-case slowdown from biasing at roughly
 //! `1/N`. A slow-path reader that finds the inhibit window expired, and
-//! the lock's [`TuningKnobs::bias_allowed`] set, re-arms the bias.
+//! no veto set in the lock's [`BiasSwitch`], re-arms the bias.
+//!
+//! # Who may forbid the bias
+//!
+//! Three parties may forbid a re-arm: the lock's user, the online
+//! controller `SelfTuning` and the hazard watchdog. Each owns one
+//! [`Veto`] bit of the lock's [`BiasSwitch`], and sets and clears only
+//! that bit, so no party can lift another's veto: the bias may re-arm
+//! only when no bit is set. Wrappers reach the switch through
+//! [`RwLockFamily::bias_switch`], whatever order they are nested in.
 
 use crate::raw::{RwHandle, RwLockFamily, TimedHandle, TimedOut, UpgradableHandle};
 use oll_telemetry::{LockEvent, Telemetry, Timer};
 use oll_util::backoff::{spin_until_deadline, Deadline, Never};
 use oll_util::fault;
-use oll_util::knobs::TuningKnobs;
 use oll_util::slots::{SlotError, VisibleReaders};
 use oll_util::CachePadded;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 /// Default revocation-inhibit multiplier: after a revocation taking `t`
@@ -91,6 +99,63 @@ enum Table {
     Private(VisibleReaders),
 }
 
+/// A party that may forbid a [`Bravo`] lock's bias: each owns one bit of
+/// the lock's [`BiasSwitch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
+pub enum Veto {
+    /// The lock's user: [`BiasSwitch::set_bias_allowed`], or a lock built
+    /// with [`Bravo::wrapping`]`(inner, false)`.
+    User = 1,
+    /// The online controller, `SelfTuning`, while its regime is
+    /// write-heavy.
+    Tuner = 2,
+    /// The hazard watchdog, `oll_hazard::Watched`, from a writer's
+    /// degrading stall until a write gets through.
+    Watchdog = 4,
+}
+
+/// Whether a [`Bravo`] lock's bias may re-arm: one [`Veto`] bit per
+/// party, and the bias may re-arm only when none is set.
+///
+/// A veto does not revoke an armed bias by itself (the next writer
+/// does that); it stops the re-arm after the revocation, so the lock
+/// settles into unbiased operation within one writer episode. Every
+/// access is `Relaxed`: the word is a heuristic input, and a stale read
+/// re-arms or holds off one episode late, never breaks exclusion.
+#[derive(Debug)]
+pub struct BiasSwitch {
+    vetoes: AtomicU8,
+}
+
+impl BiasSwitch {
+    /// Whether no party vetoes the bias.
+    #[inline]
+    pub fn bias_allowed(&self) -> bool {
+        self.vetoes.load(Ordering::Relaxed) == 0
+    }
+
+    /// The user's veto: `false` sets it, `true` lifts it. Another
+    /// party's veto stays in force either way.
+    pub fn set_bias_allowed(&self, allowed: bool) {
+        self.set_veto(Veto::User, !allowed);
+    }
+
+    /// Sets or clears `party`'s veto, leaving the other bits as they are.
+    /// A party that restates its decision pays a load, not an RMW.
+    pub fn set_veto(&self, party: Veto, vetoed: bool) {
+        let bit = party as u8;
+        if (self.vetoes.load(Ordering::Relaxed) & bit != 0) == vetoed {
+            return;
+        }
+        if vetoed {
+            self.vetoes.fetch_or(bit, Ordering::Relaxed);
+        } else {
+            self.vetoes.fetch_and(!bit, Ordering::Relaxed);
+        }
+    }
+}
+
 /// A reader-biasing layer over any [`RwLockFamily`] lock.
 ///
 /// While the bias is armed, read acquisitions complete through the
@@ -98,8 +163,8 @@ enum Table {
 /// writers revoke the bias before their first exclusive section and the
 /// bias re-arms adaptively once the measured revocation cost has been
 /// amortized. Construct with [`Bravo::new`] (biasing on) or
-/// [`Bravo::wrapping`] (explicit on/off — off is a pure pass-through, so
-/// one code path serves both `--biased` and plain runs).
+/// [`Bravo::wrapping`] (explicit on/off — off starts with the user's
+/// veto set, so every operation passes through until it is lifted).
 ///
 /// ```
 /// use oll_core::{Bravo, RollLock, RwHandle, RwLockFamily};
@@ -123,11 +188,9 @@ pub struct Bravo<L> {
     /// BRAVO's `N`: a revocation that took `t` inhibits re-arming for
     /// `t × N`.
     rearm_multiplier: u32,
-    /// Whether the bias may re-arm: the one knob a controller steers
-    /// while the lock runs.
-    knobs: Arc<TuningKnobs>,
+    /// Whether the bias may re-arm: the one value set while the lock runs.
+    switch: BiasSwitch,
     table: Table,
-    enabled: bool,
 }
 
 impl<L> Bravo<L> {
@@ -137,7 +200,9 @@ impl<L> Bravo<L> {
     }
 
     /// Wraps `inner`, biasing only if `biased`. With `biased == false`
-    /// every operation passes straight through to the underlying lock.
+    /// the bias starts disarmed and the user's [`Veto`] set, so every
+    /// operation passes straight through to the underlying lock until
+    /// `knobs().set_bias_allowed(true)`.
     pub fn wrapping(inner: L, biased: bool) -> Self {
         Self {
             inner,
@@ -145,9 +210,10 @@ impl<L> Bravo<L> {
             inhibit_until_ns: AtomicU64::new(0),
             lock_id: next_lock_id(),
             rearm_multiplier: DEFAULT_REARM_MULTIPLIER,
-            knobs: TuningKnobs::shared(),
+            switch: BiasSwitch {
+                vetoes: AtomicU8::new(if biased { 0 } else { Veto::User as u8 }),
+            },
             table: Table::Global,
-            enabled: biased,
         }
     }
 
@@ -159,10 +225,11 @@ impl<L> Bravo<L> {
         self
     }
 
-    /// The live tuning-knob block this lock reads: its
-    /// [`bias_allowed`](TuningKnobs::bias_allowed) gates every re-arm.
-    pub fn knobs(&self) -> &Arc<TuningKnobs> {
-        &self.knobs
+    /// This lock's bias switch; every re-arm checks it. Its
+    /// [`set_bias_allowed`](BiasSwitch::set_bias_allowed) is the user's
+    /// veto.
+    pub fn knobs(&self) -> &BiasSwitch {
+        &self.switch
     }
 
     /// Gives this lock a private visible-readers table with at least
@@ -174,14 +241,9 @@ impl<L> Bravo<L> {
         self
     }
 
-    /// Whether biasing is enabled (construction-time choice).
-    pub fn is_biased(&self) -> bool {
-        self.enabled
-    }
-
     /// Whether the bias is currently armed (racy; for tests/diagnostics).
     pub fn bias_armed(&self) -> bool {
-        self.enabled && self.rbias.load(Ordering::Relaxed)
+        self.rbias.load(Ordering::Relaxed)
     }
 
     /// The wrapped lock.
@@ -231,8 +293,8 @@ impl<L: RwLockFamily> RwLockFamily for Bravo<L> {
         self.inner.telemetry()
     }
 
-    fn tuning_knobs(&self) -> Option<&Arc<TuningKnobs>> {
-        Some(&self.knobs)
+    fn bias_switch(&self) -> Option<&BiasSwitch> {
+        Some(&self.switch)
     }
 }
 
@@ -300,7 +362,7 @@ impl<L: RwLockFamily> BravoHandle<'_, L> {
         let lock = self.lock;
         // Relaxed: only a filter. A stale `true` costs a publish the
         // SeqCst recheck below withdraws; a stale `false` a slow read.
-        if !(lock.enabled && lock.rbias.load(Ordering::Relaxed)) {
+        if !lock.rbias.load(Ordering::Relaxed) {
             return false;
         }
         let timer = self.telemetry.begin_read();
@@ -337,15 +399,14 @@ impl<L: RwLockFamily> BravoHandle<'_, L> {
         true
     }
 
-    /// Re-arms the bias if the inhibit window has expired. Called while
-    /// holding an *underlying* read acquisition, which excludes every
-    /// writer (revocations run under the underlying write lock), so the
-    /// store cannot race a revocation scan.
+    /// Re-arms the bias if no party vetoes it and the inhibit window has
+    /// expired. Called while holding an *underlying* read acquisition,
+    /// which excludes every writer (revocations run under the underlying
+    /// write lock), so the store cannot race a revocation scan.
     fn maybe_rearm(&mut self) {
         let lock = self.lock;
-        if lock.enabled
-            && !lock.rbias.load(Ordering::Relaxed)
-            && lock.knobs.bias_allowed()
+        if !lock.rbias.load(Ordering::Relaxed)
+            && lock.switch.bias_allowed()
             && now_ns() >= lock.inhibit_until_ns.load(Ordering::Relaxed)
         {
             // SeqCst: a release for `try_fast_read`'s recheck.
@@ -381,7 +442,7 @@ impl<L: RwLockFamily> BravoHandle<'_, L> {
         // means the last revocation completed and nothing re-armed since;
         // no fast reader can be active (the fast path requires the flag),
         // so the scan can be skipped.
-        if !(lock.enabled && lock.rbias.load(Ordering::Relaxed)) {
+        if !lock.rbias.load(Ordering::Relaxed) {
             return true;
         }
         let start = now_ns();
@@ -573,7 +634,7 @@ mod tests {
     #[test]
     fn fast_path_read_round_trip() {
         let lock = Bravo::new(RollLock::new(2)).private_table(64);
-        assert!(lock.is_biased());
+        assert!(lock.knobs().bias_allowed());
         assert!(lock.bias_armed());
         let mut h = lock.handle().unwrap();
         for _ in 0..100 {
@@ -587,15 +648,22 @@ mod tests {
     #[test]
     fn disabled_wrapper_is_pass_through() {
         let lock = Bravo::wrapping(RollLock::new(2), false).private_table(64);
-        assert!(!lock.is_biased());
+        assert!(!lock.knobs().bias_allowed(), "the user's veto is set");
         assert!(!lock.bias_armed());
         let mut h = lock.handle().unwrap();
+        h.lock_write();
+        h.unlock_write();
+        // No inhibit window is open (nothing was revoked), so only the
+        // veto keeps this slow read from re-arming.
         h.lock_read();
         assert!(h.fast_slot.is_none());
         h.unlock_read();
-        h.lock_write();
-        h.unlock_write();
         assert!(!lock.bias_armed(), "disabled lock never arms");
+        // Lifting the user's veto turns the bias on at the next slow read.
+        lock.knobs().set_bias_allowed(true);
+        h.lock_read();
+        h.unlock_read();
+        assert!(lock.bias_armed());
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! preferring same-node successors: the gate gives each locality rank
 //! (socket, per [`oll_util::topology`]) its own writer-queue tail, and a
 //! releasing writer hands the lock to the next waiter *in its own cohort*
-//! — a same-socket transfer — up to a tunable batch bound before it must
+//! — a same-socket transfer — up to a batch bound before it must
 //! release through the global queue, where remote cohorts (and readers)
 //! wait.
 //!
@@ -51,14 +51,14 @@ use crate::foll::{NodeRef, QueueCore, WriteTimeout};
 use oll_telemetry::LockEvent;
 use oll_util::backoff::{spin_until, spin_until_deadline, Deadline};
 use oll_util::fault;
-use oll_util::knobs::TuningKnobs;
 use oll_util::sync::{AtomicU32, AtomicU64, Ordering};
 use oll_util::CachePadded;
 
 /// Default batch bound: local hand-offs per cohort tenure before the
-/// release is forced through the global queue. The live value is read
-/// from the lock's [`TuningKnobs`].
-pub const DEFAULT_COHORT_BATCH: u32 = oll_util::knobs::DEFAULT_COHORT_BATCH;
+/// release is forced through the global queue (the remote-starvation
+/// bound). A lock's own bound is fixed when it is built
+/// ([`QueueBuilder::cohort_batch`](crate::foll::QueueBuilder::cohort_batch)).
+pub const DEFAULT_COHORT_BATCH: u32 = 64;
 
 /// Grant-word flag: the hand-off carries the global lock itself (the
 /// grantee inherits the owner's place in the global queue). Absent, the
@@ -108,16 +108,14 @@ pub(crate) struct CohortGate {
     ctails: Box<[CachePadded<AtomicU32>]>,
     /// One cohort node per thread slot (same indexing as writer nodes).
     nodes: Box<[CachePadded<CohortNode>]>,
-    /// Live knobs; the batch bound (≥ 1) is read per release so a
-    /// controller can re-balance local throughput against remote
-    /// starvation while the lock runs.
-    knobs: std::sync::Arc<TuningKnobs>,
+    /// The batch bound (≥ 1).
+    batch: u32,
     /// Number of cohorts (≥ 1).
     cohorts: usize,
 }
 
 impl CohortGate {
-    pub(crate) fn new(capacity: usize, cohorts: usize, knobs: std::sync::Arc<TuningKnobs>) -> Self {
+    pub(crate) fn new(capacity: usize, cohorts: usize, batch: u32) -> Self {
         let cohorts = cohorts.max(1);
         Self {
             ctails: (0..cohorts)
@@ -126,7 +124,7 @@ impl CohortGate {
             nodes: (0..capacity.max(1))
                 .map(|_| CachePadded::new(CohortNode::new()))
                 .collect(),
-            knobs,
+            batch: batch.max(1),
             cohorts,
         }
     }
@@ -136,7 +134,7 @@ impl CohortGate {
     }
 
     pub(crate) fn batch_limit(&self) -> u32 {
-        self.knobs.cohort_batch()
+        self.batch
     }
 
     fn node(&self, slot: usize) -> &CohortNode {

@@ -66,5 +66,3 @@ pub use roll::{RollBuilder, RollLock};
 pub use rwlock::{RwLock, RwLockOwner, RwLockReadGuard, RwLockWriteGuard};
 #[cfg(not(loom))]
 pub use tuning::{Regime, SelfTuning, TunedHandle, TuningConfig};
-
-pub use oll_util::knobs::TuningKnobs;

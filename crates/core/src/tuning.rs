@@ -3,15 +3,20 @@
 //!
 //! # One lever
 //!
-//! The controller steers one knob, [`TuningKnobs::bias_allowed`]: per
-//! window, a mix with writes at 30 % or more of the acquisitions is
-//! [`Regime::WriteHeavy`] and disallows the bias; any other mix is
-//! [`Regime::Mixed`] and allows it. How long the bias stays off after a
+//! The controller steers one bit, its own [`Veto::Tuner`] in the wrapped
+//! lock's [`BiasSwitch`]: per window, a mix with writes at 30 % or more
+//! of the acquisitions is [`Regime::WriteHeavy`] and sets the veto; any
+//! other mix is [`Regime::Mixed`] and clears it. Clearing it lifts only
+//! the controller's own veto: a bias the user or the hazard watchdog
+//! forbids stays forbidden. How long the bias stays off after a
 //! revocation is BRAVO's own rule (`took × N`, in [`Bravo`](crate::Bravo)),
 //! which the controller never overrides: a second controller steering
 //! the same bias would break the first one's bound on what biasing costs
 //! writers. The decision reads only the handles' own acquisition counts,
 //! so it is the same with or without telemetry.
+//!
+//! [`Veto::Tuner`]: crate::bravo::Veto::Tuner
+//! [`BiasSwitch`]: crate::bravo::BiasSwitch
 //!
 //! # Sampling without a timer thread
 //!
@@ -22,7 +27,7 @@
 //! that crosses the threshold — and wins a CAS on a single decider gate —
 //! closes the window: it snapshots the counter deltas, classifies the
 //! window into a [`Regime`], and (subject to hysteresis and cooldown)
-//! stores the regime's bias permission. Threads that lose the gate race
+//! sets or clears its veto. Threads that lose the gate race
 //! just continue into their acquisition; a decision is never worth
 //! waiting for.
 //!
@@ -57,14 +62,13 @@
 //! events), so the trace analyzer can show *why* the controller did not
 //! move.
 
+use crate::bravo::{BiasSwitch, Veto};
 use crate::raw::{RwHandle, RwLockFamily, TimedHandle, TimedOut, UpgradableHandle};
 use oll_telemetry::{LockEvent, Telemetry};
 use oll_util::backoff::Deadline;
 use oll_util::fault;
-use oll_util::knobs::TuningKnobs;
 use oll_util::slots::SlotError;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A window is [`Regime::WriteHeavy`] when writes make up at least this
 /// percentage of its acquisitions: reader bias stops paying for itself
@@ -202,10 +206,9 @@ impl CtlShared {
 /// A lock wrapped with the online bias controller.
 ///
 /// Wrap a [`Bravo`](crate::Bravo) lock (say, `build_biased()`'s): the
-/// controller allows or disallows its bias from the lock's own observed
-/// read/write mix. Wrapping a lock without a bias is harmless: the
-/// controller still classifies, but nothing reads the permission it
-/// stores.
+/// controller sets or clears its veto on the bias from the lock's own
+/// observed read/write mix. Wrapping a lock without a bias is harmless:
+/// the controller still classifies, and stores nothing.
 ///
 /// ```
 /// use oll_core::raw::{RwHandle, RwLockFamily};
@@ -218,7 +221,6 @@ impl CtlShared {
 /// ```
 pub struct SelfTuning<L: RwLockFamily> {
     inner: L,
-    knobs: Arc<TuningKnobs>,
     telemetry: Telemetry,
     ctl: CtlShared,
     config: TuningConfig,
@@ -233,14 +235,9 @@ impl<L: RwLockFamily> SelfTuning<L> {
     /// Wraps `inner` with explicit pacing (tests use a `window` of 1 plus
     /// [`tick`](Self::tick) for determinism).
     pub fn with_config(inner: L, config: TuningConfig) -> Self {
-        let knobs = inner
-            .tuning_knobs()
-            .cloned()
-            .unwrap_or_else(TuningKnobs::shared);
         let telemetry = inner.telemetry();
         Self {
             inner,
-            knobs,
             telemetry,
             ctl: CtlShared::new(),
             config: TuningConfig {
@@ -256,16 +253,10 @@ impl<L: RwLockFamily> SelfTuning<L> {
         &self.inner
     }
 
-    /// Unwraps the controller, returning the inner lock (its bias
-    /// permission stays what the controller last stored).
+    /// Unwraps the controller, returning the inner lock (the
+    /// controller's veto stays as it last set it).
     pub fn into_inner(self) -> L {
         self.inner
-    }
-
-    /// The knob block whose bias permission the controller steers (the
-    /// inner lock's own).
-    pub fn knobs(&self) -> &Arc<TuningKnobs> {
-        &self.knobs
     }
 
     /// The currently applied regime.
@@ -357,7 +348,9 @@ impl<L: RwLockFamily> SelfTuning<L> {
             .store(proposed as u32, Ordering::Relaxed);
         self.ctl.pending_streak.store(streak, Ordering::Relaxed);
         if streak >= self.config.hysteresis && cooldown == 0 {
-            self.knobs.set_bias_allowed(proposed != Regime::WriteHeavy);
+            if let Some(switch) = self.inner.bias_switch() {
+                switch.set_veto(Veto::Tuner, proposed == Regime::WriteHeavy);
+            }
             self.ctl.regime.store(proposed as u32, Ordering::Relaxed);
             self.ctl.pending_streak.store(0, Ordering::Relaxed);
             self.ctl
@@ -408,8 +401,8 @@ impl<L: RwLockFamily> RwLockFamily for SelfTuning<L> {
         self.telemetry.clone()
     }
 
-    fn tuning_knobs(&self) -> Option<&Arc<TuningKnobs>> {
-        Some(&self.knobs)
+    fn bias_switch(&self) -> Option<&BiasSwitch> {
+        self.inner.bias_switch()
     }
 }
 

@@ -25,20 +25,20 @@
 //!   turns a hang into [`AcquireError::DeadlockDetected`].
 //! * **Starvation watchdog** — a watched writer that outwaits the stall
 //!   threshold escalates: telemetry event → trace anomaly → *graceful
-//!   degradation*, which clears the wrapped lock's
-//!   [`TuningKnobs::bias_allowed`] so a BRAVO bias cannot re-arm until a
-//!   write gets through again.
+//!   degradation*, which sets the watchdog's [`Veto::Watchdog`] in the
+//!   wrapped lock's BRAVO bias switch so the bias cannot re-arm until a
+//!   write gets through again. Write progress clears that bit alone: a
+//!   veto of the user's or of `SelfTuning`'s stays in force.
 //!
 //! The wrapper is the switch: a lock that is not wrapped carries no
 //! hazard state and runs no hazard code.
-//!
-//! [`TuningKnobs::bias_allowed`]: oll_util::knobs::TuningKnobs::bias_allowed
 
 #![cfg(not(loom))]
 #![warn(missing_docs)]
 
 pub mod graph;
 
+use oll_core::bravo::{BiasSwitch, Veto};
 use oll_core::{
     ReadGuard, RwHandle, RwLockFamily, TimedHandle, TimedOut, UpgradableHandle, WriteGuard,
 };
@@ -91,12 +91,8 @@ pub struct Watched<L> {
     lock_id: u64,
     poisoned: AtomicBool,
     /// Watchdog escalation: 0 = quiet, 1 = telemetry, 2 = trace
-    /// anomaly, 3 = degraded (bias re-arming refused).
+    /// anomaly, 3 = degraded (the watchdog's bias veto set).
     stall_level: AtomicU8,
-    /// Whether the watchdog is what cleared the wrapped lock's
-    /// `bias_allowed` knob, so write progress knows whether to set it
-    /// back (a knob the user cleared stays cleared).
-    cleared_bias: AtomicBool,
     interval: Duration,
     stall_threshold: Duration,
 }
@@ -110,7 +106,6 @@ impl<L> Watched<L> {
             lock_id: next_lock_id(),
             poisoned: AtomicBool::new(false),
             stall_level: AtomicU8::new(0),
-            cleared_bias: AtomicBool::new(false),
             interval: DEFAULT_WATCH_INTERVAL,
             stall_threshold: DEFAULT_STALL_THRESHOLD,
         }
@@ -175,9 +170,7 @@ impl<L: RwLockFamily> Watched<L> {
     /// Watchdog input: a watched writer has been waiting `stalled` so
     /// far. `≥ 1×` the threshold counts a `watchdog_stall` event, `≥ 2×`
     /// another (the trace anomaly pass picks repeated stalls up), `≥ 3×`
-    /// degrades the lock. The degrade is re-applied on every slice while
-    /// it lasts, because a `SelfTuning` window rewrites the whole knob
-    /// set.
+    /// degrades the lock: sets the watchdog's veto on its bias.
     fn note_writer_stall(&self, stalled: Duration) {
         let threshold = self.stall_threshold.as_nanos();
         let target = (stalled.as_nanos() / threshold).min(3) as u8;
@@ -192,6 +185,9 @@ impl<L: RwLockFamily> Watched<L> {
                 Ok(_) => {
                     level += 1;
                     let event = if level == 3 {
+                        if let Some(switch) = self.inner.bias_switch() {
+                            switch.set_veto(Veto::Watchdog, true);
+                        }
                         LockEvent::BiasDegraded
                     } else {
                         LockEvent::WatchdogStall
@@ -201,29 +197,18 @@ impl<L: RwLockFamily> Watched<L> {
                 Err(now) => level = now,
             }
         }
-        if level == 3 {
-            if let Some(knobs) = self.inner.tuning_knobs() {
-                if knobs.bias_allowed() {
-                    knobs.set_bias_allowed(false);
-                    self.cleared_bias.store(true, Ordering::Relaxed);
-                }
-            }
-        }
     }
 
     /// Progress note: an acquisition or release completed. Resets the
     /// watchdog ladder; only a *write* getting through proves the
-    /// degradation did its job, so only a write gives the bias back.
+    /// degradation did its job, so only a write lifts the watchdog's veto.
     fn note_progress(&self, write: bool) {
         if self.stall_level.load(Ordering::Relaxed) != 0 {
             self.stall_level.store(0, Ordering::Relaxed);
         }
-        if write
-            && self.cleared_bias.load(Ordering::Relaxed)
-            && self.cleared_bias.swap(false, Ordering::Relaxed)
-        {
-            if let Some(knobs) = self.inner.tuning_knobs() {
-                knobs.set_bias_allowed(true);
+        if write {
+            if let Some(switch) = self.inner.bias_switch() {
+                switch.set_veto(Veto::Watchdog, false);
             }
         }
     }
@@ -255,8 +240,8 @@ impl<L: RwLockFamily> RwLockFamily for Watched<L> {
         self.inner.telemetry()
     }
 
-    fn tuning_knobs(&self) -> Option<&std::sync::Arc<oll_util::knobs::TuningKnobs>> {
-        self.inner.tuning_knobs()
+    fn bias_switch(&self) -> Option<&BiasSwitch> {
+        self.inner.bias_switch()
     }
 }
 
@@ -552,7 +537,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oll_core::{Bravo, GollLock};
+    use oll_core::{Bravo, GollLock, Regime, RollLock, SelfTuning, TuningConfig};
 
     #[test]
     fn poison_round_trip() {
@@ -588,8 +573,8 @@ mod tests {
         w.note_writer_stall(Duration::from_millis(35));
         assert_eq!(w.stall_level(), 3);
         assert!(!knobs.bias_allowed(), "level 3 degrades the bias");
-        // A further stall note cannot go past 3, and re-applies the
-        // degrade a knob rewrite undid.
+        // A further stall note cannot go past 3, and the user's allow
+        // lifts only the user's own veto.
         knobs.set_bias_allowed(true);
         w.note_writer_stall(Duration::from_secs(1));
         assert_eq!(w.stall_level(), 3);
@@ -601,6 +586,39 @@ mod tests {
         assert!(!knobs.bias_allowed());
         w.note_progress(true);
         assert!(knobs.bias_allowed());
+    }
+
+    /// The watchdog lifts only its own veto: write progress after a
+    /// degrade leaves the bias forbidden while `SelfTuning`, nested
+    /// inside, still classifies the mix as write-heavy.
+    #[test]
+    fn write_progress_keeps_the_tuners_veto() {
+        let config = TuningConfig {
+            window: u32::MAX,
+            hysteresis: 1,
+            cooldown: 0,
+        };
+        let w = Watched::new(SelfTuning::with_config(
+            Bravo::new(RollLock::new(2)).private_table(64),
+            config,
+        ))
+        .stall_threshold(Duration::from_millis(10));
+        w.note_writer_stall(Duration::from_millis(35));
+        assert_eq!(w.stall_level(), 3);
+        let tuned = w.inner();
+        let mut h = tuned.handle().unwrap();
+        for _ in 0..10 {
+            h.lock_write();
+            h.unlock_write();
+        }
+        h.flush();
+        tuned.tick();
+        assert_eq!(tuned.regime(), Regime::WriteHeavy);
+        w.note_progress(true);
+        assert!(
+            !tuned.inner().knobs().bias_allowed(),
+            "write progress re-allowed a bias the controller forbids"
+        );
     }
 
     #[test]

@@ -111,8 +111,8 @@ macro_rules! lock_events {
             /// stall threshold (counted at each escalation below
             /// degradation).
             WatchdogStall = "watchdog_stall",
-            /// The watchdog degraded the lock: its `bias_allowed` knob is
-            /// cleared, so the reader bias cannot re-arm until a write
+            /// The watchdog degraded the lock: its veto on the reader
+            /// bias is set, so the bias cannot re-arm until a write
             /// completes.
             BiasDegraded = "bias_degraded",
             /// An async acquisition stored its task waker and returned

@@ -39,7 +39,6 @@ pub mod cache_padded;
 pub mod event;
 pub mod fault;
 pub mod json;
-pub mod knobs;
 pub mod rng;
 pub mod slots;
 pub mod spin_mutex;
@@ -50,7 +49,6 @@ pub mod turnstile;
 pub use backoff::Backoff;
 pub use cache_padded::CachePadded;
 pub use event::{Event, WaitStrategy};
-pub use knobs::TuningKnobs;
 pub use rng::XorShift64;
 pub use slots::{SlotError, SlotGuard, SlotRegistry, VisibleReaders};
 pub use spin_mutex::{SpinMutex, SpinMutexGuard};

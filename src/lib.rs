@@ -71,7 +71,7 @@
 //!   while a `TraceSession` is open. The analyzer and Perfetto export
 //!   that read a recording, and the live sampler, are in `oll-obs`.
 //! * [`util`] — backoff, cache padding, events, spin mutex, thread
-//!   slots, and the `TuningKnobs` block every runtime knob lives in.
+//!   slots and the visible-readers table.
 //!
 //! `public-api.txt` at the repository root lists every public item of
 //! this crate and the crates it links; `scripts/public_api.sh`
