@@ -199,7 +199,7 @@ pub struct HazardAnomaly {
 
 /// A self-tuning controller decision that changed policy — copied out of
 /// the record stream so a report reader can correlate a throughput or
-/// wait-time regime change with the knob store that caused it.
+/// wait-time regime change with the veto store that caused it.
 #[derive(Debug, Clone)]
 pub struct PolicyFlip {
     /// The lock whose controller flipped.
